@@ -41,6 +41,12 @@ def _float_list(text: str) -> list:
     return out
 
 
+def _required(values: list, flag: str) -> list:
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
+
+
 def _writer(cfg, out_dir=None) -> outputs.OutputWriter:
     directory = out_dir if out_dir is not None else cfg["output.directory"]
     return outputs.OutputWriter(directory, config.formats_from(cfg))
@@ -61,7 +67,8 @@ def _visibility_of(cfg, sigma_rad: float) -> float:
     return biphoton.visibility(build_jsa(grid, line, pump))
 
 
-def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> int:
+def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
+    """Exit code, and {sigma_hz: V} for every row that succeeded."""
     rows = []
     ok = 0
     for tp in tps_s:
@@ -90,8 +97,8 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> int:
             "Spectral-purity visibility vs pump bandwidth"))
     if rows and ok == 0:
         print("visibility: every sweep row failed", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+        return EXIT_CONFIG, dict(good)
+    return EXIT_OK, dict(good)
 
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
@@ -123,11 +130,8 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
                  name: str = "timedist") -> int:
     dist = _timedist_compute(cfg, tp_s, with_storage)
     t_ns = dist.t_grid * 1e9
-    rows = []
-    for i, t1 in enumerate(t_ns):
-        for j, t2 in enumerate(t_ns):
-            rows.append((t1, t2, dist.density[i, j]))
-    writer.write_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"], rows)
+    writer.write_grid_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"],
+                          t_ns, dist.density)
     tag = f", storage: {with_storage}" if with_storage else ""
     writer.write_svg(f"{name}.svg", svgplot.heatmap(
         dist.density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
@@ -294,8 +298,8 @@ def _check(cid, value, target, tol, relative=False):
 
 
 def cmd_reproduce_all(cfg, writer) -> int:
-    cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
-                   _float_list(_DEFAULT_TPS))
+    _, vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
+                            _float_list(_DEFAULT_TPS))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
     cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
     cmd_eit(cfg, writer)
@@ -303,11 +307,17 @@ def cmd_reproduce_all(cfg, writer) -> int:
     cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
     cmd_g13(cfg, writer, list(np.linspace(0.0, 4e-6, 81)))
 
+    def visibility_at(sigma_hz):
+        # a sweep row that failed is recomputed to raise its error here
+        if sigma_hz in vis:
+            return vis[sigma_hz]
+        return _visibility_of(cfg, TWO_PI * sigma_hz)
+
     checks = []
-    checks.append(_check("vis_sigma_12p5MHz",
-                         _visibility_of(cfg, TWO_PI * 12.5e6), 0.97, 0.01))
-    checks.append(_check("vis_sigma_3p7MHz",
-                         _visibility_of(cfg, TWO_PI * 3.7e6), 0.80, 0.02))
+    checks.append(_check("vis_sigma_12p5MHz", visibility_at(12.5e6),
+                         0.97, 0.01))
+    checks.append(_check("vis_sigma_3p7MHz", visibility_at(3.7e6),
+                         0.80, 0.02))
 
     medium = config.medium_from(cfg)
     fit = fit_gamma_s(medium, 5.5e6)
@@ -432,24 +442,27 @@ def main(argv=None) -> int:
         cfg = config.load_config(args.config, args.set)
         writer = _writer(cfg, args.out)
         if args.command == "visibility":
-            code = cmd_visibility(cfg, writer, _float_list(args.sigma_hz),
-                                  _float_list(args.tp_s))
+            code, _ = cmd_visibility(cfg, writer,
+                                     _float_list(args.sigma_hz),
+                                     _float_list(args.tp_s))
         elif args.command == "timedist":
             code = cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
         elif args.command == "eit":
             code = cmd_eit(cfg, writer, args.fit_gamma_s)
         elif args.command == "store":
-            states = [s.strip() for s in args.states.split(",") if s.strip()]
+            states = _required([s.strip() for s in args.states.split(",")
+                                if s.strip()], "--states")
             for s in states:
                 if s not in qubit.SIX_STATES:
                     raise ConfigError(f"unknown state {s!r}")
-            code = cmd_store(cfg, writer,
-                             states, _float_list(args.storage_times_s))
+            code = cmd_store(cfg, writer, states, _required(
+                _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "bell":
-            code = cmd_bell(cfg, writer, _float_list(args.storage_times_s))
+            code = cmd_bell(cfg, writer, _required(
+                _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "g13":
-            times = (_float_list(args.times_s) if args.times_s
-                     else list(np.linspace(0.0, 4e-6, 81)))
+            times = (_required(_float_list(args.times_s), "--times-s")
+                     if args.times_s else list(np.linspace(0.0, 4e-6, 81)))
             code = cmd_g13(cfg, writer, times)
         else:
             code = cmd_reproduce_all(cfg, writer)

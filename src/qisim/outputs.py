@@ -72,6 +72,26 @@ class OutputWriter:
         self._record(name, path)
         return path
 
+    def write_grid_csv(self, name: str, header, axis, values) -> str:
+        """A square grid `values[i, j]` on `axis` x `axis`, in the same
+        long format write_csv gives rows (axis[i], axis[j], values[i, j]).
+
+        Streams one row of the grid at a time, so memory does not grow
+        with the number of CSV rows; each axis value is formatted once.
+        """
+        if not self.wants("csv"):
+            return None
+        path = os.path.join(self.directory, name)
+        labels = [fmt_float(a) for a in axis]
+        cols = ["," + label + "," for label in labels]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for label, row in zip(labels, values):
+                fh.write("".join([f"{label}{col}{v:.17g}\n"
+                                  for col, v in zip(cols, row.tolist())]))
+        self._record(name, path)
+        return path
+
     def write_json(self, name: str, obj) -> str:
         if not self.wants("json"):
             return None

@@ -42,6 +42,15 @@ def color_for(value: float) -> str:
     return PALETTE[idx]
 
 
+def palette_indices(values: np.ndarray) -> np.ndarray:
+    """PALETTE index of every value, as color_for picks it: np.rint and
+    round() both round half to even."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("cannot color a NaN value")
+    return np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.intp)
+
+
 def _block_mean(a: np.ndarray, limit: int = 128) -> np.ndarray:
     n = a.shape[0]
     if n <= limit:
@@ -87,13 +96,14 @@ def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
         '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
         'text-anchor="middle">%s</text>' % (ml + size / 2.0, _esc(title)),
     ]
+    fills = palette_indices(v).tolist()
     for i in range(m):            # row index = y
         y = mt + size - (i + 1) * cell
         for j in range(m):
             parts.append(
                 '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
                 'fill="%s"/>' % (ml + j * cell, y, cell + 0.5, cell + 0.5,
-                                 color_for(v[i, j])))
+                                 PALETTE[fills[i][j]]))
     parts.append('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" '
                  'fill="none" stroke="black"/>' % (ml, mt, size, size))
     for t in _ticks(lo, hi):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qisim import outputs
+from qisim import cli, outputs
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import refvals as rv
@@ -178,6 +178,21 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["store", "--states", ","],
+    ["store", "--storage-times-s", ","],
+    ["bell", "--storage-times-s", ","],
+    ["g13", "--times-s", ","],
+], ids=["store-states", "store-times", "bell-times", "g13-times"])
+def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert err.startswith("qisim: " + argv[1] + " ")
+    assert err.count("\n") == 1
+
+
 def test_bell_command(tmp_path):
     out = tmp_path / "out"
     assert main(["bell", "--out", str(out)]) == EXIT_OK
@@ -287,3 +302,26 @@ def test_reproduce_all_checks_and_determinism(tmp_path, capsys):
     assert files == hash_dir(str(run2))
     assert manifest_sans_timestamp(str(run1)) == manifest_sans_timestamp(
         str(run2))
+
+
+def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
+    calls = []
+    original = cli.biphoton.visibility
+
+    def counting(jsa):
+        calls.append(jsa.n_points)
+        return original(jsa)
+
+    monkeypatch.setattr(cli.biphoton, "visibility", counting)
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--out", str(out),
+                 "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
+                 "--set", "output.formats=csv,json"]) == EXIT_CHECKS
+    # two pulse durations and three bandwidths in the sweep; the two
+    # visibility checks read the sweep's values
+    assert len(calls) == 5
+    _, rows = outputs.read_csv(str(out / "visibility.csv"))
+    swept = {r[0]: r[2] for r in rows if r[1] is None}
+    by_id = {c["id"]: c for c in load_json(out / "checks.json")["checks"]}
+    assert by_id["vis_sigma_12p5MHz"]["value"] == swept[12.5e6]
+    assert by_id["vis_sigma_3p7MHz"]["value"] == swept[3.7e6]

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -49,6 +52,45 @@ def test_csv_uses_lf_line_endings(tmp_path):
     raw = (tmp_path / "data.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def _long_format_reference(header, axis, values):
+    """The long format as write_csv produces it from (t1, t2, v) rows."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for i, t1 in enumerate(axis):
+        for j, t2 in enumerate(axis):
+            w.writerow([outputs.fmt_cell(c) for c in (t1, t2, values[i, j])])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_grid_csv_matches_long_format_rows(tmp_path):
+    rng = np.random.default_rng(37)
+    axis = np.sort(rng.uniform(-50.0, 150.0, 37))
+    axis[5] = -0.0
+    values = rng.random((37, 37))
+    values[0, :4] = [0.0, 1.0, 5e-324, 1.0 / 3.0]
+    values[36, 36] = 1.0 / 3.0
+    header = ["t1_ns", "t2_ns", "density"]
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    path = writer.write_grid_csv("grid.csv", header, axis, values)
+    expected = _long_format_reference(header, axis, values)
+    raw = (tmp_path / "grid.csv").read_bytes()
+    assert raw == expected
+    assert b"\n-0," in raw          # the -0.0 axis point keeps its sign
+    assert writer.entries == [{
+        "path": "grid.csv",
+        "sha256": hashlib.sha256(expected).hexdigest()}]
+    assert path == str(tmp_path / "grid.csv")
+    _, rows = outputs.read_csv(path)
+    assert len(rows) == 37 * 37
+    assert rows[2] == [axis[0], axis[2], 5e-324]
+
+    json_only = outputs.OutputWriter(str(tmp_path / "json"), ("json",))
+    assert json_only.write_grid_csv("grid.csv", header, axis, values) is None
+    assert os.listdir(tmp_path / "json") == []
+    assert json_only.entries == []
 
 
 def test_format_gating(tmp_path):
@@ -136,3 +178,21 @@ def test_heatmap_downsamples_large_grids():
     text = svgplot.heatmap(values, (0.0, 1.0), "x", "y", "t")
     # at most 128 cells per axis after block averaging
     assert text.count("<rect") <= 128 * 128 + 4
+
+
+def test_palette_indices_match_color_for():
+    rng = np.random.default_rng(11)
+    k = np.arange(256.0)
+    # values whose 255 * v lands exactly on k + 1/2, where rounding ties
+    halfway = [next(c for c in (v, np.nextafter(v, 0.0), np.nextafter(v, 1.0))
+                    if 255.0 * c == j + 0.5)
+               for j, v in enumerate((k[:-1] + 0.5) / 255.0)]
+    values = np.concatenate([
+        rng.uniform(-0.2, 1.2, 4096), k / 255.0, halfway,
+        [-0.0, -1.0, 2.0, np.inf, -np.inf]])
+    idx = svgplot.palette_indices(values.reshape(-1, 1))
+    assert idx.shape == (values.size, 1)
+    assert [svgplot.PALETTE[i] for i in idx.ravel()] == [
+        svgplot.color_for(float(x)) for x in values]
+    with pytest.raises(ValueError):
+        svgplot.palette_indices(np.array([0.5, np.nan]))
