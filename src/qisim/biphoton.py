@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError, ResolutionError
 from .spectral import (
@@ -229,26 +228,14 @@ def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,
 
 
 def joint_time_distribution(jsa: JointSpectralAmplitude,
-                            t_grid: np.ndarray,
-                            jitter_sigma: float = 0.0) -> JointTimeDistribution:
-    """Max-normalized |psi(t1, t2)|^2.
-
-    jitter_sigma > 0 convolves the density with an isotropic Gaussian of
-    that standard deviation (seconds) to emulate detector jitter; off by
-    default.
-    """
+                            t_grid: np.ndarray) -> JointTimeDistribution:
+    """Max-normalized |psi(t1, t2)|^2."""
     psi_t = time_domain(jsa, t_grid)
-    return _density_from_amplitude(psi_t, t_grid, jitter_sigma)
+    return _density_from_amplitude(psi_t, t_grid)
 
 
-def _density_from_amplitude(psi_t, t_grid, jitter_sigma):
+def _density_from_amplitude(psi_t, t_grid):
     density = np.abs(psi_t) ** 2
-    if jitter_sigma < 0.0:
-        raise InputError("jitter_sigma must be >= 0")
-    if jitter_sigma > 0.0:
-        dt = float(t_grid[1] - t_grid[0])
-        density = ndimage.gaussian_filter(
-            density, sigma=jitter_sigma / dt, mode="constant")
     peak = density.max()
     if not peak > 0.0:
         raise InputError("density is identically zero")
@@ -257,8 +244,7 @@ def _density_from_amplitude(psi_t, t_grid, jitter_sigma):
 
 
 def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
-                              t_grid: np.ndarray = None,
-                              jitter_sigma: float = 0.0) -> JointTimeDistribution:
+                              t_grid: np.ndarray = None) -> JointTimeDistribution:
     """Joint time distribution after the signal photon passed a spectral
     filter (axis 0 is the signal axis).
 
@@ -269,7 +255,7 @@ def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
     if t_grid is None:
         raise InputError("t_grid is required")
     if eit_filter is None:
-        return joint_time_distribution(jsa, t_grid, jitter_sigma)
+        return joint_time_distribution(jsa, t_grid)
     d = jsa.grid.detunings
     f = eit_filter(d) if callable(eit_filter) else np.asarray(eit_filter)
     f = np.asarray(f, dtype=complex)
@@ -283,7 +269,7 @@ def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
         filtered = JointSpectralAmplitude(
             jsa.grid, dense=jsa.amplitude * f[:, None], normalized=False)
     psi_t = time_domain(filtered, t_grid)
-    return _density_from_amplitude(psi_t, t_grid, jitter_sigma)
+    return _density_from_amplitude(psi_t, t_grid)
 
 
 def continuous_pump_density(t_grid: np.ndarray,

@@ -54,8 +54,7 @@ def _writer(cfg, out_dir=None) -> outputs.OutputWriter:
 
 def _finish(cfg, writer) -> None:
     writer.write_manifest(cfg.echo(),
-                          outputs.sha256_text(cfg.canonical_text()),
-                          config.seed_from(cfg))
+                          outputs.sha256_text(cfg.canonical_text()))
 
 
 # ------------------------------------------------------------- commands
@@ -95,7 +94,7 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
             [("visibility", [g[1] for g in good])],
             "pump bandwidth sigma (Hz)", "visibility V",
             "Spectral-purity visibility vs pump bandwidth"))
-    if rows and ok == 0:
+    if ok == 0:
         print("visibility: every sweep row failed", file=sys.stderr)
         return EXIT_CONFIG, dict(good)
     return EXIT_OK, dict(good)
@@ -194,11 +193,10 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
 
 
 def cmd_store(cfg, writer, states, times_s) -> int:
-    decay = config.decay_from(cfg)
     results = []
     for t_s in times_s:
         params = config.channel_from(cfg, t_s)
-        battery = qubit.six_state_battery(params, decay.eta)
+        battery = qubit.six_state_battery(params)
         fids = {name: battery[name] for name in states}
         fids["average"] = sum(fids[n] for n in states) / len(states)
         results.append({"t_s": t_s, "fidelities": fids})
@@ -216,14 +214,12 @@ def cmd_store(cfg, writer, states, times_s) -> int:
 def cmd_bell(cfg, writer, times_s) -> int:
     v_src = cfg["channel.V_src"]
     source = qubit.werner_state(v_src)
-    decay = config.decay_from(cfg)
     s_local = qubit.chsh_S(source)
     rows = []
     last_state = source
     for t_s in times_s:
         params = config.channel_from(cfg, t_s, balanced=True)
-        state = qubit.memory_channel_two_qubit(source, params, decay.eta,
-                                               arm=2)
+        state = qubit.memory_channel_two_qubit(source, params, arm=2)
         s = qubit.chsh_S(state)
         rows.append({"t_s": t_s, "S": s, "violated": bool(s > 2.0)})
         last_state = state
@@ -338,20 +334,11 @@ def cmd_reproduce_all(cfg, writer) -> int:
                          float(np.abs(transmission(0.0, off)) ** 2),
                          math.exp(-55.0), 1e-6, relative=True))
 
-    decay = config.decay_from(cfg)
-    battery = qubit.six_state_battery(config.channel_from(cfg, 200e-9),
-                                      decay.eta)
+    battery = qubit.six_state_battery(config.channel_from(cfg, 200e-9))
     refs = {"H": 0.954, "V": 0.989, "plus": 0.909, "minus": 0.889,
             "R": 0.920, "L": 0.881}
     worst = max(abs(battery[n] - refs[n]) for n in refs)
-    checks.append({
-        "id": "six_state_each",
-        "value": worst,
-        "target": 0.0,
-        "tolerance": 0.04,
-        "relative": False,
-        "passed": bool(worst <= 0.04),
-    })
+    checks.append(_check("six_state_each", worst, 0.0, 0.04))
     checks.append(_check("six_state_average", battery["average"],
                          0.924, 0.03))
 
@@ -359,9 +346,9 @@ def cmd_reproduce_all(cfg, writer) -> int:
                          2.0 * math.sqrt(2.0), 1e-9))
     params_1us = config.channel_from(cfg, 1e-6, balanced=True)
     stored = qubit.memory_channel_two_qubit(
-        qubit.werner_state(cfg["channel.V_src"]), params_1us, decay.eta,
-        arm=2)
+        qubit.werner_state(cfg["channel.V_src"]), params_1us, arm=2)
     checks.append(_check("bell_S_1us", qubit.chsh_S(stored), 2.28, 0.17))
+    decay = config.decay_from(cfg)
     checks.append(_check("g13_crossing",
                          qubit.crossing_time(cfg["g13.g0"], decay.eta, 5.0),
                          2e-6, 0.10, relative=True))
@@ -442,9 +429,9 @@ def main(argv=None) -> int:
         cfg = config.load_config(args.config, args.set)
         writer = _writer(cfg, args.out)
         if args.command == "visibility":
-            code, _ = cmd_visibility(cfg, writer,
-                                     _float_list(args.sigma_hz),
-                                     _float_list(args.tp_s))
+            sigmas, tps = _float_list(args.sigma_hz), _float_list(args.tp_s)
+            _required(sigmas + tps, "--sigma-hz or --tp-s")
+            code, _ = cmd_visibility(cfg, writer, sigmas, tps)
         elif args.command == "timedist":
             code = cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
         elif args.command == "eit":

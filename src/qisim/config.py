@@ -7,10 +7,9 @@ visibility numbers and are not recomputed at runtime.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .eit import DECAY_SHAPES, EitMedium, MemoryDecay
 from .qubit import MemoryChannelParams
 from .spectral import (PUMP_KINDS, TWO_PI, CavityLine, FrequencyGrid,
@@ -20,7 +19,6 @@ _FORMATS = ("csv", "json", "svg")
 
 # key -> (type tag, default).  Type tags: int, float, optfloat, str.
 DEFAULTS = {
-    "seed": ("int", 12345),
     "source.gamma_hz": ("float", 5e6),
     "source.pump_kind": ("str", "gaussian"),
     "source.T_p_s": ("optfloat", 30e-9),
@@ -30,7 +28,6 @@ DEFAULTS = {
     "eit.gamma_ge_hz": ("float", 2.87e6),
     "eit.gamma_s_hz": ("float", 1.0e4),
     "eit.length_m": ("float", 4e-3),
-    "eit.eta0": ("float", 0.2),
     "eit.tau_mem_s": ("float", 1.494136040059602e-06),
     "eit.decay_shape": ("str", "gaussian"),
     "channel.eta_U": ("float", 0.5819439041677432),
@@ -49,12 +46,12 @@ DEFAULTS = {
 
 _POSITIVE = (
     "source.gamma_hz", "eit.od", "eit.rabi_hz", "eit.gamma_ge_hz",
-    "eit.length_m", "eit.eta0", "eit.tau_mem_s", "grids.freq_span_factor",
+    "eit.length_m", "eit.tau_mem_s", "grids.freq_span_factor",
     "grids.time_span_factor",
 )
 _NON_NEGATIVE = ("eit.gamma_s_hz", "channel.phase_jitter_rad",
                  "channel.background_b")
-_UNIT_RANGE = ("channel.eta_U", "channel.eta_D", "channel.V_src", "eit.eta0")
+_UNIT_RANGE = ("channel.eta_U", "channel.eta_D", "channel.V_src")
 
 
 def _parse_value(key: str, text: str):
@@ -161,17 +158,6 @@ def load_config(path: str = None, overrides=()) -> RunConfig:
     return RunConfig(values)
 
 
-def seed_from(cfg: RunConfig) -> int:
-    env = os.environ.get("QISIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"QISIM_SEED must be an integer, got {env!r}") \
-                from None
-    return cfg["seed"]
-
-
 # ------------------------------------------------------- object builders
 
 def line_from(cfg: RunConfig) -> CavityLine:
@@ -216,15 +202,17 @@ def medium_from(cfg: RunConfig, gamma_s_hz: float = None) -> EitMedium:
 
 
 def decay_from(cfg: RunConfig) -> MemoryDecay:
-    return MemoryDecay(eta0=cfg["eit.eta0"], tau_mem=cfg["eit.tau_mem_s"],
+    return MemoryDecay(tau_mem=cfg["eit.tau_mem_s"],
                        shape=cfg["eit.decay_shape"])
 
 
 def background_at(cfg: RunConfig, t_s: float) -> float:
     """Background-to-signal ratio grows as retrieval decays: the noise
     rate is constant while the signal follows eta(t)."""
-    decay = decay_from(cfg)
-    return cfg["channel.background_b"] * decay.eta(0.0) / decay.eta(t_s)
+    eta = decay_from(cfg).eta(t_s)
+    if eta == 0.0:
+        raise ModelError(f"retrieval has decayed to zero at t = {t_s!r} s")
+    return cfg["channel.background_b"] / eta
 
 
 def channel_from(cfg: RunConfig, t_s: float,
@@ -234,7 +222,6 @@ def channel_from(cfg: RunConfig, t_s: float,
         eta_D=1.0 if balanced else cfg["channel.eta_D"],
         phase_jitter_sigma=cfg["channel.phase_jitter_rad"],
         background=background_at(cfg, t_s),
-        storage_time=t_s,
     )
 
 

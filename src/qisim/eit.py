@@ -280,15 +280,16 @@ class ControlTimeline:
 
 @dataclass(frozen=True)
 class MemoryDecay:
-    """Retrieval efficiency versus storage time."""
+    """Retrieval efficiency versus storage time, relative to t = 0.
 
-    eta0: float = 0.2
+    Only the shape matters: every figure of merit is post-selected on a
+    retrieved photon, so a constant efficiency factor cancels.
+    """
+
     tau_mem: float = 1e-6
     shape: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta0 <= 1.0:
-            raise InputError("eta0 must be in (0, 1]")
         if not self.tau_mem > 0.0:
             raise InputError("tau_mem must be positive")
         if self.shape not in DECAY_SHAPES:
@@ -296,12 +297,12 @@ class MemoryDecay:
 
     def eta(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise InputError("storage time must be >= 0")
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise InputError("storage time must be finite and >= 0")
         if self.shape == "gaussian":
-            out = self.eta0 * np.exp(-((t / self.tau_mem) ** 2))
+            out = np.exp(-((t / self.tau_mem) ** 2))
         else:
-            out = self.eta0 * np.exp(-t / self.tau_mem)
+            out = np.exp(-t / self.tau_mem)
         return float(out) if out.ndim == 0 else out
 
 

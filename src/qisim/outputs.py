@@ -111,15 +111,13 @@ class OutputWriter:
         self._record(name, path)
         return path
 
-    def write_manifest(self, config_echo: dict, input_hash: str,
-                       seed: int) -> str:
+    def write_manifest(self, config_echo: dict, input_hash: str) -> str:
         """Manifest lists every file written so far; it is emitted last
         and is the only non-reproducible output (timestamp)."""
         manifest = {
             "artifact_version": ARTIFACT_VERSION,
             "config_echo": config_echo,
             "input_hash": input_hash,
-            "seed": seed,
             "timestamp": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
             "outputs": sorted(self.entries, key=lambda e: e["path"]),

@@ -92,14 +92,15 @@ class MemoryChannelParams:
 
     eta_U / eta_D are per-rail amplitude transmissions; background is the
     background-to-signal ratio b, admixed as white noise with weight
-    p = b / (1 + b) after post-selection.
+    p = b / (1 + b) after post-selection.  Loss common to both rails
+    cancels in the post-selection, so storage time enters only through
+    the background.
     """
 
     eta_U: float = 1.0
     eta_D: float = 1.0
     phase_jitter_sigma: float = 0.0
     background: float = 0.0
-    storage_time: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("eta_U", "eta_D"):
@@ -110,8 +111,6 @@ class MemoryChannelParams:
             raise InputError("phase_jitter_sigma must be >= 0")
         if self.background < 0.0:
             raise InputError("background must be >= 0")
-        if self.storage_time < 0.0:
-            raise InputError("storage_time must be >= 0")
 
     def dephasing_factor(self) -> float:
         return math.exp(-self.phase_jitter_sigma ** 2 / 2.0)
@@ -120,26 +119,16 @@ class MemoryChannelParams:
         return self.background / (1.0 + self.background)
 
 
-def _retrieval(params: MemoryChannelParams, eta_of_t) -> float:
-    if eta_of_t is None:
-        return 1.0
-    eta = float(eta_of_t(params.storage_time))
-    if not 0.0 <= eta <= 1.0:
-        raise InputError(f"eta(t) = {eta!r} outside [0, 1]")
-    return eta
-
-
-def _rail_operator(params: MemoryChannelParams, eta: float) -> np.ndarray:
+def _rail_operator(params: MemoryChannelParams) -> np.ndarray:
     # H rides rail D, V rides rail U
-    return np.diag([params.eta_D * eta, params.eta_U * eta]).astype(complex)
+    return np.diag([params.eta_D, params.eta_U]).astype(complex)
 
 
-def memory_channel(rho_in: QubitDensity, params: MemoryChannelParams,
-                   eta_of_t=None) -> QubitDensity:
+def memory_channel(rho_in: QubitDensity,
+                   params: MemoryChannelParams) -> QubitDensity:
     """Rail attenuation, phase-jitter dephasing, post-selection on a
     retrieved click (renormalization), then white-noise admixture."""
-    eta = _retrieval(params, eta_of_t)
-    k = _rail_operator(params, eta)
+    k = _rail_operator(params)
     r = k @ rho_in.matrix @ k.conj().T
     d = params.dephasing_factor()
     r = r * np.array([[1.0, d], [d, 1.0]])
@@ -156,11 +145,11 @@ def fidelity(psi_in: PolarizationState, rho_out: QubitDensity) -> float:
     return float(np.real(j.conj() @ rho_out.matrix @ j))
 
 
-def six_state_battery(params: MemoryChannelParams, eta_of_t=None) -> dict:
+def six_state_battery(params: MemoryChannelParams) -> dict:
     """Channel fidelity for {H, V, +, -, R, L} plus their average."""
     out = {}
     for name, state in SIX_STATES.items():
-        rho = memory_channel(state.density(), params, eta_of_t)
+        rho = memory_channel(state.density(), params)
         out[name] = fidelity(state, rho)
     out["average"] = sum(out[n] for n in SIX_STATES) / len(SIX_STATES)
     return out
@@ -199,7 +188,7 @@ def _partial_trace(m: np.ndarray, arm: int) -> np.ndarray:
 
 def memory_channel_two_qubit(rho_in: TwoQubitDensity,
                              params: MemoryChannelParams,
-                             eta_of_t=None, arm: int = 2) -> TwoQubitDensity:
+                             arm: int = 2) -> TwoQubitDensity:
     """memory_channel acting on one qubit of a pair (arm is 1-based).
 
     The background term replaces the stored qubit with a maximally mixed
@@ -208,8 +197,7 @@ def memory_channel_two_qubit(rho_in: TwoQubitDensity,
     """
     if arm not in (1, 2):
         raise InputError("arm must be 1 or 2")
-    eta = _retrieval(params, eta_of_t)
-    k = _rail_operator(params, eta)
+    k = _rail_operator(params)
     k2 = np.kron(k, np.eye(2)) if arm == 1 else np.kron(np.eye(2), k)
     r = k2 @ rho_in.matrix @ k2.conj().T
     d = params.dephasing_factor()
@@ -230,12 +218,11 @@ def memory_channel_two_qubit(rho_in: TwoQubitDensity,
     return TwoQubitDensity((1.0 - p) * r + p * bg)
 
 
-def channel_choi(params: MemoryChannelParams, eta_of_t=None) -> np.ndarray:
+def channel_choi(params: MemoryChannelParams) -> np.ndarray:
     """Choi matrix of the linear part of the channel (before the
     nonlinear post-selection step); PSD iff the map is completely
     positive."""
-    eta = _retrieval(params, eta_of_t)
-    k = _rail_operator(params, eta)
+    k = _rail_operator(params)
     d = params.dephasing_factor()
     p = params.background_weight()
     deph = np.array([[1.0, d], [d, 1.0]])
@@ -343,14 +330,12 @@ def alpha_quality(g13_value: float) -> float:
 
 def g13_decay_model(t, g0: float, eta_of_t):
     """Signal coincidences track the retrieval efficiency while the
-    accidental floor does not: g13(t) = 1 + (g0 - 1) eta(t)/eta(0)."""
+    accidental floor does not: g13(t) = 1 + (g0 - 1) eta(t), with eta
+    normalized to 1 at t = 0."""
     if not g0 > 1.0:
         raise InputError("g0 must exceed 1")
-    eta0 = float(eta_of_t(0.0))
-    if not eta0 > 0.0:
-        raise ModelError("eta(0) must be positive")
     t = np.asarray(t, dtype=float)
-    out = 1.0 + (g0 - 1.0) * np.asarray(eta_of_t(t), dtype=float) / eta0
+    out = 1.0 + (g0 - 1.0) * np.asarray(eta_of_t(t), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -159,9 +159,7 @@ def test_c4_memory_bandwidth_targets():
 
 def test_c5_six_state_fidelities():
     cfg = config.load_config()
-    decay = config.decay_from(cfg)
-    battery = q.six_state_battery(config.channel_from(cfg, 200e-9),
-                                  eta_of_t=decay.eta)
+    battery = q.six_state_battery(config.channel_from(cfg, 200e-9))
     worst = max(abs(battery[n] - rv.SIX_REFS[n]) for n in rv.SIX_REFS)
     avg_err = abs(battery["average"] - 0.924)
     ok = worst <= 0.04 and avg_err <= 0.03
@@ -175,10 +173,9 @@ def test_c5_six_state_fidelities():
 def test_c6_chsh_behavior():
     s_ideal = q.chsh_S(q.bell_state())
     cfg = config.load_config()
-    decay = config.decay_from(cfg)
     params = config.channel_from(cfg, 1e-6, balanced=True)
     stored = q.memory_channel_two_qubit(
-        q.werner_state(cfg["channel.V_src"]), params, decay.eta, arm=2)
+        q.werner_state(cfg["channel.V_src"]), params, arm=2)
     s_stored = q.chsh_S(stored)
     thetas = np.linspace(0.0, math.pi, 181)
     vis = q.curve_visibility(q.correlation_curve(stored, "plus", thetas))
@@ -229,11 +226,8 @@ def test_c8_physicality_and_determinism(tmp_path):
             eta_U=rng.uniform(0.05, 1.0),
             eta_D=rng.uniform(0.05, 1.0),
             phase_jitter_sigma=rng.uniform(0.0, 1.5),
-            background=rng.uniform(0.0, 0.5),
-            storage_time=rng.uniform(0.0, 3e-6))
-        decay = q.MemoryDecay(eta0=0.2, tau_mem=rv.TAU_MEM,
-                              shape="gaussian")
-        evals = np.linalg.eigvalsh(q.channel_choi(params, decay.eta))
+            background=rng.uniform(0.0, 0.5))
+        evals = np.linalg.eigvalsh(q.channel_choi(params))
         choi_min = min(choi_min, float(evals.min()))
 
     line = q.CavityLine(gamma=rv.GAMMA)

@@ -233,17 +233,6 @@ def test_post_storage_accepts_vector_filter():
         q.post_storage_distribution(jsa, np.ones(7), t_grid=t_grid)
 
 
-def test_detector_jitter_blurs_but_keeps_normalization():
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    t_grid = q.default_time_grid(LINE)
-    sharp = q.joint_time_distribution(jsa, t_grid)
-    blurred = q.joint_time_distribution(jsa, t_grid, jitter_sigma=2e-9)
-    assert blurred.density.max() == 1.0
-    assert not np.array_equal(sharp.density, blurred.density)
-    with pytest.raises(InputError):
-        q.joint_time_distribution(jsa, t_grid, jitter_sigma=-1e-9)
-
-
 def test_distribution_container_validation():
     t = np.linspace(0.0, 1.0, 8)
     with pytest.raises(InputError):

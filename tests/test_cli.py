@@ -183,13 +183,30 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     ["store", "--storage-times-s", ","],
     ["bell", "--storage-times-s", ","],
     ["g13", "--times-s", ","],
-], ids=["store-states", "store-times", "bell-times", "g13-times"])
+    ["visibility", "--sigma-hz", ",", "--tp-s", ","],
+], ids=["store-states", "store-times", "bell-times", "g13-times",
+        "visibility-sweep"])
 def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "Traceback" not in err
     assert err.startswith("qisim: " + argv[1] + " ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["bell", "--storage-times-s=1e-4"], EXIT_MODEL),
+    (["store", "--storage-times-s=1e-4"], EXIT_MODEL),
+    (["bell", "--storage-times-s=inf"], EXIT_CONFIG),
+    (["g13", "--times-s=nan"], EXIT_CONFIG),
+], ids=["bell-underflow", "store-underflow", "bell-inf", "g13-nan"])
+def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == expect
+    assert "Traceback" not in err
+    assert err.startswith("qisim: ")
     assert err.count("\n") == 1
 
 
@@ -256,12 +273,11 @@ def test_cli_help_and_missing_command():
     assert main([]) == 2
 
 
-def test_manifest_records_config_and_seed(tmp_path, monkeypatch):
+def test_manifest_records_config_and_seed(tmp_path):
     out = tmp_path / "out"
-    monkeypatch.setenv("QISIM_SEED", "777")
     assert main(["g13", "--out", str(out)]) == EXIT_OK
     manifest = load_json(out / "manifest.json")
-    assert manifest["seed"] == 777
+    assert "seed" not in manifest
     assert manifest["config_echo"]["g13.g0"] == 25.0
     listed = {e["path"] for e in manifest["outputs"]}
     assert "g13_report.json" in listed

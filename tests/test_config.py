@@ -11,7 +11,6 @@ import refvals as rv
 
 def test_defaults_load_without_a_file():
     cfg = config.load_config()
-    assert cfg["seed"] == 12345
     assert cfg["source.gamma_hz"] == 5e6
     assert cfg["source.pump_kind"] == "gaussian"
     assert cfg["source.T_p_s"] == 30e-9
@@ -67,13 +66,15 @@ def test_unknown_and_malformed_keys():
         config.load_config(overrides=("eit.od",))
     with pytest.raises(ConfigError):
         config.load_config(overrides=("eit.od=abc",))
+    for removed in ("seed=1", "eit.eta0=0.2"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config.load_config(overrides=(removed,))
 
 
 @pytest.mark.parametrize("override", [
     "source.gamma_hz=0",
     "source.gamma_hz=-5e6",
     "eit.od=-1",
-    "eit.eta0=1.5",
     "grids.n_freq=7",
     "g13.g0=1.0",
     "output.formats=csv,png",
@@ -115,18 +116,7 @@ def test_echo_and_canonical_text():
     assert text == config.load_config().canonical_text()
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
-    assert any(line.startswith("seed = ") for line in lines)
-
-
-def test_seed_env_override(monkeypatch):
-    cfg = config.load_config()
-    monkeypatch.delenv("QISIM_SEED", raising=False)
-    assert config.seed_from(cfg) == 12345
-    monkeypatch.setenv("QISIM_SEED", "777")
-    assert config.seed_from(cfg) == 777
-    monkeypatch.setenv("QISIM_SEED", "abc")
-    with pytest.raises(ConfigError):
-        config.seed_from(cfg)
+    assert any(line.startswith("eit.od = ") for line in lines)
 
 
 def test_builders_produce_configured_objects():
@@ -158,7 +148,6 @@ def test_builders_produce_configured_objects():
     assert quiet.gamma_s == 0.0
 
     decay = config.decay_from(cfg)
-    assert decay.eta0 == 0.2
     assert decay.tau_mem == rv.TAU_MEM
     assert decay.shape == "gaussian"
 
@@ -175,7 +164,6 @@ def test_channel_builder():
     params = config.channel_from(cfg, 200e-9)
     assert params.eta_U == rv.ETA_U
     assert params.eta_D == 1.0
-    assert params.storage_time == 200e-9
     assert params.background == pytest.approx(rv.B_200NS, rel=1e-12)
     balanced = config.channel_from(cfg, 200e-9, balanced=True)
     assert balanced.eta_U == 1.0

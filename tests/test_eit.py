@@ -286,21 +286,21 @@ def test_control_timeline_envelope():
 
 
 def test_memory_decay_shapes():
-    gauss = q.MemoryDecay(eta0=0.2, tau_mem=1e-6, shape="gaussian")
-    expo = q.MemoryDecay(eta0=0.2, tau_mem=1e-6, shape="exponential")
-    assert gauss.eta(0.0) == pytest.approx(0.2, rel=1e-12)
+    gauss = q.MemoryDecay(tau_mem=1e-6, shape="gaussian")
+    expo = q.MemoryDecay(tau_mem=1e-6, shape="exponential")
+    assert gauss.eta(0.0) == 1.0
+    assert expo.eta(0.0) == 1.0
     assert gauss.eta(1e-6) / gauss.eta(0.0) == pytest.approx(
         math.exp(-1.0), rel=1e-12)
     assert expo.eta(2e-6) / expo.eta(1e-6) == pytest.approx(
         math.exp(-1.0), rel=1e-12)
     arr = gauss.eta(np.array([0.0, 1e-6]))
     assert arr.shape == (2,)
+    for bad in (-1e-9, math.nan, math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(InputError):
+            gauss.eta(bad)
     with pytest.raises(InputError):
-        gauss.eta(-1e-9)
-    with pytest.raises(InputError):
-        q.MemoryDecay(eta0=1.2, tau_mem=1e-6, shape="gaussian")
-    with pytest.raises(InputError):
-        q.MemoryDecay(eta0=0.2, tau_mem=1e-6, shape="linear")
+        q.MemoryDecay(tau_mem=1e-6, shape="linear")
 
 
 # ------------------------------------------------------------------ storage
@@ -313,7 +313,7 @@ def storage_setup(duration=200e-9, off_duration=200e-9,
     pulse = q.gaussian_pulse(times, 400e-9, duration_fwhm_s=duration)
     timeline = q.ControlTimeline(on_until=400e-9 + tau_d / 2.0,
                                  off_duration=off_duration, ramp=20e-9)
-    decay = q.MemoryDecay(eta0=1.0, tau_mem=tau_mem, shape=shape)
+    decay = q.MemoryDecay(tau_mem=tau_mem, shape=shape)
     return pulse, med, timeline, decay
 
 
@@ -385,7 +385,7 @@ def test_storage_rejects_empty_pulse():
 
 def test_storage_needs_live_memory():
     pulse, med, timeline, _ = storage_setup()
-    dead = q.MemoryDecay(eta0=1.0, tau_mem=1e-9, shape="gaussian")
+    dead = q.MemoryDecay(tau_mem=1e-9, shape="gaussian")
     with pytest.raises(ModelError):
         q.store_and_retrieve(pulse, med, timeline, dead)
 

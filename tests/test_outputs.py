@@ -116,11 +116,10 @@ def test_manifest_lists_outputs_with_hashes(tmp_path):
     writer = outputs.OutputWriter(str(tmp_path), ("csv", "json"))
     writer.write_csv("a.csv", ["x"], [(1.0,)])
     writer.write_json("b.json", {"k": 2})
-    writer.write_manifest({"eit.od": 55.0}, "deadbeef", 12345)
+    writer.write_manifest({"eit.od": 55.0}, "deadbeef")
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert manifest["artifact_version"] == outputs.ARTIFACT_VERSION
-    assert manifest["seed"] == 12345
     assert manifest["input_hash"] == "deadbeef"
     assert manifest["config_echo"] == {"eit.od": 55.0}
     listed = {entry["path"] for entry in manifest["outputs"]}

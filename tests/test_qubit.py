@@ -20,12 +20,11 @@ def default_params(t_s=200e-9, balanced=False):
         eta_U=1.0 if balanced else rv.ETA_U,
         eta_D=1.0,
         phase_jitter_sigma=JITTER,
-        background=b,
-        storage_time=t_s)
+        background=b)
 
 
 def memory_eta(t):
-    return 0.2 * np.exp(-(np.asarray(t) / rv.TAU_MEM) ** 2)
+    return np.exp(-(np.asarray(t) / rv.TAU_MEM) ** 2)
 
 
 # ------------------------------------------------------- states, densities
@@ -105,7 +104,7 @@ def test_superpositions_lose_coherence_to_jitter():
 
 
 def test_six_state_battery_frozen():
-    battery = q.six_state_battery(default_params(), eta_of_t=memory_eta)
+    battery = q.six_state_battery(default_params())
     for name, val in rv.SIX_200.items():
         assert battery[name] == pytest.approx(val, abs=1e-12), name
     for name, ref in rv.SIX_REFS.items():
@@ -129,8 +128,6 @@ def test_channel_parameter_validation():
         q.MemoryChannelParams(background=-0.1)
     with pytest.raises(InputError):
         q.MemoryChannelParams(phase_jitter_sigma=-1.0)
-    with pytest.raises(InputError):
-        q.MemoryChannelParams(storage_time=-1e-9)
 
 
 def test_background_weight_mapping():
@@ -159,9 +156,8 @@ def test_two_qubit_channel_matches_single_qubit_on_product_states():
     rho_fly = q.SIX_STATES["plus"].density()
     rho_store = q.SIX_STATES["R"].density()
     product = q.TwoQubitDensity(np.kron(rho_fly.matrix, rho_store.matrix))
-    out2 = q.memory_channel_two_qubit(product, params,
-                                      eta_of_t=memory_eta, arm=2)
-    out1 = q.memory_channel(rho_store, params, eta_of_t=memory_eta)
+    out2 = q.memory_channel_two_qubit(product, params, arm=2)
+    out1 = q.memory_channel(rho_store, params)
     # background admixes I/2 on the stored arm only
     reduced = out2.matrix.reshape(2, 2, 2, 2)
     stored = np.einsum("aiaj->ij", reduced)
@@ -171,10 +167,8 @@ def test_two_qubit_channel_matches_single_qubit_on_product_states():
 def test_two_qubit_channel_arm_symmetry_on_bell_state():
     params = default_params(balanced=True)
     bell = q.bell_state()
-    s1 = q.chsh_S(q.memory_channel_two_qubit(bell, params,
-                                             eta_of_t=memory_eta, arm=1))
-    s2 = q.chsh_S(q.memory_channel_two_qubit(bell, params,
-                                             eta_of_t=memory_eta, arm=2))
+    s1 = q.chsh_S(q.memory_channel_two_qubit(bell, params, arm=1))
+    s2 = q.chsh_S(q.memory_channel_two_qubit(bell, params, arm=2))
     assert s1 == pytest.approx(s2, rel=1e-12)
     with pytest.raises(InputError):
         q.memory_channel_two_qubit(bell, params, arm=3)
@@ -187,9 +181,8 @@ def test_choi_matrix_is_positive():
             eta_U=rng.uniform(0.1, 1.0),
             eta_D=rng.uniform(0.1, 1.0),
             phase_jitter_sigma=rng.uniform(0.0, 1.0),
-            background=rng.uniform(0.0, 0.3),
-            storage_time=rng.uniform(0.0, 2e-6))
-        choi = q.channel_choi(params, eta_of_t=memory_eta)
+            background=rng.uniform(0.0, 0.3))
+        choi = q.channel_choi(params)
         evals = np.linalg.eigvalsh(choi)
         assert evals.min() >= -1e-12
 
@@ -251,21 +244,18 @@ def test_chsh_frozen_values():
     assert q.chsh_S(source) == pytest.approx(rv.S_LOCAL, abs=1e-12)
     for t_s, expect in ((0.0, rv.S_0US), (200e-9, rv.S_200NS),
                         (1e-6, rv.S_1US)):
-        b = rv.B0 * memory_eta(0.0) / memory_eta(t_s)
+        b = rv.B0 / memory_eta(t_s)
         params = q.MemoryChannelParams(phase_jitter_sigma=JITTER,
-                                       background=b, storage_time=t_s)
-        out = q.memory_channel_two_qubit(source, params,
-                                         eta_of_t=memory_eta, arm=2)
+                                       background=b)
+        out = q.memory_channel_two_qubit(source, params, arm=2)
         assert q.chsh_S(out) == pytest.approx(expect, abs=1e-9)
 
 
 def test_chsh_closed_form_for_stored_werner():
     t_s = 1e-6
-    b = rv.B0 * memory_eta(0.0) / memory_eta(t_s)
-    params = q.MemoryChannelParams(phase_jitter_sigma=JITTER,
-                                   background=b, storage_time=t_s)
-    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params,
-                                     eta_of_t=memory_eta, arm=2)
+    b = rv.B0 / memory_eta(t_s)
+    params = q.MemoryChannelParams(phase_jitter_sigma=JITTER, background=b)
+    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params, arm=2)
     p = params.background_weight()
     expect = math.sqrt(2.0) * rv.V_SRC * (1.0 - p) * (1.0 + rv.DEPHASING)
     assert q.chsh_S(out) == pytest.approx(expect, rel=1e-9)
@@ -301,12 +291,11 @@ def test_separable_states_respect_the_local_bound():
 # -------------------------------------------------------- correlation curve
 
 def test_correlation_curve_visibility_frozen():
-    b_1us = rv.B0 * memory_eta(0.0) / memory_eta(1e-6)
+    b_1us = rv.B0 / memory_eta(1e-6)
     params = q.MemoryChannelParams(eta_U=1.0, eta_D=1.0,
                                    phase_jitter_sigma=JITTER,
-                                   background=b_1us, storage_time=1e-6)
-    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params,
-                                     eta_of_t=memory_eta, arm=2)
+                                   background=b_1us)
+    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params, arm=2)
     thetas = np.linspace(0.0, math.pi, 181)
     curve_h = q.correlation_curve(out, "H", thetas)
     curve_p = q.correlation_curve(out, "plus", thetas)
