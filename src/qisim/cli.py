@@ -89,7 +89,7 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
                      ["sigma_hz", "T_p_s", "visibility", "error"], rows)
     good = sorted((r[0], r[2]) for r in rows if r[3] is None)
     if len(good) >= 2:
-        writer.write_svg("visibility.svg", svgplot.curve(
+        writer.write_svg("visibility.svg", lambda: svgplot.curve(
             [g[0] for g in good],
             [("visibility", [g[1] for g in good])],
             "pump bandwidth sigma (Hz)", "visibility V",
@@ -132,7 +132,7 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
     writer.write_grid_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"],
                           t_ns, dist.density)
     tag = f", storage: {with_storage}" if with_storage else ""
-    writer.write_svg(f"{name}.svg", svgplot.heatmap(
+    writer.write_svg(f"{name}.svg", lambda: svgplot.heatmap(
         dist.density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
         f"Joint detection-time density (T_p = {tp_s * 1e9:g} ns{tag})"))
     return EXIT_OK
@@ -150,8 +150,13 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
             "converged": res.converged,
         }
         if not res.converged:
-            print(f"eit: gamma_s fit did not converge; best achievable "
-                  f"window is {res.window_fwhm_hz:.6g} Hz for target "
+            if res.gamma_s == 0.0:
+                reach = (f"best achievable window is "
+                         f"{res.window_fwhm_hz:.6g} Hz")
+            else:  # the search stopped where the window collapses
+                reach = (f"the window collapses at gamma_s = "
+                         f"{res.gamma_s:.6g} rad/s")
+            print(f"eit: gamma_s fit did not converge; {reach} for target "
                   f"{res.target_hz:.6g} Hz", file=sys.stderr)
             return EXIT_MODEL
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
@@ -166,7 +171,7 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
         "eit_spectrum.csv",
         ["delta_hz", "transmission_control_on", "transmission_control_off"],
         list(zip(delta_hz, t_on, t_off)))
-    writer.write_svg("eit_spectrum.svg", svgplot.curve(
+    writer.write_svg("eit_spectrum.svg", lambda: svgplot.curve(
         delta_hz / 1e6,
         [("control on", t_on), ("control off", t_off)],
         "probe detuning (MHz)", "intensity transmission",
@@ -203,7 +208,7 @@ def cmd_store(cfg, writer, states, times_s) -> int:
     writer.write_json("store_report.json", {"states": list(states),
                                             "results": results})
     first = results[0]["fidelities"]
-    writer.write_svg("store_fidelities.svg", svgplot.bars(
+    writer.write_svg("store_fidelities.svg", lambda: svgplot.bars(
         list(states) + ["avg"],
         [first[n] for n in states] + [first["average"]],
         "fidelity",
@@ -229,7 +234,7 @@ def cmd_bell(cfg, writer, times_s) -> int:
     writer.write_csv("bell_curve.csv",
                      ["theta_rad", "coincidence_H", "coincidence_plus"],
                      list(zip(thetas, curve_h, curve_p)))
-    writer.write_svg("bell_curve.svg", svgplot.curve(
+    writer.write_svg("bell_curve.svg", lambda: svgplot.curve(
         np.degrees(thetas),
         [("flying H", curve_h), ("flying +", curve_p)],
         "analyzer angle (deg)", "normalized coincidences",
@@ -261,7 +266,7 @@ def cmd_g13(cfg, writer, times_s) -> int:
         rows.append((t, g, alpha))
     writer.write_csv("g13.csv", ["t_s", "g13", "alpha"], rows)
     try:
-        crossing = qubit.crossing_time(g0, decay.eta, threshold=5.0)
+        crossing = qubit.crossing_time(g0, decay, threshold=5.0)
     except ModelError:
         crossing = None
     report = {
@@ -271,7 +276,7 @@ def cmd_g13(cfg, writer, times_s) -> int:
         "alpha_at_threshold": 1.0,
     }
     writer.write_json("g13_report.json", report)
-    writer.write_svg("g13_curve.svg", svgplot.curve(
+    writer.write_svg("g13_curve.svg", lambda: svgplot.curve(
         np.asarray(times_s) * 1e6,
         [("g13", [r[1] for r in rows]),
          ("threshold", [5.0] * len(rows))],
@@ -350,7 +355,7 @@ def cmd_reproduce_all(cfg, writer) -> int:
     checks.append(_check("bell_S_1us", qubit.chsh_S(stored), 2.28, 0.17))
     decay = config.decay_from(cfg)
     checks.append(_check("g13_crossing",
-                         qubit.crossing_time(cfg["g13.g0"], decay.eta, 5.0),
+                         qubit.crossing_time(cfg["g13.g0"], decay, 5.0),
                          2e-6, 0.10, relative=True))
 
     failed = [c["id"] for c in checks if not c["passed"]]

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (CapacityWarning, InputError, ModelError, RegimeWarning,
                      ResolutionError)
@@ -23,6 +22,63 @@ DECAY_SHAPES = ("gaussian", "exponential")
 
 # bracket cap for the half-transmission search, in ordinary Hz
 _WINDOW_SEARCH_CAP_HZ = 1e9
+
+# Probe detunings for the half-transmission search, ordinary Hz:
+# 1 kHz * 1.3**n for n = -26 .. 52, from about 1.09 Hz to the last step
+# below the cap.  Built by repeated multiplication, so the brackets above
+# 1 kHz are exactly the ones an outward 1.3x stepping from 1 kHz visits.
+_WINDOW_PROBES_HZ = np.concatenate([
+    1e3 / np.cumprod(np.full(26, 1.3))[::-1],
+    np.cumprod(np.r_[1e3, np.full(52, 1.3)])])
+
+# a gamma_s fit whose window misses the target by more than this
+# fraction of it has landed on the window-collapse discontinuity
+_FIT_WINDOW_RTOL = 1e-6
+
+_SOLVER_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _solve(f, a: float, b: float, xtol: float, what: str) -> float:
+    """Root of f inside [a, b] by Brent's method (Brent 1973, ch. 4),
+    stopping when the bracket is narrower than xtol + 4 eps |x|.
+
+    The bracket must change sign; a ModelError names `what` otherwise.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
+        raise ModelError(f"{what}: no sign change between {a:.6g} and "
+                         f"{b:.6g}")
+    c, fc, step = a, fa, b - a
+    prev = step
+    for _ in range(100):
+        if (fa < 0.0) != (fb < 0.0) and fa != 0.0:
+            # the previous iterate is across the root: new contrapoint
+            c, fc, step = a, fa, b - a
+            prev = step
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = (xtol + _SOLVER_RTOL * abs(b)) / 2.0
+        half = (c - b) / 2.0
+        if fb == 0.0 or abs(half) < tol:
+            return b
+        if abs(prev) > tol and abs(fb) < abs(fa):
+            if a == c:      # secant
+                trial = -fb * (b - a) / (fb - fa)
+            else:           # inverse quadratic interpolation
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev), 3.0 * abs(half) - tol):
+                prev, step = step, trial
+            else:
+                prev = step = half
+        else:
+            prev = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+    raise ModelError(f"{what}: root search did not converge")
 
 
 @dataclass(frozen=True)
@@ -75,21 +131,30 @@ def transmission(delta, medium: EitMedium):
 
 def window_fwhm(medium: EitMedium) -> float:
     """Full width (ordinary Hz) of the transparency window at half the
-    on-resonance intensity transmission."""
+    on-resonance intensity transmission.
+
+    The half-width is refined inside the first of the log-spaced probes
+    where the transmission has fallen to half.
+    """
     t0 = abs(transmission(0.0, medium)) ** 2
+    if not t0 > 0.0:
+        raise ModelError("no transparency window: on-resonance "
+                         "transmission is zero")
 
     def below_half(delta_hz: float) -> float:
         t = abs(transmission(TWO_PI * delta_hz, medium)) ** 2
         return t - t0 / 2.0
 
-    hi = 1e3
-    while below_half(hi) > 0.0:
-        hi *= 1.3
-        if hi > _WINDOW_SEARCH_CAP_HZ:
-            raise ModelError(
-                "no transparency window: transmission never falls to half "
-                "its on-resonance value")
-    half = brentq(below_half, hi / 1.3, hi, xtol=1e-6)
+    probes = np.abs(transmission(TWO_PI * _WINDOW_PROBES_HZ, medium)) ** 2
+    fallen = np.flatnonzero(probes <= t0 / 2.0)
+    if fallen.size == 0:
+        raise ModelError(
+            "no transparency window: transmission never falls to half "
+            "its on-resonance value")
+    k = int(fallen[0])
+    lo = _WINDOW_PROBES_HZ[k - 1] if k else 0.0
+    half = _solve(below_half, float(lo), float(_WINDOW_PROBES_HZ[k]), 1e-6,
+                  "transparency half-width")
     return 2.0 * half
 
 
@@ -136,25 +201,30 @@ def fit_gamma_s(medium: EitMedium, target_hz: float,
                 xtol: float = 1e-3) -> FitResult:
     """Tune gamma_s so the transparency window matches target_hz.
 
-    The window shrinks monotonically with gamma_s, so gamma_s = 0 bounds
-    what the remaining parameters can reach; an unreachable target
-    returns that bound with converged = False instead of raising.
+    The window first shrinks with gamma_s, so gamma_s = 0 bounds what the
+    remaining parameters can reach; an unreachable target returns that
+    bound with converged = False instead of raising.  Further out the
+    window collapses (no half-transmission point).  A target narrower
+    than every window before the collapse makes the search land on that
+    edge; the window there misses the target, and the result has
+    converged = False and the edge's gamma_s.
     """
     if not target_hz > 0.0:
         raise InputError("target window must be positive")
 
-    def with_gs(gs: float) -> EitMedium:
-        return EitMedium(medium.optical_depth, medium.rabi_control,
-                         medium.gamma_ge, gs, medium.length)
-
-    def gap(gs: float) -> float:
+    def window_at(gs: float) -> float:
         try:
-            return window_fwhm(with_gs(gs)) - target_hz
+            return window_fwhm(EitMedium(medium.optical_depth,
+                                         medium.rabi_control,
+                                         medium.gamma_ge, gs, medium.length))
         except ModelError:
             # collapsed window counts as below target
-            return -target_hz
+            return 0.0
 
-    best = window_fwhm(with_gs(0.0))
+    def gap(gs: float) -> float:
+        return window_at(gs) - target_hz
+
+    best = window_at(0.0)
     if best < target_hz:
         return FitResult(0.0, best, target_hz, False)
     hi = medium.gamma_ge / 100.0
@@ -162,9 +232,10 @@ def fit_gamma_s(medium: EitMedium, target_hz: float,
         hi *= 2.0
         if hi > 100.0 * medium.gamma_ge:
             return FitResult(0.0, best, target_hz, False)
-    root = brentq(gap, 0.0, hi, xtol=xtol)
-    return FitResult(float(root), window_fwhm(with_gs(float(root))),
-                     target_hz, True)
+    root = _solve(gap, 0.0, hi, xtol, "gamma_s fit")
+    achieved = window_at(root)
+    return FitResult(root, achieved, target_hz,
+                     abs(achieved - target_hz) <= _FIT_WINDOW_RTOL * target_hz)
 
 
 # ---------------------------------------------------------------- pulses
@@ -299,11 +370,19 @@ class MemoryDecay:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t) & (t >= 0.0)):
             raise InputError("storage time must be finite and >= 0")
-        if self.shape == "gaussian":
-            out = np.exp(-((t / self.tau_mem) ** 2))
-        else:
-            out = np.exp(-t / self.tau_mem)
+        # t / tau_mem may overflow to inf; eta then underflows to 0
+        with np.errstate(over="ignore"):
+            x = t / self.tau_mem
+            out = np.exp(-(x ** 2 if self.shape == "gaussian" else x))
         return float(out) if out.ndim == 0 else out
+
+    def inverse(self, eta: float) -> float:
+        """Storage time at which eta(t) has fallen to eta, 0 < eta <= 1."""
+        if not 0.0 < eta <= 1.0:
+            raise InputError("eta must be in (0, 1]")
+        x = -math.log(eta)
+        return self.tau_mem * (math.sqrt(x) if self.shape == "gaussian"
+                               else x)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ instance serializes all emission for a run and accumulates the manifest.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -34,6 +35,8 @@ def fmt_cell(value) -> str:
 
 
 def sha256_of(path: str) -> str:
+    """Hash of a file read back from disk: the reference for the hashes
+    OutputWriter records while writing."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -45,6 +48,21 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class _HashedFile:
+    """Text sink that writes UTF-8 bytes to `raw` and hashes exactly
+    those bytes, so a file's sha256 needs no second read."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.path = raw.name
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        self._raw.write(data)
+
+
 class OutputWriter:
     """Writes files under one directory and records (path, hash) pairs."""
 
@@ -54,8 +72,13 @@ class OutputWriter:
         self.entries = []
         os.makedirs(directory, exist_ok=True)
 
-    def _record(self, name: str, path: str) -> None:
-        self.entries.append({"path": name, "sha256": sha256_of(path)})
+    @contextlib.contextmanager
+    def _open(self, name: str):
+        """A _HashedFile for `name`; its hash is recorded on close."""
+        with open(os.path.join(self.directory, name), "wb") as raw:
+            fh = _HashedFile(raw)
+            yield fh
+        self.entries.append({"path": name, "sha256": fh.sha256.hexdigest()})
 
     def wants(self, fmt: str) -> bool:
         return fmt in self.formats
@@ -63,14 +86,12 @@ class OutputWriter:
     def write_csv(self, name: str, header, rows) -> str:
         if not self.wants("csv"):
             return None
-        path = os.path.join(self.directory, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with self._open(name) as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             for row in rows:
                 w.writerow([fmt_cell(c) for c in row])
-        self._record(name, path)
-        return path
+        return fh.path
 
     def write_grid_csv(self, name: str, header, axis, values) -> str:
         """A square grid `values[i, j]` on `axis` x `axis`, in the same
@@ -81,35 +102,30 @@ class OutputWriter:
         """
         if not self.wants("csv"):
             return None
-        path = os.path.join(self.directory, name)
         labels = [fmt_float(a) for a in axis]
         cols = ["," + label + "," for label in labels]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with self._open(name) as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             for label, row in zip(labels, values):
                 fh.write("".join([f"{label}{col}{v:.17g}\n"
                                   for col, v in zip(cols, row.tolist())]))
-        self._record(name, path)
-        return path
+        return fh.path
 
     def write_json(self, name: str, obj) -> str:
         if not self.wants("json"):
             return None
-        path = os.path.join(self.directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self._record(name, path)
-        return path
+        with self._open(name) as fh:
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        return fh.path
 
-    def write_svg(self, name: str, content: str) -> str:
+    def write_svg(self, name: str, render) -> str:
+        """Write the SVG text `render()` returns; render is called only
+        when SVG output is wanted."""
         if not self.wants("svg"):
             return None
-        path = os.path.join(self.directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        self._record(name, path)
-        return path
+        with self._open(name) as fh:
+            fh.write(render())
+        return fh.path
 
     def write_manifest(self, config_echo: dict, input_hash: str) -> str:
         """Manifest lists every file written so far; it is emitted last

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InputError, ModelError
 
@@ -339,19 +338,13 @@ def g13_decay_model(t, g0: float, eta_of_t):
     return float(out) if out.ndim == 0 else out
 
 
-def crossing_time(g0: float, eta_of_t, threshold: float = 5.0) -> float:
-    """First time g13_decay_model falls to `threshold`."""
+def crossing_time(g0: float, decay, threshold: float = 5.0) -> float:
+    """Time at which g13_decay_model falls to `threshold` for a
+    MemoryDecay `decay`: where eta(t) = (threshold - 1) / (g0 - 1)."""
     if not threshold > 1.0:
         raise InputError("threshold must exceed 1")
-    if g13_decay_model(0.0, g0, eta_of_t) <= threshold:
+    if not g0 > 1.0:
+        raise InputError("g0 must exceed 1")
+    if g0 <= threshold:
         raise ModelError("g13 starts at or below the threshold")
-
-    def gap(t: float) -> float:
-        return g13_decay_model(t, g0, eta_of_t) - threshold
-
-    hi = 1e-9
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1.0:
-            raise ModelError("g13 never reaches the threshold")
-    return float(brentq(gap, hi / 2.0, hi, xtol=1e-15, rtol=1e-15))
+    return decay.inverse((threshold - 1.0) / (g0 - 1.0))

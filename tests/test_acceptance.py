@@ -198,7 +198,7 @@ def test_c6_chsh_behavior():
 def test_c7_heralding_quality():
     cfg = config.load_config()
     decay = config.decay_from(cfg)
-    crossing = q.crossing_time(cfg["g13.g0"], decay.eta, threshold=5.0)
+    crossing = q.crossing_time(cfg["g13.g0"], decay, threshold=5.0)
     alpha = q.alpha_quality(5.0)
     gs = np.linspace(1.5, 30.0, 50)
     alphas = [q.alpha_quality(g) for g in gs]

@@ -1,6 +1,9 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +151,25 @@ def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_eit_fit_on_the_window_collapse_fails_cleanly(tmp_path, capsys):
+    code = main(["eit", "--out", str(tmp_path / "out"),
+                 "--fit-gamma-s", "2.4e6"])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert "Traceback" not in err
+    assert err.startswith("eit: gamma_s fit did not converge; the window "
+                          "collapses at gamma_s = ")
+    assert err.count("\n") == 1
+
+
+def test_eit_sub_khz_window(tmp_path):
+    out = tmp_path / "out"
+    assert main(["eit", "--out", str(out), "--set", "eit.rabi_hz=0.05e6",
+                 "--set", "eit.gamma_s_hz=0"]) == EXIT_OK
+    report = load_json(out / "eit_report.json")
+    assert 0.0 < report["window_fwhm_hz"] < 1e3
+
+
 def test_store_command(tmp_path):
     out = tmp_path / "out"
     assert main(["store", "--out", str(out),
@@ -208,6 +230,16 @@ def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
     assert "Traceback" not in err
     assert err.startswith("qisim: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_vanishing_memory_time_constant(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["g13", "--set", "eit.tau_mem_s=1e-300", "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    crossing = load_json(out / "g13_report.json")["crossing_time_s"]
+    assert math.isfinite(crossing) and crossing > 0.0
 
 
 def test_bell_command(tmp_path):
@@ -341,3 +373,25 @@ def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
     by_id = {c["id"]: c for c in load_json(out / "checks.json")["checks"]}
     assert by_id["vis_sigma_12p5MHz"]["value"] == swept[12.5e6]
     assert by_id["vis_sigma_3p7MHz"]["value"] == swept[3.7e6]
+
+
+def test_csv_only_output_renders_no_svg(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVG was rendered for a csv-only run")
+
+    for figure in ("heatmap", "curve", "bars"):
+        monkeypatch.setattr(cli.svgplot, figure, refuse)
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--out", str(out),
+                 "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
+                 "--set", "output.formats=csv"]) == EXIT_CHECKS
+    assert not [n for n in os.listdir(out) if n.endswith(".svg")]
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import qisim.cli, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))

@@ -141,6 +141,47 @@ def test_dbp_tracks_sqrt_optical_depth():
     assert q.delay_bandwidth_product(med_hi) > dbp
 
 
+def test_solver_checks_its_bracket():
+    from qisim.eit import _solve
+    root = _solve(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15, "cos")
+    assert root == pytest.approx(0.7390851332151607, abs=1e-15)
+    assert _solve(lambda x: x - 0.25, 0.25, 1.0, 1e-9, "edge") == 0.25
+    with pytest.raises(ModelError, match="^test root: no sign change"):
+        _solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9, "test root")
+    with pytest.raises(ModelError):
+        _solve(lambda x: math.nan, 0.0, 1.0, 1e-9, "nan")
+
+
+def test_solver_takes_the_steps_of_scipy_brentq():
+    # scipy's brentq is the reference for the same iterates and root
+    optimize = pytest.importorskip("scipy.optimize")
+    from qisim.eit import _solve
+    cases = [(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15),
+             (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-3),
+             (lambda x: math.exp(x) - 10.0, -5.0, 5.0, 1e-12),
+             (lambda x: math.atan(x - 0.3), -10.0, 10.0, 1e-9),
+             (lambda x: 1.0 if x < 0.7 else -1.0, 0.0, 1.0, 1e-6)]
+    for f, a, b, xtol in cases:
+        assert _solve(f, a, b, xtol, "case") == optimize.brentq(
+            f, a, b, xtol=xtol)
+
+
+def test_window_fwhm_finds_sub_khz_windows():
+    # with gamma_s = 0 the narrow window grows as rabi^2
+    media = [q.EitMedium(optical_depth=rv.OD, rabi_control=TWO_PI * r,
+                         gamma_ge=rv.GAMMA_GE) for r in (5e4, 5e3, 5e2)]
+    widths = [q.window_fwhm(m) for m in media]
+    assert widths[0] < 1e3
+    assert widths[0] / widths[1] == pytest.approx(100.0, rel=1e-4)
+    assert widths[1] / widths[2] == pytest.approx(100.0, rel=1e-4)
+    for w, m in zip(widths, media):
+        # the half-width is found to within the solver's 1e-6 Hz
+        edge = TWO_PI * (w / 2.0 + np.array([-1e-6, 1e-6]))
+        inside, outside = np.abs(q.transmission(edge, m)) ** 2
+        half = abs(q.transmission(0.0, m)) ** 2 / 2.0
+        assert inside > half > outside
+
+
 # ------------------------------------------------------------------ fitting
 
 def test_fit_gamma_s_reaches_achievable_target():
@@ -158,6 +199,15 @@ def test_fit_gamma_s_reports_unreachable_target():
     assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_GS0, rel=1e-9)
     with pytest.raises(InputError):
         q.fit_gamma_s(medium_default(), 0.0)
+
+
+def test_fit_gamma_s_does_not_converge_on_the_window_collapse():
+    # no window between the collapse and gamma_s = 0 is as narrow as
+    # 2.4 MHz; the search lands on the collapse edge
+    res = q.fit_gamma_s(medium_default(), 2.4e6)
+    assert not res.converged
+    assert res.gamma_s > 0.0
+    assert abs(res.window_fwhm_hz - 2.4e6) > 1.0
 
 
 # ------------------------------------------------------------------- pulses
@@ -301,6 +351,25 @@ def test_memory_decay_shapes():
             gauss.eta(bad)
     with pytest.raises(InputError):
         q.MemoryDecay(tau_mem=1e-6, shape="linear")
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "exponential"])
+def test_memory_decay_inverse(shape):
+    decay = q.MemoryDecay(tau_mem=1e-6, shape=shape)
+    for t in (0.0, 1e-7, 1e-6, 3e-6):
+        assert decay.inverse(decay.eta(t)) == pytest.approx(t, rel=1e-12)
+    for bad in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(InputError):
+            decay.inverse(bad)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "exponential"])
+def test_memory_decay_underflows_without_a_warning(shape):
+    decay = q.MemoryDecay(tau_mem=1e-320, shape=shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decay.eta(4e-6) == 0.0
+        assert decay.eta(np.array([0.0, 4e-6])).tolist() == [1.0, 0.0]
 
 
 # ------------------------------------------------------------------ storage

@@ -96,7 +96,7 @@ def test_grid_csv_matches_long_format_rows(tmp_path):
 def test_format_gating(tmp_path):
     writer = outputs.OutputWriter(str(tmp_path), ("json",))
     writer.write_csv("skipped.csv", ["a"], [(1.0,)])
-    writer.write_svg("skipped.svg", "<svg></svg>")
+    writer.write_svg("skipped.svg", lambda: 1 / 0)  # never rendered
     writer.write_json("kept.json", {"a": 1})
     names = set(os.listdir(tmp_path))
     assert names == {"kept.json"}
@@ -129,6 +129,24 @@ def test_manifest_lists_outputs_with_hashes(tmp_path):
     for entry in manifest["outputs"]:
         assert entry["sha256"] == outputs.sha256_of(
             str(tmp_path / entry["path"]))
+
+
+def test_writers_hash_without_reading_back(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} was read back to hash it")
+
+    monkeypatch.setattr(outputs, "sha256_of", refuse)
+    writer = outputs.OutputWriter(str(tmp_path))
+    writer.write_csv("a.csv", ["x", "y"], [(1.0, "é"), (1 / 3, None)])
+    writer.write_grid_csv("g.csv", ["t1", "t2", "v"], np.arange(3.0),
+                          np.eye(3) / 3.0)
+    writer.write_json("b.json", {"k": [0.1, "ü"]})
+    writer.write_svg("c.svg", lambda: "<svg>µ</svg>\n")
+    assert [e["path"] for e in writer.entries] == ["a.csv", "g.csv",
+                                                   "b.json", "c.svg"]
+    for entry in writer.entries:
+        data = (tmp_path / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_sha256_text_matches_file(tmp_path):

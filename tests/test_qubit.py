@@ -366,9 +366,23 @@ def test_g13_decay_model_frozen():
 
 
 def test_crossing_time_frozen():
-    t_cross = q.crossing_time(25.0, memory_eta, threshold=5.0)
+    decay = q.MemoryDecay(tau_mem=rv.TAU_MEM)
+    t_cross = q.crossing_time(25.0, decay, threshold=5.0)
     assert t_cross == pytest.approx(rv.G13_CROSSING, rel=1e-9)
     assert q.g13_decay_model(t_cross, 25.0, memory_eta) == pytest.approx(
         5.0, abs=1e-9)
     with pytest.raises(ModelError):
-        q.crossing_time(4.0, memory_eta, threshold=5.0)
+        q.crossing_time(4.0, decay, threshold=5.0)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "exponential"])
+def test_crossing_time_is_where_g13_meets_the_threshold(shape):
+    decay = q.MemoryDecay(tau_mem=1.5e-6, shape=shape)
+    for g0, thr in [(25.0, 5.0), (3.0, 1.5), (1e6, 1.0 + 1e-9)]:
+        t_cross = q.crossing_time(g0, decay, threshold=thr)
+        assert q.g13_decay_model(t_cross, g0, decay.eta) == pytest.approx(
+            thr, rel=1e-12)
+    with pytest.raises(InputError):
+        q.crossing_time(1.0, decay, threshold=5.0)
+    with pytest.raises(InputError):
+        q.crossing_time(25.0, decay, threshold=1.0)
