@@ -1,29 +1,24 @@
 """Numerical simulator for a narrow-band photon-pair source coupled to an
 atomic slow-light memory: joint spectra, time distributions, transparency
-and storage, and the polarization-qubit layer on top."""
+and the memory's retrieval decay, and the polarization-qubit layer on
+top."""
 
-from .errors import (CapacityWarning, ConfigError, InputError, ModelError,
-                     QisimError, RegimeWarning, ResolutionError)
+from .errors import (ConfigError, InputError, ModelError, QisimError,
+                     RegimeWarning, ResolutionError)
 from .spectral import (CavityLine, FrequencyGrid, JointSpectralAmplitude,
                        PumpSpectrum, build_jsa, cavity_response,
                        default_grid, pump_amplitude,
                        sigma_from_pulse_duration)
 from .biphoton import (JointTimeDistribution, ReducedFrequencyState,
-                       conjugate_time_grid, continuous_pump_density,
-                       default_time_grid, joint_time_distribution,
-                       parseval_ratio, post_storage_distribution,
-                       reduced_state, ridge_correlation, time_domain,
-                       visibility, visibility_quadrature)
-from .eit import (ControlTimeline, EitMedium, FitResult, MemoryDecay, Pulse,
-                  StorageReport, delay_bandwidth_product, fit_gamma_s,
-                  gaussian_pulse, group_delay, group_velocity, propagate,
-                  store_and_retrieve, transmission, window_fwhm)
+                       joint_time_distribution, post_storage_distribution,
+                       reduced_state, time_domain, visibility)
+from .eit import (EitMedium, FitResult, MemoryDecay, fit_gamma_s,
+                  group_delay, transmission, window_fwhm)
 from .qubit import (CHSH_ANGLES, SIX_STATES, MemoryChannelParams,
-                    PairStatistics, PolarizationState, QubitDensity,
-                    TwoQubitDensity, alpha_quality, bell_state,
-                    channel_choi, chsh_S, correlation_E, correlation_curve,
-                    crossing_time, curve_visibility, fidelity, g13,
-                    g13_decay_model, memory_channel,
+                    PolarizationState, QubitDensity, TwoQubitDensity,
+                    alpha_quality, bell_state, chsh_S, correlation_E,
+                    correlation_curve, crossing_time, curve_visibility,
+                    fidelity, g13_decay_model, memory_channel,
                     memory_channel_two_qubit, six_state_battery,
                     werner_state)
 

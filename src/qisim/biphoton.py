@@ -1,9 +1,9 @@
 """Frequency-correlation diagnostics and joint time distributions.
 
 The visibility figure of merit is the purity of the single-photon reduced
-spectral state; a brute-force fourfold quadrature of the same quantity is
-kept as an independent cross-check and must never be folded into the
-purity path.
+spectral state.  The test suite checks it against an independent
+brute-force fourfold quadrature of the same quantity, which must never be
+folded into the purity path.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ from .errors import InputError, ResolutionError
 from .spectral import (
     MATERIALIZE_LIMIT,
     TWO_PI,
-    CavityLine,
     FrequencyGrid,
     JointSpectralAmplitude,
 )
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-_ORACLE_MAX_POINTS = 32
 _TRANSFORM_CHUNK = 8192
 
 
@@ -86,26 +84,6 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
-    """Brute-force fourfold Riemann sum for the visibility.
-
-    Independent oracle for visibility(); restricted to grids of at most
-    32 points per axis to keep the n^4 sum around a million terms.
-    """
-    if not jsa.normalized:
-        raise InputError("oracle requires a normalized amplitude")
-    if jsa.n_points > _ORACLE_MAX_POINTS:
-        raise InputError(
-            f"fourfold quadrature is limited to {_ORACLE_MAX_POINTS} "
-            "points per axis")
-    a = jsa.amplitude
-    dd = jsa.grid.spacing
-    xi = np.einsum("ab,cd,ad,cb->", a, a, a.conj(), a.conj(),
-                   optimize=False)
-    kappa = (float(np.sum(np.abs(a) ** 2)) * dd * dd) ** 2
-    return float(np.real(xi)) * dd ** 4 / kappa
-
-
 # --------------------------------------------------------------- time side
 
 @dataclass(frozen=True)
@@ -123,22 +101,6 @@ class JointTimeDistribution:
         if not math.isclose(float(self.density.max()), 1.0,
                             rel_tol=1e-12, abs_tol=0.0):
             raise InputError("density must be max-normalized to 1")
-
-
-def default_time_grid(line: CavityLine, n_points: int = 512,
-                      span_factor: float = 10.0) -> np.ndarray:
-    """Per-axis detection-time grid, one fifth before the pair and four
-    fifths after, sized in units of the cavity decay time."""
-    window = span_factor / line.gamma
-    return np.linspace(-0.2 * window, 0.8 * window, n_points)
-
-
-def conjugate_time_grid(grid: FrequencyGrid) -> np.ndarray:
-    """Exact transform-dual time grid (dt * dd * n = 2*pi), on which the
-    discrete transform is unitary and mass bookkeeping is exact."""
-    n = grid.n_points
-    dt = TWO_PI / (n * grid.spacing)
-    return (np.arange(n) - n // 2) * dt
 
 
 def _bandwidth_99(jsa: JointSpectralAmplitude, axis: int) -> float:
@@ -214,19 +176,6 @@ def time_domain(jsa: JointSpectralAmplitude,
     return e @ jsa.amplitude @ e.T
 
 
-def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,
-                   t_grid: np.ndarray) -> float:
-    """Time-domain to frequency-domain mass ratio.
-
-    The transform convention carries 1/2pi per axis, so equality of the
-    two quadrature masses means this ratio is 1.  Exact (to rounding) on
-    the conjugate_time_grid; truncated windows lose tail mass.
-    """
-    dt = float(t_grid[1] - t_grid[0])
-    mass_t = float(np.sum(np.abs(psi_t) ** 2)) * dt * dt * TWO_PI ** 2
-    return mass_t / jsa.l2_mass()
-
-
 def joint_time_distribution(jsa: JointSpectralAmplitude,
                             t_grid: np.ndarray) -> JointTimeDistribution:
     """Max-normalized |psi(t1, t2)|^2."""
@@ -270,31 +219,3 @@ def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
             jsa.grid, dense=jsa.amplitude * f[:, None], normalized=False)
     psi_t = time_domain(filtered, t_grid)
     return _density_from_amplitude(psi_t, t_grid)
-
-
-def continuous_pump_density(t_grid: np.ndarray,
-                            line: CavityLine) -> JointTimeDistribution:
-    """Closed-form pair density for a monochromatic pump.
-
-    |psi| depends only on the detection-time difference and decays as
-    e^{-gamma |t1 - t2| / 2}; the density is already max-normalized.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt_abs = np.abs(np.subtract.outer(t_grid, t_grid))
-    density = np.exp(-line.gamma * dt_abs)
-    return JointTimeDistribution(t_grid=t_grid, density=density)
-
-
-def ridge_correlation(dist: JointTimeDistribution) -> float:
-    """Pearson correlation of (t1, t2) under the density.
-
-    Positive values mean a diagonal ridge (frequency-correlated pairs);
-    near zero means the density factorizes."""
-    w = dist.density / dist.density.sum()
-    t = dist.t_grid
-    m1 = float(np.sum(w.sum(axis=1) * t))
-    m2 = float(np.sum(w.sum(axis=0) * t))
-    v1 = float(np.sum(w.sum(axis=1) * (t - m1) ** 2))
-    v2 = float(np.sum(w.sum(axis=0) * (t - m2) ** 2))
-    cov = float(np.sum(w * np.outer(t - m1, t - m2)))
-    return cov / math.sqrt(v1 * v2)

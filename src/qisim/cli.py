@@ -30,6 +30,27 @@ _DEFAULT_SIGMAS = "12.5e6,3.7e6,1e9"
 _DEFAULT_TPS = "30e-9,100e-9"
 _DEFAULT_STORE_TIMES = "200e-9"
 _DEFAULT_BELL_TIMES = "0,200e-9,1e-6"
+_G13_THRESHOLD = 5.0
+
+# Reference targets of the reproduce-all checks, in the order checks.json
+# lists them: check id -> (target, tolerance, relative).
+TARGETS = {
+    "vis_sigma_12p5MHz": (0.97, 0.01, False),
+    "vis_sigma_3p7MHz": (0.80, 0.02, False),
+    "eit_window_fwhm": (5.5e6, 0.10, True),
+    "eit_group_delay": (200e-9, 0.10, True),
+    "eit_dbp": (7.0, 0.15, True),
+    "eit_vg": (2e4, 0.10, True),
+    "eit_control_off_transmission": (math.exp(-55.0), 1e-6, True),
+    "six_state_each": (0.0, 0.04, False),
+    "six_state_average": (0.924, 0.03, False),
+    "bell_ideal_S": (2.0 * math.sqrt(2.0), 1e-9, False),
+    "bell_S_1us": (2.28, 0.17, False),
+    "g13_crossing": (2e-6, 0.10, True),
+}
+# per-state fidelities at 200 ns; six_state_each is the worst deviation
+STATE_FIDELITY_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909,
+                       "minus": 0.889, "R": 0.920, "L": 0.881}
 
 
 def _float_list(text: str) -> list:
@@ -58,6 +79,9 @@ def _finish(cfg, writer) -> None:
 
 
 # ------------------------------------------------------------- commands
+#
+# Each cmd_* writes its artifacts and returns (exit code, results), where
+# results is what its JSON report holds.
 
 def _visibility_of(cfg, sigma_rad: float) -> float:
     line = config.line_from(cfg)
@@ -126,7 +150,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
 
 
 def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
-                 name: str = "timedist") -> int:
+                 name: str = "timedist") -> tuple:
     dist = _timedist_compute(cfg, tp_s, with_storage)
     t_ns = dist.t_grid * 1e9
     writer.write_grid_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"],
@@ -135,10 +159,10 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
     writer.write_svg(f"{name}.svg", lambda: svgplot.heatmap(
         dist.density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
         f"Joint detection-time density (T_p = {tp_s * 1e9:g} ns{tag})"))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
+def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
     medium = config.medium_from(cfg)
     fit_info = None
     if fit_target_hz is not None:
@@ -158,7 +182,7 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
                          f"{res.gamma_s:.6g} rad/s")
             print(f"eit: gamma_s fit did not converge; {reach} for target "
                   f"{res.target_hz:.6g} Hz", file=sys.stderr)
-            return EXIT_MODEL
+            return EXIT_MODEL, None
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
 
     base = config.medium_from(cfg)
@@ -194,10 +218,10 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> int:
         "fit": fit_info,
     }
     writer.write_json("eit_report.json", report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_store(cfg, writer, states, times_s) -> int:
+def cmd_store(cfg, writer, states, times_s) -> tuple:
     results = []
     for t_s in times_s:
         params = config.channel_from(cfg, t_s)
@@ -205,18 +229,18 @@ def cmd_store(cfg, writer, states, times_s) -> int:
         fids = {name: battery[name] for name in states}
         fids["average"] = sum(fids[n] for n in states) / len(states)
         results.append({"t_s": t_s, "fidelities": fids})
-    writer.write_json("store_report.json", {"states": list(states),
-                                            "results": results})
+    report = {"states": list(states), "results": results}
+    writer.write_json("store_report.json", report)
     first = results[0]["fidelities"]
     writer.write_svg("store_fidelities.svg", lambda: svgplot.bars(
         list(states) + ["avg"],
         [first[n] for n in states] + [first["average"]],
         "fidelity",
         f"Storage fidelities at t_s = {results[0]['t_s'] * 1e9:g} ns"))
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_bell(cfg, writer, times_s) -> int:
+def cmd_bell(cfg, writer, times_s) -> tuple:
     v_src = cfg["channel.V_src"]
     source = qubit.werner_state(v_src)
     s_local = qubit.chsh_S(source)
@@ -253,10 +277,10 @@ def cmd_bell(cfg, writer, times_s) -> int:
         },
     }
     writer.write_json("bell_report.json", report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_g13(cfg, writer, times_s) -> int:
+def cmd_g13(cfg, writer, times_s) -> tuple:
     g0 = cfg["g13.g0"]
     decay = config.decay_from(cfg)
     rows = []
@@ -266,12 +290,12 @@ def cmd_g13(cfg, writer, times_s) -> int:
         rows.append((t, g, alpha))
     writer.write_csv("g13.csv", ["t_s", "g13", "alpha"], rows)
     try:
-        crossing = qubit.crossing_time(g0, decay, threshold=5.0)
+        crossing = qubit.crossing_time(g0, decay, _G13_THRESHOLD)
     except ModelError:
         crossing = None
     report = {
         "g0": g0,
-        "threshold": 5.0,
+        "threshold": _G13_THRESHOLD,
         "crossing_time_s": crossing,
         "alpha_at_threshold": 1.0,
     }
@@ -279,13 +303,13 @@ def cmd_g13(cfg, writer, times_s) -> int:
     writer.write_svg("g13_curve.svg", lambda: svgplot.curve(
         np.asarray(times_s) * 1e6,
         [("g13", [r[1] for r in rows]),
-         ("threshold", [5.0] * len(rows))],
+         ("threshold", [_G13_THRESHOLD] * len(rows))],
         "storage time (us)", "cross-correlation g13",
         "Pair cross-correlation vs storage time"))
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def _check(cid, value, target, tol, relative=False):
+def _check(cid, value, target, tol, relative):
     err = abs(value - target)
     bound = tol * abs(target) if relative else tol
     return {
@@ -298,15 +322,17 @@ def _check(cid, value, target, tol, relative=False):
     }
 
 
-def cmd_reproduce_all(cfg, writer) -> int:
+def cmd_reproduce_all(cfg, writer) -> tuple:
+    """Run every command, then check the numbers they returned (and the
+    two no command computes) against TARGETS."""
     _, vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
                             _float_list(_DEFAULT_TPS))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
     cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
-    cmd_eit(cfg, writer)
-    cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
-    cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
-    cmd_g13(cfg, writer, list(np.linspace(0.0, 4e-6, 81)))
+    _, eit = cmd_eit(cfg, writer)
+    _, store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
+    _, bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
+    _, g13 = cmd_g13(cfg, writer, list(np.linspace(0.0, 4e-6, 81)))
 
     def visibility_at(sigma_hz):
         # a sweep row that failed is recomputed to raise its error here
@@ -314,57 +340,42 @@ def cmd_reproduce_all(cfg, writer) -> int:
             return vis[sigma_hz]
         return _visibility_of(cfg, TWO_PI * sigma_hz)
 
-    checks = []
-    checks.append(_check("vis_sigma_12p5MHz", visibility_at(12.5e6),
-                         0.97, 0.01))
-    checks.append(_check("vis_sigma_3p7MHz", visibility_at(3.7e6),
-                         0.80, 0.02))
+    values = {"vis_sigma_12p5MHz": visibility_at(12.5e6),
+              "vis_sigma_3p7MHz": visibility_at(3.7e6)}
 
-    medium = config.medium_from(cfg)
-    fit = fit_gamma_s(medium, 5.5e6)
-    eit_medium = config.medium_from(cfg, gamma_s_hz=fit.gamma_s / TWO_PI)
-    fwhm = window_fwhm(eit_medium)
-    tau = group_delay(eit_medium)
-    checks.append(_check("eit_window_fwhm", fwhm, 5.5e6, 0.10,
-                         relative=True))
-    checks.append(_check("eit_group_delay", tau, 200e-9, 0.10,
-                         relative=True))
-    checks.append(_check("eit_dbp", TWO_PI * fwhm * tau, 7.0, 0.15,
-                         relative=True))
-    checks.append(_check("eit_vg", eit_medium.length / tau, 2e4, 0.10,
-                         relative=True))
-    off = EitMedium(medium.optical_depth, 0.0, medium.gamma_ge,
-                    medium.gamma_s, medium.length)
-    checks.append(_check("eit_control_off_transmission",
-                         float(np.abs(transmission(0.0, off)) ** 2),
-                         math.exp(-55.0), 1e-6, relative=True))
+    fit = fit_gamma_s(config.medium_from(cfg), TARGETS["eit_window_fwhm"][0])
+    medium = config.medium_from(cfg, gamma_s_hz=fit.gamma_s / TWO_PI)
+    fwhm, tau = window_fwhm(medium), group_delay(medium)
+    values["eit_window_fwhm"] = fwhm
+    values["eit_group_delay"] = tau
+    values["eit_dbp"] = TWO_PI * fwhm * tau
+    values["eit_vg"] = medium.length / tau
+    values["eit_control_off_transmission"] = (
+        eit["transmission_control_off_resonance"])
 
-    battery = qubit.six_state_battery(config.channel_from(cfg, 200e-9))
-    refs = {"H": 0.954, "V": 0.989, "plus": 0.909, "minus": 0.889,
-            "R": 0.920, "L": 0.881}
-    worst = max(abs(battery[n] - refs[n]) for n in refs)
-    checks.append(_check("six_state_each", worst, 0.0, 0.04))
-    checks.append(_check("six_state_average", battery["average"],
-                         0.924, 0.03))
+    fids = store["results"][0]["fidelities"]
+    values["six_state_each"] = max(abs(fids[n] - ref) for n, ref
+                                   in STATE_FIDELITY_REFS.items())
+    values["six_state_average"] = fids["average"]
 
-    checks.append(_check("bell_ideal_S", qubit.chsh_S(qubit.bell_state()),
-                         2.0 * math.sqrt(2.0), 1e-9))
-    params_1us = config.channel_from(cfg, 1e-6, balanced=True)
-    stored = qubit.memory_channel_two_qubit(
-        qubit.werner_state(cfg["channel.V_src"]), params_1us, arm=2)
-    checks.append(_check("bell_S_1us", qubit.chsh_S(stored), 2.28, 0.17))
-    decay = config.decay_from(cfg)
-    checks.append(_check("g13_crossing",
-                         qubit.crossing_time(cfg["g13.g0"], decay, 5.0),
-                         2e-6, 0.10, relative=True))
+    values["bell_ideal_S"] = qubit.chsh_S(qubit.bell_state())
+    values["bell_S_1us"] = {r["t_s"]: r["S"] for r in bell["rows"]}[1e-6]
 
+    if g13["crossing_time_s"] is None:
+        # recomputed to raise the error cmd_g13 recorded as null
+        qubit.crossing_time(cfg["g13.g0"], config.decay_from(cfg),
+                            _G13_THRESHOLD)
+    values["g13_crossing"] = g13["crossing_time_s"]
+
+    checks = [_check(cid, values[cid], *TARGETS[cid]) for cid in TARGETS]
     failed = [c["id"] for c in checks if not c["passed"]]
-    writer.write_json("checks.json", {"checks": checks, "failed": failed})
+    report = {"checks": checks, "failed": failed}
+    writer.write_json("checks.json", report)
     if failed:
         print("reproduce-all: %d reference check(s) failed: %s"
               % (len(failed), ", ".join(failed)), file=sys.stderr)
-        return EXIT_CHECKS
-    return EXIT_OK
+        return EXIT_CHECKS, report
+    return EXIT_OK, report
 
 
 # ---------------------------------------------------------------- driver
@@ -438,26 +449,27 @@ def main(argv=None) -> int:
             _required(sigmas + tps, "--sigma-hz or --tp-s")
             code, _ = cmd_visibility(cfg, writer, sigmas, tps)
         elif args.command == "timedist":
-            code = cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
+            code, _ = cmd_timedist(cfg, writer, args.tp_s,
+                                   args.with_storage)
         elif args.command == "eit":
-            code = cmd_eit(cfg, writer, args.fit_gamma_s)
+            code, _ = cmd_eit(cfg, writer, args.fit_gamma_s)
         elif args.command == "store":
             states = _required([s.strip() for s in args.states.split(",")
                                 if s.strip()], "--states")
             for s in states:
                 if s not in qubit.SIX_STATES:
                     raise ConfigError(f"unknown state {s!r}")
-            code = cmd_store(cfg, writer, states, _required(
+            code, _ = cmd_store(cfg, writer, states, _required(
                 _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "bell":
-            code = cmd_bell(cfg, writer, _required(
+            code, _ = cmd_bell(cfg, writer, _required(
                 _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "g13":
             times = (_required(_float_list(args.times_s), "--times-s")
                      if args.times_s else list(np.linspace(0.0, 4e-6, 81)))
-            code = cmd_g13(cfg, writer, times)
+            code, _ = cmd_g13(cfg, writer, times)
         else:
-            code = cmd_reproduce_all(cfg, writer)
+            code, _ = cmd_reproduce_all(cfg, writer)
         _finish(cfg, writer)
         return code
     except (ConfigError, InputError) as exc:

@@ -23,10 +23,5 @@ class ConfigError(QisimError):
     """Malformed or inconsistent run configuration."""
 
 
-class CapacityWarning(UserWarning):
-    """Pulse exceeds the delay-bandwidth capacity of the medium; leakage
-    will be substantial."""
-
-
 class RegimeWarning(UserWarning):
     """Result is outside the regime where the model is trustworthy."""

@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 
-from .errors import InputError
-
 ARTIFACT_VERSION = "0.1.0"
 
 
@@ -143,26 +141,3 @@ class OutputWriter:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-
-def read_csv(path: str):
-    """Header + rows with numeric cells parsed back to float; the inverse
-    of write_csv for round-trip checks."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InputError(f"{path}: empty CSV")
-    header, body = rows[0], rows[1:]
-    parsed = []
-    for row in body:
-        out = []
-        for cell in row:
-            if cell == "":
-                out.append(None)
-            else:
-                try:
-                    out.append(float(cell))
-                except ValueError:
-                    out.append(cell)
-        parsed.append(out)
-    return header, parsed

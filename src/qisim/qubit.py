@@ -1,5 +1,5 @@
 """Polarization qubits: dual-rail storage channel, fidelity battery,
-CHSH correlations, and pair-statistics diagnostics.
+CHSH correlations, and the heralded cross-correlation decay.
 
 Two-qubit matrices use the product basis |HH>, |HV>, |VH>, |VV> with the
 first factor as qubit 1.  H maps to ensemble rail D and V to rail U, so
@@ -19,7 +19,6 @@ _TRACE_TOL = 1e-9
 _PSD_TOL = -1e-10
 
 CHSH_ANGLES = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
-CONVENTIONS = ("plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -217,26 +216,6 @@ def memory_channel_two_qubit(rho_in: TwoQubitDensity,
     return TwoQubitDensity((1.0 - p) * r + p * bg)
 
 
-def channel_choi(params: MemoryChannelParams) -> np.ndarray:
-    """Choi matrix of the linear part of the channel (before the
-    nonlinear post-selection step); PSD iff the map is completely
-    positive."""
-    k = _rail_operator(params)
-    d = params.dephasing_factor()
-    p = params.background_weight()
-    deph = np.array([[1.0, d], [d, 1.0]])
-
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            body = (k @ e @ k.conj().T) * deph
-            mapped = (1.0 - p) * body + p * np.trace(body) * np.eye(2) / 2.0
-            choi += np.kron(e, mapped)
-    return choi
-
-
 def _projector(theta: float) -> np.ndarray:
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     return np.outer(v, v.conj())
@@ -246,28 +225,22 @@ def _analyzer(theta: float) -> np.ndarray:
     return _projector(theta) - _projector(theta + math.pi / 2.0)
 
 
-def correlation_E(rho: TwoQubitDensity, theta1: float, theta2: float,
-                  convention: str = "minus") -> float:
+def correlation_E(rho: TwoQubitDensity, theta1: float,
+                  theta2: float) -> float:
     """Joint +/- correlation for linear analyzers at theta1, theta2.
 
-    The `minus` convention mirrors analyzer 1 (theta1 -> -theta1); with it
-    the standard angle set is optimal for the Bell state used here.
+    Analyzer 1 is mirrored (theta1 -> -theta1); with that convention the
+    standard angle set CHSH_ANGLES is optimal for the Bell state used
+    here.
     """
-    if convention not in CONVENTIONS:
-        raise InputError(f"convention must be one of {CONVENTIONS}")
-    if convention == "minus":
-        theta1 = -theta1
-    obs = np.kron(_analyzer(theta1), _analyzer(theta2))
+    obs = np.kron(_analyzer(-theta1), _analyzer(theta2))
     return float(np.real(np.trace(rho.matrix @ obs)))
 
 
-def chsh_S(rho: TwoQubitDensity, angles=CHSH_ANGLES,
-           convention: str = "minus") -> float:
-    t1, t1p, t2, t2p = angles
-    return abs(correlation_E(rho, t1, t2, convention)
-               - correlation_E(rho, t1, t2p, convention)
-               + correlation_E(rho, t1p, t2, convention)
-               + correlation_E(rho, t1p, t2p, convention))
+def chsh_S(rho: TwoQubitDensity) -> float:
+    t1, t1p, t2, t2p = CHSH_ANGLES
+    return abs(correlation_E(rho, t1, t2) - correlation_E(rho, t1, t2p)
+               + correlation_E(rho, t1p, t2) + correlation_E(rho, t1p, t2p))
 
 
 def correlation_curve(rho: TwoQubitDensity, flying_basis: str,
@@ -296,28 +269,7 @@ def curve_visibility(values) -> float:
     return (hi - lo) / (hi + lo)
 
 
-# ---------------------------------------------------------- pair statistics
-
-@dataclass(frozen=True)
-class PairStatistics:
-    """Per-trial singles and coincidence probabilities."""
-
-    p1: float
-    p3: float
-    p13: float
-
-    def __post_init__(self) -> None:
-        if self.p1 < 0.0 or self.p3 < 0.0 or self.p13 < 0.0:
-            raise InputError("probabilities must be >= 0")
-        if self.p13 > min(self.p1, self.p3) + 1e-12:
-            raise InputError("p13 cannot exceed either singles probability")
-
-
-def g13(stats: PairStatistics) -> float:
-    if stats.p1 <= 0.0 or stats.p3 <= 0.0:
-        raise InputError("g13 undefined for zero singles probability")
-    return stats.p13 / (stats.p1 * stats.p3)
-
+# ------------------------------------------------- heralded cross-correlation
 
 def alpha_quality(g13_value: float) -> float:
     """Heralded-autocorrelation estimate 4/(g13 - 1): 0 for an ideal

@@ -7,19 +7,6 @@ import os
 import numpy as np
 
 
-def parabolic_peak(times: np.ndarray, values: np.ndarray) -> float:
-    """Sub-sample peak location via a three-point parabola fit."""
-    i = int(np.argmax(values))
-    if i == 0 or i == len(values) - 1:
-        return float(times[i])
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(times[i])
-    dt = times[1] - times[0]
-    return float(times[i] + 0.5 * (y0 - y2) / denom * dt)
-
-
 def ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T

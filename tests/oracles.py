@@ -1,0 +1,168 @@
+"""Reference implementations that the tests check the program against.
+
+None of these is reachable from a command: each is an independent oracle
+(fourfold quadrature, closed forms, Parseval, Choi positivity), a
+diagnostic of an output (ridge correlation, g13 from counts), or the
+reader that parses written CSVs back for round-trip checks.
+"""
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qisim.biphoton import JointTimeDistribution
+from qisim.errors import InputError
+from qisim.qubit import MemoryChannelParams, _rail_operator
+from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
+                            JointSpectralAmplitude)
+
+_ORACLE_MAX_POINTS = 32
+
+
+# ---------------------------------------------------------------- biphoton
+
+def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
+    """Brute-force fourfold Riemann sum for the visibility.
+
+    Independent oracle for visibility(); restricted to grids of at most
+    32 points per axis to keep the n^4 sum around a million terms.
+    """
+    if not jsa.normalized:
+        raise InputError("oracle requires a normalized amplitude")
+    if jsa.n_points > _ORACLE_MAX_POINTS:
+        raise InputError(
+            f"fourfold quadrature is limited to {_ORACLE_MAX_POINTS} "
+            "points per axis")
+    a = jsa.amplitude
+    dd = jsa.grid.spacing
+    xi = np.einsum("ab,cd,ad,cb->", a, a, a.conj(), a.conj(),
+                   optimize=False)
+    kappa = (float(np.sum(np.abs(a) ** 2)) * dd * dd) ** 2
+    return float(np.real(xi)) * dd ** 4 / kappa
+
+
+def default_time_grid(line: CavityLine, n_points: int = 512,
+                      span_factor: float = 10.0) -> np.ndarray:
+    """Per-axis detection-time grid, one fifth before the pair and four
+    fifths after, sized in units of the cavity decay time."""
+    window = span_factor / line.gamma
+    return np.linspace(-0.2 * window, 0.8 * window, n_points)
+
+
+def conjugate_time_grid(grid: FrequencyGrid) -> np.ndarray:
+    """Exact transform-dual time grid (dt * dd * n = 2*pi), on which the
+    discrete transform is unitary and mass bookkeeping is exact."""
+    n = grid.n_points
+    dt = TWO_PI / (n * grid.spacing)
+    return (np.arange(n) - n // 2) * dt
+
+
+def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,
+                   t_grid: np.ndarray) -> float:
+    """Time-domain to frequency-domain mass ratio.
+
+    The transform convention carries 1/2pi per axis, so equality of the
+    two quadrature masses means this ratio is 1.  Exact (to rounding) on
+    the conjugate_time_grid; truncated windows lose tail mass.
+    """
+    dt = float(t_grid[1] - t_grid[0])
+    mass_t = float(np.sum(np.abs(psi_t) ** 2)) * dt * dt * TWO_PI ** 2
+    return mass_t / jsa.l2_mass()
+
+
+def continuous_pump_density(t_grid: np.ndarray,
+                            line: CavityLine) -> JointTimeDistribution:
+    """Closed-form pair density for a monochromatic pump.
+
+    |psi| depends only on the detection-time difference and decays as
+    e^{-gamma |t1 - t2| / 2}; the density is already max-normalized.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt_abs = np.abs(np.subtract.outer(t_grid, t_grid))
+    density = np.exp(-line.gamma * dt_abs)
+    return JointTimeDistribution(t_grid=t_grid, density=density)
+
+
+def ridge_correlation(dist: JointTimeDistribution) -> float:
+    """Pearson correlation of (t1, t2) under the density.
+
+    Positive values mean a diagonal ridge (frequency-correlated pairs);
+    near zero means the density factorizes."""
+    w = dist.density / dist.density.sum()
+    t = dist.t_grid
+    m1 = float(np.sum(w.sum(axis=1) * t))
+    m2 = float(np.sum(w.sum(axis=0) * t))
+    v1 = float(np.sum(w.sum(axis=1) * (t - m1) ** 2))
+    v2 = float(np.sum(w.sum(axis=0) * (t - m2) ** 2))
+    cov = float(np.sum(w * np.outer(t - m1, t - m2)))
+    return cov / math.sqrt(v1 * v2)
+
+
+# ------------------------------------------------------------------- qubit
+
+def channel_choi(params: MemoryChannelParams) -> np.ndarray:
+    """Choi matrix of the linear part of the channel (before the
+    nonlinear post-selection step); PSD iff the map is completely
+    positive."""
+    k = _rail_operator(params)
+    d = params.dephasing_factor()
+    p = params.background_weight()
+    deph = np.array([[1.0, d], [d, 1.0]])
+
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[i, j] = 1.0
+            body = (k @ e @ k.conj().T) * deph
+            mapped = (1.0 - p) * body + p * np.trace(body) * np.eye(2) / 2.0
+            choi += np.kron(e, mapped)
+    return choi
+
+
+@dataclass(frozen=True)
+class PairStatistics:
+    """Per-trial singles and coincidence probabilities."""
+
+    p1: float
+    p3: float
+    p13: float
+
+    def __post_init__(self) -> None:
+        if self.p1 < 0.0 or self.p3 < 0.0 or self.p13 < 0.0:
+            raise InputError("probabilities must be >= 0")
+        if self.p13 > min(self.p1, self.p3) + 1e-12:
+            raise InputError("p13 cannot exceed either singles probability")
+
+
+def g13(stats: PairStatistics) -> float:
+    if stats.p1 <= 0.0 or stats.p3 <= 0.0:
+        raise InputError("g13 undefined for zero singles probability")
+    return stats.p13 / (stats.p1 * stats.p3)
+
+
+# ----------------------------------------------------------------- outputs
+
+def read_csv(path: str):
+    """Header + rows with numeric cells parsed back to float; the inverse
+    of write_csv for round-trip checks."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise InputError(f"{path}: empty CSV")
+    header, body = rows[0], rows[1:]
+    parsed = []
+    for row in body:
+        out = []
+        for cell in row:
+            if cell == "":
+                out.append(None)
+            else:
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    out.append(cell)
+        parsed.append(out)
+    return header, parsed

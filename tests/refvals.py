@@ -5,9 +5,14 @@ Every number here was computed ahead of time with an independent script
 and is pinned so regressions show up as hard failures.  Tolerances in the
 tests reflect how each number was obtained: machine precision for closed
 forms, looser bounds where a root finder or grid is involved.
+
+The paper's targets that reproduce-all checks are not repeated here:
+they live in qisim.cli.TARGETS, and the two used below are read from it.
 """
 
 import math
+
+from qisim.cli import STATE_FIDELITY_REFS, TARGETS
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,34 +71,6 @@ FAR_100 = 0.9972514030864683
 FIT29_GAMMA_S = 587795.3745175507
 FIT29_TARGET = 2.90e6
 
-# pulse propagation through 4 mm of medium; grid [-1, 4] us with 16384
-# samples, gaussian input centered at 1.2 us; energies are output/input,
-# ratios are measured peak delay over the small-signal group delay
-PROP_EN_05MHZ_GS0 = 0.9872065725300638
-PROP_RATIO_05MHZ_GS0 = 1.0052896114437997
-PROP_EN_05MHZ_DEF = 0.9486849304247372
-PROP_RATIO_05MHZ_DEF = 1.0052713388229035
-PROP_EN_1MHZ_GS0 = 0.9508433023835509
-PROP_RATIO_1MHZ_GS0 = 1.0196694368714863
-PROP_EN_1MHZ_DEF = 0.9135900671169255
-PROP_RATIO_1MHZ_DEF = 1.019592072603707
-
-# storage run: gamma_s = 0 medium, grid [-0.5, 3.5] us with 8192 samples,
-# 200 ns pulse centered at 400 ns, control shutoff at center + delay/2,
-# 20 ns ramp, 200 ns hold, gaussian memory with eta0 = 1 and tau = 1 ms
-STORE_LEAK_200 = 0.011465483201862655
-STORE_RETR_200 = 0.6532392786799907
-STORE_ABS_200 = 0.33529521198857504
-
-# same setup, input duration swept
-STORE_SWEEP = {
-    150e-9: (0.0017902588110487842, 0.6523634712495691, 0.34584624384484275),
-    200e-9: (0.011465483201862655, 0.6532392786799907, 0.33529521198857504),
-    300e-9: (0.05695600537585532, 0.5565268179051689, 0.3865171544579026),
-    600e-9: (0.20758899737813574, 0.3284455306499364, 0.46396545883410634),
-    1200e-9: (0.3064582678896595, 0.1784327541888951, 0.5151089707841352),
-}
-
 # polarization memory channel, default configuration
 DEPHASING = 0.9751367491822184          # exp(-sigma^2/2), sigma = 2*pi/28
 ETA_U = 0.5819439041677432
@@ -112,12 +89,11 @@ SIX_200 = {
     "L": 0.8997499999999999,
     "average": 0.9236666666666666,
 }
-SIX_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909, "minus": 0.889,
-            "R": 0.920, "L": 0.881}
+SIX_REFS = STATE_FIDELITY_REFS
 JITTER_ONLY_F_SUP = 0.987568374591109    # (1 + DEPHASING) / 2
 
 # CHSH with the fixed analyzer angles
-S_IDEAL = 2.0 * math.sqrt(2.0)
+S_IDEAL = TARGETS["bell_ideal_S"][0]     # 2 sqrt(2), the Tsirelson bound
 S_LOCAL = 2.5677558933174107             # werner(V_SRC), no channel
 S_0US = 2.3937148831445327
 S_200NS = 2.3912919466173355

@@ -2,7 +2,8 @@
 
 Each test prints one [C#] PASS/FAIL line for its criterion before
 asserting, so the summary survives in the captured output either way.
-Tolerances are stated inline next to each comparison.
+Targets that reproduce-all also checks are read from cli.TARGETS; the
+others are stated inline next to each comparison.
 """
 
 import json
@@ -16,12 +17,24 @@ import qisim as q
 from qisim import cli, config
 from qisim.spectral import TWO_PI
 
+import oracles
 import refvals as rv
 from helpers import ginibre_density, hash_dir
 
 
 def _verdict(ok):
     return "PASS" if ok else "FAIL"
+
+
+def within(cid, value):
+    """Whether value meets reproduce-all's target `cid`."""
+    target, tol, relative = cli.TARGETS[cid]
+    return abs(value - target) <= (tol * abs(target) if relative else tol)
+
+
+def spec(cid):
+    target, tol, relative = cli.TARGETS[cid]
+    return f"{target:.6g} +-{tol:g}" + (" rel" if relative else "")
 
 
 def test_c1_visibility_pair():
@@ -34,13 +47,15 @@ def test_c1_visibility_pair():
         vals.append(q.visibility(jsa))
     elapsed = time.monotonic() - t0
     v_broad, v_narrow = vals
-    ok = (abs(v_broad - 0.97) <= 0.01 and abs(v_narrow - 0.80) <= 0.02
-          and elapsed < 5.0)
-    print(f"[C1] visibility pair 0.97+-0.01 / 0.80+-0.02 under 5 s "
+    broad_ok = within("vis_sigma_12p5MHz", v_broad)
+    narrow_ok = within("vis_sigma_3p7MHz", v_narrow)
+    ok = broad_ok and narrow_ok and elapsed < 5.0
+    print(f"[C1] visibility pair {spec('vis_sigma_12p5MHz')} / "
+          f"{spec('vis_sigma_3p7MHz')} under 5 s "
           f"(got {v_broad:.4f}, {v_narrow:.4f} in {elapsed:.2f} s): "
           f"{_verdict(ok)}")
-    assert abs(v_broad - 0.97) <= 0.01
-    assert abs(v_narrow - 0.80) <= 0.02
+    assert broad_ok
+    assert narrow_ok
     assert elapsed < 5.0
 
 
@@ -56,7 +71,7 @@ def test_c2_dual_route_visibility():
         jsa = q.build_jsa(q.default_grid(line, pump, n_points=32),
                           line, pump)
         v_purity = q.visibility(jsa)
-        v_quad = q.visibility_quadrature(jsa)
+        v_quad = oracles.visibility_quadrature(jsa)
         worst = max(worst, abs(v_purity - v_quad) / v_quad)
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0
@@ -88,19 +103,20 @@ def test_c3_time_domain_limits():
     spill = max(dens[neg, :].max(), dens[:, neg].max()) / dens.max()
 
     # continuous pump is analytic, no transform involved
-    cont = q.continuous_pump_density(t_grid, line)
+    cont = oracles.continuous_pump_density(t_grid, line)
     expect = np.exp(-rv.GAMMA
                     * np.abs(np.subtract.outer(t_grid, t_grid)))
     cont_err = float(np.max(np.abs(cont.density - expect)))
 
     # ridge correlation separates long and short pumps
-    tg = q.default_time_grid(line)
+    tg = oracles.default_time_grid(line)
     r = {}
     for tp in (100e-9, 30e-9):
         pump = q.PumpSpectrum(kind="gaussian",
                               sigma=q.sigma_from_pulse_duration(tp))
         jsa_tp = q.build_jsa(q.default_grid(line, pump), line, pump)
-        r[tp] = q.ridge_correlation(q.joint_time_distribution(jsa_tp, tg))
+        r[tp] = oracles.ridge_correlation(
+            q.joint_time_distribution(jsa_tp, tg))
     r_long, r_short = r[100e-9], r[30e-9]
 
     ok = (l2 < 1e-3 and spill < 1e-4 and cont_err < 1e-12
@@ -120,38 +136,32 @@ def test_c4_memory_bandwidth_targets():
     base = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
                        gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
                        length=4e-3)
-    fit = q.fit_gamma_s(base, 5.5e6)
+    fit = q.fit_gamma_s(base, cli.TARGETS["eit_window_fwhm"][0])
     med = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
                       gamma_ge=rv.GAMMA_GE, gamma_s=fit.gamma_s,
                       length=4e-3)
     fwhm = q.window_fwhm(med)
     tau = q.group_delay(med)
-    dbp = q.delay_bandwidth_product(med)
-    v_g = q.group_velocity(med)
+    dbp = TWO_PI * fwhm * tau
+    v_g = med.length / tau
     off = q.EitMedium(optical_depth=rv.OD, rabi_control=0.0,
                       gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
                       length=4e-3)
     t_off = abs(q.transmission(0.0, off)) ** 2
 
-    subs = [
-        ("window 5.5 MHz +-10%", fwhm, 5.5e6,
-         abs(fwhm - 5.5e6) <= 0.10 * 5.5e6),
-        ("delay 200 ns +-10%", tau, 200e-9,
-         abs(tau - 200e-9) <= 0.10 * 200e-9),
-        ("delay-bandwidth 7 +-15%", dbp, 7.0,
-         abs(dbp - 7.0) <= 0.15 * 7.0),
-        ("group velocity 2e4 m/s +-10%", v_g, 2e4,
-         abs(v_g - 2e4) <= 0.10 * 2e4),
-        ("control-off exp(-OD) rel 1e-6", t_off, math.exp(-55.0),
-         abs(t_off - math.exp(-55.0)) <= 1e-6 * math.exp(-55.0)),
-    ]
-    for label, got, want, sub_ok in subs:
-        print(f"[C4]   {label}: got {got:.6g}, want {want:.6g} "
+    subs = [("window (Hz)", "eit_window_fwhm", fwhm),
+            ("delay (s)", "eit_group_delay", tau),
+            ("angular delay-bandwidth", "eit_dbp", dbp),
+            ("group velocity (m/s)", "eit_vg", v_g),
+            ("control-off exp(-OD)", "eit_control_off_transmission", t_off)]
+    verdicts = [within(cid, got) for _, cid, got in subs]
+    for (label, cid, got), sub_ok in zip(subs, verdicts):
+        print(f"[C4]   {label} {spec(cid)}: got {got:.6g} "
               f"-> {_verdict(sub_ok)}")
-    ok = all(s[3] for s in subs)
+    ok = all(verdicts)
     print(f"[C4] transparency window / delay targets at OD 55, "
           f"control 12.6 MHz, gamma_ge 2.87 MHz: {_verdict(ok)}")
-    failed = [s[0] for s in subs if not s[3]]
+    failed = [sub[0] for sub, sub_ok in zip(subs, verdicts) if not sub_ok]
     assert ok, ("unreachable with the pinned medium parameters; "
                 "best window %.4g Hz, delay %.4g s; failed: %s"
                 % (fwhm, tau, ", ".join(failed)))
@@ -161,13 +171,15 @@ def test_c5_six_state_fidelities():
     cfg = config.load_config()
     battery = q.six_state_battery(config.channel_from(cfg, 200e-9))
     worst = max(abs(battery[n] - rv.SIX_REFS[n]) for n in rv.SIX_REFS)
-    avg_err = abs(battery["average"] - 0.924)
-    ok = worst <= 0.04 and avg_err <= 0.03
-    print(f"[C5] six-state fidelities +-0.04 each, average 0.924+-0.03 "
+    each_ok = within("six_state_each", worst)
+    avg_ok = within("six_state_average", battery["average"])
+    ok = each_ok and avg_ok
+    print(f"[C5] six-state fidelities {spec('six_state_each')} off their "
+          f"references, average {spec('six_state_average')} "
           f"(worst dev {worst:.4f}, avg {battery['average']:.4f}): "
           f"{_verdict(ok)}")
-    assert worst <= 0.04
-    assert avg_err <= 0.03
+    assert each_ok
+    assert avg_ok
 
 
 def test_c6_chsh_behavior():
@@ -181,16 +193,17 @@ def test_c6_chsh_behavior():
     vis = q.curve_visibility(q.correlation_curve(stored, "plus", thetas))
     s_sub = max(q.chsh_S(q.werner_state(0.70)),
                 q.chsh_S(q.werner_state(0.60)))
-    ok = (abs(s_ideal - rv.S_IDEAL) <= 1e-9
-          and abs(s_stored - 2.28) <= 0.17
-          and abs(vis - 0.81) <= 0.01
+    ideal_ok = within("bell_ideal_S", s_ideal)
+    stored_ok = within("bell_S_1us", s_stored)
+    ok = (ideal_ok and stored_ok and abs(vis - 0.81) <= 0.01
           and s_sub <= 2.0 + 1e-9)
-    print(f"[C6] CHSH: ideal 2*sqrt(2)+-1e-9, stored 2.28+-0.17 with "
+    print(f"[C6] CHSH: ideal {spec('bell_ideal_S')}, stored "
+          f"{spec('bell_S_1us')} with "
           f"fringe visibility 0.81+-0.01, no violation below "
           f"V=1/sqrt(2) (got {s_ideal:.9f}, {s_stored:.3f}, {vis:.4f}, "
           f"{s_sub:.3f}): {_verdict(ok)}")
-    assert abs(s_ideal - rv.S_IDEAL) <= 1e-9
-    assert abs(s_stored - 2.28) <= 0.17
+    assert ideal_ok
+    assert stored_ok
     assert abs(vis - 0.81) <= 0.01
     assert s_sub <= 2.0 + 1e-9
 
@@ -203,12 +216,12 @@ def test_c7_heralding_quality():
     gs = np.linspace(1.5, 30.0, 50)
     alphas = [q.alpha_quality(g) for g in gs]
     monotone = all(b < a for a, b in zip(alphas, alphas[1:]))
-    ok = (abs(crossing - 2e-6) <= 0.10 * 2e-6 and alpha == 1.0
-          and monotone)
-    print(f"[C7] g13 crossing 2 us +-10% with alpha(5) = 1 exactly and "
-          f"alpha monotone (crossing {crossing * 1e6:.4f} us, "
+    crossing_ok = within("g13_crossing", crossing)
+    ok = crossing_ok and alpha == 1.0 and monotone
+    print(f"[C7] g13 crossing {spec('g13_crossing')} s with alpha(5) = 1 "
+          f"exactly and alpha monotone (crossing {crossing * 1e6:.4f} us, "
           f"alpha {alpha!r}): {_verdict(ok)}")
-    assert abs(crossing - 2e-6) <= 0.10 * 2e-6
+    assert crossing_ok
     assert alpha == 1.0
     assert monotone
 
@@ -227,15 +240,15 @@ def test_c8_physicality_and_determinism(tmp_path):
             eta_D=rng.uniform(0.05, 1.0),
             phase_jitter_sigma=rng.uniform(0.0, 1.5),
             background=rng.uniform(0.0, 0.5))
-        evals = np.linalg.eigvalsh(q.channel_choi(params))
+        evals = np.linalg.eigvalsh(oracles.channel_choi(params))
         choi_min = min(choi_min, float(evals.min()))
 
     line = q.CavityLine(gamma=rv.GAMMA)
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
     jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
-    t_grid = q.conjugate_time_grid(jsa.grid)
-    parseval = abs(q.parseval_ratio(jsa, q.time_domain(jsa, t_grid),
-                                    t_grid) - 1.0)
+    t_grid = oracles.conjugate_time_grid(jsa.grid)
+    parseval = abs(oracles.parseval_ratio(jsa, q.time_domain(jsa, t_grid),
+                                          t_grid) - 1.0)
 
     run1, run2 = tmp_path / "r1", tmp_path / "r2"
     cli.main(["reproduce-all", "--out", str(run1)])

@@ -10,6 +10,7 @@ import pytest
 from qisim import cli, outputs
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
+import oracles
 import refvals as rv
 from helpers import hash_dir, manifest_sans_timestamp
 
@@ -24,7 +25,7 @@ def test_visibility_command(tmp_path):
     code = main(["visibility", "--out", str(out),
                  "--sigma-hz", "12.5e6,3.7e6", "--tp-s", "30e-9"])
     assert code == EXIT_OK
-    header, rows = outputs.read_csv(str(out / "visibility.csv"))
+    header, rows = oracles.read_csv(str(out / "visibility.csv"))
     assert header == ["sigma_hz", "T_p_s", "visibility", "error"]
     assert len(rows) == 3
     # pulse-duration rows come first, then direct bandwidth rows
@@ -44,7 +45,7 @@ def test_visibility_row_failures_are_recorded(tmp_path, capsys):
     code = main(["visibility", "--out", str(out),
                  "--sigma-hz", "12.5e6,-1", "--tp-s", ""])
     assert code == EXIT_OK
-    _, rows = outputs.read_csv(str(out / "visibility.csv"))
+    _, rows = oracles.read_csv(str(out / "visibility.csv"))
     assert len(rows) == 2
     assert rows[0][3] is None
     assert rows[1][2] is None
@@ -64,7 +65,7 @@ def test_timedist_command(tmp_path):
     code = main(["timedist", "--out", str(out), "--tp-s", "100e-9",
                  "--set", "grids.n_time=256"])
     assert code == EXIT_OK
-    header, rows = outputs.read_csv(str(out / "timedist.csv"))
+    header, rows = oracles.read_csv(str(out / "timedist.csv"))
     assert header == ["t1_ns", "t2_ns", "density"]
     assert len(rows) == 256 * 256
     peak = max(r[2] for r in rows)
@@ -90,7 +91,7 @@ def test_timedist_eit_storage_runs(tmp_path):
     code = main(["timedist", "--out", str(out), "--tp-s", "100e-9",
                  "--set", "grids.n_time=256", "--with-storage", "eit"])
     assert code == EXIT_OK
-    _, rows = outputs.read_csv(str(out / "timedist.csv"))
+    _, rows = oracles.read_csv(str(out / "timedist.csv"))
     # grid is extended past the plain window to hold the delayed peak
     assert len(rows) > 256 * 256
 
@@ -113,6 +114,9 @@ def test_eit_command_report(tmp_path):
                                                     rel=1e-9)
     assert report["delay_bandwidth_product"] == pytest.approx(
         rv.DBP_DEFAULT, rel=1e-9)
+    assert report["delay_bandwidth_product"] == pytest.approx(
+        2.0 * math.pi * report["window_fwhm_hz"] * report["group_delay_s"],
+        rel=1e-12)
     assert report["delay_bandwidth_convention"] == (
         "angular: 2*pi*fwhm_hz*delay_s")
     assert report["v_g_m_per_s"] == pytest.approx(rv.VG_DEFAULT, rel=1e-9)
@@ -120,9 +124,9 @@ def test_eit_command_report(tmp_path):
     assert report["transmission_on_resonance"] == pytest.approx(
         rv.T0_DEFAULT, rel=1e-9)
     assert report["transmission_control_off_resonance"] == pytest.approx(
-        math.exp(-55.0), rel=1e-9)
+        math.exp(-rv.OD), rel=1e-9)
     assert report["fit"] is None
-    header, rows = outputs.read_csv(str(out / "eit_spectrum.csv"))
+    header, rows = oracles.read_csv(str(out / "eit_spectrum.csv"))
     assert header == ["delta_hz", "transmission_control_on",
                       "transmission_control_off"]
     assert len(rows) == 2401
@@ -146,7 +150,8 @@ def test_eit_fit_subcommand(tmp_path):
 
 def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["eit", "--out", str(out), "--fit-gamma-s", "5.5e6"])
+    target = cli.TARGETS["eit_window_fwhm"][0]
+    code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
     assert code == EXIT_MODEL
     assert capsys.readouterr().err
 
@@ -265,7 +270,7 @@ def test_bell_command(tmp_path):
                                                      abs=1e-9)
     assert curve["visibility_H"] == pytest.approx(rv.CURVE_VIS_H_1US,
                                                   abs=1e-9)
-    header, rows = outputs.read_csv(str(out / "bell_curve.csv"))
+    header, rows = oracles.read_csv(str(out / "bell_curve.csv"))
     assert header == ["theta_rad", "coincidence_H", "coincidence_plus"]
     assert len(rows) == 181
     assert max(r[1] for r in rows) == 1.0
@@ -281,7 +286,7 @@ def test_g13_command(tmp_path):
     assert report["crossing_time_s"] == pytest.approx(rv.G13_CROSSING,
                                                       rel=1e-9)
     assert report["alpha_at_threshold"] == 1.0
-    header, rows = outputs.read_csv(str(out / "g13.csv"))
+    header, rows = oracles.read_csv(str(out / "g13.csv"))
     assert header == ["t_s", "g13", "alpha"]
     assert len(rows) == 81
     assert rows[0][1] == pytest.approx(25.0, rel=1e-12)
@@ -353,26 +358,58 @@ def test_reproduce_all_checks_and_determinism(tmp_path, capsys):
 
 
 def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
-    calls = []
-    original = cli.biphoton.visibility
+    calls = {}
 
-    def counting(jsa):
-        calls.append(jsa.n_points)
-        return original(jsa)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(cli.biphoton, "visibility", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cli.biphoton, "visibility")
+    for name in ("six_state_battery", "memory_channel_two_qubit",
+                 "crossing_time", "chsh_S"):
+        counting(cli.qubit, name)
     out = tmp_path / "out"
     assert main(["reproduce-all", "--out", str(out),
                  "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
                  "--set", "output.formats=csv,json"]) == EXIT_CHECKS
-    # two pulse durations and three bandwidths in the sweep; the two
-    # visibility checks read the sweep's values
-    assert len(calls) == 5
-    _, rows = outputs.read_csv(str(out / "visibility.csv"))
+    # two pulse durations and three bandwidths in the sweep, whose values
+    # the two visibility checks read; store's one battery at 200 ns;
+    # bell's three storage times plus its source and the ideal Bell
+    # state; g13's one crossing
+    assert calls == {"visibility": 5, "six_state_battery": 1,
+                     "memory_channel_two_qubit": 3, "crossing_time": 1,
+                     "chsh_S": 5}
+    _, rows = oracles.read_csv(str(out / "visibility.csv"))
     swept = {r[0]: r[2] for r in rows if r[1] is None}
     by_id = {c["id"]: c for c in load_json(out / "checks.json")["checks"]}
     assert by_id["vis_sigma_12p5MHz"]["value"] == swept[12.5e6]
     assert by_id["vis_sigma_3p7MHz"]["value"] == swept[3.7e6]
+    fids = load_json(out / "store_report.json")["results"][0]["fidelities"]
+    assert by_id["six_state_average"]["value"] == fids["average"]
+    bell = load_json(out / "bell_report.json")
+    assert by_id["bell_S_1us"]["value"] == bell["rows"][-1]["S"]
+    g13 = load_json(out / "g13_report.json")
+    assert by_id["g13_crossing"]["value"] == g13["crossing_time_s"]
+    assert list(by_id) == list(cli.TARGETS)
+
+
+def test_reproduce_all_stops_on_a_null_g13_crossing(tmp_path, capsys):
+    # g13 reports a null crossing when g0 is at or below the threshold;
+    # reproduce-all cannot check it and stops with the model error
+    out = tmp_path / "out"
+    code = main(["reproduce-all", "--out", str(out),
+                 "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
+                 "--set", "output.formats=csv,json", "--set", "g13.g0=4"])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert err == "qisim: g13 starts at or below the threshold\n"
+    assert load_json(out / "g13_report.json")["crossing_time_s"] is None
+    assert not (out / "checks.json").exists()
 
 
 def test_csv_only_output_renders_no_svg(tmp_path, monkeypatch):

@@ -11,6 +11,8 @@ import pytest
 
 from qisim import outputs, svgplot
 
+import oracles
+
 
 def test_float_formatting_round_trips():
     cases = [math.pi, 1.0 / 3.0, 30e-9, 0.1 + 0.2, 5e6, 1e-300, 1e300,
@@ -37,7 +39,7 @@ def test_csv_round_trip(tmp_path):
     rows = [(float(a), float(b), None if i % 7 == 0 else float(c))
             for i, (a, b, c) in enumerate(rng.standard_normal((50, 3)))]
     writer.write_csv("data.csv", ["x", "y", "z"], rows)
-    header, parsed = outputs.read_csv(str(tmp_path / "data.csv"))
+    header, parsed = oracles.read_csv(str(tmp_path / "data.csv"))
     assert header == ["x", "y", "z"]
     assert len(parsed) == 50
     for row, ref in zip(parsed, rows):
@@ -83,7 +85,7 @@ def test_grid_csv_matches_long_format_rows(tmp_path):
         "path": "grid.csv",
         "sha256": hashlib.sha256(expected).hexdigest()}]
     assert path == str(tmp_path / "grid.csv")
-    _, rows = outputs.read_csv(path)
+    _, rows = oracles.read_csv(path)
     assert len(rows) == 37 * 37
     assert rows[2] == [axis[0], axis[2], 5e-324]
 
