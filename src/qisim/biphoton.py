@@ -22,7 +22,6 @@ from .spectral import (
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-_TRANSFORM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,30 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     """Multi-photon interference visibility V = Tr(rho^2) / (Tr rho)^2.
 
     Equals 1 exactly for factored (frequency-uncorrelated) amplitudes.
+    For the pumped form A = D P D (D = diag r) the phases of r cancel:
+    Tr((A^H A)^2) = ||M M^T||_F^2 and Tr(A^H A) = ||M||_F^2 with the real
+    symmetric kernel M = |D| P |D|, so V is computed on M, whose square
+    is a real syrk.  Other dense amplitudes take the complex A^H A route.
     A value outside [0, 1] beyond rounding indicates an inadequate grid.
     """
     if not jsa.normalized:
         raise InputError("visibility requires a normalized amplitude")
     if jsa.is_factored:
         return 1.0
-    state = reduced_state(jsa)
-    v = state.purity() / state.trace() ** 2
+    m = jsa.real_kernel()
+    if m is not None:
+        # V is scale-free.  Entries below 1e-100 of the largest move it by
+        # less than n * 1e-100 but would fill the syrk with subnormal
+        # products, which run about ten times slower.
+        m /= m.max()
+        m[m < 1e-100] = 0.0
+        square = m @ m.T
+        m *= m
+        square *= square
+        v = float(np.sum(square)) / float(np.sum(m)) ** 2
+    else:
+        state = reduced_state(jsa)
+        v = state.purity() / state.trace() ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
         raise ResolutionError(
             f"visibility {v!r} is outside [0, 1]; the grid is too coarse")
@@ -103,11 +118,9 @@ class JointTimeDistribution:
             raise InputError("density must be max-normalized to 1")
 
 
-def _bandwidth_99(jsa: JointSpectralAmplitude, axis: int) -> float:
+def _bandwidth_99(d: np.ndarray, mass: np.ndarray) -> float:
     """Full width of the smallest centred band holding 99% of the
-    marginal spectral mass along one axis."""
-    d = jsa.grid.detunings
-    mass = jsa.axis_marginal(axis)
+    marginal spectral mass on the detunings d."""
     order = np.argsort(np.abs(d), kind="stable")
     cum = np.cumsum(mass[order])
     k = int(np.searchsorted(cum, 0.99 * cum[-1]))
@@ -115,8 +128,7 @@ def _bandwidth_99(jsa: JointSpectralAmplitude, axis: int) -> float:
     return 2.0 * float(np.abs(d[order[k]]))
 
 
-def _check_time_grid(jsa: JointSpectralAmplitude,
-                     t_grid: np.ndarray) -> float:
+def _check_time_grid(d: np.ndarray, marginals, t_grid: np.ndarray) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise InputError("time grid must be a 1-d array of >= 2 points")
@@ -124,7 +136,7 @@ def _check_time_grid(jsa: JointSpectralAmplitude,
     dt = float(steps[0])
     if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise InputError("time grid must be uniform and increasing")
-    bw = max(_bandwidth_99(jsa, 0), _bandwidth_99(jsa, 1))
+    bw = max(_bandwidth_99(d, mass) for mass in marginals)
     dt_max = TWO_PI / (bw * _SAMPLES_PER_PERIOD)
     if dt > dt_max:
         raise ResolutionError(
@@ -133,11 +145,10 @@ def _check_time_grid(jsa: JointSpectralAmplitude,
     return dt
 
 
-def _check_aliasing(jsa: JointSpectralAmplitude) -> None:
-    d = jsa.grid.detunings
-    edge = 0.9 * (jsa.grid.span / 2.0)
-    for axis in (0, 1):
-        mass = jsa.axis_marginal(axis)
+def _check_aliasing(grid, marginals) -> None:
+    d = grid.detunings
+    edge = 0.9 * (grid.span / 2.0)
+    for axis, mass in enumerate(marginals):
         frac = float(mass[np.abs(d) > edge].sum() / mass.sum())
         if frac >= 0.01:
             raise ResolutionError(
@@ -145,13 +156,62 @@ def _check_aliasing(jsa: JointSpectralAmplitude) -> None:
                 f"the frequency grid (axis {axis}); widen the grid")
 
 
-def _transform_1d(t_grid: np.ndarray, detunings: np.ndarray,
-                  vec: np.ndarray, spacing: float) -> np.ndarray:
-    out = np.zeros(t_grid.size, dtype=complex)
-    for k in range(0, detunings.size, _TRANSFORM_CHUNK):
-        dk = detunings[k:k + _TRANSFORM_CHUNK]
-        out += np.exp(-1j * np.outer(t_grid, dk)) @ vec[k:k + _TRANSFORM_CHUNK]
-    return out * (spacing / TWO_PI)
+def _chirp(alpha: float, q: np.ndarray) -> np.ndarray:
+    """exp(-i alpha q) for non-negative integers q < 2**53.
+
+    alpha is split into a high part with few enough significant bits
+    that its product with every q is exact, and a small remainder, so
+    the phase is accurate to rounding of the result even where alpha q
+    reaches 1e8 rad.
+    """
+    bits = 53 - int(q.max()).bit_length()
+    exp = math.frexp(alpha)[1]
+    hi = math.ldexp(math.floor(math.ldexp(alpha, bits - exp)), exp - bits)
+    q = q.astype(float)
+    return np.exp(-1j * (hi * q)) * np.exp(-1j * ((alpha - hi) * q))
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; pocketfft is fast on these lengths."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 3^b 5^c
+        p = odd
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        odd *= 5
+    return best
+
+
+def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
+               spacing: float) -> np.ndarray:
+    """Each vector of vecs taken to psi(t_m) = sum_k vec[k] e^{-i d_k t_m}
+    spacing / 2pi, one row of the result per vector.
+
+    Bluestein's chirp-z transform: on the uniform grids d_k = d_0 + k dd
+    and t_m = t_0 + m dt, k m = (k^2 + m^2 - (m - k)^2) / 2 splits the
+    kernel into a pre-chirp over k, one FFT convolution with a chirp of
+    length >= n + m - 1, and a post-chirp over m.  dt is taken from the
+    end points of t_grid, which the caller has checked to be uniform.
+    """
+    n, m = detunings.size, t_grid.size
+    d0, t0 = float(detunings[0]), float(t_grid[0])
+    dt = (float(t_grid[-1]) - t0) / (m - 1)
+    half = 0.5 * spacing * dt
+    k, j, mm = np.arange(n), np.arange(1 - n, m), np.arange(m)
+    size = _fft_length(n + m - 1)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[j] = np.conj(_chirp(half, j * j))  # j < 0 wraps to the end
+    np.fft.fft(chirp, out=chirp)
+    work = np.zeros((len(vecs), size), dtype=complex)
+    work[:, :n] = vecs
+    work[:, :n] *= np.exp(-1j * (t0 * spacing) * k) * _chirp(half, k * k)
+    np.fft.fft(work, out=work)
+    work *= chirp
+    np.fft.ifft(work, out=work)
+    post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * _chirp(half, mm * mm)
+    return work[:, :m] * (post * (spacing / TWO_PI))
 
 
 def time_domain(jsa: JointSpectralAmplitude,
@@ -159,18 +219,20 @@ def time_domain(jsa: JointSpectralAmplitude,
     """Two-photon amplitude in detection time.
 
     Quadrature transform with psi(t) = integral psi(d) e^{-i d t} dd/2pi
-    per axis.  Factored amplitudes transform one axis at a time, which is
-    what makes very wide flat-pump grids affordable.
+    per axis.  Factored amplitudes transform both factors in one batched
+    chirp-z transform, which is what makes very wide flat-pump grids
+    affordable; other forms materialize the amplitude and apply the
+    dense e A e^T, whose n x n_t kernel is cheaper in memory than two
+    batched chirp-z passes over n rows.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    _check_time_grid(jsa, t_grid)
-    _check_aliasing(jsa)
     d = jsa.grid.detunings
+    marginals = (jsa.axis_marginal(0), jsa.axis_marginal(1))
+    _check_time_grid(d, marginals, t_grid)
+    _check_aliasing(jsa.grid, marginals)
     dd = jsa.grid.spacing
     if jsa.is_factored:
-        u, v = jsa.factors
-        su = _transform_1d(t_grid, d, u, dd)
-        sv = _transform_1d(t_grid, d, v, dd)
+        su, sv = _transform(t_grid, d, jsa.factors, dd)
         return np.outer(su, sv)
     e = np.exp(-1j * np.outer(t_grid, d)) * (dd / TWO_PI)
     return e @ jsa.amplitude @ e.T

@@ -19,7 +19,8 @@ from .eit import (EitMedium, fit_gamma_s, group_delay, transmission,
                   window_fwhm)
 from .errors import (ConfigError, InputError, ModelError, QisimError,
                      ResolutionError)
-from .spectral import TWO_PI, build_jsa, sigma_from_pulse_duration
+from .spectral import (MATERIALIZE_LIMIT, TWO_PI, build_jsa,
+                       sigma_from_pulse_duration)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,22 +33,32 @@ _DEFAULT_STORE_TIMES = "200e-9"
 _DEFAULT_BELL_TIMES = "0,200e-9,1e-6"
 _G13_THRESHOLD = 5.0
 
-# Reference targets of the reproduce-all checks, in the order checks.json
-# lists them: check id -> (target, tolerance, relative).
-TARGETS = {
-    "vis_sigma_12p5MHz": (0.97, 0.01, False),
-    "vis_sigma_3p7MHz": (0.80, 0.02, False),
-    "eit_window_fwhm": (5.5e6, 0.10, True),
-    "eit_group_delay": (200e-9, 0.10, True),
-    "eit_dbp": (7.0, 0.15, True),
-    "eit_vg": (2e4, 0.10, True),
-    "eit_control_off_transmission": (math.exp(-55.0), 1e-6, True),
-    "six_state_each": (0.0, 0.04, False),
-    "six_state_average": (0.924, 0.03, False),
-    "bell_ideal_S": (2.0 * math.sqrt(2.0), 1e-9, False),
-    "bell_S_1us": (2.28, 0.17, False),
-    "g13_crossing": (2e-6, 0.10, True),
-}
+
+def targets(od: float) -> dict:
+    """Reference targets of the reproduce-all checks, in the order
+    checks.json lists them: check id -> (target, tolerance, relative).
+
+    Every target is one of the paper's numbers except the control-off
+    floor, which is Beer-Lambert's exp(-OD) for the configured medium.
+    """
+    return {
+        "vis_sigma_12p5MHz": (0.97, 0.01, False),
+        "vis_sigma_3p7MHz": (0.80, 0.02, False),
+        "eit_window_fwhm": (5.5e6, 0.10, True),
+        "eit_group_delay": (200e-9, 0.10, True),
+        "eit_dbp": (7.0, 0.15, True),
+        "eit_vg": (2e4, 0.10, True),
+        "eit_control_off_transmission": (math.exp(-od), 1e-6, True),
+        "six_state_each": (0.0, 0.04, False),
+        "six_state_average": (0.924, 0.03, False),
+        "bell_ideal_S": (2.0 * math.sqrt(2.0), 1e-9, False),
+        "bell_S_1us": (2.28, 0.17, False),
+        "g13_crossing": (2e-6, 0.10, True),
+    }
+
+
+# the targets at the default medium
+TARGETS = targets(config.DEFAULTS["eit.od"][1])
 # per-state fidelities at 200 ns; six_state_each is the worst deviation
 STATE_FIDELITY_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909,
                        "minus": 0.889, "R": 0.920, "L": 0.881}
@@ -128,25 +139,26 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     line = config.line_from(cfg)
     pump = config.pump_from(cfg, t_p_s=tp_s)
     grid = config.grid_from(cfg, line, pump)
-    jsa = build_jsa(grid, line, pump)
     window = cfg["grids.time_span_factor"] / line.gamma
     lo, hi = -0.2 * window, 0.8 * window
     n_t = cfg["grids.n_time"]
+    eit_filter = None
     if with_storage == "eit":
         medium = config.medium_from(cfg)
-        tau_d = group_delay(medium)
-        hi_ext = hi + 2.0 * tau_d
-        factor = max(1, math.ceil((hi_ext - lo) / (hi - lo)))
-        t_grid = np.linspace(lo, hi_ext, n_t * factor)
-        dist = biphoton.post_storage_distribution(
-            jsa, lambda d: transmission(d, medium), t_grid=t_grid)
-    elif with_storage == "identity":
-        t_grid = np.linspace(lo, hi, n_t)
-        dist = biphoton.post_storage_distribution(jsa, None, t_grid=t_grid)
-    else:
-        t_grid = np.linspace(lo, hi, n_t)
-        dist = biphoton.joint_time_distribution(jsa, t_grid)
-    return dist
+        hi_ext = hi + 2.0 * group_delay(medium)
+        n_t *= max(1, math.ceil((hi_ext - lo) / (hi - lo)))
+        hi = hi_ext
+        eit_filter = lambda d: transmission(d, medium)
+    if n_t > MATERIALIZE_LIMIT:
+        # the density and the dense transform hold n_t^2 values
+        raise InputError(
+            f"time grid of {n_t} points exceeds the materialization limit "
+            f"of {MATERIALIZE_LIMIT}; lower grids.n_time")
+    t_grid = np.linspace(lo, hi, n_t)
+    jsa = build_jsa(grid, line, pump)
+    if with_storage is None:
+        return biphoton.joint_time_distribution(jsa, t_grid)
+    return biphoton.post_storage_distribution(jsa, eit_filter, t_grid=t_grid)
 
 
 def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
@@ -324,7 +336,7 @@ def _check(cid, value, target, tol, relative):
 
 def cmd_reproduce_all(cfg, writer) -> tuple:
     """Run every command, then check the numbers they returned (and the
-    two no command computes) against TARGETS."""
+    two no command computes) against targets(eit.od)."""
     _, vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
                             _float_list(_DEFAULT_TPS))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
@@ -343,7 +355,8 @@ def cmd_reproduce_all(cfg, writer) -> tuple:
     values = {"vis_sigma_12p5MHz": visibility_at(12.5e6),
               "vis_sigma_3p7MHz": visibility_at(3.7e6)}
 
-    fit = fit_gamma_s(config.medium_from(cfg), TARGETS["eit_window_fwhm"][0])
+    table = targets(cfg["eit.od"])
+    fit = fit_gamma_s(config.medium_from(cfg), table["eit_window_fwhm"][0])
     medium = config.medium_from(cfg, gamma_s_hz=fit.gamma_s / TWO_PI)
     fwhm, tau = window_fwhm(medium), group_delay(medium)
     values["eit_window_fwhm"] = fwhm
@@ -367,7 +380,7 @@ def cmd_reproduce_all(cfg, writer) -> tuple:
                             _G13_THRESHOLD)
     values["g13_crossing"] = g13["crossing_time_s"]
 
-    checks = [_check(cid, values[cid], *TARGETS[cid]) for cid in TARGETS]
+    checks = [_check(cid, values[cid], *table[cid]) for cid in table]
     failed = [c["id"] for c in checks if not c["passed"]]
     report = {"checks": checks, "failed": failed}
     writer.write_json("checks.json", report)

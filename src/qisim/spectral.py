@@ -96,17 +96,26 @@ def cavity_response(delta, line: CavityLine):
 
 def pump_amplitude(omega_sum_detuning, pump: PumpSpectrum):
     """Pump spectral amplitude at the sum detuning of the pair."""
-    nu = np.asarray(omega_sum_detuning, dtype=float)
-    if pump.kind == "gaussian":
-        out = np.exp(-nu ** 2 / (2.0 * pump.sigma ** 2)) / (
-            math.sqrt(TWO_PI) * pump.sigma)
-    elif pump.kind == "flat_limit":
-        out = np.ones_like(nu)
-    else:
-        raise InputError(
-            "delta_limit pump has no pointwise amplitude; use the analytic "
-            "continuous-pump path")
+    out = _pump_in_place(np.array(omega_sum_detuning, dtype=float), pump)
     return out if out.ndim else float(out)
+
+
+def _pump_in_place(nu: np.ndarray, pump: PumpSpectrum) -> np.ndarray:
+    """pump_amplitude computed in the buffer nu, which it overwrites."""
+    if pump.kind == "gaussian":
+        # exp(-nu**2 / (2 sigma^2)) / (sqrt(2 pi) sigma), operation for
+        # operation
+        np.square(nu, out=nu)
+        np.negative(nu, out=nu)
+        nu /= 2.0 * pump.sigma ** 2
+        np.exp(nu, out=nu)
+        nu /= math.sqrt(TWO_PI) * pump.sigma
+        return nu
+    if pump.kind == "flat_limit":
+        return np.ones_like(nu)
+    raise InputError(
+        "delta_limit pump has no pointwise amplitude; use the analytic "
+        "continuous-pump path")
 
 
 def sigma_from_pulse_duration(t_p: float) -> float:
@@ -124,25 +133,38 @@ def sigma_from_pulse_duration(t_p: float) -> float:
 class JointSpectralAmplitude:
     """Two-photon spectral amplitude sampled on a FrequencyGrid.
 
-    Stored either as a dense matrix or, for factorable pumps, as a pair of
-    per-axis factor vectors (amplitude[i, j] = factor_signal[i] *
-    factor_idler[j]).  The factored form allows very large grids that a
-    dense matrix could never hold.
+    Stored in one of three forms:
+
+    - dense: the n x n matrix itself;
+    - factors: per-axis vectors, amplitude[i, j] = u[i] * v[j], which is
+      what flat pumps give and what allows grids no matrix could hold;
+    - pumped: (r, pump, scale), amplitude[i, j] = scale * r[i] * r[j] *
+      p(d_i + d_j), a cavity response on each axis times a pump on the
+      sum detuning.  Its modulus is the real symmetric kernel
+      M = scale |r| P |r| with P[i, j] = p(d_i + d_j), and the mass, the
+      marginals and the purity are computed on M without forming the
+      complex matrix.
     """
 
     def __init__(self, grid: FrequencyGrid, *, dense=None, factors=None,
-                 normalized: bool = False):
-        if (dense is None) == (factors is None):
-            raise InputError("exactly one of dense/factors is required")
+                 pumped=None, normalized: bool = False):
+        if sum(x is not None for x in (dense, factors, pumped)) != 1:
+            raise InputError("exactly one of dense/factors/pumped is required")
         self.grid = grid
         self._dense = None if dense is None else np.asarray(dense, complex)
         self._factors = None
+        self._pumped = None
         if factors is not None:
             u, v = factors
             self._factors = (np.asarray(u, complex), np.asarray(v, complex))
             if self._factors[0].shape != (grid.n_points,) or \
                     self._factors[1].shape != (grid.n_points,):
                 raise InputError("factor length must match the grid")
+        if pumped is not None:
+            r, pump, scale = pumped
+            self._pumped = (np.asarray(r, complex), pump, float(scale))
+            if self._pumped[0].shape != (grid.n_points,):
+                raise InputError("response length must match the grid")
         if self._dense is not None and self._dense.shape != (
                 grid.n_points, grid.n_points):
             raise InputError("amplitude shape must match the grid")
@@ -170,6 +192,10 @@ class JointSpectralAmplitude:
         if self._dense is not None:
             return JointSpectralAmplitude(
                 self.grid, dense=self._dense * s, normalized=True)
+        if self._pumped is not None:
+            r, pump, scale = self._pumped
+            return JointSpectralAmplitude(
+                self.grid, pumped=(r, pump, scale * s), normalized=True)
         u, v = self._factors
         return JointSpectralAmplitude(
             self.grid, factors=(u * s, v), normalized=True)
@@ -190,21 +216,52 @@ class JointSpectralAmplitude:
 
     @property
     def amplitude(self) -> np.ndarray:
-        """Dense matrix view; factored amplitudes materialize on demand."""
+        """Dense matrix view; the other forms materialize on demand."""
         if self._dense is not None:
             return self._dense
         if self.n_points > MATERIALIZE_LIMIT:
             raise InputError(
                 f"grid of {self.n_points} points is too large to "
-                "materialize; use the factored representation")
-        u, v = self._factors
-        return np.outer(u, v)
+                "materialize as a dense matrix")
+        if self._factors is not None:
+            u, v = self._factors
+            return np.outer(u, v)
+        r, _, scale = self._pumped
+        a = np.outer(r, r)
+        a *= self._pump_matrix()
+        a *= scale
+        return a
+
+    def _pump_matrix(self) -> np.ndarray:
+        """P[i, j] = p(d_i + d_j), computed in the buffer of the sums."""
+        d = self.grid.detunings
+        return _pump_in_place(d[:, None] + d[None, :], self._pumped[1])
+
+    def real_kernel(self):
+        """|amplitude| of the pumped form as the real, exactly symmetric
+        kernel sqrt(scale) |r| P |r| sqrt(scale); None for the other forms.
+
+        The phases of r drop out of every quantity that depends only on
+        the moduli or on A^dagger A up to unitary similarity: the mass,
+        the marginals and the purity.
+        """
+        if self._pumped is None:
+            return None
+        r, _, scale = self._pumped
+        a = np.abs(r) * math.sqrt(scale)
+        m = self._pump_matrix()
+        m *= np.outer(a, a)
+        return m
 
     def l2_mass(self) -> float:
         """Quadrature value of the squared L2 norm, sum |psi|^2 d^2."""
         dd = self.grid.spacing
         if self._dense is not None:
             return float(np.sum(np.abs(self._dense) ** 2)) * dd * dd
+        if self._pumped is not None:
+            m = self.real_kernel()
+            m *= m
+            return float(np.sum(m)) * dd * dd
         u, v = self._factors
         return float(np.sum(np.abs(u) ** 2) * dd *
                      np.sum(np.abs(v) ** 2) * dd)
@@ -215,6 +272,10 @@ class JointSpectralAmplitude:
         if self._dense is not None:
             other = 1 - axis
             return np.sum(np.abs(self._dense) ** 2, axis=other) * dd
+        if self._pumped is not None:
+            m = self.real_kernel()
+            m *= m
+            return np.sum(m, axis=1 - axis) * dd
         u, v = self._factors
         own = np.abs(u if axis == 0 else v) ** 2
         rest = float(np.sum(np.abs(v if axis == 0 else u) ** 2) * dd)
@@ -240,7 +301,9 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
     """Sample the pair amplitude cavity(d1) * cavity(d2) * pump(d1 + d2)
     on the grid and L2-normalize it.
 
-    Flat pumps produce an exactly factored amplitude.  The grid must span
+    Flat pumps produce an exactly factored amplitude, gaussian pumps the
+    pumped form (cavity response, pump and scale; no n x n matrix is held
+    until the amplitude is asked for).  The grid must span
     at least 8*gamma (and 8*sigma for gaussian pumps); a Lorentzian tail
     mass above 1% per side raises ResolutionError.
     """
@@ -276,5 +339,5 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
         raise InputError(
             f"dense amplitude for {grid.n_points} points exceeds the "
             f"materialization limit of {MATERIALIZE_LIMIT}")
-    amp = np.outer(resp, resp) * pump_amplitude(d[:, None] + d[None, :], pump)
-    return JointSpectralAmplitude.from_matrix(grid, amp)
+    return JointSpectralAmplitude(
+        grid, pumped=(resp, pump, 1.0))._normalized_copy()

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qisim as q
+from qisim import biphoton
 from qisim.errors import InputError, ResolutionError
-from qisim.spectral import TWO_PI
+from qisim.spectral import TWO_PI, JointSpectralAmplitude
 
 import oracles
 import refvals as rv
@@ -95,6 +97,45 @@ def test_quadrature_route_is_capped():
             gaussian_jsa(TWO_PI * 12.5e6, n_points=64))
 
 
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
+def test_real_kernel_visibility_matches_the_complex_route(sigma_hz, n_points):
+    jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=n_points)
+    generic = JointSpectralAmplitude.from_matrix(jsa.grid, jsa.amplitude)
+    assert generic.real_kernel() is None
+    assert q.visibility(jsa) == pytest.approx(q.visibility(generic),
+                                              rel=1e-14, abs=0.0)
+
+
+def test_visibility_never_materializes_the_pumped_amplitude(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the complex amplitude was materialized")
+
+    monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
+                        property(refuse))
+    v = q.visibility(gaussian_jsa(TWO_PI * 12.5e6))
+    assert v == pytest.approx(rv.VIS_SIGMA_12P5, abs=1e-12)
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_visibility_memory_budget_at_n_2048():
+    # the kernel and its square are two real 2048^2 matrices (64 MB);
+    # the complex A^H A route held three complex ones
+    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
+    grid = q.default_grid(LINE, pump, n_points=2048)
+    peak = traced_peak_mb(
+        lambda: q.visibility(q.build_jsa(grid, LINE, pump)))
+    assert peak < 128.0
+
+
 def test_visibility_monotone_in_pump_to_line_ratio():
     ratios = np.logspace(-1.0, 1.0, 20)
     vals = [q.visibility(gaussian_jsa(r * rv.GAMMA, n_points=256))
@@ -154,6 +195,51 @@ def test_flat_pump_time_profile_regression():
     spill = max(dens[neg, :].max(), dens[:, neg].max()) / dens.max()
     assert spill == pytest.approx(rv.FLAT_REG_CAUSAL, rel=1e-3)
     assert spill < 1e-4
+
+
+@pytest.mark.parametrize("n, m, t_lo, t_hi", [
+    (64, 301, -3.0, 9.0),        # n < m, odd m
+    (4096, 257, -2.0, 8.0),      # n > m, odd m
+    (1000, 1000, 0.5, 12.0),     # positive t0
+    (16384, 512, -2.0, 8.0),     # the flat-pump regression grid size
+])
+def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
+    rng = np.random.default_rng(n + m)
+    span = 1600.0 * rv.GAMMA if n > 4096 else 40.0 * rv.GAMMA
+    d = q.FrequencyGrid(span=span, n_points=n).detunings
+    dd = span / (n - 1)
+    t = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, m)
+    lorentz = q.cavity_response(d, LINE)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vecs = [lorentz, noise * abs(lorentz[n // 2])]
+    got = biphoton._transform(t, d, vecs, dd)
+    for row, vec in zip(got, vecs):
+        want = np.exp(-1j * np.outer(t, d)) @ vec * (dd / TWO_PI)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_time_domain_computes_each_marginal_once(monkeypatch):
+    calls = []
+    original = JointSpectralAmplitude.axis_marginal
+
+    def counting(self, axis):
+        calls.append(axis)
+        return original(self, axis)
+
+    monkeypatch.setattr(JointSpectralAmplitude, "axis_marginal", counting)
+    t_grid = oracles.default_time_grid(LINE)
+    q.time_domain(gaussian_jsa(TWO_PI * 12.5e6), t_grid)
+    q.time_domain(flat_jsa(), t_grid)
+    assert calls == [0, 1, 0, 1]
+
+
+def test_factored_time_domain_memory_budget_at_c3_size():
+    # the C3 grid: 262144 frequencies, 512 times; two batched chirp-z
+    # passes of about 270000 points each
+    jsa = flat_jsa(span_factor=64000.0, n_points=262144)
+    edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
+    t_grid = 0.5 * (edges[:-1] + edges[1:])
+    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 64.0
 
 
 def test_continuous_pump_density_closed_form():

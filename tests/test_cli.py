@@ -237,6 +237,27 @@ def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, n_points", [
+    (["timedist", "--set", "grids.n_time=4097"], 4097),
+    (["timedist", "--with-storage", "eit", "--set", "grids.n_time=1366"],
+     4098),
+], ids=["plain", "eit-storage"])
+def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    n_points):
+    # the guard fires before the amplitude or any n_time^2 array exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("the amplitude was built before the guard")
+
+    monkeypatch.setattr(cli, "build_jsa", refuse)
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert err == (f"qisim: time grid of {n_points} points exceeds the "
+                   "materialization limit of 4096; lower grids.n_time\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_vanishing_memory_time_constant(tmp_path, capsys):
     out = tmp_path / "out"
@@ -396,6 +417,22 @@ def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
     g13 = load_json(out / "g13_report.json")
     assert by_id["g13_crossing"]["value"] == g13["crossing_time_s"]
     assert list(by_id) == list(cli.TARGETS)
+
+
+def test_control_off_target_follows_the_configured_od(tmp_path, capsys):
+    assert cli.targets(55.0) == cli.TARGETS
+    out = tmp_path / "out"
+    code = main(["reproduce-all", "--out", str(out),
+                 "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
+                 "--set", "output.formats=csv,json", "--set", "eit.od=30"])
+    assert code == EXIT_CHECKS
+    checks = load_json(out / "checks.json")
+    assert set(checks["failed"]) == {"eit_window_fwhm", "eit_group_delay",
+                                     "eit_dbp", "eit_vg"}
+    by_id = {c["id"]: c for c in checks["checks"]}
+    off = by_id["eit_control_off_transmission"]
+    assert off["target"] == math.exp(-30.0)
+    assert off["value"] == pytest.approx(math.exp(-30.0), rel=1e-6)
 
 
 def test_reproduce_all_stops_on_a_null_g13_crossing(tmp_path, capsys):

@@ -101,6 +101,27 @@ def test_gaussian_jsa_is_symmetric_and_normalized(line):
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_pumped_form_agrees_with_its_materialized_amplitude(line):
+    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
+    grid = q.default_grid(line, pump, n_points=256)
+    jsa = q.build_jsa(grid, line, pump)
+    d = grid.detunings
+    r = q.cavity_response(d, line)
+    raw = np.outer(r, r) * q.pump_amplitude(d[:, None] + d[None, :], pump)
+    a = jsa.amplitude
+    assert np.allclose(a, raw / math.sqrt(np.sum(np.abs(raw) ** 2))
+                       / grid.spacing, rtol=1e-14, atol=0.0)
+    m = jsa.real_kernel()
+    assert np.array_equal(m, m.T)
+    # relative to the peak: subnormal entries carry fewer digits
+    assert np.allclose(m, np.abs(a), rtol=1e-14, atol=1e-14 * m.max())
+    dense = q.JointSpectralAmplitude.from_matrix(grid, a, normalize=False)
+    assert jsa.l2_mass() == pytest.approx(dense.l2_mass(), rel=1e-14)
+    for axis in (0, 1):
+        assert np.allclose(jsa.axis_marginal(axis),
+                           dense.axis_marginal(axis), rtol=1e-13, atol=0.0)
+
+
 def test_flat_jsa_is_factored_and_normalized(line):
     pump = q.PumpSpectrum(kind="flat_limit")
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
