@@ -494,6 +494,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"qisim: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        # the output directory cannot be made or written, or a grid
+        # worker failed; no manifest is written
+        print(f"qisim: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def run() -> None:

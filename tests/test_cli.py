@@ -326,6 +326,39 @@ def test_config_error_exits_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unwritable_output_exits_with_config_code(tmp_path, capsys,
+                                                  monkeypatch):
+    blocker = tmp_path / "somefile"
+    blocker.write_text("")
+    code = main(["g13", "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: cannot write output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+    # a grid worker that dies leaves no manifest behind, not even the one
+    # of an earlier run into the same directory
+    out = tmp_path / "out"
+    argv = ["timedist", "--out", str(out), "--tp-s", "100e-9",
+            "--set", "grids.n_time=64"]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.json").exists()
+    parent = os.getpid()
+
+    def failing_band(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting fault")
+
+    monkeypatch.setattr(outputs, "_grid_band", failing_band)
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: cannot write output: grid worker ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_help_and_missing_command():
     assert main(["--help"]) == 0
     assert main([]) == 2
@@ -467,5 +500,17 @@ def test_import_loads_no_scipy():
                        os.pardir, "src")
     code = ("import qisim.cli, sys; "
             "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+
+
+def test_import_loads_no_process_pool():
+    # grid workers are plain forks; a pool module would add to set-up
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import qisim.cli, sys; "
+            "assert not any(m.split('.')[0] in "
+            "('multiprocessing', 'concurrent') for m in sys.modules), "
+            "sorted(m for m in sys.modules if m.startswith(('multi', 'conc')))")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))

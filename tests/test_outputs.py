@@ -95,6 +95,78 @@ def test_grid_csv_matches_long_format_rows(tmp_path):
     assert json_only.entries == []
 
 
+def _edge_case_grid(n):
+    """An n x n grid with a -0.0 axis point and the values 0, 5e-324 and
+    1/3; at n = 37, the grid of test_grid_csv_matches_long_format_rows."""
+    rng = np.random.default_rng(37)
+    axis = np.sort(rng.uniform(-50.0, 150.0, n))
+    axis[n // 7] = -0.0
+    values = rng.random((n, n))
+    values[0, :4] = [0.0, 1.0, 5e-324, 1.0 / 3.0]
+    values[-1, -1] = 1.0 / 3.0
+    return axis, values
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [37, 5], ids=["3-bands", "under-1-band"])
+def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                       cpus, n):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: cpus)
+    axis, values = _edge_case_grid(n)
+    header = ["t1_ns", "t2_ns", "density"]
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    writer.write_grid_csv("grid.csv", header, axis, values)
+    expected = _long_format_reference(header, axis, values)
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+    assert writer.entries == [{
+        "path": "grid.csv",
+        "sha256": hashlib.sha256(expected).hexdigest()}]
+    workers = min(cpus, -(-n // outputs._BAND_ROWS))
+    assert len(forks) == (workers if workers > 1 else 0)
+
+
+@pytest.mark.parametrize("fault", ["band", "exit", "write"])
+def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
+                                                       fault):
+    parent = os.getpid()
+    grid_band, send_bands = outputs._grid_band, outputs._send_bands
+
+    def failing_band(labels, cols, values, band):
+        if os.getpid() != parent and band == 1:
+            raise RuntimeError("formatting fault")
+        return grid_band(labels, cols, values, band)
+
+    def send_then_fail(*args):
+        send_bands(*args)
+        raise RuntimeError("fault after the last frame")
+
+    calls = []
+
+    def disk_full(self, data):
+        calls.append(data)
+        if len(calls) == 2:         # the first band, after the header
+            raise OSError(28, "No space left on device")
+
+    if fault == "band":
+        monkeypatch.setattr(outputs, "_grid_band", failing_band)
+    elif fault == "exit":
+        monkeypatch.setattr(outputs, "_send_bands", send_then_fail)
+    else:
+        monkeypatch.setattr(outputs._HashedFile, "write_bytes", disk_full)
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+    axis, values = _edge_case_grid(37)
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    match = "No space" if fault == "write" else "grid worker"
+    with pytest.raises(OSError, match=match):
+        writer.write_grid_csv("grid.csv", ["t1", "t2", "v"], axis, values)
+    assert writer.entries == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_format_gating(tmp_path):
     writer = outputs.OutputWriter(str(tmp_path), ("json",))
     writer.write_csv("skipped.csv", ["a"], [(1.0,)])
