@@ -4,7 +4,7 @@ and the memory's retrieval decay, and the polarization-qubit layer on
 top."""
 
 from .errors import (ConfigError, InputError, ModelError, QisimError,
-                     RegimeWarning, ResolutionError)
+                     ResolutionError)
 from .spectral import (CavityLine, FrequencyGrid, JointSpectralAmplitude,
                        PumpSpectrum, build_jsa, cavity_response,
                        default_grid, pump_amplitude,

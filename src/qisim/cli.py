@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import biphoton, config, outputs, qubit, svgplot
-from .eit import (EitMedium, fit_gamma_s, group_delay, transmission,
-                  window_fwhm)
+from .eit import (TRANSPARENCY_FLOOR, EitMedium, fit_gamma_s, group_delay,
+                  transmission, window_fwhm)
 from .errors import (ConfigError, InputError, ModelError, QisimError,
                      ResolutionError)
 from .spectral import (MATERIALIZE_LIMIT, TWO_PI, build_jsa,
@@ -196,6 +196,11 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
                   f"{res.target_hz:.6g} Hz", file=sys.stderr)
             return EXIT_MODEL, None
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
+    t_0 = float(np.abs(transmission(0.0, medium)) ** 2)
+    if t_0 < TRANSPARENCY_FLOOR:
+        raise ModelError(f"on-resonance transmission {t_0:.3g} is below "
+                         f"the transparency floor {TRANSPARENCY_FLOOR:g}; "
+                         "there is no window to report")
 
     base = config.medium_from(cfg)
     off_medium = EitMedium(base.optical_depth, 0.0, base.gamma_ge,
@@ -223,8 +228,7 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
         "v_g_m_per_s": medium.length / tau,
         "length_m": medium.length,
         "gamma_s_rad_s": medium.gamma_s,
-        "transmission_on_resonance": float(
-            np.abs(transmission(0.0, medium)) ** 2),
+        "transmission_on_resonance": t_0,
         "transmission_control_off_resonance": float(
             np.abs(transmission(0.0, off_medium)) ** 2),
         "fit": fit_info,

@@ -8,12 +8,11 @@ g13 model read; pulses are not propagated through the stored spin wave.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModelError, RegimeWarning
+from .errors import InputError, ModelError
 from .spectral import TWO_PI
 
 DECAY_SHAPES = ("gaussian", "exponential")
@@ -34,6 +33,11 @@ _WINDOW_PROBES_HZ = np.concatenate([
 _FIT_WINDOW_RTOL = 1e-6
 
 _SOLVER_RTOL = 4.0 * np.finfo(float).eps
+
+# on-resonance intensity transmission below which the CLI reports no
+# window: the half-width, delay and their products would describe a
+# medium that passes nothing
+TRANSPARENCY_FLOOR = 1e-6
 
 
 def _solve(f, a: float, b: float, xtol: float, what: str) -> float:
@@ -61,18 +65,23 @@ def _solve(f, a: float, b: float, xtol: float, what: str) -> float:
         half = (c - b) / 2.0
         if fb == 0.0 or abs(half) < tol:
             return b
+        trial = None
         if abs(prev) > tol and abs(fb) < abs(fa):
             if a == c:      # secant
-                trial = -fb * (b - a) / (fb - fa)
+                num, den = -fb * (b - a), fb - fa
             else:           # inverse quadratic interpolation
                 da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
-                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
-            if 2.0 * abs(trial) < min(abs(prev), 3.0 * abs(half) - tol):
-                prev, step = step, trial
-            else:
-                prev = step = half
-        else:
+                num, den = -fb * (fc * dc - fa * da), dc * da * (fc - fa)
+            # a denominator that underflowed to 0 or overflowed: bisect
+            if den != 0.0 and math.isfinite(den):
+                trial = num / den
+                if not 2.0 * abs(trial) < min(abs(prev),
+                                               3.0 * abs(half) - tol):
+                    trial = None
+        if trial is None:
             prev = step = half
+        else:
+            prev, step = step, trial
         a, fa = b, fb
         b += step if abs(step) > tol else math.copysign(tol, half)
         fb = f(b)
@@ -117,13 +126,18 @@ def transmission(delta, medium: EitMedium):
     if not np.all(np.isfinite(delta)):
         raise InputError("detunings must be finite")
     od, g_ge, g_s = medium.optical_depth, medium.gamma_ge, medium.gamma_s
-    if medium.rabi_control == 0.0:
-        out = np.exp(-(od / 2.0) * g_ge / (g_ge - 1j * delta))
-    else:
-        num = g_ge * (g_s - 1j * delta)
-        den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
-               + medium.rabi_control ** 2 / 4.0)
-        out = np.exp(-(od / 2.0) * num / den)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if medium.rabi_control == 0.0:
+                out = np.exp(-(od / 2.0) * g_ge / (g_ge - 1j * delta))
+            else:
+                num = g_ge * (g_s - 1j * delta)
+                den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
+                       + medium.rabi_control ** 2 / 4.0)
+                out = np.exp(-(od / 2.0) * num / den)
+    except (OverflowError, FloatingPointError):
+        raise ModelError("transmission is out of floating-point range for "
+                         "this medium") from None
     return complex(out) if scalar else out
 
 
@@ -160,17 +174,17 @@ def group_delay(medium: EitMedium) -> float:
     """Slope of the transmission phase at zero detuning, seconds.
 
     Central difference with a step of 1e-3 of the window width.  A
-    non-positive delay (over-broad or collapsed window) is reported with
-    a warning rather than an error.
+    non-positive delay (over-broad or collapsed window) raises
+    ModelError: the medium is outside the slow-light regime.
     """
     if medium.rabi_control <= 0.0:
         raise InputError("group delay needs a control field (rabi > 0)")
     h = 1e-3 * TWO_PI * window_fwhm(medium)
     ph = np.angle(transmission(np.array([h, -h]), medium))
     tau = float((ph[0] - ph[1]) / (2.0 * h))
-    if tau <= 0.0:
-        warnings.warn("non-positive group delay; medium is outside the "
-                      "slow-light regime", RegimeWarning, stacklevel=2)
+    if not tau > 0.0:
+        raise ModelError(f"group delay {tau:.6g} s is not positive; the "
+                         "medium is outside the slow-light regime")
     return tau
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class QisimError(Exception):
@@ -21,7 +21,3 @@ class ModelError(QisimError):
 
 class ConfigError(QisimError):
     """Malformed or inconsistent run configuration."""
-
-
-class RegimeWarning(UserWarning):
-    """Result is outside the regime where the model is trustworthy."""

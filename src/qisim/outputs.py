@@ -9,6 +9,11 @@ usable CPU, while this process only hashes and writes the bands in
 order; the bytes and hashes do not depend on the CPU count.  Where fork
 is unavailable, or there is one CPU or one band, the bands are formatted
 in-process.
+
+A band's cells are formatted by the numpy kernel of `g17`, whose bytes
+equal format(v, ".17g") for every float64.  It is imported on the first
+grid write, so its tables and its compile time fall only on commands
+that write a grid.
 """
 from __future__ import annotations
 
@@ -20,6 +25,8 @@ import json
 import os
 import struct
 import warnings
+
+import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -76,13 +83,39 @@ class _HashedFile:
         self._raw.write(data)
 
 
+def _label_words(labels):
+    """Row and column parts of the grid's lines as uint64 words: the
+    row label, and ",label," just after the widest row label, both
+    NUL-padded to one width, a multiple of 8 bytes."""
+    from . import g17
+    rows = g17.byte_rows(labels)
+    cols = g17.byte_rows(["," + label + "," for label in labels])
+    width_l, width_c = rows.shape[1], cols.shape[1]
+    words = -(-(width_l + width_c) // 8)
+    row_words = np.zeros((len(labels), 8 * words), np.uint8)
+    col_words = np.zeros_like(row_words)
+    row_words[:, :width_l] = rows
+    col_words[:, width_l:width_l + width_c] = cols
+    return row_words.view(np.uint64), col_words.view(np.uint64)
+
+
 def _grid_band(labels, cols, values, band: int) -> bytes:
-    """Rows band * _BAND_ROWS onwards of the long-format grid, UTF-8."""
+    """Rows band * _BAND_ROWS onwards of the long-format grid, UTF-8.
+
+    labels and cols are the _label_words of the grid's axis.
+    """
+    from . import g17
     lo = band * _BAND_ROWS
-    hi = lo + _BAND_ROWS
-    return "".join([f"{label}{col}{v:.17g}\n"
-                    for label, row in zip(labels[lo:hi], values[lo:hi])
-                    for col, v in zip(cols, row.tolist())]).encode("utf-8")
+    rows = labels[lo:lo + _BAND_ROWS]
+    words = rows.shape[1]
+    cell = np.empty((len(rows) * len(cols), words + g17.SLOT // 8),
+                    np.uint64)
+    np.bitwise_or(rows[:, None], cols,
+                  out=cell.reshape(len(rows), len(cols), -1)[:, :, :words])
+    g17.slots(values[lo:lo + _BAND_ROWS], cell[:, words:].view(np.uint8))
+    # the NUL pads go; bytes.translate drops them about twice as fast as
+    # np.compress on a mask
+    return cell.tobytes().translate(None, b"\0")
 
 
 def _usable_cpus() -> int:
@@ -130,8 +163,8 @@ def _bands(labels, cols, values):
                 with warnings.catch_warnings():
                     # Python 3.12 warns on fork in a process with threads.
                     # OpenBLAS threads exist here, but the child runs only
-                    # str formatting and pipe writes, never BLAS, so it
-                    # needs no lock another thread could hold.
+                    # element-wise numpy formatting and pipe writes, never
+                    # BLAS, so it needs no lock another thread could hold.
                     warnings.filterwarnings(
                         "ignore", r"This process .* is multi-threaded",
                         DeprecationWarning)
@@ -216,8 +249,8 @@ class OutputWriter:
         """
         if not self.wants("csv"):
             return None
-        labels = [fmt_float(a) for a in axis]
-        cols = ["," + label + "," for label in labels]
+        # imports the kernel, and builds its tables, before any fork
+        labels, cols = _label_words([fmt_float(a) for a in axis])
         with self._open(name) as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
             with contextlib.closing(_bands(labels, cols, values)) as bands:

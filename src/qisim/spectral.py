@@ -7,6 +7,7 @@ symmetric about zero detuning.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ TWO_PI = 2.0 * math.pi
 MATERIALIZE_LIMIT = 4096
 
 PUMP_KINDS = ("gaussian", "flat_limit", "delta_limit")
+
+# gaussian sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
+_SIGMA_RANGE = (math.sqrt(sys.float_info.min),
+                math.sqrt(sys.float_info.max / 2.0))
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,10 @@ class PumpSpectrum:
         if self.kind not in PUMP_KINDS:
             raise InputError(f"unknown pump kind {self.kind!r}")
         if self.kind == "gaussian" and not (
-                self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise InputError("gaussian pump needs sigma > 0")
+                _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
+            raise InputError(
+                f"gaussian pump needs sigma in [{_SIGMA_RANGE[0]:.2g}, "
+                f"{_SIGMA_RANGE[1]:.2g}] rad/s, got {self.sigma:.3g}")
 
 
 def cavity_response(delta, line: CavityLine):
@@ -104,10 +111,11 @@ def _pump_in_place(nu: np.ndarray, pump: PumpSpectrum) -> np.ndarray:
     """pump_amplitude computed in the buffer nu, which it overwrites."""
     if pump.kind == "gaussian":
         # exp(-nu**2 / (2 sigma^2)) / (sqrt(2 pi) sigma), operation for
-        # operation
-        np.square(nu, out=nu)
-        np.negative(nu, out=nu)
-        nu /= 2.0 * pump.sigma ** 2
+        # operation; an exponent that overflows to -inf gives exp's limit 0
+        with np.errstate(over="ignore"):
+            np.square(nu, out=nu)
+            np.negative(nu, out=nu)
+            nu /= 2.0 * pump.sigma ** 2
         np.exp(nu, out=nu)
         nu /= math.sqrt(TWO_PI) * pump.sigma
         return nu

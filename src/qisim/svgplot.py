@@ -127,6 +127,14 @@ def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
     return "\n".join(parts) + "\n"
 
 
+def _nonzero_span_top(lo: float, hi: float) -> float:
+    """hi, or for an empty range [lo, lo] a top above lo: lo + 1, or
+    lo + |lo| where 1 is below lo's resolution."""
+    if hi != lo:
+        return hi
+    return lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+
+
 def curve(x, series, xlabel: str, ylabel: str, title: str,
           logy: bool = False) -> str:
     """Polyline plot; series = [(label, y-array), ...]."""
@@ -144,14 +152,12 @@ def curve(x, series, xlabel: str, ylabel: str, title: str,
         if yhi == ylo:
             yhi = ylo + 1
     else:
-        ylo, yhi = float(ally.min()), float(ally.max())
-        if yhi == ylo:
-            yhi = ylo + 1.0
+        ylo = float(ally.min())
+        yhi = _nonzero_span_top(ylo, float(ally.max()))
         pad = 0.05 * (yhi - ylo)
         ylo, yhi = ylo - pad, yhi + pad
-    xlo, xhi = float(x.min()), float(x.max())
-    if xhi == xlo:
-        xhi = xlo + 1.0
+    xlo = float(x.min())
+    xhi = _nonzero_span_top(xlo, float(x.max()))
 
     def px(xv):
         return ml + (xv - xlo) / (xhi - xlo) * size_w

@@ -161,6 +161,26 @@ def test_solver_takes_the_steps_of_scipy_brentq():
             f, a, b, xtol=xtol)
 
 
+def test_solver_bisects_where_interpolation_underflows():
+    # subnormal function values make the interpolation denominators
+    # underflow to 0; the solver bisects there, as brentq does
+    from qisim.eit import _solve
+    root = _solve(lambda x: 1e-310 * math.atan(x - 0.3), -10.0, 10.0, 1e-9,
+                  "case")
+    assert abs(root - 0.3) < 1e-8
+    # on resonance the transmission of this medium is 1.5e-314
+    medium = q.EitMedium(optical_depth=1e6, rabi_control=rv.RABI,
+                         gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT)
+    assert q.window_fwhm(medium) > 0.0
+
+
+def test_transmission_out_of_range_is_a_model_error():
+    medium = q.EitMedium(optical_depth=rv.OD, rabi_control=1e300,
+                         gamma_ge=rv.GAMMA_GE)
+    with pytest.raises(ModelError, match="floating-point range"):
+        q.transmission(0.0, medium)
+
+
 def test_window_fwhm_finds_sub_khz_windows():
     # with gamma_s = 0 the narrow window grows as rabi^2
     media = [q.EitMedium(optical_depth=rv.OD, rabi_control=TWO_PI * r,

@@ -1,15 +1,18 @@
+import builtins
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from qisim import outputs, svgplot
+from qisim import g17, outputs, svgplot
 
 import oracles
 
@@ -165,6 +168,83 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     assert writer.entries == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _kernel_text(values):
+    """The %.17g kernel's cells for `values`, as strings."""
+    values = np.asarray(values, dtype=float)
+    slots = g17.slots(values, np.empty((values.size, g17.SLOT), np.uint8))
+    text = slots.tobytes().translate(None, b"\0").decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def test_g17_kernel_matches_format_on_every_kind_of_float():
+    rng = np.random.default_rng(1990)
+    tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, huge, -huge,
+             math.inf, -math.inf, math.nan, 1e16, 1e17, 99999999999999999.0,
+             1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+             1e-5, 0.5, 1.0, 10.0, 1234000.0, 1.5e16, 2.0 ** 53]
+    decades = 10.0 ** np.arange(-323, 309)
+    fixed = 10.0 ** rng.uniform(-5.0, 18.0, 50_000)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(float),
+        edges, decades, np.nextafter(decades, 0.0),
+        np.nextafter(decades, math.inf),
+        # fixed notation, with and without trailing zeros to strip
+        fixed, -fixed, np.round(fixed, 2), np.round(fixed, -3)])
+    expected = [format(v, ".17g") for v in values.tolist()]
+    got = _kernel_text(values)
+    mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
+    assert len(got) == len(expected)
+    assert mismatches == []
+
+
+def test_g17_powers_of_ten_are_correctly_rounded():
+    from fractions import Fraction
+    digits = np.finfo(np.longdouble).nmant + 1
+    for k, power in zip(range(g17._K_LO, g17._K_HI + 1), g17._POW10):
+        if not np.isfinite(power):  # past a double-width longdouble's range
+            continue
+        _, exponent = np.frexp(power)
+        error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** (16 - k)
+        assert abs(error) <= Fraction(2) ** (int(exponent) - digits) / 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_g17_kernel_without_margin_formats_every_cell_exactly(
+        tmp_path, monkeypatch):
+    # a longdouble no wider than double makes the tie margin 1/2 and
+    # parses the powers of ten past 1e308 as inf: every cell then goes
+    # through format(), the bytes stay the same, and numpy warns of nothing
+    monkeypatch.setattr(g17, "HALF_MARGIN", 0.5)
+    monkeypatch.setattr(g17, "_POW10", np.array(
+        [float(f"1e{16 - k}") for k in range(g17._K_LO, g17._K_HI + 1)],
+        dtype=np.longdouble))
+    calls = []
+    monkeypatch.setattr(g17, "format", lambda v, spec: calls.append(v)
+                        or builtins.format(v, spec), raising=False)
+    axis, values = _edge_case_grid(37)
+    assert _kernel_text(values) == [format(v, ".17g")
+                                    for v in values.ravel().tolist()]
+    assert len(calls) == values.size
+    header = ["t1_ns", "t2_ns", "density"]
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    writer.write_grid_csv("grid.csv", header, axis, values)
+    assert (tmp_path / "grid.csv").read_bytes() == _long_format_reference(
+        header, axis, values)
+
+
+def test_commands_without_a_grid_do_not_import_the_kernel(tmp_path):
+    # the kernel's tables and compile time fall on the first grid write,
+    # so set-up and the commands that write no grid never pay for them
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import sys, qisim.cli; "
+            "assert qisim.cli.main(['g13', '--out', sys.argv[1]]) == 0; "
+            "assert 'qisim.g17' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
 
 
 def test_format_gating(tmp_path):
