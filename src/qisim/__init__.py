@@ -9,9 +9,8 @@ from .spectral import (CavityLine, FrequencyGrid, JointSpectralAmplitude,
                        PumpSpectrum, build_jsa, cavity_response,
                        default_grid, pump_amplitude,
                        sigma_from_pulse_duration)
-from .biphoton import (JointTimeDistribution, ReducedFrequencyState,
-                       joint_time_distribution, post_storage_distribution,
-                       reduced_state, time_domain, visibility)
+from .biphoton import (JointTimeDistribution, joint_time_distribution,
+                       post_storage_distribution, time_domain, visibility)
 from .eit import (EitMedium, FitResult, MemoryDecay, fit_gamma_s,
                   group_delay, transmission, window_fwhm)
 from .qubit import (CHSH_ANGLES, SIX_STATES, MemoryChannelParams,

@@ -13,86 +13,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .spectral import (
-    MATERIALIZE_LIMIT,
-    TWO_PI,
-    FrequencyGrid,
-    JointSpectralAmplitude,
-)
+from .spectral import TWO_PI, JointSpectralAmplitude
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-
-
-@dataclass(frozen=True)
-class ReducedFrequencyState:
-    """Kernel samples of the single-photon reduced spectral operator.
-
-    rho[j, k] approximates the continuous kernel rho(d_j, d_k); traces and
-    purities are quadrature sums, so trace() carries one factor of the
-    grid spacing and purity() two.
-    """
-
-    grid: FrequencyGrid
-    rho: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho))) * self.grid.spacing
-
-    def purity(self) -> float:
-        dd = self.grid.spacing
-        return float(np.sum(np.abs(self.rho) ** 2)) * dd * dd
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho).min()) * self.grid.spacing
-
-
-def reduced_state(jsa: JointSpectralAmplitude) -> ReducedFrequencyState:
-    """Partial trace over the first photon: rho = A^dagger A * spacing."""
-    if not jsa.normalized:
-        raise InputError("reduced_state requires a normalized amplitude")
-    dd = jsa.grid.spacing
-    if jsa.is_factored:
-        if jsa.n_points > MATERIALIZE_LIMIT:
-            raise InputError(
-                "reduced state matrix would be too large; shrink the grid")
-        u, v = jsa.factors
-        weight = float(np.sum(np.abs(u) ** 2)) * dd
-        rho = np.outer(np.conj(v), v) * weight
-    else:
-        a = jsa.amplitude
-        rho = (a.conj().T @ a) * dd
-    return ReducedFrequencyState(grid=jsa.grid, rho=rho)
 
 
 def visibility(jsa: JointSpectralAmplitude) -> float:
     """Multi-photon interference visibility V = Tr(rho^2) / (Tr rho)^2.
 
     Equals 1 exactly for factored (frequency-uncorrelated) amplitudes.
-    For the pumped form A = D P D (D = diag r) the phases of r cancel:
+    Otherwise A = D P D (D = diag r) and the phases of r cancel:
     Tr((A^H A)^2) = ||M M^T||_F^2 and Tr(A^H A) = ||M||_F^2 with the real
     symmetric kernel M = |D| P |D|, so V is computed on M, whose square
-    is a real syrk.  Other dense amplitudes take the complex A^H A route.
-    A value outside [0, 1] beyond rounding indicates an inadequate grid.
+    is a real syrk.  A value outside [0, 1] beyond rounding indicates an
+    inadequate grid.
     """
     if not jsa.normalized:
         raise InputError("visibility requires a normalized amplitude")
     if jsa.is_factored:
         return 1.0
+    # V is scale-free.  Entries below 1e-100 of the largest move it by
+    # less than n * 1e-100 but would fill the syrk with subnormal
+    # products, which run about ten times slower.
     m = jsa.real_kernel()
-    if m is not None:
-        # V is scale-free.  Entries below 1e-100 of the largest move it by
-        # less than n * 1e-100 but would fill the syrk with subnormal
-        # products, which run about ten times slower.
-        m /= m.max()
-        m[m < 1e-100] = 0.0
-        square = m @ m.T
-        m *= m
-        square *= square
-        v = float(np.sum(square)) / float(np.sum(m)) ** 2
-    else:
-        state = reduced_state(jsa)
-        v = state.purity() / state.trace() ** 2
+    m /= m.max()
+    m[m < 1e-100] = 0.0
+    square = m @ m.T
+    m *= m
+    square *= square
+    v = float(np.sum(square)) / float(np.sum(m)) ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
         raise ResolutionError(
             f"visibility {v!r} is outside [0, 1]; the grid is too coarse")
@@ -221,7 +171,7 @@ def time_domain(jsa: JointSpectralAmplitude,
     Quadrature transform with psi(t) = integral psi(d) e^{-i d t} dd/2pi
     per axis.  Factored amplitudes transform both factors in one batched
     chirp-z transform, which is what makes very wide flat-pump grids
-    affordable; other forms materialize the amplitude and apply the
+    affordable; gaussian-pump amplitudes are materialized and take the
     dense e A e^T, whose n x n_t kernel is cheaper in memory than two
     batched chirp-z passes over n rows.
     """
@@ -267,17 +217,8 @@ def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
         raise InputError("t_grid is required")
     if eit_filter is None:
         return joint_time_distribution(jsa, t_grid)
-    d = jsa.grid.detunings
-    f = eit_filter(d) if callable(eit_filter) else np.asarray(eit_filter)
-    f = np.asarray(f, dtype=complex)
-    if f.shape != d.shape:
-        raise InputError("filter must be sampled on the grid detunings")
-    if jsa.is_factored:
-        u, v = jsa.factors
-        filtered = JointSpectralAmplitude(
-            jsa.grid, factors=(u * f, v), normalized=False)
-    else:
-        filtered = JointSpectralAmplitude(
-            jsa.grid, dense=jsa.amplitude * f[:, None], normalized=False)
+    f = eit_filter(jsa.grid.detunings) if callable(eit_filter) else eit_filter
+    filtered = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
+                                      f)
     psi_t = time_domain(filtered, t_grid)
     return _density_from_amplitude(psi_t, t_grid)

@@ -96,28 +96,26 @@ def _finish(cfg, writer) -> None:
 
 def _visibility_of(cfg, sigma_rad: float) -> float:
     line = config.line_from(cfg)
-    pump = config.pump_from(cfg, sigma_hz=sigma_rad / TWO_PI)
+    pump = config.pump_from(cfg, sigma_rad)
     grid = config.grid_from(cfg, line, pump)
     return biphoton.visibility(build_jsa(grid, line, pump))
 
 
 def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
-    """Exit code, and {sigma_hz: V} for every row that succeeded."""
+    """Exit code, and {sigma_hz: V} for every row that succeeded.  A
+    sweep whose every row failed raises the first row's error."""
     rows = []
-    ok = 0
     for tp in tps_s:
         try:
             sigma_rad = sigma_from_pulse_duration(tp)
             v = _visibility_of(cfg, sigma_rad)
             rows.append((sigma_rad / TWO_PI, tp, v, None))
-            ok += 1
         except QisimError as exc:
             rows.append((None, tp, None, str(exc)))
     for s_hz in sigmas_hz:
         try:
             v = _visibility_of(cfg, TWO_PI * s_hz)
             rows.append((s_hz, None, v, None))
-            ok += 1
         except QisimError as exc:
             rows.append((s_hz, None, None, str(exc)))
     writer.write_csv("visibility.csv",
@@ -129,15 +127,15 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
             [("visibility", [g[1] for g in good])],
             "pump bandwidth sigma (Hz)", "visibility V",
             "Spectral-purity visibility vs pump bandwidth"))
-    if ok == 0:
-        print("visibility: every sweep row failed", file=sys.stderr)
-        return EXIT_CONFIG, dict(good)
+    if not good:
+        raise InputError(f"every visibility sweep row failed; first error: "
+                         f"{rows[0][3]}")
     return EXIT_OK, dict(good)
 
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
     line = config.line_from(cfg)
-    pump = config.pump_from(cfg, t_p_s=tp_s)
+    pump = config.pump_from(cfg, sigma_from_pulse_duration(tp_s))
     grid = config.grid_from(cfg, line, pump)
     window = cfg["grids.time_span_factor"] / line.gamma
     lo, hi = -0.2 * window, 0.8 * window

@@ -7,22 +7,22 @@ visibility numbers and are not recomputed at runtime.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ModelError
 from .eit import DECAY_SHAPES, EitMedium, MemoryDecay
 from .qubit import MemoryChannelParams
 from .spectral import (PUMP_KINDS, TWO_PI, CavityLine, FrequencyGrid,
-                       PumpSpectrum, default_grid, sigma_from_pulse_duration)
+                       PumpSpectrum, default_grid)
 
 _FORMATS = ("csv", "json", "svg")
 
-# key -> (type tag, default).  Type tags: int, float, optfloat, str.
+# key -> (type tag, default).  Type tags: int, float, str.  The pump's
+# duration or bandwidth is a flag of the command that uses it.
 DEFAULTS = {
     "source.gamma_hz": ("float", 5e6),
     "source.pump_kind": ("str", "gaussian"),
-    "source.T_p_s": ("optfloat", 30e-9),
-    "source.sigma_hz": ("optfloat", None),
     "eit.od": ("float", 55.0),
     "eit.rabi_hz": ("float", 12.6e6),
     "eit.gamma_ge_hz": ("float", 2.87e6),
@@ -59,8 +59,6 @@ def _parse_value(key: str, text: str):
     text = text.strip()
     if kind == "str":
         return text
-    if kind == "optfloat" and text.lower() == "none":
-        return None
     try:
         if kind == "int":
             return int(text)
@@ -85,6 +83,9 @@ class RunConfig:
 
 
 def _validate(values: dict) -> None:
+    for key, (kind, _) in DEFAULTS.items():
+        if kind == "float" and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
     for key in _POSITIVE:
         if not values[key] > 0.0:
             raise ConfigError(f"{key} must be positive, got {values[key]!r}")
@@ -103,19 +104,10 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"eit.decay_shape must be one of {DECAY_SHAPES}")
     if not values["g13.g0"] > 1.0:
         raise ConfigError("g13.g0 must exceed 1")
-    tp, sig = values["source.T_p_s"], values["source.sigma_hz"]
-    if values["source.pump_kind"] == "gaussian":
-        if (tp is None) == (sig is None):
-            raise ConfigError(
-                "exactly one of source.T_p_s and source.sigma_hz must be set")
-        if tp is not None and not tp > 0.0:
-            raise ConfigError("source.T_p_s must be positive")
-        if sig is not None and not sig > 0.0:
-            raise ConfigError("source.sigma_hz must be positive")
     fmts = _formats_list(values["output.formats"])
     for f in fmts:
         if f not in _FORMATS:
-            raise ConfigError(f"unknown output format {f!r}; "
+            raise ConfigError(f"output.formats: unknown format {f!r}; "
                               f"allowed: {_FORMATS}")
     if not fmts:
         raise ConfigError("output.formats must name at least one format")
@@ -164,23 +156,10 @@ def line_from(cfg: RunConfig) -> CavityLine:
     return CavityLine(gamma=TWO_PI * cfg["source.gamma_hz"])
 
 
-def pump_from(cfg: RunConfig, t_p_s: float = None,
-              sigma_hz: float = None) -> PumpSpectrum:
-    """Pump from config, optionally overriding the bandwidth knob."""
+def pump_from(cfg: RunConfig, sigma: float) -> PumpSpectrum:
+    """The configured pump kind; sigma (rad/s) is a gaussian's bandwidth."""
     kind = cfg["source.pump_kind"]
-    if kind != "gaussian":
-        return PumpSpectrum(kind=kind)
-    if t_p_s is not None and sigma_hz is not None:
-        raise ConfigError("give at most one of t_p_s, sigma_hz")
-    if sigma_hz is not None:
-        return PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
-    if t_p_s is None:
-        t_p_s = cfg["source.T_p_s"]
-    if t_p_s is not None:
-        return PumpSpectrum(kind="gaussian",
-                            sigma=sigma_from_pulse_duration(t_p_s))
-    return PumpSpectrum(kind="gaussian",
-                        sigma=TWO_PI * cfg["source.sigma_hz"])
+    return PumpSpectrum(kind, sigma if kind == "gaussian" else 0.0)
 
 
 def grid_from(cfg: RunConfig, line: CavityLine,

@@ -111,7 +111,10 @@ class MemoryChannelParams:
             raise InputError("background must be >= 0")
 
     def dephasing_factor(self) -> float:
-        return math.exp(-self.phase_jitter_sigma ** 2 / 2.0)
+        try:
+            return math.exp(-self.phase_jitter_sigma ** 2 / 2.0)
+        except OverflowError:  # sigma above about 1e154: exp's limit
+            return 0.0
 
     def background_weight(self) -> float:
         return self.background / (1.0 + self.background)

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 # still reasonable to hold in memory (4096^2 complex128 = 256 MB).
 MATERIALIZE_LIMIT = 4096
 
-PUMP_KINDS = ("gaussian", "flat_limit", "delta_limit")
+PUMP_KINDS = ("gaussian", "flat_limit")
 
 # gaussian sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
 _SIGMA_RANGE = (math.sqrt(sys.float_info.min),
@@ -70,9 +70,7 @@ class PumpSpectrum:
     """Pump amplitude spectrum.
 
     kind "gaussian" uses sigma (rad/s) as the standard deviation of the
-    amplitude spectrum.  "flat_limit" is a constant (very short pump);
-    "delta_limit" (continuous pump) has no pointwise values and is only
-    consumed by the dedicated analytic time-domain path.
+    amplitude spectrum.  "flat_limit" is a constant (very short pump).
     """
 
     kind: str
@@ -109,21 +107,17 @@ def pump_amplitude(omega_sum_detuning, pump: PumpSpectrum):
 
 def _pump_in_place(nu: np.ndarray, pump: PumpSpectrum) -> np.ndarray:
     """pump_amplitude computed in the buffer nu, which it overwrites."""
-    if pump.kind == "gaussian":
-        # exp(-nu**2 / (2 sigma^2)) / (sqrt(2 pi) sigma), operation for
-        # operation; an exponent that overflows to -inf gives exp's limit 0
-        with np.errstate(over="ignore"):
-            np.square(nu, out=nu)
-            np.negative(nu, out=nu)
-            nu /= 2.0 * pump.sigma ** 2
-        np.exp(nu, out=nu)
-        nu /= math.sqrt(TWO_PI) * pump.sigma
-        return nu
     if pump.kind == "flat_limit":
         return np.ones_like(nu)
-    raise InputError(
-        "delta_limit pump has no pointwise amplitude; use the analytic "
-        "continuous-pump path")
+    # exp(-nu**2 / (2 sigma^2)) / (sqrt(2 pi) sigma), operation for
+    # operation; an exponent that overflows to -inf gives exp's limit 0
+    with np.errstate(over="ignore"):
+        np.square(nu, out=nu)
+        np.negative(nu, out=nu)
+        nu /= 2.0 * pump.sigma ** 2
+    np.exp(nu, out=nu)
+    nu /= math.sqrt(TWO_PI) * pump.sigma
+    return nu
 
 
 def sigma_from_pulse_duration(t_p: float) -> float:
@@ -139,74 +133,42 @@ def sigma_from_pulse_duration(t_p: float) -> float:
 
 
 class JointSpectralAmplitude:
-    """Two-photon spectral amplitude sampled on a FrequencyGrid.
+    """Two-photon spectral amplitude sampled on a FrequencyGrid,
 
-    Stored in one of three forms:
+        amplitude[i, j] = scale * f[i] * r[i] * r[j] * p(d_i + d_j):
 
-    - dense: the n x n matrix itself;
-    - factors: per-axis vectors, amplitude[i, j] = u[i] * v[j], which is
-      what flat pumps give and what allows grids no matrix could hold;
-    - pumped: (r, pump, scale), amplitude[i, j] = scale * r[i] * r[j] *
-      p(d_i + d_j), a cavity response on each axis times a pump on the
-      sum detuning.  Its modulus is the real symmetric kernel
-      M = scale |r| P |r| with P[i, j] = p(d_i + d_j), and the mass, the
-      marginals and the purity are computed on M without forming the
-      complex matrix.
+    a cavity response r on each axis, a pump p on the sum detuning, a
+    normalization scale and an optional filter f on the signal axis
+    (axis 0; None is the identity).
+
+    A flat pump makes the amplitude the outer product of the factors
+    u = scale r f and v = r, which allows grids no matrix could hold.
+    For a gaussian pump the modulus is the real kernel
+    M = scale |f| |r| P |r| with P[i, j] = p(d_i + d_j), and the mass,
+    the marginals and the purity are computed on M without forming the
+    complex matrix.
     """
 
-    def __init__(self, grid: FrequencyGrid, *, dense=None, factors=None,
-                 pumped=None, normalized: bool = False):
-        if sum(x is not None for x in (dense, factors, pumped)) != 1:
-            raise InputError("exactly one of dense/factors/pumped is required")
+    def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
+                 scale: float = 1.0, f=None, normalized: bool = False):
         self.grid = grid
-        self._dense = None if dense is None else np.asarray(dense, complex)
-        self._factors = None
-        self._pumped = None
-        if factors is not None:
-            u, v = factors
-            self._factors = (np.asarray(u, complex), np.asarray(v, complex))
-            if self._factors[0].shape != (grid.n_points,) or \
-                    self._factors[1].shape != (grid.n_points,):
-                raise InputError("factor length must match the grid")
-        if pumped is not None:
-            r, pump, scale = pumped
-            self._pumped = (np.asarray(r, complex), pump, float(scale))
-            if self._pumped[0].shape != (grid.n_points,):
-                raise InputError("response length must match the grid")
-        if self._dense is not None and self._dense.shape != (
-                grid.n_points, grid.n_points):
-            raise InputError("amplitude shape must match the grid")
+        self.r = np.asarray(r, complex)
+        self.pump = pump
+        self.scale = float(scale)
+        self.f = None if f is None else np.asarray(f, complex)
+        for vec in (self.r, self.f):
+            if vec is not None and vec.shape != (grid.n_points,):
+                raise InputError("response and filter must be sampled on "
+                                 "the grid")
         self.normalized = bool(normalized)
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_matrix(cls, grid: FrequencyGrid, matrix,
-                    normalize: bool = True) -> "JointSpectralAmplitude":
-        jsa = cls(grid, dense=matrix)
-        return jsa._normalized_copy() if normalize else jsa
-
-    @classmethod
-    def from_factors(cls, grid: FrequencyGrid, u, v,
-                     normalize: bool = True) -> "JointSpectralAmplitude":
-        jsa = cls(grid, factors=(u, v))
-        return jsa._normalized_copy() if normalize else jsa
 
     def _normalized_copy(self) -> "JointSpectralAmplitude":
         mass = self.l2_mass()
         if not mass > 0.0:
             raise InputError("cannot normalize a zero amplitude")
         s = 1.0 / math.sqrt(mass)
-        if self._dense is not None:
-            return JointSpectralAmplitude(
-                self.grid, dense=self._dense * s, normalized=True)
-        if self._pumped is not None:
-            r, pump, scale = self._pumped
-            return JointSpectralAmplitude(
-                self.grid, pumped=(r, pump, scale * s), normalized=True)
-        u, v = self._factors
-        return JointSpectralAmplitude(
-            self.grid, factors=(u * s, v), normalized=True)
+        return JointSpectralAmplitude(self.grid, self.r, self.pump,
+                                      self.scale * s, self.f, normalized=True)
 
     # -- views ------------------------------------------------------------
 
@@ -216,78 +178,77 @@ class JointSpectralAmplitude:
 
     @property
     def is_factored(self) -> bool:
-        return self._factors is not None
+        return self.pump.kind == "flat_limit"
 
     @property
     def factors(self):
-        return self._factors
+        """(u, v) with amplitude = outer(u, v) for a flat pump, else None."""
+        if not self.is_factored:
+            return None
+        u = self.r * self.scale
+        if self.f is not None:
+            u *= self.f
+        return u, self.r
 
     @property
     def amplitude(self) -> np.ndarray:
-        """Dense matrix view; the other forms materialize on demand."""
-        if self._dense is not None:
-            return self._dense
+        """The n x n complex matrix, materialized on demand."""
         if self.n_points > MATERIALIZE_LIMIT:
             raise InputError(
                 f"grid of {self.n_points} points is too large to "
                 "materialize as a dense matrix")
-        if self._factors is not None:
-            u, v = self._factors
-            return np.outer(u, v)
-        r, _, scale = self._pumped
-        a = np.outer(r, r)
+        if self.is_factored:
+            return np.outer(*self.factors)
+        a = np.outer(self.r, self.r)
         a *= self._pump_matrix()
-        a *= scale
+        a *= self.scale
+        if self.f is not None:
+            a *= self.f[:, None]
         return a
 
     def _pump_matrix(self) -> np.ndarray:
         """P[i, j] = p(d_i + d_j), computed in the buffer of the sums."""
         d = self.grid.detunings
-        return _pump_in_place(d[:, None] + d[None, :], self._pumped[1])
+        return _pump_in_place(d[:, None] + d[None, :], self.pump)
 
-    def real_kernel(self):
-        """|amplitude| of the pumped form as the real, exactly symmetric
-        kernel sqrt(scale) |r| P |r| sqrt(scale); None for the other forms.
+    def real_kernel(self) -> np.ndarray:
+        """|amplitude| as the real kernel |f| sqrt(scale) |r| P |r|
+        sqrt(scale), exactly symmetric without a filter; n x n, so it is
+        for gaussian pumps.
 
-        The phases of r drop out of every quantity that depends only on
-        the moduli or on A^dagger A up to unitary similarity: the mass,
-        the marginals and the purity.
+        The phases of r and f drop out of every quantity that depends
+        only on the moduli or on A^dagger A up to unitary similarity: the
+        mass, the marginals and the purity.
         """
-        if self._pumped is None:
-            return None
-        r, _, scale = self._pumped
-        a = np.abs(r) * math.sqrt(scale)
+        a = np.abs(self.r) * math.sqrt(self.scale)
         m = self._pump_matrix()
         m *= np.outer(a, a)
+        if self.f is not None:
+            m *= np.abs(self.f)[:, None]
         return m
 
     def l2_mass(self) -> float:
         """Quadrature value of the squared L2 norm, sum |psi|^2 d^2."""
         dd = self.grid.spacing
-        if self._dense is not None:
-            return float(np.sum(np.abs(self._dense) ** 2)) * dd * dd
-        if self._pumped is not None:
-            m = self.real_kernel()
-            m *= m
-            return float(np.sum(m)) * dd * dd
-        u, v = self._factors
-        return float(np.sum(np.abs(u) ** 2) * dd *
-                     np.sum(np.abs(v) ** 2) * dd)
+        if self.is_factored:
+            u, v = self.factors
+            return float(np.sum(np.abs(u) ** 2) * dd *
+                         np.sum(np.abs(v) ** 2) * dd)
+        m = self.real_kernel()
+        m *= m
+        return float(np.sum(m)) * dd * dd
 
     def axis_marginal(self, axis: int) -> np.ndarray:
         """Marginal spectral mass along one axis, sum over the other."""
         dd = self.grid.spacing
-        if self._dense is not None:
-            other = 1 - axis
-            return np.sum(np.abs(self._dense) ** 2, axis=other) * dd
-        if self._pumped is not None:
-            m = self.real_kernel()
-            m *= m
-            return np.sum(m, axis=1 - axis) * dd
-        u, v = self._factors
-        own = np.abs(u if axis == 0 else v) ** 2
-        rest = float(np.sum(np.abs(v if axis == 0 else u) ** 2) * dd)
-        return own * rest
+        if self.is_factored:
+            u, v = self.factors
+            own = np.abs(u if axis == 0 else v) ** 2
+            rest = float(np.sum(np.abs(v if axis == 0 else u) ** 2) * dd)
+            return own * rest
+        m = self.real_kernel()
+        m *= m
+        return np.sum(m, axis=1 - axis) * dd
 
 
 def _lorentz_tail_fraction(span: float, gamma: float) -> float:
@@ -309,16 +270,12 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
     """Sample the pair amplitude cavity(d1) * cavity(d2) * pump(d1 + d2)
     on the grid and L2-normalize it.
 
-    Flat pumps produce an exactly factored amplitude, gaussian pumps the
-    pumped form (cavity response, pump and scale; no n x n matrix is held
-    until the amplitude is asked for).  The grid must span
-    at least 8*gamma (and 8*sigma for gaussian pumps); a Lorentzian tail
-    mass above 1% per side raises ResolutionError.
+    The amplitude is held as its parts (cavity response, pump and
+    scale); no n x n matrix exists until it is asked for, and a flat pump
+    never needs one.  The grid must span at least 8*gamma (and 8*sigma
+    for gaussian pumps); a Lorentzian tail mass above 1% per side raises
+    ResolutionError.
     """
-    if pump.kind == "delta_limit":
-        raise InputError(
-            "delta_limit pump cannot be sampled; use the analytic "
-            "continuous-pump path")
     if grid.span < 8.0 * line.gamma:
         raise InputError(
             f"grid span {grid.span:.3e} is below 8*gamma = "
@@ -338,14 +295,9 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
             raise ResolutionError(
                 f"pump tail mass {pump_tail:.3%} exceeds 1%; widen the grid")
 
-    d = grid.detunings
-    resp = cavity_response(d, line)
-    if pump.kind == "flat_limit":
-        return JointSpectralAmplitude.from_factors(grid, resp, resp.copy())
-
-    if grid.n_points > MATERIALIZE_LIMIT:
+    if pump.kind == "gaussian" and grid.n_points > MATERIALIZE_LIMIT:
         raise InputError(
             f"dense amplitude for {grid.n_points} points exceeds the "
             f"materialization limit of {MATERIALIZE_LIMIT}")
-    return JointSpectralAmplitude(
-        grid, pumped=(resp, pump, 1.0))._normalized_copy()
+    resp = cavity_response(grid.detunings, line)
+    return JointSpectralAmplitude(grid, resp, pump)._normalized_copy()

@@ -1,7 +1,8 @@
 """Reference implementations that the tests check the program against.
 
 None of these is reachable from a command: each is an independent oracle
-(fourfold quadrature, closed forms, Parseval, Choi positivity), a
+(fourfold quadrature, the complex A^H A reduced state, closed forms,
+Parseval, Choi positivity), a
 diagnostic of an output (ridge correlation, g13 from counts), or the
 reader that parses written CSVs back for round-trip checks.
 """
@@ -41,6 +42,20 @@ def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
                    optimize=False)
     kappa = (float(np.sum(np.abs(a) ** 2)) * dd * dd) ** 2
     return float(np.real(xi)) * dd ** 4 / kappa
+
+
+def reduced_state(jsa: JointSpectralAmplitude) -> np.ndarray:
+    """Kernel samples of the single-photon reduced spectral operator,
+    rho = A^dagger A * spacing, from the complex matrix: the n^3 route
+    that the real-kernel purity in visibility() replaces."""
+    a = jsa.amplitude
+    return (a.conj().T @ a) * jsa.grid.spacing
+
+
+def visibility_complex(jsa: JointSpectralAmplitude) -> float:
+    """Tr(rho^2) / (Tr rho)^2 on the complex reduced state."""
+    rho = reduced_state(jsa)
+    return float(np.sum(np.abs(rho) ** 2)) / float(np.trace(rho).real) ** 2
 
 
 def default_time_grid(line: CavityLine, n_points: int = 512,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qisim import cli, outputs
+from qisim import cli, config, outputs
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
@@ -57,7 +57,17 @@ def test_visibility_all_rows_failing_is_an_error(tmp_path, capsys):
     code = main(["visibility", "--out", str(out),
                  "--sigma-hz", "-1", "--tp-s", "-2"])
     assert code == EXIT_CONFIG
-    assert "failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "qisim: every visibility sweep row failed; first error: pulse "
+        "duration must be positive, got -2.0\n")
+    # reproduce-all stops at its sweep with the same one line
+    code = main(["reproduce-all", "--out", str(tmp_path / "all"),
+                 "--set", "grids.freq_span_factor=1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: every visibility sweep row failed; "
+                          "first error: grid span ")
+    assert err.count("\n") == 1
 
 
 def test_timedist_command(tmp_path):
@@ -357,6 +367,59 @@ def test_unwritable_output_exits_with_config_code(tmp_path, capsys,
     assert err.startswith("qisim: cannot write output: grid worker ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+# key -> (a small command, a value other than the default that must
+# change at least one of its artifacts)
+_SMALL = ["--set", "grids.n_freq=128", "--set", "grids.n_time=64"]
+_VIS = ["visibility", "--sigma-hz", "12.5e6", "--tp-s", "30e-9"] + _SMALL
+_TIMEDIST = ["timedist", "--tp-s", "100e-9"] + _SMALL
+_KEY_PROBES = {
+    "source.gamma_hz": (_VIS, "4e6"),
+    "source.pump_kind": (_VIS, "flat_limit"),
+    "eit.od": (["eit"], "30"),
+    "eit.rabi_hz": (["eit"], "10e6"),
+    "eit.gamma_ge_hz": (["eit"], "3e6"),
+    "eit.gamma_s_hz": (["eit"], "2e4"),
+    "eit.length_m": (["eit"], "3e-3"),
+    "eit.tau_mem_s": (["g13"], "1e-6"),
+    "eit.decay_shape": (["g13"], "exponential"),
+    "channel.eta_U": (["store"], "0.7"),
+    "channel.eta_D": (["store"], "0.9"),
+    "channel.phase_jitter_rad": (["store"], "0.1"),
+    "channel.background_b": (["store"], "0.1"),
+    "channel.V_src": (["bell"], "0.8"),
+    "g13.g0": (["g13"], "30"),
+    "grids.n_freq": (_VIS, "96"),
+    "grids.freq_span_factor": (_VIS, "50"),
+    "grids.n_time": (_TIMEDIST, "80"),
+    "grids.time_span_factor": (_TIMEDIST, "8"),
+    "output.formats": (["g13"], "csv,json"),
+}
+
+
+def test_every_config_key_has_a_probe():
+    # output.directory moves the artifacts rather than changing them
+    assert set(_KEY_PROBES) | {"output.directory"} == set(config.DEFAULTS)
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_PROBES))
+def test_every_config_key_changes_an_output(tmp_path, key):
+    argv, value = _KEY_PROBES[key]
+    hashes = []
+    for name, extra in [("default", []),
+                        ("changed", ["--set", f"{key}={value}"])]:
+        out = tmp_path / name
+        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
+        hashes.append(set(hash_dir(str(out)).values()))
+    assert hashes[0] != hashes[1]
+
+
+def test_output_directory_key_places_the_artifacts(tmp_path):
+    out = tmp_path / "elsewhere"
+    assert main(["g13", "--set", f"output.directory={out}"]) == EXIT_OK
+    assert {"g13.csv", "g13_report.json", "manifest.json"} <= set(
+        os.listdir(out))
 
 
 def test_cli_help_and_missing_command():

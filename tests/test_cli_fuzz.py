@@ -87,6 +87,12 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
 @example(argv=["eit", "--set", "eit.gamma_ge_hz=1e300"])
 @example(argv=["eit", "--set", "eit.rabi_hz=1e300"])
 @example(argv=["visibility", "--sigma-hz", "1e-300", "--tp-s="])
+@example(argv=["store", "--set", "channel.background_b=inf"])
+@example(argv=["visibility", "--set", "source.gamma_hz=inf"])
+@example(argv=["g13", "--set", "g13.g0=inf"])
+@example(argv=["store", "--set", "channel.phase_jitter_rad=1e300"])
+@example(argv=["bell", "--set", "channel.phase_jitter_rad=1e300"])
+@example(argv=["reproduce-all", "--set", "grids.freq_span_factor=1"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
     or one stderr line, and never a traceback or a warning."""

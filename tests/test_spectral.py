@@ -65,10 +65,10 @@ def test_pump_flat_and_delta_kinds():
     d = np.linspace(-1.0, 1.0, 11)
     flat = q.pump_amplitude(d, q.PumpSpectrum(kind="flat_limit"))
     assert np.array_equal(flat, np.ones(11))
-    with pytest.raises(InputError):
-        q.pump_amplitude(d, q.PumpSpectrum(kind="delta_limit"))
-    with pytest.raises(InputError):
-        q.PumpSpectrum(kind="boxcar")
+    # a continuous (delta) pump has no samples on a grid: not a kind
+    for kind in ("delta_limit", "boxcar"):
+        with pytest.raises(InputError, match="unknown pump kind"):
+            q.PumpSpectrum(kind=kind)
 
 
 def test_sigma_from_pulse_duration_frozen():
@@ -115,11 +115,35 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
     assert np.array_equal(m, m.T)
     # relative to the peak: subnormal entries carry fewer digits
     assert np.allclose(m, np.abs(a), rtol=1e-14, atol=1e-14 * m.max())
-    dense = q.JointSpectralAmplitude.from_matrix(grid, a, normalize=False)
-    assert jsa.l2_mass() == pytest.approx(dense.l2_mass(), rel=1e-14)
+    dd = grid.spacing
+    assert jsa.l2_mass() == pytest.approx(
+        np.sum(np.abs(a) ** 2) * dd * dd, rel=1e-14)
     for axis in (0, 1):
         assert np.allclose(jsa.axis_marginal(axis),
-                           dense.axis_marginal(axis), rtol=1e-13, atol=0.0)
+                           np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
+                           rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
+def test_filter_multiplies_the_signal_rows(line, kind):
+    pump = q.PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
+    jsa = q.build_jsa(q.default_grid(line, pump, n_points=256), line, pump)
+    f = np.exp(1j * np.linspace(0.0, 3.0, 256)) * np.linspace(0.2, 1.0, 256)
+    filtered = q.JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
+                                        f)
+    assert filtered.is_factored == (kind == "flat_limit")
+    a, want = filtered.amplitude, jsa.amplitude * f[:, None]
+    # a flat pump filters its factor; a gaussian multiplies f in after the
+    # dense build, in the order of the product above
+    assert np.allclose(a, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(a, want) or kind == "flat_limit"
+    dd = jsa.grid.spacing
+    assert filtered.l2_mass() == pytest.approx(
+        np.sum(np.abs(a) ** 2) * dd * dd, rel=1e-13)
+    for axis in (0, 1):
+        assert np.allclose(filtered.axis_marginal(axis),
+                           np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_flat_jsa_is_factored_and_normalized(line):
@@ -167,12 +191,6 @@ def test_wide_gaussian_pump_hits_span_floor(line):
         q.build_jsa(grid, line, pump)
 
 
-def test_delta_pump_has_no_grid_representation(line):
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    with pytest.raises(InputError):
-        q.build_jsa(grid, line, q.PumpSpectrum(kind="delta_limit"))
-
-
 def test_axis_marginals_integrate_to_total_mass(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
     jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
@@ -186,21 +204,10 @@ def test_axis_marginals_integrate_to_total_mass(line):
         1.0, rel=1e-12)
 
 
-def test_from_matrix_validation(line):
+def test_amplitude_parts_must_match_the_grid(line):
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=64)
+    flat = q.PumpSpectrum(kind="flat_limit")
     with pytest.raises(InputError):
-        q.JointSpectralAmplitude.from_matrix(grid, np.ones((64, 32)))
+        q.JointSpectralAmplitude(grid, np.ones(32), flat)
     with pytest.raises(InputError):
-        q.JointSpectralAmplitude.from_matrix(grid, np.ones((32, 32)))
-    raw = q.JointSpectralAmplitude.from_matrix(grid, np.ones((64, 64)),
-                                               normalize=False)
-    assert not raw.normalized
-    assert raw.l2_mass() > 1.0
-    unit = q.JointSpectralAmplitude.from_matrix(grid, np.ones((64, 64)))
-    assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_from_factors_length_check(line):
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=64)
-    with pytest.raises(InputError):
-        q.JointSpectralAmplitude.from_factors(grid, np.ones(64), np.ones(32))
+        q.JointSpectralAmplitude(grid, np.ones(64), flat, f=np.ones(32))
