@@ -4,6 +4,9 @@ The visibility figure of merit is the purity of the single-photon reduced
 spectral state.  The test suite checks it against an independent
 brute-force fourfold quadrature of the same quantity, which must never be
 folded into the purity path.
+
+The detection-time amplitude comes in bands of t1 rows from chirp-z
+transforms, and the only n_t x n_t array a command holds is the density.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ from .spectral import TWO_PI, JointSpectralAmplitude
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
+# rows per band of psi (and per chunk of A's columns): a band and its FFT
+# buffer are a few MB at the storage map's size
+_BAND_ROWS = 128
 
 
 def visibility(jsa: JointSpectralAmplitude) -> float:
@@ -164,16 +170,14 @@ def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
     return work[:, :m] * (post * (spacing / TWO_PI))
 
 
-def time_domain(jsa: JointSpectralAmplitude,
-                t_grid: np.ndarray) -> np.ndarray:
-    """Two-photon amplitude in detection time.
+def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
+    """Check the time grid, then iterate over (rows, psi[rows, :]) in
+    bands of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2} (dd/2pi)^2.
 
-    Quadrature transform with psi(t) = integral psi(d) e^{-i d t} dd/2pi
-    per axis.  Factored amplitudes transform both factors in one batched
-    chirp-z transform, which is what makes very wide flat-pump grids
-    affordable; gaussian-pump amplitudes are materialized and take the
-    dense e A e^T, whose n x n_t kernel is cheaper in memory than two
-    batched chirp-z passes over n rows.
+    A factored amplitude transforms its two factors once.  A gaussian
+    pump takes two passes: bands of A's columns, built from its parts,
+    go over the signal axis into the n x n_t half-transform C, and
+    bands of rows of C^T go over the idler axis into bands of psi.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     d = jsa.grid.detunings
@@ -183,25 +187,46 @@ def time_domain(jsa: JointSpectralAmplitude,
     dd = jsa.grid.spacing
     if jsa.is_factored:
         su, sv = _transform(t_grid, d, jsa.factors, dd)
-        return np.outer(su, sv)
-    e = np.exp(-1j * np.outer(t_grid, d)) * (dd / TWO_PI)
-    return e @ jsa.amplitude @ e.T
+        return ((rows, su[rows, None] * sv) for rows in _bands(t_grid.size))
+    half = np.empty((d.size, t_grid.size), dtype=complex)
+    for cols in _bands(d.size):
+        half[cols] = _transform(t_grid, d, jsa.columns(cols), dd)
+    return ((rows, _transform(t_grid, d, half[:, rows].T, dd))
+            for rows in _bands(t_grid.size))
+
+
+def _bands(n: int) -> list:
+    return [slice(s, s + _BAND_ROWS) for s in range(0, n, _BAND_ROWS)]
+
+
+def time_domain(jsa: JointSpectralAmplitude,
+                t_grid: np.ndarray) -> np.ndarray:
+    """Two-photon amplitude psi(t1, t2) in detection time, with
+    psi(t) = integral psi(d) e^{-i d t} dd/2pi per axis, assembled from
+    its bands for the tests; commands never hold it."""
+    bands = _psi_bands(jsa, t_grid)
+    n_t = np.asarray(t_grid).size
+    psi = np.empty((n_t, n_t), dtype=complex)
+    for rows, band in bands:
+        psi[rows] = band
+    return psi
 
 
 def joint_time_distribution(jsa: JointSpectralAmplitude,
                             t_grid: np.ndarray) -> JointTimeDistribution:
-    """Max-normalized |psi(t1, t2)|^2."""
-    psi_t = time_domain(jsa, t_grid)
-    return _density_from_amplitude(psi_t, t_grid)
-
-
-def _density_from_amplitude(psi_t, t_grid):
-    density = np.abs(psi_t) ** 2
+    """Max-normalized |psi(t1, t2)|^2, squared band by band into the
+    one n_t x n_t float array and normalized in place."""
+    bands = _psi_bands(jsa, t_grid)
+    t_grid = np.asarray(t_grid, dtype=float)
+    density = np.empty((t_grid.size, t_grid.size))
+    for rows, band in bands:
+        out = np.abs(band, out=density[rows])
+        out *= out
     peak = density.max()
     if not peak > 0.0:
         raise InputError("density is identically zero")
-    return JointTimeDistribution(t_grid=np.asarray(t_grid, float),
-                                 density=density / peak)
+    density /= peak
+    return JointTimeDistribution(t_grid=t_grid, density=density)
 
 
 def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
@@ -215,10 +240,8 @@ def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
     """
     if t_grid is None:
         raise InputError("t_grid is required")
-    if eit_filter is None:
-        return joint_time_distribution(jsa, t_grid)
-    f = eit_filter(jsa.grid.detunings) if callable(eit_filter) else eit_filter
-    filtered = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
-                                      f)
-    psi_t = time_domain(filtered, t_grid)
-    return _density_from_amplitude(psi_t, t_grid)
+    if eit_filter is not None:
+        f = (eit_filter(jsa.grid.detunings) if callable(eit_filter)
+             else eit_filter)
+        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale, f)
+    return joint_time_distribution(jsa, t_grid)

@@ -148,7 +148,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
         hi = hi_ext
         eit_filter = lambda d: transmission(d, medium)
     if n_t > MATERIALIZE_LIMIT:
-        # the density and the dense transform hold n_t^2 values
+        # the density holds n_t^2 values
         raise InputError(
             f"time grid of {n_t} points exceeds the materialization limit "
             f"of {MATERIALIZE_LIMIT}; lower grids.n_time")

@@ -8,6 +8,7 @@ rail imbalance shows up as a polarization-dependent amplitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,17 @@ def _rail_operator(params: MemoryChannelParams) -> np.ndarray:
     return np.diag([params.eta_D, params.eta_U]).astype(complex)
 
 
+def _post_select(r: np.ndarray) -> np.ndarray:
+    """r / Tr r, the state given a retrieved click."""
+    tr = float(np.real(np.trace(r)))
+    # numpy divides a complex array by tr as a product with 1 / tr,
+    # which overflows for a subnormal trace
+    if not tr >= sys.float_info.min:
+        raise ModelError(f"retrieval probability {tr:.3g} is zero or "
+                         "subnormal; nothing to post-select")
+    return r / tr
+
+
 def memory_channel(rho_in: QubitDensity,
                    params: MemoryChannelParams) -> QubitDensity:
     """Rail attenuation, phase-jitter dephasing, post-selection on a
@@ -132,11 +144,7 @@ def memory_channel(rho_in: QubitDensity,
     k = _rail_operator(params)
     r = k @ rho_in.matrix @ k.conj().T
     d = params.dephasing_factor()
-    r = r * np.array([[1.0, d], [d, 1.0]])
-    tr = float(np.real(np.trace(r)))
-    if tr <= 0.0:
-        raise ModelError("zero retrieval probability; nothing to post-select")
-    r = r / tr
+    r = _post_select(r * np.array([[1.0, d], [d, 1.0]]))
     p = params.background_weight()
     return QubitDensity((1.0 - p) * r + p * np.eye(2) / 2.0)
 
@@ -207,11 +215,7 @@ def memory_channel_two_qubit(rho_in: TwoQubitDensity,
         for c in range(4):
             if _stored_bit(a, arm) != _stored_bit(c, arm):
                 deph[a, c] = d
-    r = r * deph
-    tr = float(np.real(np.trace(r)))
-    if tr <= 0.0:
-        raise ModelError("zero retrieval probability; nothing to post-select")
-    r = r / tr
+    r = _post_select(r * deph)
     p = params.background_weight()
     other = _partial_trace(r, arm)
     eye2 = np.eye(2) / 2.0

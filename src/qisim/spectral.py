@@ -146,7 +146,8 @@ class JointSpectralAmplitude:
     For a gaussian pump the modulus is the real kernel
     M = scale |f| |r| P |r| with P[i, j] = p(d_i + d_j), and the mass,
     the marginals and the purity are computed on M without forming the
-    complex matrix.
+    complex matrix, and the time transform takes it a band of columns
+    at a time.
     """
 
     def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
@@ -162,14 +163,6 @@ class JointSpectralAmplitude:
                                  "the grid")
         self.normalized = bool(normalized)
 
-    def _normalized_copy(self) -> "JointSpectralAmplitude":
-        mass = self.l2_mass()
-        if not mass > 0.0:
-            raise InputError("cannot normalize a zero amplitude")
-        s = 1.0 / math.sqrt(mass)
-        return JointSpectralAmplitude(self.grid, self.r, self.pump,
-                                      self.scale * s, self.f, normalized=True)
-
     # -- views ------------------------------------------------------------
 
     @property
@@ -183,8 +176,10 @@ class JointSpectralAmplitude:
     @property
     def factors(self):
         """(u, v) with amplitude = outer(u, v) for a flat pump, else None."""
-        if not self.is_factored:
-            return None
+        return self._sides() if self.is_factored else None
+
+    def _sides(self):
+        """(u, v) = (scale f r, r): amplitude[i, j] = u_i v_j p(d_i + d_j)."""
         u = self.r * self.scale
         if self.f is not None:
             u *= self.f
@@ -192,7 +187,7 @@ class JointSpectralAmplitude:
 
     @property
     def amplitude(self) -> np.ndarray:
-        """The n x n complex matrix, materialized on demand."""
+        """The n x n complex matrix, materialized for the tests."""
         if self.n_points > MATERIALIZE_LIMIT:
             raise InputError(
                 f"grid of {self.n_points} points is too large to "
@@ -206,10 +201,18 @@ class JointSpectralAmplitude:
             a *= self.f[:, None]
         return a
 
-    def _pump_matrix(self) -> np.ndarray:
-        """P[i, j] = p(d_i + d_j), computed in the buffer of the sums."""
+    def columns(self, cols: slice) -> np.ndarray:
+        """amplitude[:, cols].T, built from the parts."""
+        u, v = self._sides()
+        block = self._pump_matrix(cols) * v[cols, None]  # P is symmetric
+        block *= u
+        return block
+
+    def _pump_matrix(self, rows: slice = slice(None)) -> np.ndarray:
+        """P[rows, :] with P[i, j] = p(d_i + d_j), computed in the buffer
+        of the sums."""
         d = self.grid.detunings
-        return _pump_in_place(d[:, None] + d[None, :], self.pump)
+        return _pump_in_place(d[rows, None] + d[None, :], self.pump)
 
     def real_kernel(self) -> np.ndarray:
         """|amplitude| as the real kernel |f| sqrt(scale) |r| P |r|
@@ -271,10 +274,9 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
     on the grid and L2-normalize it.
 
     The amplitude is held as its parts (cavity response, pump and
-    scale); no n x n matrix exists until it is asked for, and a flat pump
-    never needs one.  The grid must span at least 8*gamma (and 8*sigma
-    for gaussian pumps); a Lorentzian tail mass above 1% per side raises
-    ResolutionError.
+    scale); no n x n complex matrix exists until it is asked for.  The
+    grid must span at least 8*gamma (and 8*sigma for gaussian pumps); a
+    Lorentzian tail mass above 1% per side raises ResolutionError.
     """
     if grid.span < 8.0 * line.gamma:
         raise InputError(
@@ -299,5 +301,13 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
         raise InputError(
             f"dense amplitude for {grid.n_points} points exceeds the "
             f"materialization limit of {MATERIALIZE_LIMIT}")
-    resp = cavity_response(grid.detunings, line)
-    return JointSpectralAmplitude(grid, resp, pump)._normalized_copy()
+    jsa = JointSpectralAmplitude(grid, cavity_response(grid.detunings, line),
+                                 pump)
+    mass = jsa.l2_mass()
+    if not mass > 0.0:
+        raise InputError(
+            "the squared modulus of the sampled amplitude underflows to "
+            f"zero (cavity linewidth {line.gamma / TWO_PI:.3g} Hz, grid "
+            f"span {grid.span / TWO_PI:.3g} Hz)")
+    return JointSpectralAmplitude(grid, jsa.r, pump, 1.0 / math.sqrt(mass),
+                                  normalized=True)

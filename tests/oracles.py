@@ -1,8 +1,8 @@
 """Reference implementations that the tests check the program against.
 
 None of these is reachable from a command: each is an independent oracle
-(fourfold quadrature, the complex A^H A reduced state, closed forms,
-Parseval, Choi positivity), a
+(fourfold quadrature, the complex A^H A reduced state, the dense time
+transform, closed forms, Parseval, Choi positivity), a
 diagnostic of an output (ridge correlation, g13 from counts), or the
 reader that parses written CSVs back for round-trip checks.
 """
@@ -72,6 +72,17 @@ def conjugate_time_grid(grid: FrequencyGrid) -> np.ndarray:
     n = grid.n_points
     dt = TWO_PI / (n * grid.spacing)
     return (np.arange(n) - n // 2) * dt
+
+
+def time_domain_dense(jsa: JointSpectralAmplitude,
+                      t_grid: np.ndarray) -> np.ndarray:
+    """psi(t1, t2) as the dense e A e^T with e = exp(-i t d) dd / 2pi on
+    the materialized amplitude: the reference for the banded chirp-z
+    time_domain, with no guard on the time grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    d = jsa.grid.detunings
+    e = np.exp(-1j * np.outer(t_grid, d)) * (jsa.grid.spacing / TWO_PI)
+    return e @ jsa.amplitude @ e.T
 
 
 def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,

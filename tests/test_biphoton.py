@@ -210,6 +210,63 @@ def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def storage_medium():
+    return q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
+                       gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
+                       length=4e-3)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n, n_t, t_lo, t_hi", [
+    (200, 520, -2.0, 8.0),       # n < n_t, neither a whole number of bands
+    (1024, 300, -1.0, 5.0),      # n > n_t
+])
+def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
+                                                          filtered):
+    jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n)
+    if filtered:
+        f = q.transmission(jsa.grid.detunings, storage_medium())
+        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale, f)
+    t_grid = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, n_t)
+    want = oracles.time_domain_dense(jsa, t_grid)
+    got = q.time_domain(jsa, t_grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def storage_time_grid():
+    """The timedist --with-storage eit grid at the default settings:
+    the plain window stretched by two group delays, 3 x 512 points."""
+    window = 10.0 / rv.GAMMA
+    hi = 0.8 * window + 2.0 * q.group_delay(storage_medium())
+    return np.linspace(-0.2 * window, hi, 1536)
+
+
+def test_post_storage_memory_budget_at_the_storage_size():
+    # the density is the one n_t^2 array (18 MB); the half-transform
+    # (512 x 1536 complex, 12 MB) and one band are all else that is large
+    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    filt = lambda d: q.transmission(d, storage_medium())
+    peak = traced_peak_mb(q.post_storage_distribution, jsa, filt,
+                          storage_time_grid())
+    assert peak < 48.0
+
+
+def test_time_distributions_never_materialize_the_pumped_amplitude(
+        monkeypatch):
+    def refuse(self):
+        raise AssertionError("the complex amplitude was materialized")
+
+    monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
+                        property(refuse))
+    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    dist = q.joint_time_distribution(jsa, oracles.default_time_grid(LINE))
+    assert oracles.ridge_correlation(dist) == pytest.approx(
+        rv.PEARSON_TP100, abs=1e-9)
+    filt = lambda d: q.transmission(d, storage_medium())
+    dist = q.post_storage_distribution(jsa, filt, t_grid=storage_time_grid())
+    assert dist.density.max() == 1.0
+
+
 def test_time_domain_computes_each_marginal_once(monkeypatch):
     calls = []
     original = JointSpectralAmplitude.axis_marginal
@@ -276,9 +333,7 @@ def test_post_storage_requires_time_grid():
 
 
 def test_post_storage_filter_flattens_the_ridge():
-    medium = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
-                         gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
-                         length=4e-3)
+    medium = storage_medium()
     filt = lambda d: q.transmission(d, medium)
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 

@@ -268,6 +268,21 @@ def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
                    "materialization limit of 4096; lower grids.n_time\n")
 
 
+@pytest.mark.parametrize("command", ["timedist", "visibility"])
+@pytest.mark.parametrize("setting, named", [
+    ("source.gamma_hz=4e297", "cavity linewidth 4e+297 Hz"),
+    ("grids.freq_span_factor=1e300", "cavity linewidth 5e+06 Hz"),
+], ids=["linewidth", "span"])
+def test_underflowing_amplitude_names_the_cause(tmp_path, capsys, command,
+                                                setting, named):
+    code = main([command, "--set", setting, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: ") and err.count("\n") == 1
+    assert ("the squared modulus of the sampled amplitude underflows to "
+            f"zero ({named}, grid span ") in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_vanishing_memory_time_constant(tmp_path, capsys):
     out = tmp_path / "out"

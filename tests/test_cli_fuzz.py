@@ -35,7 +35,24 @@ def _value_list(lo, hi):
     return st.lists(_rate(lo, hi), min_size=1, max_size=3).map(",".join)
 
 
+def _unit():
+    """A transmission or visibility in [0, 1], now and then just outside."""
+    return st.one_of(st.floats(0.0, 1.0).map(repr),
+                     st.sampled_from(["-0.01", "1.01"]))
+
+
+# every key of DEFAULTS except output.directory, which the tests set
 _FUZZ_SETTINGS = {
+    "source.gamma_hz": _rate(1e-3, 1e300),
+    "source.pump_kind": st.sampled_from(["gaussian", "flat_limit"]),
+    "channel.eta_U": _unit(),
+    "channel.eta_D": _unit(),
+    "channel.phase_jitter_rad": _rate(1e-6, 1e6),
+    "channel.background_b": _rate(1e-6, 1e6),
+    "channel.V_src": _unit(),
+    "g13.g0": _log_uniform(1e0, 1e6),
+    "output.formats": st.lists(st.sampled_from(["csv", "json", "svg"]),
+                               unique=True, max_size=3).map(",".join),
     "eit.od": _rate(1e-3, 1e5),
     "eit.rabi_hz": _rate(1e0, 1e12),
     "eit.gamma_ge_hz": _rate(1e0, 1e12),
@@ -93,6 +110,11 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
 @example(argv=["store", "--set", "channel.phase_jitter_rad=1e300"])
 @example(argv=["bell", "--set", "channel.phase_jitter_rad=1e300"])
 @example(argv=["reproduce-all", "--set", "grids.freq_span_factor=1"])
+@example(argv=["timedist", "--set", "source.gamma_hz=4e297"])
+@example(argv=["visibility", "--set", "source.gamma_hz=4e297"])
+@example(argv=["timedist", "--set", "grids.freq_span_factor=1e300"])
+@example(argv=["visibility", "--set", "grids.freq_span_factor=1e300"])
+@example(argv=["store", "--states", "H", "--set", "channel.eta_D=2.5e-160"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
     or one stderr line, and never a traceback or a warning."""
