@@ -18,7 +18,6 @@ from .qubit import (CHSH_ANGLES, SIX_STATES, MemoryChannelParams,
                     alpha_quality, bell_state, chsh_S, correlation_E,
                     correlation_curve, crossing_time, curve_visibility,
                     fidelity, g13_decay_model, memory_channel,
-                    memory_channel_two_qubit, six_state_battery,
-                    werner_state)
+                    six_state_battery, werner_state)
 
 __version__ = "0.1.0"

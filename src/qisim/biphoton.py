@@ -229,19 +229,15 @@ def joint_time_distribution(jsa: JointSpectralAmplitude,
     return JointTimeDistribution(t_grid=t_grid, density=density)
 
 
-def post_storage_distribution(jsa: JointSpectralAmplitude, eit_filter=None,
-                              t_grid: np.ndarray = None) -> JointTimeDistribution:
+def post_storage_distribution(jsa: JointSpectralAmplitude, f,
+                              t_grid: np.ndarray) -> JointTimeDistribution:
     """Joint time distribution after the signal photon passed a spectral
     filter (axis 0 is the signal axis).
 
-    eit_filter is a callable detuning -> complex amplitude, or a vector
-    on the grid detunings, or None for the identity (which reproduces
-    joint_time_distribution bit for bit).
+    f is the filter's complex amplitude on the grid detunings, or None
+    for the identity (which reproduces joint_time_distribution bit for
+    bit).
     """
-    if t_grid is None:
-        raise InputError("t_grid is required")
-    if eit_filter is not None:
-        f = (eit_filter(jsa.grid.detunings) if callable(eit_filter)
-             else eit_filter)
+    if f is not None:
         jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale, f)
     return joint_time_distribution(jsa, t_grid)

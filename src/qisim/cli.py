@@ -146,7 +146,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
         hi_ext = hi + 2.0 * group_delay(medium)
         n_t *= max(1, math.ceil((hi_ext - lo) / (hi - lo)))
         hi = hi_ext
-        eit_filter = lambda d: transmission(d, medium)
+        eit_filter = transmission(grid.detunings, medium)
     if n_t > MATERIALIZE_LIMIT:
         # the density holds n_t^2 values
         raise InputError(
@@ -156,7 +156,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     jsa = build_jsa(grid, line, pump)
     if with_storage is None:
         return biphoton.joint_time_distribution(jsa, t_grid)
-    return biphoton.post_storage_distribution(jsa, eit_filter, t_grid=t_grid)
+    return biphoton.post_storage_distribution(jsa, eit_filter, t_grid)
 
 
 def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
@@ -177,12 +177,6 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
     fit_info = None
     if fit_target_hz is not None:
         res = fit_gamma_s(medium, fit_target_hz)
-        fit_info = {
-            "target_hz": res.target_hz,
-            "gamma_s_rad_s": res.gamma_s,
-            "achieved_window_fwhm_hz": res.window_fwhm_hz,
-            "converged": res.converged,
-        }
         if not res.converged:
             if res.gamma_s == 0.0:
                 reach = (f"best achievable window is "
@@ -190,9 +184,14 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
             else:  # the search stopped where the window collapses
                 reach = (f"the window collapses at gamma_s = "
                          f"{res.gamma_s:.6g} rad/s")
-            print(f"eit: gamma_s fit did not converge; {reach} for target "
-                  f"{res.target_hz:.6g} Hz", file=sys.stderr)
-            return EXIT_MODEL, None
+            raise ModelError(f"gamma_s fit did not converge; {reach} for "
+                             f"target {res.target_hz:.6g} Hz")
+        fit_info = {
+            "target_hz": res.target_hz,
+            "gamma_s_rad_s": res.gamma_s,
+            "achieved_window_fwhm_hz": res.window_fwhm_hz,
+            "converged": res.converged,
+        }
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
     t_0 = float(np.abs(transmission(0.0, medium)) ** 2)
     if t_0 < TRANSPARENCY_FLOOR:
@@ -262,7 +261,7 @@ def cmd_bell(cfg, writer, times_s) -> tuple:
     last_state = source
     for t_s in times_s:
         params = config.channel_from(cfg, t_s, balanced=True)
-        state = qubit.memory_channel_two_qubit(source, params, arm=2)
+        state = qubit.memory_channel(source, params)
         s = qubit.chsh_S(state)
         rows.append({"t_s": t_s, "S": s, "violated": bool(s > 2.0)})
         last_state = state

@@ -129,11 +129,18 @@ def load_config(path: str = None, overrides=()) -> RunConfig:
     values = {k: v for k, (_, v) in DEFAULTS.items()}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # a leading byte-order mark is dropped; \r\n and \r read as \n
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        for ln, line in enumerate(text.splitlines(), start=1):
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ConfigError(f"{path}: not UTF-8 text (byte {bad:#04x}: "
+                              f"{exc.reason})") from None
+        # only \n ends a line: str.splitlines also breaks at \x85, \x0c,
+        # U+2028 and others, which would end a comment early
+        for ln, line in enumerate(text.split("\n"), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -2,7 +2,8 @@
 CHSH correlations, and the heralded cross-correlation decay.
 
 Two-qubit matrices use the product basis |HH>, |HV>, |VH>, |VV> with the
-first factor as qubit 1.  H maps to ensemble rail D and V to rail U, so
+first factor as qubit 1, the flying qubit, and the second as qubit 2, the
+stored one.  H maps to ensemble rail D and V to rail U, so
 rail imbalance shows up as a polarization-dependent amplitude.
 """
 from __future__ import annotations
@@ -81,9 +82,6 @@ class TwoQubitDensity:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 4))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True)
 class MemoryChannelParams:
@@ -137,16 +135,24 @@ def _post_select(r: np.ndarray) -> np.ndarray:
     return r / tr
 
 
-def memory_channel(rho_in: QubitDensity,
-                   params: MemoryChannelParams) -> QubitDensity:
+def memory_channel(rho_in, params: MemoryChannelParams):
     """Rail attenuation, phase-jitter dephasing, post-selection on a
-    retrieved click (renormalization), then white-noise admixture."""
-    k = _rail_operator(params)
-    r = k @ rho_in.matrix @ k.conj().T
+    retrieved click (renormalization), then background admixture, acting
+    on the stored qubit: the last tensor factor of rho_in, which is the
+    whole state of a QubitDensity and qubit 2 of a TwoQubitDensity.
+
+    The background replaces the stored qubit with a maximally mixed one
+    while the factors before it keep their marginal: uncorrelated noise
+    photons in the retrieved mode.  Returns rho_in's density type.
+    """
+    f = rho_in.matrix.shape[0] // 2
+    k = np.kron(np.eye(f), _rail_operator(params))
     d = params.dephasing_factor()
-    r = _post_select(r * np.array([[1.0, d], [d, 1.0]]))
+    mask = np.kron(np.ones((f, f)), [[1.0, d], [d, 1.0]])
+    r = _post_select(k @ rho_in.matrix @ k.conj().T * mask)
+    rest = np.trace(r.reshape(f, 2, f, 2), axis1=1, axis2=3)
     p = params.background_weight()
-    return QubitDensity((1.0 - p) * r + p * np.eye(2) / 2.0)
+    return type(rho_in)((1.0 - p) * r + p * np.kron(rest, np.eye(2) / 2.0))
 
 
 def fidelity(psi_in: PolarizationState, rho_out: QubitDensity) -> float:
@@ -177,50 +183,6 @@ def werner_state(v: float) -> TwoQubitDensity:
     if not 0.0 <= v <= 1.0:
         raise InputError("visibility v must be in [0, 1]")
     return TwoQubitDensity(v * bell_state().matrix + (1.0 - v) * np.eye(4) / 4.0)
-
-
-def _stored_bit(index: int, arm: int) -> int:
-    return (index >> 1) & 1 if arm == 1 else index & 1
-
-
-def _partial_trace(m: np.ndarray, arm: int) -> np.ndarray:
-    """Trace out the qubit at `arm`, returning the other qubit's state."""
-    r = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for c in range(2):
-            if arm == 2:
-                r[a, c] = m[2 * a, 2 * c] + m[2 * a + 1, 2 * c + 1]
-            else:
-                r[a, c] = m[a, c] + m[a + 2, c + 2]
-    return r
-
-
-def memory_channel_two_qubit(rho_in: TwoQubitDensity,
-                             params: MemoryChannelParams,
-                             arm: int = 2) -> TwoQubitDensity:
-    """memory_channel acting on one qubit of a pair (arm is 1-based).
-
-    The background term replaces the stored qubit with a maximally mixed
-    one while the flying qubit keeps its marginal: uncorrelated noise
-    photons in the retrieved mode.
-    """
-    if arm not in (1, 2):
-        raise InputError("arm must be 1 or 2")
-    k = _rail_operator(params)
-    k2 = np.kron(k, np.eye(2)) if arm == 1 else np.kron(np.eye(2), k)
-    r = k2 @ rho_in.matrix @ k2.conj().T
-    d = params.dephasing_factor()
-    deph = np.ones((4, 4))
-    for a in range(4):
-        for c in range(4):
-            if _stored_bit(a, arm) != _stored_bit(c, arm):
-                deph[a, c] = d
-    r = _post_select(r * deph)
-    p = params.background_weight()
-    other = _partial_trace(r, arm)
-    eye2 = np.eye(2) / 2.0
-    bg = np.kron(eye2, other) if arm == 1 else np.kron(other, eye2)
-    return TwoQubitDensity((1.0 - p) * r + p * bg)
 
 
 def _projector(theta: float) -> np.ndarray:

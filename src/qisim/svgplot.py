@@ -6,8 +6,6 @@ identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # 256-level colormap, linearly interpolated between nine fixed anchors
@@ -135,8 +133,7 @@ def _nonzero_span_top(lo: float, hi: float) -> float:
     return lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
 
 
-def curve(x, series, xlabel: str, ylabel: str, title: str,
-          logy: bool = False) -> str:
+def curve(x, series, xlabel: str, ylabel: str, title: str) -> str:
     """Polyline plot; series = [(label, y-array), ...]."""
     x = np.asarray(x, dtype=float)
     colors = ("#1b6ca8", "#c2461e", "#2e8540", "#6a3d9a")
@@ -145,17 +142,10 @@ def curve(x, series, xlabel: str, ylabel: str, title: str,
 
     ys = [np.asarray(s[1], dtype=float) for s in series]
     ally = np.concatenate(ys)
-    if logy:
-        ally = ally[ally > 0.0]
-        ylo = math.floor(math.log10(ally.min()))
-        yhi = math.ceil(math.log10(ally.max()))
-        if yhi == ylo:
-            yhi = ylo + 1
-    else:
-        ylo = float(ally.min())
-        yhi = _nonzero_span_top(ylo, float(ally.max()))
-        pad = 0.05 * (yhi - ylo)
-        ylo, yhi = ylo - pad, yhi + pad
+    ylo = float(ally.min())
+    yhi = _nonzero_span_top(ylo, float(ally.max()))
+    pad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
     xlo = float(x.min())
     xhi = _nonzero_span_top(xlo, float(x.max()))
 
@@ -163,8 +153,6 @@ def curve(x, series, xlabel: str, ylabel: str, title: str,
         return ml + (xv - xlo) / (xhi - xlo) * size_w
 
     def py(yv):
-        if logy:
-            yv = math.log10(max(yv, 10.0 ** ylo))
         return mt + size_h - (yv - ylo) / (yhi - ylo) * size_h
 
     parts = [
@@ -191,10 +179,9 @@ def curve(x, series, xlabel: str, ylabel: str, title: str,
                      'font-size="11" text-anchor="middle">%.4g</text>'
                      % (px(t), mt + size_h + 16.0, t))
     for t in _ticks(ylo, yhi):
-        label = ("1e%d" % t) if logy else ("%.4g" % t)
         parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="end">%s</text>'
-                     % (ml - 6.0, py(10.0 ** t if logy else t) + 4.0, label))
+                     'font-size="11" text-anchor="end">%.4g</text>'
+                     % (ml - 6.0, py(t) + 4.0, t))
     parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
                  'font-size="13" text-anchor="middle">%s</text>'
                  % (ml + size_w / 2.0, h - 10.0, _esc(xlabel)))

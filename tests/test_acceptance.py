@@ -186,8 +186,7 @@ def test_c6_chsh_behavior():
     s_ideal = q.chsh_S(q.bell_state())
     cfg = config.load_config()
     params = config.channel_from(cfg, 1e-6, balanced=True)
-    stored = q.memory_channel_two_qubit(
-        q.werner_state(cfg["channel.V_src"]), params, arm=2)
+    stored = q.memory_channel(q.werner_state(cfg["channel.V_src"]), params)
     s_stored = q.chsh_S(stored)
     thetas = np.linspace(0.0, math.pi, 181)
     vis = q.curve_visibility(q.correlation_curve(stored, "plus", thetas))

@@ -216,6 +216,11 @@ def storage_medium():
                        length=4e-3)
 
 
+def storage_filter(jsa):
+    """The default medium's transmission on jsa's grid detunings."""
+    return q.transmission(jsa.grid.detunings, storage_medium())
+
+
 @pytest.mark.parametrize("filtered", [False, True])
 @pytest.mark.parametrize("n, n_t, t_lo, t_hi", [
     (200, 520, -2.0, 8.0),       # n < n_t, neither a whole number of bands
@@ -225,8 +230,8 @@ def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
                                                           filtered):
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n)
     if filtered:
-        f = q.transmission(jsa.grid.detunings, storage_medium())
-        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale, f)
+        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
+                                     storage_filter(jsa))
     t_grid = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, n_t)
     want = oracles.time_domain_dense(jsa, t_grid)
     got = q.time_domain(jsa, t_grid)
@@ -245,9 +250,8 @@ def test_post_storage_memory_budget_at_the_storage_size():
     # the density is the one n_t^2 array (18 MB); the half-transform
     # (512 x 1536 complex, 12 MB) and one band are all else that is large
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    filt = lambda d: q.transmission(d, storage_medium())
-    peak = traced_peak_mb(q.post_storage_distribution, jsa, filt,
-                          storage_time_grid())
+    peak = traced_peak_mb(q.post_storage_distribution, jsa,
+                          storage_filter(jsa), storage_time_grid())
     assert peak < 48.0
 
 
@@ -262,8 +266,8 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     dist = q.joint_time_distribution(jsa, oracles.default_time_grid(LINE))
     assert oracles.ridge_correlation(dist) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    filt = lambda d: q.transmission(d, storage_medium())
-    dist = q.post_storage_distribution(jsa, filt, t_grid=storage_time_grid())
+    dist = q.post_storage_distribution(jsa, storage_filter(jsa),
+                                       storage_time_grid())
     assert dist.density.max() == 1.0
 
 
@@ -321,27 +325,19 @@ def test_post_storage_without_filter_matches_plain_distribution():
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     t_grid = oracles.default_time_grid(LINE)
     a = q.joint_time_distribution(jsa, t_grid)
-    b = q.post_storage_distribution(jsa, None, t_grid=t_grid)
+    b = q.post_storage_distribution(jsa, None, t_grid)
     assert np.array_equal(a.density, b.density)
     assert np.array_equal(a.t_grid, b.t_grid)
 
 
-def test_post_storage_requires_time_grid():
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    with pytest.raises(InputError):
-        q.post_storage_distribution(jsa, None)
-
-
 def test_post_storage_filter_flattens_the_ridge():
-    medium = storage_medium()
-    filt = lambda d: q.transmission(d, medium)
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 
     jsa100 = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     plain100 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa100, None, t_grid=t_grid))
-    filt100 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa100, filt, t_grid=t_grid))
+        q.post_storage_distribution(jsa100, None, t_grid))
+    filt100 = oracles.ridge_correlation(q.post_storage_distribution(
+        jsa100, storage_filter(jsa100), t_grid))
     assert plain100 == pytest.approx(rv.EXT_PEARSON_TP100_UNFILT, abs=1e-9)
     assert filt100 == pytest.approx(rv.EXT_PEARSON_TP100_FILT, abs=1e-9)
     # narrowband filtering must erase time ordering, not create it
@@ -349,9 +345,9 @@ def test_post_storage_filter_flattens_the_ridge():
 
     jsa30 = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
     plain30 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa30, None, t_grid=t_grid))
-    filt30 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa30, filt, t_grid=t_grid))
+        q.post_storage_distribution(jsa30, None, t_grid))
+    filt30 = oracles.ridge_correlation(q.post_storage_distribution(
+        jsa30, storage_filter(jsa30), t_grid))
     assert plain30 == pytest.approx(rv.EXT_PEARSON_TP30_UNFILT, abs=1e-9)
     assert filt30 == pytest.approx(rv.EXT_PEARSON_TP30_FILT, abs=1e-9)
     assert abs(filt30 - plain30) < 0.05
@@ -361,11 +357,11 @@ def test_post_storage_accepts_vector_filter():
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     t_grid = oracles.default_time_grid(LINE)
     ones = np.ones(jsa.grid.n_points)
-    a = q.post_storage_distribution(jsa, ones, t_grid=t_grid)
+    a = q.post_storage_distribution(jsa, ones, t_grid)
     b = q.joint_time_distribution(jsa, t_grid)
     assert np.allclose(a.density, b.density, atol=1e-12)
     with pytest.raises(InputError):
-        q.post_storage_distribution(jsa, np.ones(7), t_grid=t_grid)
+        q.post_storage_distribution(jsa, np.ones(7), t_grid)
 
 
 def test_distribution_container_validation():

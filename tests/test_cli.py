@@ -163,18 +163,21 @@ def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     target = cli.TARGETS["eit_window_fwhm"][0]
     code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
     assert code == EXIT_MODEL
-    assert capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "qisim: gamma_s fit did not converge; best achievable window is ")
+    assert not (out / "manifest.json").exists()
 
 
 def test_eit_fit_on_the_window_collapse_fails_cleanly(tmp_path, capsys):
-    code = main(["eit", "--out", str(tmp_path / "out"),
-                 "--fit-gamma-s", "2.4e6"])
+    out = tmp_path / "out"
+    code = main(["eit", "--out", str(out), "--fit-gamma-s", "2.4e6"])
     err = capsys.readouterr().err
     assert code == EXIT_MODEL
     assert "Traceback" not in err
-    assert err.startswith("eit: gamma_s fit did not converge; the window "
+    assert err.startswith("qisim: gamma_s fit did not converge; the window "
                           "collapses at gamma_s = ")
     assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_eit_sub_khz_window(tmp_path):
@@ -502,20 +505,20 @@ def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(cli.biphoton, "visibility")
-    for name in ("six_state_battery", "memory_channel_two_qubit",
-                 "crossing_time", "chsh_S"):
+    for name in ("six_state_battery", "memory_channel", "crossing_time",
+                 "chsh_S"):
         counting(cli.qubit, name)
     out = tmp_path / "out"
     assert main(["reproduce-all", "--out", str(out),
                  "--set", "grids.n_freq=128", "--set", "grids.n_time=64",
                  "--set", "output.formats=csv,json"]) == EXIT_CHECKS
     # two pulse durations and three bandwidths in the sweep, whose values
-    # the two visibility checks read; store's one battery at 200 ns;
-    # bell's three storage times plus its source and the ideal Bell
-    # state; g13's one crossing
+    # the two visibility checks read; store's one battery at 200 ns, whose
+    # six states each pass the channel once, as do bell's three storage
+    # times; bell's CHSH at those times plus its source and the ideal
+    # Bell state; g13's one crossing
     assert calls == {"visibility": 5, "six_state_battery": 1,
-                     "memory_channel_two_qubit": 3, "crossing_time": 1,
-                     "chsh_S": 5}
+                     "memory_channel": 9, "crossing_time": 1, "chsh_S": 5}
     _, rows = oracles.read_csv(str(out / "visibility.csv"))
     swept = {r[0]: r[2] for r in rows if r[1] is None}
     by_id = {c["id"]: c for c in load_json(out / "checks.json")["checks"]}

@@ -1,4 +1,5 @@
-"""The CLI under bounded random settings and flag lists.
+"""The CLI under bounded random settings, flag lists and config file
+text.
 
 Needs hypothesis, a test-only dependency; the module is skipped where it
 is not installed.
@@ -6,12 +7,15 @@ is not installed.
 import contextlib
 import io
 import math
+import os
 import tempfile
 import warnings
 
 import pytest
 
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
+from qisim.config import load_config
+from qisim.errors import ConfigError
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -129,3 +133,142 @@ def test_every_input_ends_in_a_result_or_one_line(argv):
     assert err.count("\n") <= 1, err
     assert "Traceback" not in err and "Warning" not in err, err
     assert not caught, [str(w.message) for w in caught]
+
+
+# ---------------------------------------------------------- config files
+#
+# File text is drawn as setting lines (known keys with bounded values,
+# unknown keys, values of the wrong type), comment and blank lines, then
+# laid out with a byte-order mark or not, LF or CRLF endings, and a
+# trailing newline or not.
+
+_UNKNOWN_KEYS = ["nosuch.key", "eit.OD", "source.sigma_hz", "eit", "eit.od.x"]
+_BAD_VALUES = {
+    "grids.n_freq": ["1.5", "1e3", "0x10", "abc", ""],
+    "grids.n_time": ["64.0", "-", "1_0.5"],
+    "eit.od": ["abc", "", "1,5", "nan", "inf", "1e999"],
+    "g13.g0": ["-inf", "0x1p4", "2..0"],
+}
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
+_COMMENT_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\r\n"),
+                        max_size=12)
+
+
+def _setting():
+    """(key, raw value, whether it must be refused)."""
+    known = st.sampled_from(sorted(_FUZZ_SETTINGS)).flatmap(
+        lambda k: _FUZZ_SETTINGS[k].map(lambda v: (k, v, False)))
+    unknown = st.sampled_from(_UNKNOWN_KEYS).map(lambda k: (k, "1", True))
+    bad = st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+        lambda k: st.sampled_from(_BAD_VALUES[k]).map(
+            lambda v: (k, v, True)))
+    return st.one_of(known, known, known, unknown, bad)
+
+
+def _setting_line(setting, spaces, comment):
+    key, value, _ = setting
+    a, b, c, d = spaces
+    tail = "" if comment is None else "#" + comment
+    return f"{a}{key}{b}={c}{value}{d}{tail}"
+
+
+# each line: a setting with its line text, or (None, comment/blank text)
+_LINE = st.one_of(
+    st.builds(lambda s, sp, c: (s, _setting_line(s, sp, c)), _setting(),
+              st.tuples(_SPACE, _SPACE, _SPACE, _SPACE),
+              st.one_of(st.none(), _COMMENT_TEXT)),
+    st.builds(lambda sp, c: (None, sp + "#" + c), _SPACE, _COMMENT_TEXT),
+    st.builds(lambda sp: (None, sp), _SPACE),
+)
+_LAYOUT = st.tuples(st.booleans(), st.sampled_from(["\n", "\r\n"]),
+                    st.booleans())
+
+
+def _file_text(lines, layout):
+    bom, eol, trailing = layout
+    text = eol.join(t for _, t in lines) + (eol if lines and trailing else "")
+    return ("\ufeff" if bom else "") + text
+
+
+def _outcome(load):
+    try:
+        return load().values
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(lines=st.lists(_LINE, max_size=8), layout=_LAYOUT)
+@example(lines=[(("eit.od", "30", False), "eit.od = 30"),
+                (("eit.od", "40", False), "eit.od=40 # again")],
+         layout=(True, "\r\n", False))
+@example(lines=[(None, "# old\u2028eit.od = 1\x85x")],
+         layout=(False, "\n", True))
+def test_config_file_reads_like_the_same_overrides(lines, layout):
+    """A config file sets what the same key=value overrides set, in the
+    same order (a repeated key: the last one wins), or fails with the
+    same message; comments, blank lines and the layout change nothing."""
+    overrides = [f"{s[0]}={s[1]}" for s, _ in lines if s is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(_file_text(lines, layout).encode("utf-8"))
+        from_file = _outcome(lambda: load_config(path))
+    assert from_file == _outcome(lambda: load_config(None, overrides))
+
+
+# bytes no UTF-8 decoder accepts at a character boundary
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3(",
+                             b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"])
+# lines the parser refuses (no "=", or an empty key); in a drawn line
+# they stand as a refused setting with no key or value
+_BROKEN_LINE = st.sampled_from(["eit.od 55", "[eit]", "eit.od: 55",
+                                "= 55"])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(lines=st.lists(st.one_of(_LINE, _BROKEN_LINE.map(
+           lambda t: ((None, None, True), t))), max_size=6),
+       layout=_LAYOUT,
+       not_utf8=st.one_of(st.none(), st.tuples(_NOT_UTF8, st.integers(0))),
+       command=_FUZZ_COMMANDS)
+@example(lines=[(("eit.od", "30", False), "eit.od = 30")],
+         layout=(False, "\n", True), not_utf8=(b"\xff", 0), command=["eit"])
+def test_every_config_file_ends_in_a_result_or_one_line(lines, layout,
+                                                        not_utf8, command):
+    """Random config file text, bad bytes included: the CLI returns a
+    result, or exits 2 with one `qisim:` line when the file is refused,
+    and a manifest exactly when it succeeds."""
+    text = _file_text(lines, layout)
+    data = text.encode("utf-8")
+    if not_utf8 is not None:
+        bad, at = not_utf8
+        at %= len(text) + 1
+        data = text[:at].encode("utf-8") + bad + text[at:].encode("utf-8")
+    refused = not_utf8 is not None or any(
+        s is not None and s[2] for s, _ in lines)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = os.path.join(tmp, "out")
+        code = main(command + ["--config", path, "--out", out])
+        wrote_manifest = os.path.exists(os.path.join(out, "manifest.json"))
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MODEL), err
+    assert not caught, [str(w.message) for w in caught]
+    assert wrote_manifest == (code == EXIT_OK), err
+    if code == EXIT_OK:
+        assert not err and not refused
+    else:
+        assert err.startswith("qisim: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Warning" not in err, err
+    if refused:
+        assert code == EXIT_CONFIG, err
+    if not_utf8 is not None:
+        assert "run.cfg: not UTF-8 text" in err, err

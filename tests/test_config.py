@@ -63,6 +63,19 @@ def test_config_file_errors(tmp_path):
         config.load_config(str(tmp_path / "missing.cfg"))
 
 
+def test_config_file_text_forms(tmp_path):
+    path = tmp_path / "run.cfg"
+    # a byte-order mark, CRLF endings, no trailing newline, a repeated
+    # key (the last one wins) and a comment holding characters that
+    # str.splitlines would take as line ends
+    path.write_bytes("\ufeffeit.od = 30\r\n# old\u2028eit.od = 1\x85\r\n"
+                     "eit.od = 40".encode("utf-8"))
+    assert config.load_config(str(path))["eit.od"] == 40.0
+    path.write_bytes(b"eit.od = 30 # caf\xe9\n")
+    with pytest.raises(ConfigError, match="run.cfg: not UTF-8 text"):
+        config.load_config(str(path))
+
+
 def test_unknown_and_malformed_keys():
     with pytest.raises(ConfigError):
         config.load_config(overrides=("bogus.key=1",))

@@ -156,26 +156,25 @@ def test_fidelity_basics_and_linearity():
 
 
 def test_two_qubit_channel_matches_single_qubit_on_product_states():
+    # the stored qubit is the second factor: on a product state the pair
+    # channel leaves the flying marginal alone and gives the stored
+    # marginal the one-qubit channel's output
     params = default_params()
-    rho_fly = q.SIX_STATES["plus"].density()
-    rho_store = q.SIX_STATES["R"].density()
-    product = q.TwoQubitDensity(np.kron(rho_fly.matrix, rho_store.matrix))
-    out2 = q.memory_channel_two_qubit(product, params, arm=2)
-    out1 = q.memory_channel(rho_store, params)
-    # background admixes I/2 on the stored arm only
-    reduced = out2.matrix.reshape(2, 2, 2, 2)
-    stored = np.einsum("aiaj->ij", reduced)
-    assert np.allclose(stored, out1.matrix, atol=1e-12)
-
-
-def test_two_qubit_channel_arm_symmetry_on_bell_state():
-    params = default_params(balanced=True)
-    bell = q.bell_state()
-    s1 = q.chsh_S(q.memory_channel_two_qubit(bell, params, arm=1))
-    s2 = q.chsh_S(q.memory_channel_two_qubit(bell, params, arm=2))
-    assert s1 == pytest.approx(s2, rel=1e-12)
-    with pytest.raises(InputError):
-        q.memory_channel_two_qubit(bell, params, arm=3)
+    for fly_name, fly in q.SIX_STATES.items():
+        for store_name, store in q.SIX_STATES.items():
+            rho_fly = fly.density().matrix
+            rho_store = store.density()
+            product = q.TwoQubitDensity(np.kron(rho_fly, rho_store.matrix))
+            out2 = q.memory_channel(product, params)
+            out1 = q.memory_channel(rho_store, params)
+            assert isinstance(out2, q.TwoQubitDensity)
+            assert isinstance(out1, q.QubitDensity)
+            reduced = out2.matrix.reshape(2, 2, 2, 2)
+            pair = (fly_name, store_name)
+            assert np.max(np.abs(np.einsum("aiaj->ij", reduced)
+                                 - out1.matrix)) <= 1e-15, pair
+            assert np.max(np.abs(np.einsum("iaja->ij", reduced)
+                                 - rho_fly)) <= 1e-15, pair
 
 
 def test_choi_matrix_is_positive():
@@ -240,7 +239,7 @@ def test_chsh_frozen_values():
         b = rv.B0 / memory_eta(t_s)
         params = q.MemoryChannelParams(phase_jitter_sigma=JITTER,
                                        background=b)
-        out = q.memory_channel_two_qubit(source, params, arm=2)
+        out = q.memory_channel(source, params)
         assert q.chsh_S(out) == pytest.approx(expect, abs=1e-9)
 
 
@@ -248,7 +247,7 @@ def test_chsh_closed_form_for_stored_werner():
     t_s = 1e-6
     b = rv.B0 / memory_eta(t_s)
     params = q.MemoryChannelParams(phase_jitter_sigma=JITTER, background=b)
-    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params, arm=2)
+    out = q.memory_channel(q.werner_state(rv.V_SRC), params)
     p = params.background_weight()
     expect = math.sqrt(2.0) * rv.V_SRC * (1.0 - p) * (1.0 + rv.DEPHASING)
     assert q.chsh_S(out) == pytest.approx(expect, rel=1e-9)
@@ -288,7 +287,7 @@ def test_correlation_curve_visibility_frozen():
     params = q.MemoryChannelParams(eta_U=1.0, eta_D=1.0,
                                    phase_jitter_sigma=JITTER,
                                    background=b_1us)
-    out = q.memory_channel_two_qubit(q.werner_state(rv.V_SRC), params, arm=2)
+    out = q.memory_channel(q.werner_state(rv.V_SRC), params)
     thetas = np.linspace(0.0, math.pi, 181)
     curve_h = q.correlation_curve(out, "H", thetas)
     curve_p = q.correlation_curve(out, "plus", thetas)
@@ -308,7 +307,7 @@ def test_curve_visibility_closed_form_with_jitter_and_background():
     for sigma, b in ((0.1, 0.0), (JITTER, 0.06), (0.5, 0.2)):
         params = q.MemoryChannelParams(phase_jitter_sigma=sigma,
                                        background=b)
-        out = q.memory_channel_two_qubit(q.bell_state(), params, arm=2)
+        out = q.memory_channel(q.bell_state(), params)
         vis = q.curve_visibility(q.correlation_curve(out, "plus", thetas))
         p = b / (1.0 + b)
         d = math.exp(-sigma ** 2 / 2.0)
