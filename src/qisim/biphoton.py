@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .spectral import TWO_PI, JointSpectralAmplitude
+from .spectral import TWO_PI, JointSpectralAmplitude, row_bands
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-# rows per band of psi (and per chunk of A's columns): a band and its FFT
-# buffer are a few MB at the storage map's size
-_BAND_ROWS = 128
+# points per chunk of a chirp, and complex values per row batch of the
+# chirp-z FFTs: one row at the C3 size, a whole band of short rows
+_CHIRP_CHUNK = 1 << 15
+_BATCH_VALUES = 1 << 18
 
 
 def visibility(jsa: JointSpectralAmplitude) -> float:
@@ -31,24 +32,35 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     Equals 1 exactly for factored (frequency-uncorrelated) amplitudes.
     Otherwise A = D P D (D = diag r) and the phases of r cancel:
     Tr((A^H A)^2) = ||M M^T||_F^2 and Tr(A^H A) = ||M||_F^2 with the real
-    symmetric kernel M = |D| P |D|, so V is computed on M, whose square
-    is a real syrk.  A value outside [0, 1] beyond rounding indicates an
-    inadequate grid.
+    kernel M = |D| P |D|.  S = M M^T is symmetric for any M, filtered or
+    not, so ||S||_F^2 is summed over row bands B of its upper triangle,
+    ||S[B, B]||^2 + 2 ||S[B, after B]||^2, each band one product
+    M[B] M[B:]^T; the only n x n array is M.  A value outside [0, 1]
+    beyond rounding indicates an inadequate grid.
     """
     if not jsa.normalized:
         raise InputError("visibility requires a normalized amplitude")
     if jsa.is_factored:
         return 1.0
     # V is scale-free.  Entries below 1e-100 of the largest move it by
-    # less than n * 1e-100 but would fill the syrk with subnormal
-    # products, which run about ten times slower.
+    # less than n * 1e-100 but would fill the products with subnormals,
+    # which run about ten times slower.
     m = jsa.real_kernel()
     m /= m.max()
-    m[m < 1e-100] = 0.0
-    square = m @ m.T
-    m *= m
-    square *= square
-    v = float(np.sum(square)) / float(np.sum(m)) ** 2
+    bands = row_bands(m.shape[0])
+    mass = 0.0
+    for rows in bands:
+        band = m[rows]
+        band[band < 1e-100] = 0.0
+        mass += float(np.vdot(band, band))
+    square = 0.0
+    for rows in bands:
+        gram = m[rows] @ m[rows.start:].T
+        gram *= gram
+        width = rows.stop - rows.start
+        square += float(np.sum(gram[:, :width]))
+        square += 2.0 * float(np.sum(gram[:, width:]))
+    v = square / mass ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
         raise ResolutionError(
             f"visibility {v!r} is outside [0, 1]; the grid is too coarse")
@@ -112,19 +124,23 @@ def _check_aliasing(grid, marginals) -> None:
                 f"the frequency grid (axis {axis}); widen the grid")
 
 
-def _chirp(alpha: float, q: np.ndarray) -> np.ndarray:
-    """exp(-i alpha q) for non-negative integers q < 2**53.
+def _chirp(alpha: float, start: int, stop: int):
+    """Iterate over (q, exp(-i alpha q^2)) for the integers q in
+    [start, stop), in chunks of _CHIRP_CHUNK, with q^2 < 2**53.
 
-    alpha is split into a high part with few enough significant bits
-    that its product with every q is exact, and a small remainder, so
-    the phase is accurate to rounding of the result even where alpha q
-    reaches 1e8 rad.
+    alpha is split once, from the largest q^2, into a high part with few
+    enough significant bits that its product with every q^2 is exact,
+    and a small remainder, so the phase is accurate to rounding of the
+    result even where alpha q^2 reaches 1e8 rad.
     """
-    bits = 53 - int(q.max()).bit_length()
+    q_max = max(start * start, (stop - 1) * (stop - 1))
+    bits = 53 - q_max.bit_length()
     exp = math.frexp(alpha)[1]
     hi = math.ldexp(math.floor(math.ldexp(alpha, bits - exp)), exp - bits)
-    q = q.astype(float)
-    return np.exp(-1j * (hi * q)) * np.exp(-1j * ((alpha - hi) * q))
+    for lo in range(start, stop, _CHIRP_CHUNK):
+        q = np.arange(lo, min(lo + _CHIRP_CHUNK, stop))
+        q2 = (q * q).astype(float)
+        yield q, np.exp(-1j * (hi * q2)) * np.exp(-1j * ((alpha - hi) * q2))
 
 
 def _fft_length(n: int) -> int:
@@ -148,26 +164,43 @@ def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
     Bluestein's chirp-z transform: on the uniform grids d_k = d_0 + k dd
     and t_m = t_0 + m dt, k m = (k^2 + m^2 - (m - k)^2) / 2 splits the
     kernel into a pre-chirp over k, one FFT convolution with a chirp of
-    length >= n + m - 1, and a post-chirp over m.  dt is taken from the
+    length >= n + m - 1, and a post-chirp over m.  The chirps are built
+    in chunks, and the FFT, the chirp product and the inverse FFT run in
+    batches of rows of at most _BATCH_VALUES points, so memory beyond
+    the input is about four chirp-length vectors.  dt is taken from the
     end points of t_grid, which the caller has checked to be uniform.
     """
     n, m = detunings.size, t_grid.size
     d0, t0 = float(detunings[0]), float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
     half = 0.5 * spacing * dt
-    k, j, mm = np.arange(n), np.arange(1 - n, m), np.arange(m)
     size = _fft_length(n + m - 1)
     chirp = np.zeros(size, dtype=complex)
-    chirp[j] = np.conj(_chirp(half, j * j))  # j < 0 wraps to the end
+    for j, c in _chirp(half, 1 - n, m):
+        chirp[j] = np.conj(c)  # j < 0 wraps to the end
     np.fft.fft(chirp, out=chirp)
-    work = np.zeros((len(vecs), size), dtype=complex)
-    work[:, :n] = vecs
-    work[:, :n] *= np.exp(-1j * (t0 * spacing) * k) * _chirp(half, k * k)
-    np.fft.fft(work, out=work)
-    work *= chirp
-    np.fft.ifft(work, out=work)
-    post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * _chirp(half, mm * mm)
-    return work[:, :m] * (post * (spacing / TWO_PI))
+    pre = np.empty(n, dtype=complex)
+    for k, c in _chirp(half, 0, n):
+        pre[k] = np.exp(-1j * (t0 * spacing) * k) * c
+    post = np.empty(m, dtype=complex)
+    for mm, c in _chirp(half, 0, m):
+        post[mm] = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
+    post *= spacing / TWO_PI
+    out = np.empty((len(vecs), m), dtype=complex)
+    batch = max(1, _BATCH_VALUES // size)
+    work = np.empty((min(batch, len(vecs)), size), dtype=complex)
+    for lo in range(0, len(vecs), batch):
+        rows = range(lo, min(lo + batch, len(vecs)))
+        w = work[:len(rows)]
+        for i, row in enumerate(rows):  # a list of rows would be copied whole
+            w[i, :n] = vecs[row]
+        w[:, n:] = 0.0
+        w[:, :n] *= pre
+        np.fft.fft(w, out=w)
+        w *= chirp
+        np.fft.ifft(w, out=w)
+        np.multiply(w[:, :m], post, out=out[lo:rows.stop])
+    return out
 
 
 def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
@@ -187,16 +220,13 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     dd = jsa.grid.spacing
     if jsa.is_factored:
         su, sv = _transform(t_grid, d, jsa.factors, dd)
-        return ((rows, su[rows, None] * sv) for rows in _bands(t_grid.size))
+        return ((rows, su[rows, None] * sv)
+                for rows in row_bands(t_grid.size))
     half = np.empty((d.size, t_grid.size), dtype=complex)
-    for cols in _bands(d.size):
+    for cols in row_bands(d.size):
         half[cols] = _transform(t_grid, d, jsa.columns(cols), dd)
     return ((rows, _transform(t_grid, d, half[:, rows].T, dd))
-            for rows in _bands(t_grid.size))
-
-
-def _bands(n: int) -> list:
-    return [slice(s, s + _BAND_ROWS) for s in range(0, n, _BAND_ROWS)]
+            for rows in row_bands(t_grid.size))
 
 
 def time_domain(jsa: JointSpectralAmplitude,

@@ -401,8 +401,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error in one `qisim:` line and exit 2; the usage block
+    stays with --help.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"qisim: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qisim",
         description="Photon-pair source and atomic-memory simulator")
     sub = parser.add_subparsers(dest="command", required=True)

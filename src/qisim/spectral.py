@@ -22,6 +22,10 @@ MATERIALIZE_LIMIT = 4096
 
 PUMP_KINDS = ("gaussian", "flat_limit")
 
+# rows per band of an n x n kernel or of psi (and per chunk of A's
+# columns): a band and its FFT buffer are a few MB at the storage map's size
+BAND_ROWS = 128
+
 # gaussian sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
 _SIGMA_RANGE = (math.sqrt(sys.float_info.min),
                 math.sqrt(sys.float_info.max / 2.0))
@@ -217,7 +221,8 @@ class JointSpectralAmplitude:
     def real_kernel(self) -> np.ndarray:
         """|amplitude| as the real kernel |f| sqrt(scale) |r| P |r|
         sqrt(scale), exactly symmetric without a filter; n x n, so it is
-        for gaussian pumps.
+        for gaussian pumps.  P is scaled in place a band of rows at a
+        time, so the kernel is the only n x n array.
 
         The phases of r and f drop out of every quantity that depends
         only on the moduli or on A^dagger A up to unitary similarity: the
@@ -225,7 +230,8 @@ class JointSpectralAmplitude:
         """
         a = np.abs(self.r) * math.sqrt(self.scale)
         m = self._pump_matrix()
-        m *= np.outer(a, a)
+        for rows in row_bands(self.n_points):  # no n x n outer product
+            m[rows] *= np.outer(a[rows], a)
         if self.f is not None:
             m *= np.abs(self.f)[:, None]
         return m
@@ -252,6 +258,11 @@ class JointSpectralAmplitude:
         m = self.real_kernel()
         m *= m
         return np.sum(m, axis=1 - axis) * dd
+
+
+def row_bands(n: int) -> list:
+    """Slices of BAND_ROWS consecutive indices covering range(n)."""
+    return [slice(s, min(s + BAND_ROWS, n)) for s in range(0, n, BAND_ROWS)]
 
 
 def _lorentz_tail_fraction(span: float, gamma: float) -> float:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the program against.
 
 None of these is reachable from a command: each is an independent oracle
-(fourfold quadrature, the complex A^H A reduced state, the dense time
-transform, closed forms, Parseval, Choi positivity), a
+(fourfold quadrature, the complex A^H A reduced state, the dense purity,
+the dense and the single-shot chirp-z time transforms, closed forms,
+Parseval, Choi positivity), a
 diagnostic of an output (ridge correlation, g13 from counts), or the
 reader that parses written CSVs back for round-trip checks.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qisim import biphoton
 from qisim.biphoton import JointTimeDistribution
 from qisim.errors import InputError
 from qisim.qubit import MemoryChannelParams, _rail_operator
@@ -58,6 +60,18 @@ def visibility_complex(jsa: JointSpectralAmplitude) -> float:
     return float(np.sum(np.abs(rho) ** 2)) / float(np.trace(rho).real) ** 2
 
 
+def visibility_dense(jsa: JointSpectralAmplitude) -> float:
+    """V = ||M M^T||_F^2 / ||M||_F^4 on the whole real kernel with one
+    full product, the route that the banded visibility() replaces."""
+    m = jsa.real_kernel()
+    m /= m.max()
+    m[m < 1e-100] = 0.0
+    square = m @ m.T
+    m *= m
+    square *= square
+    return float(np.sum(square)) / float(np.sum(m)) ** 2
+
+
 def default_time_grid(line: CavityLine, n_points: int = 512,
                       span_factor: float = 10.0) -> np.ndarray:
     """Per-axis detection-time grid, one fifth before the pair and four
@@ -83,6 +97,43 @@ def time_domain_dense(jsa: JointSpectralAmplitude,
     d = jsa.grid.detunings
     e = np.exp(-1j * np.outer(t_grid, d)) * (jsa.grid.spacing / TWO_PI)
     return e @ jsa.amplitude @ e.T
+
+
+def _chirp_single_shot(alpha: float, q: np.ndarray) -> np.ndarray:
+    """exp(-i alpha q) over the whole integer array q at once, with
+    alpha split into an exact high part and a remainder from q.max()."""
+    bits = 53 - int(q.max()).bit_length()
+    exp = math.frexp(alpha)[1]
+    hi = math.ldexp(math.floor(math.ldexp(alpha, bits - exp)), exp - bits)
+    q = q.astype(float)
+    return np.exp(-1j * (hi * q)) * np.exp(-1j * ((alpha - hi) * q))
+
+
+def chirp_z_single_shot(t_grid: np.ndarray, detunings: np.ndarray, vecs,
+                        spacing: float) -> np.ndarray:
+    """The chirp-z transform of biphoton._transform with every chirp
+    built whole and every row in one FFT batch: the same operations on
+    the same values, so the chunked, row-batched transform must match it
+    bit for bit."""
+    n, m = detunings.size, t_grid.size
+    d0, t0 = float(detunings[0]), float(t_grid[0])
+    dt = (float(t_grid[-1]) - t0) / (m - 1)
+    half = 0.5 * spacing * dt
+    k, j, mm = np.arange(n), np.arange(1 - n, m), np.arange(m)
+    size = biphoton._fft_length(n + m - 1)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[j] = np.conj(_chirp_single_shot(half, j * j))
+    np.fft.fft(chirp, out=chirp)
+    work = np.zeros((len(vecs), size), dtype=complex)
+    work[:, :n] = vecs
+    work[:, :n] *= (np.exp(-1j * (t0 * spacing) * k)
+                    * _chirp_single_shot(half, k * k))
+    np.fft.fft(work, out=work)
+    work *= chirp
+    np.fft.ifft(work, out=work)
+    post = (np.exp(-1j * (d0 * t0 + (d0 * dt) * mm))
+            * _chirp_single_shot(half, mm * mm))
+    return work[:, :m] * (post * (spacing / TWO_PI))
 
 
 def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -107,6 +110,36 @@ def test_visibility_never_materializes_the_pumped_amplitude(monkeypatch):
     assert v == pytest.approx(rv.VIS_SIGMA_12P5, abs=1e-12)
 
 
+def filtered_jsa(n_points):
+    """A normalized gaussian amplitude behind the storage filter, whose
+    real kernel is not symmetric."""
+    jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n_points)
+    raw = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
+                                 storage_filter(jsa))
+    return JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump,
+                                  jsa.scale / math.sqrt(raw.l2_mass()),
+                                  raw.f, normalized=True)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n_points", [200, 520, 1000])  # not whole bands
+def test_banded_visibility_matches_the_dense_product(n_points, filtered):
+    jsa = (filtered_jsa(n_points) if filtered
+           else gaussian_jsa(TWO_PI * 3.7e6, n_points=n_points))
+    assert q.visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
+                                              rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_banded_real_kernel_is_the_full_outer_product(filtered):
+    jsa = filtered_jsa(520) if filtered else gaussian_jsa(TWO_PI * 3.7e6, 520)
+    a = np.abs(jsa.r) * math.sqrt(jsa.scale)
+    want = jsa._pump_matrix() * np.outer(a, a)
+    if filtered:
+        want *= np.abs(jsa.f)[:, None]
+    assert np.array_equal(jsa.real_kernel(), want)
+
+
 def traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -117,13 +150,13 @@ def traced_peak_mb(fn, *args):
 
 
 def test_visibility_memory_budget_at_n_2048():
-    # the kernel and its square are two real 2048^2 matrices (64 MB);
-    # the complex A^H A route held three complex ones
+    # the kernel is the one real 2048^2 matrix (32 MB); its square is
+    # summed a band of rows at a time
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
     grid = q.default_grid(LINE, pump, n_points=2048)
     peak = traced_peak_mb(
         lambda: q.visibility(q.build_jsa(grid, LINE, pump)))
-    assert peak < 128.0
+    assert peak < 40.0
 
 
 def test_visibility_monotone_in_pump_to_line_ratio():
@@ -210,6 +243,23 @@ def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n, m, rows", [
+    (100000, 301, 2),     # chirps of several chunks, one row per batch
+    (512, 1536, 128),     # a storage-map band: all rows in one batch
+    (4096, 257, 128),     # 59 rows per batch, the last batch partial
+])
+def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
+    rng = np.random.default_rng(n)
+    span = 40.0 * rv.GAMMA * max(1, n // 4096)
+    d = q.FrequencyGrid(span=span, n_points=n).detunings
+    dd = span / (n - 1)
+    t = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, m)
+    vecs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    want = oracles.chirp_z_single_shot(t, d, vecs, dd)
+    assert np.array_equal(biphoton._transform(t, d, vecs, dd), want)
+    assert np.array_equal(biphoton._transform(t, d, list(vecs), dd), want)
+
+
 def storage_medium():
     return q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
                        gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
@@ -287,12 +337,54 @@ def test_time_domain_computes_each_marginal_once(monkeypatch):
 
 
 def test_factored_time_domain_memory_budget_at_c3_size():
-    # the C3 grid: 262144 frequencies, 512 times; two batched chirp-z
-    # passes of about 270000 points each
+    # the C3 grid: 262144 frequencies, 512 times; the two factors and
+    # about four chirp-length vectors of 270000 points (4.3 MB each)
     jsa = flat_jsa(span_factor=64000.0, n_points=262144)
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
     t_grid = 0.5 * (edges[:-1] + edges[1:])
-    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 64.0
+    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 32.0
+
+
+_HWM_CHILD = """
+import sys
+import qisim.cli
+if sys.argv[1:]:
+    assert qisim.cli.main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def child_hwm_mib(*argv):
+    """Peak resident memory of a fresh interpreter that imports the CLI
+    and runs argv, as the child reads it from its own status file."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _HWM_CHILD, *argv], check=True,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.normpath(src))).stdout
+    return int(out) / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_kernel_commands_peak_resident_memory(tmp_path):
+    # Resident memory counts what tracemalloc misses: the FFT and BLAS
+    # buffers.  At the C3 size the flat timedist holds the factors and a
+    # few chirp-length vectors (about 38 MiB over the import); the
+    # n_freq 2048 visibility holds its one 32 MiB kernel and a band.
+    base = child_hwm_mib()
+    timedist = child_hwm_mib(
+        "timedist", "--set", "output.formats=csv",
+        "--set", "source.pump_kind=flat_limit",
+        "--set", "grids.n_freq=262144", "--out", str(tmp_path / "t"))
+    visibility = child_hwm_mib(
+        "visibility", "--set", "output.formats=csv",
+        "--set", "grids.n_freq=2048", "--sigma-hz", "12.5e6", "--tp-s=",
+        "--out", str(tmp_path / "v"))
+    assert timedist - base < 48.0
+    assert visibility - base < 48.0
 
 
 def test_continuous_pump_density_closed_form():
