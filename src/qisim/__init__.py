@@ -10,7 +10,7 @@ from .spectral import (CavityLine, FrequencyGrid, JointSpectralAmplitude,
                        default_grid, pump_amplitude,
                        sigma_from_pulse_duration)
 from .biphoton import (JointTimeDistribution, joint_time_distribution,
-                       post_storage_distribution, time_domain, visibility)
+                       time_domain, visibility)
 from .eit import (EitMedium, FitResult, MemoryDecay, fit_gamma_s,
                   group_delay, transmission, window_fwhm)
 from .qubit import (CHSH_ANGLES, SIX_STATES, MemoryChannelParams,

@@ -36,15 +36,14 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     not, so ||S||_F^2 is summed over row bands B of its upper triangle,
     ||S[B, B]||^2 + 2 ||S[B, after B]||^2, each band one product
     M[B] M[B:]^T; the only n x n array is M.  A value outside [0, 1]
-    beyond rounding indicates an inadequate grid.
+    beyond rounding indicates an inadequate grid.  V is scale-free, so
+    the amplitude need not be normalized.
     """
-    if not jsa.normalized:
-        raise InputError("visibility requires a normalized amplitude")
     if jsa.is_factored:
         return 1.0
-    # V is scale-free.  Entries below 1e-100 of the largest move it by
-    # less than n * 1e-100 but would fill the products with subnormals,
-    # which run about ten times slower.
+    # Entries below 1e-100 of the largest move V by less than n * 1e-100
+    # but would fill the products with subnormals, which run about ten
+    # times slower.
     m = jsa.real_kernel()
     m /= m.max()
     bands = row_bands(m.shape[0])
@@ -214,7 +213,7 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     """
     t_grid = np.asarray(t_grid, dtype=float)
     d = jsa.grid.detunings
-    marginals = (jsa.axis_marginal(0), jsa.axis_marginal(1))
+    marginals = jsa.marginals()
     _check_time_grid(d, marginals, t_grid)
     _check_aliasing(jsa.grid, marginals)
     dd = jsa.grid.spacing
@@ -258,16 +257,3 @@ def joint_time_distribution(jsa: JointSpectralAmplitude,
     density /= peak
     return JointTimeDistribution(t_grid=t_grid, density=density)
 
-
-def post_storage_distribution(jsa: JointSpectralAmplitude, f,
-                              t_grid: np.ndarray) -> JointTimeDistribution:
-    """Joint time distribution after the signal photon passed a spectral
-    filter (axis 0 is the signal axis).
-
-    f is the filter's complex amplitude on the grid detunings, or None
-    for the identity (which reproduces joint_time_distribution bit for
-    bit).
-    """
-    if f is not None:
-        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale, f)
-    return joint_time_distribution(jsa, t_grid)

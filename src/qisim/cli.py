@@ -152,11 +152,8 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
         raise InputError(
             f"time grid of {n_t} points exceeds the materialization limit "
             f"of {MATERIALIZE_LIMIT}; lower grids.n_time")
-    t_grid = np.linspace(lo, hi, n_t)
-    jsa = build_jsa(grid, line, pump)
-    if with_storage is None:
-        return biphoton.joint_time_distribution(jsa, t_grid)
-    return biphoton.post_storage_distribution(jsa, eit_filter, t_grid)
+    jsa = build_jsa(grid, line, pump, eit_filter)
+    return biphoton.joint_time_distribution(jsa, np.linspace(lo, hi, n_t))
 
 
 def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--tp-s", type=float, default=100e-9,
                    help="pump duration (s)")
-    p.add_argument("--with-storage", choices=["eit", "identity"],
+    p.add_argument("--with-storage", choices=["eit"],
                    default=None, help="filter the signal axis")
 
     p = sub.add_parser("eit", help="transparency spectrum and delay report")

@@ -208,8 +208,8 @@ def fit_gamma_s(medium: EitMedium, target_hz: float,
     edge; the window there misses the target, and the result has
     converged = False and the edge's gamma_s.
     """
-    if not target_hz > 0.0:
-        raise InputError("target window must be positive")
+    if not (target_hz > 0.0 and math.isfinite(target_hz)):
+        raise InputError("target window must be positive and finite")
 
     def window_at(gs: float) -> float:
         try:

@@ -16,8 +16,9 @@ from .errors import InputError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest per-axis point count for which a dense n x n complex matrix is
-# still reasonable to hold in memory (4096^2 complex128 = 256 MB).
+# Largest per-axis point count of the n x n real arrays a command holds:
+# a gaussian pump's real kernel and the time density (4096^2 float64 =
+# 128 MB).
 MATERIALIZE_LIMIT = 4096
 
 PUMP_KINDS = ("gaussian", "flat_limit")
@@ -142,8 +143,8 @@ class JointSpectralAmplitude:
         amplitude[i, j] = scale * f[i] * r[i] * r[j] * p(d_i + d_j):
 
     a cavity response r on each axis, a pump p on the sum detuning, a
-    normalization scale and an optional filter f on the signal axis
-    (axis 0; None is the identity).
+    scale and an optional filter f on the signal axis (axis 0; None is
+    the identity).
 
     A flat pump makes the amplitude the outer product of the factors
     u = scale r f and v = r, which allows grids no matrix could hold.
@@ -155,7 +156,7 @@ class JointSpectralAmplitude:
     """
 
     def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
-                 scale: float = 1.0, f=None, normalized: bool = False):
+                 scale: float = 1.0, f=None):
         self.grid = grid
         self.r = np.asarray(r, complex)
         self.pump = pump
@@ -165,7 +166,6 @@ class JointSpectralAmplitude:
             if vec is not None and vec.shape != (grid.n_points,):
                 raise InputError("response and filter must be sampled on "
                                  "the grid")
-        self.normalized = bool(normalized)
 
     # -- views ------------------------------------------------------------
 
@@ -247,17 +247,16 @@ class JointSpectralAmplitude:
         m *= m
         return float(np.sum(m)) * dd * dd
 
-    def axis_marginal(self, axis: int) -> np.ndarray:
-        """Marginal spectral mass along one axis, sum over the other."""
+    def marginals(self) -> tuple:
+        """(signal, idler) marginal spectral masses, each the sum over the
+        other axis; a gaussian pump builds its kernel once for both."""
         dd = self.grid.spacing
         if self.is_factored:
-            u, v = self.factors
-            own = np.abs(u if axis == 0 else v) ** 2
-            rest = float(np.sum(np.abs(v if axis == 0 else u) ** 2) * dd)
-            return own * rest
+            u, v = (np.abs(side) ** 2 for side in self.factors)
+            return (u * float(np.sum(v) * dd), v * float(np.sum(u) * dd))
         m = self.real_kernel()
         m *= m
-        return np.sum(m, axis=1 - axis) * dd
+        return np.sum(m, axis=1) * dd, np.sum(m, axis=0) * dd
 
 
 def row_bands(n: int) -> list:
@@ -279,13 +278,14 @@ def default_grid(line: CavityLine, pump: PumpSpectrum, n_points: int = 512,
     return FrequencyGrid(span=span_factor * scale, n_points=n_points)
 
 
-def build_jsa(grid: FrequencyGrid, line: CavityLine,
-              pump: PumpSpectrum) -> JointSpectralAmplitude:
+def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
+              f=None) -> JointSpectralAmplitude:
     """Sample the pair amplitude cavity(d1) * cavity(d2) * pump(d1 + d2)
-    on the grid and L2-normalize it.
+    on the grid, L2-normalize it, and attach the signal filter f (None
+    is the identity), which the normalization does not see.
 
-    The amplitude is held as its parts (cavity response, pump and
-    scale); no n x n complex matrix exists until it is asked for.  The
+    The amplitude is held as its parts (cavity response, pump, scale and
+    filter); no n x n complex matrix exists until it is asked for.  The
     grid must span at least 8*gamma (and 8*sigma for gaussian pumps); a
     Lorentzian tail mass above 1% per side raises ResolutionError.
     """
@@ -293,6 +293,8 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
         raise InputError(
             f"grid span {grid.span:.3e} is below 8*gamma = "
             f"{8.0 * line.gamma:.3e}")
+    # the 8 sigma floor also bounds the pump's tail mass by
+    # erfc(2 sqrt 2) = 6.3e-5
     if pump.kind == "gaussian" and grid.span < 8.0 * pump.sigma:
         raise InputError(
             f"grid span {grid.span:.3e} is below 8*sigma = "
@@ -302,16 +304,10 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
         raise ResolutionError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
-    if pump.kind == "gaussian":
-        pump_tail = math.erfc(grid.span / (2.0 * math.sqrt(2.0) * pump.sigma))
-        if pump_tail > 0.01:
-            raise ResolutionError(
-                f"pump tail mass {pump_tail:.3%} exceeds 1%; widen the grid")
-
     if pump.kind == "gaussian" and grid.n_points > MATERIALIZE_LIMIT:
         raise InputError(
-            f"dense amplitude for {grid.n_points} points exceeds the "
-            f"materialization limit of {MATERIALIZE_LIMIT}")
+            f"the real kernel of a gaussian pump on {grid.n_points} points "
+            f"exceeds the limit of {MATERIALIZE_LIMIT}; lower grids.n_freq")
     jsa = JointSpectralAmplitude(grid, cavity_response(grid.detunings, line),
                                  pump)
     mass = jsa.l2_mass()
@@ -320,5 +316,4 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine,
             "the squared modulus of the sampled amplitude underflows to "
             f"zero (cavity linewidth {line.gamma / TWO_PI:.3g} Hz, grid "
             f"span {grid.span / TWO_PI:.3g} Hz)")
-    return JointSpectralAmplitude(grid, jsa.r, pump, 1.0 / math.sqrt(mass),
-                                  normalized=True)
+    return JointSpectralAmplitude(grid, jsa.r, pump, 1.0 / math.sqrt(mass), f)

@@ -32,7 +32,7 @@ def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
     Independent oracle for visibility(); restricted to grids of at most
     32 points per axis to keep the n^4 sum around a million terms.
     """
-    if not jsa.normalized:
+    if not math.isclose(jsa.l2_mass(), 1.0, rel_tol=1e-12):
         raise InputError("oracle requires a normalized amplitude")
     if jsa.n_points > _ORACLE_MAX_POINTS:
         raise InputError(

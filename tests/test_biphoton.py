@@ -111,14 +111,27 @@ def test_visibility_never_materializes_the_pumped_amplitude(monkeypatch):
 
 
 def filtered_jsa(n_points):
-    """A normalized gaussian amplitude behind the storage filter, whose
-    real kernel is not symmetric."""
+    """A gaussian amplitude behind the storage filter, whose real kernel
+    is not symmetric."""
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n_points)
-    raw = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
-                                 storage_filter(jsa))
-    return JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump,
-                                  jsa.scale / math.sqrt(raw.l2_mass()),
-                                  raw.f, normalized=True)
+    return q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+
+
+@pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
+def test_visibility_is_scale_free(sigma_hz):
+    jsa = gaussian_jsa(TWO_PI * sigma_hz)
+    v = q.visibility(jsa)
+    raw = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump)
+    assert raw.l2_mass() != pytest.approx(1.0)
+    assert q.visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
+    # a filtered amplitude against the same one scaled to unit mass
+    filtered = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    unit = JointSpectralAmplitude(
+        jsa.grid, jsa.r, jsa.pump,
+        jsa.scale / math.sqrt(filtered.l2_mass()), filtered.f)
+    assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
+    assert q.visibility(filtered) == pytest.approx(q.visibility(unit),
+                                                   rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("filtered", [False, True])
@@ -300,8 +313,8 @@ def test_post_storage_memory_budget_at_the_storage_size():
     # the density is the one n_t^2 array (18 MB); the half-transform
     # (512 x 1536 complex, 12 MB) and one band are all else that is large
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    peak = traced_peak_mb(q.post_storage_distribution, jsa,
-                          storage_filter(jsa), storage_time_grid())
+    jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    peak = traced_peak_mb(q.joint_time_distribution, jsa, storage_time_grid())
     assert peak < 48.0
 
 
@@ -316,24 +329,9 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     dist = q.joint_time_distribution(jsa, oracles.default_time_grid(LINE))
     assert oracles.ridge_correlation(dist) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    dist = q.post_storage_distribution(jsa, storage_filter(jsa),
-                                       storage_time_grid())
+    jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    dist = q.joint_time_distribution(jsa, storage_time_grid())
     assert dist.density.max() == 1.0
-
-
-def test_time_domain_computes_each_marginal_once(monkeypatch):
-    calls = []
-    original = JointSpectralAmplitude.axis_marginal
-
-    def counting(self, axis):
-        calls.append(axis)
-        return original(self, axis)
-
-    monkeypatch.setattr(JointSpectralAmplitude, "axis_marginal", counting)
-    t_grid = oracles.default_time_grid(LINE)
-    q.time_domain(gaussian_jsa(TWO_PI * 12.5e6), t_grid)
-    q.time_domain(flat_jsa(), t_grid)
-    assert calls == [0, 1, 0, 1]
 
 
 def test_factored_time_domain_memory_budget_at_c3_size():
@@ -413,33 +411,39 @@ def test_joint_time_distribution_frozen_correlations():
         rv.PEARSON_TP30, abs=1e-9)
 
 
-def test_post_storage_without_filter_matches_plain_distribution():
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    t_grid = oracles.default_time_grid(LINE)
-    a = q.joint_time_distribution(jsa, t_grid)
-    b = q.post_storage_distribution(jsa, None, t_grid)
-    assert np.array_equal(a.density, b.density)
-    assert np.array_equal(a.t_grid, b.t_grid)
+@pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
+def test_filter_is_attached_after_the_normalization(kind):
+    pump = q.PumpSpectrum(kind=kind, sigma=q.sigma_from_pulse_duration(100e-9))
+    grid = q.default_grid(LINE, pump)
+    plain = q.build_jsa(grid, LINE, pump)
+    f = storage_filter(plain)
+    filtered = q.build_jsa(grid, LINE, pump, f)
+    assert plain.f is None
+    assert np.array_equal(filtered.f, f)
+    assert filtered.scale == plain.scale
+    # the filter passes less than all of the unit mass
+    assert 0.0 < filtered.l2_mass() < plain.l2_mass()
 
 
 def test_post_storage_filter_flattens_the_ridge():
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 
+    def ridge(jsa, f=None):
+        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, f)
+        return oracles.ridge_correlation(
+            q.joint_time_distribution(jsa, t_grid))
+
     jsa100 = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    plain100 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa100, None, t_grid))
-    filt100 = oracles.ridge_correlation(q.post_storage_distribution(
-        jsa100, storage_filter(jsa100), t_grid))
+    plain100 = ridge(jsa100)
+    filt100 = ridge(jsa100, storage_filter(jsa100))
     assert plain100 == pytest.approx(rv.EXT_PEARSON_TP100_UNFILT, abs=1e-9)
     assert filt100 == pytest.approx(rv.EXT_PEARSON_TP100_FILT, abs=1e-9)
     # narrowband filtering must erase time ordering, not create it
     assert filt100 < plain100
 
     jsa30 = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
-    plain30 = oracles.ridge_correlation(
-        q.post_storage_distribution(jsa30, None, t_grid))
-    filt30 = oracles.ridge_correlation(q.post_storage_distribution(
-        jsa30, storage_filter(jsa30), t_grid))
+    plain30 = ridge(jsa30)
+    filt30 = ridge(jsa30, storage_filter(jsa30))
     assert plain30 == pytest.approx(rv.EXT_PEARSON_TP30_UNFILT, abs=1e-9)
     assert filt30 == pytest.approx(rv.EXT_PEARSON_TP30_FILT, abs=1e-9)
     assert abs(filt30 - plain30) < 0.05
@@ -449,11 +453,12 @@ def test_post_storage_accepts_vector_filter():
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     t_grid = oracles.default_time_grid(LINE)
     ones = np.ones(jsa.grid.n_points)
-    a = q.post_storage_distribution(jsa, ones, t_grid)
+    a = q.joint_time_distribution(
+        q.build_jsa(jsa.grid, LINE, jsa.pump, ones), t_grid)
     b = q.joint_time_distribution(jsa, t_grid)
     assert np.allclose(a.density, b.density, atol=1e-12)
     with pytest.raises(InputError):
-        q.post_storage_distribution(jsa, np.ones(7), t_grid)
+        q.build_jsa(jsa.grid, LINE, jsa.pump, np.ones(7))
 
 
 def test_distribution_container_validation():

@@ -1,4 +1,3 @@
-import filecmp
 import json
 import math
 import os
@@ -8,6 +7,7 @@ import sys
 import pytest
 
 from qisim import cli, config, outputs
+from qisim.spectral import JointSpectralAmplitude
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
@@ -84,16 +84,36 @@ def test_timedist_command(tmp_path):
     assert (out / "timedist.svg").exists()
 
 
-def test_timedist_identity_storage_matches_plain(tmp_path):
-    plain = tmp_path / "plain"
-    ident = tmp_path / "ident"
-    assert main(["timedist", "--out", str(plain), "--tp-s", "100e-9",
-                 "--set", "grids.n_time=256"]) == EXIT_OK
-    assert main(["timedist", "--out", str(ident), "--tp-s", "100e-9",
-                 "--set", "grids.n_time=256",
-                 "--with-storage", "identity"]) == EXIT_OK
-    assert filecmp.cmp(plain / "timedist.csv", ident / "timedist.csv",
-                       shallow=False)
+def test_timedist_identity_storage_is_refused(tmp_path, capsys):
+    # the unfiltered density is the plain timedist
+    out = tmp_path / "out"
+    code = main(["timedist", "--out", str(out), "--with-storage",
+                 "identity"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: argument --with-storage: invalid choice: "
+                          "'identity'")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gaussian_timedist_builds_the_real_kernel_twice(tmp_path,
+                                                        monkeypatch):
+    # once for the normalization, once for both marginals; a flat pump
+    # has no kernel
+    builds = []
+    original = JointSpectralAmplitude.real_kernel
+
+    def counting(self):
+        builds.append(self.pump.kind)
+        return original(self)
+
+    monkeypatch.setattr(JointSpectralAmplitude, "real_kernel", counting)
+    for kind in ("gaussian", "flat_limit"):
+        assert main(["timedist", "--out", str(tmp_path / kind),
+                     "--set", "output.formats=csv",
+                     "--set", f"source.pump_kind={kind}"]) == EXIT_OK
+    assert builds == ["gaussian", "gaussian"]
 
 
 def test_timedist_eit_storage_runs(tmp_path):
@@ -165,6 +185,15 @@ def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     assert code == EXIT_MODEL
     assert capsys.readouterr().err.startswith(
         "qisim: gamma_s fit did not converge; best achievable window is ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_eit_fit_infinite_target_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["eit", "--out", str(out), "--fit-gamma-s", "inf"]) == (
+        EXIT_CONFIG)
+    assert capsys.readouterr().err == (
+        "qisim: target window must be positive and finite\n")
     assert not (out / "manifest.json").exists()
 
 
@@ -269,6 +298,18 @@ def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
     assert "Traceback" not in err
     assert err == (f"qisim: time grid of {n_points} points exceeds the "
                    "materialization limit of 4096; lower grids.n_time\n")
+
+
+@pytest.mark.parametrize("command", ["timedist", "visibility"])
+def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command):
+    code = main([command, "--set", "grids.n_freq=5000",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("qisim: ")
+    assert err.endswith("the real kernel of a gaussian pump on 5000 points "
+                        "exceeds the limit of 4096; lower grids.n_freq\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["timedist", "visibility"])

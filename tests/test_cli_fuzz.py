@@ -121,6 +121,7 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
 @example(argv=["store", "--states", "H", "--set", "channel.eta_D=2.5e-160"])
 @example(argv=["timedist", "--tp-s", "abc"])
 @example(argv=["bell", "--storage-times-s", "-1e-6"])
+@example(argv=["eit", "--fit-gamma-s", "inf"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
     or one stderr line, and never a traceback or a warning."""

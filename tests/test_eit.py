@@ -213,8 +213,9 @@ def test_fit_gamma_s_reports_unreachable_target():
     assert not res.converged
     assert res.gamma_s == 0.0
     assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_GS0, rel=1e-9)
-    with pytest.raises(InputError):
-        q.fit_gamma_s(medium_default(), 0.0)
+    for target in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="positive and finite"):
+            q.fit_gamma_s(medium_default(), target)
 
 
 def test_fit_gamma_s_does_not_converge_on_the_window_collapse():

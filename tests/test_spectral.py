@@ -93,7 +93,6 @@ def test_default_grid_span_tracks_widest_scale(line):
 def test_gaussian_jsa_is_symmetric_and_normalized(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
     jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
-    assert jsa.normalized
     assert not jsa.is_factored
     a = jsa.amplitude
     # symmetric up to multiplication order in the three-factor product
@@ -118,19 +117,18 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
     dd = grid.spacing
     assert jsa.l2_mass() == pytest.approx(
         np.sum(np.abs(a) ** 2) * dd * dd, rel=1e-14)
-    for axis in (0, 1):
-        assert np.allclose(jsa.axis_marginal(axis),
-                           np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
+    for axis, marg in enumerate(jsa.marginals()):
+        assert np.allclose(marg, np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
                            rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_multiplies_the_signal_rows(line, kind):
     pump = q.PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
-    jsa = q.build_jsa(q.default_grid(line, pump, n_points=256), line, pump)
+    grid = q.default_grid(line, pump, n_points=256)
+    jsa = q.build_jsa(grid, line, pump)
     f = np.exp(1j * np.linspace(0.0, 3.0, 256)) * np.linspace(0.2, 1.0, 256)
-    filtered = q.JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
-                                        f)
+    filtered = q.build_jsa(grid, line, pump, f)
     assert filtered.is_factored == (kind == "flat_limit")
     a, want = filtered.amplitude, jsa.amplitude * f[:, None]
     # a flat pump filters its factor; a gaussian multiplies f in after the
@@ -140,9 +138,8 @@ def test_filter_multiplies_the_signal_rows(line, kind):
     dd = jsa.grid.spacing
     assert filtered.l2_mass() == pytest.approx(
         np.sum(np.abs(a) ** 2) * dd * dd, rel=1e-13)
-    for axis in (0, 1):
-        assert np.allclose(filtered.axis_marginal(axis),
-                           np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
+    for axis, marg in enumerate(filtered.marginals()):
+        assert np.allclose(marg, np.sum(np.abs(a) ** 2, axis=1 - axis) * dd,
                            rtol=1e-12, atol=0.0)
 
 
@@ -195,13 +192,13 @@ def test_axis_marginals_integrate_to_total_mass(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
     jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
     dd = jsa.grid.spacing
-    for axis in (0, 1):
-        marg = jsa.axis_marginal(axis)
+    for marg in jsa.marginals():
         assert np.sum(marg) * dd == pytest.approx(jsa.l2_mass(), rel=1e-12)
     flat = q.build_jsa(q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=256),
                        line, q.PumpSpectrum(kind="flat_limit"))
-    assert np.sum(flat.axis_marginal(0)) * flat.grid.spacing == pytest.approx(
-        1.0, rel=1e-12)
+    for marg in flat.marginals():
+        assert np.sum(marg) * flat.grid.spacing == pytest.approx(
+            1.0, rel=1e-12)
 
 
 def test_amplitude_parts_must_match_the_grid(line):
