@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResolutionError
 from .spectral import TWO_PI, JointSpectralAmplitude, row_bands
@@ -30,36 +31,39 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     """Multi-photon interference visibility V = Tr(rho^2) / (Tr rho)^2.
 
     Equals 1 exactly for factored (frequency-uncorrelated) amplitudes.
-    Otherwise A = D P D (D = diag r) and the phases of r cancel:
-    Tr((A^H A)^2) = ||M M^T||_F^2 and Tr(A^H A) = ||M||_F^2 with the real
-    kernel M = |D| P |D|.  S = M M^T is symmetric for any M, filtered or
-    not, so ||S||_F^2 is summed over row bands B of its upper triangle,
-    ||S[B, B]||^2 + 2 ||S[B, after B]||^2, each band one product
-    M[B] M[B:]^T; the only n x n array is M.  A value outside [0, 1]
-    beyond rounding indicates an inadequate grid.  V is scale-free, so
-    the amplitude need not be normalized.
+    Otherwise V = ||S||_F^2 / (Tr S)^2 with S = M M^T, M = |amplitude|.
+    A gaussian pump has p(x) p(y) = p(0)^2 Q(x - y) Q(x + y), with Q from
+    pump_on_sums, so S_ik = p(0)^2 a_i a_k Q_(i-k) H_(i+k) for
+    H_u = sum_j c2_j Q_(u+2j-2n+2).  Tr S = sum_i a2_i H_2i; ||S||_F^2 is
+    summed over row bands of its upper triangle on Toeplitz and Hankel
+    views of Q^2 and H^2, out to where Q^2 falls below 1e-300.  p(0) and
+    the scale drop out.  V outside [0, 1] beyond rounding means a too
+    coarse grid.
     """
     if jsa.is_factored:
         return 1.0
-    # Entries below 1e-100 of the largest move V by less than n * 1e-100
-    # but would fill the products with subnormals, which run about ten
-    # times slower.
-    m = jsa.real_kernel()
-    m /= m.max()
-    bands = row_bands(m.shape[0])
-    mass = 0.0
-    for rows in bands:
-        band = m[rows]
-        band[band < 1e-100] = 0.0
-        mass += float(np.vdot(band, band))
+    n = jsa.n_points
+    a2, c2 = (side / side.max() for side in jsa.moduli())
+    q = jsa.pump_on_sums()
+    h = np.empty(2 * n - 1)
+    h[0::2] = np.correlate(q[0::2], c2, "valid")
+    h[1::2] = np.correlate(q[1::2], c2, "valid")
+    trace = float(np.dot(a2, h[0::2]))
+    g2 = q[n - 1:3 * n - 2] ** 2  # Q^2 at i - k = -(n - 1), ..., n - 1
+    g2[g2 < 1e-300] = 0.0
+    reach = int(np.flatnonzero(g2)[-1]) - (n - 1)
+    h *= h
     square = 0.0
-    for rows in bands:
-        gram = m[rows] @ m[rows.start:].T
-        gram *= gram
-        width = rows.stop - rows.start
-        square += float(np.sum(gram[:, :width]))
-        square += 2.0 * float(np.sum(gram[:, width:]))
-    v = square / mass ** 2
+    for rows in row_bands(n):  # row i against the columns k >= rows.start
+        lo, hi = rows.start, rows.stop
+        width = min(n, hi + reach) - lo
+        toeplitz = sliding_window_view(g2, width)[n - hi + lo:n][::-1]
+        hankel = sliding_window_view(h, width)[2 * lo:lo + hi]
+        w = a2[lo:lo + width].copy()
+        w[hi - lo:] *= 2.0  # the columns past the band stand for k < lo too
+        square += float(np.dot(a2[rows], np.einsum("ik,ik,k->i", toeplitz,
+                                                   hankel, w)))
+    v = square / trace ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
         raise ResolutionError(
             f"visibility {v!r} is outside [0, 1]; the grid is too coarse")

@@ -152,6 +152,12 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
         raise InputError(
             f"time grid of {n_t} points exceeds the materialization limit "
             f"of {MATERIALIZE_LIMIT}; lower grids.n_time")
+    # a gaussian pump's half-transform holds n_freq * n_t complex values
+    if pump.kind == "gaussian" and grid.n_points * n_t > MATERIALIZE_LIMIT**2:
+        raise InputError(
+            f"the half-transform of {grid.n_points} frequencies by {n_t} "
+            f"times exceeds {MATERIALIZE_LIMIT ** 2} values; lower "
+            "grids.n_freq or grids.n_time")
     jsa = build_jsa(grid, line, pump, eit_filter)
     return biphoton.joint_time_distribution(jsa, np.linspace(lo, hi, n_t))
 

@@ -16,14 +16,15 @@ from .errors import InputError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest per-axis point count of the n x n real arrays a command holds:
-# a gaussian pump's real kernel and the time density (4096^2 float64 =
-# 128 MB).
+# Largest per-axis point count of an n x n array: the time density
+# (4096^2 float64 = 128 MB) and the amplitude the tests materialize.  A
+# gaussian timedist's n_freq x n_time complex half-transform is held to
+# as many values (256 MiB).
 MATERIALIZE_LIMIT = 4096
 
 PUMP_KINDS = ("gaussian", "flat_limit")
 
-# rows per band of an n x n kernel or of psi (and per chunk of A's
+# rows per band of the purity sum or of psi (and per chunk of A's
 # columns): a band and its FFT buffer are a few MB at the storage map's size
 BAND_ROWS = 128
 
@@ -147,12 +148,10 @@ class JointSpectralAmplitude:
     the identity).
 
     A flat pump makes the amplitude the outer product of the factors
-    u = scale r f and v = r, which allows grids no matrix could hold.
-    For a gaussian pump the modulus is the real kernel
-    M = scale |f| |r| P |r| with P[i, j] = p(d_i + d_j), and the mass,
-    the marginals and the purity are computed on M without forming the
-    complex matrix, and the time transform takes it a band of columns
-    at a time.
+    u = scale r f and v = r, which allows grids no matrix could hold.  A
+    gaussian pump's mass, marginals and purity are one-dimensional sums
+    over the moduli and p^2 on the index sums i + j; its time transform
+    takes the amplitude a band of columns at a time.
     """
 
     def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
@@ -213,50 +212,44 @@ class JointSpectralAmplitude:
         return block
 
     def _pump_matrix(self, rows: slice = slice(None)) -> np.ndarray:
-        """P[rows, :] with P[i, j] = p(d_i + d_j), computed in the buffer
-        of the sums."""
+        """P[rows, :], P[i, j] = p(d_i + d_j), in the buffer of the sums."""
         d = self.grid.detunings
         return _pump_in_place(d[rows, None] + d[None, :], self.pump)
 
-    def real_kernel(self) -> np.ndarray:
-        """|amplitude| as the real kernel |f| sqrt(scale) |r| P |r|
-        sqrt(scale), exactly symmetric without a filter; n x n, so it is
-        for gaussian pumps.  P is scaled in place a band of rows at a
-        time, so the kernel is the only n x n array.
+    def moduli(self):
+        """(a2, c2) = scale (|f r|^2, |r|^2): |A_ij|^2 = a2_i c2_j p_ij^2."""
+        c2 = np.abs(self.r) ** 2 * self.scale
+        return (c2 if self.f is None else c2 * np.abs(self.f) ** 2), c2
 
-        The phases of r and f drop out of every quantity that depends
-        only on the moduli or on A^dagger A up to unitary similarity: the
-        mass, the marginals and the purity.
-        """
-        a = np.abs(self.r) * math.sqrt(self.scale)
-        m = self._pump_matrix()
-        for rows in row_bands(self.n_points):  # no n x n outer product
-            m[rows] *= np.outer(a[rows], a)
-        if self.f is not None:
-            m *= np.abs(self.f)[:, None]
-        return m
+    def pump_on_sums(self) -> np.ndarray:
+        """p(s)^2 / p(0)^2 of a gaussian pump at s = v dd / 2 for
+        v = -(2n - 2), ..., 2n - 2 (even v: the sums d_i + d_j), with
+        values below 1e-300 set to zero to keep subnormals out of sums."""
+        v = np.arange(4 * self.n_points - 3) - (2 * self.n_points - 2.0)
+        with np.errstate(over="ignore"):
+            x = np.square(v * (0.5 * self.grid.spacing))
+            x /= -self.pump.sigma ** 2
+        np.exp(x, out=x)
+        x[x < 1e-300] = 0.0
+        return x
 
     def l2_mass(self) -> float:
         """Quadrature value of the squared L2 norm, sum |psi|^2 d^2."""
-        dd = self.grid.spacing
-        if self.is_factored:
-            u, v = self.factors
-            return float(np.sum(np.abs(u) ** 2) * dd *
-                         np.sum(np.abs(v) ** 2) * dd)
-        m = self.real_kernel()
-        m *= m
-        return float(np.sum(m)) * dd * dd
+        return float(np.sum(self.marginals()[0])) * self.grid.spacing
 
     def marginals(self) -> tuple:
         """(signal, idler) marginal spectral masses, each the sum over the
-        other axis; a gaussian pump builds its kernel once for both."""
+        other axis: one modulus times its correlation with p^2 on the
+        index sums.  dd meets the modulus before p(0), so that no factor
+        overflows where the product does not."""
+        a2, c2 = self.moduli()
         dd = self.grid.spacing
         if self.is_factored:
-            u, v = (np.abs(side) ** 2 for side in self.factors)
-            return (u * float(np.sum(v) * dd), v * float(np.sum(u) * dd))
-        m = self.real_kernel()
-        m *= m
-        return np.sum(m, axis=1) * dd, np.sum(m, axis=0) * dd
+            return a2 * float(np.sum(c2) * dd), c2 * float(np.sum(a2) * dd)
+        p0 = 1.0 / (math.sqrt(TWO_PI) * self.pump.sigma)
+        on_sums = self.pump_on_sums()[::2]
+        return tuple(x2 * dd * p0 * (np.correlate(on_sums, y2, "valid") * p0)
+                     for x2, y2 in ((a2, c2), (c2, a2)))
 
 
 def row_bands(n: int) -> list:
@@ -304,10 +297,6 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
         raise ResolutionError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
-    if pump.kind == "gaussian" and grid.n_points > MATERIALIZE_LIMIT:
-        raise InputError(
-            f"the real kernel of a gaussian pump on {grid.n_points} points "
-            f"exceeds the limit of {MATERIALIZE_LIMIT}; lower grids.n_freq")
     jsa = JointSpectralAmplitude(grid, cavity_response(grid.detunings, line),
                                  pump)
     mass = jsa.l2_mass()

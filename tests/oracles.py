@@ -1,11 +1,12 @@
 """Reference implementations that the tests check the program against.
 
 None of these is reachable from a command: each is an independent oracle
-(fourfold quadrature, the complex A^H A reduced state, the dense purity,
-the dense and the single-shot chirp-z time transforms, closed forms,
-Parseval, Choi positivity), a
-diagnostic of an output (ridge correlation, g13 from counts), or the
-reader that parses written CSVs back for round-trip checks.
+(fourfold quadrature, the complex A^H A reduced state, the dense real
+kernel with its purity, mass and marginals, the dense and the
+single-shot chirp-z time transforms, closed forms, Parseval, Choi
+positivity), a diagnostic of an output (ridge correlation, g13 from
+counts), or the reader that parses written CSVs back for round-trip
+checks.
 """
 
 import csv
@@ -19,7 +20,7 @@ from qisim.biphoton import JointTimeDistribution
 from qisim.errors import InputError
 from qisim.qubit import MemoryChannelParams, _rail_operator
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
-                            JointSpectralAmplitude)
+                            JointSpectralAmplitude, pump_amplitude)
 
 _ORACLE_MAX_POINTS = 32
 
@@ -49,7 +50,7 @@ def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
 def reduced_state(jsa: JointSpectralAmplitude) -> np.ndarray:
     """Kernel samples of the single-photon reduced spectral operator,
     rho = A^dagger A * spacing, from the complex matrix: the n^3 route
-    that the real-kernel purity in visibility() replaces."""
+    that the one-dimensional sums of visibility() replace."""
     a = jsa.amplitude
     return (a.conj().T @ a) * jsa.grid.spacing
 
@@ -60,10 +61,38 @@ def visibility_complex(jsa: JointSpectralAmplitude) -> float:
     return float(np.sum(np.abs(rho) ** 2)) / float(np.trace(rho).real) ** 2
 
 
+def dense_kernel(jsa: JointSpectralAmplitude) -> np.ndarray:
+    """|amplitude| of a gaussian pump as the whole n x n real kernel
+    M[i, j] = scale |f_i| |r_i| |r_j| p(s_ij), with the pump taken at the
+    index sums s_ij = (i + j - (n - 1)) dd: the dense route that the
+    one-dimensional sums of l2_mass, marginals and visibility replace."""
+    n = jsa.n_points
+    idx = np.arange(n)
+    m = pump_amplitude((idx[:, None] + idx - (n - 1.0)) * jsa.grid.spacing,
+                       jsa.pump)
+    a = np.abs(jsa.r) * math.sqrt(jsa.scale)
+    m *= a[:, None]
+    m *= a
+    if jsa.f is not None:
+        m *= np.abs(jsa.f)[:, None]
+    return m
+
+
+def marginals_dense(jsa: JointSpectralAmplitude) -> tuple:
+    """(l2_mass, signal, idler) summed on the squared dense kernel."""
+    dd = jsa.grid.spacing
+    m = dense_kernel(jsa)
+    m *= m
+    return (float(np.sum(m)) * dd * dd, np.sum(m, axis=1) * dd,
+            np.sum(m, axis=0) * dd)
+
+
 def visibility_dense(jsa: JointSpectralAmplitude) -> float:
-    """V = ||M M^T||_F^2 / ||M||_F^4 on the whole real kernel with one
-    full product, the route that the banded visibility() replaces."""
-    m = jsa.real_kernel()
+    """V = ||M M^T||_F^2 / ||M||_F^4 on the dense kernel with one full
+    product.  Entries below 1e-100 of the largest are set to zero first:
+    they move V by less than n * 1e-100, and their subnormal products
+    would slow the product about tenfold."""
+    m = dense_kernel(jsa)
     m /= m.max()
     m[m < 1e-100] = 0.0
     square = m @ m.T

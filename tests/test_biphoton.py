@@ -134,23 +134,48 @@ def test_visibility_is_scale_free(sigma_hz):
                                                    rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("filtered", [False, True])
-@pytest.mark.parametrize("n_points", [200, 520, 1000])  # not whole bands
-def test_banded_visibility_matches_the_dense_product(n_points, filtered):
-    jsa = (filtered_jsa(n_points) if filtered
-           else gaussian_jsa(TWO_PI * 3.7e6, n_points=n_points))
+def assert_matches_the_dense_kernel(jsa):
+    """V to 1e-14 relative, the mass to 1e-14 and each marginal to 1e-13
+    of its peak, against the dense real kernel."""
     assert q.visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
                                               rel=1e-14, abs=0.0)
+    mass, *want = oracles.marginals_dense(jsa)
+    assert jsa.l2_mass() == pytest.approx(mass, rel=1e-14, abs=0.0)
+    for got, ref in zip(jsa.marginals(), want):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
 @pytest.mark.parametrize("filtered", [False, True])
-def test_banded_real_kernel_is_the_full_outer_product(filtered):
-    jsa = filtered_jsa(520) if filtered else gaussian_jsa(TWO_PI * 3.7e6, 520)
-    a = np.abs(jsa.r) * math.sqrt(jsa.scale)
-    want = jsa._pump_matrix() * np.outer(a, a)
+@pytest.mark.parametrize("n_points", [200, 520, 1000, 2048, 4096])
+def test_banded_visibility_matches_the_dense_product(n_points, filtered):
+    # 200, 520 and 1000 are not whole bands of rows
+    jsa = (filtered_jsa(n_points) if filtered
+           else gaussian_jsa(TWO_PI * 3.7e6, n_points=n_points))
+    assert_matches_the_dense_kernel(jsa)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("sigma_hz", [1e3, 1e5, 1e6, 12.5e6, 1e8, 1e9])
+def test_sums_match_the_dense_kernel_across_pump_widths(sigma_hz, filtered):
+    # from a pump narrower than the grid spacing to one that sets the span
+    jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=520)
     if filtered:
-        want *= np.abs(jsa.f)[:, None]
-    assert np.array_equal(jsa.real_kernel(), want)
+        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    assert_matches_the_dense_kernel(jsa)
+
+
+def test_purity_mass_and_marginals_never_build_the_pump_matrix(monkeypatch):
+    def refuse(self, rows=slice(None)):
+        raise AssertionError("the n x n pump matrix was built")
+
+    jsa = filtered_jsa(520)
+    monkeypatch.setattr(JointSpectralAmplitude, "_pump_matrix", refuse)
+    assert 0.0 < q.visibility(jsa) < 1.0
+    assert 0.0 < jsa.l2_mass() < 1.0
+    assert all(np.all(marg >= 0.0) for marg in jsa.marginals())
+    # build_jsa's normalization takes the same path
+    assert q.build_jsa(jsa.grid, LINE, jsa.pump).l2_mass() == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def traced_peak_mb(fn, *args):
@@ -162,14 +187,18 @@ def traced_peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def test_visibility_memory_budget_at_n_2048():
-    # the kernel is the one real 2048^2 matrix (32 MB); its square is
-    # summed a band of rows at a time
+def test_visibility_memory_budget_at_n_4096():
+    # one-dimensional sums over views of 2n - 1 values; no array grows as
+    # n^2 (measured: 0.50 MiB traced, where the n x n kernel was 128 MiB)
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    grid = q.default_grid(LINE, pump, n_points=2048)
-    peak = traced_peak_mb(
-        lambda: q.visibility(q.build_jsa(grid, LINE, pump)))
-    assert peak < 40.0
+    grid = q.default_grid(LINE, pump, n_points=4096)
+
+    def run():
+        jsa = q.build_jsa(grid, LINE, pump)
+        q.visibility(jsa)
+        jsa.marginals()
+
+    assert traced_peak_mb(run) < 1.0
 
 
 def test_visibility_monotone_in_pump_to_line_ratio():
@@ -371,7 +400,7 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
     # Resident memory counts what tracemalloc misses: the FFT and BLAS
     # buffers.  At the C3 size the flat timedist holds the factors and a
     # few chirp-length vectors (about 38 MiB over the import); the
-    # n_freq 2048 visibility holds its one 32 MiB kernel and a band.
+    # n_freq 2048 visibility holds one-dimensional sums and a band.
     base = child_hwm_mib()
     timedist = child_hwm_mib(
         "timedist", "--set", "output.formats=csv",

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from qisim import cli, config, outputs
-from qisim.spectral import JointSpectralAmplitude
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
@@ -95,25 +94,6 @@ def test_timedist_identity_storage_is_refused(tmp_path, capsys):
                           "'identity'")
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_gaussian_timedist_builds_the_real_kernel_twice(tmp_path,
-                                                        monkeypatch):
-    # once for the normalization, once for both marginals; a flat pump
-    # has no kernel
-    builds = []
-    original = JointSpectralAmplitude.real_kernel
-
-    def counting(self):
-        builds.append(self.pump.kind)
-        return original(self)
-
-    monkeypatch.setattr(JointSpectralAmplitude, "real_kernel", counting)
-    for kind in ("gaussian", "flat_limit"):
-        assert main(["timedist", "--out", str(tmp_path / kind),
-                     "--set", "output.formats=csv",
-                     "--set", f"source.pump_kind={kind}"]) == EXIT_OK
-    assert builds == ["gaussian", "gaussian"]
 
 
 def test_timedist_eit_storage_runs(tmp_path):
@@ -301,15 +281,27 @@ def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["timedist", "visibility"])
-def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command):
+def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command,
+                                                monkeypatch):
+    # the purity needs no n x n array, so only the gaussian timedist's
+    # n_freq x n_time half-transform bounds grids.n_freq; its guard fires
+    # before the amplitude exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("the amplitude was built before the guard")
+
+    if command == "timedist":
+        monkeypatch.setattr(cli, "build_jsa", refuse)
     code = main([command, "--set", "grids.n_freq=5000",
+                 "--set", "grids.n_time=4096", "--set", "output.formats=csv",
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    if command == "visibility":
+        assert (code, err) == (EXIT_OK, "")
+        return
     assert code == EXIT_CONFIG
-    assert err.startswith("qisim: ")
-    assert err.endswith("the real kernel of a gaussian pump on 5000 points "
-                        "exceeds the limit of 4096; lower grids.n_freq\n")
-    assert err.count("\n") == 1
+    assert err == ("qisim: the half-transform of 5000 frequencies by 4096 "
+                   "times exceeds 16777216 values; lower grids.n_freq or "
+                   "grids.n_time\n")
 
 
 @pytest.mark.parametrize("command", ["timedist", "visibility"])

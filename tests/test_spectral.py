@@ -110,10 +110,6 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
     a = jsa.amplitude
     assert np.allclose(a, raw / math.sqrt(np.sum(np.abs(raw) ** 2))
                        / grid.spacing, rtol=1e-14, atol=0.0)
-    m = jsa.real_kernel()
-    assert np.array_equal(m, m.T)
-    # relative to the peak: subnormal entries carry fewer digits
-    assert np.allclose(m, np.abs(a), rtol=1e-14, atol=1e-14 * m.max())
     dd = grid.spacing
     assert jsa.l2_mass() == pytest.approx(
         np.sum(np.abs(a) ** 2) * dd * dd, rel=1e-14)
