@@ -5,12 +5,15 @@ spectral state.  The test suite checks it against an independent
 brute-force fourfold quadrature of the same quantity, which must never be
 folded into the purity path.
 
-The detection-time amplitude comes in bands of t1 rows from chirp-z
-transforms, and the only n_t x n_t array a command holds is the density.
+The detection-time amplitude comes in bands or batches of t1 rows from
+chirp-z transforms, and the only n_t x n_t array a command holds is the
+density; a gaussian pump's half-transform is released block by block
+as the density fills.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,7 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     if jsa.is_factored:
         return 1.0
     n = jsa.n_points
-    a2, c2 = (side / side.max() for side in jsa.moduli())
+    a2, c2 = (side / side.max() for side in jsa.moduli()[:2])
     q = jsa.pump_on_sums()
     h = np.empty(2 * n - 1)
     h[0::2] = np.correlate(q[0::2], c2, "valid")
@@ -82,7 +85,7 @@ class JointTimeDistribution:
     def __post_init__(self) -> None:
         if self.density.shape != (self.t_grid.size, self.t_grid.size):
             raise InputError("density shape must match the time grid")
-        if np.any(self.density < 0.0):
+        if self.density.min() < 0.0:
             raise InputError("density must be non-negative")
         if not math.isclose(float(self.density.max()), 1.0,
                             rel_tol=1e-12, abs_tol=0.0):
@@ -159,19 +162,23 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
-               spacing: float) -> np.ndarray:
-    """Each vector of vecs taken to psi(t_m) = sum_k vec[k] e^{-i d_k t_m}
-    spacing / 2pi, one row of the result per vector.
+def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
+                       spacing: float):
+    """Iterate over (rows, psi[rows]) for the vectors of the blocks, taken
+    in turn and counted across them, with psi(t_m) = sum_k vec[k]
+    e^{-i d_k t_m} spacing / 2pi per vector.
 
     Bluestein's chirp-z transform: on the uniform grids d_k = d_0 + k dd
     and t_m = t_0 + m dt, k m = (k^2 + m^2 - (m - k)^2) / 2 splits the
     kernel into a pre-chirp over k, one FFT convolution with a chirp of
     length >= n + m - 1, and a post-chirp over m.  The chirps are built
-    in chunks, and the FFT, the chirp product and the inverse FFT run in
-    batches of rows of at most _BATCH_VALUES points, so memory beyond
-    the input is about four chirp-length vectors.  dt is taken from the
-    end points of t_grid, which the caller has checked to be uniform.
+    once, in chunks, and the FFT, the chirp product and the inverse FFT
+    run in batches of rows of at most _BATCH_VALUES points, so memory
+    beyond the blocks is about four chirp-length vectors.  Each batch is
+    yielded as a view into the one work buffer, which the next batch
+    overwrites, and a block is let go when the next is taken.  dt is
+    taken from the end points of t_grid, which the caller has checked to
+    be uniform.
     """
     n, m = detunings.size, t_grid.size
     d0, t0 = float(detunings[0]), float(t_grid[0])
@@ -189,47 +196,79 @@ def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
     for mm, c in _chirp(half, 0, m):
         post[mm] = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
     post *= spacing / TWO_PI
-    out = np.empty((len(vecs), m), dtype=complex)
     batch = max(1, _BATCH_VALUES // size)
-    work = np.empty((min(batch, len(vecs)), size), dtype=complex)
-    for lo in range(0, len(vecs), batch):
-        rows = range(lo, min(lo + batch, len(vecs)))
-        w = work[:len(rows)]
-        for i, row in enumerate(rows):  # a list of rows would be copied whole
-            w[i, :n] = vecs[row]
-        w[:, n:] = 0.0
-        w[:, :n] *= pre
-        np.fft.fft(w, out=w)
-        w *= chirp
-        np.fft.ifft(w, out=w)
-        np.multiply(w[:, :m], post, out=out[lo:rows.stop])
+    work = np.empty((0, size), dtype=complex)
+    start = 0
+    for vecs in blocks:
+        if len(work) < min(batch, len(vecs)):
+            work = np.empty((min(batch, len(vecs)), size), dtype=complex)
+        for lo in range(0, len(vecs), batch):
+            hi = min(lo + batch, len(vecs))
+            w = work[:hi - lo]
+            for i in range(lo, hi):  # a list of rows would be copied whole
+                w[i - lo, :n] = vecs[i]
+            w[:, n:] = 0.0
+            w[:, :n] *= pre
+            np.fft.fft(w, out=w)
+            w *= chirp
+            np.fft.ifft(w, out=w)
+            w = w[:, :m]
+            w *= post
+            yield slice(start + lo, start + hi), w
+        start += len(vecs)
+
+
+def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
+               spacing: float) -> np.ndarray:
+    """The transforms of _transform_batches collected into one array, a
+    row per vector of vecs."""
+    out = None
+    for rows, w in _transform_batches(t_grid, detunings, [vecs], spacing):
+        if out is None:  # allocated after the transform's own buffers
+            out = np.empty((len(vecs), w.shape[1]), dtype=complex)
+        out[rows] = w
     return out
+
+
+def _released_on_drop(shape) -> np.ndarray:
+    """An empty complex array in its own anonymous mapping, unmapped as
+    soon as the array is dropped; a freed heap block of this size can
+    stay resident."""
+    nbytes = math.prod(shape) * np.dtype(complex).itemsize
+    return np.ndarray(shape, dtype=complex, buffer=mmap.mmap(-1, nbytes))
 
 
 def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     """Check the time grid, then iterate over (rows, psi[rows, :]) in
-    bands of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2} (dd/2pi)^2.
+    bands or batches of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2}
+    (dd/2pi)^2.
 
     A factored amplitude transforms its two factors once.  A gaussian
-    pump takes two passes: bands of A's columns, built from its parts,
-    go over the signal axis into the n x n_t half-transform C, and
-    bands of rows of C^T go over the idler axis into bands of psi.
+    pump takes two passes.  The first takes bands of A's columns, built
+    from its parts, over the signal axis into the n x n_t half-transform
+    C, scattered into one block of C^T per band of t1 rows.  The second
+    takes the blocks over the idler axis into batches of psi's rows,
+    which are views into the transform's work buffer, and unmaps each
+    block once it is transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     d = jsa.grid.detunings
     marginals = jsa.marginals()
     _check_time_grid(d, marginals, t_grid)
     _check_aliasing(jsa.grid, marginals)
+    del marginals  # 2 n floats that the transforms do not need
     dd = jsa.grid.spacing
+    bands = row_bands(t_grid.size)
     if jsa.is_factored:
         su, sv = _transform(t_grid, d, jsa.factors, dd)
-        return ((rows, su[rows, None] * sv)
-                for rows in row_bands(t_grid.size))
-    half = np.empty((d.size, t_grid.size), dtype=complex)
-    for cols in row_bands(d.size):
-        half[cols] = _transform(t_grid, d, jsa.columns(cols), dd)
-    return ((rows, _transform(t_grid, d, half[:, rows].T, dd))
-            for rows in row_bands(t_grid.size))
+        return ((rows, su[rows, None] * sv) for rows in bands)
+    blocks = [_released_on_drop((rows.stop - rows.start, d.size))
+              for rows in bands]
+    columns = (jsa.columns(cols) for cols in row_bands(d.size))
+    for freqs, w in _transform_batches(t_grid, d, columns, dd):
+        for rows, block in zip(bands, blocks):
+            block[:, freqs] = w[:, rows].T
+    return _transform_batches(t_grid, d, (blocks.pop(0) for _ in bands), dd)
 
 
 def time_domain(jsa: JointSpectralAmplitude,

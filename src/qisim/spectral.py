@@ -217,9 +217,18 @@ class JointSpectralAmplitude:
         return _pump_in_place(d[rows, None] + d[None, :], self.pump)
 
     def moduli(self):
-        """(a2, c2) = scale (|f r|^2, |r|^2): |A_ij|^2 = a2_i c2_j p_ij^2."""
-        c2 = np.abs(self.r) ** 2 * self.scale
-        return (c2 if self.f is None else c2 * np.abs(self.f) ** 2), c2
+        """(a2, c2, e) with 2^e (a2, c2) = scale (|f r|^2, |r|^2), so that
+        |A_ij|^2 = 2^e a2_i c2_j p_ij^2: squared from |r| scaled to a peak
+        in [1/2, 1) and from the mantissa of scale, so that they do not
+        underflow where the unscaled |r| does not."""
+        c2 = np.abs(self.r)
+        e_r = int(np.frexp(c2.max())[1])
+        scale, e_s = math.frexp(self.scale)
+        np.ldexp(c2, -e_r, out=c2)
+        np.square(c2, out=c2)
+        c2 *= scale
+        return ((c2 if self.f is None else c2 * np.abs(self.f) ** 2), c2,
+                2 * e_r + e_s)
 
     def pump_on_sums(self) -> np.ndarray:
         """p(s)^2 / p(0)^2 of a gaussian pump at s = v dd / 2 for
@@ -235,21 +244,33 @@ class JointSpectralAmplitude:
 
     def l2_mass(self) -> float:
         """Quadrature value of the squared L2 norm, sum |psi|^2 d^2."""
-        return float(np.sum(self.marginals()[0])) * self.grid.spacing
+        signal, _, e = self._scaled_marginals()
+        dd, e_dd = math.frexp(self.grid.spacing)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.sum(signal) * dd, e + e_dd))
 
     def marginals(self) -> tuple:
         """(signal, idler) marginal spectral masses, each the sum over the
         other axis: one modulus times its correlation with p^2 on the
-        index sums.  dd meets the modulus before p(0), so that no factor
-        overflows where the product does not."""
-        a2, c2 = self.moduli()
-        dd = self.grid.spacing
+        index sums."""
+        signal, idler, e = self._scaled_marginals()
+        return np.ldexp(signal, e, out=signal), np.ldexp(idler, e, out=idler)
+
+    def _scaled_marginals(self) -> tuple:
+        """(signal, idler, e): the marginals divided by 2^e.  The moduli,
+        dd and p(0) enter scaled by powers of two, with the exponents
+        summed into e, so no intermediate leaves the normal range where
+        the marginals do not; the scaling is exact, so the sums equal the
+        unscaled ones wherever those stay normal."""
+        a2, c2, e = self.moduli()
+        dd, e_dd = math.frexp(self.grid.spacing)
+        e = 2 * e + e_dd
         if self.is_factored:
-            return a2 * float(np.sum(c2) * dd), c2 * float(np.sum(a2) * dd)
-        p0 = 1.0 / (math.sqrt(TWO_PI) * self.pump.sigma)
+            return a2 * float(np.sum(c2) * dd), c2 * float(np.sum(a2) * dd), e
+        p0, e_p = math.frexp(1.0 / (math.sqrt(TWO_PI) * self.pump.sigma))
         on_sums = self.pump_on_sums()[::2]
-        return tuple(x2 * dd * p0 * (np.correlate(on_sums, y2, "valid") * p0)
-                     for x2, y2 in ((a2, c2), (c2, a2)))
+        return (*(x2 * dd * p0 * (np.correlate(on_sums, y2, "valid") * p0)
+                  for x2, y2 in ((a2, c2), (c2, a2))), e + 2 * e_p)
 
 
 def row_bands(n: int) -> list:
@@ -300,9 +321,11 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
     jsa = JointSpectralAmplitude(grid, cavity_response(grid.detunings, line),
                                  pump)
     mass = jsa.l2_mass()
-    if not mass > 0.0:
+    if not sys.float_info.min <= mass <= sys.float_info.max:
+        # a subnormal mass has too few bits to normalize by
+        how = "overflows" if mass > 1.0 else "underflows to zero"
         raise InputError(
-            "the squared modulus of the sampled amplitude underflows to "
-            f"zero (cavity linewidth {line.gamma / TWO_PI:.3g} Hz, grid "
-            f"span {grid.span / TWO_PI:.3g} Hz)")
+            f"the squared modulus of the sampled amplitude {how} (cavity "
+            f"linewidth {line.gamma / TWO_PI:.3g} Hz, grid span "
+            f"{grid.span / TWO_PI:.3g} Hz)")
     return JointSpectralAmplitude(grid, jsa.r, pump, 1.0 / math.sqrt(mass), f)

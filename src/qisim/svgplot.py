@@ -94,14 +94,12 @@ def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
         '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
         'text-anchor="middle">%s</text>' % (ml + size / 2.0, _esc(title)),
     ]
-    fills = palette_indices(v).tolist()
-    for i in range(m):            # row index = y
-        y = mt + size - (i + 1) * cell
-        for j in range(m):
-            parts.append(
-                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-                'fill="%s"/>' % (ml + j * cell, y, cell + 0.5, cell + 0.5,
-                                 PALETTE[fills[i][j]]))
+    # each coordinate is formatted once, not once per cell
+    xs = ['<rect x="%.2f" y="' % (ml + j * cell) for j in range(m)]
+    wh = '" width="%.2f" height="%.2f" fill="' % (cell + 0.5, cell + 0.5)
+    for i, row in enumerate(palette_indices(v).tolist()):  # row index = y
+        tail = "%.2f%s" % (mt + size - (i + 1) * cell, wh)
+        parts.extend(x + tail + PALETTE[k] + '"/>' for x, k in zip(xs, row))
     parts.append('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" '
                  'fill="none" stroke="black"/>' % (ml, mt, size, size))
     for t in _ticks(lo, hi):

@@ -5,8 +5,8 @@ None of these is reachable from a command: each is an independent oracle
 kernel with its purity, mass and marginals, the dense and the
 single-shot chirp-z time transforms, closed forms, Parseval, Choi
 positivity), a diagnostic of an output (ridge correlation, g13 from
-counts), or the reader that parses written CSVs back for round-trip
-checks.
+counts), the reader that parses written CSVs back for round-trip
+checks, or the per-rect heatmap cell formula.
 """
 
 import csv
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qisim import biphoton
+from qisim import biphoton, svgplot
 from qisim.biphoton import JointTimeDistribution
 from qisim.errors import InputError
 from qisim.qubit import MemoryChannelParams, _rail_operator
@@ -250,6 +250,26 @@ def g13(stats: PairStatistics) -> float:
 
 
 # ----------------------------------------------------------------- outputs
+
+def heatmap_cells(v: np.ndarray) -> list:
+    """The cell rectangles of svgplot.heatmap for already block-averaged
+    and peak-normalized values v, each formatted whole, four %.2f per
+    rect: the reference for the heatmap's once-per-coordinate
+    formatting."""
+    m = v.shape[0]
+    size, ml, mt = 512.0, 64.0, 28.0
+    cell = size / m
+    fills = svgplot.palette_indices(v).tolist()
+    parts = []
+    for i in range(m):
+        y = mt + size - (i + 1) * cell
+        for j in range(m):
+            parts.append(
+                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                'fill="%s"/>' % (ml + j * cell, y, cell + 0.5, cell + 0.5,
+                                 svgplot.PALETTE[fills[i][j]]))
+    return parts
+
 
 def read_csv(path: str):
     """Header + rows with numeric cells parsed back to float; the inverse

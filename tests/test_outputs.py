@@ -351,6 +351,21 @@ def test_heatmap_downsamples_large_grids():
     assert text.count("<rect") <= 128 * 128 + 4
 
 
+@pytest.mark.parametrize("n", [7, 128, 300, 1536])
+def test_heatmap_cells_match_the_per_rect_formula(n):
+    # 1536 is the storage map: 128 cells of 4 pixels; 7 and 300 (100
+    # cells of 5.12) give coordinates that are not whole pixels
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0.0, 3.0, (n, n))
+    text = svgplot.heatmap(values, (0.0, 1.0), "x", "y", "t")
+    v = svgplot._block_mean(values)
+    cells = oracles.heatmap_cells(v / v.max())
+    lines = text.split("\n")
+    start = lines.index(cells[0])
+    assert lines[start:start + len(cells)] == cells
+    assert text.count("<rect") == len(cells) + 2
+
+
 def test_palette_indices_match_color_for():
     rng = np.random.default_rng(11)
     k = np.arange(256.0)

@@ -197,6 +197,44 @@ def test_axis_marginals_integrate_to_total_mass(line):
             1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [TWO_PI * 5.6e72, 5.6e72])
+def test_mass_is_exact_where_the_marginal_entries_are_subnormal(gamma):
+    # the unscaled marginal entries are about 1e-319 here, although the
+    # mass, dd times their sum, is a normal float
+    line = q.CavityLine(gamma=gamma)
+    pump = q.PumpSpectrum(kind="gaussian", sigma=4.3e49)
+    jsa = q.build_jsa(q.default_grid(line, pump, n_points=8), line, pump)
+    assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
+def test_mass_is_unit_over_the_accepted_widths(kind):
+    # every (sigma, gamma) that build_jsa accepts normalizes to unit mass:
+    # sigma over the whole gaussian range, linewidths 1e-3 to 1e300 Hz
+    sigmas = np.geomspace(1.5e-154, 9.4e153, 21)
+    accepted = 0
+    for gamma in TWO_PI * np.geomspace(1e-3, 1e300, 31):
+        for sigma in sigmas if kind == "gaussian" else [0.0]:
+            line = q.CavityLine(gamma=gamma)
+            pump = q.PumpSpectrum(kind=kind, sigma=sigma)
+            try:
+                jsa = q.build_jsa(q.default_grid(line, pump, n_points=8),
+                                  line, pump)
+            except InputError:
+                continue
+            accepted += 1
+            assert abs(jsa.l2_mass() - 1.0) <= 1e-15, (sigma, gamma)
+    assert accepted >= (300 if kind == "gaussian" else 16)
+
+
+def test_overflowing_mass_is_an_input_error():
+    # a pump far narrower than a very narrow line: p(0)^2 alone is 1e306
+    line = q.CavityLine(gamma=TWO_PI * 1e-3)
+    pump = q.PumpSpectrum(kind="gaussian", sigma=1.5e-154)
+    with pytest.raises(InputError, match="amplitude overflows"):
+        q.build_jsa(q.default_grid(line, pump, n_points=8), line, pump)
+
+
 def test_amplitude_parts_must_match_the_grid(line):
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=64)
     flat = q.PumpSpectrum(kind="flat_limit")
