@@ -7,32 +7,16 @@ g13 model read; pulses are not propagated through the stored spin wave.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError, ModelError
-from .spectral import TWO_PI
 
 DECAY_SHAPES = ("gaussian", "exponential")
-
-# bracket cap for the half-transmission search, in ordinary Hz
-_WINDOW_SEARCH_CAP_HZ = 1e9
-
-# Probe detunings for the half-transmission search, ordinary Hz:
-# 1 kHz * 1.3**n for n = -26 .. 52, from about 1.09 Hz to the last step
-# below the cap.  Built by repeated multiplication, so the brackets above
-# 1 kHz are exactly the ones an outward 1.3x stepping from 1 kHz visits.
-_WINDOW_PROBES_HZ = np.concatenate([
-    1e3 / np.cumprod(np.full(26, 1.3))[::-1],
-    np.cumprod(np.r_[1e3, np.full(52, 1.3)])])
-
-# a gamma_s fit whose window misses the target by more than this
-# fraction of it has landed on the window-collapse discontinuity
-_FIT_WINDOW_RTOL = 1e-6
-
-_SOLVER_RTOL = 4.0 * np.finfo(float).eps
 
 # on-resonance intensity transmission below which the CLI reports no
 # window: the half-width, delay and their products would describe a
@@ -40,52 +24,15 @@ _SOLVER_RTOL = 4.0 * np.finfo(float).eps
 TRANSPARENCY_FLOOR = 1e-6
 
 
-def _solve(f, a: float, b: float, xtol: float, what: str) -> float:
-    """Root of f inside [a, b] by Brent's method (Brent 1973, ch. 4),
-    stopping when the bracket is narrower than xtol + 4 eps |x|.
-
-    The bracket must change sign; a ModelError names `what` otherwise.
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
-        raise ModelError(f"{what}: no sign change between {a:.6g} and "
-                         f"{b:.6g}")
-    c, fc, step = a, fa, b - a
-    prev = step
-    for _ in range(100):
-        if (fa < 0.0) != (fb < 0.0) and fa != 0.0:
-            # the previous iterate is across the root: new contrapoint
-            c, fc, step = a, fa, b - a
-            prev = step
-        if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = (xtol + _SOLVER_RTOL * abs(b)) / 2.0
-        half = (c - b) / 2.0
-        if fb == 0.0 or abs(half) < tol:
-            return b
-        trial = None
-        if abs(prev) > tol and abs(fb) < abs(fa):
-            if a == c:      # secant
-                num, den = -fb * (b - a), fb - fa
-            else:           # inverse quadratic interpolation
-                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
-                num, den = -fb * (fc * dc - fa * da), dc * da * (fc - fa)
-            # a denominator that underflowed to 0 or overflowed: bisect
-            if den != 0.0 and math.isfinite(den):
-                trial = num / den
-                if not 2.0 * abs(trial) < min(abs(prev),
-                                               3.0 * abs(half) - tol):
-                    trial = None
-        if trial is None:
-            prev = step = half
-        else:
-            prev, step = step, trial
-        a, fa = b, fb
-        b += step if abs(step) > tol else math.copysign(tol, half)
-        fb = f(b)
-    raise ModelError(f"{what}: root search did not converge")
+@contextlib.contextmanager
+def _in_range(what: str):
+    """Turn a float overflow or invalid operation into one ModelError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise ModelError(f"{what} is out of floating-point range for this "
+                         "medium") from None
 
 
 @dataclass(frozen=True)
@@ -126,65 +73,77 @@ def transmission(delta, medium: EitMedium):
     if not np.all(np.isfinite(delta)):
         raise InputError("detunings must be finite")
     od, g_ge, g_s = medium.optical_depth, medium.gamma_ge, medium.gamma_s
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if medium.rabi_control == 0.0:
-                out = np.exp(-(od / 2.0) * g_ge / (g_ge - 1j * delta))
-            else:
-                num = g_ge * (g_s - 1j * delta)
-                den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
-                       + medium.rabi_control ** 2 / 4.0)
-                out = np.exp(-(od / 2.0) * num / den)
-    except (OverflowError, FloatingPointError):
-        raise ModelError("transmission is out of floating-point range for "
-                         "this medium") from None
+    with _in_range("transmission"):
+        if medium.rabi_control == 0.0:
+            out = np.exp(-(od / 2.0) * g_ge / (g_ge - 1j * delta))
+        else:
+            num = g_ge * (g_s - 1j * delta)
+            den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
+                   + medium.rabi_control ** 2 / 4.0)
+            out = np.exp(-(od / 2.0) * num / den)
     return complex(out) if scalar else out
+
+
+# Half transmission in closed form (Fleischhauer, Imamoglu & Marangos,
+# Rev. Mod. Phys. 77, 633 (2005)).  In units of gamma_ge, with
+# g = gamma_s, k = rabi^2 / 4, x = delta^2 and l = ln 2 / OD,
+#     |t|^2 = exp(-OD Re chi),  Re chi = (g A + x B) / (A^2 + x B^2),
+#     A = g + k - x,  B = 1 + g,
+# and Re chi(0) = g / (g + k).  Half the on-resonance transmission,
+# Re chi = Re chi(0) + l, times (g + k)(A^2 + x B^2) is F(g, x) = 0:
+# quadratic in x, cubic in g, and F > 0 where more than half passes.
+
+def _scaled(medium: EitMedium) -> tuple:
+    """(g, k, l) as float64, so that an overflow raises under _in_range."""
+    g_ge = np.float64(medium.gamma_ge)
+    return (medium.gamma_s / g_ge, (medium.rabi_control / (2.0 * g_ge)) ** 2,
+            np.log(2.0) / medium.optical_depth)
+
+
+def _half_x(g, k, l) -> float:
+    """Smallest positive root x of F(g, x) = 0, or nan if there is none."""
+    p = g + k
+    a = g + l * p
+    b = g ** 3 - k * (2.0 * g + 1.0) + l * p * (1.0 + g * g - 2.0 * k)
+    c = l * p ** 3
+    disc = b * b - 4.0 * a * c
+    # a, c > 0: both roots are positive exactly when b < 0
+    if not (b < 0.0 and disc >= 0.0):
+        return math.nan
+    return float(2.0 * c / (math.sqrt(disc) - b))
 
 
 def window_fwhm(medium: EitMedium) -> float:
     """Full width (ordinary Hz) of the transparency window at half the
-    on-resonance intensity transmission.
-
-    The half-width is refined inside the first of the log-spaced probes
-    where the transmission has fallen to half.
+    on-resonance intensity transmission: 2 sqrt(x) / 2 pi at the first
+    half-transmission point x = delta^2.
     """
-    t0 = abs(transmission(0.0, medium)) ** 2
-    if not t0 > 0.0:
-        raise ModelError("no transparency window: on-resonance "
-                         "transmission is zero")
-
-    def below_half(delta_hz: float) -> float:
-        t = abs(transmission(TWO_PI * delta_hz, medium)) ** 2
-        return t - t0 / 2.0
-
-    probes = np.abs(transmission(TWO_PI * _WINDOW_PROBES_HZ, medium)) ** 2
-    fallen = np.flatnonzero(probes <= t0 / 2.0)
-    if fallen.size == 0:
+    with _in_range("the transparency window"):
+        x = _half_x(*_scaled(medium))
+    if math.isnan(x):
         raise ModelError(
             "no transparency window: transmission never falls to half "
             "its on-resonance value")
-    k = int(fallen[0])
-    lo = _WINDOW_PROBES_HZ[k - 1] if k else 0.0
-    half = _solve(below_half, float(lo), float(_WINDOW_PROBES_HZ[k]), 1e-6,
-                  "transparency half-width")
-    return 2.0 * half
+    return medium.gamma_ge * math.sqrt(x) / math.pi
 
 
 def group_delay(medium: EitMedium) -> float:
-    """Slope of the transmission phase at zero detuning, seconds.
+    """Slope of the transmission phase at zero detuning, seconds:
+    (OD / 2) (k - g^2) / (g + k)^2 / gamma_ge.
 
-    Central difference with a step of 1e-3 of the window width.  A
-    non-positive delay (over-broad or collapsed window) raises
-    ModelError: the medium is outside the slow-light regime.
+    It is positive only for gamma_s < rabi / 2; outside that slow-light
+    regime a ModelError is raised.
     """
     if medium.rabi_control <= 0.0:
         raise InputError("group delay needs a control field (rabi > 0)")
-    h = 1e-3 * TWO_PI * window_fwhm(medium)
-    ph = np.angle(transmission(np.array([h, -h]), medium))
-    tau = float((ph[0] - ph[1]) / (2.0 * h))
+    with _in_range("the group delay"):
+        g, k, _ = _scaled(medium)
+        tau = float(medium.optical_depth / 2.0 * (k - g * g)
+                    / ((g + k) ** 2 * medium.gamma_ge))
     if not tau > 0.0:
         raise ModelError(f"group delay {tau:.6g} s is not positive; the "
-                         "medium is outside the slow-light regime")
+                         "medium is outside the slow-light regime "
+                         "gamma_s < rabi/2")
     return tau
 
 
@@ -193,48 +152,74 @@ class FitResult:
     gamma_s: float
     window_fwhm_hz: float
     target_hz: float
-    converged: bool
+    # (narrowest window, window at gamma_s = 0) on the fitted branch
+    reachable_hz: tuple
 
 
-def fit_gamma_s(medium: EitMedium, target_hz: float,
-                xtol: float = 1e-3) -> FitResult:
-    """Tune gamma_s so the transparency window matches target_hz.
+def _cubic_in_x(k, l) -> tuple:
+    """F(g, x) = c3 g^3 + c2 g^2 + c1 g + c0: each c as coefficients in x."""
+    return (np.array([1.0 + l, l]), np.array([l * k, 3.0 * l * k]),
+            np.array([1.0 + l, l - 2.0 * k * (1.0 + l), 3.0 * l * k * k]),
+            k * np.array([l, l * (1.0 - 2.0 * k) - 1.0, l * k * k]))
 
-    The window first shrinks with gamma_s, so gamma_s = 0 bounds what the
-    remaining parameters can reach; an unreachable target returns that
-    bound with converged = False instead of raising.  Further out the
-    window collapses (no half-transmission point).  A target narrower
-    than every window before the collapse makes the search land on that
-    edge; the window there misses the target, and the result has
-    converged = False and the edge's gamma_s.
+
+def _narrowest(cubic, k, l, x0) -> tuple:
+    """(g, x) of the narrowest window for g >= 0, or (0, x0) if none is
+    narrower than x0 = x(g = 0).
+
+    Where the window is narrowest two g roots of F(g, x) meet, so the
+    cubic's discriminant vanishes.  That discriminant is x^2 times a
+    quintic in x; each positive root gives the double root g.
+    """
+    c3, c2, c1, c0 = cubic
+    m = np.polymul
+    disc = functools.reduce(np.polyadd, (
+        18.0 * m(m(c3, c2), m(c1, c0)), -4.0 * m(m(c2, c2), m(c2, c0)),
+        m(m(c2, c1), m(c2, c1)), -4.0 * m(m(c3, c1), m(c1, c1)),
+        -27.0 * m(m(c3, c0), m(c3, c0))))
+    best = (0.0, x0)
+    for x in np.roots(disc[:-2]):
+        if x.imag != 0.0 or not x.real > 0.0:
+            continue
+        a, b, c, d = (np.polyval(coef, x.real) for coef in cubic)
+        g = (9.0 * a * d - b * c) / (2.0 * (b * b - 3.0 * a * c))
+        x_g = _half_x(g, k, l) if g >= 0.0 else math.nan
+        if x_g < best[1]:
+            best = (g, x_g)
+    return best
+
+
+def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
+    """Tune gamma_s so the transparency window is target_hz wide.
+
+    Along gamma_s the window narrows from its width at gamma_s = 0 to a
+    minimum, then widens again until it collapses.  A target between the
+    two, reachable_hz, is met on the narrowing side: at the smallest
+    non-negative root of the cubic F(gamma_s) = 0.  Outside that range
+    the result is the nearest window: gamma_s = 0 for a wider target,
+    the minimum's gamma_s for a narrower one.
     """
     if not (target_hz > 0.0 and math.isfinite(target_hz)):
         raise InputError("target window must be positive and finite")
-
-    def window_at(gs: float) -> float:
-        try:
-            return window_fwhm(EitMedium(medium.optical_depth,
-                                         medium.rabi_control,
-                                         medium.gamma_ge, gs, medium.length))
-        except ModelError:
-            # collapsed window counts as below target
-            return 0.0
-
-    def gap(gs: float) -> float:
-        return window_at(gs) - target_hz
-
-    best = window_at(0.0)
-    if best < target_hz:
-        return FitResult(0.0, best, target_hz, False)
-    hi = medium.gamma_ge / 100.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 100.0 * medium.gamma_ge:
-            return FitResult(0.0, best, target_hz, False)
-    root = _solve(gap, 0.0, hi, xtol, "gamma_s fit")
-    achieved = window_at(root)
-    return FitResult(root, achieved, target_hz,
-                     abs(achieved - target_hz) <= _FIT_WINDOW_RTOL * target_hz)
+    widest = window_fwhm(replace(medium, gamma_s=0.0))
+    with _in_range("the gamma_s fit"):
+        _, k, l = _scaled(medium)
+        x, x0 = ((math.pi * w / medium.gamma_ge) ** 2
+                 for w in (target_hz, widest))
+        cubic = _cubic_in_x(k, l)
+        g_min, x_min = _narrowest(cubic, k, l, x0)
+        if x >= x0:
+            g = 0.0
+        elif x <= x_min:
+            g = g_min
+        else:
+            roots = np.roots([np.polyval(coef, x) for coef in cubic])
+            # no real root left: rounding split the double root at g_min
+            g = min((r.real for r in roots
+                     if r.imag == 0.0 and r.real >= 0.0), default=g_min)
+    fitted = replace(medium, gamma_s=float(g * medium.gamma_ge))
+    return FitResult(fitted.gamma_s, window_fwhm(fitted), target_hz,
+                     (medium.gamma_ge * math.sqrt(x_min) / math.pi, widest))
 
 
 # ---------------------------------------------------------------- memory

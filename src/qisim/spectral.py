@@ -323,7 +323,8 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
     mass = jsa.l2_mass()
     if not sys.float_info.min <= mass <= sys.float_info.max:
         # a subnormal mass has too few bits to normalize by
-        how = "overflows" if mass > 1.0 else "underflows to zero"
+        how = ("overflows" if mass > 1.0
+               else "underflows below the normal float range")
         raise InputError(
             f"the squared modulus of the sampled amplitude {how} (cavity "
             f"linewidth {line.gamma / TWO_PI:.3g} Hz, grid span "

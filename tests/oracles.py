@@ -4,9 +4,10 @@ None of these is reachable from a command: each is an independent oracle
 (fourfold quadrature, the complex A^H A reduced state, the dense real
 kernel with its purity, mass and marginals, the dense and the
 single-shot chirp-z time transforms, closed forms, Parseval, Choi
-positivity), a diagnostic of an output (ridge correlation, g13 from
-counts), the reader that parses written CSVs back for round-trip
-checks, or the per-rect heatmap cell formula.
+positivity, a dense transmission scan and a phase difference quotient
+for the EIT window and delay), a diagnostic of an output (ridge
+correlation, g13 from counts), the reader that parses written CSVs back
+for round-trip checks, or the per-rect heatmap cell formula.
 """
 
 import csv
@@ -17,6 +18,7 @@ import numpy as np
 
 from qisim import biphoton, svgplot
 from qisim.biphoton import JointTimeDistribution
+from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError
 from qisim.qubit import MemoryChannelParams, _rail_operator
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
@@ -247,6 +249,34 @@ def g13(stats: PairStatistics) -> float:
     if stats.p1 <= 0.0 or stats.p3 <= 0.0:
         raise InputError("g13 undefined for zero singles probability")
     return stats.p13 / (stats.p1 * stats.p3)
+
+
+# --------------------------------------------------------------------- EIT
+
+def half_width_scan(medium: EitMedium, n: int = 400001) -> float:
+    """Transparency-window FWHM (Hz) from |t| alone: the first detuning
+    of a log scan from 1 mHz to 10 GHz where |t| <= |t(0)| / sqrt 2, then
+    a linear scan of that step, then linear interpolation.  The
+    amplitude, not |t|^2, keeps media whose |t(0)|^2 is subnormal in the
+    normal range.  nan when the scan never falls to half."""
+    half = abs(transmission(0.0, medium)) / math.sqrt(2.0)
+    coarse = np.geomspace(1e-3, 1e10, n)
+    below = np.abs(transmission(TWO_PI * coarse, medium)) <= half
+    if not below.any():
+        return math.nan
+    k = int(np.argmax(below))
+    fine = np.linspace(coarse[k - 1] if k else 0.0, coarse[k], n)
+    gap = np.abs(transmission(TWO_PI * fine, medium)) - half
+    j = int(np.argmax(gap <= 0.0))
+    lo, hi = fine[j - 1], fine[j]
+    return 2.0 * (lo + (hi - lo) * gap[j - 1] / (gap[j - 1] - gap[j]))
+
+
+def phase_slope(medium: EitMedium, h: float) -> float:
+    """Group delay (s) as the central difference of the transmission
+    phase over detunings +-h (rad/s)."""
+    ph = np.angle(transmission(np.array([h, -h]), medium))
+    return float((ph[0] - ph[1]) / (2.0 * h))
 
 
 # ----------------------------------------------------------------- outputs

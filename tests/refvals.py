@@ -1,10 +1,11 @@
 """Frozen reference values used across the test suite.
 
 Every number here was computed ahead of time with an independent script
-(quadrature oracles, closed-form expressions, or high-resolution grids)
-and is pinned so regressions show up as hard failures.  Tolerances in the
-tests reflect how each number was obtained: machine precision for closed
-forms, looser bounds where a root finder or grid is involved.
+(quadrature oracles, closed-form expressions, 40-digit mpmath
+evaluations, or high-resolution grids) and is pinned so regressions show
+up as hard failures.  Tolerances in the tests reflect how each number
+was obtained: machine precision for closed forms, looser bounds where a
+grid or a sampled sweep is involved.
 
 The paper's targets that reproduce-all checks are not repeated here:
 they live in qisim.cli.TARGETS, and the two used below are read from it.
@@ -50,26 +51,35 @@ RABI = TWO_PI * 12.6e6
 GAMMA_GE = TWO_PI * 2.87e6
 GAMMA_S_DEFAULT = TWO_PI * 1e4
 
+# Window, delay and fit values below are 40-digit mpmath evaluations of
+# the transmission: a root of log|t(delta)| = log|t(0)| - ln(2)/2 for
+# the half width, the derivative of its phase at 0 for the delay, and
+# roots in gamma_s of window - target and of d window / d gamma_s.
+
 # ground-state decoherence off
-WINDOW_GS0 = 2953100.656767873
-DELAY_GS0 = 3.164854137250732e-07
-DBP_GS0 = 5.872348448450793
-VG_GS0 = 12638.813122284202
+WINDOW_GS0 = 2953100.6567678494
+DELAY_GS0 = 3.1648535861748147e-07
+DBP_GS0 = 5.8723474259360674
+VG_GS0 = 12638.815323000711
 
 # default gamma_s
 T0_DEFAULT = 0.9610373687298008
-WINDOW_DEFAULT = 2947164.484068192
-DELAY_DEFAULT = 3.1602740928327733e-07
-DBP_DEFAULT = 5.852063018199693
-VG_DEFAULT = 12657.129990944937
+WINDOW_DEFAULT = 2947164.4840682813
+DELAY_DEFAULT = 3.1602735465587624e-07
+DBP_DEFAULT = 5.8520620066325686
+VG_DEFAULT = 12657.132178812875
 
 # |t| far from resonance, control on, default gamma_s
 FAR_50 = 0.9890225290396011
 FAR_100 = 0.9972514030864683
 
 # gamma_s fit against a 2.90 MHz window target
-FIT29_GAMMA_S = 587795.3745175507
+FIT29_GAMMA_S = 587795.37451754796
 FIT29_TARGET = 2.90e6
+
+# the narrowest window of the default medium over gamma_s >= 0
+GAMMA_S_NARROWEST = 16440740.372528307
+WINDOW_NARROWEST = 2429705.4185120833
 
 # polarization memory channel, default configuration
 DEPHASING = 0.9751367491822184          # exp(-sigma^2/2), sigma = 2*pi/28

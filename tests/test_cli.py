@@ -158,13 +158,18 @@ def test_eit_fit_subcommand(tmp_path):
                                                     abs=0.05)
 
 
+def _reachable_range_line(lo, hi, target):
+    return (f"qisim: gamma_s fit: no gamma_s gives a {target:.6g} Hz window; "
+            f"this medium reaches {lo:.6g} to {hi:.6g} Hz\n")
+
+
 def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     out = tmp_path / "out"
     target = cli.TARGETS["eit_window_fwhm"][0]
     code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
     assert code == EXIT_MODEL
-    assert capsys.readouterr().err.startswith(
-        "qisim: gamma_s fit did not converge; best achievable window is ")
+    assert capsys.readouterr().err == _reachable_range_line(
+        rv.WINDOW_NARROWEST, rv.WINDOW_GS0, target)
     assert not (out / "manifest.json").exists()
 
 
@@ -178,14 +183,12 @@ def test_eit_fit_infinite_target_is_an_input_error(tmp_path, capsys):
 
 
 def test_eit_fit_on_the_window_collapse_fails_cleanly(tmp_path, capsys):
+    # narrower than every window: the same line as a too-wide target
     out = tmp_path / "out"
     code = main(["eit", "--out", str(out), "--fit-gamma-s", "2.4e6"])
-    err = capsys.readouterr().err
     assert code == EXIT_MODEL
-    assert "Traceback" not in err
-    assert err.startswith("qisim: gamma_s fit did not converge; the window "
-                          "collapses at gamma_s = ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == _reachable_range_line(
+        rv.WINDOW_NARROWEST, rv.WINDOW_GS0, 2.4e6)
     assert not (out / "manifest.json").exists()
 
 
@@ -308,15 +311,17 @@ def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command,
 @pytest.mark.parametrize("setting, named", [
     ("source.gamma_hz=4e297", "cavity linewidth 4e+297 Hz"),
     ("grids.freq_span_factor=1e300", "cavity linewidth 5e+06 Hz"),
-], ids=["linewidth", "span"])
+    # a mass of about 3.5e-312: subnormal, not zero
+    ("grids.freq_span_factor=1e143", "cavity linewidth 5e+06 Hz"),
+], ids=["linewidth", "span", "subnormal"])
 def test_underflowing_amplitude_names_the_cause(tmp_path, capsys, command,
                                                 setting, named):
     code = main([command, "--set", setting, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("qisim: ") and err.count("\n") == 1
-    assert ("the squared modulus of the sampled amplitude underflows to "
-            f"zero ({named}, grid span ") in err
+    assert ("the squared modulus of the sampled amplitude underflows below "
+            f"the normal float range ({named}, grid span ") in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -610,10 +615,12 @@ def test_csv_only_output_renders_no_svg(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy():
+    # nor numpy.polynomial: the EIT cubic is solved by numpy's own roots
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     code = ("import qisim.cli, sys; "
-            "assert not any(m.startswith('scipy') for m in sys.modules)")
+            "assert not any(m.startswith(('scipy', 'numpy.polynomial')) "
+            "for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
 

@@ -235,7 +235,8 @@ _BROKEN_LINE = st.sampled_from(["eit.od 55", "[eit]", "eit.od: 55",
            lambda t: ((None, None, True), t))), max_size=6),
        layout=_LAYOUT,
        not_utf8=st.one_of(st.none(), st.tuples(_NOT_UTF8, st.integers(0))),
-       command=_FUZZ_COMMANDS)
+       # the parser refuses --with-storage identity before the file is read
+       command=_FUZZ_COMMANDS.filter(lambda argv: "identity" not in argv))
 @example(lines=[(("eit.od", "30", False), "eit.od = 30")],
          layout=(False, "\n", True), not_utf8=(b"\xff", 0), command=["eit"])
 def test_every_config_file_ends_in_a_result_or_one_line(lines, layout,

@@ -9,6 +9,7 @@ from qisim.cli import TARGETS
 from qisim.errors import InputError, ModelError
 from qisim.spectral import TWO_PI
 
+import oracles
 import refvals as rv
 
 
@@ -136,42 +137,50 @@ def test_dbp_tracks_sqrt_optical_depth():
     assert dbp(med_hi) > dbp_gs0
 
 
-def test_solver_checks_its_bracket():
-    from qisim.eit import _solve
-    root = _solve(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15, "cos")
-    assert root == pytest.approx(0.7390851332151607, abs=1e-15)
-    assert _solve(lambda x: x - 0.25, 0.25, 1.0, 1e-9, "edge") == 0.25
-    with pytest.raises(ModelError, match="^test root: no sign change"):
-        _solve(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9, "test root")
-    with pytest.raises(ModelError):
-        _solve(lambda x: math.nan, 0.0, 1.0, 1e-9, "nan")
+def _seeded_media():
+    """Media drawn log-uniformly (OD 1 to 300, rabi and gamma_ge 100 kHz
+    to 100 MHz, gamma_s 100 Hz to 100 MHz or, one time in five, 0), plus
+    fixed cases: the edge of the window collapse (the last two windows
+    before it, and the first medium with none) and a medium whose
+    |t(0)|^2 is subnormal (1.5e-314)."""
+    rng = np.random.default_rng(18)
+
+    def rate(lo, hi):
+        return TWO_PI * 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    media = {}
+    for i in range(24):
+        od = 10.0 ** rng.uniform(0.0, math.log10(300.0))
+        rabi, g_ge = rate(1e5, 1e8), rate(1e5, 1e8)
+        g_s = 0.0 if rng.random() < 0.2 else rate(1e2, 1e8)
+        media[f"seed-{i}"] = q.EitMedium(od, rabi, g_ge, g_s)
+    for g_s in (5.23543e7, 5.23546e7, 5.23549e7):
+        media[f"collapse-{g_s:.6g}"] = q.EitMedium(rv.OD, rv.RABI,
+                                                   rv.GAMMA_GE, g_s)
+    media["od-1e6"] = q.EitMedium(1e6, rv.RABI, rv.GAMMA_GE,
+                                  rv.GAMMA_S_DEFAULT)
+    return media
 
 
-def test_solver_takes_the_steps_of_scipy_brentq():
-    # scipy's brentq is the reference for the same iterates and root
-    optimize = pytest.importorskip("scipy.optimize")
-    from qisim.eit import _solve
-    cases = [(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15),
-             (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-3),
-             (lambda x: math.exp(x) - 10.0, -5.0, 5.0, 1e-12),
-             (lambda x: math.atan(x - 0.3), -10.0, 10.0, 1e-9),
-             (lambda x: 1.0 if x < 0.7 else -1.0, 0.0, 1.0, 1e-6)]
-    for f, a, b, xtol in cases:
-        assert _solve(f, a, b, xtol, "case") == optimize.brentq(
-            f, a, b, xtol=xtol)
+_MEDIA = _seeded_media()
 
 
-def test_solver_bisects_where_interpolation_underflows():
-    # subnormal function values make the interpolation denominators
-    # underflow to 0; the solver bisects there, as brentq does
-    from qisim.eit import _solve
-    root = _solve(lambda x: 1e-310 * math.atan(x - 0.3), -10.0, 10.0, 1e-9,
-                  "case")
-    assert abs(root - 0.3) < 1e-8
-    # on resonance the transmission of this medium is 1.5e-314
-    medium = q.EitMedium(optical_depth=1e6, rabi_control=rv.RABI,
-                         gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT)
-    assert q.window_fwhm(medium) > 0.0
+@pytest.mark.parametrize("name", sorted(_MEDIA))
+def test_window_and_delay_match_the_oracles(name):
+    medium = _MEDIA[name]
+    scan = oracles.half_width_scan(medium)
+    if math.isnan(scan):
+        with pytest.raises(ModelError, match="^no transparency window"):
+            q.window_fwhm(medium)
+        return
+    width = q.window_fwhm(medium)
+    assert width == pytest.approx(scan, rel=1e-12)
+    if medium.gamma_s < medium.rabi_control / 2.0:
+        slope = oracles.phase_slope(medium, 1e-5 * TWO_PI * width)
+        assert q.group_delay(medium) == pytest.approx(slope, rel=1e-8)
+    else:
+        with pytest.raises(ModelError, match="slow-light regime"):
+            q.group_delay(medium)
 
 
 def test_transmission_out_of_range_is_a_model_error():
@@ -190,8 +199,8 @@ def test_window_fwhm_finds_sub_khz_windows():
     assert widths[0] / widths[1] == pytest.approx(100.0, rel=1e-4)
     assert widths[1] / widths[2] == pytest.approx(100.0, rel=1e-4)
     for w, m in zip(widths, media):
-        # the half-width is found to within the solver's 1e-6 Hz
-        edge = TWO_PI * (w / 2.0 + np.array([-1e-6, 1e-6]))
+        # the half-width is exact to within 1e-12 of itself
+        edge = TWO_PI * (w / 2.0) * (1.0 + np.array([-1e-12, 1e-12]))
         inside, outside = np.abs(q.transmission(edge, m)) ** 2
         half = abs(q.transmission(0.0, m)) ** 2 / 2.0
         assert inside > half > outside
@@ -201,30 +210,46 @@ def test_window_fwhm_finds_sub_khz_windows():
 
 def test_fit_gamma_s_reaches_achievable_target():
     res = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET)
-    assert res.converged
     assert res.gamma_s == pytest.approx(rv.FIT29_GAMMA_S, abs=0.05)
     assert res.window_fwhm_hz == pytest.approx(rv.FIT29_TARGET, abs=0.1)
     assert res.target_hz == rv.FIT29_TARGET
 
 
+def test_fit_gamma_s_hits_every_reachable_target():
+    # the narrowing side, from the narrowest window to the widest
+    lo, hi = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET).reachable_hz
+    assert lo == pytest.approx(rv.WINDOW_NARROWEST, rel=1e-12)
+    assert hi == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
+    previous = math.inf
+    for target in np.linspace(lo, hi, 300):
+        res = q.fit_gamma_s(medium_default(), target)
+        assert res.window_fwhm_hz == pytest.approx(target, rel=1e-12)
+        assert res.window_fwhm_hz == q.window_fwhm(
+            q.EitMedium(rv.OD, rv.RABI, rv.GAMMA_GE, res.gamma_s))
+        assert res.gamma_s < previous
+        previous = res.gamma_s
+    assert previous == 0.0
+
+
 def test_fit_gamma_s_reports_unreachable_target():
     # the paper's window target is out of reach of the pinned medium
     res = q.fit_gamma_s(medium_default(), TARGETS["eit_window_fwhm"][0])
-    assert not res.converged
     assert res.gamma_s == 0.0
-    assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_GS0, rel=1e-9)
+    assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
+    assert res.reachable_hz[1] == res.window_fwhm_hz
     for target in (0.0, math.inf, math.nan):
         with pytest.raises(InputError, match="positive and finite"):
             q.fit_gamma_s(medium_default(), target)
 
 
 def test_fit_gamma_s_does_not_converge_on_the_window_collapse():
-    # no window between the collapse and gamma_s = 0 is as narrow as
-    # 2.4 MHz; the search lands on the collapse edge
+    # no window before the collapse is as narrow as 2.4 MHz: the fit
+    # returns the narrowest one, not the collapse edge
     res = q.fit_gamma_s(medium_default(), 2.4e6)
-    assert not res.converged
-    assert res.gamma_s > 0.0
-    assert abs(res.window_fwhm_hz - 2.4e6) > 1.0
+    assert res.window_fwhm_hz == res.reachable_hz[0]
+    assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_NARROWEST,
+                                               rel=1e-12)
+    assert res.gamma_s == pytest.approx(rv.GAMMA_S_NARROWEST, rel=1e-6)
 
 
 # ------------------------------------------------------------------- memory
