@@ -6,9 +6,9 @@ brute-force fourfold quadrature of the same quantity, which must never be
 folded into the purity path.
 
 The detection-time amplitude comes in bands or batches of t1 rows from
-chirp-z transforms, and the only n_t x n_t array a command holds is the
-density; a gaussian pump's half-transform is released block by block
-as the density fills.
+chirp-z transforms over segments of the frequency grid, and the only
+n_t x n_t array a command holds is the density; a gaussian pump's
+half-transform is released block by block as the density fills.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from .spectral import TWO_PI, JointSpectralAmplitude, row_bands
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-# points per chunk of a chirp, and complex values per row batch of the
-# chirp-z FFTs: one row at the C3 size, a whole band of short rows
-_CHIRP_CHUNK = 1 << 15
+# detunings per chirp-z segment, and complex values per row batch of its
+# FFTs: seven rows of a segment, or a whole band of short rows
+_SEGMENT = 1 << 15
 _BATCH_VALUES = 1 << 18
 
 
@@ -131,22 +131,20 @@ def _check_aliasing(grid, marginals) -> None:
 
 
 def _chirp(alpha: float, start: int, stop: int):
-    """Iterate over (q, exp(-i alpha q^2)) for the integers q in
-    [start, stop), in chunks of _CHIRP_CHUNK, with q^2 < 2**53.
+    """(q, exp(-i alpha q^2)) for the integers q in [start, stop).
 
-    alpha is split once, from the largest q^2, into a high part with few
+    alpha is split, from the largest q^2, into a high part with few
     enough significant bits that its product with every q^2 is exact,
     and a small remainder, so the phase is accurate to rounding of the
-    result even where alpha q^2 reaches 1e8 rad.
+    result where alpha q^2 reaches millions of rad.
     """
     q_max = max(start * start, (stop - 1) * (stop - 1))
     bits = 53 - q_max.bit_length()
     exp = math.frexp(alpha)[1]
     hi = math.ldexp(math.floor(math.ldexp(alpha, bits - exp)), exp - bits)
-    for lo in range(start, stop, _CHIRP_CHUNK):
-        q = np.arange(lo, min(lo + _CHIRP_CHUNK, stop))
-        q2 = (q * q).astype(float)
-        yield q, np.exp(-1j * (hi * q2)) * np.exp(-1j * ((alpha - hi) * q2))
+    q = np.arange(start, stop)
+    q2 = (q * q).astype(float)
+    return q, np.exp(-1j * (hi * q2)) * np.exp(-1j * ((alpha - hi) * q2))
 
 
 def _fft_length(n: int) -> int:
@@ -168,33 +166,36 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
     in turn and counted across them, with psi(t_m) = sum_k vec[k]
     e^{-i d_k t_m} spacing / 2pi per vector.
 
-    Bluestein's chirp-z transform: on the uniform grids d_k = d_0 + k dd
-    and t_m = t_0 + m dt, k m = (k^2 + m^2 - (m - k)^2) / 2 splits the
-    kernel into a pre-chirp over k, one FFT convolution with a chirp of
-    length >= n + m - 1, and a post-chirp over m.  The chirps are built
-    once, in chunks, and the FFT, the chirp product and the inverse FFT
-    run in batches of rows of at most _BATCH_VALUES points, so memory
-    beyond the blocks is about four chirp-length vectors.  Each batch is
-    yielded as a view into the one work buffer, which the next batch
-    overwrites, and a block is let go when the next is taken.  dt is
-    taken from the end points of t_grid, which the caller has checked to
-    be uniform.
+    Bluestein's chirp-z transform over segments of at most _SEGMENT
+    detunings: in the segment from k_s, d_k = d_{k_s} + j dd and
+    t_m = t_0 + m dt make the kernel e^{-i d_{k_s} t_m} e^{-i j dd t_0}
+    e^{-i j m dd dt}, and j m = (j^2 + m^2 - (m - j)^2) / 2 splits it
+    into a pre-chirp over j, one FFT convolution with a chirp of length
+    >= seg + m - 1, and a post factor over m, the one part that depends
+    on the segment.  The chirps are built once, for the segment length,
+    and the FFT, the chirp product and the inverse FFT run in batches of
+    rows of at most _BATCH_VALUES points, so memory beyond the blocks is
+    about four vectors of seg + m points.  A batch's segments add into
+    one accumulator; a single segment needs none, and its batch is a
+    view into the one work buffer, which the next batch overwrites.  A
+    block is let go when the next is taken.  dt is taken from the end
+    points of t_grid, which the caller has checked to be uniform.
     """
     n, m = detunings.size, t_grid.size
-    d0, t0 = float(detunings[0]), float(t_grid[0])
+    seg = min(n, _SEGMENT)
+    t0 = float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
     half = 0.5 * spacing * dt
-    size = _fft_length(n + m - 1)
+    size = _fft_length(seg + m - 1)
     chirp = np.zeros(size, dtype=complex)
-    for j, c in _chirp(half, 1 - n, m):
-        chirp[j] = np.conj(c)  # j < 0 wraps to the end
+    j, c = _chirp(half, 1 - seg, m)
+    chirp[j] = np.conj(c)  # j < 0 wraps to the end
     np.fft.fft(chirp, out=chirp)
-    pre = np.empty(n, dtype=complex)
-    for k, c in _chirp(half, 0, n):
-        pre[k] = np.exp(-1j * (t0 * spacing) * k) * c
-    post = np.empty(m, dtype=complex)
-    for mm, c in _chirp(half, 0, m):
-        post[mm] = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
+    j, c = _chirp(half, 0, seg)
+    pre = np.exp(-1j * (t0 * spacing) * j) * c
+    mm, c = _chirp(half, 0, m)
+    d0 = detunings[::seg, None]  # d_{k_s}: a post factor per segment
+    post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
     post *= spacing / TWO_PI
     batch = max(1, _BATCH_VALUES // size)
     work = np.empty((0, size), dtype=complex)
@@ -202,19 +203,27 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
     for vecs in blocks:
         if len(work) < min(batch, len(vecs)):
             work = np.empty((min(batch, len(vecs)), size), dtype=complex)
+            acc = np.empty((len(work), m), dtype=complex) if n > seg else None
         for lo in range(0, len(vecs), batch):
             hi = min(lo + batch, len(vecs))
             w = work[:hi - lo]
-            for i in range(lo, hi):  # a list of rows would be copied whole
-                w[i - lo, :n] = vecs[i]
-            w[:, n:] = 0.0
-            w[:, :n] *= pre
-            np.fft.fft(w, out=w)
-            w *= chirp
-            np.fft.ifft(w, out=w)
-            w = w[:, :m]
-            w *= post
-            yield slice(start + lo, start + hi), w
+            total = w[:, :m] if n == seg else acc[:hi - lo]
+            for ks, factor in zip(range(0, n, seg), post):
+                width = min(seg, n - ks)
+                for i in range(lo, hi):  # a list of rows would be copied whole
+                    w[i - lo, :width] = vecs[i][ks:ks + width]
+                w[:, width:] = 0.0
+                w[:, :width] *= pre[:width]
+                np.fft.fft(w, out=w)
+                w *= chirp
+                np.fft.ifft(w, out=w)
+                part = w[:, :m]
+                part *= factor
+                if ks:
+                    total += part
+                elif n > seg:
+                    total[...] = part
+            yield slice(start + lo, start + hi), total
         start += len(vecs)
 
 

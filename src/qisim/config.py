@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import ConfigError, ModelError
 from .eit import DECAY_SHAPES, EitMedium, MemoryDecay
 from .qubit import MemoryChannelParams
-from .spectral import (PUMP_KINDS, TWO_PI, CavityLine, FrequencyGrid,
-                       PumpSpectrum, default_grid)
+from .spectral import (MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI, CavityLine,
+                       FrequencyGrid, PumpSpectrum, default_grid)
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -98,6 +98,10 @@ def _validate(values: dict) -> None:
     for key in ("grids.n_freq", "grids.n_time"):
         if values[key] < 8:
             raise ConfigError(f"{key} must be at least 8")
+    n_freq = values["grids.n_freq"]
+    if n_freq > MATERIALIZE_LIMIT ** 2:  # checked before any grid exists
+        raise ConfigError(f"grids.n_freq must be at most "
+                          f"{MATERIALIZE_LIMIT ** 2}, got {n_freq}")
     if values["source.pump_kind"] not in PUMP_KINDS:
         raise ConfigError(f"source.pump_kind must be one of {PUMP_KINDS}")
     if values["eit.decay_shape"] not in DECAY_SHAPES:

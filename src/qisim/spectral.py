@@ -18,8 +18,8 @@ TWO_PI = 2.0 * math.pi
 
 # Largest per-axis point count of an n x n array: the time density
 # (4096^2 float64 = 128 MB) and the amplitude the tests materialize.  A
-# gaussian timedist's n_freq x n_time complex half-transform is held to
-# as many values (256 MiB).
+# gaussian timedist's n_freq x n_time complex half-transform, and so
+# every vector over the frequency grid, is held to as many values.
 MATERIALIZE_LIMIT = 4096
 
 PUMP_KINDS = ("gaussian", "flat_limit")

@@ -140,12 +140,23 @@ def _chirp_single_shot(alpha: float, q: np.ndarray) -> np.ndarray:
     return np.exp(-1j * (hi * q)) * np.exp(-1j * ((alpha - hi) * q))
 
 
+def explicit_transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
+                       spacing: float) -> np.ndarray:
+    """psi(t_m) = sum_k vec[k] e^{-i d_k t_m} spacing / 2pi for each
+    vector, summed directly one t_m at a time, so it holds O(n) memory."""
+    vecs = np.asarray(vecs)
+    out = np.empty((len(vecs), np.size(t_grid)), dtype=complex)
+    for i, tm in enumerate(t_grid):
+        out[:, i] = vecs @ np.exp(-1j * tm * detunings)
+    return out * (spacing / TWO_PI)
+
+
 def chirp_z_single_shot(t_grid: np.ndarray, detunings: np.ndarray, vecs,
                         spacing: float) -> np.ndarray:
-    """The chirp-z transform of biphoton._transform with every chirp
-    built whole and every row in one FFT batch: the same operations on
-    the same values, so the chunked, row-batched transform must match it
-    bit for bit."""
+    """The chirp-z transform of biphoton._transform on one segment
+    (n <= biphoton._SEGMENT) with every row in one FFT batch: the same
+    operations on the same values, so the row-batched transform must
+    match it bit for bit."""
     n, m = detunings.size, t_grid.size
     d0, t0 = float(detunings[0]), float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
@@ -190,6 +201,29 @@ def continuous_pump_density(t_grid: np.ndarray,
     t_grid = np.asarray(t_grid, dtype=float)
     dt_abs = np.abs(np.subtract.outer(t_grid, t_grid))
     density = np.exp(-line.gamma * dt_abs)
+    return JointTimeDistribution(t_grid=t_grid, density=density)
+
+
+def gaussian_pump_density(t_grid: np.ndarray, line: CavityLine,
+                          sigma: float) -> JointTimeDistribution:
+    """Closed-form continuum pair density for a gaussian pump of
+    amplitude width sigma, max-normalized.
+
+    Each cavity response is causal, e^{-gamma t / 2} for t > 0, and the
+    pump enters as its envelope e^{-sigma^2 tau^2 / 2} convolved over the
+    common emission time tau <= min(t1, t2) (Lu & Ou, PRA 62, 033804
+    (2000)), so |psi|^2 is proportional to e^{-gamma (t1 + t2)}
+    erfc((gamma / sigma - sigma min(t1, t2)) / sqrt 2)^2.  math.erfc is
+    taken once per time, since min(t1, t2) runs over the grid's values.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    g = line.gamma
+    tail = np.array([math.erfc((g / sigma - sigma * t) / math.sqrt(2.0))
+                     for t in t_grid])
+    index = np.arange(t_grid.size)
+    density = tail[np.minimum.outer(index, index)] ** 2
+    density *= np.exp(-g * np.add.outer(t_grid, t_grid))
+    density /= density.max()
     return JointTimeDistribution(t_grid=t_grid, density=density)
 
 

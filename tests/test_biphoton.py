@@ -264,31 +264,52 @@ def test_flat_pump_time_profile_regression():
     assert spill < 1e-4
 
 
+def assert_matches_the_explicit_sum(t, d, vecs, dd):
+    got = biphoton._transform(t, d, vecs, dd)
+    for row, want in zip(got, oracles.explicit_transform(t, d, vecs, dd)):
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n, m, t_lo, t_hi", [
     (64, 301, -3.0, 9.0),        # n < m, odd m
     (4096, 257, -2.0, 8.0),      # n > m, odd m
     (1000, 1000, 0.5, 12.0),     # positive t0
     (16384, 512, -2.0, 8.0),     # the flat-pump regression grid size
+    (100000, 301, -2.0, 8.0),    # four segments, the last one partial
+    (2**15 + 1, 301, -2.0, 8.0),  # a last segment of one point
+    (2**16, 257, -2.0, 8.0),     # two whole segments
 ])
 def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
     rng = np.random.default_rng(n + m)
     span = 1600.0 * rv.GAMMA if n > 4096 else 40.0 * rv.GAMMA
-    d = q.FrequencyGrid(span=span, n_points=n).detunings
+    d = np.linspace(-span / 2.0, span / 2.0, n)  # n may be odd
     dd = span / (n - 1)
     t = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, m)
     lorentz = q.cavity_response(d, LINE)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vecs = [lorentz, noise * abs(lorentz[n // 2])]
-    got = biphoton._transform(t, d, vecs, dd)
-    for row, vec in zip(got, vecs):
-        want = np.exp(-1j * np.outer(t, d)) @ vec * (dd / TWO_PI)
-        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_matches_the_explicit_sum(
+        t, d, [lorentz, noise * abs(lorentz[n // 2])], dd)
+
+
+def test_segmented_transform_of_gaussian_columns():
+    # three columns of a gaussian amplitude, as the first pass of a
+    # gaussian time_domain takes them, whose pump ridge d_j = -d_i sits
+    # on the boundary between the two segments
+    pump = q.PumpSpectrum(kind="gaussian",
+                          sigma=q.sigma_from_pulse_duration(30e-9))
+    n = 40000
+    grid = q.default_grid(LINE, pump, n_points=n)
+    jsa = JointSpectralAmplitude(grid, q.cavity_response(grid.detunings,
+                                                         LINE), pump)
+    vecs = jsa.columns(slice(n - 2**15 - 1, n - 2**15 + 2))
+    t = oracles.default_time_grid(LINE)
+    assert_matches_the_explicit_sum(t, grid.detunings, vecs, grid.spacing)
 
 
 @pytest.mark.parametrize("n, m, rows", [
-    (100000, 301, 2),     # chirps of several chunks, one row per batch
     (512, 1536, 128),     # a storage-map band: all rows in one batch
     (4096, 257, 128),     # 59 rows per batch, the last batch partial
+    (32768, 301, 2),      # the longest grid that is one segment
 ])
 def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
     rng = np.random.default_rng(n)
@@ -367,12 +388,14 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
 
 
 def test_factored_time_domain_memory_budget_at_c3_size():
-    # the C3 grid: 262144 frequencies, 512 times; the two factors and
-    # about four chirp-length vectors of 270000 points (4.3 MB each)
+    # the C3 grid: 262144 frequencies, 512 times; the 4 MiB psi, a 4 MiB
+    # scaled factor, the detunings, and about four vectors of a segment's
+    # 2^15 + 512 points (0.5 MiB each); measured 12.0 MiB, where chirps
+    # of 270000 points took 18.6 MiB
     jsa = flat_jsa(span_factor=64000.0, n_points=262144)
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
     t_grid = 0.5 * (edges[:-1] + edges[1:])
-    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 32.0
+    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 16.0
 
 
 _HWM_CHILD = """
@@ -401,9 +424,11 @@ def child_hwm_mib(*argv):
                     reason="reads VmHWM from /proc/self/status")
 def test_kernel_commands_peak_resident_memory(tmp_path):
     # Resident memory counts what tracemalloc misses: the FFT and BLAS
-    # buffers.  At the C3 size the flat timedist holds the factors and a
-    # few chirp-length vectors (about 32 MiB over the import); the
-    # n_freq 2048 visibility holds one-dimensional sums and a band.
+    # buffers.  At the C3 size the flat timedist holds the factors, the
+    # density and a few vectors of one segment's length (measured 17.1
+    # MiB over the import, where chirps over the whole grid took 32.1
+    # MiB); the n_freq 2048 visibility holds one-dimensional sums and a
+    # band.
     base = child_hwm_mib()
     timedist = child_hwm_mib(
         "timedist", "--set", "output.formats=csv",
@@ -413,7 +438,7 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
         "visibility", "--set", "output.formats=csv",
         "--set", "grids.n_freq=2048", "--sigma-hz", "12.5e6", "--tp-s=",
         "--out", str(tmp_path / "v"))
-    assert timedist - base < 48.0
+    assert timedist - base < 24.0
     assert visibility - base < 48.0
 
 
@@ -441,6 +466,24 @@ def test_continuous_pump_density_closed_form():
     assert np.allclose(dist.density, expect, rtol=1e-12, atol=0.0)
     assert dist.density.max() == 1.0
     assert np.array_equal(dist.density, dist.density.T)
+
+
+def test_gaussian_time_density_approaches_the_continuum():
+    # The span cuts off the Lorentzian's 1/d tails, and the error they
+    # leave on the t1 = t2 ridge falls as 1/span: measured 0.701 / 40 and
+    # 0.717 / 80 of the peak at T_p = 30 ns, on grids of one spacing.
+    sigma = q.sigma_from_pulse_duration(30e-9)
+    pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
+    t_grid = oracles.default_time_grid(LINE)
+    want = oracles.gaussian_pump_density(t_grid, LINE, sigma).density
+    errors = []
+    for factor, n_points in ((40.0, 512), (80.0, 1024)):
+        grid = q.default_grid(LINE, pump, n_points=n_points,
+                              span_factor=factor)
+        got = q.joint_time_distribution(q.build_jsa(grid, LINE, pump), t_grid)
+        errors.append(np.max(np.abs(got.density - want)))
+        assert errors[-1] < 0.75 / factor
+    assert errors[1] < 0.6 * errors[0]
 
 
 # ----------------------------------------------------- detection-time maps

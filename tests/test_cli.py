@@ -307,6 +307,28 @@ def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command,
                    "grids.n_time\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["timedist", "--set", "source.pump_kind=flat_limit"],
+    ["visibility", "--sigma-hz", "12.5e6", "--tp-s="],
+], ids=["timedist", "visibility"])
+@pytest.mark.parametrize("n_freq", ["10000000000000",
+                                    "100000000000000000000"])
+def test_huge_frequency_grid_is_refused_before_it_exists(
+        tmp_path, capsys, monkeypatch, command, n_freq):
+    # numpy used to answer with its own text (an _ArrayMemoryError
+    # traceback, or "Maximum allowed size exceeded" past int64)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built before the check")
+
+    monkeypatch.setattr(config, "grid_from", refuse)
+    code = main([*command, "--set", f"grids.n_freq={n_freq}",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == (f"qisim: grids.n_freq must be at most 16777216, "
+                   f"got {n_freq}\n")
+
+
 @pytest.mark.parametrize("command", ["timedist", "visibility"])
 @pytest.mark.parametrize("setting, named", [
     ("source.gamma_hz=4e297", "cavity linewidth 4e+297 Hz"),

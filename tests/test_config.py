@@ -94,6 +94,7 @@ def test_unknown_and_malformed_keys():
     "source.gamma_hz=-5e6",
     "eit.od=-1",
     "grids.n_freq=7",
+    "grids.n_freq=16777218",
     "g13.g0=1.0",
     "output.formats=csv,png",
     "output.formats=",
