@@ -94,15 +94,18 @@ class JointTimeDistribution:
 
 def _bandwidth_99(d: np.ndarray, mass: np.ndarray) -> float:
     """Full width of the smallest centred band holding 99% of the
-    marginal spectral mass on the detunings d."""
-    order = np.argsort(np.abs(d), kind="stable")
-    cum = np.cumsum(mass[order])
-    k = int(np.searchsorted(cum, 0.99 * cum[-1]))
-    k = min(k, d.size - 1)
-    return 2.0 * float(np.abs(d[order[k]]))
+    marginal spectral mass on the detunings d, which are sorted and
+    symmetric: the mass is folded into pairs of equal |d| (a centre
+    point alone if d.size is odd) and summed outwards."""
+    half = d.size // 2
+    cum = mass[half:].copy()
+    cum[d.size % 2:] += mass[half - 1::-1]
+    np.cumsum(cum, out=cum)
+    k = min(int(np.searchsorted(cum, 0.99 * cum[-1])), cum.size - 1)
+    return 2.0 * abs(float(d[half + k]))
 
 
-def _check_time_grid(d: np.ndarray, marginals, t_grid: np.ndarray) -> float:
+def _check_time_grid(d: np.ndarray, masses, t_grid: np.ndarray) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise InputError("time grid must be a 1-d array of >= 2 points")
@@ -110,7 +113,7 @@ def _check_time_grid(d: np.ndarray, marginals, t_grid: np.ndarray) -> float:
     dt = float(steps[0])
     if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise InputError("time grid must be uniform and increasing")
-    bw = max(_bandwidth_99(d, mass) for mass in marginals)
+    bw = max(_bandwidth_99(d, mass) for mass in masses)
     dt_max = TWO_PI / (bw * _SAMPLES_PER_PERIOD)
     if dt > dt_max:
         raise ResolutionError(
@@ -119,15 +122,35 @@ def _check_time_grid(d: np.ndarray, marginals, t_grid: np.ndarray) -> float:
     return dt
 
 
-def _check_aliasing(grid, marginals) -> None:
-    d = grid.detunings
-    edge = 0.9 * (grid.span / 2.0)
-    for axis, mass in enumerate(marginals):
-        frac = float(mass[np.abs(d) > edge].sum() / mass.sum())
+def _outer_fraction(d: np.ndarray, mass: np.ndarray) -> float:
+    """Share of the mass on the sorted symmetric detunings d that lies
+    beyond 0.9 of the grid's half span, summed over the two end slices."""
+    edge = 0.9 * float(d[-1])
+    lo = int(np.searchsorted(d, -edge))
+    hi = int(np.searchsorted(d, edge, side="right"))
+    return float((mass[:lo].sum() + mass[hi:].sum()) / mass.sum())
+
+
+def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
+    """Check the time grid and the aliasing margin against the marginals
+    of jsa, and return the detunings d_{k_s} that start the transform's
+    segments, the only ones it needs.  A factored amplitude's marginals
+    are its moduli times constants, so the guards see the moduli, once
+    if the two are one array (no filter)."""
+    d = jsa.grid.detunings
+    if jsa.is_factored:
+        a2, c2, _ = jsa.moduli()
+        masses = (a2,) if a2 is c2 else (a2, c2)
+    else:
+        masses = jsa.marginals()
+    _check_time_grid(d, masses, t_grid)
+    for axis, mass in enumerate(masses):
+        frac = _outer_fraction(d, mass)
         if frac >= 0.01:
             raise ResolutionError(
                 f"{frac:.3%} of spectral mass sits in the outer 10% of "
                 f"the frequency grid (axis {axis}); widen the grid")
+    return d[::_SEGMENT].copy()
 
 
 def _chirp(alpha: float, start: int, stop: int):
@@ -160,11 +183,15 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
-                       spacing: float):
+def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
+                       blocks, spacing: float):
     """Iterate over (rows, psi[rows]) for the vectors of the blocks, taken
     in turn and counted across them, with psi(t_m) = sum_k vec[k]
-    e^{-i d_k t_m} spacing / 2pi per vector.
+    e^{-i d_k t_m} spacing / 2pi per vector, on n detunings d_k spaced
+    by spacing.  A vector is an array of n values, or the parts
+    (r, scale, f) of the vector scale r f (f None is the identity),
+    which are multiplied in that order one segment at a time in the
+    work row, so the product is never held whole.
 
     Bluestein's chirp-z transform over segments of at most _SEGMENT
     detunings: in the segment from k_s, d_k = d_{k_s} + j dd and
@@ -172,16 +199,17 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
     e^{-i j m dd dt}, and j m = (j^2 + m^2 - (m - j)^2) / 2 splits it
     into a pre-chirp over j, one FFT convolution with a chirp of length
     >= seg + m - 1, and a post factor over m, the one part that depends
-    on the segment.  The chirps are built once, for the segment length,
-    and the FFT, the chirp product and the inverse FFT run in batches of
-    rows of at most _BATCH_VALUES points, so memory beyond the blocks is
-    about four vectors of seg + m points.  A batch's segments add into
-    one accumulator; a single segment needs none, and its batch is a
-    view into the one work buffer, which the next batch overwrites.  A
-    block is let go when the next is taken.  dt is taken from the end
-    points of t_grid, which the caller has checked to be uniform.
+    on the segment, through its start d_{k_s} = starts[s].  The chirps
+    are built once, for the segment length, and the FFT, the chirp
+    product and the inverse FFT run in batches of rows of at most
+    _BATCH_VALUES points, so memory beyond the blocks is about four
+    vectors of seg + m points.  A batch's segments add into one
+    accumulator; a single segment needs none, and its batch is a view
+    into the one work buffer, which the next batch overwrites.  A block
+    is let go when the next is taken.  dt is taken from the end points
+    of t_grid, which the caller has checked to be uniform.
     """
-    n, m = detunings.size, t_grid.size
+    m = t_grid.size
     seg = min(n, _SEGMENT)
     t0 = float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
@@ -194,7 +222,7 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
     j, c = _chirp(half, 0, seg)
     pre = np.exp(-1j * (t0 * spacing) * j) * c
     mm, c = _chirp(half, 0, m)
-    d0 = detunings[::seg, None]  # d_{k_s}: a post factor per segment
+    d0 = starts[:, None]  # a post factor per segment
     post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
     post *= spacing / TWO_PI
     batch = max(1, _BATCH_VALUES // size)
@@ -211,7 +239,14 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
             for ks, factor in zip(range(0, n, seg), post):
                 width = min(seg, n - ks)
                 for i in range(lo, hi):  # a list of rows would be copied whole
-                    w[i - lo, :width] = vecs[i][ks:ks + width]
+                    row, vec = w[i - lo, :width], vecs[i]
+                    if isinstance(vec, tuple):  # the parts (r, scale, f)
+                        row[...] = vec[0][ks:ks + width]
+                        row *= vec[1]
+                        if vec[2] is not None:
+                            row *= vec[2][ks:ks + width]
+                    else:
+                        row[...] = vec[ks:ks + width]
                 w[:, width:] = 0.0
                 w[:, :width] *= pre[:width]
                 np.fft.fft(w, out=w)
@@ -227,12 +262,12 @@ def _transform_batches(t_grid: np.ndarray, detunings: np.ndarray, blocks,
         start += len(vecs)
 
 
-def _transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
+def _transform(t_grid: np.ndarray, n: int, starts: np.ndarray, vecs,
                spacing: float) -> np.ndarray:
     """The transforms of _transform_batches collected into one array, a
     row per vector of vecs."""
     out = None
-    for rows, w in _transform_batches(t_grid, detunings, [vecs], spacing):
+    for rows, w in _transform_batches(t_grid, n, starts, [vecs], spacing):
         if out is None:  # allocated after the transform's own buffers
             out = np.empty((len(vecs), w.shape[1]), dtype=complex)
         out[rows] = w
@@ -252,32 +287,32 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     bands or batches of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2}
     (dd/2pi)^2.
 
-    A factored amplitude transforms its two factors once.  A gaussian
-    pump takes two passes.  The first takes bands of A's columns, built
-    from its parts, over the signal axis into the n x n_t half-transform
-    C, scattered into one block of C^T per band of t1 rows.  The second
-    takes the blocks over the idler axis into batches of psi's rows,
-    which are views into the transform's work buffer, and unmaps each
-    block once it is transformed.
+    A factored amplitude transforms its two factors once, the signal
+    factor as its parts (r, scale, f), so it holds no vector over the
+    frequency grid but r.  A gaussian pump takes two passes.  The first
+    takes bands of A's columns, built from its parts, over the signal
+    axis into the n x n_t half-transform C, scattered into one block of
+    C^T per band of t1 rows.  The second takes the blocks over the idler
+    axis into batches of psi's rows, which are views into the
+    transform's work buffer, and unmaps each block once it is
+    transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    d = jsa.grid.detunings
-    marginals = jsa.marginals()
-    _check_time_grid(d, marginals, t_grid)
-    _check_aliasing(jsa.grid, marginals)
-    del marginals  # 2 n floats that the transforms do not need
-    dd = jsa.grid.spacing
+    starts = _check_grids(jsa, t_grid)
+    n, dd = jsa.n_points, jsa.grid.spacing
     bands = row_bands(t_grid.size)
     if jsa.is_factored:
-        su, sv = _transform(t_grid, d, jsa.factors, dd)
+        su, sv = _transform(t_grid, n, starts,
+                            [(jsa.r, jsa.scale, jsa.f), jsa.r], dd)
         return ((rows, su[rows, None] * sv) for rows in bands)
-    blocks = [_released_on_drop((rows.stop - rows.start, d.size))
+    blocks = [_released_on_drop((rows.stop - rows.start, n))
               for rows in bands]
-    columns = (jsa.columns(cols) for cols in row_bands(d.size))
-    for freqs, w in _transform_batches(t_grid, d, columns, dd):
+    columns = (jsa.columns(cols) for cols in row_bands(n))
+    for freqs, w in _transform_batches(t_grid, n, starts, columns, dd):
         for rows, block in zip(bands, blocks):
             block[:, freqs] = w[:, rows].T
-    return _transform_batches(t_grid, d, (blocks.pop(0) for _ in bands), dd)
+    return _transform_batches(t_grid, n, starts,
+                              (blocks.pop(0) for _ in bands), dd)
 
 
 def time_domain(jsa: JointSpectralAmplitude,

@@ -101,7 +101,8 @@ def cavity_response(delta, line: CavityLine):
     delta = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise InputError("non-finite detuning")
-    out = 1.0 / (delta + 0.5j * line.gamma)
+    out = np.add(delta, 0.5j * line.gamma, out=np.empty(delta.shape, complex))
+    np.divide(1.0, out, out=out)  # in place: the one n-point buffer
     return out if out.ndim else complex(out)
 
 
@@ -244,7 +245,7 @@ class JointSpectralAmplitude:
 
     def l2_mass(self) -> float:
         """Quadrature value of the squared L2 norm, sum |psi|^2 d^2."""
-        signal, _, e = self._scaled_marginals()
+        signal, e = self._scaled_marginals(sides=1)
         dd, e_dd = math.frexp(self.grid.spacing)
         with np.errstate(over="ignore"):
             return float(np.ldexp(np.sum(signal) * dd, e + e_dd))
@@ -256,21 +257,22 @@ class JointSpectralAmplitude:
         signal, idler, e = self._scaled_marginals()
         return np.ldexp(signal, e, out=signal), np.ldexp(idler, e, out=idler)
 
-    def _scaled_marginals(self) -> tuple:
-        """(signal, idler, e): the marginals divided by 2^e.  The moduli,
-        dd and p(0) enter scaled by powers of two, with the exponents
-        summed into e, so no intermediate leaves the normal range where
-        the marginals do not; the scaling is exact, so the sums equal the
-        unscaled ones wherever those stay normal."""
+    def _scaled_marginals(self, sides: int = 2) -> tuple:
+        """(signal, idler, e), or (signal, e) for one side: the marginals
+        divided by 2^e.  The moduli, dd and p(0) enter scaled by powers of
+        two, with the exponents summed into e, so no intermediate leaves
+        the normal range where the marginals do not; the scaling is exact,
+        so the sums equal the unscaled ones wherever those stay normal."""
         a2, c2, e = self.moduli()
         dd, e_dd = math.frexp(self.grid.spacing)
         e = 2 * e + e_dd
+        pairs = ((a2, c2), (c2, a2))[:sides]
         if self.is_factored:
-            return a2 * float(np.sum(c2) * dd), c2 * float(np.sum(a2) * dd), e
+            return (*(x2 * float(np.sum(y2) * dd) for x2, y2 in pairs), e)
         p0, e_p = math.frexp(1.0 / (math.sqrt(TWO_PI) * self.pump.sigma))
         on_sums = self.pump_on_sums()[::2]
         return (*(x2 * dd * p0 * (np.correlate(on_sums, y2, "valid") * p0)
-                  for x2, y2 in ((a2, c2), (c2, a2))), e + 2 * e_p)
+                  for x2, y2 in pairs), e + 2 * e_p)
 
 
 def row_bands(n: int) -> list:

@@ -3,7 +3,10 @@
 None of these is reachable from a command: each is an independent oracle
 (fourfold quadrature, the complex A^H A reduced state, the dense real
 kernel with its purity, mass and marginals, the dense and the
-single-shot chirp-z time transforms, closed forms, Parseval, Choi
+single-shot chirp-z time transforms, the factored transform of the
+materialized signal factor, the sorted-order 99% bandwidth and the
+masked outer-mass fraction of the time-grid guards, closed forms,
+Parseval, Choi
 positivity, a dense transmission scan and a phase difference quotient
 for the EIT window and delay), a diagnostic of an output (ridge
 correlation, g13 from counts), the reader that parses written CSVs back
@@ -176,6 +179,41 @@ def chirp_z_single_shot(t_grid: np.ndarray, detunings: np.ndarray, vecs,
     post = (np.exp(-1j * (d0 * t0 + (d0 * dt) * mm))
             * _chirp_single_shot(half, mm * mm))
     return work[:, :m] * (post * (spacing / TWO_PI))
+
+
+def factored_time_domain(jsa: JointSpectralAmplitude,
+                         t_grid: np.ndarray) -> np.ndarray:
+    """psi(t1, t2) of a flat pump as the outer product of the transforms
+    of u = scale f r, materialized whole, and of r: the same operations
+    on the same values as the time_domain that scales u segment by
+    segment, so the two must match bit for bit."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    d = jsa.grid.detunings
+    u = jsa.r * jsa.scale
+    if jsa.f is not None:
+        u *= jsa.f
+    su, sv = biphoton._transform(t_grid, d.size, d[::biphoton._SEGMENT],
+                                 [u, jsa.r], jsa.grid.spacing)
+    return su[:, None] * sv
+
+
+def bandwidth_99_sorted(d: np.ndarray, mass: np.ndarray) -> float:
+    """Full width of the smallest centred band holding 99% of the mass,
+    summed one detuning at a time in stable order of |d|: the reference
+    for the folded sum of biphoton._bandwidth_99."""
+    order = np.argsort(np.abs(d), kind="stable")
+    cum = np.cumsum(mass[order])
+    k = int(np.searchsorted(cum, 0.99 * cum[-1]))
+    k = min(k, d.size - 1)
+    return 2.0 * float(np.abs(d[order[k]]))
+
+
+def outer_fraction_masked(d: np.ndarray, mass: np.ndarray,
+                          span: float) -> float:
+    """Share of the mass where |d| > 0.9 span / 2, summed under a mask
+    over the whole grid: the reference for the end-slice sums of
+    biphoton._outer_fraction."""
+    return float(mass[np.abs(d) > 0.9 * (span / 2.0)].sum() / mass.sum())
 
 
 def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,

@@ -244,6 +244,30 @@ def test_aliasing_guard_catches_broadband_input():
         q.time_domain(jsa, oracles.default_time_grid(LINE))
 
 
+@pytest.mark.parametrize("kind", ["lorentzian", "eit", "random"])
+@pytest.mark.parametrize("n", [7, 8, 129, 4097, 262144])
+def test_folded_guards_match_the_sorted_and_masked_sums(n, kind):
+    # The fold sums a pair of equal |d| at once and the sorted reference
+    # one point at a time, so they pick the same pair.  linspace makes a
+    # pair's two |d| differ by rounding of the grid's largest |d| (the
+    # C3 Lorentzian: one ulp of it, 1024 ulp of the band's |d|), so the
+    # widths agree to 2 ulp of the end per |d|.  The end slices and the
+    # mask select the same points, summed in another order (measured
+    # up to 1.9e-16 relative).
+    span = (64000.0 if n > 4097 else 40.0) * rv.GAMMA
+    d = np.linspace(-span / 2.0, span / 2.0, n)
+    mass = np.abs(q.cavity_response(d, LINE)) ** 2
+    if kind == "eit":
+        mass *= np.abs(q.transmission(d, storage_medium())) ** 2
+    elif kind == "random":
+        mass = np.random.default_rng(n).random(n)
+    got = biphoton._bandwidth_99(d, mass)
+    want = oracles.bandwidth_99_sorted(d, mass)
+    assert abs(got - want) <= 2.0 * 2.0 * np.spacing(d[-1])
+    assert biphoton._outer_fraction(d, mass) == pytest.approx(
+        oracles.outer_fraction_masked(d, mass, span), rel=1e-14, abs=0.0)
+
+
 def test_flat_pump_time_profile_regression():
     jsa = flat_jsa(span_factor=1600.0, n_points=16384)
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
@@ -264,8 +288,13 @@ def test_flat_pump_time_profile_regression():
     assert spill < 1e-4
 
 
+def transform(t, d, vecs, dd):
+    """biphoton._transform on the detunings d."""
+    return biphoton._transform(t, d.size, d[::biphoton._SEGMENT], vecs, dd)
+
+
 def assert_matches_the_explicit_sum(t, d, vecs, dd):
-    got = biphoton._transform(t, d, vecs, dd)
+    got = transform(t, d, vecs, dd)
     for row, want in zip(got, oracles.explicit_transform(t, d, vecs, dd)):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -319,8 +348,8 @@ def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
     t = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, m)
     vecs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     want = oracles.chirp_z_single_shot(t, d, vecs, dd)
-    assert np.array_equal(biphoton._transform(t, d, vecs, dd), want)
-    assert np.array_equal(biphoton._transform(t, d, list(vecs), dd), want)
+    assert np.array_equal(transform(t, d, vecs, dd), want)
+    assert np.array_equal(transform(t, d, list(vecs), dd), want)
 
 
 def storage_medium():
@@ -387,15 +416,44 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     assert dist.density.max() == 1.0
 
 
-def test_factored_time_domain_memory_budget_at_c3_size():
-    # the C3 grid: 262144 frequencies, 512 times; the 4 MiB psi, a 4 MiB
-    # scaled factor, the detunings, and about four vectors of a segment's
-    # 2^15 + 512 points (0.5 MiB each); measured 12.0 MiB, where chirps
-    # of 270000 points took 18.6 MiB
-    jsa = flat_jsa(span_factor=64000.0, n_points=262144)
+def c3_time_grid():
+    """The C3 flat-pump profile's 512 bin centres over [-2, 8] / gamma."""
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
-    t_grid = 0.5 * (edges[:-1] + edges[1:])
-    assert traced_peak_mb(q.time_domain, jsa, t_grid) < 16.0
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("n, span_factor", [(4096, 40.0), (262144, 64000.0)])
+def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
+                                                            filtered):
+    # scale and filter multiply r one segment at a time in the work row,
+    # in the order of the materialized u = scale f r.  The filter passes
+    # the far wings of a wide grid again, so its band needs a finer step.
+    jsa = flat_jsa(span_factor=span_factor, n_points=n)
+    t_grid = c3_time_grid()
+    if filtered:
+        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+        t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 600)
+    assert np.array_equal(q.time_domain(jsa, t_grid),
+                          oracles.factored_time_domain(jsa, t_grid))
+
+
+def test_factored_time_domain_memory_budget_at_c3_size():
+    # the C3 grid: 262144 frequencies, 512 times.  Beside r, the guards
+    # hold 5.0 MiB (test_time_grid_guards_memory_budget_at_c3_size), the
+    # transform about four vectors of a segment's 2^15 + 512 points (0.5
+    # MiB each), and the 4 MiB psi its bands; measured 6.4 MiB, where a
+    # scaled copy of r, the detunings and the guards' argsorts took 12.0
+    jsa = flat_jsa(span_factor=64000.0, n_points=262144)
+    assert traced_peak_mb(q.time_domain, jsa, c3_time_grid()) < 8.0
+
+
+def test_time_grid_guards_memory_budget_at_c3_size():
+    # the detunings (2 MiB), the moduli |r|^2 (2 MiB, one array without a
+    # filter) and the folded half of them (1 MiB); measured 5.0 MiB, where
+    # two marginals with an argsort, a gather and a cumsum each took 12.0
+    jsa = flat_jsa(span_factor=64000.0, n_points=262144)
+    assert traced_peak_mb(biphoton._check_grids, jsa, c3_time_grid()) < 6.0
 
 
 _HWM_CHILD = """
@@ -424,11 +482,12 @@ def child_hwm_mib(*argv):
                     reason="reads VmHWM from /proc/self/status")
 def test_kernel_commands_peak_resident_memory(tmp_path):
     # Resident memory counts what tracemalloc misses: the FFT and BLAS
-    # buffers.  At the C3 size the flat timedist holds the factors, the
-    # density and a few vectors of one segment's length (measured 17.1
-    # MiB over the import, where chirps over the whole grid took 32.1
-    # MiB); the n_freq 2048 visibility holds one-dimensional sums and a
-    # band.
+    # buffers.  At the C3 size the flat timedist holds r, the density and
+    # a few vectors of one segment's length, and its guards the detunings
+    # and |r|^2 (measured 11.0 MiB over the import, where a scaled copy
+    # of r, the detunings in the transform and the guards' argsorts took
+    # 17.1 MiB); the n_freq 2048 visibility holds one-dimensional sums
+    # and a band.
     base = child_hwm_mib()
     timedist = child_hwm_mib(
         "timedist", "--set", "output.formats=csv",
@@ -438,7 +497,7 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
         "visibility", "--set", "output.formats=csv",
         "--set", "grids.n_freq=2048", "--sigma-hz", "12.5e6", "--tp-s=",
         "--out", str(tmp_path / "v"))
-    assert timedist - base < 24.0
+    assert timedist - base < 15.0
     assert visibility - base < 48.0
 
 
