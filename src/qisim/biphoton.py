@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResolutionError
-from .spectral import TWO_PI, JointSpectralAmplitude, row_bands
+from .spectral import TWO_PI, JointSpectralAmplitude, correlate, row_bands
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
@@ -49,9 +49,9 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     a2, c2 = (side / side.max() for side in jsa.moduli()[:2])
     q = jsa.pump_on_sums()
     h = np.empty(2 * n - 1)
-    h[0::2] = np.correlate(q[0::2], c2, "valid")
-    h[1::2] = np.correlate(q[1::2], c2, "valid")
-    trace = float(np.dot(a2, h[0::2]))
+    h[0::2] = correlate(q[0::2], c2)
+    h[1::2] = correlate(q[1::2], c2)
+    trace = float(np.einsum("i,i->", a2, h[0::2]))
     g2 = q[n - 1:3 * n - 2] ** 2  # Q^2 at i - k = -(n - 1), ..., n - 1
     g2[g2 < 1e-300] = 0.0
     reach = int(np.flatnonzero(g2)[-1]) - (n - 1)
@@ -64,8 +64,8 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
         hankel = sliding_window_view(h, width)[2 * lo:lo + hi]
         w = a2[lo:lo + width].copy()
         w[hi - lo:] *= 2.0  # the columns past the band stand for k < lo too
-        square += float(np.dot(a2[rows], np.einsum("ik,ik,k->i", toeplitz,
-                                                   hankel, w)))
+        square += float(np.einsum("i,i->", a2[rows], np.einsum(
+            "ik,ik,k->i", toeplitz, hankel, w)))
     v = square / trace ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
         raise ResolutionError(

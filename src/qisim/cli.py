@@ -504,8 +504,8 @@ def main(argv=None) -> int:
         print(f"qisim: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        # the output directory cannot be made or written, or a grid
-        # worker failed; no manifest is written
+        # the output directory cannot be made or written to; no
+        # manifest is written
         print(f"qisim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,15 +1,15 @@
 """format(v, ".17g") for float64 arrays, byte for byte, in numpy.
 
-With k the decade of |v|, the 17 digits are rint(|v| 10^(16 - k)) in
-np.longdouble, from powers of ten parsed from decimal strings, so each
-is correctly rounded.  A table entry and the product each err by half
-an ulp, under 0.011 at 17 digits on x86-64.  Zero, inf, nan, values
-from 10 to 1e17 (fixed notation with the point among the digits), and
-every cell whose product lies within HALF_MARGIN of a rounding tie or
-leaves the longdouble range, go through format() itself.  HALF_MARGIN
-comes from the longdouble epsilon: where longdouble is plain double it
-is 1/2 and every cell takes format(), so the bytes stay the same with
-no switch and no second code path.
+With k the decade of |v|, the 17 digits are rint(y), y = |v| 10^(16 - k),
+from a double-double product in float64: 2^s_k |v|, which is exact,
+times a table entry hi_k + lo_k = 10^(16 - k) 2^-s_k in [1, 2) to
+within 2^-106, by Veltkamp's split and Dekker's two-product (Numer.
+Math. 18, 224 (1971)).  The product's high part is an integer, and y
+minus it is known to within HALF_MARGIN for y below 2^57.  Zero, inf,
+nan, values from 10 to 1e17 (fixed notation with the point among the
+digits), and every cell within HALF_MARGIN of a rounding tie, go through
+format() itself.  The tables are exact integer arithmetic, so there is
+one code path on every platform.
 
 A cell's slot is SLOT bytes: a head word "-0.000d." (sign, the "0." and
 zeros of a fixed-notation value below 1, the lead digit, the point),
@@ -44,8 +44,34 @@ def _words(data, dtype) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.uint8).view(dtype)[..., 0]
 
 
+def _split(x):
+    """Veltkamp's split x = high + low, each part of at most 26
+    significant bits, so that a product of two parts is exact."""
+    c = x * 134217729.0     # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+def _scales():
+    """For each decade k: s_k, and hi_k (as its two split parts) and lo_k
+    with hi_k + lo_k = 10^(16 - k) 2^-s_k in [1, 2) to within 2^-106,
+    each a correctly rounded int/int quotient."""
+    shifts, entries = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        # 10^m for m >= 1 is no power of two, so 2^bits / 10^m < 2
+        ten = 10 ** abs(16 - k)
+        s = ten.bit_length() - 1 if k <= 16 else -ten.bit_length()
+        num, den = (ten, 1 << s) if k <= 16 else (1 << -s, ten)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        shifts.append(s)
+        entries.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(entries).T
+    return np.array(shifts, np.int32), np.array([*_split(hi), lo])
+
+
 def _tables():
-    """The kernel's tables; what builds them is freed on return."""
+    """The kernel's layout tables; what builds them is freed on return."""
     k = range(_K_LO, _K_HI + 1)
     digit = (np.arange(10000, dtype=np.int16)[:, None]
              // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
@@ -62,8 +88,6 @@ def _tables():
     head[..., 6] = ord("0") + np.arange(10)[:, None]
     head[..., 1, 7] = ord(".")
     return (
-        # [k - _K_LO]: 10^(16 - k)
-        np.array([f"1e{16 - e}" for e in k], dtype=np.longdouble),
         # [value]: "0000" .. "9999"
         _words(ord("0") + digit, np.uint32),
         # [g][value]: significant digits of a 17-digit integer whose
@@ -78,10 +102,42 @@ def _tables():
                np.uint64))
 
 
-_POW10, _QUAD, _SIGNIFICANT, _KEEP, _HEAD, _TAIL = _tables()
-# |y - rint(y)| within this of 1/2 may round either way: a table entry
-# and the product each err by half an ulp, and y < 1e17 < 2^57
-HALF_MARGIN = min(0.5, float(np.finfo(np.longdouble).eps) * 2.0 ** 57)
+_QUAD, _SIGNIFICANT, _KEEP, _HEAD, _TAIL = _tables()
+# [k - _K_LO]: s_k; [:, k - _K_LO]: the split parts of hi_k, and lo_k
+_SHIFT, _SCALE = _scales()
+# the error of y - rint(y) for y < 2^57, so a cell this close to a tie
+# may round either way: x lo rounds by 2^-50, its sum with Dekker's
+# exact error by 2^-49, and the table's relative 2^-106 is 2^-49 of y
+HALF_MARGIN = 2.0 ** -47
+
+
+def _digits(a, k):
+    """(digits, frac): rint(y) as int64, and y - digits to within
+    HALF_MARGIN, for y = a 10^(16 - k) from 2^53 to 2^57."""
+    i = k - _K_LO
+    x = np.ldexp(a, _SHIFT[i])
+    hi_high, hi_low, lo = _SCALE.take(i, axis=1)
+    p = x * (hi_high + hi_low)
+    x_high, x_low = _split(x)
+    # Dekker: p + tail = x hi exactly, then the x lo term; p >= 2^53 is
+    # an integer
+    tail = x_high * hi_high - p
+    tail += x_high * hi_low
+    tail += x_low * hi_high
+    tail += x_low * hi_low
+    tail += x * lo
+    whole = np.rint(tail)
+    tail -= whole
+    return p.astype(np.int64) + whole.astype(np.int64), tail
+
+
+def _step(digits, frac):
+    """The decade step: -1 where y = digits + frac is below 1e16, which
+    rint(y) alone may hide, 1 where rint(y) reaches 1e17, else 0.  A frac
+    too small to sign leaves y so close to 1e16 that 10 y rounds to 1e17:
+    both decades print 1e(k)."""
+    return ((digits >= 10 ** 17).astype(np.intp)
+            - ((digits < 10 ** 16) | ((digits == 10 ** 16) & (frac < 0))))
 
 
 def slots(values, out: np.ndarray) -> np.ndarray:
@@ -93,26 +149,21 @@ def slots(values, out: np.ndarray) -> np.ndarray:
     special = ~np.isfinite(a) | (a == 0.0)
     a = np.where(special, 1.0, a)
     k = np.floor(np.log10(a)).astype(np.intp)
-    a = a.astype(np.longdouble)
-    # a table entry past the longdouble range is inf, and so is y; the
-    # cell then falls back, whatever its digits cast to
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = a * _POW10[k - _K_LO]
-        # log10 may be one decade off next to a power of ten
-        step = (y >= 1e17).astype(np.intp) - (y < 1e16)
-        if step.any():
-            k += step
-            y = a * _POW10[k - _K_LO]
-        rounded = np.rint(y)
-        digits = rounded.astype(np.int64)
-        near_tie = ~(np.abs(y - rounded) < 0.5 - HALF_MARGIN)
+    digits, frac = _digits(a, k)
+    # log10 may be one decade off next to a power of ten, and 17 nines
+    # may round up into the next
+    step = _step(digits, frac)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        digits[moved], frac[moved] = _digits(a[moved], k[moved])
+        step[moved] = _step(digits[moved], frac[moved])
+    near_tie = ~(np.abs(frac) < 0.5 - HALF_MARGIN)
     # %g: fixed notation for decades -4 .. 16; from 10 up the point sits
     # among the digits, which format() lays out
     fixed = (k >= -4) & (k < 17)
-    # near a tie, out of range, wide fixed, or 17 nines rounded up into
-    # the next decade
-    fallback = (special | near_tie | (fixed & (k > 0))
-                | (digits < 10 ** 16) | (digits >= 10 ** 17))
+    # near a tie, wide fixed, or still out of its decade
+    fallback = special | near_tie | (fixed & (k > 0)) | (step != 0)
     lead, rest = np.divmod(np.where(fallback, 10 ** 16, digits), 10 ** 16)
     high, low = np.divmod(rest, 10 ** 8)
     groups = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]

@@ -4,16 +4,13 @@ Floats go to text with 17 significant digits so every value round-trips
 exactly; JSON uses Python's shortest-round-trip float repr.  One writer
 instance serializes all emission for a run and accumulates the manifest.
 
-Grid CSVs are formatted in bands of rows by forked workers, one per
-usable CPU, while this process only hashes and writes the bands in
-order; the bytes and hashes do not depend on the CPU count.  Where fork
-is unavailable, or there is one CPU or one band, the bands are formatted
-in-process.
-
-A band's cells are formatted by the numpy kernel of `g17`, whose bytes
-equal format(v, ".17g") for every float64.  It is imported on the first
-grid write, so its tables and its compile time fall only on commands
-that write a grid.
+Grid CSVs are formatted one band of rows at a time in the calling
+process, while one writer thread hashes and writes the band before it;
+hashlib, file writes and numpy's loops release the GIL, so the two
+overlap.  A band's cells are formatted by the numpy kernel of `g17`,
+whose bytes equal format(v, ".17g") for every float64.  The kernel and
+the thread's executor are imported on the first grid write, so their
+cost falls only on commands that write a grid.
 """
 from __future__ import annotations
 
@@ -23,17 +20,14 @@ import datetime
 import hashlib
 import json
 import os
-import struct
-import warnings
 
 import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
 
-# grid rows per band, the unit a worker formats and sends
+# grid rows per band, the unit formatted while the band before it is
+# written
 _BAND_ROWS = 16
-# a band's frame header: its length in bytes
-_FRAME = struct.Struct("<Q")
 
 
 def fmt_float(x: float) -> str:
@@ -118,92 +112,6 @@ def _grid_band(labels, cols, values, band: int) -> bytes:
     return cell.tobytes().translate(None, b"\0")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _send_bands(fd, labels, cols, values, bands) -> None:
-    """A worker's job: format `bands` and write each to fd as a frame."""
-    with open(fd, "wb") as out:
-        for band in bands:
-            data = _grid_band(labels, cols, values, band)
-            out.write(_FRAME.pack(len(data)))
-            out.write(data)
-
-
-def _read_frame(pipe):
-    """The next length-prefixed band from a worker's pipe; None if the
-    worker ended before sending all of it."""
-    head = pipe.read(_FRAME.size)
-    if len(head) == _FRAME.size:
-        (size,) = _FRAME.unpack(head)
-        data = pipe.read(size)
-        if len(data) == size:
-            return data
-    return None
-
-
-def _bands(labels, cols, values):
-    """Every band of the grid in order: formatted by forked workers, or
-    in-process where there is one CPU, one band or no fork."""
-    n_bands = -(-len(labels) // _BAND_ROWS)
-    workers = min(_usable_cpus(), n_bands)
-    if workers < 2 or not hasattr(os, "fork"):
-        for band in range(n_bands):
-            yield _grid_band(labels, cols, values, band)
-        return
-    pids, pipes = [], []
-    try:
-        for w in range(workers):
-            r, wfd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12 warns on fork in a process with threads.
-                    # OpenBLAS threads exist here, but the child runs only
-                    # element-wise numpy formatting and pipe writes, never
-                    # BLAS, so it needs no lock another thread could hold.
-                    warnings.filterwarnings(
-                        "ignore", r"This process .* is multi-threaded",
-                        DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in [r] + [pipe.fileno() for pipe in pipes]:
-                        os.close(fd)
-                    _send_bands(wfd, labels, cols, values,
-                                range(w, n_bands, workers))
-                    code = 0
-                finally:
-                    # never return into the parent's stack: no atexit,
-                    # no flush of buffers inherited from it
-                    os._exit(code)
-            os.close(wfd)
-            pids.append(pid)
-            pipes.append(open(r, "rb"))
-        for band in range(n_bands):
-            data = _read_frame(pipes[band % workers])
-            if data is None:
-                raise OSError(f"grid worker {pids[band % workers]} ended "
-                              f"before band {band} was complete")
-            yield data
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status in zip(pids, statuses):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise OSError(f"grid worker {pid} exited with status {code}")
-
-
 class OutputWriter:
     """Writes files under one directory and records (path, hash) pairs."""
 
@@ -244,18 +152,23 @@ class OutputWriter:
 
         Streams one band of _BAND_ROWS grid rows at a time, so memory
         does not grow with the number of CSV rows; each axis value is
-        formatted once.  A worker that fails raises OSError before the
-        file is recorded.
+        formatted once.  One band is formatted while the one before it
+        is hashed and written on a writer thread; a failed write raises
+        its OSError before the file is recorded.
         """
         if not self.wants("csv"):
             return None
-        # imports the kernel, and builds its tables, before any fork
+        from concurrent.futures import ThreadPoolExecutor
         labels, cols = _label_words([fmt_float(a) for a in axis])
         with self._open(name) as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            with contextlib.closing(_bands(labels, cols, values)) as bands:
-                for data in bands:
-                    fh.write_bytes(data)
+            with ThreadPoolExecutor(1) as thread:
+                written = thread.submit(int)   # nothing to wait for at band 0
+                for band in range(-(-len(labels) // _BAND_ROWS)):
+                    data = _grid_band(labels, cols, values, band)
+                    written.result()   # at most one band in flight
+                    written = thread.submit(fh.write_bytes, data)
+                written.result()
         return fh.path
 
     def write_json(self, name: str, obj) -> str:

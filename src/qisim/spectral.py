@@ -11,6 +11,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResolutionError
 
@@ -271,8 +272,16 @@ class JointSpectralAmplitude:
             return (*(x2 * float(np.sum(y2) * dd) for x2, y2 in pairs), e)
         p0, e_p = math.frexp(1.0 / (math.sqrt(TWO_PI) * self.pump.sigma))
         on_sums = self.pump_on_sums()[::2]
-        return (*(x2 * dd * p0 * (np.correlate(on_sums, y2, "valid") * p0)
+        return (*(x2 * dd * p0 * (correlate(on_sums, y2) * p0)
                   for x2, y2 in pairs), e + 2 * e_p)
+
+
+def correlate(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.correlate(a, v, "valid") for real vectors, summed by numpy's own
+    loops: np.correlate hands its dot products to BLAS, whose summation
+    order, and so whose last digits, may follow the BLAS thread count."""
+    windows = sliding_window_view(np.ascontiguousarray(a), len(v))
+    return np.einsum("ij,j->i", windows, v)
 
 
 def row_bands(n: int) -> list:

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from qisim import outputs
+
 
 def ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -29,3 +31,17 @@ def manifest_sans_timestamp(path: str) -> dict:
         data = json.load(fh)
     data.pop("timestamp")
     return data
+
+
+def disk_full_on(call):
+    """A _HashedFile.write_bytes that fails on its `call`-th call, the
+    header being the first."""
+    calls = []
+    write_bytes = outputs._HashedFile.write_bytes
+
+    def write(self, data):
+        calls.append(data)
+        if len(calls) == call:
+            raise OSError(28, "No space left on device")
+        write_bytes(self, data)
+    return write

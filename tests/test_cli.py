@@ -11,7 +11,7 @@ from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
 import refvals as rv
-from helpers import hash_dir, manifest_sans_timestamp
+from helpers import disk_full_on, hash_dir, manifest_sans_timestamp
 
 
 def load_json(path):
@@ -424,25 +424,19 @@ def test_unwritable_output_exits_with_config_code(tmp_path, capsys,
     assert err.startswith("qisim: cannot write output: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
-    # a grid worker that dies leaves no manifest behind, not even the one
-    # of an earlier run into the same directory
+    # a disk that fills during a grid write leaves no manifest behind,
+    # not even the one of an earlier run into the same directory
     out = tmp_path / "out"
     argv = ["timedist", "--out", str(out), "--tp-s", "100e-9",
             "--set", "grids.n_time=64"]
     assert main(argv) == EXIT_OK
     assert (out / "manifest.json").exists()
-    parent = os.getpid()
-
-    def failing_band(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting fault")
-
-    monkeypatch.setattr(outputs, "_grid_band", failing_band)
-    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(outputs._HashedFile, "write_bytes", disk_full_on(3))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert err.startswith("qisim: cannot write output: grid worker ")
+    assert err.startswith("qisim: cannot write output: ")
+    assert "No space left on device" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
@@ -648,7 +642,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    # grid workers are plain forks; a pool module would add to set-up
+    # the grid writer's thread executor is imported on the first grid
+    # write; imported with the package it would add to every set-up
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     code = ("import qisim.cli, sys; "
@@ -657,3 +652,23 @@ def test_import_loads_no_process_pool():
             "sorted(m for m in sys.modules if m.startswith(('multi', 'conc')))")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+
+
+def test_visibility_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product across threads; at this grid V
+    # read 0.80263830983728512 on one thread and ...324 on two while
+    # the sums went through np.correlate and np.dot
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "qisim.cli", "visibility",
+             "--set", "grids.n_freq=16384", "--sigma-hz", "3.7e6",
+             "--tp-s=", "--out", str(out)],
+            check=True, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.normpath(src),
+                     OPENBLAS_NUM_THREADS=threads))
+        written.append((out / "visibility.csv").read_bytes())
+    assert written[0] == written[1]

@@ -7,14 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from qisim import g17, outputs, svgplot
+from qisim import cli, config, g17, outputs, svgplot
 
 import oracles
+from helpers import disk_full_on
 
 
 def test_float_formatting_round_trips():
@@ -110,14 +112,9 @@ def _edge_case_grid(n):
     return axis, values
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [37, 5], ids=["3-bands", "under-1-band"])
-def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
-                                                       cpus, n):
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(outputs, "_usable_cpus", lambda: cpus)
+def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, n):
+    # one code path formats every band, on any CPU count
     axis, values = _edge_case_grid(n)
     header = ["t1_ns", "t2_ns", "density"]
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
@@ -127,47 +124,20 @@ def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
     assert writer.entries == [{
         "path": "grid.csv",
         "sha256": hashlib.sha256(expected).hexdigest()}]
-    workers = min(cpus, -(-n // outputs._BAND_ROWS))
-    assert len(forks) == (workers if workers > 1 else 0)
 
 
-@pytest.mark.parametrize("fault", ["band", "exit", "write"])
-def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
-                                                       fault):
-    parent = os.getpid()
-    grid_band, send_bands = outputs._grid_band, outputs._send_bands
-
-    def failing_band(labels, cols, values, band):
-        if os.getpid() != parent and band == 1:
-            raise RuntimeError("formatting fault")
-        return grid_band(labels, cols, values, band)
-
-    def send_then_fail(*args):
-        send_bands(*args)
-        raise RuntimeError("fault after the last frame")
-
-    calls = []
-
-    def disk_full(self, data):
-        calls.append(data)
-        if len(calls) == 2:         # the first band, after the header
-            raise OSError(28, "No space left on device")
-
-    if fault == "band":
-        monkeypatch.setattr(outputs, "_grid_band", failing_band)
-    elif fault == "exit":
-        monkeypatch.setattr(outputs, "_send_bands", send_then_fail)
-    else:
-        monkeypatch.setattr(outputs._HashedFile, "write_bytes", disk_full)
-    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+@pytest.mark.parametrize("call", [2, 3], ids=["first-band", "middle-band"])
+def test_failed_grid_write_raises_and_leaves_no_thread(tmp_path, monkeypatch,
+                                                       call):
+    monkeypatch.setattr(outputs._HashedFile, "write_bytes",
+                        disk_full_on(call))
     axis, values = _edge_case_grid(37)
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
-    match = "No space" if fault == "write" else "grid worker"
-    with pytest.raises(OSError, match=match):
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="No space"):
         writer.write_grid_csv("grid.csv", ["t1", "t2", "v"], axis, values)
     assert writer.entries == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 def _kernel_text(values):
@@ -200,39 +170,31 @@ def test_g17_kernel_matches_format_on_every_kind_of_float():
     assert mismatches == []
 
 
-def test_g17_powers_of_ten_are_correctly_rounded():
+def test_g17_scales_are_double_double_powers_of_ten():
     from fractions import Fraction
-    digits = np.finfo(np.longdouble).nmant + 1
-    for k, power in zip(range(g17._K_LO, g17._K_HI + 1), g17._POW10):
-        if not np.isfinite(power):  # past a double-width longdouble's range
-            continue
-        _, exponent = np.frexp(power)
-        error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** (16 - k)
-        assert abs(error) <= Fraction(2) ** (int(exponent) - digits) / 2
+    hi_high, hi_low, lo = g17._SCALE
+    ks = range(g17._K_LO, g17._K_HI + 1)
+    for k, s, *parts in zip(ks, g17._SHIFT, hi_high, hi_low, lo):
+        exact = Fraction(10) ** (16 - k) / Fraction(2) ** int(s)
+        assert 1 <= exact < 2
+        error = sum(map(Fraction, parts)) - exact
+        assert abs(error) <= exact / 2 ** 104
 
 
 @pytest.mark.filterwarnings("error")
-def test_g17_kernel_without_margin_formats_every_cell_exactly(
-        tmp_path, monkeypatch):
-    # a longdouble no wider than double makes the tie margin 1/2 and
-    # parses the powers of ten past 1e308 as inf: every cell then goes
-    # through format(), the bytes stay the same, and numpy warns of nothing
-    monkeypatch.setattr(g17, "HALF_MARGIN", 0.5)
-    monkeypatch.setattr(g17, "_POW10", np.array(
-        [float(f"1e{16 - k}") for k in range(g17._K_LO, g17._K_HI + 1)],
-        dtype=np.longdouble))
+def test_g17_density_map_formats_no_finite_cell_through_format(monkeypatch):
+    # the storage map at its default grid sent 81 005 of its 2.36 M cells
+    # through format() with a longdouble product; the float64
+    # double-double one, whose tie margin is 2^-47, sends none
+    cfg = config.load_config(None, ["grids.n_freq=256", "grids.n_time=96"])
+    density = cli._timedist_compute(cfg, 100e-9, "eit").density
+    assert density.shape == (288, 288) and np.all(density > 0.0)
     calls = []
     monkeypatch.setattr(g17, "format", lambda v, spec: calls.append(v)
                         or builtins.format(v, spec), raising=False)
-    axis, values = _edge_case_grid(37)
-    assert _kernel_text(values) == [format(v, ".17g")
-                                    for v in values.ravel().tolist()]
-    assert len(calls) == values.size
-    header = ["t1_ns", "t2_ns", "density"]
-    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
-    writer.write_grid_csv("grid.csv", header, axis, values)
-    assert (tmp_path / "grid.csv").read_bytes() == _long_format_reference(
-        header, axis, values)
+    assert _kernel_text(density) == [format(v, ".17g")
+                                     for v in density.ravel().tolist()]
+    assert calls == []
 
 
 def test_commands_without_a_grid_do_not_import_the_kernel(tmp_path):
