@@ -112,9 +112,20 @@ def _edge_case_grid(n):
     return axis, values
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [37, 5], ids=["3-bands", "under-1-band"])
-def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, n):
-    # one code path formats every band, on any CPU count
+def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                       cpus, n):
+    # one code path formats every band, on any CPU count, and forks nothing
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "process_cpu_count"):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
     axis, values = _edge_case_grid(n)
     header = ["t1_ns", "t2_ns", "density"]
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
@@ -124,20 +135,39 @@ def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, n):
     assert writer.entries == [{
         "path": "grid.csv",
         "sha256": hashlib.sha256(expected).hexdigest()}]
+    assert forks == []
 
 
-@pytest.mark.parametrize("call", [2, 3], ids=["first-band", "middle-band"])
-def test_failed_grid_write_raises_and_leaves_no_thread(tmp_path, monkeypatch,
-                                                       call):
-    monkeypatch.setattr(outputs._HashedFile, "write_bytes",
-                        disk_full_on(call))
+@pytest.mark.parametrize("fault", ["band", "write", "middle-write"])
+def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
+                                                       fault):
+    # a fault formatting a band, or writing the first or a middle band on
+    # the writer thread, raises before the file is recorded and leaves
+    # neither the writer thread nor a child process behind
+    grid_band = outputs._grid_band
+
+    def failing_band(labels, cols, values, band):
+        if band == 1:
+            raise RuntimeError("formatting fault")
+        return grid_band(labels, cols, values, band)
+
+    if fault == "band":
+        monkeypatch.setattr(outputs, "_grid_band", failing_band)
+        error, match = RuntimeError, "formatting fault"
+    else:
+        call = 2 if fault == "write" else 3   # the header is call 1
+        monkeypatch.setattr(outputs._HashedFile, "write_bytes",
+                            disk_full_on(call))
+        error, match = OSError, "No space"
     axis, values = _edge_case_grid(37)
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
     threads = threading.active_count()
-    with pytest.raises(OSError, match="No space"):
+    with pytest.raises(error, match=match):
         writer.write_grid_csv("grid.csv", ["t1", "t2", "v"], axis, values)
     assert writer.entries == []
     assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _kernel_text(values):
