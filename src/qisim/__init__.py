@@ -7,10 +7,9 @@ from .errors import (ConfigError, InputError, ModelError, QisimError,
                      ResolutionError)
 from .spectral import (CavityLine, FrequencyGrid, JointSpectralAmplitude,
                        PumpSpectrum, build_jsa, cavity_response,
-                       default_grid, pump_amplitude,
-                       sigma_from_pulse_duration)
+                       default_grid, sigma_from_pulse_duration)
 from .biphoton import (JointTimeDistribution, joint_time_distribution,
-                       time_domain, visibility)
+                       visibility)
 from .eit import (EitMedium, FitResult, MemoryDecay, fit_gamma_s,
                   group_delay, transmission, window_fwhm)
 from .qubit import (CHSH_ANGLES, SIX_STATES, MemoryChannelParams,

@@ -315,19 +315,6 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
                               (blocks.pop(0) for _ in bands), dd)
 
 
-def time_domain(jsa: JointSpectralAmplitude,
-                t_grid: np.ndarray) -> np.ndarray:
-    """Two-photon amplitude psi(t1, t2) in detection time, with
-    psi(t) = integral psi(d) e^{-i d t} dd/2pi per axis, assembled from
-    its bands for the tests; commands never hold it."""
-    bands = _psi_bands(jsa, t_grid)
-    n_t = np.asarray(t_grid).size
-    psi = np.empty((n_t, n_t), dtype=complex)
-    for rows, band in bands:
-        psi[rows] = band
-    return psi
-
-
 def joint_time_distribution(jsa: JointSpectralAmplitude,
                             t_grid: np.ndarray) -> JointTimeDistribution:
     """Max-normalized |psi(t1, t2)|^2, squared band by band into the

@@ -32,6 +32,9 @@ _DEFAULT_TPS = "30e-9,100e-9"
 _DEFAULT_STORE_TIMES = "200e-9"
 _DEFAULT_BELL_TIMES = "0,200e-9,1e-6"
 _G13_THRESHOLD = 5.0
+# the largest storage time (s) the g13 plot can place: its axis is in us
+# and a one-point range doubles the value
+_G13_MAX_TIME_S = 1e300
 
 
 def targets(od: float) -> dict:
@@ -301,6 +304,9 @@ def cmd_g13(cfg, writer, times_s) -> tuple:
         g = qubit.g13_decay_model(t, g0, decay.eta)
         alpha = qubit.alpha_quality(g) if g > 1.0 else None
         rows.append((t, g, alpha))
+    if max(times_s) > _G13_MAX_TIME_S:
+        raise InputError(f"storage time {max(times_s):g} s is beyond the "
+                         f"{_G13_MAX_TIME_S:g} s the g13 plot can place")
     writer.write_csv("g13.csv", ["t_s", "g13", "alpha"], rows)
     try:
         crossing = qubit.crossing_time(g0, decay, _G13_THRESHOLD)

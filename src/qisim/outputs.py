@@ -46,16 +46,6 @@ def fmt_cell(value) -> str:
     return fmt_float(value)
 
 
-def sha256_of(path: str) -> str:
-    """Hash of a file read back from disk: the reference for the hashes
-    OutputWriter records while writing."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -107,27 +107,6 @@ def cavity_response(delta, line: CavityLine):
     return out if out.ndim else complex(out)
 
 
-def pump_amplitude(omega_sum_detuning, pump: PumpSpectrum):
-    """Pump spectral amplitude at the sum detuning of the pair."""
-    out = _pump_in_place(np.array(omega_sum_detuning, dtype=float), pump)
-    return out if out.ndim else float(out)
-
-
-def _pump_in_place(nu: np.ndarray, pump: PumpSpectrum) -> np.ndarray:
-    """pump_amplitude computed in the buffer nu, which it overwrites."""
-    if pump.kind == "flat_limit":
-        return np.ones_like(nu)
-    # exp(-nu**2 / (2 sigma^2)) / (sqrt(2 pi) sigma), operation for
-    # operation; an exponent that overflows to -inf gives exp's limit 0
-    with np.errstate(over="ignore"):
-        np.square(nu, out=nu)
-        np.negative(nu, out=nu)
-        nu /= 2.0 * pump.sigma ** 2
-    np.exp(nu, out=nu)
-    nu /= math.sqrt(TWO_PI) * pump.sigma
-    return nu
-
-
 def sigma_from_pulse_duration(t_p: float) -> float:
     """Map a pump pulse duration to the spectral amplitude sigma (rad/s).
 
@@ -143,17 +122,19 @@ def sigma_from_pulse_duration(t_p: float) -> float:
 class JointSpectralAmplitude:
     """Two-photon spectral amplitude sampled on a FrequencyGrid,
 
-        amplitude[i, j] = scale * f[i] * r[i] * r[j] * p(d_i + d_j):
+        amplitude[i, j] = scale * f[i] * r[i] * r[j] * p_(i+j):
 
     a cavity response r on each axis, a pump p on the sum detuning, a
     scale and an optional filter f on the signal axis (axis 0; None is
-    the identity).
+    the identity).  The pump is sampled once, on the index sums:
+    p_k = p((k - (n - 1)) dd) is the pump at d_i + d_j for i + j = k.
 
     A flat pump makes the amplitude the outer product of the factors
     u = scale r f and v = r, which allows grids no matrix could hold.  A
     gaussian pump's mass, marginals and purity are one-dimensional sums
     over the moduli and p^2 on the index sums i + j; its time transform
-    takes the amplitude a band of columns at a time.
+    takes the amplitude a band of columns at a time, each column a
+    window of the pump table.
     """
 
     def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
@@ -180,11 +161,10 @@ class JointSpectralAmplitude:
 
     @property
     def factors(self):
-        """(u, v) with amplitude = outer(u, v) for a flat pump, else None."""
-        return self._sides() if self.is_factored else None
-
-    def _sides(self):
-        """(u, v) = (scale f r, r): amplitude[i, j] = u_i v_j p(d_i + d_j)."""
+        """(u, v) = (scale f r, r), with amplitude = outer(u, v) up to
+        rounding, for a flat pump; else None."""
+        if not self.is_factored:
+            return None
         u = self.r * self.scale
         if self.f is not None:
             u *= self.f
@@ -197,26 +177,38 @@ class JointSpectralAmplitude:
             raise InputError(
                 f"grid of {self.n_points} points is too large to "
                 "materialize as a dense matrix")
-        if self.is_factored:
-            return np.outer(*self.factors)
-        a = np.outer(self.r, self.r)
-        a *= self._pump_matrix()
-        a *= self.scale
-        if self.f is not None:
-            a *= self.f[:, None]
-        return a
+        return self.columns(slice(None)).T
 
     def columns(self, cols: slice) -> np.ndarray:
-        """amplitude[:, cols].T, built from the parts."""
-        u, v = self._sides()
-        block = self._pump_matrix(cols) * v[cols, None]  # P is symmetric
-        block *= u
+        """amplitude[:, cols].T, built from the parts as
+        r_j r_i p_(i+j) scale f_i, an order in which an unfiltered
+        amplitude is exactly symmetric.  Row j's pump is the window of
+        the pump table that starts at j."""
+        block = np.outer(self.r[cols], self.r)
+        block *= sliding_window_view(self.pump_table(), self.n_points)[cols]
+        block *= self.scale
+        if self.f is not None:
+            block *= self.f
         return block
 
-    def _pump_matrix(self, rows: slice = slice(None)) -> np.ndarray:
-        """P[rows, :], P[i, j] = p(d_i + d_j), in the buffer of the sums."""
-        d = self.grid.detunings
-        return _pump_in_place(d[rows, None] + d[None, :], self.pump)
+    def pump_table(self) -> np.ndarray:
+        """p_k = p((k - (n - 1)) dd) for k = 0, ..., 2n - 2: ones for a
+        flat pump, else exp(-s^2 / (2 sigma^2)) / (sqrt(2 pi) sigma)
+        operation for operation, so that p at s = 0 is exactly
+        1 / (sqrt(2 pi) sigma); an exponent that overflows to -inf
+        gives exp's limit 0."""
+        n = self.n_points
+        if self.is_factored:
+            return np.ones(2 * n - 1)
+        s = np.arange(2 * n - 1) - (n - 1.0)
+        s *= self.grid.spacing
+        with np.errstate(over="ignore"):
+            np.square(s, out=s)
+            np.negative(s, out=s)
+            s /= 2.0 * self.pump.sigma ** 2
+        np.exp(s, out=s)
+        s /= math.sqrt(TWO_PI) * self.pump.sigma
+        return s
 
     def moduli(self):
         """(a2, c2, e) with 2^e (a2, c2) = scale (|f r|^2, |r|^2), so that
@@ -234,7 +226,7 @@ class JointSpectralAmplitude:
 
     def pump_on_sums(self) -> np.ndarray:
         """p(s)^2 / p(0)^2 of a gaussian pump at s = v dd / 2 for
-        v = -(2n - 2), ..., 2n - 2 (even v: the sums d_i + d_j), with
+        v = -(2n - 2), ..., 2n - 2 (even v: pump_table's sums), with
         values below 1e-300 set to zero to keep subnormals out of sums."""
         v = np.arange(4 * self.n_points - 3) - (2 * self.n_points - 2.0)
         with np.errstate(over="ignore"):

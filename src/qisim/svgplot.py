@@ -34,15 +34,9 @@ def _build_palette() -> list:
 PALETTE = _build_palette()
 
 
-def color_for(value: float) -> str:
-    """value in [0, 1] -> hex color; out-of-range values are clamped."""
-    idx = int(round(255.0 * min(max(value, 0.0), 1.0)))
-    return PALETTE[idx]
-
-
 def palette_indices(values: np.ndarray) -> np.ndarray:
-    """PALETTE index of every value, as color_for picks it: np.rint and
-    round() both round half to even."""
+    """PALETTE index of every value in [0, 1], the nearest of the 256
+    levels, half to even; values outside are clamped."""
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise ValueError("cannot color a NaN value")

@@ -1,19 +1,22 @@
 """Reference implementations that the tests check the program against.
 
 None of these is reachable from a command: each is an independent oracle
-(fourfold quadrature, the complex A^H A reduced state, the dense real
-kernel with its purity, mass and marginals, the dense and the
-single-shot chirp-z time transforms, the factored transform of the
-materialized signal factor, the sorted-order 99% bandwidth and the
-masked outer-mass fraction of the time-grid guards, closed forms,
-Parseval, Choi
-positivity, a dense transmission scan and a phase difference quotient
-for the EIT window and delay), a diagnostic of an output (ridge
-correlation, g13 from counts), the reader that parses written CSVs back
-for round-trip checks, or the per-rect heatmap cell formula.
+(the pump at any detuning, fourfold quadrature, the complex A^H A
+reduced state, the dense real kernel with its purity, mass and
+marginals, the whole psi(t1, t2) assembled from the program's bands,
+the dense and the single-shot chirp-z time transforms, the factored
+transform of the materialized signal factor, the sorted-order 99%
+bandwidth and the masked outer-mass fraction of the time-grid guards,
+closed forms, Parseval, Choi positivity, a dense transmission scan and a
+phase difference quotient for the EIT window and delay), a diagnostic
+of an output (ridge correlation, g13 from counts), the reader that
+parses written CSVs back for round-trip checks, a file's hash read back
+from disk, the per-value heatmap color, or the per-rect heatmap cell
+formula.
 """
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,12 +28,28 @@ from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError
 from qisim.qubit import MemoryChannelParams, _rail_operator
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
-                            JointSpectralAmplitude, pump_amplitude)
+                            JointSpectralAmplitude, PumpSpectrum)
 
 _ORACLE_MAX_POINTS = 32
 
 
 # ---------------------------------------------------------------- biphoton
+
+def pump_amplitude(nu, pump: PumpSpectrum) -> np.ndarray:
+    """Pump spectral amplitude at the sum detunings nu, in the order of
+    operations of JointSpectralAmplitude.pump_table, so the two agree
+    bit for bit on the same detunings."""
+    nu = np.array(nu, dtype=float)
+    if pump.kind == "flat_limit":
+        return np.ones_like(nu)
+    with np.errstate(over="ignore"):
+        np.square(nu, out=nu)
+        np.negative(nu, out=nu)
+        nu /= 2.0 * pump.sigma ** 2
+    np.exp(nu, out=nu)
+    nu /= math.sqrt(TWO_PI) * pump.sigma
+    return nu
+
 
 def visibility_quadrature(jsa: JointSpectralAmplitude) -> float:
     """Brute-force fourfold Riemann sum for the visibility.
@@ -131,6 +150,19 @@ def time_domain_dense(jsa: JointSpectralAmplitude,
     d = jsa.grid.detunings
     e = np.exp(-1j * np.outer(t_grid, d)) * (jsa.grid.spacing / TWO_PI)
     return e @ jsa.amplitude @ e.T
+
+
+def time_domain(jsa: JointSpectralAmplitude,
+                t_grid: np.ndarray) -> np.ndarray:
+    """Two-photon amplitude psi(t1, t2) in detection time, with
+    psi(t) = integral psi(d) e^{-i d t} dd/2pi per axis, assembled whole
+    from the program's bands; commands only ever square them."""
+    bands = biphoton._psi_bands(jsa, t_grid)
+    n_t = np.asarray(t_grid).size
+    psi = np.empty((n_t, n_t), dtype=complex)
+    for rows, band in bands:
+        psi[rows] = band
+    return psi
 
 
 def _chirp_single_shot(alpha: float, q: np.ndarray) -> np.ndarray:
@@ -352,6 +384,24 @@ def phase_slope(medium: EitMedium, h: float) -> float:
 
 
 # ----------------------------------------------------------------- outputs
+
+def sha256_of(path: str) -> str:
+    """Hash of a file read back from disk: the reference for the hashes
+    OutputWriter records while writing."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def color_for(value: float) -> str:
+    """value in [0, 1] -> hex color of svgplot.PALETTE, rounded half to
+    even by round(); out-of-range values are clamped: the per-value
+    reference for svgplot.palette_indices."""
+    idx = int(round(255.0 * min(max(value, 0.0), 1.0)))
+    return svgplot.PALETTE[idx]
+
 
 def heatmap_cells(v: np.ndarray) -> list:
     """The cell rectangles of svgplot.heatmap for already block-averaged

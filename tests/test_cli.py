@@ -509,7 +509,7 @@ def test_manifest_records_config_and_seed(tmp_path):
     assert "g13_report.json" in listed
     assert "manifest.json" not in listed
     for entry in manifest["outputs"]:
-        assert outputs.sha256_of(str(out / entry["path"])) == entry["sha256"]
+        assert oracles.sha256_of(str(out / entry["path"])) == entry["sha256"]
 
 
 def test_reproduce_all_checks_and_determinism(tmp_path, capsys):

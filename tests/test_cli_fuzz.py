@@ -122,15 +122,23 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
 @example(argv=["timedist", "--tp-s", "abc"])
 @example(argv=["bell", "--storage-times-s", "-1e-6"])
 @example(argv=["eit", "--fit-gamma-s", "inf"])
+@example(argv=["g13", "--times-s", "1e302"])
+@example(argv=["g13", "--times-s", "0,1e303"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
-    or one stderr line, and never a traceback or a warning."""
+    or one stderr line, and never a traceback or a warning; a g13 plot
+    it writes has finite coordinates."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv + ["--out", out])
+        svg = os.path.join(out, "g13_curve.svg")
+        if os.path.exists(svg):
+            with open(svg, encoding="utf-8") as fh:
+                text = fh.read()
+            assert "nan" not in text and "inf" not in text, argv
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_CHECKS), err
     assert err.count("\n") <= 1, err

@@ -273,15 +273,17 @@ def test_manifest_lists_outputs_with_hashes(tmp_path):
     paths = [entry["path"] for entry in manifest["outputs"]]
     assert paths == sorted(paths)
     for entry in manifest["outputs"]:
-        assert entry["sha256"] == outputs.sha256_of(
+        assert entry["sha256"] == oracles.sha256_of(
             str(tmp_path / entry["path"]))
 
 
 def test_writers_hash_without_reading_back(tmp_path, monkeypatch):
-    def refuse(path):
-        raise AssertionError(f"{path} was read back to hash it")
+    def write_only(path, mode="r", *args, **kwargs):
+        if "r" in mode or "+" in mode:
+            raise AssertionError(f"{path} was opened to be read")
+        return builtins.open(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(outputs, "sha256_of", refuse)
+    monkeypatch.setattr(outputs, "open", write_only, raising=False)
     writer = outputs.OutputWriter(str(tmp_path))
     writer.write_csv("a.csv", ["x", "y"], [(1.0, "é"), (1 / 3, None)])
     writer.write_grid_csv("g.csv", ["t1", "t2", "v"], np.arange(3.0),
@@ -299,7 +301,7 @@ def test_sha256_text_matches_file(tmp_path):
     text = "eit.od = 55.0\n"
     path = tmp_path / "t.txt"
     path.write_text(text, encoding="utf-8")
-    assert outputs.sha256_text(text) == outputs.sha256_of(str(path))
+    assert outputs.sha256_text(text) == oracles.sha256_of(str(path))
 
 
 # -------------------------------------------------------------------- svg
@@ -309,10 +311,10 @@ def test_palette_structure():
     assert svgplot.PALETTE[0] == "#440154"
     assert svgplot.PALETTE[-1] == "#fde725"
     assert all(c.startswith("#") and len(c) == 7 for c in svgplot.PALETTE)
-    assert svgplot.color_for(-1.0) == svgplot.PALETTE[0]
-    assert svgplot.color_for(2.0) == svgplot.PALETTE[-1]
-    assert svgplot.color_for(0.0) == svgplot.PALETTE[0]
-    assert svgplot.color_for(1.0) == svgplot.PALETTE[-1]
+    assert oracles.color_for(-1.0) == svgplot.PALETTE[0]
+    assert oracles.color_for(2.0) == svgplot.PALETTE[-1]
+    assert oracles.color_for(0.0) == svgplot.PALETTE[0]
+    assert oracles.color_for(1.0) == svgplot.PALETTE[-1]
 
 
 def test_svg_generators_emit_valid_xml():
@@ -371,6 +373,6 @@ def test_palette_indices_match_color_for():
     idx = svgplot.palette_indices(values.reshape(-1, 1))
     assert idx.shape == (values.size, 1)
     assert [svgplot.PALETTE[i] for i in idx.ravel()] == [
-        svgplot.color_for(float(x)) for x in values]
+        oracles.color_for(float(x)) for x in values]
     with pytest.raises(ValueError):
         svgplot.palette_indices(np.array([0.5, np.nan]))

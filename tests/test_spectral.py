@@ -7,6 +7,7 @@ import qisim as q
 from qisim.errors import InputError, ResolutionError
 from qisim.spectral import MATERIALIZE_LIMIT, TWO_PI
 
+import oracles
 import refvals as rv
 
 
@@ -50,21 +51,29 @@ def test_cavity_response_formula(line):
     assert scalar == 1.0 / (0.5j * rv.GAMMA)
 
 
+def pump_table(grid, pump):
+    """The package's pump on the index sums of grid."""
+    return q.JointSpectralAmplitude(grid, np.ones(grid.n_points),
+                                    pump).pump_table()
+
+
 def test_pump_gaussian_is_unit_area():
     sigma = TWO_PI * 4e6
     pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
-    d = np.linspace(-12.0 * sigma, 12.0 * sigma, 20001)
-    amp = q.pump_amplitude(d, pump)
-    area = np.sum(amp) * (d[1] - d[0])
-    assert area == pytest.approx(1.0, rel=1e-9)
-    peak = q.pump_amplitude(np.array([0.0]), pump)[0]
-    assert peak == 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    # index sums from -12 sigma to 12 sigma in 20002 steps
+    grid = q.FrequencyGrid(span=12.0 * sigma, n_points=10002)
+    table = pump_table(grid, pump)
+    assert table.shape == (20003,)
+    assert np.sum(table) * grid.spacing == pytest.approx(1.0, rel=1e-9)
+    assert table[10001] == 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    sums = (np.arange(20003) - 10001.0) * grid.spacing
+    assert np.array_equal(table, oracles.pump_amplitude(sums, pump))
 
 
 def test_pump_flat_and_delta_kinds():
-    d = np.linspace(-1.0, 1.0, 11)
-    flat = q.pump_amplitude(d, q.PumpSpectrum(kind="flat_limit"))
-    assert np.array_equal(flat, np.ones(11))
+    grid = q.FrequencyGrid(span=2.0, n_points=10)
+    flat = pump_table(grid, q.PumpSpectrum(kind="flat_limit"))
+    assert np.array_equal(flat, np.ones(19))
     # a continuous (delta) pump has no samples on a grid: not a kind
     for kind in ("delta_limit", "boxcar"):
         with pytest.raises(InputError, match="unknown pump kind"):
@@ -104,9 +113,11 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
     grid = q.default_grid(line, pump, n_points=256)
     jsa = q.build_jsa(grid, line, pump)
-    d = grid.detunings
-    r = q.cavity_response(d, line)
-    raw = np.outer(r, r) * q.pump_amplitude(d[:, None] + d[None, :], pump)
+    r = q.cavity_response(grid.detunings, line)
+    # the pump on the index sums (i + j - (n - 1)) dd
+    idx = np.arange(grid.n_points)
+    raw = np.outer(r, r) * oracles.pump_amplitude(
+        (idx[:, None] + idx - (grid.n_points - 1.0)) * grid.spacing, pump)
     a = jsa.amplitude
     assert np.allclose(a, raw / math.sqrt(np.sum(np.abs(raw) ** 2))
                        / grid.spacing, rtol=1e-14, atol=0.0)
