@@ -23,6 +23,8 @@ import os
 
 import numpy as np
 
+from .errors import ModelError
+
 ARTIFACT_VERSION = "0.1.0"
 
 # grid rows per band, the unit formatted while the band before it is
@@ -39,10 +41,6 @@ def fmt_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     return fmt_float(value)
 
 
@@ -170,11 +168,16 @@ class OutputWriter:
 
     def write_svg(self, name: str, render) -> str:
         """Write the SVG text `render()` returns; render is called only
-        when SVG output is wanted."""
+        when SVG output is wanted, and before the file is opened, so a
+        figure it refuses leaves no file.  The refusal names the file."""
         if not self.wants("svg"):
             return None
+        try:
+            text = render()
+        except ModelError as exc:
+            raise ModelError(f"{name}: {exc}") from None
         with self._open(name) as fh:
-            fh.write(render())
+            fh.write(text)
         return fh.path
 
     def write_manifest(self, config_echo: dict, input_hash: str) -> str:

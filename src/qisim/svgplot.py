@@ -1,12 +1,20 @@
 """Minimal deterministic SVG plots: heatmaps, curves, bar charts.
 
 No plotting dependency; every figure is assembled from rectangles,
-polylines, and text.  All numbers are formatted with fixed precision so
-identical inputs give byte-identical files.
+polylines, and text on one skeleton: `_figure` opens the canvas with its
+white ground and title, and `_close` adds the rotated y label and ends
+it.  Every data-driven coordinate goes through one axis map, `_linear`,
+which refuses a range that is not increasing or whose span overflows, so
+no figure holds a `nan` or `inf` coordinate.  All numbers are formatted
+with fixed precision so identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ModelError
 
 # 256-level colormap, linearly interpolated between nine fixed anchors
 # (dark violet -> teal -> yellow).  Index 0 = value 0, index 255 = value 1.
@@ -55,13 +63,73 @@ def _block_mean(a: np.ndarray, limit: int = 128) -> np.ndarray:
     return a.reshape(m, factor, m, factor).mean(axis=(1, 3))
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list:
+    # a quarter of the span is exact, and scaling it by i <= 4 cannot
+    # overflow
+    return [lo + (hi - lo) / 4 * i for i in range(5)]
+
+
+def _linear(lo: float, hi: float, start: float, length: float):
+    """The map of [lo, hi] onto the pixels [start, start + length]; a
+    negative length runs upwards."""
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ModelError(f"axis range [{lo:g}, {hi:g}] has no finite, "
+                         f"positive span")
+    return lambda v: start + (v - lo) / (hi - lo) * length
+
+
+def _range(values, pad: float) -> tuple:
+    """[min, max] of values, widened on each side by pad times its span.
+    A one-point range [v, v] gets the span 1, or |v| where 1 is below
+    v's resolution."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+    margin = pad * (hi - lo)
+    return lo - margin, hi + margin
 
 
 def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
+
+
+_END = 'text-anchor="end"'
+_FRAME = 'fill="none" stroke="black"'
+
+
+def _figure(w: float, h: float, title_x: float, title: str) -> list:
+    """The opening elements of a w x h figure: canvas, white ground and
+    title."""
+    return [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        'viewBox="0 0 %d %d">' % (w, h, w, h),
+        '<rect width="%d" height="%d" fill="white"/>' % (w, h),
+        '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
+        'text-anchor="middle">%s</text>' % (title_x, _esc(title)),
+    ]
+
+
+def _text(x: float, y: float, size: int, text: str,
+          attr: str = 'text-anchor="middle"') -> str:
+    return ('<text x="%.1f" y="%.1f" font-family="sans-serif" '
+            'font-size="%d" %s>%s</text>' % (x, y, size, attr, _esc(text)))
+
+
+def _box(x: float, y: float, w: float, h: float, paint: str) -> str:
+    return ('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" %s/>'
+            % (x, y, w, h, paint))
+
+
+def _close(parts: list, mid_y: float, ylabel: str) -> str:
+    """The figure's text: parts, the y label rotated about (16, mid_y),
+    and the end tag."""
+    parts.append('<text x="16" y="%.1f" font-family="sans-serif" '
+                 'font-size="13" text-anchor="middle" '
+                 'transform="rotate(-90 16 %.1f)">%s</text>'
+                 % (mid_y, mid_y, _esc(ylabel)))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
@@ -71,118 +139,61 @@ def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
     extent = (lo, hi) shared by both axes.  Grids above 128x128 are
     block-averaged down so file size stays bounded.
     """
+    size, ml, mb, mt, mr = 512.0, 64.0, 48.0, 28.0, 20.0
+    lo, hi = float(extent[0]), float(extent[1])
+    px = _linear(lo, hi, ml, size)
+    py = _linear(lo, hi, mt + size, -size)
     v = _block_mean(np.asarray(values, dtype=float))
     peak = float(v.max())
     if peak > 0.0:
         v = v / peak
     m = v.shape[0]
-    size, ml, mb, mt, mr = 512.0, 64.0, 48.0, 28.0, 20.0
     w, h = size + ml + mr, size + mt + mb
     cell = size / m
-    lo, hi = float(extent[0]), float(extent[1])
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (w, h, w, h),
-        '<rect width="%d" height="%d" fill="white"/>' % (w, h),
-        '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
-        'text-anchor="middle">%s</text>' % (ml + size / 2.0, _esc(title)),
-    ]
+    parts = _figure(w, h, ml + size / 2.0, title)
     # each coordinate is formatted once, not once per cell
     xs = ['<rect x="%.2f" y="' % (ml + j * cell) for j in range(m)]
     wh = '" width="%.2f" height="%.2f" fill="' % (cell + 0.5, cell + 0.5)
     for i, row in enumerate(palette_indices(v).tolist()):  # row index = y
         tail = "%.2f%s" % (mt + size - (i + 1) * cell, wh)
         parts.extend(x + tail + PALETTE[k] + '"/>' for x, k in zip(xs, row))
-    parts.append('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" '
-                 'fill="none" stroke="black"/>' % (ml, mt, size, size))
+    parts.append(_box(ml, mt, size, size, _FRAME))
     for t in _ticks(lo, hi):
-        frac = (t - lo) / (hi - lo) if hi > lo else 0.0
-        x = ml + frac * size
-        y = mt + size - frac * size
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="middle">%.4g</text>'
-                     % (x, mt + size + 16.0, t))
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="end">%.4g</text>'
-                     % (ml - 6.0, y + 4.0, t))
-    parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                 'font-size="13" text-anchor="middle">%s</text>'
-                 % (ml + size / 2.0, h - 10.0, _esc(xlabel)))
-    parts.append('<text x="16" y="%.1f" font-family="sans-serif" '
-                 'font-size="13" text-anchor="middle" '
-                 'transform="rotate(-90 16 %.1f)">%s</text>'
-                 % (mt + size / 2.0, mt + size / 2.0, _esc(ylabel)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _nonzero_span_top(lo: float, hi: float) -> float:
-    """hi, or for an empty range [lo, lo] a top above lo: lo + 1, or
-    lo + |lo| where 1 is below lo's resolution."""
-    if hi != lo:
-        return hi
-    return lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+        parts.append(_text(px(t), mt + size + 16.0, 11, "%.4g" % t))
+        parts.append(_text(ml - 6.0, py(t) + 4.0, 11, "%.4g" % t, _END))
+    parts.append(_text(ml + size / 2.0, h - 10.0, 13, xlabel))
+    return _close(parts, mt + size / 2.0, ylabel)
 
 
 def curve(x, series, xlabel: str, ylabel: str, title: str) -> str:
     """Polyline plot; series = [(label, y-array), ...]."""
     x = np.asarray(x, dtype=float)
+    ys = [np.asarray(s[1], dtype=float) for s in series]
     colors = ("#1b6ca8", "#c2461e", "#2e8540", "#6a3d9a")
     size_w, size_h, ml, mb, mt, mr = 520.0, 320.0, 72.0, 48.0, 28.0, 16.0
     w, h = size_w + ml + mr, size_h + mt + mb
+    xlo, xhi = _range(x, 0.0)
+    ylo, yhi = _range(np.concatenate(ys), 0.05)
+    px = _linear(xlo, xhi, ml, size_w)
+    py = _linear(ylo, yhi, mt + size_h, -size_h)
 
-    ys = [np.asarray(s[1], dtype=float) for s in series]
-    ally = np.concatenate(ys)
-    ylo = float(ally.min())
-    yhi = _nonzero_span_top(ylo, float(ally.max()))
-    pad = 0.05 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
-    xlo = float(x.min())
-    xhi = _nonzero_span_top(xlo, float(x.max()))
-
-    def px(xv):
-        return ml + (xv - xlo) / (xhi - xlo) * size_w
-
-    def py(yv):
-        return mt + size_h - (yv - ylo) / (yhi - ylo) * size_h
-
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (w, h, w, h),
-        '<rect width="%d" height="%d" fill="white"/>' % (w, h),
-        '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
-        'text-anchor="middle">%s</text>' % (ml + size_w / 2.0, _esc(title)),
-        '<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" '
-        'stroke="black"/>' % (ml, mt, size_w, size_h),
-    ]
-    for k, (label, y) in enumerate(series):
+    parts = _figure(w, h, ml + size_w / 2.0, title)
+    parts.append(_box(ml, mt, size_w, size_h, _FRAME))
+    for k, ((label, _), y) in enumerate(zip(series, ys)):
         pts = " ".join("%.2f,%.2f" % (px(xv), py(yv))
-                       for xv, yv in zip(x, np.asarray(y, dtype=float)))
+                       for xv, yv in zip(x, y))
         col = colors[k % len(colors)]
         parts.append('<polyline points="%s" fill="none" stroke="%s" '
                      'stroke-width="1.5"/>' % (pts, col))
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="12" fill="%s">%s</text>'
-                     % (ml + size_w - 150.0, mt + 18.0 + 16.0 * k, col,
-                        _esc(label)))
+        parts.append(_text(ml + size_w - 150.0, mt + 18.0 + 16.0 * k, 12,
+                           label, 'fill="%s"' % col))
     for t in _ticks(xlo, xhi):
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="middle">%.4g</text>'
-                     % (px(t), mt + size_h + 16.0, t))
+        parts.append(_text(px(t), mt + size_h + 16.0, 11, "%.4g" % t))
     for t in _ticks(ylo, yhi):
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="end">%.4g</text>'
-                     % (ml - 6.0, py(t) + 4.0, t))
-    parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                 'font-size="13" text-anchor="middle">%s</text>'
-                 % (ml + size_w / 2.0, h - 10.0, _esc(xlabel)))
-    parts.append('<text x="16" y="%.1f" font-family="sans-serif" '
-                 'font-size="13" text-anchor="middle" '
-                 'transform="rotate(-90 16 %.1f)">%s</text>'
-                 % (mt + size_h / 2.0, mt + size_h / 2.0, _esc(ylabel)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(ml - 6.0, py(t) + 4.0, 11, "%.4g" % t, _END))
+    parts.append(_text(ml + size_w / 2.0, h - 10.0, 13, xlabel))
+    return _close(parts, mt + size_h / 2.0, ylabel)
 
 
 def bars(labels, values, ylabel: str, title: str) -> str:
@@ -191,37 +202,20 @@ def bars(labels, values, ylabel: str, title: str) -> str:
     size_w, size_h, ml, mb, mt, mr = 440.0, 280.0, 64.0, 56.0, 28.0, 16.0
     w, h = size_w + ml + mr, size_h + mt + mb
     top = max(1.0, max(values))
+    height = _linear(0.0, top, 0.0, size_h)
     slot = size_w / n
     bw = slot * 0.7
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (w, h, w, h),
-        '<rect width="%d" height="%d" fill="white"/>' % (w, h),
-        '<text x="%.1f" y="18" font-family="sans-serif" font-size="14" '
-        'text-anchor="middle">%s</text>' % (ml + size_w / 2.0, _esc(title)),
-        '<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" '
-        'stroke="black"/>' % (ml, mt, size_w, size_h),
-    ]
+    parts = _figure(w, h, ml + size_w / 2.0, title)
+    parts.append(_box(ml, mt, size_w, size_h, _FRAME))
     for k, (label, v) in enumerate(zip(labels, values)):
         x = ml + k * slot + (slot - bw) / 2.0
-        bh = v / top * size_h
-        parts.append('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" '
-                     'fill="#1b6ca8"/>' % (x, mt + size_h - bh, bw, bh))
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="middle">%.4f</text>'
-                     % (x + bw / 2.0, mt + size_h - bh - 4.0, v))
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="12" text-anchor="middle">%s</text>'
-                     % (x + bw / 2.0, mt + size_h + 16.0, _esc(str(label))))
+        bh = height(v)
+        parts.append(_box(x, mt + size_h - bh, bw, bh, 'fill="#1b6ca8"'))
+        parts.append(_text(x + bw / 2.0, mt + size_h - bh - 4.0, 11,
+                           "%.4f" % v))
+        parts.append(_text(x + bw / 2.0, mt + size_h + 16.0, 12, str(label)))
     for t in _ticks(0.0, top):
-        y = mt + size_h - t / top * size_h
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="11" text-anchor="end">%.2f</text>'
-                     % (ml - 6.0, y + 4.0, t))
-    parts.append('<text x="16" y="%.1f" font-family="sans-serif" '
-                 'font-size="13" text-anchor="middle" '
-                 'transform="rotate(-90 16 %.1f)">%s</text>'
-                 % (mt + size_h / 2.0, mt + size_h / 2.0, _esc(ylabel)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(ml - 6.0, mt + size_h - height(t) + 4.0, 11,
+                           "%.2f" % t, _END))
+    return _close(parts, mt + size_h / 2.0, ylabel)

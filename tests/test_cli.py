@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -402,6 +403,28 @@ def test_g13_command(tmp_path):
     assert rows[0][2] == pytest.approx(4.0 / 24.0, rel=1e-12)
     g_vals = [r[1] for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(g_vals, g_vals[1:]))
+
+
+def test_g13_plot_of_a_huge_g0_has_finite_coordinates(tmp_path):
+    # a tick at (hi - lo) * 3 / 4 overflowed from about g0 = 4.1e307
+    out = tmp_path / "out"
+    assert main(["g13", "--set", "g13.g0=5e307", "--out", str(out)]) == EXIT_OK
+    text = (out / "g13_curve.svg").read_text(encoding="utf-8")
+    assert "nan" not in text and "inf" not in text
+
+
+def test_g13_axis_beyond_the_float_range_is_refused(tmp_path, capsys):
+    # the padded y range of g0 = 1.7e308 spans more than the largest float
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["g13", "--set", "g13.g0=1.7e308", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert err.startswith("qisim: g13_curve.svg: axis range ")
+    assert err.count("\n") == 1
+    assert not (out / "g13_curve.svg").exists()
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_config_error_exits_before_writing(tmp_path, capsys):

@@ -5,7 +5,9 @@ Needs hypothesis, a test-only dependency; the module is skipped where it
 is not installed.
 """
 import contextlib
+import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -101,6 +103,27 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
         _FUZZ_COMMANDS, st.tuples(*[_FUZZ_SETTINGS[k] for k in keys])))
 
 
+def _refuse(token):
+    raise AssertionError(f"non-finite JSON number {token}")
+
+
+def _assert_finite(path, argv):
+    """No `nan` or `inf` in an SVG, no NaN or Infinity token in a JSON
+    file, and no CSV cell that parses as a non-finite float; a cell that
+    parses as no float (an error message) is text."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".svg"):
+            text = fh.read()
+            assert "nan" not in text and "inf" not in text, (argv, path)
+        elif path.endswith(".json"):
+            json.load(fh, parse_constant=_refuse)
+        elif path.endswith(".csv"):
+            for row in csv.reader(fh):
+                for cell in row:
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(cell)), (argv, path, cell)
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(argv=_FUZZ_ARGV)
 @example(argv=["eit", "--set", "eit.od=1e6"])
@@ -124,21 +147,20 @@ _FUZZ_ARGV = st.lists(st.sampled_from(sorted(_FUZZ_SETTINGS)), unique=True,
 @example(argv=["eit", "--fit-gamma-s", "inf"])
 @example(argv=["g13", "--times-s", "1e302"])
 @example(argv=["g13", "--times-s", "0,1e303"])
+@example(argv=["g13", "--set", "g13.g0=5e307"])
+@example(argv=["g13", "--set", "g13.g0=1.7e308"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
-    or one stderr line, and never a traceback or a warning; a g13 plot
-    it writes has finite coordinates."""
+    or one stderr line, and never a traceback or a warning; no file it
+    writes holds a non-finite number."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv + ["--out", out])
-        svg = os.path.join(out, "g13_curve.svg")
-        if os.path.exists(svg):
-            with open(svg, encoding="utf-8") as fh:
-                text = fh.read()
-            assert "nan" not in text and "inf" not in text, argv
+        for name in os.listdir(out):
+            _assert_finite(os.path.join(out, name), argv)
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MODEL, EXIT_CHECKS), err
     assert err.count("\n") <= 1, err

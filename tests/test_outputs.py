@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qisim import cli, config, g17, outputs, svgplot
+from qisim.errors import ModelError
 
 import oracles
 from helpers import disk_full_on
@@ -32,8 +33,6 @@ def test_float_formatting_round_trips():
 
 def test_cell_formatting():
     assert outputs.fmt_cell(None) == ""
-    assert outputs.fmt_cell(True) == "true"
-    assert outputs.fmt_cell(False) == "false"
     assert outputs.fmt_cell(3) == "3"
     assert outputs.fmt_cell("text") == "text"
 
@@ -358,6 +357,47 @@ def test_heatmap_cells_match_the_per_rect_formula(n):
     start = lines.index(cells[0])
     assert lines[start:start + len(cells)] == cells
     assert text.count("<rect") == len(cells) + 2
+
+
+def test_ticks_are_the_old_quarters_and_cannot_overflow():
+    # a quarter is an exact scaling, so lo + span / 4 * i is the old
+    # lo + span * i / 4 bit for bit wherever span * i does not overflow
+    rng = np.random.default_rng(17)
+    exps = rng.integers(-300, 300, (2000, 2))
+    ends = rng.uniform(-10.0, 10.0, (2000, 2)) * 10.0 ** exps
+    for lo, hi in np.sort(ends, axis=1).tolist() + [(0.0, 1.0), (-4e-6, 0.0)]:
+        old = [lo + (hi - lo) * i / 4 for i in range(5)]
+        assert [t.hex() for t in svgplot._ticks(lo, hi)] == [
+            t.hex() for t in old]
+    big = sys.float_info.max
+    for lo, hi in [(0.0, big), (-big / 2, big / 2), (big / 2, big)]:
+        ticks = svgplot._ticks(lo, hi)
+        assert all(math.isfinite(t) for t in ticks), (lo, hi)
+        assert ticks == sorted(ticks)
+
+
+@pytest.mark.parametrize("figure", [
+    lambda: svgplot.heatmap(np.ones((4, 4)), (1.0, 1.0), "x", "y", "t"),
+    lambda: svgplot.heatmap(np.ones((4, 4)), (2.0, 1.0), "x", "y", "t"),
+    lambda: svgplot.curve([0.0, 1.0], [("a", [-1e308, 1e308])],
+                          "x", "y", "t"),
+    lambda: svgplot.curve([0.0, math.nan], [("a", [0.0, 1.0])],
+                          "x", "y", "t"),
+    lambda: svgplot.bars(["H"], [math.inf], "y", "t"),
+], ids=["heatmap-empty", "heatmap-decreasing", "curve-span-overflows",
+        "curve-nan", "bars-inf"])
+def test_an_axis_without_a_finite_span_is_refused(figure):
+    with pytest.raises(ModelError, match="axis range .* has no finite"):
+        figure()
+
+
+def test_a_refused_figure_names_its_file_and_leaves_none(tmp_path):
+    writer = outputs.OutputWriter(str(tmp_path), ("svg",))
+    with pytest.raises(ModelError, match=r"^c\.svg: axis range "):
+        writer.write_svg("c.svg", lambda: svgplot.bars(
+            ["H"], [math.inf], "y", "t"))
+    assert not (tmp_path / "c.svg").exists()
+    assert writer.entries == []
 
 
 def test_palette_indices_match_color_for():
