@@ -12,15 +12,10 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import biphoton, config, outputs, qubit, svgplot
-from .eit import (TRANSPARENCY_FLOOR, EitMedium, fit_gamma_s, group_delay,
-                  transmission, window_fwhm)
+from . import config, outputs, qubit, svgplot
+from .config import MATERIALIZE_LIMIT, TWO_PI
 from .errors import (ConfigError, InputError, ModelError, QisimError,
                      ResolutionError)
-from .spectral import (MATERIALIZE_LIMIT, TWO_PI, build_jsa,
-                       sigma_from_pulse_duration)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +62,12 @@ STATE_FIDELITY_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909,
                        "minus": 0.889, "R": 0.920, "L": 0.881}
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num) bit for bit, for a non-zero step."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def _float_list(text: str) -> list:
     out = []
     for part in text.split(","):
@@ -95,22 +96,26 @@ def _finish(cfg, writer) -> None:
 # ------------------------------------------------------------- commands
 #
 # Each cmd_* writes its artifacts and returns (exit code, results), where
-# results is what its JSON report holds.
+# results is what its JSON report holds.  A command imports the numpy
+# layers it uses when it runs, as modules, so that a patched module
+# attribute is what it calls.
 
 def _visibility_of(cfg, sigma_rad: float) -> float:
+    from . import biphoton, spectral
     line = config.line_from(cfg)
     pump = config.pump_from(cfg, sigma_rad)
     grid = config.grid_from(cfg, line, pump)
-    return biphoton.visibility(build_jsa(grid, line, pump))
+    return biphoton.visibility(spectral.build_jsa(grid, line, pump))
 
 
 def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
     """Exit code, and {sigma_hz: V} for every row that succeeded.  A
     sweep whose every row failed raises the first row's error."""
+    from . import spectral
     rows = []
     for tp in tps_s:
         try:
-            sigma_rad = sigma_from_pulse_duration(tp)
+            sigma_rad = spectral.sigma_from_pulse_duration(tp)
             v = _visibility_of(cfg, sigma_rad)
             rows.append((sigma_rad / TWO_PI, tp, v, None))
         except QisimError as exc:
@@ -137,8 +142,10 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
 
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
+    import numpy as np
+    from . import biphoton, eit, spectral
     line = config.line_from(cfg)
-    pump = config.pump_from(cfg, sigma_from_pulse_duration(tp_s))
+    pump = config.pump_from(cfg, spectral.sigma_from_pulse_duration(tp_s))
     grid = config.grid_from(cfg, line, pump)
     window = cfg["grids.time_span_factor"] / line.gamma
     lo, hi = -0.2 * window, 0.8 * window
@@ -146,10 +153,10 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     eit_filter = None
     if with_storage == "eit":
         medium = config.medium_from(cfg)
-        hi_ext = hi + 2.0 * group_delay(medium)
+        hi_ext = hi + 2.0 * eit.group_delay(medium)
         n_t *= max(1, math.ceil((hi_ext - lo) / (hi - lo)))
         hi = hi_ext
-        eit_filter = transmission(grid.detunings, medium)
+        eit_filter = eit.transmission(grid.detunings, medium)
     if n_t > MATERIALIZE_LIMIT:
         # the density holds n_t^2 values
         raise InputError(
@@ -161,7 +168,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
             f"the half-transform of {grid.n_points} frequencies by {n_t} "
             f"times exceeds {MATERIALIZE_LIMIT ** 2} values; lower "
             "grids.n_freq or grids.n_time")
-    jsa = build_jsa(grid, line, pump, eit_filter)
+    jsa = spectral.build_jsa(grid, line, pump, eit_filter)
     return biphoton.joint_time_distribution(jsa, np.linspace(lo, hi, n_t))
 
 
@@ -179,10 +186,12 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
 
 
 def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
+    import numpy as np
+    from . import eit
     medium = config.medium_from(cfg)
     fit_info = None
     if fit_target_hz is not None:
-        res = fit_gamma_s(medium, fit_target_hz)
+        res = eit.fit_gamma_s(medium, fit_target_hz)
         lo, hi = res.reachable_hz
         if not lo <= res.target_hz <= hi:
             raise ModelError(f"gamma_s fit: no gamma_s gives a "
@@ -196,18 +205,18 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
             "converged": True,
         }
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
-    t_0 = float(np.abs(transmission(0.0, medium)) ** 2)
-    if t_0 < TRANSPARENCY_FLOOR:
-        raise ModelError(f"on-resonance transmission {t_0:.3g} is below "
-                         f"the transparency floor {TRANSPARENCY_FLOOR:g}; "
+    t_0 = float(np.abs(eit.transmission(0.0, medium)) ** 2)
+    if t_0 < eit.TRANSPARENCY_FLOOR:
+        raise ModelError(f"on-resonance transmission {t_0:.3g} is below the "
+                         f"transparency floor {eit.TRANSPARENCY_FLOOR:g}; "
                          "there is no window to report")
 
     base = config.medium_from(cfg)
-    off_medium = EitMedium(base.optical_depth, 0.0, base.gamma_ge,
-                           base.gamma_s, base.length)
+    off_medium = eit.EitMedium(base.optical_depth, 0.0, base.gamma_ge,
+                               base.gamma_s, base.length)
     delta_hz = np.linspace(-30e6, 30e6, 2401)
-    t_on = np.abs(transmission(TWO_PI * delta_hz, medium)) ** 2
-    t_off = np.abs(transmission(TWO_PI * delta_hz, off_medium)) ** 2
+    t_on = np.abs(eit.transmission(TWO_PI * delta_hz, medium)) ** 2
+    t_off = np.abs(eit.transmission(TWO_PI * delta_hz, off_medium)) ** 2
     writer.write_csv(
         "eit_spectrum.csv",
         ["delta_hz", "transmission_control_on", "transmission_control_off"],
@@ -218,8 +227,8 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
         "probe detuning (MHz)", "intensity transmission",
         "Transparency spectrum"))
 
-    fwhm = window_fwhm(medium)
-    tau = group_delay(medium)
+    fwhm = eit.window_fwhm(medium)
+    tau = eit.group_delay(medium)
     report = {
         "window_fwhm_hz": fwhm,
         "group_delay_s": tau,
@@ -230,7 +239,7 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
         "gamma_s_rad_s": medium.gamma_s,
         "transmission_on_resonance": t_0,
         "transmission_control_off_resonance": float(
-            np.abs(transmission(0.0, off_medium)) ** 2),
+            np.abs(eit.transmission(0.0, off_medium)) ** 2),
         "fit": fit_info,
     }
     writer.write_json("eit_report.json", report)
@@ -268,14 +277,14 @@ def cmd_bell(cfg, writer, times_s) -> tuple:
         s = qubit.chsh_S(state)
         rows.append({"t_s": t_s, "S": s, "violated": bool(s > 2.0)})
         last_state = state
-    thetas = np.linspace(0.0, math.pi, 181)
+    thetas = _linspace(0.0, math.pi, 181)
     curve_h = qubit.correlation_curve(last_state, "H", thetas)
     curve_p = qubit.correlation_curve(last_state, "plus", thetas)
     writer.write_csv("bell_curve.csv",
                      ["theta_rad", "coincidence_H", "coincidence_plus"],
                      list(zip(thetas, curve_h, curve_p)))
     writer.write_svg("bell_curve.svg", lambda: svgplot.curve(
-        np.degrees(thetas),
+        [t * (180.0 / math.pi) for t in thetas],
         [("flying H", curve_h), ("flying +", curve_p)],
         "analyzer angle (deg)", "normalized coincidences",
         f"Polarization correlation after {times_s[-1] * 1e6:g} us storage"))
@@ -320,7 +329,7 @@ def cmd_g13(cfg, writer, times_s) -> tuple:
     }
     writer.write_json("g13_report.json", report)
     writer.write_svg("g13_curve.svg", lambda: svgplot.curve(
-        np.asarray(times_s) * 1e6,
+        [t * 1e6 for t in times_s],
         [("g13", [r[1] for r in rows]),
          ("threshold", [_G13_THRESHOLD] * len(rows))],
         "storage time (us)", "cross-correlation g13",
@@ -344,14 +353,15 @@ def _check(cid, value, target, tol, relative):
 def cmd_reproduce_all(cfg, writer) -> tuple:
     """Run every command, then check the numbers they returned (and the
     two no command computes) against targets(eit.od)."""
+    from . import eit
     _, vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
                             _float_list(_DEFAULT_TPS))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
     cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
-    _, eit = cmd_eit(cfg, writer)
+    _, eit_report = cmd_eit(cfg, writer)
     _, store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
     _, bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
-    _, g13 = cmd_g13(cfg, writer, list(np.linspace(0.0, 4e-6, 81)))
+    _, g13 = cmd_g13(cfg, writer, _linspace(0.0, 4e-6, 81))
 
     def visibility_at(sigma_hz):
         # a sweep row that failed is recomputed to raise its error here
@@ -363,15 +373,15 @@ def cmd_reproduce_all(cfg, writer) -> tuple:
               "vis_sigma_3p7MHz": visibility_at(3.7e6)}
 
     table = targets(cfg["eit.od"])
-    fit = fit_gamma_s(config.medium_from(cfg), table["eit_window_fwhm"][0])
+    fit = eit.fit_gamma_s(config.medium_from(cfg), table["eit_window_fwhm"][0])
     medium = config.medium_from(cfg, gamma_s_hz=fit.gamma_s / TWO_PI)
-    fwhm, tau = window_fwhm(medium), group_delay(medium)
+    fwhm, tau = eit.window_fwhm(medium), eit.group_delay(medium)
     values["eit_window_fwhm"] = fwhm
     values["eit_group_delay"] = tau
     values["eit_dbp"] = TWO_PI * fwhm * tau
     values["eit_vg"] = medium.length / tau
     values["eit_control_off_transmission"] = (
-        eit["transmission_control_off_resonance"])
+        eit_report["transmission_control_off_resonance"])
 
     fids = store["results"][0]["fidelities"]
     values["six_state_each"] = max(abs(fids[n] - ref) for n, ref
@@ -494,7 +504,7 @@ def main(argv=None) -> int:
                 _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "g13":
             times = (_required(_float_list(args.times_s), "--times-s")
-                     if args.times_s else list(np.linspace(0.0, 4e-6, 81)))
+                     if args.times_s else _linspace(0.0, 4e-6, 81))
             code, _ = cmd_g13(cfg, writer, times)
         else:
             code, _ = cmd_reproduce_all(cfg, writer)

@@ -11,10 +11,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ModelError
-from .eit import DECAY_SHAPES, EitMedium, MemoryDecay
-from .qubit import MemoryChannelParams
-from .spectral import (MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI, CavityLine,
-                       FrequencyGrid, PumpSpectrum, default_grid)
+from .qubit import DECAY_SHAPES, MemoryChannelParams, MemoryDecay
+
+TWO_PI = 2.0 * math.pi
+
+# Largest per-axis point count of an n x n array: the time density
+# (4096^2 float64 = 128 MB) and the amplitude the tests materialize.  A
+# gaussian timedist's n_freq x n_time complex half-transform, and so
+# every vector over the frequency grid, is held to as many values.
+MATERIALIZE_LIMIT = 4096
+
+PUMP_KINDS = ("gaussian", "flat_limit")
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -163,23 +170,26 @@ def load_config(path: str = None, overrides=()) -> RunConfig:
 
 # ------------------------------------------------------- object builders
 
-def line_from(cfg: RunConfig) -> CavityLine:
+def line_from(cfg: RunConfig):
+    from .spectral import CavityLine
     return CavityLine(gamma=TWO_PI * cfg["source.gamma_hz"])
 
 
-def pump_from(cfg: RunConfig, sigma: float) -> PumpSpectrum:
+def pump_from(cfg: RunConfig, sigma: float):
     """The configured pump kind; sigma (rad/s) is a gaussian's bandwidth."""
+    from .spectral import PumpSpectrum
     kind = cfg["source.pump_kind"]
     return PumpSpectrum(kind, sigma if kind == "gaussian" else 0.0)
 
 
-def grid_from(cfg: RunConfig, line: CavityLine,
-              pump: PumpSpectrum) -> FrequencyGrid:
+def grid_from(cfg: RunConfig, line, pump):
+    from .spectral import default_grid
     return default_grid(line, pump, n_points=cfg["grids.n_freq"],
                         span_factor=cfg["grids.freq_span_factor"])
 
 
-def medium_from(cfg: RunConfig, gamma_s_hz: float = None) -> EitMedium:
+def medium_from(cfg: RunConfig, gamma_s_hz: float = None):
+    from .eit import EitMedium
     if gamma_s_hz is None:
         gamma_s_hz = cfg["eit.gamma_s_hz"]
     return EitMedium(
@@ -200,9 +210,11 @@ def background_at(cfg: RunConfig, t_s: float) -> float:
     """Background-to-signal ratio grows as retrieval decays: the noise
     rate is constant while the signal follows eta(t)."""
     eta = decay_from(cfg).eta(t_s)
-    if eta == 0.0:
-        raise ModelError(f"retrieval has decayed to zero at t = {t_s!r} s")
-    return cfg["channel.background_b"] / eta
+    b = cfg["channel.background_b"] / eta if eta > 0.0 else math.inf
+    if b == math.inf:  # its weight b / (1 + b) would be NaN
+        raise ModelError(f"retrieval has decayed to {eta:.3g} at t = "
+                         f"{t_s!r} s; the background ratio is out of range")
+    return b
 
 
 def channel_from(cfg: RunConfig, t_s: float,

@@ -1,9 +1,9 @@
-"""Slow-light medium: transparency spectrum, window width, group delay,
-the gamma_s fit, and the memory's retrieval decay versus storage time.
+"""Slow-light medium: transparency spectrum, window width, group delay
+and the gamma_s fit.
 
-Detunings and decay rates are angular (rad/s). Storage enters the
-simulation only through MemoryDecay, which the qubit channel and the
-g13 model read; pulses are not propagated through the stored spin wave.
+Detunings and decay rates are angular (rad/s).  Pulses are not
+propagated through the stored spin wave: storage enters the simulation
+only through the retrieval decay `qubit.MemoryDecay`.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ModelError
-
-DECAY_SHAPES = ("gaussian", "exponential")
 
 # on-resonance intensity transmission below which the CLI reports no
 # window: the half-width, delay and their products would describe a
@@ -220,41 +218,3 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
     fitted = replace(medium, gamma_s=float(g * medium.gamma_ge))
     return FitResult(fitted.gamma_s, window_fwhm(fitted), target_hz,
                      (medium.gamma_ge * math.sqrt(x_min) / math.pi, widest))
-
-
-# ---------------------------------------------------------------- memory
-
-@dataclass(frozen=True)
-class MemoryDecay:
-    """Retrieval efficiency versus storage time, relative to t = 0.
-
-    Only the shape matters: every figure of merit is post-selected on a
-    retrieved photon, so a constant efficiency factor cancels.
-    """
-
-    tau_mem: float = 1e-6
-    shape: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if not self.tau_mem > 0.0:
-            raise InputError("tau_mem must be positive")
-        if self.shape not in DECAY_SHAPES:
-            raise InputError(f"shape must be one of {DECAY_SHAPES}")
-
-    def eta(self, t):
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t) & (t >= 0.0)):
-            raise InputError("storage time must be finite and >= 0")
-        # t / tau_mem may overflow to inf; eta then underflows to 0
-        with np.errstate(over="ignore"):
-            x = t / self.tau_mem
-            out = np.exp(-(x ** 2 if self.shape == "gaussian" else x))
-        return float(out) if out.ndim == 0 else out
-
-    def inverse(self, eta: float) -> float:
-        """Storage time at which eta(t) has fallen to eta, 0 < eta <= 1."""
-        if not 0.0 < eta <= 1.0:
-            raise InputError("eta must be in (0, 1]")
-        x = -math.log(eta)
-        return self.tau_mem * (math.sqrt(x) if self.shape == "gaussian"
-                               else x)

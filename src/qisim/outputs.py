@@ -8,9 +8,9 @@ Grid CSVs are formatted one band of rows at a time in the calling
 process, while one writer thread hashes and writes the band before it;
 hashlib, file writes and numpy's loops release the GIL, so the two
 overlap.  A band's cells are formatted by the numpy kernel of `g17`,
-whose bytes equal format(v, ".17g") for every float64.  The kernel and
-the thread's executor are imported on the first grid write, so their
-cost falls only on commands that write a grid.
+whose bytes equal format(v, ".17g") for every float64.  The kernel,
+numpy and the thread's executor are imported on the first grid write,
+so their cost falls only on commands that write a grid.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ import datetime
 import hashlib
 import json
 import os
-
-import numpy as np
 
 from .errors import ModelError
 
@@ -69,6 +67,7 @@ def _label_words(labels):
     """Row and column parts of the grid's lines as uint64 words: the
     row label, and ",label," just after the widest row label, both
     NUL-padded to one width, a multiple of 8 bytes."""
+    import numpy as np
     from . import g17
     rows = g17.byte_rows(labels)
     cols = g17.byte_rows(["," + label + "," for label in labels])
@@ -86,6 +85,7 @@ def _grid_band(labels, cols, values, band: int) -> bytes:
 
     labels and cols are the _label_words of the grid's axis.
     """
+    import numpy as np
     from . import g17
     lo = band * _BAND_ROWS
     rows = labels[lo:lo + _BAND_ROWS]

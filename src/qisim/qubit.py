@@ -1,18 +1,22 @@
 """Polarization qubits: dual-rail storage channel, fidelity battery,
-CHSH correlations, and the heralded cross-correlation decay.
+CHSH correlations, the memory's retrieval decay and the heralded
+cross-correlation decay.
 
 Two-qubit matrices use the product basis |HH>, |HV>, |VH>, |VV> with the
 first factor as qubit 1, the flying qubit, and the second as qubit 2, the
 stored one.  H maps to ensemble rail D and V to rail U, so
 rail imbalance shows up as a polarization-dependent amplitude.
+
+Matrices are tuples of rows of Python complex numbers (constructors take
+any nested sequence), so no numpy is imported and no number depends on
+the BLAS core or the SIMD level of the CPU.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InputError, ModelError
 
@@ -21,55 +25,99 @@ _TRACE_TOL = 1e-9
 _PSD_TOL = -1e-10
 
 CHSH_ANGLES = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
+DECAY_SHAPES = ("gaussian", "exponential")
+
+
+# ------------------------------------------------------------- matrices
+
+def _eye(n: int, value: float = 1.0) -> tuple:
+    return tuple(tuple(complex(value if i == j else 0.0) for j in range(n))
+                 for i in range(n))
+
+
+def _outer(v) -> tuple:
+    """|v><v|."""
+    return tuple(tuple(a * complex(b).conjugate() for b in v) for a in v)
+
+
+def _map(fn, *ms) -> tuple:
+    """fn applied entry by entry to matrices of one shape."""
+    return tuple(tuple(map(fn, *rows)) for rows in zip(*ms))
+
+
+def _kron(a, b) -> tuple:
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _expectation(rho, obs) -> float:
+    """Re Tr(rho obs)."""
+    return sum(x * y for row, col in zip(rho, zip(*obs))
+               for x, y in zip(row, col)).real
+
+
+def _positive(m) -> bool:
+    """Whether the least eigenvalue of the Hermitian m exceeds _PSD_TOL:
+    exactly when m + |_PSD_TOL| I has an LDL^H factorization with
+    positive pivots (Golub & Van Loan, Matrix Computations, sec. 4.2)."""
+    a = [list(row) for row in _map(operator.add, m, _eye(len(m), -_PSD_TOL))]
+    for k, row in enumerate(a):
+        if not row[k].real > 0.0:
+            return False
+        for below in a[k + 1:]:
+            f = below[k] / row[k].real
+            for j in range(k + 1, len(a)):
+                below[j] -= f * row[j]
+    return True
 
 
 @dataclass(frozen=True)
 class PolarizationState:
     """Pure polarization ket (alpha, beta) over {H, V}, unit norm."""
 
-    jones: np.ndarray
+    jones: tuple
 
     def __post_init__(self) -> None:
-        j = np.asarray(self.jones, dtype=complex)
-        if j.shape != (2,):
+        j = tuple(complex(x) for x in self.jones)
+        if len(j) != 2:
             raise InputError("jones vector must have exactly 2 components")
-        norm = float(np.sum(np.abs(j) ** 2))
+        norm = abs(j[0]) ** 2 + abs(j[1]) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"jones vector norm^2 = {norm!r}, must be 1")
         object.__setattr__(self, "jones", j)
 
     def density(self) -> "QubitDensity":
-        return QubitDensity(np.outer(self.jones, self.jones.conj()))
+        return QubitDensity(_outer(self.jones))
 
 
 _S2 = 1.0 / math.sqrt(2.0)
 SIX_STATES = {
-    "H": PolarizationState(np.array([1.0, 0.0])),
-    "V": PolarizationState(np.array([0.0, 1.0])),
-    "plus": PolarizationState(np.array([_S2, _S2])),
-    "minus": PolarizationState(np.array([_S2, -_S2])),
-    "R": PolarizationState(np.array([_S2, 1j * _S2])),
-    "L": PolarizationState(np.array([_S2, -1j * _S2])),
+    "H": PolarizationState((1.0, 0.0)),
+    "V": PolarizationState((0.0, 1.0)),
+    "plus": PolarizationState((_S2, _S2)),
+    "minus": PolarizationState((_S2, -_S2)),
+    "R": PolarizationState((_S2, 1j * _S2)),
+    "L": PolarizationState((_S2, -1j * _S2)),
 }
 
 
-def _check_density(m: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
+def _check_density(m, dim: int) -> tuple:
+    m = tuple(tuple(complex(x) for x in row) for row in m)
+    if len(m) != dim or any(len(row) != dim for row in m):
         raise InputError(f"density matrix must be {dim}x{dim}")
-    if float(np.abs(m - m.conj().T).max()) > _HERM_TOL:
+    if any(abs(m[i][j] - m[j][i].conjugate()) > _HERM_TOL
+           for i in range(dim) for j in range(i + 1)):
         raise InputError("density matrix must be Hermitian")
-    tr = float(np.real(np.trace(m)))
+    tr = sum(m[i][i] for i in range(dim)).real
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InputError(f"trace = {tr!r}, must be 1")
-    if float(np.linalg.eigvalsh(m).min()) < _PSD_TOL:
+    if not _positive(m):
         raise InputError("density matrix must be positive semidefinite")
     return m
 
 
 @dataclass(frozen=True)
 class QubitDensity:
-    matrix: np.ndarray
+    matrix: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 2))
@@ -77,7 +125,7 @@ class QubitDensity:
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    matrix: np.ndarray
+    matrix: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 4))
@@ -119,20 +167,14 @@ class MemoryChannelParams:
         return self.background / (1.0 + self.background)
 
 
-def _rail_operator(params: MemoryChannelParams) -> np.ndarray:
-    # H rides rail D, V rides rail U
-    return np.diag([params.eta_D, params.eta_U]).astype(complex)
-
-
-def _post_select(r: np.ndarray) -> np.ndarray:
+def _post_select(r: tuple) -> tuple:
     """r / Tr r, the state given a retrieved click."""
-    tr = float(np.real(np.trace(r)))
-    # numpy divides a complex array by tr as a product with 1 / tr,
-    # which overflows for a subnormal trace
+    tr = sum(r[i][i] for i in range(len(r))).real
+    # a subnormal trace has too few significant bits to normalize by
     if not tr >= sys.float_info.min:
         raise ModelError(f"retrieval probability {tr:.3g} is zero or "
                          "subnormal; nothing to post-select")
-    return r / tr
+    return _map(lambda x: x / tr, r)
 
 
 def memory_channel(rho_in, params: MemoryChannelParams):
@@ -145,19 +187,23 @@ def memory_channel(rho_in, params: MemoryChannelParams):
     while the factors before it keep their marginal: uncorrelated noise
     photons in the retrieved mode.  Returns rho_in's density type.
     """
-    f = rho_in.matrix.shape[0] // 2
-    k = np.kron(np.eye(f), _rail_operator(params))
-    d = params.dephasing_factor()
-    mask = np.kron(np.ones((f, f)), [[1.0, d], [d, 1.0]])
-    r = _post_select(k @ rho_in.matrix @ k.conj().T * mask)
-    rest = np.trace(r.reshape(f, 2, f, 2), axis1=1, axis2=3)
+    rail = (params.eta_D, params.eta_U)   # H rides rail D, V rides rail U
+    # index a of rho_in holds state a % 2 of the stored qubit, and the
+    # dephasing factor scales the entries between unlike states
+    dephase = (1.0, params.dephasing_factor())
+    r = _post_select([[rail[a % 2] * x * rail[b % 2] * dephase[(a + b) % 2]
+                       for b, x in enumerate(row)]
+                      for a, row in enumerate(rho_in.matrix)])
+    f = len(r) // 2
+    rest = [[r[2 * i][2 * j] + r[2 * i + 1][2 * j + 1] for j in range(f)]
+            for i in range(f)]
     p = params.background_weight()
-    return type(rho_in)((1.0 - p) * r + p * np.kron(rest, np.eye(2) / 2.0))
+    return type(rho_in)(_map(lambda x, y: (1.0 - p) * x + p * y,
+                             r, _kron(rest, _eye(2, 0.5))))
 
 
 def fidelity(psi_in: PolarizationState, rho_out: QubitDensity) -> float:
-    j = psi_in.jones
-    return float(np.real(j.conj() @ rho_out.matrix @ j))
+    return _expectation(rho_out.matrix, _outer(psi_in.jones))
 
 
 def six_state_battery(params: MemoryChannelParams) -> dict:
@@ -174,24 +220,23 @@ def six_state_battery(params: MemoryChannelParams) -> dict:
 
 def bell_state() -> TwoQubitDensity:
     """(|HV> + |VH>)/sqrt(2) as a density matrix."""
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = psi[2] = _S2
-    return TwoQubitDensity(np.outer(psi, psi.conj()))
+    return TwoQubitDensity(_outer((0.0, _S2, _S2, 0.0)))
 
 
 def werner_state(v: float) -> TwoQubitDensity:
     if not 0.0 <= v <= 1.0:
         raise InputError("visibility v must be in [0, 1]")
-    return TwoQubitDensity(v * bell_state().matrix + (1.0 - v) * np.eye(4) / 4.0)
+    return TwoQubitDensity(_map(lambda b, w: v * b + (1.0 - v) * w,
+                                bell_state().matrix, _eye(4, 0.25)))
 
 
-def _projector(theta: float) -> np.ndarray:
-    v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    return np.outer(v, v.conj())
+def _projector(theta: float) -> tuple:
+    return _outer((math.cos(theta), math.sin(theta)))
 
 
-def _analyzer(theta: float) -> np.ndarray:
-    return _projector(theta) - _projector(theta + math.pi / 2.0)
+def _analyzer(theta: float) -> tuple:
+    return _map(operator.sub, _projector(theta),
+                _projector(theta + math.pi / 2.0))
 
 
 def correlation_E(rho: TwoQubitDensity, theta1: float,
@@ -202,8 +247,8 @@ def correlation_E(rho: TwoQubitDensity, theta1: float,
     standard angle set CHSH_ANGLES is optimal for the Bell state used
     here.
     """
-    obs = np.kron(_analyzer(-theta1), _analyzer(theta2))
-    return float(np.real(np.trace(rho.matrix @ obs)))
+    return _expectation(rho.matrix,
+                        _kron(_analyzer(-theta1), _analyzer(theta2)))
 
 
 def chsh_S(rho: TwoQubitDensity) -> float:
@@ -213,29 +258,59 @@ def chsh_S(rho: TwoQubitDensity) -> float:
 
 
 def correlation_curve(rho: TwoQubitDensity, flying_basis: str,
-                      theta_sweep) -> np.ndarray:
+                      theta_sweep) -> list:
     """Coincidence rate vs analyzer angle on the stored arm, with the
     flying arm projected onto H or +; max-normalized."""
-    if flying_basis == "H":
-        p1 = _projector(0.0)
-    elif flying_basis == "plus":
-        p1 = _projector(math.pi / 4.0)
-    else:
+    angle = {"H": 0.0, "plus": math.pi / 4.0}.get(flying_basis)
+    if angle is None:
         raise InputError("flying_basis must be 'H' or 'plus'")
-    theta_sweep = np.asarray(theta_sweep, dtype=float)
-    vals = np.array([
-        float(np.real(np.trace(rho.matrix @ np.kron(p1, _projector(th)))))
-        for th in theta_sweep])
-    peak = float(vals.max())
+    p1 = _projector(angle)
+    vals = [_expectation(rho.matrix, _kron(p1, _projector(th)))
+            for th in theta_sweep]
+    peak = max(vals)
     if not peak > 0.0:
         raise ModelError("coincidence rate vanishes for every angle")
-    return vals / peak
+    return [v / peak for v in vals]
 
 
 def curve_visibility(values) -> float:
-    values = np.asarray(values, dtype=float)
-    hi, lo = float(values.max()), float(values.min())
+    hi, lo = max(values), min(values)
     return (hi - lo) / (hi + lo)
+
+
+# ---------------------------------------------------------------- memory
+
+@dataclass(frozen=True)
+class MemoryDecay:
+    """Retrieval efficiency versus storage time, relative to t = 0.
+
+    Only the shape matters: every figure of merit is post-selected on a
+    retrieved photon, so a constant efficiency factor cancels.
+    """
+
+    tau_mem: float = 1e-6
+    shape: str = "gaussian"
+
+    def __post_init__(self) -> None:
+        if not self.tau_mem > 0.0:
+            raise InputError("tau_mem must be positive")
+        if self.shape not in DECAY_SHAPES:
+            raise InputError(f"shape must be one of {DECAY_SHAPES}")
+
+    def eta(self, t: float) -> float:
+        if not 0.0 <= t < math.inf:
+            raise InputError("storage time must be finite and >= 0")
+        # x and x * x may overflow to inf (x ** 2 would raise): eta is 0
+        x = t / self.tau_mem
+        return math.exp(-(x * x if self.shape == "gaussian" else x))
+
+    def inverse(self, eta: float) -> float:
+        """Storage time at which eta(t) has fallen to eta, 0 < eta <= 1."""
+        if not 0.0 < eta <= 1.0:
+            raise InputError("eta must be in (0, 1]")
+        x = -math.log(eta)
+        return self.tau_mem * (math.sqrt(x) if self.shape == "gaussian"
+                               else x)
 
 
 # ------------------------------------------------- heralded cross-correlation
@@ -254,9 +329,7 @@ def g13_decay_model(t, g0: float, eta_of_t):
     normalized to 1 at t = 0."""
     if not g0 > 1.0:
         raise InputError("g0 must exceed 1")
-    t = np.asarray(t, dtype=float)
-    out = 1.0 + (g0 - 1.0) * np.asarray(eta_of_t(t), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 + (g0 - 1.0) * eta_of_t(t)
 
 
 def crossing_time(g0: float, decay, threshold: float = 5.0) -> float:

@@ -13,17 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI
 from .errors import InputError, ResolutionError
-
-TWO_PI = 2.0 * math.pi
-
-# Largest per-axis point count of an n x n array: the time density
-# (4096^2 float64 = 128 MB) and the amplitude the tests materialize.  A
-# gaussian timedist's n_freq x n_time complex half-transform, and so
-# every vector over the frequency grid, is held to as many values.
-MATERIALIZE_LIMIT = 4096
-
-PUMP_KINDS = ("gaussian", "flat_limit")
 
 # rows per band of the purity sum or of psi (and per chunk of A's
 # columns): a band and its FFT buffer are a few MB at the storage map's size

@@ -7,12 +7,11 @@ it.  Every data-driven coordinate goes through one axis map, `_linear`,
 which refuses a range that is not increasing or whose span overflows, so
 no figure holds a `nan` or `inf` coordinate.  All numbers are formatted
 with fixed precision so identical inputs give byte-identical files.
+Curves and bars take plain sequences; only the heatmap imports numpy.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import ModelError
 
@@ -42,16 +41,18 @@ def _build_palette() -> list:
 PALETTE = _build_palette()
 
 
-def palette_indices(values: np.ndarray) -> np.ndarray:
+def palette_indices(values):
     """PALETTE index of every value in [0, 1], the nearest of the 256
     levels, half to even; values outside are clamped."""
+    import numpy as np
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise ValueError("cannot color a NaN value")
     return np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.intp)
 
 
-def _block_mean(a: np.ndarray, limit: int = 128) -> np.ndarray:
+def _block_mean(a, limit: int = 128):
+    import numpy as np
     n = a.shape[0]
     if n <= limit:
         return a
@@ -81,8 +82,10 @@ def _linear(lo: float, hi: float, start: float, length: float):
 def _range(values, pad: float) -> tuple:
     """[min, max] of values, widened on each side by pad times its span.
     A one-point range [v, v] gets the span 1, or |v| where 1 is below
-    v's resolution."""
-    lo, hi = float(np.min(values)), float(np.max(values))
+    v's resolution.  A NaN gives [nan, nan], which _linear refuses."""
+    lo, hi = min(values), max(values)
+    if any(math.isnan(v) for v in values):  # min and max may skip it
+        lo = hi = math.nan
     if hi == lo:
         hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
     margin = pad * (hi - lo)
@@ -132,13 +135,13 @@ def _close(parts: list, mid_y: float, ylabel: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
-            title: str) -> str:
+def heatmap(values, extent, xlabel: str, ylabel: str, title: str) -> str:
     """Square heatmap of `values` (first axis = y, plotted bottom-up).
 
     extent = (lo, hi) shared by both axes.  Grids above 128x128 are
     block-averaged down so file size stays bounded.
     """
+    import numpy as np
     size, ml, mb, mt, mr = 512.0, 64.0, 48.0, 28.0, 20.0
     lo, hi = float(extent[0]), float(extent[1])
     px = _linear(lo, hi, ml, size)
@@ -168,13 +171,13 @@ def heatmap(values: np.ndarray, extent, xlabel: str, ylabel: str,
 
 def curve(x, series, xlabel: str, ylabel: str, title: str) -> str:
     """Polyline plot; series = [(label, y-array), ...]."""
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(s[1], dtype=float) for s in series]
+    x = [float(v) for v in x]
+    ys = [[float(v) for v in s[1]] for s in series]
     colors = ("#1b6ca8", "#c2461e", "#2e8540", "#6a3d9a")
     size_w, size_h, ml, mb, mt, mr = 520.0, 320.0, 72.0, 48.0, 28.0, 16.0
     w, h = size_w + ml + mr, size_h + mt + mb
     xlo, xhi = _range(x, 0.0)
-    ylo, yhi = _range(np.concatenate(ys), 0.05)
+    ylo, yhi = _range([v for y in ys for v in y], 0.05)
     px = _linear(xlo, xhi, ml, size_w)
     py = _linear(ylo, yhi, mt + size_h, -size_h)
 

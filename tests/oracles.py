@@ -26,7 +26,7 @@ from qisim import biphoton, svgplot
 from qisim.biphoton import JointTimeDistribution
 from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError
-from qisim.qubit import MemoryChannelParams, _rail_operator
+from qisim.qubit import MemoryChannelParams
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
                             JointSpectralAmplitude, PumpSpectrum)
 
@@ -318,7 +318,7 @@ def channel_choi(params: MemoryChannelParams) -> np.ndarray:
     """Choi matrix of the linear part of the channel (before the
     nonlinear post-selection step); PSD iff the map is completely
     positive."""
-    k = _rail_operator(params)
+    k = np.diag([params.eta_D, params.eta_U])   # H on rail D, V on rail U
     d = params.dephasing_factor()
     p = params.background_weight()
     deph = np.array([[1.0, d], [d, 1.0]])

@@ -456,9 +456,11 @@ def test_time_grid_guards_memory_budget_at_c3_size():
     assert traced_peak_mb(biphoton._check_grids, jsa, c3_time_grid()) < 6.0
 
 
+# the base holds the layers a grid command loads, as the CLI's own
+# import no longer does
 _HWM_CHILD = """
 import sys
-import qisim.cli
+import qisim.biphoton, qisim.cli, qisim.eit, qisim.spectral
 if sys.argv[1:]:
     assert qisim.cli.main(sys.argv[1:]) == 0
 with open("/proc/self/status") as fh:

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from qisim import cli, config, outputs
+from qisim import biphoton, cli, config, outputs, spectral
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
@@ -253,7 +253,10 @@ def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
     (["store", "--storage-times-s=1e-4"], EXIT_MODEL),
     (["bell", "--storage-times-s=inf"], EXIT_CONFIG),
     (["g13", "--times-s=nan"], EXIT_CONFIG),
-], ids=["bell-underflow", "store-underflow", "bell-inf", "g13-nan"])
+    # eta is subnormal, and the background ratio overflows
+    (["store", "--set", "eit.tau_mem_s=7.4e-9"], EXIT_MODEL),
+], ids=["bell-underflow", "store-underflow", "bell-inf", "g13-nan",
+        "store-subnormal"])
 def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -275,7 +278,7 @@ def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("the amplitude was built before the guard")
 
-    monkeypatch.setattr(cli, "build_jsa", refuse)
+    monkeypatch.setattr(spectral, "build_jsa", refuse)
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
@@ -294,7 +297,7 @@ def test_frequency_grid_beyond_the_kernel_limit(tmp_path, capsys, command,
         raise AssertionError("the amplitude was built before the guard")
 
     if command == "timedist":
-        monkeypatch.setattr(cli, "build_jsa", refuse)
+        monkeypatch.setattr(spectral, "build_jsa", refuse)
     code = main([command, "--set", "grids.n_freq=5000",
                  "--set", "grids.n_time=4096", "--set", "output.formats=csv",
                  "--out", str(tmp_path / "out")])
@@ -581,7 +584,7 @@ def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(cli.biphoton, "visibility")
+    counting(biphoton, "visibility")
     for name in ("six_state_battery", "memory_channel", "crossing_time",
                  "chsh_S"):
         counting(cli.qubit, name)
@@ -675,6 +678,85 @@ def test_import_loads_no_process_pool():
             "sorted(m for m in sys.modules if m.startswith(('multi', 'conc')))")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.0, 4e-6, 81), (0.0, math.pi, 181)], ids=["g13", "bell"])
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    import numpy as np
+    assert (np.array(cli._linspace(start, stop, num)).tobytes()
+            == np.linspace(start, stop, num).tobytes())
+    rng = np.random.default_rng(num)
+    for _ in range(200):
+        a, b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-12, 12, 2)
+        n = int(rng.integers(2, 400))
+        assert (np.array(cli._linspace(a, b, n)).tobytes()
+                == np.linspace(a, b, n).tobytes()), (a, b, n)
+
+
+_LOADED_CHILD = """
+import sys
+import qisim.cli
+qisim.config.load_config()
+if sys.argv[2:]:
+    assert qisim.cli.main(sys.argv[2:]) == 0
+loaded = [m for m in sys.argv[1].split(",") if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], "numpy,qisim.spectral,qisim.biphoton"),
+    (["store"], "numpy,qisim.spectral,qisim.biphoton"),
+    (["bell"], "numpy,qisim.spectral,qisim.biphoton"),
+    (["g13"], "numpy,qisim.spectral,qisim.biphoton"),
+    (["eit"], "qisim.spectral,qisim.biphoton"),
+], ids=["import", "store", "bell", "g13", "eit"])
+def test_short_commands_load_no_numpy(tmp_path, argv, absent):
+    # the qubit layer is plain Python, and each numpy layer is imported
+    # by the commands that use it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    out = ["--out", str(tmp_path / "out")] if argv else []
+    subprocess.run([sys.executable, "-c", _LOADED_CHILD, absent, *argv, *out],
+                   check=True, capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+
+
+# the AVX-512 levels of numpy's runtime dispatch
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_CORETYPE",
+                                      "NPY_DISABLE_CPU_FEATURES"])
+def test_qubit_artifacts_do_not_depend_on_the_cpu(tmp_path, variable):
+    # with numpy in the qubit layer, bell_curve.csv moved under OpenBLAS's
+    # Prescott core (its 4x4 products ran in zgemm) and g13.csv with
+    # AVX-512 off (numpy's SIMD exp)
+    if variable == "OPENBLAS_CORETYPE":
+        value = "Prescott"
+    else:
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_features__
+        value = " ".join(f for f in _AVX512 if __cpu_features__.get(f))
+        if not value:
+            pytest.skip(f"this CPU reports none of {', '.join(_AVX512)}")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    written = []
+    for env in ({}, {variable: value}):
+        out = tmp_path / str(len(written))
+        for command in ("store", "bell", "g13"):
+            subprocess.run(
+                [sys.executable, "-m", "qisim.cli", command, "--out",
+                 str(out)], check=True, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=os.path.normpath(src),
+                         **env))
+        written.append(hash_dir(str(out)))
+    assert len(written[0]) == 8
+    assert written[0] == written[1]
 
 
 def test_visibility_does_not_depend_on_the_blas_thread_count(tmp_path):

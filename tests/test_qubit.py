@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qisim as q
+from qisim import qubit
 from qisim.cli import TARGETS
 from qisim.errors import InputError, ModelError
 from qisim.spectral import TWO_PI
@@ -54,8 +55,46 @@ def test_density_validation():
         q.TwoQubitDensity(np.eye(3) / 3.0)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_positivity_check_matches_the_eigenvalues(dim):
+    # the LDL^H pivots against numpy's eigenvalues, on random densities
+    # shifted down by up to twice their least eigenvalue, so that about
+    # half of them are not positive
+    rng = np.random.default_rng(dim)
+    verdicts = []
+    for _ in range(500):
+        m = ginibre_density(rng, dim)
+        m -= rng.uniform(0.0, 2.0) * np.linalg.eigvalsh(m).min() * np.eye(dim)
+        expect = np.linalg.eigvalsh(m).min() >= qubit._PSD_TOL
+        assert qubit._positive(m) == expect
+        verdicts.append(expect)
+    assert 0.2 < np.mean(verdicts) < 0.8
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_positivity_check_at_the_tolerance(dim, factor):
+    # a rotated diagonal whose least eigenvalue sits 0.1 % inside or
+    # outside the tolerance, and unit trace
+    rng = np.random.default_rng(7)
+    least = qubit._PSD_TOL * factor
+    rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - least)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    m = u @ np.diag(np.concatenate([[least], rest])) @ u.conj().T
+    expect = factor < 1.0
+    assert (np.linalg.eigvalsh(m).min() >= qubit._PSD_TOL) == expect
+    assert qubit._positive(m) == expect
+    density = q.QubitDensity if dim == 2 else q.TwoQubitDensity
+    if expect:
+        density(m)
+    else:
+        with pytest.raises(InputError, match="positive semidefinite"):
+            density(m)
+
+
 def test_bell_state_structure():
-    rho = q.bell_state().matrix
+    rho = np.array(q.bell_state().matrix)
     assert np.trace(rho).real == pytest.approx(1.0, rel=1e-12)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, rel=1e-12)
     # (|HV> + |VH>)/sqrt(2) in the HH, HV, VH, VV basis
@@ -146,7 +185,7 @@ def test_fidelity_basics_and_linearity():
     assert q.fidelity(h, h.density()) == pytest.approx(1.0, rel=1e-12)
     assert q.fidelity(h, q.QubitDensity(np.eye(2) / 2.0)) == pytest.approx(
         0.5, rel=1e-12)
-    rho1 = q.SIX_STATES["plus"].density().matrix
+    rho1 = np.array(q.SIX_STATES["plus"].density().matrix)
     rho2 = np.eye(2) / 2.0
     for a in (0.25, 0.5, 0.75):
         mix = q.QubitDensity(a * rho1 + (1.0 - a) * rho2)
@@ -169,7 +208,7 @@ def test_two_qubit_channel_matches_single_qubit_on_product_states():
             out1 = q.memory_channel(rho_store, params)
             assert isinstance(out2, q.TwoQubitDensity)
             assert isinstance(out1, q.QubitDensity)
-            reduced = out2.matrix.reshape(2, 2, 2, 2)
+            reduced = np.array(out2.matrix).reshape(2, 2, 2, 2)
             pair = (fly_name, store_name)
             assert np.max(np.abs(np.einsum("aiaj->ij", reduced)
                                  - out1.matrix)) <= 1e-15, pair
@@ -291,8 +330,8 @@ def test_correlation_curve_visibility_frozen():
     thetas = np.linspace(0.0, math.pi, 181)
     curve_h = q.correlation_curve(out, "H", thetas)
     curve_p = q.correlation_curve(out, "plus", thetas)
-    assert curve_h.max() == 1.0
-    assert curve_p.max() == 1.0
+    assert max(curve_h) == 1.0
+    assert max(curve_p) == 1.0
     assert q.curve_visibility(curve_p) == pytest.approx(
         rv.CURVE_VIS_PLUS_1US, abs=1e-9)
     assert q.curve_visibility(curve_h) == pytest.approx(
