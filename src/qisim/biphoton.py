@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,21 +74,18 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
 
 # --------------------------------------------------------------- time side
 
-@dataclass(frozen=True)
 class JointTimeDistribution:
     """Normalized pair-detection density on a uniform time grid."""
 
-    t_grid: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.density.shape != (self.t_grid.size, self.t_grid.size):
+    def __init__(self, t_grid: np.ndarray, density: np.ndarray) -> None:
+        if density.shape != (t_grid.size, t_grid.size):
             raise InputError("density shape must match the time grid")
-        if self.density.min() < 0.0:
+        if density.min() < 0.0:
             raise InputError("density must be non-negative")
-        if not math.isclose(float(self.density.max()), 1.0,
+        if not math.isclose(float(density.max()), 1.0,
                             rel_tol=1e-12, abs_tol=0.0):
             raise InputError("density must be max-normalized to 1")
+        self.t_grid, self.density = t_grid, density
 
 
 def _bandwidth_99(d: np.ndarray, mass: np.ndarray) -> float:

@@ -143,7 +143,7 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
     import numpy as np
-    from . import biphoton, eit, spectral
+    from . import biphoton, spectral
     line = config.line_from(cfg)
     pump = config.pump_from(cfg, spectral.sigma_from_pulse_duration(tp_s))
     grid = config.grid_from(cfg, line, pump)
@@ -152,6 +152,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     n_t = cfg["grids.n_time"]
     eit_filter = None
     if with_storage == "eit":
+        from . import eit
         medium = config.medium_from(cfg)
         hi_ext = hi + 2.0 * eit.group_delay(medium)
         n_t *= max(1, math.ceil((hi_ext - lo) / (hi - lo)))
@@ -185,8 +186,11 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
     return EXIT_OK, None
 
 
+def _intensity(t: complex) -> float:
+    return t.real * t.real + t.imag * t.imag
+
+
 def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
-    import numpy as np
     from . import eit
     medium = config.medium_from(cfg)
     fit_info = None
@@ -205,7 +209,7 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
             "converged": True,
         }
         medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
-    t_0 = float(np.abs(eit.transmission(0.0, medium)) ** 2)
+    t_0 = _intensity(eit.transmission(0.0, medium))
     if t_0 < eit.TRANSPARENCY_FLOOR:
         raise ModelError(f"on-resonance transmission {t_0:.3g} is below the "
                          f"transparency floor {eit.TRANSPARENCY_FLOOR:g}; "
@@ -214,15 +218,17 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
     base = config.medium_from(cfg)
     off_medium = eit.EitMedium(base.optical_depth, 0.0, base.gamma_ge,
                                base.gamma_s, base.length)
-    delta_hz = np.linspace(-30e6, 30e6, 2401)
-    t_on = np.abs(eit.transmission(TWO_PI * delta_hz, medium)) ** 2
-    t_off = np.abs(eit.transmission(TWO_PI * delta_hz, off_medium)) ** 2
+    delta_hz = _linspace(-30e6, 30e6, 2401)
+    t_on = [_intensity(eit.transmission(TWO_PI * d, medium))
+            for d in delta_hz]
+    t_off = [_intensity(eit.transmission(TWO_PI * d, off_medium))
+             for d in delta_hz]
     writer.write_csv(
         "eit_spectrum.csv",
         ["delta_hz", "transmission_control_on", "transmission_control_off"],
         list(zip(delta_hz, t_on, t_off)))
     writer.write_svg("eit_spectrum.svg", lambda: svgplot.curve(
-        delta_hz / 1e6,
+        [d / 1e6 for d in delta_hz],
         [("control on", t_on), ("control off", t_off)],
         "probe detuning (MHz)", "intensity transmission",
         "Transparency spectrum"))
@@ -238,8 +244,8 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
         "length_m": medium.length,
         "gamma_s_rad_s": medium.gamma_s,
         "transmission_on_resonance": t_0,
-        "transmission_control_off_resonance": float(
-            np.abs(eit.transmission(0.0, off_medium)) ** 2),
+        "transmission_control_off_resonance": _intensity(
+            eit.transmission(0.0, off_medium)),
         "fit": fit_info,
     }
     writer.write_json("eit_report.json", report)

@@ -8,7 +8,6 @@ visibility numbers and are not recomputed at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError, ModelError
 from .qubit import DECAY_SHAPES, MemoryChannelParams, MemoryDecay
@@ -74,9 +73,9 @@ def _parse_value(key: str, text: str):
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    values: dict
+    def __init__(self, values: dict) -> None:
+        self.values = values
 
     def __getitem__(self, key: str):
         return self.values[key]

@@ -7,12 +7,11 @@ only through the retrieval decay `qubit.MemoryDecay`.
 """
 from __future__ import annotations
 
+import cmath
 import contextlib
-import functools
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+import struct
+import sys
 
 from .errors import InputError, ModelError
 
@@ -26,14 +25,21 @@ TRANSPARENCY_FLOOR = 1e-6
 def _in_range(what: str):
     """Turn a float overflow or invalid operation into one ModelError."""
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except (OverflowError, FloatingPointError):
+        yield
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
         raise ModelError(f"{what} is out of floating-point range for this "
                          "medium") from None
 
 
-@dataclass(frozen=True)
+def _finite(*values):
+    """The last of values; OverflowError if a Python number among them is
+    inf or nan, as Python's * / + give quietly where numpy's errstate traps."""
+    for v in values:
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise OverflowError
+    return values[-1]
+
+
 class EitMedium:
     """Lambda-system ensemble parameters.
 
@@ -41,45 +47,56 @@ class EitMedium:
     linewidth); gamma_s the ground-state coherence decay.
     """
 
-    optical_depth: float
-    rabi_control: float
-    gamma_ge: float
-    gamma_s: float = 0.0
-    length: float = 4e-3
-
-    def __post_init__(self) -> None:
-        if not (self.optical_depth > 0.0 and math.isfinite(self.optical_depth)):
+    def __init__(self, optical_depth: float, rabi_control: float,
+                 gamma_ge: float, gamma_s: float = 0.0,
+                 length: float = 4e-3) -> None:
+        if not (optical_depth > 0.0 and math.isfinite(optical_depth)):
             raise InputError("optical_depth must be positive and finite")
-        if not (self.rabi_control >= 0.0 and math.isfinite(self.rabi_control)):
+        if not (rabi_control >= 0.0 and math.isfinite(rabi_control)):
             raise InputError("rabi_control must be >= 0 and finite")
-        if not (self.gamma_ge > 0.0 and math.isfinite(self.gamma_ge)):
+        if not (gamma_ge > 0.0 and math.isfinite(gamma_ge)):
             raise InputError("gamma_ge must be positive and finite")
-        if not (self.gamma_s >= 0.0 and math.isfinite(self.gamma_s)):
+        if not (gamma_s >= 0.0 and math.isfinite(gamma_s)):
             raise InputError("gamma_s must be >= 0 and finite")
-        if not (self.length > 0.0 and math.isfinite(self.length)):
+        if not (length > 0.0 and math.isfinite(length)):
             raise InputError("length must be positive and finite")
+        self.optical_depth, self.rabi_control = optical_depth, rabi_control
+        self.gamma_ge, self.gamma_s, self.length = gamma_ge, gamma_s, length
+
+
+def _exponent(delta, medium: EitMedium):
+    """ln t(delta) = -(OD/2) num/den, for a number or an array."""
+    od, g_ge, g_s = medium.optical_depth, medium.gamma_ge, medium.gamma_s
+    if medium.rabi_control == 0.0:
+        num, den = g_ge, g_ge - 1j * delta
+    else:
+        num = g_ge * (g_s - 1j * delta)
+        den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
+               + medium.rabi_control ** 2 / 4.0)
+    # an inf den would make the exponent a quiet 0
+    return _finite(den, -(od / 2.0) * num / den)
 
 
 def transmission(delta, medium: EitMedium):
-    """Complex amplitude transfer t(delta) of the ensemble.
+    """Complex amplitude transfer t(delta) of the ensemble: a complex for
+    a Python number, an array for an array.
 
     With the control off the expression reduces to a plain absorption
     line, giving |t(0)|^2 = e^-OD on resonance.
     """
-    scalar = np.isscalar(delta)
+    if isinstance(delta, (int, float, complex)):
+        delta = complex(delta)
+        if not cmath.isfinite(delta):
+            raise InputError("detunings must be finite")
+        with _in_range("transmission"):
+            return cmath.exp(_exponent(delta, medium))
+    import numpy as np
     delta = np.asarray(delta, dtype=complex)
     if not np.all(np.isfinite(delta)):
         raise InputError("detunings must be finite")
-    od, g_ge, g_s = medium.optical_depth, medium.gamma_ge, medium.gamma_s
-    with _in_range("transmission"):
-        if medium.rabi_control == 0.0:
-            out = np.exp(-(od / 2.0) * g_ge / (g_ge - 1j * delta))
-        else:
-            num = g_ge * (g_s - 1j * delta)
-            den = ((g_ge - 1j * delta) * (g_s - 1j * delta)
-                   + medium.rabi_control ** 2 / 4.0)
-            out = np.exp(-(od / 2.0) * num / den)
-    return complex(out) if scalar else out
+    with _in_range("transmission"), np.errstate(
+            over="raise", invalid="raise", divide="raise"):
+        return np.exp(_exponent(delta, medium))
 
 
 # Half transmission in closed form (Fleischhauer, Imamoglu & Marangos,
@@ -92,10 +109,12 @@ def transmission(delta, medium: EitMedium):
 # quadratic in x, cubic in g, and F > 0 where more than half passes.
 
 def _scaled(medium: EitMedium) -> tuple:
-    """(g, k, l) as float64, so that an overflow raises under _in_range."""
-    g_ge = np.float64(medium.gamma_ge)
-    return (medium.gamma_s / g_ge, (medium.rabi_control / (2.0 * g_ge)) ** 2,
-            np.log(2.0) / medium.optical_depth)
+    """(g, k, l), or an OverflowError if one is out of range."""
+    g = medium.gamma_s / medium.gamma_ge
+    k = (medium.rabi_control / (2.0 * medium.gamma_ge)) ** 2
+    l = math.log(2.0) / medium.optical_depth
+    _finite(g, k, l)
+    return g, k, l
 
 
 def _half_x(g, k, l) -> float:
@@ -105,10 +124,11 @@ def _half_x(g, k, l) -> float:
     b = g ** 3 - k * (2.0 * g + 1.0) + l * p * (1.0 + g * g - 2.0 * k)
     c = l * p ** 3
     disc = b * b - 4.0 * a * c
+    _finite(a, b, c, disc)
     # a, c > 0: both roots are positive exactly when b < 0
     if not (b < 0.0 and disc >= 0.0):
         return math.nan
-    return float(2.0 * c / (math.sqrt(disc) - b))
+    return _finite(2.0 * c / (math.sqrt(disc) - b))
 
 
 def window_fwhm(medium: EitMedium) -> float:
@@ -136,8 +156,8 @@ def group_delay(medium: EitMedium) -> float:
         raise InputError("group delay needs a control field (rabi > 0)")
     with _in_range("the group delay"):
         g, k, _ = _scaled(medium)
-        tau = float(medium.optical_depth / 2.0 * (k - g * g)
-                    / ((g + k) ** 2 * medium.gamma_ge))
+        den = (g + k) ** 2 * medium.gamma_ge
+        tau = _finite(den, medium.optical_depth / 2.0 * (k - g * g) / den)
     if not tau > 0.0:
         raise ModelError(f"group delay {tau:.6g} s is not positive; the "
                          "medium is outside the slow-light regime "
@@ -145,20 +165,81 @@ def group_delay(medium: EitMedium) -> float:
     return tau
 
 
-@dataclass(frozen=True)
 class FitResult:
-    gamma_s: float
-    window_fwhm_hz: float
-    target_hz: float
-    # (narrowest window, window at gamma_s = 0) on the fitted branch
-    reachable_hz: tuple
+    def __init__(self, gamma_s: float, window_fwhm_hz: float,
+                 target_hz: float, reachable_hz: tuple) -> None:
+        self.gamma_s, self.window_fwhm_hz = gamma_s, window_fwhm_hz
+        # (narrowest window, window at gamma_s = 0) on the fitted branch
+        self.target_hz, self.reachable_hz = target_hz, reachable_hz
+
+
+# Polynomials are lists of coefficients, the highest power first.
+
+def _polymul(a: list, b: list) -> list:
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _polyval(coef: list, x: float) -> float:
+    y = 0.0
+    for c in coef:
+        y = y * x + c
+    return y
+
+
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _rank(x: float) -> int:
+    """Position of x among the floats: adjacent floats, adjacent ranks."""
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -bits - (1 << 63)
+
+
+def _unrank(rank: int) -> float:
+    return math.copysign(_DOUBLE.unpack(_INT64.pack(abs(rank)))[0], rank)
+
+
+def _real_roots(coef: list) -> list:
+    """The real roots of a polynomial, ascending, to adjacent floats.
+
+    Leading zeros are dropped, as np.roots does.  Between the derivative's
+    real roots, and out to the largest floats, it is monotonic: each sign
+    change holds one root, which bisection over the floats' ranks finds
+    in at most 64 steps of correctly rounded arithmetic."""
+    coef = [_finite(float(c)) for c in coef]  # numpy scalars warn on overflow
+    while coef and coef[0] == 0.0:
+        coef = coef[1:]
+    if len(coef) < 2:
+        return []
+    n = len(coef) - 1
+    # the derivative over n: the same roots, and no coefficient grows
+    turns = _real_roots([c * (n - i) / n for i, c in enumerate(coef[:-1])])
+    ends = [-sys.float_info.max, *turns, sys.float_info.max]
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):
+        v_lo, v_hi = _polyval(coef, lo), _polyval(coef, hi)
+        if v_lo == 0.0:
+            roots.append(lo)
+        elif v_hi and (v_lo < 0.0) != (v_hi < 0.0):
+            # p(a) keeps v_lo's sign; p(b) has the other or is 0 (a root)
+            a, b, neg = _rank(lo), _rank(hi), v_lo < 0.0
+            while b - a > 1:
+                mid = (a + b) // 2
+                v = _polyval(coef, _unrank(mid))
+                a, b = (mid, b) if v and (v < 0.0) == neg else (a, mid)
+            roots.append(_unrank(b))
+    return roots
 
 
 def _cubic_in_x(k, l) -> tuple:
     """F(g, x) = c3 g^3 + c2 g^2 + c1 g + c0: each c as coefficients in x."""
-    return (np.array([1.0 + l, l]), np.array([l * k, 3.0 * l * k]),
-            np.array([1.0 + l, l - 2.0 * k * (1.0 + l), 3.0 * l * k * k]),
-            k * np.array([l, l * (1.0 - 2.0 * k) - 1.0, l * k * k]))
+    return ([1.0 + l, l], [l * k, 3.0 * l * k],
+            [1.0 + l, l - 2.0 * k * (1.0 + l), 3.0 * l * k * k],
+            [k * c for c in (l, l * (1.0 - 2.0 * k) - 1.0, l * k * k)])
 
 
 def _narrowest(cubic, k, l, x0) -> tuple:
@@ -170,17 +251,22 @@ def _narrowest(cubic, k, l, x0) -> tuple:
     quintic in x; each positive root gives the double root g.
     """
     c3, c2, c1, c0 = cubic
-    m = np.polymul
-    disc = functools.reduce(np.polyadd, (
-        18.0 * m(m(c3, c2), m(c1, c0)), -4.0 * m(m(c2, c2), m(c2, c0)),
-        m(m(c2, c1), m(c2, c1)), -4.0 * m(m(c3, c1), m(c1, c1)),
-        -27.0 * m(m(c3, c0), m(c3, c0))))
+    m = _polymul
+    disc = [0.0] * 8
+    for scale, term in (
+            (18.0, m(m(c3, c2), m(c1, c0))), (-4.0, m(m(c2, c2), m(c2, c0))),
+            (1.0, m(m(c2, c1), m(c2, c1))), (-4.0, m(m(c3, c1), m(c1, c1))),
+            (-27.0, m(m(c3, c0), m(c3, c0)))):
+        for i, v in enumerate(term, len(disc) - len(term)):
+            disc[i] += scale * v
+    _finite(*disc)
     best = (0.0, x0)
-    for x in np.roots(disc[:-2]):
-        if x.imag != 0.0 or not x.real > 0.0:
-            continue
-        a, b, c, d = (np.polyval(coef, x.real) for coef in cubic)
-        g = (9.0 * a * d - b * c) / (2.0 * (b * b - 3.0 * a * c))
+    for x in [r for r in _real_roots(disc[:-2]) if r > 0.0]:
+        v = [_polyval(coef, x) for coef in cubic]
+        # scaled by a power of two, exactly, so no product below underflows
+        e = math.frexp(max(map(abs, v)))[1]
+        a, b, c, d = (math.ldexp(t, -e) for t in v)
+        g = _finite((9.0 * a * d - b * c) / (2.0 * (b * b - 3.0 * a * c)))
         x_g = _half_x(g, k, l) if g >= 0.0 else math.nan
         if x_g < best[1]:
             best = (g, x_g)
@@ -199,7 +285,8 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
     """
     if not (target_hz > 0.0 and math.isfinite(target_hz)):
         raise InputError("target window must be positive and finite")
-    widest = window_fwhm(replace(medium, gamma_s=0.0))
+    widest = window_fwhm(EitMedium(medium.optical_depth, medium.rabi_control,
+                                   medium.gamma_ge, 0.0, medium.length))
     with _in_range("the gamma_s fit"):
         _, k, l = _scaled(medium)
         x, x0 = ((math.pi * w / medium.gamma_ge) ** 2
@@ -211,10 +298,11 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
         elif x <= x_min:
             g = g_min
         else:
-            roots = np.roots([np.polyval(coef, x) for coef in cubic])
+            coef = [_polyval(c, x) for c in cubic]
             # no real root left: rounding split the double root at g_min
-            g = min((r.real for r in roots
-                     if r.imag == 0.0 and r.real >= 0.0), default=g_min)
-    fitted = replace(medium, gamma_s=float(g * medium.gamma_ge))
+            g = min((r for r in _real_roots(coef) if r >= 0.0),
+                    default=g_min)
+    fitted = EitMedium(medium.optical_depth, medium.rabi_control,
+                       medium.gamma_ge, g * medium.gamma_ge, medium.length)
     return FitResult(fitted.gamma_s, window_fwhm(fitted), target_hz,
                      (medium.gamma_ge * math.sqrt(x_min) / math.pi, widest))

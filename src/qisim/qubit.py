@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from .errors import InputError, ModelError
 
@@ -70,20 +69,17 @@ def _positive(m) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PolarizationState:
     """Pure polarization ket (alpha, beta) over {H, V}, unit norm."""
 
-    jones: tuple
-
-    def __post_init__(self) -> None:
-        j = tuple(complex(x) for x in self.jones)
+    def __init__(self, jones) -> None:
+        j = tuple(complex(x) for x in jones)
         if len(j) != 2:
             raise InputError("jones vector must have exactly 2 components")
         norm = abs(j[0]) ** 2 + abs(j[1]) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"jones vector norm^2 = {norm!r}, must be 1")
-        object.__setattr__(self, "jones", j)
+        self.jones = j
 
     def density(self) -> "QubitDensity":
         return QubitDensity(_outer(self.jones))
@@ -115,23 +111,16 @@ def _check_density(m, dim: int) -> tuple:
     return m
 
 
-@dataclass(frozen=True)
 class QubitDensity:
-    matrix: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_density(self.matrix, 2))
+    def __init__(self, matrix) -> None:
+        self.matrix = _check_density(matrix, 2)
 
 
-@dataclass(frozen=True)
 class TwoQubitDensity:
-    matrix: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_density(self.matrix, 4))
+    def __init__(self, matrix) -> None:
+        self.matrix = _check_density(matrix, 4)
 
 
-@dataclass(frozen=True)
 class MemoryChannelParams:
     """Dual-rail storage channel parameters.
 
@@ -142,20 +131,18 @@ class MemoryChannelParams:
     the background.
     """
 
-    eta_U: float = 1.0
-    eta_D: float = 1.0
-    phase_jitter_sigma: float = 0.0
-    background: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("eta_U", "eta_D"):
-            v = getattr(self, name)
+    def __init__(self, eta_U: float = 1.0, eta_D: float = 1.0,
+                 phase_jitter_sigma: float = 0.0,
+                 background: float = 0.0) -> None:
+        for name, v in (("eta_U", eta_U), ("eta_D", eta_D)):
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{name} must be in [0, 1]")
-        if self.phase_jitter_sigma < 0.0:
+        if phase_jitter_sigma < 0.0:
             raise InputError("phase_jitter_sigma must be >= 0")
-        if self.background < 0.0:
+        if background < 0.0:
             raise InputError("background must be >= 0")
+        self.eta_U, self.eta_D, self.background = eta_U, eta_D, background
+        self.phase_jitter_sigma = phase_jitter_sigma
 
     def dephasing_factor(self) -> float:
         try:
@@ -280,7 +267,6 @@ def curve_visibility(values) -> float:
 
 # ---------------------------------------------------------------- memory
 
-@dataclass(frozen=True)
 class MemoryDecay:
     """Retrieval efficiency versus storage time, relative to t = 0.
 
@@ -288,14 +274,12 @@ class MemoryDecay:
     retrieved photon, so a constant efficiency factor cancels.
     """
 
-    tau_mem: float = 1e-6
-    shape: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if not self.tau_mem > 0.0:
+    def __init__(self, tau_mem: float = 1e-6, shape: str = "gaussian") -> None:
+        if not tau_mem > 0.0:
             raise InputError("tau_mem must be positive")
-        if self.shape not in DECAY_SHAPES:
+        if shape not in DECAY_SHAPES:
             raise InputError(f"shape must be one of {DECAY_SHAPES}")
+        self.tau_mem, self.shape = tau_mem, shape
 
     def eta(self, t: float) -> float:
         if not 0.0 <= t < math.inf:

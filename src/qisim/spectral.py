@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,7 +24,6 @@ _SIGMA_RANGE = (math.sqrt(sys.float_info.min),
                 math.sqrt(sys.float_info.max / 2.0))
 
 
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform symmetric detuning grid.
 
@@ -33,15 +31,12 @@ class FrequencyGrid:
     inclusive, so the spacing is span / (n_points - 1).
     """
 
-    span: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not (self.span > 0.0 and math.isfinite(self.span)):
-            raise InputError(f"grid span must be positive, got {self.span}")
-        if self.n_points < 8 or self.n_points % 2 != 0:
-            raise InputError(
-                f"n_points must be even and >= 8, got {self.n_points}")
+    def __init__(self, span: float, n_points: int) -> None:
+        if not (span > 0.0 and math.isfinite(span)):
+            raise InputError(f"grid span must be positive, got {span}")
+        if n_points < 8 or n_points % 2 != 0:
+            raise InputError(f"n_points must be even and >= 8, got {n_points}")
+        self.span, self.n_points = span, n_points
 
     @property
     def spacing(self) -> float:
@@ -52,18 +47,15 @@ class FrequencyGrid:
         return np.linspace(-self.span / 2.0, self.span / 2.0, self.n_points)
 
 
-@dataclass(frozen=True)
 class CavityLine:
     """Single cavity resonance; gamma is the full linewidth in rad/s."""
 
-    gamma: float
+    def __init__(self, gamma: float) -> None:
+        if not (gamma > 0.0 and math.isfinite(gamma)):
+            raise InputError(f"gamma must be positive, got {gamma}")
+        self.gamma = gamma
 
-    def __post_init__(self) -> None:
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise InputError(f"gamma must be positive, got {self.gamma}")
 
-
-@dataclass(frozen=True)
 class PumpSpectrum:
     """Pump amplitude spectrum.
 
@@ -71,17 +63,15 @@ class PumpSpectrum:
     amplitude spectrum.  "flat_limit" is a constant (very short pump).
     """
 
-    kind: str
-    sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in PUMP_KINDS:
-            raise InputError(f"unknown pump kind {self.kind!r}")
-        if self.kind == "gaussian" and not (
-                _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
+    def __init__(self, kind: str, sigma: float = 0.0) -> None:
+        if kind not in PUMP_KINDS:
+            raise InputError(f"unknown pump kind {kind!r}")
+        if kind == "gaussian" and not (
+                _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]):
             raise InputError(
                 f"gaussian pump needs sigma in [{_SIGMA_RANGE[0]:.2g}, "
-                f"{_SIGMA_RANGE[1]:.2g}] rad/s, got {self.sigma:.3g}")
+                f"{_SIGMA_RANGE[1]:.2g}] rad/s, got {sigma:.3g}")
+        self.kind, self.sigma = kind, sigma
 
 
 def cavity_response(delta, line: CavityLine):

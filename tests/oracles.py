@@ -8,7 +8,8 @@ the dense and the single-shot chirp-z time transforms, the factored
 transform of the materialized signal factor, the sorted-order 99%
 bandwidth and the masked outer-mass fraction of the time-grid guards,
 closed forms, Parseval, Choi positivity, a dense transmission scan and a
-phase difference quotient for the EIT window and delay), a diagnostic
+phase difference quotient for the EIT window and delay, the gamma_s fit
+with numpy's companion-matrix roots), a diagnostic
 of an output (ridge correlation, g13 from counts), the reader that
 parses written CSVs back for round-trip checks, a file's hash read back
 from disk, the per-value heatmap color, or the per-rect heatmap cell
@@ -16,16 +17,17 @@ formula.
 """
 
 import csv
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qisim import biphoton, svgplot
+from qisim import biphoton, eit, svgplot
 from qisim.biphoton import JointTimeDistribution
 from qisim.eit import EitMedium, transmission
-from qisim.errors import InputError
+from qisim.errors import InputError, ModelError
 from qisim.qubit import MemoryChannelParams
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
                             JointSpectralAmplitude, PumpSpectrum)
@@ -381,6 +383,55 @@ def phase_slope(medium: EitMedium, h: float) -> float:
     phase over detunings +-h (rad/s)."""
     ph = np.angle(transmission(np.array([h, -h]), medium))
     return float((ph[0] - ph[1]) / (2.0 * h))
+
+
+
+def _narrowest_roots(cubic, k, l, x0) -> tuple:
+    """eit._narrowest with the discriminant's quintic solved by np.roots."""
+    c3, c2, c1, c0 = cubic
+    m = np.polymul
+    disc = functools.reduce(np.polyadd, (
+        18.0 * m(m(c3, c2), m(c1, c0)), -4.0 * m(m(c2, c2), m(c2, c0)),
+        m(m(c2, c1), m(c2, c1)), -4.0 * m(m(c3, c1), m(c1, c1)),
+        -27.0 * m(m(c3, c0), m(c3, c0))))
+    best = (0.0, x0)
+    for x in np.roots(disc[:-2]):
+        if x.imag != 0.0 or not x.real > 0.0:
+            continue
+        a, b, c, d = (np.polyval(coef, x.real) for coef in cubic)
+        g = (9.0 * a * d - b * c) / (2.0 * (b * b - 3.0 * a * c))
+        x_g = eit._half_x(g, k, l) if g >= 0.0 else math.nan
+        if x_g < best[1]:
+            best = (g, x_g)
+    return best
+
+
+def fit_gamma_s_roots(medium: EitMedium, target_hz: float) -> tuple:
+    """(gamma_s, reachable_hz) of eit.fit_gamma_s, with both polynomials
+    solved by np.roots (the eigenvalues of the companion matrix) under
+    numpy's errstate, which raises ModelError for any float overflow."""
+    widest = eit.window_fwhm(EitMedium(
+        medium.optical_depth, medium.rabi_control, medium.gamma_ge, 0.0))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, k, l = (np.float64(v) for v in eit._scaled(medium))
+            x, x0 = ((math.pi * w / medium.gamma_ge) ** 2
+                     for w in (target_hz, widest))
+            cubic = [np.array(c) for c in eit._cubic_in_x(k, l)]
+            g_min, x_min = _narrowest_roots(cubic, k, l, x0)
+            if x >= x0:
+                g = 0.0
+            elif x <= x_min:
+                g = g_min
+            else:
+                roots = np.roots([np.polyval(coef, x) for coef in cubic])
+                g = min((r.real for r in roots
+                         if r.imag == 0.0 and r.real >= 0.0), default=g_min)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        raise ModelError("the gamma_s fit is out of floating-point range "
+                         "for this medium") from None
+    return (float(g * medium.gamma_ge),
+            (medium.gamma_ge * math.sqrt(x_min) / math.pi, widest))
 
 
 # ----------------------------------------------------------------- outputs

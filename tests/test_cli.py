@@ -705,16 +705,24 @@ assert not loaded, loaded
 """
 
 
+# dataclasses would bring inspect, ast, dis and tokenize with it
+_NO_NUMPY = "numpy,dataclasses,inspect,qisim.spectral,qisim.biphoton"
+
+
 @pytest.mark.parametrize("argv, absent", [
-    ([], "numpy,qisim.spectral,qisim.biphoton"),
-    (["store"], "numpy,qisim.spectral,qisim.biphoton"),
-    (["bell"], "numpy,qisim.spectral,qisim.biphoton"),
-    (["g13"], "numpy,qisim.spectral,qisim.biphoton"),
-    (["eit"], "qisim.spectral,qisim.biphoton"),
-], ids=["import", "store", "bell", "g13", "eit"])
+    ([], _NO_NUMPY),
+    (["store"], _NO_NUMPY),
+    (["bell"], _NO_NUMPY),
+    (["g13"], _NO_NUMPY),
+    (["eit"], _NO_NUMPY),
+    (["eit", "--fit-gamma-s", "2.9e6"], _NO_NUMPY),
+    (["timedist", "--set", "grids.n_freq=64", "--set", "grids.n_time=32",
+      "--set", "output.formats=csv"], "qisim.eit"),
+], ids=["import", "store", "bell", "g13", "eit", "eit-fit", "timedist"])
 def test_short_commands_load_no_numpy(tmp_path, argv, absent):
-    # the qubit layer is plain Python, and each numpy layer is imported
-    # by the commands that use it
+    # the qubit and EIT layers are plain Python, each numpy layer is
+    # imported by the commands that use it, and timedist needs the EIT
+    # layer only for its storage filter
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     out = ["--out", str(tmp_path / "out")] if argv else []
@@ -723,16 +731,18 @@ def test_short_commands_load_no_numpy(tmp_path, argv, absent):
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
 
 
-# the AVX-512 levels of numpy's runtime dispatch
-_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# the AVX2 and AVX-512 levels of numpy's runtime dispatch
+_SIMD = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 @pytest.mark.parametrize("variable", ["OPENBLAS_CORETYPE",
                                       "NPY_DISABLE_CPU_FEATURES"])
-def test_qubit_artifacts_do_not_depend_on_the_cpu(tmp_path, variable):
+def test_short_command_artifacts_do_not_depend_on_the_cpu(tmp_path,
+                                                           variable):
     # with numpy in the qubit layer, bell_curve.csv moved under OpenBLAS's
     # Prescott core (its 4x4 products ran in zgemm) and g13.csv with
-    # AVX-512 off (numpy's SIMD exp)
+    # AVX-512 off (numpy's SIMD exp); with numpy in eit, eit_spectrum.csv
+    # moved with AVX2 off (FMA in the complex products and |t|)
     if variable == "OPENBLAS_CORETYPE":
         value = "Prescott"
     else:
@@ -740,22 +750,23 @@ def test_qubit_artifacts_do_not_depend_on_the_cpu(tmp_path, variable):
             from numpy._core._multiarray_umath import __cpu_features__
         except ImportError:  # numpy 1.x
             from numpy.core._multiarray_umath import __cpu_features__
-        value = " ".join(f for f in _AVX512 if __cpu_features__.get(f))
+        value = " ".join(f for f in _SIMD if __cpu_features__.get(f))
         if not value:
-            pytest.skip(f"this CPU reports none of {', '.join(_AVX512)}")
+            pytest.skip(f"this CPU reports none of {', '.join(_SIMD)}")
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     written = []
     for env in ({}, {variable: value}):
         out = tmp_path / str(len(written))
-        for command in ("store", "bell", "g13"):
+        for command in (["store"], ["bell"], ["g13"],
+                        ["eit", "--fit-gamma-s", "2.9e6"]):
             subprocess.run(
-                [sys.executable, "-m", "qisim.cli", command, "--out",
+                [sys.executable, "-m", "qisim.cli", *command, "--out",
                  str(out)], check=True, capture_output=True,
                 env=dict(os.environ, PYTHONPATH=os.path.normpath(src),
                          **env))
         written.append(hash_dir(str(out)))
-    assert len(written[0]) == 8
+    assert len(written[0]) == 11
     assert written[0] == written[1]
 
 

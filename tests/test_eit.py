@@ -183,6 +183,64 @@ def test_window_and_delay_match_the_oracles(name):
             q.group_delay(medium)
 
 
+# media at the edges of the float range: a window collapsed into
+# gamma_s, a control that overflows rabi^2, an optical depth that makes
+# ln 2 / OD overflow, one whose gamma_s / gamma_ge overflows, one whose
+# exponent overflows while its window is 2e-147 Hz wide, one whose
+# half-transmission discriminant overflows, and one whose delay's
+# denominator (g + k)^2 gamma_ge overflows
+_EXTREME = {
+    "gamma_s-1e300": q.EitMedium(rv.OD, rv.RABI, 1e-10, 1e300),
+    "rabi-1e300": q.EitMedium(rv.OD, 1e300, rv.GAMMA_GE,
+                              rv.GAMMA_S_DEFAULT),
+    "od-1e-320": q.EitMedium(1e-320, rv.RABI, rv.GAMMA_GE,
+                             rv.GAMMA_S_DEFAULT),
+    "gamma_ge-1e-100": q.EitMedium(rv.OD, rv.RABI, 1e-100, 1e110),
+    "od-1e308": q.EitMedium(1e308, rv.RABI, rv.GAMMA_GE,
+                            rv.GAMMA_S_DEFAULT),
+    "rabi-1e50": q.EitMedium(rv.OD, 1e50, rv.GAMMA_GE),
+    "gamma_ge-1e200": q.EitMedium(rv.OD, 1e277, 1e200),
+}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ModelError:
+        return ModelError
+
+
+@pytest.mark.parametrize("name", sorted(_MEDIA) + sorted(_EXTREME))
+def test_scalar_transmission_guards_as_the_array_path(name):
+    # a Python number takes cmath, an array numpy under errstate: both
+    # give the same value or both a ModelError (at 1e200 the denominator
+    # overflows, which would make the exponent a quiet 0)
+    medium = _MEDIA.get(name) or _EXTREME[name]
+    for delta in (0.0, 1e7, 1e200):
+        scalar = _outcome(lambda: q.transmission(delta, medium))
+        array = _outcome(lambda: q.transmission(np.array([delta]),
+                                                medium)[0])
+        if scalar is ModelError or array is ModelError:
+            assert scalar is array, (delta, scalar, array)
+        else:
+            assert isinstance(scalar, complex)
+            assert scalar == pytest.approx(array, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME))
+def test_window_and_delay_out_of_range_are_model_errors(name):
+    # as numpy's errstate had it: only od-1e308 has a (2e-147 Hz) window
+    # and only rabi-1e50 a delay
+    medium = _EXTREME[name]
+    for f, has_value in ((q.window_fwhm, name == "od-1e308"),
+                         (q.group_delay, name == "rabi-1e50")):
+        if has_value:
+            assert f(medium) > 0.0
+        else:
+            with pytest.raises(ModelError, match="floating-point range"):
+                f(medium)
+
+
 def test_transmission_out_of_range_is_a_model_error():
     medium = q.EitMedium(optical_depth=rv.OD, rabi_control=1e300,
                          gamma_ge=rv.GAMMA_GE)
@@ -215,6 +273,19 @@ def test_fit_gamma_s_reaches_achievable_target():
     assert res.target_hz == rv.FIT29_TARGET
 
 
+def _matches_the_reference_fit(medium, target, rel=1e-12):
+    # the np.roots fit of tests/oracles.py: the same gamma_s and reachable
+    # range, or a ModelError from both
+    ref = _outcome(lambda: oracles.fit_gamma_s_roots(medium, target))
+    res = _outcome(lambda: q.fit_gamma_s(medium, target))
+    if ref is ModelError or res is ModelError:
+        assert res is ref, (target, ref, res)
+        return
+    gamma_s, reachable = ref
+    assert res.gamma_s == pytest.approx(gamma_s, rel=rel, abs=0.0)
+    assert res.reachable_hz == pytest.approx(reachable, rel=1e-12, abs=0.0)
+
+
 def test_fit_gamma_s_hits_every_reachable_target():
     # the narrowing side, from the narrowest window to the widest
     lo, hi = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET).reachable_hz
@@ -228,7 +299,24 @@ def test_fit_gamma_s_hits_every_reachable_target():
             q.EitMedium(rv.OD, rv.RABI, rv.GAMMA_GE, res.gamma_s))
         assert res.gamma_s < previous
         previous = res.gamma_s
+        # at the narrowest window gamma_s is a double root: an ulp of x
+        # moves it by sqrt(eps), and which side of x_min that ulp falls
+        # on decides whether a fit takes g_min or the cubic's nearby root
+        _matches_the_reference_fit(medium_default(), target,
+                                   rel=1e-7 if target == lo else 1e-12)
     assert previous == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_MEDIA) + sorted(_EXTREME))
+def test_fit_gamma_s_matches_the_np_roots_reference_on_the_media(name):
+    medium = _MEDIA.get(name) or _EXTREME[name]
+    targets = [rv.FIT29_TARGET]
+    fit = _outcome(lambda: q.fit_gamma_s(medium, rv.FIT29_TARGET))
+    if fit is not ModelError:
+        lo, hi = fit.reachable_hz
+        targets += [lo + (hi - lo) * f for f in (0.01, 0.5, 0.99)]
+    for target in targets:
+        _matches_the_reference_fit(medium, target)
 
 
 def test_fit_gamma_s_reports_unreachable_target():
