@@ -24,9 +24,10 @@ from .spectral import TWO_PI, JointSpectralAmplitude, correlate, row_bands
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
 # detunings per chirp-z segment, and complex values per row batch of its
-# FFTs: seven rows of a segment, or a whole band of short rows
+# FFTs (a 1 MiB work buffer): one row of a segment, or 32 rows of the
+# storage map's
 _SEGMENT = 1 << 15
-_BATCH_VALUES = 1 << 18
+_BATCH_VALUES = 1 << 16
 
 
 def visibility(jsa: JointSpectralAmplitude) -> float:

@@ -8,7 +8,6 @@ only through the retrieval decay `qubit.MemoryDecay`.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import struct
 import sys
@@ -21,14 +20,21 @@ from .errors import InputError, ModelError
 TRANSPARENCY_FLOOR = 1e-6
 
 
-@contextlib.contextmanager
-def _in_range(what: str):
-    """Turn a float overflow or invalid operation into one ModelError."""
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError, FloatingPointError):
-        raise ModelError(f"{what} is out of floating-point range for this "
-                         "medium") from None
+class _in_range:
+    """Turn a float overflow or invalid operation into one ModelError.
+    A class, not a generator: transmission enters it once per scalar."""
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(
+                kind, (OverflowError, ZeroDivisionError, FloatingPointError)):
+            raise ModelError(f"{self.what} is out of floating-point range "
+                             "for this medium") from None
 
 
 def _finite(*values):
@@ -293,9 +299,10 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
                  for w in (target_hz, widest))
         cubic = _cubic_in_x(k, l)
         g_min, x_min = _narrowest(cubic, k, l, x0)
+        narrowest = medium.gamma_ge * math.sqrt(x_min) / math.pi
         if x >= x0:
             g = 0.0
-        elif x <= x_min:
+        elif target_hz <= narrowest:  # x may round an ulp above x_min
             g = g_min
         else:
             coef = [_polyval(c, x) for c in cubic]
@@ -305,4 +312,4 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
     fitted = EitMedium(medium.optical_depth, medium.rabi_control,
                        medium.gamma_ge, g * medium.gamma_ge, medium.length)
     return FitResult(fitted.gamma_s, window_fwhm(fitted), target_hz,
-                     (medium.gamma_ge * math.sqrt(x_min) / math.pi, widest))
+                     (narrowest, widest))

@@ -131,8 +131,8 @@ def _close(parts: list, mid_y: float, ylabel: str) -> str:
                  'font-size="13" text-anchor="middle" '
                  'transform="rotate(-90 16 %.1f)">%s</text>'
                  % (mid_y, mid_y, _esc(ylabel)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]   # the empty part ends the text in "\n"
+    return "\n".join(parts)
 
 
 def heatmap(values, extent, xlabel: str, ylabel: str, title: str) -> str:
@@ -160,7 +160,9 @@ def heatmap(values, extent, xlabel: str, ylabel: str, title: str) -> str:
     wh = '" width="%.2f" height="%.2f" fill="' % (cell + 0.5, cell + 0.5)
     for i, row in enumerate(palette_indices(v).tolist()):  # row index = y
         tail = "%.2f%s" % (mt + size - (i + 1) * cell, wh)
-        parts.extend(x + tail + PALETTE[k] + '"/>' for x, k in zip(xs, row))
+        # one string per row, so 128 rects, not 16384, are alive at once
+        parts.append("\n".join(x + tail + PALETTE[k] + '"/>'
+                                for x, k in zip(xs, row)))
     parts.append(_box(ml, mt, size, size, _FRAME))
     for t in _ticks(lo, hi):
         parts.append(_text(px(t), mt + size + 16.0, 11, "%.4g" % t))

@@ -390,10 +390,10 @@ def storage_time_grid():
 
 def test_post_storage_memory_budget_at_the_storage_size():
     # the density is the one n_t^2 array (18 MiB), and the transform's
-    # work buffer (4 MiB) is all else that is large and traced; the blocks
+    # work buffer (1 MiB) is all else that is large and traced; the blocks
     # of the half-transform are anonymous mappings that tracemalloc does
     # not see, and test_storage_timedist_peak_resident_memory counts them
-    # (measured: 22.6 MiB traced)
+    # (measured: 19.6 MiB traced, 22.6 with a 4 MiB work buffer)
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     peak = traced_peak_mb(q.joint_time_distribution, jsa, storage_time_grid())
@@ -507,16 +507,31 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
                     reason="reads VmHWM from /proc/self/status")
 def test_storage_timedist_peak_resident_memory(tmp_path):
     # The post-storage map (512 frequencies, 1536 times) holds the 18 MiB
-    # density, one 1 MiB block of the half-transform and the 4 MiB work
-    # buffer: measured 26 MiB over the import on a 2-vCPU Linux VM
-    # (Python 3.11, numpy 2.4), where holding all of the 12 MiB
-    # half-transform, with a band copied out of the work buffer, read
-    # 41.5 MiB.
+    # density, one 1 MiB block of the half-transform and the 1 MiB work
+    # buffer: measured 23 MiB over the import on a 2-vCPU Linux VM
+    # (Python 3.11, numpy 2.4), 26 MiB with a 4 MiB work buffer, where
+    # holding all of the 12 MiB half-transform, with a band copied out of
+    # the work buffer, read 41.5 MiB.
     base = child_hwm_mib()
     storage = child_hwm_mib(
         "timedist", "--with-storage", "eit", "--set", "output.formats=svg",
         "--out", str(tmp_path / "s"))
     assert storage - base < 34.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_storage_timedist_csv_peak_resident_memory(tmp_path):
+    # The 137 MB CSV of the same map is written in bands of 8192 cells,
+    # one formatted while the writer thread compacts and writes the one
+    # before: measured 23.9 MiB over the import, where bands of 16 rows
+    # (24576 cells), their bytes copied and translated on the calling
+    # thread, and a 4 MiB work buffer read 28.8 MiB.
+    base = child_hwm_mib()
+    storage = child_hwm_mib(
+        "timedist", "--with-storage", "eit", "--set", "output.formats=csv",
+        "--out", str(tmp_path / "s"))
+    assert storage - base < 26.5
 
 
 def test_continuous_pump_density_closed_form():

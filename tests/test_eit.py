@@ -299,12 +299,18 @@ def test_fit_gamma_s_hits_every_reachable_target():
             q.EitMedium(rv.OD, rv.RABI, rv.GAMMA_GE, res.gamma_s))
         assert res.gamma_s < previous
         previous = res.gamma_s
-        # at the narrowest window gamma_s is a double root: an ulp of x
-        # moves it by sqrt(eps), and which side of x_min that ulp falls
-        # on decides whether a fit takes g_min or the cubic's nearby root
-        _matches_the_reference_fit(medium_default(), target,
-                                   rel=1e-7 if target == lo else 1e-12)
+        _matches_the_reference_fit(medium_default(), target)
     assert previous == 0.0
+
+
+def test_fit_at_the_narrowest_window_takes_its_gamma_s():
+    # at the narrowest window gamma_s is a double root: an ulp of x moves
+    # it by sqrt(eps), so the target reported as narrowest must take
+    # g_min, as every narrower target does, not the cubic's nearby root
+    lo = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET).reachable_hz[0]
+    at = q.fit_gamma_s(medium_default(), lo)
+    below = q.fit_gamma_s(medium_default(), math.nextafter(lo, 0.0))
+    assert at.gamma_s == below.gamma_s
 
 
 @pytest.mark.parametrize("name", sorted(_MEDIA) + sorted(_EXTREME))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -111,11 +112,17 @@ def _edge_case_grid(n):
     return axis, values
 
 
+# bands of 16 rows of the 37-point grid, so it spans 3 bands and the
+# 5-point grid stays under one
+_SMALL_BAND_CELLS = 16 * 37
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [37, 5], ids=["3-bands", "under-1-band"])
 def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
                                                        cpus, n):
     # one code path formats every band, on any CPU count, and forks nothing
+    monkeypatch.setattr(outputs, "_BAND_CELLS", _SMALL_BAND_CELLS)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -137,22 +144,66 @@ def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
     assert forks == []
 
 
-@pytest.mark.parametrize("fault", ["band", "write", "middle-write"])
+def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
+    # the calling thread formats each band while a writer that lags
+    # behind it compacts and writes the one before; one row per band
+    monkeypatch.setattr(outputs, "_BAND_CELLS", 37)
+    write_bytes = outputs._HashedFile.write_bytes
+
+    def slow_write(self, data):
+        time.sleep(0.002)
+        write_bytes(self, data)
+
+    monkeypatch.setattr(outputs._HashedFile, "write_bytes", slow_write)
+    compact, threads = outputs._compact, set()
+
+    def compact_on(cell):
+        threads.add(threading.current_thread())
+        return compact(cell)
+
+    monkeypatch.setattr(outputs, "_compact", compact_on)
+    axis, values = _edge_case_grid(37)
+    header = ["t1_ns", "t2_ns", "density"]
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    writer.write_grid_csv("grid.csv", header, axis, values)
+    expected = _long_format_reference(header, axis, values)
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+    assert writer.entries == [{
+        "path": "grid.csv",
+        "sha256": hashlib.sha256(expected).hexdigest()}]
+    assert len(threads) == 1
+    assert threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("fault", ["band", "write", "middle-write",
+                                   "compact"])
 def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
                                                        fault):
-    # a fault formatting a band, or writing the first or a middle band on
-    # the writer thread, raises before the file is recorded and leaves
-    # neither the writer thread nor a child process behind
-    grid_band = outputs._grid_band
+    # a fault formatting a band, compacting a middle band or writing the
+    # first or a middle band on the writer thread raises before the file
+    # is recorded and leaves neither the writer thread nor a child
+    # process behind
+    monkeypatch.setattr(outputs, "_BAND_CELLS", _SMALL_BAND_CELLS)
+    grid_band, compact = outputs._grid_band, outputs._compact
+    compacted = []
 
     def failing_band(labels, cols, values, band):
         if band == 1:
             raise RuntimeError("formatting fault")
         return grid_band(labels, cols, values, band)
 
+    def failing_compact(cell):
+        compacted.append(1)
+        if len(compacted) == 2:
+            raise RuntimeError("compaction fault")
+        return compact(cell)
+
     if fault == "band":
         monkeypatch.setattr(outputs, "_grid_band", failing_band)
         error, match = RuntimeError, "formatting fault"
+    elif fault == "compact":
+        monkeypatch.setattr(outputs, "_compact", failing_compact)
+        error, match = RuntimeError, "compaction fault"
     else:
         call = 2 if fault == "write" else 3   # the header is call 1
         monkeypatch.setattr(outputs._HashedFile, "write_bytes",
