@@ -8,12 +8,11 @@ folded into the purity path.
 The detection-time amplitude comes in bands or batches of t1 rows from
 chirp-z transforms over segments of the frequency grid, and the only
 n_t x n_t array a command holds is the density; a gaussian pump's
-half-transform is released block by block as the density fills.
+half-transform is dropped block by block as the density fills.
 """
 from __future__ import annotations
 
 import math
-import mmap
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -263,20 +262,10 @@ def _transform(t_grid: np.ndarray, n: int, starts: np.ndarray, vecs,
                spacing: float) -> np.ndarray:
     """The transforms of _transform_batches collected into one array, a
     row per vector of vecs."""
-    out = None
+    out = np.empty((len(vecs), t_grid.size), dtype=complex)
     for rows, w in _transform_batches(t_grid, n, starts, [vecs], spacing):
-        if out is None:  # allocated after the transform's own buffers
-            out = np.empty((len(vecs), w.shape[1]), dtype=complex)
         out[rows] = w
     return out
-
-
-def _released_on_drop(shape) -> np.ndarray:
-    """An empty complex array in its own anonymous mapping, unmapped as
-    soon as the array is dropped; a freed heap block of this size can
-    stay resident."""
-    nbytes = math.prod(shape) * np.dtype(complex).itemsize
-    return np.ndarray(shape, dtype=complex, buffer=mmap.mmap(-1, nbytes))
 
 
 def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
@@ -289,10 +278,10 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     frequency grid but r.  A gaussian pump takes two passes.  The first
     takes bands of A's columns, built from its parts, over the signal
     axis into the n x n_t half-transform C, scattered into one block of
-    C^T per band of t1 rows.  The second takes the blocks over the idler
-    axis into batches of psi's rows, which are views into the
-    transform's work buffer, and unmaps each block once it is
-    transformed.
+    C^T per band of t1 rows, each a plain array.  The second takes the
+    blocks over the idler axis into batches of psi's rows, which are
+    views into the transform's work buffer, and drops each block as it
+    is transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     starts = _check_grids(jsa, t_grid)
@@ -302,7 +291,7 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
         su, sv = _transform(t_grid, n, starts,
                             [(jsa.r, jsa.scale, jsa.f), jsa.r], dd)
         return ((rows, su[rows, None] * sv) for rows in bands)
-    blocks = [_released_on_drop((rows.stop - rows.start, n))
+    blocks = [np.empty((rows.stop - rows.start, n), dtype=complex)
               for rows in bands]
     columns = (jsa.columns(cols) for cols in row_bands(n))
     for freqs, w in _transform_batches(t_grid, n, starts, columns, dd):

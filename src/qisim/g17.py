@@ -1,4 +1,11 @@
-"""format(v, ".17g") for float64 arrays, byte for byte, in numpy.
+"""The body of a grid CSV, and format(v, ".17g") for float64 arrays,
+byte for byte, in numpy.
+
+A grid's long-format lines are formatted one band of about _BAND_CELLS
+cells at a time in the calling thread, as NUL-padded words, while one
+writer thread drops the NULs of the band before it with a boolean mask
+and writes the bytes.  The mask, numpy's loops, hashlib and file writes
+release the GIL, so the two threads overlap.
 
 With k the decade of |v|, the 17 digits are rint(y), y = |v| 10^(16 - k),
 from a double-double product in float64: 2^s_k |v|, which is exact,
@@ -14,14 +21,21 @@ one code path on every platform.
 A cell's slot is SLOT bytes: a head word "-0.000d." (sign, the "0." and
 zeros of a fixed-notation value below 1, the lead digit, the point),
 four words of 4 digits, and a tail word "e+308\\n" or "\\n".  Absent
-characters are NUL bytes, which the caller drops.  The module builds
+characters are NUL bytes, which the compaction drops.  The module builds
 its tables when imported, so it is imported only where a grid is
 written.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
+# grid cells per band, the unit formatted while the band before it is
+# written: 5 rows of a 1536-wide grid, 16 of a 512-wide one.  A band
+# of 16384 cells made the storage map's allocations churn (5 times the
+# minor page faults) and one of 4096 paid per-band overhead
+_BAND_CELLS = 8192
 # the characters of a slot, ahead of its tail word; a slot
 BODY, SLOT = 24, 32
 # decades k of finite nonzero float64s, one more either side for the
@@ -188,3 +202,56 @@ def slots(values, out: np.ndarray) -> np.ndarray:
                         dtype=f"S{BODY}")
         out[slow, :BODY] = text.view(np.uint8).reshape(slow.size, BODY)
     return out
+
+
+def _label_words(labels):
+    """Row and column parts of the grid's lines as uint64 words: the
+    row label, and ",label," just after the widest row label, both
+    NUL-padded to one width, a multiple of 8 bytes."""
+    rows = byte_rows(labels)
+    cols = byte_rows(["," + label + "," for label in labels])
+    width_l, width_c = rows.shape[1], cols.shape[1]
+    words = -(-(width_l + width_c) // 8)
+    row_words = np.zeros((len(labels), 8 * words), np.uint8)
+    col_words = np.zeros_like(row_words)
+    row_words[:, :width_l] = rows
+    col_words[:, width_l:width_l + width_c] = cols
+    return row_words.view(np.uint64), col_words.view(np.uint64)
+
+
+def _grid_band(rows, cols, values):
+    """The long-format lines of the grid rows with the row words `rows`
+    and the values `values`, as their cells' uint64 words: each line's
+    characters with NUL bytes among them, for _compact.  cols are the
+    column words of _label_words."""
+    words = rows.shape[1]
+    cell = np.empty((len(rows) * len(cols), words + SLOT // 8), np.uint64)
+    np.bitwise_or(rows[:, None], cols,
+                  out=cell.reshape(len(rows), len(cols), -1)[:, :, :words])
+    slots(values, cell[:, words:].view(np.uint8))
+    return cell
+
+
+def _compact(cell):
+    """A band's UTF-8 bytes: its words without the NUL pads.  A boolean
+    mask releases the GIL, where bytes.translate holds it, and np.compress
+    would build an index array 8 times the kept bytes."""
+    data = cell.reshape(-1).view("u1")
+    return data[data != 0]
+
+
+def write_grid(write_bytes, axis, values) -> None:
+    """Hand write_bytes the lines "axis[i],axis[j],values[i, j]\\n" of
+    the square grid `values` on `axis` x `axis`, row-major, one band at
+    a time, so memory does not grow with the number of lines.  At most
+    one band is in flight, and a failed write or compaction raises here
+    once the writer thread has stopped."""
+    labels, cols = _label_words([format(float(a), ".17g") for a in axis])
+    size = max(1, _BAND_CELLS // len(cols))   # rows in a band
+    with ThreadPoolExecutor(1) as thread:
+        written = thread.submit(int)   # nothing to wait for at band 0
+        for lo in range(0, len(labels), size):
+            cell = _grid_band(labels[lo:lo + size], cols, values[lo:lo + size])
+            written.result()   # at most one band in flight
+            written = thread.submit(lambda c: write_bytes(_compact(c)), cell)
+        written.result()

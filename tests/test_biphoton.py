@@ -389,11 +389,13 @@ def storage_time_grid():
 
 
 def test_post_storage_memory_budget_at_the_storage_size():
-    # the density is the one n_t^2 array (18 MiB), and the transform's
-    # work buffer (1 MiB) is all else that is large and traced; the blocks
-    # of the half-transform are anonymous mappings that tracemalloc does
-    # not see, and test_storage_timedist_peak_resident_memory counts them
-    # (measured: 19.6 MiB traced, 22.6 with a 4 MiB work buffer)
+    # the density is the one n_t^2 array (18 MiB), the half-transform's
+    # blocks hold 12 MiB, and the transform's work buffer (1 MiB) is all
+    # else that is large.  tracemalloc counts the density whole from its
+    # allocation, where its pages fill as the blocks are dropped, so
+    # test_storage_timedist_peak_resident_memory is the resident check
+    # (measured: 31.6 MiB traced; 19.6 when the blocks were anonymous
+    # mappings that tracemalloc does not see)
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     peak = traced_peak_mb(q.joint_time_distribution, jsa, storage_time_grid())

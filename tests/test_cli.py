@@ -707,15 +707,18 @@ assert not loaded, loaded
 
 # dataclasses would bring inspect, ast, dis and tokenize with it
 _NO_NUMPY = "numpy,dataclasses,inspect,qisim.spectral,qisim.biphoton"
+# and a command that writes no grid loads neither the grid writer nor its
+# thread executor
+_NO_GRID = _NO_NUMPY + ",qisim.g17,concurrent.futures"
 
 
 @pytest.mark.parametrize("argv, absent", [
     ([], _NO_NUMPY),
-    (["store"], _NO_NUMPY),
-    (["bell"], _NO_NUMPY),
-    (["g13"], _NO_NUMPY),
-    (["eit"], _NO_NUMPY),
-    (["eit", "--fit-gamma-s", "2.9e6"], _NO_NUMPY),
+    (["store"], _NO_GRID),
+    (["bell"], _NO_GRID),
+    (["g13"], _NO_GRID),
+    (["eit"], _NO_GRID),
+    (["eit", "--fit-gamma-s", "2.9e6"], _NO_GRID),
     (["timedist", "--set", "grids.n_freq=64", "--set", "grids.n_time=32",
       "--set", "output.formats=csv"], "qisim.eit"),
 ], ids=["import", "store", "bell", "g13", "eit", "eit-fit", "timedist"])

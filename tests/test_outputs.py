@@ -122,7 +122,7 @@ _SMALL_BAND_CELLS = 16 * 37
 def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
                                                        cpus, n):
     # one code path formats every band, on any CPU count, and forks nothing
-    monkeypatch.setattr(outputs, "_BAND_CELLS", _SMALL_BAND_CELLS)
+    monkeypatch.setattr(g17, "_BAND_CELLS", _SMALL_BAND_CELLS)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -147,7 +147,7 @@ def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
 def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
     # the calling thread formats each band while a writer that lags
     # behind it compacts and writes the one before; one row per band
-    monkeypatch.setattr(outputs, "_BAND_CELLS", 37)
+    monkeypatch.setattr(g17, "_BAND_CELLS", 37)
     write_bytes = outputs._HashedFile.write_bytes
 
     def slow_write(self, data):
@@ -155,13 +155,13 @@ def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
         write_bytes(self, data)
 
     monkeypatch.setattr(outputs._HashedFile, "write_bytes", slow_write)
-    compact, threads = outputs._compact, set()
+    compact, threads = g17._compact, set()
 
     def compact_on(cell):
         threads.add(threading.current_thread())
         return compact(cell)
 
-    monkeypatch.setattr(outputs, "_compact", compact_on)
+    monkeypatch.setattr(g17, "_compact", compact_on)
     axis, values = _edge_case_grid(37)
     header = ["t1_ns", "t2_ns", "density"]
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
@@ -176,21 +176,22 @@ def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["band", "write", "middle-write",
-                                   "compact"])
+                                   "last-write", "compact"])
 def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
                                                        fault):
     # a fault formatting a band, compacting a middle band or writing the
-    # first or a middle band on the writer thread raises before the file
-    # is recorded and leaves neither the writer thread nor a child
-    # process behind
-    monkeypatch.setattr(outputs, "_BAND_CELLS", _SMALL_BAND_CELLS)
-    grid_band, compact = outputs._grid_band, outputs._compact
-    compacted = []
+    # first, a middle or the last band on the writer thread raises before
+    # the file is recorded and leaves neither the writer thread nor a
+    # child process behind
+    monkeypatch.setattr(g17, "_BAND_CELLS", _SMALL_BAND_CELLS)
+    grid_band, compact = g17._grid_band, g17._compact
+    formatted, compacted = [], []
 
-    def failing_band(labels, cols, values, band):
-        if band == 1:
+    def failing_band(rows, cols, values):
+        formatted.append(1)
+        if len(formatted) == 2:
             raise RuntimeError("formatting fault")
-        return grid_band(labels, cols, values, band)
+        return grid_band(rows, cols, values)
 
     def failing_compact(cell):
         compacted.append(1)
@@ -199,13 +200,14 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
         return compact(cell)
 
     if fault == "band":
-        monkeypatch.setattr(outputs, "_grid_band", failing_band)
+        monkeypatch.setattr(g17, "_grid_band", failing_band)
         error, match = RuntimeError, "formatting fault"
     elif fault == "compact":
-        monkeypatch.setattr(outputs, "_compact", failing_compact)
+        monkeypatch.setattr(g17, "_compact", failing_compact)
         error, match = RuntimeError, "compaction fault"
     else:
-        call = 2 if fault == "write" else 3   # the header is call 1
+        # the header is call 1, and the three bands calls 2 to 4
+        call = {"write": 2, "middle-write": 3, "last-write": 4}[fault]
         monkeypatch.setattr(outputs._HashedFile, "write_bytes",
                             disk_full_on(call))
         error, match = OSError, "No space"
