@@ -8,7 +8,9 @@ folded into the purity path.
 The detection-time amplitude comes in bands or batches of t1 rows from
 chirp-z transforms over segments of the frequency grid, and the only
 n_t x n_t array a command holds is the density; a gaussian pump's
-half-transform is dropped block by block as the density fills.
+half-transform is dropped block by block as the density fills.  The
+cavity response r is evaluated segment by segment where it is used, not
+stored, so a flat pump holds no complex vector over the frequency grid.
 """
 from __future__ import annotations
 
@@ -18,14 +20,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResolutionError
-from .spectral import TWO_PI, JointSpectralAmplitude, correlate, row_bands
+from .spectral import (SEGMENT, TWO_PI, JointSpectralAmplitude, correlate,
+                       row_bands)
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-# detunings per chirp-z segment, and complex values per row batch of its
-# FFTs (a 1 MiB work buffer): one row of a segment, or 32 rows of the
-# storage map's
-_SEGMENT = 1 << 15
+# complex values per row batch of the chirp-z FFTs (a 1 MiB work
+# buffer): one row of a SEGMENT-point segment, or 32 rows of the storage
+# map's
 _BATCH_VALUES = 1 << 16
 
 
@@ -146,7 +148,7 @@ def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
             raise ResolutionError(
                 f"{frac:.3%} of spectral mass sits in the outer 10% of "
                 f"the frequency grid (axis {axis}); widen the grid")
-    return d[::_SEGMENT].copy()
+    return d[::SEGMENT].copy()
 
 
 def _chirp(alpha: float, start: int, stop: int):
@@ -184,12 +186,11 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     """Iterate over (rows, psi[rows]) for the vectors of the blocks, taken
     in turn and counted across them, with psi(t_m) = sum_k vec[k]
     e^{-i d_k t_m} spacing / 2pi per vector, on n detunings d_k spaced
-    by spacing.  A vector is an array of n values, or the parts
-    (r, scale, f) of the vector scale r f (f None is the identity),
-    which are multiplied in that order one segment at a time in the
-    work row, so the product is never held whole.
+    by spacing.  A vector is an array of n values, or a function that
+    returns its values on the points lo to hi - 1, which is called one
+    segment at a time, so the vector is never held whole.
 
-    Bluestein's chirp-z transform over segments of at most _SEGMENT
+    Bluestein's chirp-z transform over segments of at most SEGMENT
     detunings: in the segment from k_s, d_k = d_{k_s} + j dd and
     t_m = t_0 + m dt make the kernel e^{-i d_{k_s} t_m} e^{-i j dd t_0}
     e^{-i j m dd dt}, and j m = (j^2 + m^2 - (m - j)^2) / 2 splits it
@@ -206,7 +207,7 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     of t_grid, which the caller has checked to be uniform.
     """
     m = t_grid.size
-    seg = min(n, _SEGMENT)
+    seg = min(n, SEGMENT)
     t0 = float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
     half = 0.5 * spacing * dt
@@ -235,14 +236,9 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
             for ks, factor in zip(range(0, n, seg), post):
                 width = min(seg, n - ks)
                 for i in range(lo, hi):  # a list of rows would be copied whole
-                    row, vec = w[i - lo, :width], vecs[i]
-                    if isinstance(vec, tuple):  # the parts (r, scale, f)
-                        row[...] = vec[0][ks:ks + width]
-                        row *= vec[1]
-                        if vec[2] is not None:
-                            row *= vec[2][ks:ks + width]
-                    else:
-                        row[...] = vec[ks:ks + width]
+                    vec = vecs[i]
+                    w[i - lo, :width] = (vec(ks, ks + width) if callable(vec)
+                                         else vec[ks:ks + width])
                 w[:, width:] = 0.0
                 w[:, :width] *= pre[:width]
                 np.fft.fft(w, out=w)
@@ -273,9 +269,10 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     bands or batches of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2}
     (dd/2pi)^2.
 
-    A factored amplitude transforms its two factors once, the signal
-    factor as its parts (r, scale, f), so it holds no vector over the
-    frequency grid but r.  A gaussian pump takes two passes.  The first
+    A factored amplitude transforms its two factors once, each evaluated
+    one segment at a time, the signal factor as r times scale times f in
+    that order, so it holds no complex vector over the frequency grid
+    but an explicit filter f.  A gaussian pump takes two passes.  The first
     takes bands of A's columns, built from its parts, over the signal
     axis into the n x n_t half-transform C, scattered into one block of
     C^T per band of t1 rows, each a plain array.  The second takes the
@@ -288,8 +285,14 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     n, dd = jsa.n_points, jsa.grid.spacing
     bands = row_bands(t_grid.size)
     if jsa.is_factored:
-        su, sv = _transform(t_grid, n, starts,
-                            [(jsa.r, jsa.scale, jsa.f), jsa.r], dd)
+        def signal(lo, hi):
+            u = jsa.response(lo, hi)
+            u *= jsa.scale
+            if jsa.f is not None:
+                u *= jsa.f[lo:hi]
+            return u
+
+        su, sv = _transform(t_grid, n, starts, [signal, jsa.response], dd)
         return ((rows, su[rows, None] * sv) for rows in bands)
     blocks = [np.empty((rows.stop - rows.start, n), dtype=complex)
               for rows in bands]

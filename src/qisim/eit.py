@@ -295,8 +295,10 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
                                    medium.gamma_ge, 0.0, medium.length))
     with _in_range("the gamma_s fit"):
         _, k, l = _scaled(medium)
+        # a target wider than the widest window is met at gamma_s = 0,
+        # however wide; its square would overflow from about 8e160 Hz
         x, x0 = ((math.pi * w / medium.gamma_ge) ** 2
-                 for w in (target_hz, widest))
+                 for w in (min(target_hz, widest), widest))
         cubic = _cubic_in_x(k, l)
         g_min, x_min = _narrowest(cubic, k, l, x0)
         narrowest = medium.gamma_ge * math.sqrt(x_min) / math.pi

@@ -27,7 +27,8 @@ written.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 
 import numpy as np
 
@@ -244,14 +245,35 @@ def write_grid(write_bytes, axis, values) -> None:
     """Hand write_bytes the lines "axis[i],axis[j],values[i, j]\\n" of
     the square grid `values` on `axis` x `axis`, row-major, one band at
     a time, so memory does not grow with the number of lines.  At most
-    one band is in flight, and a failed write or compaction raises here
-    once the writer thread has stopped."""
+    one band is in flight: a band is handed to the writer thread only
+    once it has written the one before.  A failed write or compaction
+    raises here once the writer thread has stopped."""
     labels, cols = _label_words([format(float(a), ".17g") for a in axis])
     size = max(1, _BAND_CELLS // len(cols))   # rows in a band
-    with ThreadPoolExecutor(1) as thread:
-        written = thread.submit(int)   # nothing to wait for at band 0
+    bands, failed = queue.Queue(1), []
+
+    def write():
+        while (cell := bands.get()) is not None:
+            try:
+                if not failed:
+                    write_bytes(_compact(cell))
+            except BaseException as exc:
+                failed.append(exc)
+            finally:
+                del cell   # the band is let go before the next arrives
+                bands.task_done()
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    try:
         for lo in range(0, len(labels), size):
             cell = _grid_band(labels[lo:lo + size], cols, values[lo:lo + size])
-            written.result()   # at most one band in flight
-            written = thread.submit(lambda c: write_bytes(_compact(c)), cell)
-        written.result()
+            bands.join()   # the band before is written
+            if failed:
+                break
+            bands.put(cell)
+    finally:
+        bands.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]

@@ -2,7 +2,9 @@
 
 All frequencies are angular detunings (rad/s) from the shared carrier, so
 the carrier itself never enters any computation.  Grids are uniform and
-symmetric about zero detuning.
+symmetric about zero detuning.  A joint amplitude is held as its parts,
+and its cavity response is evaluated on the range of grid points a
+caller needs, not stored.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ from .errors import InputError, ResolutionError
 # rows per band of the purity sum or of psi (and per chunk of A's
 # columns): a band and its FFT buffer are a few MB at the storage map's size
 BAND_ROWS = 128
+# grid points per segment on which r is evaluated, and per chirp-z
+# segment of the time transform
+SEGMENT = 1 << 15
 
 # gaussian sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
 _SIGMA_RANGE = (math.sqrt(sys.float_info.min),
@@ -44,7 +49,25 @@ class FrequencyGrid:
 
     @property
     def detunings(self) -> np.ndarray:
-        return np.linspace(-self.span / 2.0, self.span / 2.0, self.n_points)
+        return self.detunings_on(0, self.n_points)
+
+    def detunings_on(self, lo: int, hi: int) -> np.ndarray:
+        """The detunings of points lo to hi - 1, by np.linspace's own
+        arithmetic (k step - span/2, k step computed as k / (n - 1) span
+        where step underflows, and span/2 at the last point), so that any
+        range equals the same slice of np.linspace bit for bit."""
+        start, stop = -self.span / 2.0, self.span / 2.0
+        delta, div = stop - start, self.n_points - 1
+        d = np.arange(lo, hi, dtype=float)
+        if delta / div == 0.0:
+            d /= div
+            d *= delta
+        else:
+            d *= delta / div
+        d += start
+        if hi == self.n_points and hi > lo:
+            d[-1] = stop
+        return d
 
 
 class CavityLine:
@@ -105,10 +128,12 @@ class JointSpectralAmplitude:
 
         amplitude[i, j] = scale * f[i] * r[i] * r[j] * p_(i+j):
 
-    a cavity response r on each axis, a pump p on the sum detuning, a
-    scale and an optional filter f on the signal axis (axis 0; None is
-    the identity).  The pump is sampled once, on the index sums:
-    p_k = p((k - (n - 1)) dd) is the pump at d_i + d_j for i + j = k.
+    the cavity response r of `line` on each axis, a pump p on the sum
+    detuning, a scale and an optional filter f on the signal axis (axis
+    0; None is the identity).  r is not stored: response evaluates it
+    on any range of grid points, bit for bit as on the whole grid.  The
+    pump is sampled once, on the index sums: p_k = p((k - (n - 1)) dd)
+    is the pump at d_i + d_j for i + j = k.
 
     A flat pump makes the amplitude the outer product of the factors
     u = scale r f and v = r, which allows grids no matrix could hold.  A
@@ -118,17 +143,13 @@ class JointSpectralAmplitude:
     window of the pump table.
     """
 
-    def __init__(self, grid: FrequencyGrid, r, pump: PumpSpectrum,
-                 scale: float = 1.0, f=None):
-        self.grid = grid
-        self.r = np.asarray(r, complex)
-        self.pump = pump
+    def __init__(self, grid: FrequencyGrid, line: CavityLine,
+                 pump: PumpSpectrum, scale: float = 1.0, f=None):
+        self.grid, self.line, self.pump = grid, line, pump
         self.scale = float(scale)
         self.f = None if f is None else np.asarray(f, complex)
-        for vec in (self.r, self.f):
-            if vec is not None and vec.shape != (grid.n_points,):
-                raise InputError("response and filter must be sampled on "
-                                 "the grid")
+        if self.f is not None and self.f.shape != (grid.n_points,):
+            raise InputError("the filter must be sampled on the grid")
 
     # -- views ------------------------------------------------------------
 
@@ -146,10 +167,11 @@ class JointSpectralAmplitude:
         rounding, for a flat pump; else None."""
         if not self.is_factored:
             return None
-        u = self.r * self.scale
+        r = self.response(0, self.n_points)
+        u = r * self.scale
         if self.f is not None:
             u *= self.f
-        return u, self.r
+        return u, r
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -165,12 +187,17 @@ class JointSpectralAmplitude:
         r_j r_i p_(i+j) scale f_i, an order in which an unfiltered
         amplitude is exactly symmetric.  Row j's pump is the window of
         the pump table that starts at j."""
-        block = np.outer(self.r[cols], self.r)
+        r = self.response(0, self.n_points)
+        block = np.outer(r[cols], r)
         block *= sliding_window_view(self.pump_table(), self.n_points)[cols]
         block *= self.scale
         if self.f is not None:
             block *= self.f
         return block
+
+    def response(self, lo: int, hi: int) -> np.ndarray:
+        """r on grid points lo to hi - 1: the one way to get r."""
+        return cavity_response(self.grid.detunings_on(lo, hi), self.line)
 
     def pump_table(self) -> np.ndarray:
         """p_k = p((k - (n - 1)) dd) for k = 0, ..., 2n - 2: ones for a
@@ -195,8 +222,13 @@ class JointSpectralAmplitude:
         """(a2, c2, e) with 2^e (a2, c2) = scale (|f r|^2, |r|^2), so that
         |A_ij|^2 = 2^e a2_i c2_j p_ij^2: squared from |r| scaled to a peak
         in [1/2, 1) and from the mantissa of scale, so that they do not
-        underflow where the unscaled |r| does not."""
-        c2 = np.abs(self.r)
+        underflow where the unscaled |r| does not.  |r| is filled in
+        segments of r, so r is never held whole."""
+        n = self.n_points
+        c2 = np.empty(n)
+        for lo in range(0, n, SEGMENT):
+            hi = min(lo + SEGMENT, n)
+            np.abs(self.response(lo, hi), out=c2[lo:hi])
         e_r = int(np.frexp(c2.max())[1])
         scale, e_s = math.frexp(self.scale)
         np.ldexp(c2, -e_r, out=c2)
@@ -282,7 +314,7 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
     on the grid, L2-normalize it, and attach the signal filter f (None
     is the identity), which the normalization does not see.
 
-    The amplitude is held as its parts (cavity response, pump, scale and
+    The amplitude is held as its parts (cavity line, pump, scale and
     filter); no n x n complex matrix exists until it is asked for.  The
     grid must span at least 8*gamma (and 8*sigma for gaussian pumps); a
     Lorentzian tail mass above 1% per side raises ResolutionError.
@@ -302,8 +334,7 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
         raise ResolutionError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
-    jsa = JointSpectralAmplitude(grid, cavity_response(grid.detunings, line),
-                                 pump)
+    jsa = JointSpectralAmplitude(grid, line, pump)
     mass = jsa.l2_mass()
     if not sys.float_info.min <= mass <= sys.float_info.max:
         # a subnormal mass has too few bits to normalize by
@@ -313,4 +344,4 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
             f"the squared modulus of the sampled amplitude {how} (cavity "
             f"linewidth {line.gamma / TWO_PI:.3g} Hz, grid span "
             f"{grid.span / TWO_PI:.3g} Hz)")
-    return JointSpectralAmplitude(grid, jsa.r, pump, 1.0 / math.sqrt(mass), f)
+    return JointSpectralAmplitude(grid, line, pump, 1.0 / math.sqrt(mass), f)

@@ -96,7 +96,7 @@ def dense_kernel(jsa: JointSpectralAmplitude) -> np.ndarray:
     idx = np.arange(n)
     m = pump_amplitude((idx[:, None] + idx - (n - 1.0)) * jsa.grid.spacing,
                        jsa.pump)
-    a = np.abs(jsa.r) * math.sqrt(jsa.scale)
+    a = np.abs(jsa.response(0, n)) * math.sqrt(jsa.scale)
     m *= a[:, None]
     m *= a
     if jsa.f is not None:
@@ -191,7 +191,7 @@ def explicit_transform(t_grid: np.ndarray, detunings: np.ndarray, vecs,
 def chirp_z_single_shot(t_grid: np.ndarray, detunings: np.ndarray, vecs,
                         spacing: float) -> np.ndarray:
     """The chirp-z transform of biphoton._transform on one segment
-    (n <= biphoton._SEGMENT) with every row in one FFT batch: the same
+    (n <= biphoton.SEGMENT) with every row in one FFT batch: the same
     operations on the same values, so the row-batched transform must
     match it bit for bit."""
     n, m = detunings.size, t_grid.size
@@ -218,16 +218,18 @@ def chirp_z_single_shot(t_grid: np.ndarray, detunings: np.ndarray, vecs,
 def factored_time_domain(jsa: JointSpectralAmplitude,
                          t_grid: np.ndarray) -> np.ndarray:
     """psi(t1, t2) of a flat pump as the outer product of the transforms
-    of u = scale f r, materialized whole, and of r: the same operations
-    on the same values as the time_domain that scales u segment by
-    segment, so the two must match bit for bit."""
+    of u = scale f r and of r, each materialized whole, with r taken
+    whole from jsa's evaluator: the same operations on the same values
+    as the time_domain that evaluates and scales r segment by segment,
+    so the two must match bit for bit."""
     t_grid = np.asarray(t_grid, dtype=float)
     d = jsa.grid.detunings
-    u = jsa.r * jsa.scale
+    r = jsa.response(0, d.size)
+    u = r * jsa.scale
     if jsa.f is not None:
         u *= jsa.f
-    su, sv = biphoton._transform(t_grid, d.size, d[::biphoton._SEGMENT],
-                                 [u, jsa.r], jsa.grid.spacing)
+    su, sv = biphoton._transform(t_grid, d.size, d[::biphoton.SEGMENT],
+                                 [u, r], jsa.grid.spacing)
     return su[:, None] * sv
 
 

@@ -121,13 +121,13 @@ def filtered_jsa(n_points):
 def test_visibility_is_scale_free(sigma_hz):
     jsa = gaussian_jsa(TWO_PI * sigma_hz)
     v = q.visibility(jsa)
-    raw = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump)
+    raw = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump)
     assert raw.l2_mass() != pytest.approx(1.0)
     assert q.visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
     # a filtered amplitude against the same one scaled to unit mass
     filtered = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     unit = JointSpectralAmplitude(
-        jsa.grid, jsa.r, jsa.pump,
+        jsa.grid, LINE, jsa.pump,
         jsa.scale / math.sqrt(filtered.l2_mass()), filtered.f)
     assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
     assert q.visibility(filtered) == pytest.approx(q.visibility(unit),
@@ -236,9 +236,10 @@ def test_undersampled_time_grid_is_rejected():
 
 
 def test_aliasing_guard_catches_broadband_input():
-    # a flat response fills the grid: a tenth of the mass in its outer 10%
+    # a cavity far wider than the grid fills it: a tenth of the mass in
+    # its outer 10%
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = JointSpectralAmplitude(grid, np.ones(512),
+    jsa = JointSpectralAmplitude(grid, q.CavityLine(gamma=1e6 * grid.span),
                                  q.PumpSpectrum(kind="flat_limit"))
     with pytest.raises(ResolutionError, match="outer 10%"):
         oracles.time_domain(jsa, oracles.default_time_grid(LINE))
@@ -290,7 +291,7 @@ def test_flat_pump_time_profile_regression():
 
 def transform(t, d, vecs, dd):
     """biphoton._transform on the detunings d."""
-    return biphoton._transform(t, d.size, d[::biphoton._SEGMENT], vecs, dd)
+    return biphoton._transform(t, d.size, d[::biphoton.SEGMENT], vecs, dd)
 
 
 def assert_matches_the_explicit_sum(t, d, vecs, dd):
@@ -328,8 +329,7 @@ def test_segmented_transform_of_gaussian_columns():
                           sigma=q.sigma_from_pulse_duration(30e-9))
     n = 40000
     grid = q.default_grid(LINE, pump, n_points=n)
-    jsa = JointSpectralAmplitude(grid, q.cavity_response(grid.detunings,
-                                                         LINE), pump)
+    jsa = JointSpectralAmplitude(grid, LINE, pump)
     vecs = jsa.columns(slice(n - 2**15 - 1, n - 2**15 + 2))
     t = oracles.default_time_grid(LINE)
     assert_matches_the_explicit_sum(t, grid.detunings, vecs, grid.spacing)
@@ -372,7 +372,7 @@ def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
                                                           filtered):
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n)
     if filtered:
-        jsa = JointSpectralAmplitude(jsa.grid, jsa.r, jsa.pump, jsa.scale,
+        jsa = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump, jsa.scale,
                                      storage_filter(jsa))
     t_grid = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, n_t)
     want = oracles.time_domain_dense(jsa, t_grid)
@@ -425,29 +425,51 @@ def c3_time_grid():
 
 
 @pytest.mark.parametrize("filtered", [False, True])
-@pytest.mark.parametrize("n, span_factor", [(4096, 40.0), (262144, 64000.0)])
+@pytest.mark.parametrize("n, span_factor", [(4096, 40.0), (262144, 64000.0),
+                                             (100002, 64000.0)])
 def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
                                                             filtered):
-    # scale and filter multiply r one segment at a time in the work row,
-    # in the order of the materialized u = scale f r.  The filter passes
-    # the far wings of a wide grid again, so its band needs a finer step.
+    # r is evaluated, and scale and filter multiply it, one segment at a
+    # time in the work row, in the order of the materialized u = scale f r.
+    # 100002 points end in a short segment that holds linspace's end
+    # point.  The filter passes the far wings of a wide grid again, so its
+    # band needs a finer step.
     jsa = flat_jsa(span_factor=span_factor, n_points=n)
     t_grid = c3_time_grid()
     if filtered:
         jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
-        t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 600)
+        t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)
     assert np.array_equal(oracles.time_domain(jsa, t_grid),
                           oracles.factored_time_domain(jsa, t_grid))
 
 
 def test_factored_time_domain_memory_budget_at_c3_size():
-    # the C3 grid: 262144 frequencies, 512 times.  Beside r, the guards
-    # hold 5.0 MiB (test_time_grid_guards_memory_budget_at_c3_size), the
-    # transform about four vectors of a segment's 2^15 + 512 points (0.5
-    # MiB each), and the 4 MiB psi its bands; measured 6.4 MiB, where a
-    # scaled copy of r, the detunings and the guards' argsorts took 12.0
+    # the C3 grid: 262144 frequencies, 512 times.  r is evaluated a
+    # segment at a time; the guards hold 5.0 MiB
+    # (test_time_grid_guards_memory_budget_at_c3_size), the transform
+    # about four vectors of a segment's 2^15 + 512 points (0.5 MiB each),
+    # and the 4 MiB psi its bands; measured 6.3 MiB, where a scaled copy
+    # of r, the detunings and the guards' argsorts took 12.0
     jsa = flat_jsa(span_factor=64000.0, n_points=262144)
     assert traced_peak_mb(oracles.time_domain, jsa, c3_time_grid()) < 8.0
+
+
+def test_flat_time_distribution_memory_budget_at_c3_size():
+    # build_jsa and the density of a flat pump at the C3 size hold no
+    # complex vector over the 262144 frequencies: r is evaluated a
+    # segment at a time wherever it is used.  The peak is the guards'
+    # 5.0 MiB (measured 5.0 MiB), where holding r whole (4 MiB) beside
+    # them read 9.0
+    grid = q.FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
+    pump = q.PumpSpectrum(kind="flat_limit")
+
+    def timedist():
+        jsa = q.build_jsa(grid, LINE, pump)
+        arrays = [v for v in vars(jsa).values() if isinstance(v, np.ndarray)]
+        assert not arrays   # no filter: the amplitude holds no vector
+        return q.joint_time_distribution(jsa, c3_time_grid())
+
+    assert traced_peak_mb(timedist) < 6.0
 
 
 def test_time_grid_guards_memory_budget_at_c3_size():
@@ -486,12 +508,15 @@ def child_hwm_mib(*argv):
                     reason="reads VmHWM from /proc/self/status")
 def test_kernel_commands_peak_resident_memory(tmp_path):
     # Resident memory counts what tracemalloc misses: the FFT and BLAS
-    # buffers.  At the C3 size the flat timedist holds r, the density and
-    # a few vectors of one segment's length, and its guards the detunings
-    # and |r|^2 (measured 11.0 MiB over the import, where a scaled copy
-    # of r, the detunings in the transform and the guards' argsorts took
-    # 17.1 MiB); the n_freq 2048 visibility holds one-dimensional sums
-    # and a band.
+    # buffers.  At the C3 size the flat timedist evaluates r a segment at
+    # a time and holds no complex vector over the frequency grid: its
+    # guards hold the detunings and |r|^2, its transform a few vectors of
+    # one segment's length, and its peak is the grid CSV after them, the
+    # density and the grid writer's bands (measured 7.9 MiB over the
+    # import on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, where holding
+    # r whole read 9.6 MiB, and a scaled copy of r, the detunings in the
+    # transform and the guards' argsorts 17.1 MiB); the n_freq 2048
+    # visibility holds one-dimensional sums and a band.
     base = child_hwm_mib()
     timedist = child_hwm_mib(
         "timedist", "--set", "output.formats=csv",
@@ -501,7 +526,7 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
         "visibility", "--set", "output.formats=csv",
         "--set", "grids.n_freq=2048", "--sigma-hz", "12.5e6", "--tp-s=",
         "--out", str(tmp_path / "v"))
-    assert timedist - base < 15.0
+    assert timedist - base < 9.0
     assert visibility - base < 48.0
 
 

@@ -165,13 +165,14 @@ def _reachable_range_line(lo, hi, target):
 
 
 def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
-    out = tmp_path / "out"
-    target = cli.TARGETS["eit_window_fwhm"][0]
-    code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
-    assert code == EXIT_MODEL
-    assert capsys.readouterr().err == _reachable_range_line(
-        rv.WINDOW_NARROWEST, rv.WINDOW_GS0, target)
-    assert not (out / "manifest.json").exists()
+    # the paper's target, and one whose squared window overflows
+    for target in (cli.TARGETS["eit_window_fwhm"][0], 1e300):
+        out = tmp_path / f"out{target:g}"
+        code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
+        assert code == EXIT_MODEL
+        assert capsys.readouterr().err == _reachable_range_line(
+            rv.WINDOW_NARROWEST, rv.WINDOW_GS0, target)
+        assert not (out / "manifest.json").exists()
 
 
 def test_eit_fit_infinite_target_is_an_input_error(tmp_path, capsys):
@@ -668,8 +669,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    # the grid writer's thread executor is imported on the first grid
-    # write; imported with the package it would add to every set-up
+    # no process pool or executor is imported with the package, where it
+    # would add to every set-up
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     code = ("import qisim.cli, sys; "
@@ -707,8 +708,8 @@ assert not loaded, loaded
 
 # dataclasses would bring inspect, ast, dis and tokenize with it
 _NO_NUMPY = "numpy,dataclasses,inspect,qisim.spectral,qisim.biphoton"
-# and a command that writes no grid loads neither the grid writer nor its
-# thread executor
+# and a command that writes no grid loads neither the grid writer nor
+# concurrent.futures
 _NO_GRID = _NO_NUMPY + ",qisim.g17,concurrent.futures"
 
 
@@ -732,6 +733,34 @@ def test_short_commands_load_no_numpy(tmp_path, argv, absent):
     subprocess.run([sys.executable, "-c", _LOADED_CHILD, absent, *argv, *out],
                    check=True, capture_output=True,
                    env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+
+
+_NO_EXECUTOR_CHILD = """
+import sys
+import qisim.cli
+code = qisim.cli.main(sys.argv[1:])
+loaded = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+assert not loaded, loaded
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["timedist", "--set", "grids.n_freq=64", "--set", "grids.n_time=32"],
+     EXIT_OK),
+    (["reproduce-all"], EXIT_CHECKS),   # the four C4 checks
+], ids=["timedist", "reproduce-all"])
+def test_grid_commands_load_no_thread_executor(tmp_path, argv, code):
+    # the grid CSV's writer is a plain thread: concurrent.futures and the
+    # logging it imports would cost about 0.7 MB resident
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_EXECUTOR_CHILD, *argv,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.normpath(src)))
+    assert run.returncode == code, run.stderr
+    assert list((tmp_path / "out").glob("timedist*.csv"))   # a grid written
 
 
 # the AVX2 and AVX-512 levels of numpy's runtime dispatch

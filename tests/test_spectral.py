@@ -27,6 +27,26 @@ def test_grid_spacing_and_endpoints():
     assert np.allclose(np.diff(d), grid.spacing, rtol=1e-12)
 
 
+@pytest.mark.parametrize("span, n", [
+    (64000.0 * rv.GAMMA, 262144),   # the C3 grid: 8 whole segments
+    (64000.0 * rv.GAMMA, 100002),   # a short last segment
+    (10.0, 10),
+    (5e-322, 1000),                 # a step that underflows to 0
+])
+def test_detunings_on_a_range_are_linspace_bit_for_bit(line, span, n):
+    grid = q.FrequencyGrid(span=span, n_points=n)
+    whole = np.linspace(-span / 2.0, span / 2.0, n)
+    assert grid.detunings.tobytes() == whole.tobytes()
+    jsa = q.JointSpectralAmplitude(grid, line,
+                                   q.PumpSpectrum(kind="flat_limit"))
+    r = q.cavity_response(whole, line)
+    seg = q.spectral.SEGMENT
+    for lo, hi in [(k, min(k + seg, n)) for k in range(0, n, seg)] + [
+            (0, n), (n - 1, n), (3, 7), (5, 5)]:
+        assert grid.detunings_on(lo, hi).tobytes() == whole[lo:hi].tobytes()
+        assert jsa.response(lo, hi).tobytes() == r[lo:hi].tobytes()
+
+
 @pytest.mark.parametrize("span,n", [(0.0, 64), (-1.0, 64), (10.0, 7),
                                     (10.0, 4), (10.0, 63)])
 def test_grid_rejects_bad_parameters(span, n):
@@ -53,7 +73,7 @@ def test_cavity_response_formula(line):
 
 def pump_table(grid, pump):
     """The package's pump on the index sums of grid."""
-    return q.JointSpectralAmplitude(grid, np.ones(grid.n_points),
+    return q.JointSpectralAmplitude(grid, q.CavityLine(gamma=rv.GAMMA),
                                     pump).pump_table()
 
 
@@ -250,6 +270,6 @@ def test_amplitude_parts_must_match_the_grid(line):
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=64)
     flat = q.PumpSpectrum(kind="flat_limit")
     with pytest.raises(InputError):
-        q.JointSpectralAmplitude(grid, np.ones(32), flat)
+        q.JointSpectralAmplitude(grid, line, flat, f=np.ones(32))
     with pytest.raises(InputError):
-        q.JointSpectralAmplitude(grid, np.ones(64), flat, f=np.ones(32))
+        q.JointSpectralAmplitude(grid, line, flat, f=np.ones((64, 1)))
