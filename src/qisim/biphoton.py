@@ -270,9 +270,8 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     (dd/2pi)^2.
 
     A factored amplitude transforms its two factors once, each evaluated
-    one segment at a time, the signal factor as r times scale times f in
-    that order, so it holds no complex vector over the frequency grid
-    but an explicit filter f.  A gaussian pump takes two passes.  The first
+    one segment at a time, so it holds no complex vector over the
+    frequency grid but an explicit filter f.  A gaussian pump takes two passes.  The first
     takes bands of A's columns, built from its parts, over the signal
     axis into the n x n_t half-transform C, scattered into one block of
     C^T per band of t1 rows, each a plain array.  The second takes the
@@ -285,14 +284,8 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     n, dd = jsa.n_points, jsa.grid.spacing
     bands = row_bands(t_grid.size)
     if jsa.is_factored:
-        def signal(lo, hi):
-            u = jsa.response(lo, hi)
-            u *= jsa.scale
-            if jsa.f is not None:
-                u *= jsa.f[lo:hi]
-            return u
-
-        su, sv = _transform(t_grid, n, starts, [signal, jsa.response], dd)
+        su, sv = _transform(t_grid, n, starts,
+                            [jsa.signal_factor, jsa.response], dd)
         return ((rows, su[rows, None] * sv) for rows in bands)
     blocks = [np.empty((rows.stop - rows.start, n), dtype=complex)
               for rows in bands]

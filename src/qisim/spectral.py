@@ -167,11 +167,8 @@ class JointSpectralAmplitude:
         rounding, for a flat pump; else None."""
         if not self.is_factored:
             return None
-        r = self.response(0, self.n_points)
-        u = r * self.scale
-        if self.f is not None:
-            u *= self.f
-        return u, r
+        n = self.n_points
+        return self.signal_factor(0, n), self.response(0, n)
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -198,6 +195,15 @@ class JointSpectralAmplitude:
     def response(self, lo: int, hi: int) -> np.ndarray:
         """r on grid points lo to hi - 1: the one way to get r."""
         return cavity_response(self.grid.detunings_on(lo, hi), self.line)
+
+    def signal_factor(self, lo: int, hi: int) -> np.ndarray:
+        """u = scale f r on grid points lo to hi - 1, multiplied in the
+        order r, scale, f."""
+        u = self.response(lo, hi)
+        u *= self.scale
+        if self.f is not None:
+            u *= self.f[lo:hi]
+        return u
 
     def pump_table(self) -> np.ndarray:
         """p_k = p((k - (n - 1)) dd) for k = 0, ..., 2n - 2: ones for a

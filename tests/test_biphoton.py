@@ -430,7 +430,7 @@ def c3_time_grid():
 def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
                                                             filtered):
     # r is evaluated, and scale and filter multiply it, one segment at a
-    # time in the work row, in the order of the materialized u = scale f r.
+    # time, in the order of the materialized u = scale f r.
     # 100002 points end in a short segment that holds linspace's end
     # point.  The filter passes the far wings of a wide grid again, so its
     # band needs a finer step.
