@@ -25,10 +25,10 @@ from .spectral import (SEGMENT, TWO_PI, JointSpectralAmplitude, correlate,
 
 # quarter-period sampling margin for the time grid (see _check_time_grid)
 _SAMPLES_PER_PERIOD = 4.0
-# complex values per row batch of the chirp-z FFTs (a 1 MiB work
-# buffer): one row of a SEGMENT-point segment, or 32 rows of the storage
-# map's
-_BATCH_VALUES = 1 << 16
+# complex values per row batch of the chirp-z FFTs (a 128 KiB work
+# buffer): one row of a SEGMENT-point segment, 8 rows at the default
+# grid, or 4 of the storage map's
+_BATCH_VALUES = 1 << 13
 
 
 def visibility(jsa: JointSpectralAmplitude) -> float:
@@ -186,9 +186,9 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     """Iterate over (rows, psi[rows]) for the vectors of the blocks, taken
     in turn and counted across them, with psi(t_m) = sum_k vec[k]
     e^{-i d_k t_m} spacing / 2pi per vector, on n detunings d_k spaced
-    by spacing.  A vector is an array of n values, or a function that
-    returns its values on the points lo to hi - 1, which is called one
-    segment at a time, so the vector is never held whole.
+    by spacing.  A block is a vector count and a writer write(out, a, b,
+    lo, hi), which fills out with vectors a to b - 1 on the points lo to
+    hi - 1, called once per batch and segment into the work buffer.
 
     Bluestein's chirp-z transform over segments of at most SEGMENT
     detunings: in the segment from k_s, d_k = d_{k_s} + j dd and
@@ -225,20 +225,17 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     batch = max(1, _BATCH_VALUES // size)
     work = np.empty((0, size), dtype=complex)
     start = 0
-    for vecs in blocks:
-        if len(work) < min(batch, len(vecs)):
-            work = np.empty((min(batch, len(vecs)), size), dtype=complex)
+    for count, write in blocks:
+        if len(work) < min(batch, count):
+            work = np.empty((min(batch, count), size), dtype=complex)
             acc = np.empty((len(work), m), dtype=complex) if n > seg else None
-        for lo in range(0, len(vecs), batch):
-            hi = min(lo + batch, len(vecs))
-            w = work[:hi - lo]
-            total = w[:, :m] if n == seg else acc[:hi - lo]
+        for a in range(0, count, batch):
+            b = min(a + batch, count)
+            w = work[:b - a]
+            total = w[:, :m] if n == seg else acc[:b - a]
             for ks, factor in zip(range(0, n, seg), post):
                 width = min(seg, n - ks)
-                for i in range(lo, hi):  # a list of rows would be copied whole
-                    vec = vecs[i]
-                    w[i - lo, :width] = (vec(ks, ks + width) if callable(vec)
-                                         else vec[ks:ks + width])
+                write(w[:, :width], a, b, ks, ks + width)
                 w[:, width:] = 0.0
                 w[:, :width] *= pre[:width]
                 np.fft.fft(w, out=w)
@@ -250,16 +247,22 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
                     total += part
                 elif n > seg:
                     total[...] = part
-            yield slice(start + lo, start + hi), total
-        start += len(vecs)
+            yield slice(start + a, start + b), total
+        start += count
 
 
-def _transform(t_grid: np.ndarray, n: int, starts: np.ndarray, vecs,
+def _rows(vecs: np.ndarray):
+    """The block of the rows of the 2-d array vecs."""
+    return len(vecs), (lambda out, a, b, lo, hi:
+                       np.copyto(out, vecs[a:b, lo:hi]))
+
+
+def _transform(t_grid: np.ndarray, n: int, starts: np.ndarray, block,
                spacing: float) -> np.ndarray:
-    """The transforms of _transform_batches collected into one array, a
-    row per vector of vecs."""
-    out = np.empty((len(vecs), t_grid.size), dtype=complex)
-    for rows, w in _transform_batches(t_grid, n, starts, [vecs], spacing):
+    """The transforms of _transform_batches over the one block collected
+    into one array, a row per vector."""
+    out = np.empty((block[0], t_grid.size), dtype=complex)
+    for rows, w in _transform_batches(t_grid, n, starts, [block], spacing):
         out[rows] = w
     return out
 
@@ -269,32 +272,36 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     bands or batches of t1 rows, psi = sum_ij A_ij e^{-i d_i t1 - i d_j t2}
     (dd/2pi)^2.
 
-    A factored amplitude transforms its two factors once, each evaluated
+    A factored amplitude transforms its two factors once, each written
     one segment at a time, so it holds no complex vector over the
-    frequency grid but an explicit filter f.  A gaussian pump takes two passes.  The first
-    takes bands of A's columns, built from its parts, over the signal
-    axis into the n x n_t half-transform C, scattered into one block of
-    C^T per band of t1 rows, each a plain array.  The second takes the
-    blocks over the idler axis into batches of psi's rows, which are
-    views into the transform's work buffer, and drops each block as it
-    is transformed.
+    frequency grid but an explicit filter f.  A gaussian pump takes two
+    passes.  The first writes A's columns, from its parts, straight into
+    the work buffer and transforms them over the signal axis into the
+    n x n_t half-transform C, scattered into one block of C^T per band
+    of t1 rows, each a plain array.  The second takes the blocks over
+    the idler axis into batches of psi's rows, which are views into the
+    transform's work buffer, and drops each block as it is transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     starts = _check_grids(jsa, t_grid)
     n, dd = jsa.n_points, jsa.grid.spacing
     bands = row_bands(t_grid.size)
     if jsa.is_factored:
-        su, sv = _transform(t_grid, n, starts,
-                            [jsa.signal_factor, jsa.response], dd)
+        parts = (jsa.signal_factor, jsa.response)
+
+        def write(out, a, b, lo, hi):
+            for row, part in zip(out, parts[a:b]):
+                np.copyto(row, part(lo, hi))
+        su, sv = _transform(t_grid, n, starts, (2, write), dd)
         return ((rows, su[rows, None] * sv) for rows in bands)
     blocks = [np.empty((rows.stop - rows.start, n), dtype=complex)
               for rows in bands]
-    columns = (jsa.columns(cols) for cols in row_bands(n))
-    for freqs, w in _transform_batches(t_grid, n, starts, columns, dd):
+    columns = (n, jsa.column_writer())
+    for freqs, w in _transform_batches(t_grid, n, starts, [columns], dd):
         for rows, block in zip(bands, blocks):
             block[:, freqs] = w[:, rows].T
     return _transform_batches(t_grid, n, starts,
-                              (blocks.pop(0) for _ in bands), dd)
+                              (_rows(blocks.pop(0)) for _ in bands), dd)
 
 
 def joint_time_distribution(jsa: JointSpectralAmplitude,

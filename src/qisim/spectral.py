@@ -17,8 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI
 from .errors import InputError, ResolutionError
 
-# rows per band of the purity sum or of psi (and per chunk of A's
-# columns): a band and its FFT buffer are a few MB at the storage map's size
+# rows per band of the purity sum or of psi: a band and its FFT buffer
+# are a few MB at the storage map's size
 BAND_ROWS = 128
 # grid points per segment on which r is evaluated, and per chirp-z
 # segment of the time transform
@@ -139,8 +139,8 @@ class JointSpectralAmplitude:
     u = scale r f and v = r, which allows grids no matrix could hold.  A
     gaussian pump's mass, marginals and purity are one-dimensional sums
     over the moduli and p^2 on the index sums i + j; its time transform
-    takes the amplitude a band of columns at a time, each column a
-    window of the pump table.
+    has column_writer write A's columns into its work buffer, each
+    column a window of the pump table.
     """
 
     def __init__(self, grid: FrequencyGrid, line: CavityLine,
@@ -173,24 +173,31 @@ class JointSpectralAmplitude:
     @property
     def amplitude(self) -> np.ndarray:
         """The n x n complex matrix, materialized for the tests."""
-        if self.n_points > MATERIALIZE_LIMIT:
+        n = self.n_points
+        if n > MATERIALIZE_LIMIT:
             raise InputError(
-                f"grid of {self.n_points} points is too large to "
+                f"grid of {n} points is too large to "
                 "materialize as a dense matrix")
-        return self.columns(slice(None)).T
+        out = np.empty((n, n), dtype=complex)
+        self.column_writer()(out, 0, n, 0, n)
+        return out.T
 
-    def columns(self, cols: slice) -> np.ndarray:
-        """amplitude[:, cols].T, built from the parts as
-        r_j r_i p_(i+j) scale f_i, an order in which an unfiltered
-        amplitude is exactly symmetric.  Row j's pump is the window of
-        the pump table that starts at j."""
+    def column_writer(self):
+        """write(out, a, b, lo, hi), which fills out with amplitude[lo:hi,
+        a:b].T, A's columns a to b - 1 on grid points lo to hi - 1, from
+        the parts as r_j r_i p_(i+j) scale f_i, an order in which an
+        unfiltered amplitude is exactly symmetric.  Column j's pump is
+        the window of the pump table that starts at j."""
         r = self.response(0, self.n_points)
-        block = np.outer(r[cols], r)
-        block *= sliding_window_view(self.pump_table(), self.n_points)[cols]
-        block *= self.scale
-        if self.f is not None:
-            block *= self.f
-        return block
+        windows = sliding_window_view(self.pump_table(), self.n_points)
+
+        def write(out, a, b, lo, hi):
+            np.multiply(r[a:b, None], r[lo:hi], out=out)
+            out *= windows[a:b, lo:hi]
+            out *= self.scale
+            if self.f is not None:
+                out *= self.f[lo:hi]
+        return write
 
     def response(self, lo: int, hi: int) -> np.ndarray:
         """r on grid points lo to hi - 1: the one way to get r."""

@@ -229,7 +229,8 @@ def factored_time_domain(jsa: JointSpectralAmplitude,
     if jsa.f is not None:
         u *= jsa.f
     su, sv = biphoton._transform(t_grid, d.size, d[::biphoton.SEGMENT],
-                                 [u, r], jsa.grid.spacing)
+                                 biphoton._rows(np.array([u, r])),
+                                 jsa.grid.spacing)
     return su[:, None] * sv
 
 

@@ -165,11 +165,11 @@ def test_sums_match_the_dense_kernel_across_pump_widths(sigma_hz, filtered):
 
 
 def test_purity_mass_and_marginals_never_build_the_pump_matrix(monkeypatch):
-    def refuse(self, cols):
+    def refuse(self):
         raise AssertionError("columns of the pumped amplitude were built")
 
     jsa = filtered_jsa(520)
-    monkeypatch.setattr(JointSpectralAmplitude, "columns", refuse)
+    monkeypatch.setattr(JointSpectralAmplitude, "column_writer", refuse)
     assert 0.0 < q.visibility(jsa) < 1.0
     assert 0.0 < jsa.l2_mass() < 1.0
     assert all(np.all(marg >= 0.0) for marg in jsa.marginals())
@@ -290,8 +290,9 @@ def test_flat_pump_time_profile_regression():
 
 
 def transform(t, d, vecs, dd):
-    """biphoton._transform on the detunings d."""
-    return biphoton._transform(t, d.size, d[::biphoton.SEGMENT], vecs, dd)
+    """biphoton._transform of the rows of vecs on the detunings d."""
+    return biphoton._transform(t, d.size, d[::biphoton.SEGMENT],
+                               biphoton._rows(np.asarray(vecs)), dd)
 
 
 def assert_matches_the_explicit_sum(t, d, vecs, dd):
@@ -330,9 +331,19 @@ def test_segmented_transform_of_gaussian_columns():
     n = 40000
     grid = q.default_grid(LINE, pump, n_points=n)
     jsa = JointSpectralAmplitude(grid, LINE, pump)
-    vecs = jsa.columns(slice(n - 2**15 - 1, n - 2**15 + 2))
-    t = oracles.default_time_grid(LINE)
-    assert_matches_the_explicit_sum(t, grid.detunings, vecs, grid.spacing)
+    a = n - 2**15 - 1
+    write = jsa.column_writer()
+    vecs = np.empty((3, n), dtype=complex)
+    write(vecs, a, a + 3, 0, n)
+    d, t = grid.detunings, oracles.default_time_grid(LINE)
+
+    def shifted(out, lo_col, hi_col, lo, hi):
+        write(out, a + lo_col, a + hi_col, lo, hi)
+    got = biphoton._transform(t, n, d[::biphoton.SEGMENT], (3, shifted),
+                              grid.spacing)
+    for row, want in zip(got, oracles.explicit_transform(
+            t, d, vecs, grid.spacing)):
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n, m, rows", [
@@ -349,7 +360,6 @@ def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
     vecs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     want = oracles.chirp_z_single_shot(t, d, vecs, dd)
     assert np.array_equal(transform(t, d, vecs, dd), want)
-    assert np.array_equal(transform(t, d, list(vecs), dd), want)
 
 
 def storage_medium():
@@ -390,16 +400,49 @@ def storage_time_grid():
 
 def test_post_storage_memory_budget_at_the_storage_size():
     # the density is the one n_t^2 array (18 MiB), the half-transform's
-    # blocks hold 12 MiB, and the transform's work buffer (1 MiB) is all
+    # blocks hold 12 MiB, and the transform's work buffer (128 KiB) is all
     # else that is large.  tracemalloc counts the density whole from its
     # allocation, where its pages fill as the blocks are dropped, so
     # test_storage_timedist_peak_resident_memory is the resident check
-    # (measured: 31.6 MiB traced; 19.6 when the blocks were anonymous
-    # mappings that tracemalloc does not see)
+    # (measured: 30.5 MiB traced, 31.5 with a 1 MiB work buffer; 19.6
+    # when the blocks were anonymous mappings that tracemalloc does not
+    # see)
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     peak = traced_peak_mb(q.joint_time_distribution, jsa, storage_time_grid())
     assert peak < 48.0
+
+
+@pytest.mark.parametrize("tp_s", [100e-9, 30e-9])
+def test_time_distribution_memory_budget_at_the_default_size(tp_s):
+    # reproduce-all's gaussian densities, 512 frequencies by 512 times:
+    # the half-transform C^T (4 MiB) and the density (2 MiB) beside a
+    # 128 KiB work buffer that A's columns are written into; measured
+    # 6.48 and 6.37 MiB, where a 1 MiB buffer fed from 1 MiB bands of
+    # 128 columns read 7.54 and 7.43
+    jsa = gaussian_jsa(q.sigma_from_pulse_duration(tp_s))
+    peak = traced_peak_mb(q.joint_time_distribution, jsa,
+                          oracles.default_time_grid(LINE))
+    assert peak < 7.0
+
+
+@pytest.mark.parametrize("batch_values", [1 << 10, 1 << 13, 1 << 16])
+def test_densities_do_not_depend_on_the_batch_size(monkeypatch,
+                                                   batch_values):
+    # each row's FFT is independent of the batch and each element's
+    # products keep their order, so batches of 1, 8 or 64 rows (1, 4 or
+    # 32 on the storage map) give the same bits as the default
+    default = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
+    storage = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    storage = q.build_jsa(storage.grid, LINE, storage.pump,
+                          storage_filter(storage))
+    cases = [(default, oracles.default_time_grid(LINE)),
+             (storage, storage_time_grid())]
+    want = [q.joint_time_distribution(*case).density for case in cases]
+    monkeypatch.setattr(biphoton, "_BATCH_VALUES", batch_values)
+    for case, density in zip(cases, want):
+        got = q.joint_time_distribution(*case).density
+        assert got.tobytes() == density.tobytes()
 
 
 def test_time_distributions_never_materialize_the_pumped_amplitude(
@@ -534,11 +577,12 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
                     reason="reads VmHWM from /proc/self/status")
 def test_storage_timedist_peak_resident_memory(tmp_path):
     # The post-storage map (512 frequencies, 1536 times) holds the 18 MiB
-    # density, one 1 MiB block of the half-transform and the 1 MiB work
-    # buffer: measured 23 MiB over the import on a 2-vCPU Linux VM
-    # (Python 3.11, numpy 2.4), 26 MiB with a 4 MiB work buffer, where
-    # holding all of the 12 MiB half-transform, with a band copied out of
-    # the work buffer, read 41.5 MiB.
+    # density, one 1 MiB block of the half-transform and the 128 KiB work
+    # buffer, and the heatmap after it: measured 22.6 MiB over the import
+    # on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), 21.9 MiB with a
+    # 1 MiB work buffer and 26 MiB with a 4 MiB one, where holding all
+    # of the 12 MiB half-transform, with a band copied out of the work
+    # buffer, read 41.5 MiB.
     base = child_hwm_mib()
     storage = child_hwm_mib(
         "timedist", "--with-storage", "eit", "--set", "output.formats=svg",
