@@ -20,10 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResolutionError
-from .spectral import (SEGMENT, TWO_PI, JointSpectralAmplitude, correlate,
-                       row_bands)
+from .spectral import (SEGMENT, TWO_PI, FrequencyGrid, JointSpectralAmplitude,
+                       correlate, row_bands)
 
-# quarter-period sampling margin for the time grid (see _check_time_grid)
+# quarter-period sampling margin for the time grid (see _check_grids)
 _SAMPLES_PER_PERIOD = 4.0
 # complex values per row batch of the chirp-z FFTs (a 128 KiB work
 # buffer): one row of a SEGMENT-point segment, 8 rows at the default
@@ -90,65 +90,58 @@ class JointTimeDistribution:
         self.t_grid, self.density = t_grid, density
 
 
-def _bandwidth_99(d: np.ndarray, mass: np.ndarray) -> float:
+def _bandwidth_99(grid: FrequencyGrid, mass: np.ndarray) -> float:
     """Full width of the smallest centred band holding 99% of the
-    marginal spectral mass on the detunings d, which are sorted and
-    symmetric: the mass is folded into pairs of equal |d| (a centre
-    point alone if d.size is odd) and summed outwards."""
-    half = d.size // 2
-    cum = mass[half:].copy()
-    cum[d.size % 2:] += mass[half - 1::-1]
+    marginal spectral mass on grid, whose detunings are symmetric and
+    even in number: the mass is folded into pairs of equal |d| and
+    summed outwards."""
+    half = grid.n_points // 2
+    cum = mass[half:] + mass[half - 1::-1]
     np.cumsum(cum, out=cum)
     k = min(int(np.searchsorted(cum, 0.99 * cum[-1])), cum.size - 1)
-    return 2.0 * abs(float(d[half + k]))
+    return 2.0 * abs(float(grid.detunings_on(half + k, half + k + 1)[0]))
 
 
-def _check_time_grid(d: np.ndarray, masses, t_grid: np.ndarray) -> float:
-    t_grid = np.asarray(t_grid, dtype=float)
+def _outer_fraction(mass: np.ndarray) -> float:
+    """Share of the mass that lies beyond 0.9 of the grid's half span,
+    summed over the two end slices.  Point k lies there where
+    k < (n - 1) / 20, and n - 1 is odd, so no point is within 0.05
+    spacings of the edge and each slice holds ceil((n - 1) / 20)."""
+    j = (mass.size - 2) // 20 + 1
+    return float((mass[:j].sum() + mass[-j:].sum()) / mass.sum())
+
+
+def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray) -> None:
+    """Check that the 1-d array t_grid is uniform and increasing, samples
+    the 99% bandwidth of each marginal of jsa at least _SAMPLES_PER_PERIOD
+    times per period, and that less than 1% of each marginal's mass lies
+    in the outer 10% of the frequency grid.  A factored amplitude's
+    marginals are its moduli times constants, so the guards see the
+    moduli, once if the two are one array (no filter).  The guards read
+    the grid by index and build no detunings."""
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise InputError("time grid must be a 1-d array of >= 2 points")
     steps = np.diff(t_grid)
     dt = float(steps[0])
     if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise InputError("time grid must be uniform and increasing")
-    bw = max(_bandwidth_99(d, mass) for mass in masses)
-    dt_max = TWO_PI / (bw * _SAMPLES_PER_PERIOD)
-    if dt > dt_max:
-        raise ResolutionError(
-            f"time step {dt:.3e} s undersamples the occupied bandwidth "
-            f"{bw:.3e} rad/s (need <= {dt_max:.3e} s)")
-    return dt
-
-
-def _outer_fraction(d: np.ndarray, mass: np.ndarray) -> float:
-    """Share of the mass on the sorted symmetric detunings d that lies
-    beyond 0.9 of the grid's half span, summed over the two end slices."""
-    edge = 0.9 * float(d[-1])
-    lo = int(np.searchsorted(d, -edge))
-    hi = int(np.searchsorted(d, edge, side="right"))
-    return float((mass[:lo].sum() + mass[hi:].sum()) / mass.sum())
-
-
-def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
-    """Check the time grid and the aliasing margin against the marginals
-    of jsa, and return the detunings d_{k_s} that start the transform's
-    segments, the only ones it needs.  A factored amplitude's marginals
-    are its moduli times constants, so the guards see the moduli, once
-    if the two are one array (no filter)."""
-    d = jsa.grid.detunings
     if jsa.is_factored:
         a2, c2, _ = jsa.moduli()
         masses = (a2,) if a2 is c2 else (a2, c2)
     else:
         masses = jsa.marginals()
-    _check_time_grid(d, masses, t_grid)
+    bw = max(_bandwidth_99(jsa.grid, mass) for mass in masses)
+    dt_max = TWO_PI / (bw * _SAMPLES_PER_PERIOD)
+    if dt > dt_max:
+        raise ResolutionError(
+            f"time step {dt:.3e} s undersamples the occupied bandwidth "
+            f"{bw:.3e} rad/s (need <= {dt_max:.3e} s)")
     for axis, mass in enumerate(masses):
-        frac = _outer_fraction(d, mass)
+        frac = _outer_fraction(mass)
         if frac >= 0.01:
             raise ResolutionError(
                 f"{frac:.3%} of spectral mass sits in the outer 10% of "
                 f"the frequency grid (axis {axis}); widen the grid")
-    return d[::SEGMENT].copy()
 
 
 def _chirp(alpha: float, start: int, stop: int):
@@ -181,12 +174,11 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
-                       blocks, spacing: float):
+def _transform_batches(t_grid: np.ndarray, grid: FrequencyGrid, blocks):
     """Iterate over (rows, psi[rows]) for the vectors of the blocks, taken
     in turn and counted across them, with psi(t_m) = sum_k vec[k]
-    e^{-i d_k t_m} spacing / 2pi per vector, on n detunings d_k spaced
-    by spacing.  A block is a vector count and a writer write(out, a, b,
+    e^{-i d_k t_m} dd / 2pi per vector, on the n detunings d_k of grid,
+    spaced by dd.  A block is a vector count and a writer write(out, a, b,
     lo, hi), which fills out with vectors a to b - 1 on the points lo to
     hi - 1, called once per batch and segment into the work buffer.
 
@@ -196,9 +188,10 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     e^{-i j m dd dt}, and j m = (j^2 + m^2 - (m - j)^2) / 2 splits it
     into a pre-chirp over j, one FFT convolution with a chirp of length
     >= seg + m - 1, and a post factor over m, the one part that depends
-    on the segment, through its start d_{k_s} = starts[s].  The chirps
-    are built once, for the segment length, and the FFT, the chirp
-    product and the inverse FFT run in batches of rows of at most
+    on the segment, through its start d_{k_s}.  n, dd and the starts
+    are read from grid, one detuning each, so no detunings are built.
+    The chirps are built once, for the segment length, and the FFT, the
+    chirp product and the inverse FFT run in batches of rows of at most
     _BATCH_VALUES points, so memory beyond the blocks is about four
     vectors of seg + m points.  A batch's segments add into one
     accumulator; a single segment needs none, and its batch is a view
@@ -206,7 +199,7 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     is let go when the next is taken.  dt is taken from the end points
     of t_grid, which the caller has checked to be uniform.
     """
-    m = t_grid.size
+    m, n, spacing = t_grid.size, grid.n_points, grid.spacing
     seg = min(n, SEGMENT)
     t0 = float(t_grid[0])
     dt = (float(t_grid[-1]) - t0) / (m - 1)
@@ -219,7 +212,9 @@ def _transform_batches(t_grid: np.ndarray, n: int, starts: np.ndarray,
     j, c = _chirp(half, 0, seg)
     pre = np.exp(-1j * (t0 * spacing) * j) * c
     mm, c = _chirp(half, 0, m)
-    d0 = starts[:, None]  # a post factor per segment
+    # a post factor per segment, from the column of the segment starts
+    d0 = np.array([grid.detunings_on(k, k + 1)[0]
+                   for k in range(0, n, seg)])[:, None]
     post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
     post *= spacing / TWO_PI
     batch = max(1, _BATCH_VALUES // size)
@@ -257,12 +252,11 @@ def _rows(vecs: np.ndarray):
                        np.copyto(out, vecs[a:b, lo:hi]))
 
 
-def _transform(t_grid: np.ndarray, n: int, starts: np.ndarray, block,
-               spacing: float) -> np.ndarray:
+def _transform(t_grid: np.ndarray, grid: FrequencyGrid, block) -> np.ndarray:
     """The transforms of _transform_batches over the one block collected
     into one array, a row per vector."""
     out = np.empty((block[0], t_grid.size), dtype=complex)
-    for rows, w in _transform_batches(t_grid, n, starts, [block], spacing):
+    for rows, w in _transform_batches(t_grid, grid, [block]):
         out[rows] = w
     return out
 
@@ -283,8 +277,8 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     transform's work buffer, and drops each block as it is transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    starts = _check_grids(jsa, t_grid)
-    n, dd = jsa.n_points, jsa.grid.spacing
+    _check_grids(jsa, t_grid)
+    n, grid = jsa.n_points, jsa.grid
     bands = row_bands(t_grid.size)
     if jsa.is_factored:
         parts = (jsa.signal_factor, jsa.response)
@@ -292,16 +286,16 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
         def write(out, a, b, lo, hi):
             for row, part in zip(out, parts[a:b]):
                 np.copyto(row, part(lo, hi))
-        su, sv = _transform(t_grid, n, starts, (2, write), dd)
+        su, sv = _transform(t_grid, grid, (2, write))
         return ((rows, su[rows, None] * sv) for rows in bands)
     blocks = [np.empty((rows.stop - rows.start, n), dtype=complex)
               for rows in bands]
     columns = (n, jsa.column_writer())
-    for freqs, w in _transform_batches(t_grid, n, starts, [columns], dd):
+    for freqs, w in _transform_batches(t_grid, grid, [columns]):
         for rows, block in zip(bands, blocks):
             block[:, freqs] = w[:, rows].T
-    return _transform_batches(t_grid, n, starts,
-                              (_rows(blocks.pop(0)) for _ in bands), dd)
+    return _transform_batches(t_grid, grid,
+                              (_rows(blocks.pop(0)) for _ in bands))
 
 
 def joint_time_distribution(jsa: JointSpectralAmplitude,

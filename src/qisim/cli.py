@@ -416,13 +416,6 @@ def cmd_reproduce_all(cfg, writer) -> tuple:
 
 # ---------------------------------------------------------------- driver
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="config file path")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key (repeatable)")
-    p.add_argument("--out", default=None, help="output directory")
-
-
 class _Parser(argparse.ArgumentParser):
     """Ends a usage error in one `qisim:` line and exit 2; the usage block
     stays with --help.  Subparsers are made of the same class."""
@@ -436,47 +429,52 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qisim",
         description="Photon-pair source and atomic-memory simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # in every subcommand
+    common.add_argument("--config", default=None, help="config file path")
+    common.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="override a config key (repeatable)")
+    common.add_argument("--out", default=None, help="output directory")
 
-    p = sub.add_parser("visibility", help="spectral visibility sweep")
-    _add_common(p)
+    p = sub.add_parser("visibility", parents=[common],
+                       help="spectral visibility sweep")
     p.add_argument("--sigma-hz", default=_DEFAULT_SIGMAS,
                    help="comma-separated pump bandwidths (Hz)")
     p.add_argument("--tp-s", default=_DEFAULT_TPS,
                    help="comma-separated pump durations (s)")
 
-    p = sub.add_parser("timedist", help="joint detection-time density")
-    _add_common(p)
+    p = sub.add_parser("timedist", parents=[common],
+                       help="joint detection-time density")
     p.add_argument("--tp-s", type=float, default=100e-9,
                    help="pump duration (s)")
     p.add_argument("--with-storage", choices=["eit"],
                    default=None, help="filter the signal axis")
 
-    p = sub.add_parser("eit", help="transparency spectrum and delay report")
-    _add_common(p)
+    p = sub.add_parser("eit", parents=[common],
+                       help="transparency spectrum and delay report")
     p.add_argument("--fit-gamma-s", type=float, default=None,
                    metavar="TARGET_HZ",
                    help="fit gamma_s to a target window FWHM (Hz)")
 
-    p = sub.add_parser("store", help="six-state storage fidelities")
-    _add_common(p)
+    p = sub.add_parser("store", parents=[common],
+                       help="six-state storage fidelities")
     p.add_argument("--states", default=",".join(qubit.SIX_STATES),
                    help="comma-separated subset of H,V,plus,minus,R,L")
     p.add_argument("--storage-times-s", default=_DEFAULT_STORE_TIMES,
                    help="comma-separated storage times (s)")
 
-    p = sub.add_parser("bell", help="CHSH S versus storage time")
-    _add_common(p)
+    p = sub.add_parser("bell", parents=[common],
+                       help="CHSH S versus storage time")
     p.add_argument("--storage-times-s", default=_DEFAULT_BELL_TIMES,
                    help="comma-separated storage times (s)")
 
-    p = sub.add_parser("g13", help="cross-correlation decay report")
-    _add_common(p)
+    p = sub.add_parser("g13", parents=[common],
+                       help="cross-correlation decay report")
     p.add_argument("--times-s", default=None,
                    help="comma-separated times (s); default 0..4us")
 
-    p = sub.add_parser("reproduce-all",
-                       help="run every command and check reference numbers")
-    _add_common(p)
+    sub.add_parser("reproduce-all", parents=[common],
+                   help="run every command and check reference numbers")
     return parser
 
 

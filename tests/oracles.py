@@ -223,14 +223,12 @@ def factored_time_domain(jsa: JointSpectralAmplitude,
     as the time_domain that evaluates and scales r segment by segment,
     so the two must match bit for bit."""
     t_grid = np.asarray(t_grid, dtype=float)
-    d = jsa.grid.detunings
-    r = jsa.response(0, d.size)
+    r = jsa.response(0, jsa.n_points)
     u = r * jsa.scale
     if jsa.f is not None:
         u *= jsa.f
-    su, sv = biphoton._transform(t_grid, d.size, d[::biphoton.SEGMENT],
-                                 biphoton._rows(np.array([u, r])),
-                                 jsa.grid.spacing)
+    su, sv = biphoton._transform(t_grid, jsa.grid,
+                                 biphoton._rows(np.array([u, r])))
     return su[:, None] * sv
 
 

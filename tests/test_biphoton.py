@@ -246,7 +246,7 @@ def test_aliasing_guard_catches_broadband_input():
 
 
 @pytest.mark.parametrize("kind", ["lorentzian", "eit", "random"])
-@pytest.mark.parametrize("n", [7, 8, 129, 4097, 262144])
+@pytest.mark.parametrize("n", [10, 8, 130, 4098, 262144])
 def test_folded_guards_match_the_sorted_and_masked_sums(n, kind):
     # The fold sums a pair of equal |d| at once and the sorted reference
     # one point at a time, so they pick the same pair.  linspace makes a
@@ -255,18 +255,33 @@ def test_folded_guards_match_the_sorted_and_masked_sums(n, kind):
     # widths agree to 2 ulp of the end per |d|.  The end slices and the
     # mask select the same points, summed in another order (measured
     # up to 1.9e-16 relative).
-    span = (64000.0 if n > 4097 else 40.0) * rv.GAMMA
-    d = np.linspace(-span / 2.0, span / 2.0, n)
+    span = (64000.0 if n > 4098 else 40.0) * rv.GAMMA
+    grid = q.FrequencyGrid(span=span, n_points=n)
+    d = grid.detunings
     mass = np.abs(q.cavity_response(d, LINE)) ** 2
     if kind == "eit":
         mass *= np.abs(q.transmission(d, storage_medium())) ** 2
     elif kind == "random":
         mass = np.random.default_rng(n).random(n)
-    got = biphoton._bandwidth_99(d, mass)
+    got = biphoton._bandwidth_99(grid, mass)
     want = oracles.bandwidth_99_sorted(d, mass)
     assert abs(got - want) <= 2.0 * 2.0 * np.spacing(d[-1])
-    assert biphoton._outer_fraction(d, mass) == pytest.approx(
+    assert biphoton._outer_fraction(mass) == pytest.approx(
         oracles.outer_fraction_masked(d, mass, span), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("span_factor", [40.0, 64000.0])
+def test_outer_slices_are_the_searchsorted_positions(span_factor):
+    # n - 1 is odd, so (n - 1) / 20 is no whole number and every point
+    # lies at least 0.05 spacings from the edge +-0.9 span / 2: each end
+    # slice of _outer_fraction holds ceil((n - 1) / 20) = (n - 2) // 20 + 1
+    # points, where a search of the sorted detunings puts the edges
+    for n in [*range(8, 4097, 2), 100002, 262144]:
+        d = q.FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n).detunings
+        edge = 0.9 * float(d[-1])
+        j = (n - 2) // 20 + 1
+        assert int(np.searchsorted(d, -edge)) == j
+        assert int(np.searchsorted(d, edge, side="right")) == n - j
 
 
 def test_flat_pump_time_profile_regression():
@@ -289,15 +304,15 @@ def test_flat_pump_time_profile_regression():
     assert spill < 1e-4
 
 
-def transform(t, d, vecs, dd):
-    """biphoton._transform of the rows of vecs on the detunings d."""
-    return biphoton._transform(t, d.size, d[::biphoton.SEGMENT],
-                               biphoton._rows(np.asarray(vecs)), dd)
+def transform(t, grid, vecs):
+    """biphoton._transform of the rows of vecs on the frequency grid."""
+    return biphoton._transform(t, grid, biphoton._rows(np.asarray(vecs)))
 
 
-def assert_matches_the_explicit_sum(t, d, vecs, dd):
-    got = transform(t, d, vecs, dd)
-    for row, want in zip(got, oracles.explicit_transform(t, d, vecs, dd)):
+def assert_matches_the_explicit_sum(t, grid, vecs):
+    got = transform(t, grid, vecs)
+    for row, want in zip(got, oracles.explicit_transform(
+            t, grid.detunings, vecs, grid.spacing)):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -307,19 +322,18 @@ def assert_matches_the_explicit_sum(t, d, vecs, dd):
     (1000, 1000, 0.5, 12.0),     # positive t0
     (16384, 512, -2.0, 8.0),     # the flat-pump regression grid size
     (100000, 301, -2.0, 8.0),    # four segments, the last one partial
-    (2**15 + 1, 301, -2.0, 8.0),  # a last segment of one point
+    (2**15 + 2, 301, -2.0, 8.0),  # a last segment of two points
     (2**16, 257, -2.0, 8.0),     # two whole segments
 ])
 def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
     rng = np.random.default_rng(n + m)
     span = 1600.0 * rv.GAMMA if n > 4096 else 40.0 * rv.GAMMA
-    d = np.linspace(-span / 2.0, span / 2.0, n)  # n may be odd
-    dd = span / (n - 1)
+    grid = q.FrequencyGrid(span=span, n_points=n)
     t = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, m)
-    lorentz = q.cavity_response(d, LINE)
+    lorentz = q.cavity_response(grid.detunings, LINE)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert_matches_the_explicit_sum(
-        t, d, [lorentz, noise * abs(lorentz[n // 2])], dd)
+        t, grid, [lorentz, noise * abs(lorentz[n // 2])])
 
 
 def test_segmented_transform_of_gaussian_columns():
@@ -339,8 +353,7 @@ def test_segmented_transform_of_gaussian_columns():
 
     def shifted(out, lo_col, hi_col, lo, hi):
         write(out, a + lo_col, a + hi_col, lo, hi)
-    got = biphoton._transform(t, n, d[::biphoton.SEGMENT], (3, shifted),
-                              grid.spacing)
+    got = biphoton._transform(t, grid, (3, shifted))
     for row, want in zip(got, oracles.explicit_transform(
             t, d, vecs, grid.spacing)):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
@@ -354,12 +367,11 @@ def test_segmented_transform_of_gaussian_columns():
 def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
     rng = np.random.default_rng(n)
     span = 40.0 * rv.GAMMA * max(1, n // 4096)
-    d = q.FrequencyGrid(span=span, n_points=n).detunings
-    dd = span / (n - 1)
+    grid = q.FrequencyGrid(span=span, n_points=n)
     t = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, m)
     vecs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    want = oracles.chirp_z_single_shot(t, d, vecs, dd)
-    assert np.array_equal(transform(t, d, vecs, dd), want)
+    want = oracles.chirp_z_single_shot(t, grid.detunings, vecs, grid.spacing)
+    assert np.array_equal(transform(t, grid, vecs), want)
 
 
 def storage_medium():
@@ -488,7 +500,7 @@ def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
 
 def test_factored_time_domain_memory_budget_at_c3_size():
     # the C3 grid: 262144 frequencies, 512 times.  r is evaluated a
-    # segment at a time; the guards hold 5.0 MiB
+    # segment at a time; the guards hold 3.0 MiB
     # (test_time_grid_guards_memory_budget_at_c3_size), the transform
     # about four vectors of a segment's 2^15 + 512 points (0.5 MiB each),
     # and the 4 MiB psi its bands; measured 6.3 MiB, where a scaled copy
@@ -500,9 +512,11 @@ def test_factored_time_domain_memory_budget_at_c3_size():
 def test_flat_time_distribution_memory_budget_at_c3_size():
     # build_jsa and the density of a flat pump at the C3 size hold no
     # complex vector over the 262144 frequencies: r is evaluated a
-    # segment at a time wherever it is used.  The peak is the guards'
-    # 5.0 MiB (measured 5.0 MiB), where holding r whole (4 MiB) beside
-    # them read 9.0
+    # segment at a time wherever it is used, and the guards build no
+    # detunings.  The peak is the transform's few vectors of a segment's
+    # 2^15 + 512 points beside the 2 MiB density (measured 4.38 MiB),
+    # where the guards' 5.0 MiB with the detunings set it at 5.01, and
+    # holding r whole (4 MiB) beside those read 9.0
     grid = q.FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
     pump = q.PumpSpectrum(kind="flat_limit")
 
@@ -512,15 +526,41 @@ def test_flat_time_distribution_memory_budget_at_c3_size():
         assert not arrays   # no filter: the amplitude holds no vector
         return q.joint_time_distribution(jsa, c3_time_grid())
 
-    assert traced_peak_mb(timedist) < 6.0
+    assert traced_peak_mb(timedist) < 4.7
 
 
 def test_time_grid_guards_memory_budget_at_c3_size():
-    # the detunings (2 MiB), the moduli |r|^2 (2 MiB, one array without a
-    # filter) and the folded half of them (1 MiB); measured 5.0 MiB, where
-    # two marginals with an argsort, a gather and a cumsum each took 12.0
+    # the moduli |r|^2 (2 MiB, one array without a filter) and the folded
+    # half of them (1 MiB), 12 B per frequency point; the grid is read by
+    # index, so no detunings are built.  Measured 3.0 MiB, where the
+    # detunings (2 MiB) beside them read 5.0 and two marginals with an
+    # argsort, a gather and a cumsum each took 12.0
     jsa = flat_jsa(span_factor=64000.0, n_points=262144)
-    assert traced_peak_mb(biphoton._check_grids, jsa, c3_time_grid()) < 6.0
+    assert traced_peak_mb(biphoton._check_grids, jsa, c3_time_grid()) < 4.0
+
+
+def test_time_distributions_never_build_the_detunings(monkeypatch):
+    # the guards and the transform read the grid by index: its spacing,
+    # its point count and single detunings
+    def refuse(self):
+        raise AssertionError("the detunings were built")
+
+    flat = flat_jsa(span_factor=64000.0, n_points=262144)
+    filtered = flat_jsa(n_points=4096)
+    filtered = q.build_jsa(filtered.grid, LINE, filtered.pump,
+                           storage_filter(filtered))
+    default = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    storage = q.build_jsa(default.grid, LINE, default.pump,
+                          storage_filter(default))
+    cases = [(flat, c3_time_grid()),
+             (filtered, np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)),
+             (default, oracles.default_time_grid(LINE)),
+             (storage, storage_time_grid())]
+    want = [q.joint_time_distribution(*case).density for case in cases]
+    monkeypatch.setattr(q.FrequencyGrid, "detunings", property(refuse))
+    for case, density in zip(cases, want):
+        got = q.joint_time_distribution(*case).density
+        assert got.tobytes() == density.tobytes()
 
 
 # the base holds the layers a grid command loads, as the CLI's own
@@ -553,7 +593,7 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
     # Resident memory counts what tracemalloc misses: the FFT and BLAS
     # buffers.  At the C3 size the flat timedist evaluates r a segment at
     # a time and holds no complex vector over the frequency grid: its
-    # guards hold the detunings and |r|^2, its transform a few vectors of
+    # guards hold |r|^2 and its fold, its transform a few vectors of
     # one segment's length, and its peak is the grid CSV after them, the
     # density and the grid writer's bands (measured 7.9 MiB over the
     # import on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, where holding
