@@ -12,7 +12,7 @@ _EXPORTS = {
     "spectral": "CavityLine FrequencyGrid JointSpectralAmplitude PumpSpectrum"
                 " build_jsa cavity_response default_grid"
                 " sigma_from_pulse_duration",
-    "biphoton": "JointTimeDistribution joint_time_distribution visibility",
+    "biphoton": "joint_time_distribution visibility",
     "eit": "EitMedium FitResult fit_gamma_s group_delay transmission"
            " window_fwhm",
     "qubit": "CHSH_ANGLES SIX_STATES MemoryChannelParams MemoryDecay"

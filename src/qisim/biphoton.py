@@ -76,20 +76,6 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
 
 # --------------------------------------------------------------- time side
 
-class JointTimeDistribution:
-    """Normalized pair-detection density on a uniform time grid."""
-
-    def __init__(self, t_grid: np.ndarray, density: np.ndarray) -> None:
-        if density.shape != (t_grid.size, t_grid.size):
-            raise InputError("density shape must match the time grid")
-        if density.min() < 0.0:
-            raise InputError("density must be non-negative")
-        if not math.isclose(float(density.max()), 1.0,
-                            rel_tol=1e-12, abs_tol=0.0):
-            raise InputError("density must be max-normalized to 1")
-        self.t_grid, self.density = t_grid, density
-
-
 def _bandwidth_99(grid: FrequencyGrid, mass: np.ndarray) -> float:
     """Full width of the smallest centred band holding 99% of the
     marginal spectral mass on grid, whose detunings are symmetric and
@@ -299,12 +285,11 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
 
 
 def joint_time_distribution(jsa: JointSpectralAmplitude,
-                            t_grid: np.ndarray) -> JointTimeDistribution:
-    """Max-normalized |psi(t1, t2)|^2, squared band by band into the
-    one n_t x n_t float array and normalized in place."""
+                            t_grid: np.ndarray) -> np.ndarray:
+    """Max-normalized |psi(t1, t2)|^2 on t_grid x t_grid, squared band
+    by band into the one n_t x n_t float array and normalized in place."""
     bands = _psi_bands(jsa, t_grid)
-    t_grid = np.asarray(t_grid, dtype=float)
-    density = np.empty((t_grid.size, t_grid.size))
+    density = np.empty((len(t_grid), len(t_grid)))
     for rows, band in bands:
         out = np.abs(band, out=density[rows])
         out *= out
@@ -312,5 +297,5 @@ def joint_time_distribution(jsa: JointSpectralAmplitude,
     if not peak > 0.0:
         raise InputError("density is identically zero")
     density /= peak
-    return JointTimeDistribution(t_grid=t_grid, density=density)
+    return density
 

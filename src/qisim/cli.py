@@ -68,6 +68,10 @@ def _linspace(start: float, stop: float, num: int) -> list:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
+# the g13 command's times (s) without --times-s
+_DEFAULT_G13_TIMES = _linspace(0.0, 4e-6, 81)
+
+
 def _float_list(text: str) -> list:
     out = []
     for part in text.split(","):
@@ -95,8 +99,8 @@ def _finish(cfg, writer) -> None:
 
 # ------------------------------------------------------------- commands
 #
-# Each cmd_* writes its artifacts and returns (exit code, results), where
-# results is what its JSON report holds.  A command imports the numpy
+# Each cmd_* writes its artifacts and returns what its JSON report holds
+# (cmd_timedist writes none and returns None).  A command imports the numpy
 # layers it uses when it runs, as modules, so that a patched module
 # attribute is what it calls.
 
@@ -108,9 +112,9 @@ def _visibility_of(cfg, sigma_rad: float) -> float:
     return biphoton.visibility(spectral.build_jsa(grid, line, pump))
 
 
-def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
-    """Exit code, and {sigma_hz: V} for every row that succeeded.  A
-    sweep whose every row failed raises the first row's error."""
+def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
+    """{sigma_hz: V} for every row that succeeded.  A sweep whose every
+    row failed raises the first row's error."""
     from . import spectral
     rows = []
     for tp in tps_s:
@@ -138,7 +142,7 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> tuple:
     if not good:
         raise InputError(f"every visibility sweep row failed; first error: "
                          f"{rows[0][3]}")
-    return EXIT_OK, dict(good)
+    return dict(good)
 
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
@@ -170,39 +174,39 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
             f"times exceeds {MATERIALIZE_LIMIT ** 2} values; lower "
             "grids.n_freq or grids.n_time")
     jsa = spectral.build_jsa(grid, line, pump, eit_filter)
-    return biphoton.joint_time_distribution(jsa, np.linspace(lo, hi, n_t))
+    t_grid = np.linspace(lo, hi, n_t)
+    return t_grid, biphoton.joint_time_distribution(jsa, t_grid)
 
 
 def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
-                 name: str = "timedist") -> tuple:
-    dist = _timedist_compute(cfg, tp_s, with_storage)
-    t_ns = dist.t_grid * 1e9
+                 name: str = "timedist") -> None:
+    t_grid, density = _timedist_compute(cfg, tp_s, with_storage)
+    t_ns = t_grid * 1e9
     writer.write_grid_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"],
-                          t_ns, dist.density)
+                          t_ns, density)
     tag = f", storage: {with_storage}" if with_storage else ""
     writer.write_svg(f"{name}.svg", lambda: svgplot.heatmap(
-        dist.density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
+        density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
         f"Joint detection-time density (T_p = {tp_s * 1e9:g} ns{tag})"))
-    return EXIT_OK, None
 
 
 def _intensity(t: complex) -> float:
     return t.real * t.real + t.imag * t.imag
 
 
-def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
+def cmd_eit(cfg, writer, fit_target_hz=None) -> dict:
     from . import eit
     medium = config.medium_from(cfg)
     fit_info = None
     if fit_target_hz is not None:
         res = eit.fit_gamma_s(medium, fit_target_hz)
         lo, hi = res.reachable_hz
-        if not lo <= res.target_hz <= hi:
+        if not lo <= fit_target_hz <= hi:
             raise ModelError(f"gamma_s fit: no gamma_s gives a "
-                             f"{res.target_hz:.6g} Hz window; this medium "
+                             f"{fit_target_hz:.6g} Hz window; this medium "
                              f"reaches {lo:.6g} to {hi:.6g} Hz")
         fit_info = {
-            "target_hz": res.target_hz,
+            "target_hz": fit_target_hz,
             "gamma_s_rad_s": res.gamma_s,
             "achieved_window_fwhm_hz": res.window_fwhm_hz,
             # a literal: perfbench/references.json still pins this key
@@ -215,9 +219,8 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
                          f"transparency floor {eit.TRANSPARENCY_FLOOR:g}; "
                          "there is no window to report")
 
-    base = config.medium_from(cfg)
-    off_medium = eit.EitMedium(base.optical_depth, 0.0, base.gamma_ge,
-                               base.gamma_s, base.length)
+    off_medium = eit.EitMedium(medium.optical_depth, 0.0, medium.gamma_ge,
+                               medium.gamma_s, medium.length)
     delta_hz = _linspace(-30e6, 30e6, 2401)
     t_on = [_intensity(eit.transmission(TWO_PI * d, medium))
             for d in delta_hz]
@@ -249,10 +252,10 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> tuple:
         "fit": fit_info,
     }
     writer.write_json("eit_report.json", report)
-    return EXIT_OK, report
+    return report
 
 
-def cmd_store(cfg, writer, states, times_s) -> tuple:
+def cmd_store(cfg, writer, states, times_s) -> dict:
     results = []
     for t_s in times_s:
         params = config.channel_from(cfg, t_s)
@@ -268,10 +271,10 @@ def cmd_store(cfg, writer, states, times_s) -> tuple:
         [first[n] for n in states] + [first["average"]],
         "fidelity",
         f"Storage fidelities at t_s = {results[0]['t_s'] * 1e9:g} ns"))
-    return EXIT_OK, report
+    return report
 
 
-def cmd_bell(cfg, writer, times_s) -> tuple:
+def cmd_bell(cfg, writer, times_s) -> dict:
     v_src = cfg["channel.V_src"]
     source = qubit.werner_state(v_src)
     s_local = qubit.chsh_S(source)
@@ -308,10 +311,10 @@ def cmd_bell(cfg, writer, times_s) -> tuple:
         },
     }
     writer.write_json("bell_report.json", report)
-    return EXIT_OK, report
+    return report
 
 
-def cmd_g13(cfg, writer, times_s) -> tuple:
+def cmd_g13(cfg, writer, times_s) -> dict:
     g0 = cfg["g13.g0"]
     decay = config.decay_from(cfg)
     rows = []
@@ -340,7 +343,7 @@ def cmd_g13(cfg, writer, times_s) -> tuple:
          ("threshold", [_G13_THRESHOLD] * len(rows))],
         "storage time (us)", "cross-correlation g13",
         "Pair cross-correlation vs storage time"))
-    return EXIT_OK, report
+    return report
 
 
 def _check(cid, value, target, tol, relative):
@@ -356,18 +359,18 @@ def _check(cid, value, target, tol, relative):
     }
 
 
-def cmd_reproduce_all(cfg, writer) -> tuple:
+def cmd_reproduce_all(cfg, writer) -> dict:
     """Run every command, then check the numbers they returned (and the
     two no command computes) against targets(eit.od)."""
     from . import eit
-    _, vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
-                            _float_list(_DEFAULT_TPS))
+    vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
+                         _float_list(_DEFAULT_TPS))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
     cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
-    _, eit_report = cmd_eit(cfg, writer)
-    _, store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
-    _, bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
-    _, g13 = cmd_g13(cfg, writer, _linspace(0.0, 4e-6, 81))
+    eit_report = cmd_eit(cfg, writer)
+    store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
+    bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
+    g13 = cmd_g13(cfg, writer, _DEFAULT_G13_TIMES)
 
     def visibility_at(sigma_hz):
         # a sweep row that failed is recomputed to raise its error here
@@ -410,8 +413,7 @@ def cmd_reproduce_all(cfg, writer) -> tuple:
     if failed:
         print("reproduce-all: %d reference check(s) failed: %s"
               % (len(failed), ", ".join(failed)), file=sys.stderr)
-        return EXIT_CHECKS, report
-    return EXIT_OK, report
+    return report
 
 
 # ---------------------------------------------------------------- driver
@@ -486,32 +488,32 @@ def main(argv=None) -> int:
     try:
         cfg = config.load_config(args.config, args.set)
         writer = _writer(cfg, args.out)
+        code = EXIT_OK
         if args.command == "visibility":
             sigmas, tps = _float_list(args.sigma_hz), _float_list(args.tp_s)
             _required(sigmas + tps, "--sigma-hz or --tp-s")
-            code, _ = cmd_visibility(cfg, writer, sigmas, tps)
+            cmd_visibility(cfg, writer, sigmas, tps)
         elif args.command == "timedist":
-            code, _ = cmd_timedist(cfg, writer, args.tp_s,
-                                   args.with_storage)
+            cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
         elif args.command == "eit":
-            code, _ = cmd_eit(cfg, writer, args.fit_gamma_s)
+            cmd_eit(cfg, writer, args.fit_gamma_s)
         elif args.command == "store":
             states = _required([s.strip() for s in args.states.split(",")
                                 if s.strip()], "--states")
             for s in states:
                 if s not in qubit.SIX_STATES:
                     raise ConfigError(f"unknown state {s!r}")
-            code, _ = cmd_store(cfg, writer, states, _required(
+            cmd_store(cfg, writer, states, _required(
                 _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "bell":
-            code, _ = cmd_bell(cfg, writer, _required(
+            cmd_bell(cfg, writer, _required(
                 _float_list(args.storage_times_s), "--storage-times-s"))
         elif args.command == "g13":
             times = (_required(_float_list(args.times_s), "--times-s")
-                     if args.times_s else _linspace(0.0, 4e-6, 81))
-            code, _ = cmd_g13(cfg, writer, times)
-        else:
-            code, _ = cmd_reproduce_all(cfg, writer)
+                     if args.times_s else _DEFAULT_G13_TIMES)
+            cmd_g13(cfg, writer, times)
+        elif cmd_reproduce_all(cfg, writer)["failed"]:
+            code = EXIT_CHECKS
         _finish(cfg, writer)
         return code
     except (ConfigError, InputError) as exc:

@@ -173,10 +173,10 @@ def group_delay(medium: EitMedium) -> float:
 
 class FitResult:
     def __init__(self, gamma_s: float, window_fwhm_hz: float,
-                 target_hz: float, reachable_hz: tuple) -> None:
+                 reachable_hz: tuple) -> None:
         self.gamma_s, self.window_fwhm_hz = gamma_s, window_fwhm_hz
         # (narrowest window, window at gamma_s = 0) on the fitted branch
-        self.target_hz, self.reachable_hz = target_hz, reachable_hz
+        self.reachable_hz = reachable_hz
 
 
 # Polynomials are lists of coefficients, the highest power first.
@@ -313,5 +313,4 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
                     default=g_min)
     fitted = EitMedium(medium.optical_depth, medium.rabi_control,
                        medium.gamma_ge, g * medium.gamma_ge, medium.length)
-    return FitResult(fitted.gamma_s, window_fwhm(fitted), target_hz,
-                     (narrowest, widest))
+    return FitResult(fitted.gamma_s, window_fwhm(fitted), (narrowest, widest))

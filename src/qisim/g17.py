@@ -14,9 +14,10 @@ within 2^-106, by Veltkamp's split and Dekker's two-product (Numer.
 Math. 18, 224 (1971)).  The product's high part is an integer, and y
 minus it is known to within HALF_MARGIN for y below 2^57.  Zero, inf,
 nan, values from 10 to 1e17 (fixed notation with the point among the
-digits), and every cell within HALF_MARGIN of a rounding tie, go through
-format() itself.  The tables are exact integer arithmetic, so there is
-one code path on every platform.
+digits), a value whose decade log10 misjudges, and every cell within
+HALF_MARGIN of a rounding tie, go through format() itself.  The tables
+are exact integer arithmetic, so there is one code path on every
+platform.
 
 A cell's slot is SLOT bytes: a head word "-0.000d." (sign, the "0." and
 zeros of a fixed-notation value below 1, the lead digit, the point),
@@ -39,9 +40,8 @@ import numpy as np
 _BAND_CELLS = 8192
 # the characters of a slot, ahead of its tail word; a slot
 BODY, SLOT = 24, 32
-# decades k of finite nonzero float64s, one more either side for the
-# decade correction
-_K_LO, _K_HI = -325, 309
+# decades floor(log10 |v|) of finite nonzero float64s
+_K_LO, _K_HI = -324, 308
 
 
 def byte_rows(strings, width: int = 0) -> np.ndarray:
@@ -147,10 +147,10 @@ def _digits(a, k):
 
 
 def _step(digits, frac):
-    """The decade step: -1 where y = digits + frac is below 1e16, which
-    rint(y) alone may hide, 1 where rint(y) reaches 1e17, else 0.  A frac
-    too small to sign leaves y so close to 1e16 that 10 y rounds to 1e17:
-    both decades print 1e(k)."""
+    """Nonzero where k is not the decade of rint(y): -1 where y = digits
+    + frac is below 1e16, which rint(y) alone may hide, 1 where rint(y)
+    reaches 1e17, else 0.  A frac too small to sign leaves y so close to
+    1e16 that 10 y rounds to 1e17: both decades print 1e(k)."""
     return ((digits >= 10 ** 17).astype(np.intp)
             - ((digits < 10 ** 16) | ((digits == 10 ** 16) & (frac < 0))))
 
@@ -166,18 +166,13 @@ def slots(values, out: np.ndarray) -> np.ndarray:
     k = np.floor(np.log10(a)).astype(np.intp)
     digits, frac = _digits(a, k)
     # log10 may be one decade off next to a power of ten, and 17 nines
-    # may round up into the next
+    # may round up into the next; such a cell goes through format()
     step = _step(digits, frac)
-    moved = np.flatnonzero(step)
-    if moved.size:
-        k[moved] += step[moved]
-        digits[moved], frac[moved] = _digits(a[moved], k[moved])
-        step[moved] = _step(digits[moved], frac[moved])
     near_tie = ~(np.abs(frac) < 0.5 - HALF_MARGIN)
     # %g: fixed notation for decades -4 .. 16; from 10 up the point sits
     # among the digits, which format() lays out
     fixed = (k >= -4) & (k < 17)
-    # near a tie, wide fixed, or still out of its decade
+    # near a tie, wide fixed, or out of its decade
     fallback = special | near_tie | (fixed & (k > 0)) | (step != 0)
     lead, rest = np.divmod(np.where(fallback, 10 ** 16, digits), 10 ** 16)
     high, low = np.divmod(rest, 10 ** 8)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from qisim import biphoton, eit, svgplot
-from qisim.biphoton import JointTimeDistribution
 from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError, ModelError
 from qisim.qubit import MemoryChannelParams
@@ -265,7 +264,7 @@ def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,
 
 
 def continuous_pump_density(t_grid: np.ndarray,
-                            line: CavityLine) -> JointTimeDistribution:
+                            line: CavityLine) -> np.ndarray:
     """Closed-form pair density for a monochromatic pump.
 
     |psi| depends only on the detection-time difference and decays as
@@ -273,12 +272,11 @@ def continuous_pump_density(t_grid: np.ndarray,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt_abs = np.abs(np.subtract.outer(t_grid, t_grid))
-    density = np.exp(-line.gamma * dt_abs)
-    return JointTimeDistribution(t_grid=t_grid, density=density)
+    return np.exp(-line.gamma * dt_abs)
 
 
 def gaussian_pump_density(t_grid: np.ndarray, line: CavityLine,
-                          sigma: float) -> JointTimeDistribution:
+                          sigma: float) -> np.ndarray:
     """Closed-form continuum pair density for a gaussian pump of
     amplitude width sigma, max-normalized.
 
@@ -297,16 +295,16 @@ def gaussian_pump_density(t_grid: np.ndarray, line: CavityLine,
     density = tail[np.minimum.outer(index, index)] ** 2
     density *= np.exp(-g * np.add.outer(t_grid, t_grid))
     density /= density.max()
-    return JointTimeDistribution(t_grid=t_grid, density=density)
+    return density
 
 
-def ridge_correlation(dist: JointTimeDistribution) -> float:
-    """Pearson correlation of (t1, t2) under the density.
+def ridge_correlation(t: np.ndarray, density: np.ndarray) -> float:
+    """Pearson correlation of (t1, t2) under the density on the time
+    grid t.
 
     Positive values mean a diagonal ridge (frequency-correlated pairs);
     near zero means the density factorizes."""
-    w = dist.density / dist.density.sum()
-    t = dist.t_grid
+    w = density / density.sum()
     m1 = float(np.sum(w.sum(axis=1) * t))
     m2 = float(np.sum(w.sum(axis=0) * t))
     v1 = float(np.sum(w.sum(axis=1) * (t - m1) ** 2))

@@ -106,7 +106,7 @@ def test_c3_time_domain_limits():
     cont = oracles.continuous_pump_density(t_grid, line)
     expect = np.exp(-rv.GAMMA
                     * np.abs(np.subtract.outer(t_grid, t_grid)))
-    cont_err = float(np.max(np.abs(cont.density - expect)))
+    cont_err = float(np.max(np.abs(cont - expect)))
 
     # ridge correlation separates long and short pumps; at T_p = 30 ns
     # the density on the default grid (span 40 gamma) also meets the
@@ -119,11 +119,10 @@ def test_c3_time_domain_limits():
         pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
         jsa_tp = q.build_jsa(q.default_grid(line, pump), line, pump)
         dists[tp] = q.joint_time_distribution(jsa_tp, tg)
-    r_long, r_short = (oracles.ridge_correlation(dists[tp])
+    r_long, r_short = (oracles.ridge_correlation(tg, dists[tp])
                        for tp in (100e-9, 30e-9))
     continuum = oracles.gaussian_pump_density(tg, line, sigmas[30e-9])
-    finite_err = float(np.max(np.abs(dists[30e-9].density
-                                     - continuum.density)))
+    finite_err = float(np.max(np.abs(dists[30e-9] - continuum)))
     finite_bound = 0.75 / 40.0
 
     ok = (l2 < 1e-3 and spill < 1e-4 and cont_err < 1e-12

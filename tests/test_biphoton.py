@@ -450,10 +450,10 @@ def test_densities_do_not_depend_on_the_batch_size(monkeypatch,
                           storage_filter(storage))
     cases = [(default, oracles.default_time_grid(LINE)),
              (storage, storage_time_grid())]
-    want = [q.joint_time_distribution(*case).density for case in cases]
+    want = [q.joint_time_distribution(*case) for case in cases]
     monkeypatch.setattr(biphoton, "_BATCH_VALUES", batch_values)
     for case, density in zip(cases, want):
-        got = q.joint_time_distribution(*case).density
+        got = q.joint_time_distribution(*case)
         assert got.tobytes() == density.tobytes()
 
 
@@ -465,12 +465,13 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
                         property(refuse))
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    dist = q.joint_time_distribution(jsa, oracles.default_time_grid(LINE))
-    assert oracles.ridge_correlation(dist) == pytest.approx(
+    t_grid = oracles.default_time_grid(LINE)
+    density = q.joint_time_distribution(jsa, t_grid)
+    assert oracles.ridge_correlation(t_grid, density) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
     jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
-    dist = q.joint_time_distribution(jsa, storage_time_grid())
-    assert dist.density.max() == 1.0
+    density = q.joint_time_distribution(jsa, storage_time_grid())
+    assert density.max() == 1.0
 
 
 def c3_time_grid():
@@ -556,10 +557,10 @@ def test_time_distributions_never_build_the_detunings(monkeypatch):
              (filtered, np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)),
              (default, oracles.default_time_grid(LINE)),
              (storage, storage_time_grid())]
-    want = [q.joint_time_distribution(*case).density for case in cases]
+    want = [q.joint_time_distribution(*case) for case in cases]
     monkeypatch.setattr(q.FrequencyGrid, "detunings", property(refuse))
     for case, density in zip(cases, want):
-        got = q.joint_time_distribution(*case).density
+        got = q.joint_time_distribution(*case)
         assert got.tobytes() == density.tobytes()
 
 
@@ -647,12 +648,12 @@ def test_storage_timedist_csv_peak_resident_memory(tmp_path):
 
 def test_continuous_pump_density_closed_form():
     t_grid = oracles.default_time_grid(LINE)
-    dist = oracles.continuous_pump_density(t_grid, LINE)
+    density = oracles.continuous_pump_density(t_grid, LINE)
     # density is the squared amplitude, so it decays at the full rate
     expect = np.exp(-rv.GAMMA * np.abs(np.subtract.outer(t_grid, t_grid)))
-    assert np.allclose(dist.density, expect, rtol=1e-12, atol=0.0)
-    assert dist.density.max() == 1.0
-    assert np.array_equal(dist.density, dist.density.T)
+    assert np.allclose(density, expect, rtol=1e-12, atol=0.0)
+    assert density.max() == 1.0
+    assert np.array_equal(density, density.T)
 
 
 def test_gaussian_time_density_approaches_the_continuum():
@@ -662,13 +663,13 @@ def test_gaussian_time_density_approaches_the_continuum():
     sigma = q.sigma_from_pulse_duration(30e-9)
     pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
     t_grid = oracles.default_time_grid(LINE)
-    want = oracles.gaussian_pump_density(t_grid, LINE, sigma).density
+    want = oracles.gaussian_pump_density(t_grid, LINE, sigma)
     errors = []
     for factor, n_points in ((40.0, 512), (80.0, 1024)):
         grid = q.default_grid(LINE, pump, n_points=n_points,
                               span_factor=factor)
         got = q.joint_time_distribution(q.build_jsa(grid, LINE, pump), t_grid)
-        errors.append(np.max(np.abs(got.density - want)))
+        errors.append(np.max(np.abs(got - want)))
         assert errors[-1] < 0.75 / factor
     assert errors[1] < 0.6 * errors[0]
 
@@ -681,11 +682,11 @@ def test_joint_time_distribution_frozen_correlations():
         gaussian_jsa(q.sigma_from_pulse_duration(100e-9)), t_grid)
     d30 = q.joint_time_distribution(
         gaussian_jsa(q.sigma_from_pulse_duration(30e-9)), t_grid)
-    assert d100.density.max() == 1.0
-    assert d100.density.min() >= 0.0
-    assert oracles.ridge_correlation(d100) == pytest.approx(
+    assert d100.max() == 1.0
+    assert d100.min() >= 0.0
+    assert oracles.ridge_correlation(t_grid, d100) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    assert oracles.ridge_correlation(d30) == pytest.approx(
+    assert oracles.ridge_correlation(t_grid, d30) == pytest.approx(
         rv.PEARSON_TP30, abs=1e-9)
 
 
@@ -709,7 +710,7 @@ def test_post_storage_filter_flattens_the_ridge():
     def ridge(jsa, f=None):
         jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, f)
         return oracles.ridge_correlation(
-            q.joint_time_distribution(jsa, t_grid))
+            t_grid, q.joint_time_distribution(jsa, t_grid))
 
     jsa100 = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
     plain100 = ridge(jsa100)
@@ -734,16 +735,6 @@ def test_post_storage_accepts_vector_filter():
     a = q.joint_time_distribution(
         q.build_jsa(jsa.grid, LINE, jsa.pump, ones), t_grid)
     b = q.joint_time_distribution(jsa, t_grid)
-    assert np.allclose(a.density, b.density, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
     with pytest.raises(InputError):
         q.build_jsa(jsa.grid, LINE, jsa.pump, np.ones(7))
-
-
-def test_distribution_container_validation():
-    t = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(InputError):
-        q.JointTimeDistribution(t, 0.5 * np.ones((8, 8)))
-    with pytest.raises(InputError):
-        q.JointTimeDistribution(t, -np.ones((8, 8)))
-    with pytest.raises(InputError):
-        q.JointTimeDistribution(t, np.ones((8, 7)))

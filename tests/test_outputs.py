@@ -269,7 +269,7 @@ def test_g17_density_map_formats_no_finite_cell_through_format(monkeypatch):
     # through format() with a longdouble product; the float64
     # double-double one, whose tie margin is 2^-47, sends none
     cfg = config.load_config(None, ["grids.n_freq=256", "grids.n_time=96"])
-    density = cli._timedist_compute(cfg, 100e-9, "eit").density
+    density = cli._timedist_compute(cfg, 100e-9, "eit")[1]
     assert density.shape == (288, 288) and np.all(density > 0.0)
     calls = []
     monkeypatch.setattr(g17, "format", lambda v, spec: calls.append(v)
