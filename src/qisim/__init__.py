@@ -13,8 +13,7 @@ _EXPORTS = {
                 " build_jsa cavity_response default_grid"
                 " sigma_from_pulse_duration",
     "biphoton": "joint_time_distribution visibility",
-    "eit": "EitMedium FitResult fit_gamma_s group_delay transmission"
-           " window_fwhm",
+    "eit": "EitMedium fit_gamma_s group_delay transmission window_fwhm",
     "qubit": "CHSH_ANGLES SIX_STATES MemoryChannelParams MemoryDecay"
              " PolarizationState QubitDensity TwoQubitDensity alpha_quality"
              " bell_state chsh_S correlation_E correlation_curve crossing_time"

@@ -72,13 +72,16 @@ def _linspace(start: float, stop: float, num: int) -> list:
 _DEFAULT_G13_TIMES = _linspace(0.0, 4e-6, 81)
 
 
-def _float_list(text: str) -> list:
+def _float_list(text: str, flag: str, required: bool = True) -> list:
+    """The numbers in a comma list; when required, at least one."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
+    for part in filter(str.strip, text.split(",")):
+        try:
             out.append(float(part))
-    return out
+        except ValueError:
+            raise ConfigError(f"{flag} holds {part.strip()!r}, which is not "
+                              "a number") from None
+    return _required(out, flag) if required else out
 
 
 def _required(values: list, flag: str) -> list:
@@ -154,14 +157,13 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     window = cfg["grids.time_span_factor"] / line.gamma
     lo, hi = -0.2 * window, 0.8 * window
     n_t = cfg["grids.n_time"]
-    eit_filter = None
     if with_storage == "eit":
         from . import eit
         medium = config.medium_from(cfg)
         hi_ext = hi + 2.0 * eit.group_delay(medium)
-        n_t *= max(1, math.ceil((hi_ext - lo) / (hi - lo)))
+        stretch = (hi_ext - lo) / (hi - lo)  # >= 1; not finite on overflow
+        n_t = n_t * math.ceil(stretch) if math.isfinite(stretch) else math.inf
         hi = hi_ext
-        eit_filter = eit.transmission(grid.detunings, medium)
     if n_t > MATERIALIZE_LIMIT:
         # the density holds n_t^2 values
         raise InputError(
@@ -173,6 +175,8 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
             f"the half-transform of {grid.n_points} frequencies by {n_t} "
             f"times exceeds {MATERIALIZE_LIMIT ** 2} values; lower "
             "grids.n_freq or grids.n_time")
+    eit_filter = (eit.transmission(grid.detunings, medium)
+                  if with_storage == "eit" else None)
     jsa = spectral.build_jsa(grid, line, pump, eit_filter)
     t_grid = np.linspace(lo, hi, n_t)
     return t_grid, biphoton.joint_time_distribution(jsa, t_grid)
@@ -194,25 +198,23 @@ def _intensity(t: complex) -> float:
     return t.real * t.real + t.imag * t.imag
 
 
+def _eit_figures(medium) -> tuple:
+    """(window FWHM in Hz, group delay in s, delay-bandwidth product,
+    group velocity in m/s) of one medium."""
+    from . import eit
+    fwhm, tau = eit.window_fwhm(medium), eit.group_delay(medium)
+    return fwhm, tau, TWO_PI * fwhm * tau, medium.length / tau
+
+
 def cmd_eit(cfg, writer, fit_target_hz=None) -> dict:
     from . import eit
     medium = config.medium_from(cfg)
-    fit_info = None
     if fit_target_hz is not None:
-        res = eit.fit_gamma_s(medium, fit_target_hz)
-        lo, hi = res.reachable_hz
+        medium, (lo, hi) = eit.fit_gamma_s(medium, fit_target_hz)
         if not lo <= fit_target_hz <= hi:
             raise ModelError(f"gamma_s fit: no gamma_s gives a "
                              f"{fit_target_hz:.6g} Hz window; this medium "
                              f"reaches {lo:.6g} to {hi:.6g} Hz")
-        fit_info = {
-            "target_hz": fit_target_hz,
-            "gamma_s_rad_s": res.gamma_s,
-            "achieved_window_fwhm_hz": res.window_fwhm_hz,
-            # a literal: perfbench/references.json still pins this key
-            "converged": True,
-        }
-        medium = config.medium_from(cfg, gamma_s_hz=res.gamma_s / TWO_PI)
     t_0 = _intensity(eit.transmission(0.0, medium))
     if t_0 < eit.TRANSPARENCY_FLOOR:
         raise ModelError(f"on-resonance transmission {t_0:.3g} is below the "
@@ -236,20 +238,25 @@ def cmd_eit(cfg, writer, fit_target_hz=None) -> dict:
         "probe detuning (MHz)", "intensity transmission",
         "Transparency spectrum"))
 
-    fwhm = eit.window_fwhm(medium)
-    tau = eit.group_delay(medium)
+    fwhm, tau, dbp, v_g = _eit_figures(medium)
     report = {
         "window_fwhm_hz": fwhm,
         "group_delay_s": tau,
-        "delay_bandwidth_product": TWO_PI * fwhm * tau,
+        "delay_bandwidth_product": dbp,
         "delay_bandwidth_convention": "angular: 2*pi*fwhm_hz*delay_s",
-        "v_g_m_per_s": medium.length / tau,
+        "v_g_m_per_s": v_g,
         "length_m": medium.length,
         "gamma_s_rad_s": medium.gamma_s,
         "transmission_on_resonance": t_0,
         "transmission_control_off_resonance": _intensity(
             eit.transmission(0.0, off_medium)),
-        "fit": fit_info,
+        "fit": None if fit_target_hz is None else {
+            "target_hz": fit_target_hz,
+            "gamma_s_rad_s": medium.gamma_s,
+            "achieved_window_fwhm_hz": fwhm,
+            # a literal: perfbench/references.json still pins this key
+            "converged": True,
+        },
     }
     writer.write_json("eit_report.json", report)
     return report
@@ -363,13 +370,15 @@ def cmd_reproduce_all(cfg, writer) -> dict:
     """Run every command, then check the numbers they returned (and the
     two no command computes) against targets(eit.od)."""
     from . import eit
-    vis = cmd_visibility(cfg, writer, _float_list(_DEFAULT_SIGMAS),
-                         _float_list(_DEFAULT_TPS))
+    vis = cmd_visibility(cfg, writer,
+                         _float_list(_DEFAULT_SIGMAS, "--sigma-hz"),
+                         _float_list(_DEFAULT_TPS, "--tp-s"))
     cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
     cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
     eit_report = cmd_eit(cfg, writer)
     store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
-    bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES))
+    bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES,
+                                             "--storage-times-s"))
     g13 = cmd_g13(cfg, writer, _DEFAULT_G13_TIMES)
 
     def visibility_at(sigma_hz):
@@ -382,13 +391,10 @@ def cmd_reproduce_all(cfg, writer) -> dict:
               "vis_sigma_3p7MHz": visibility_at(3.7e6)}
 
     table = targets(cfg["eit.od"])
-    fit = eit.fit_gamma_s(config.medium_from(cfg), table["eit_window_fwhm"][0])
-    medium = config.medium_from(cfg, gamma_s_hz=fit.gamma_s / TWO_PI)
-    fwhm, tau = eit.window_fwhm(medium), eit.group_delay(medium)
-    values["eit_window_fwhm"] = fwhm
-    values["eit_group_delay"] = tau
-    values["eit_dbp"] = TWO_PI * fwhm * tau
-    values["eit_vg"] = medium.length / tau
+    fitted, _ = eit.fit_gamma_s(config.medium_from(cfg),
+                                table["eit_window_fwhm"][0])
+    (values["eit_window_fwhm"], values["eit_group_delay"], values["eit_dbp"],
+     values["eit_vg"]) = _eit_figures(fitted)
     values["eit_control_off_transmission"] = (
         eit_report["transmission_control_off_resonance"])
 
@@ -490,7 +496,8 @@ def main(argv=None) -> int:
         writer = _writer(cfg, args.out)
         code = EXIT_OK
         if args.command == "visibility":
-            sigmas, tps = _float_list(args.sigma_hz), _float_list(args.tp_s)
+            sigmas = _float_list(args.sigma_hz, "--sigma-hz", required=False)
+            tps = _float_list(args.tp_s, "--tp-s", required=False)
             _required(sigmas + tps, "--sigma-hz or --tp-s")
             cmd_visibility(cfg, writer, sigmas, tps)
         elif args.command == "timedist":
@@ -503,13 +510,13 @@ def main(argv=None) -> int:
             for s in states:
                 if s not in qubit.SIX_STATES:
                     raise ConfigError(f"unknown state {s!r}")
-            cmd_store(cfg, writer, states, _required(
-                _float_list(args.storage_times_s), "--storage-times-s"))
+            cmd_store(cfg, writer, states, _float_list(
+                args.storage_times_s, "--storage-times-s"))
         elif args.command == "bell":
-            cmd_bell(cfg, writer, _required(
-                _float_list(args.storage_times_s), "--storage-times-s"))
+            cmd_bell(cfg, writer, _float_list(args.storage_times_s,
+                                              "--storage-times-s"))
         elif args.command == "g13":
-            times = (_required(_float_list(args.times_s), "--times-s")
+            times = (_float_list(args.times_s, "--times-s")
                      if args.times_s else _DEFAULT_G13_TIMES)
             cmd_g13(cfg, writer, times)
         elif cmd_reproduce_all(cfg, writer)["failed"]:

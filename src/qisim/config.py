@@ -187,15 +187,13 @@ def grid_from(cfg: RunConfig, line, pump):
                         span_factor=cfg["grids.freq_span_factor"])
 
 
-def medium_from(cfg: RunConfig, gamma_s_hz: float = None):
+def medium_from(cfg: RunConfig):
     from .eit import EitMedium
-    if gamma_s_hz is None:
-        gamma_s_hz = cfg["eit.gamma_s_hz"]
     return EitMedium(
         optical_depth=cfg["eit.od"],
         rabi_control=TWO_PI * cfg["eit.rabi_hz"],
         gamma_ge=TWO_PI * cfg["eit.gamma_ge_hz"],
-        gamma_s=TWO_PI * gamma_s_hz,
+        gamma_s=TWO_PI * cfg["eit.gamma_s_hz"],
         length=cfg["eit.length_m"],
     )
 

@@ -171,14 +171,6 @@ def group_delay(medium: EitMedium) -> float:
     return tau
 
 
-class FitResult:
-    def __init__(self, gamma_s: float, window_fwhm_hz: float,
-                 reachable_hz: tuple) -> None:
-        self.gamma_s, self.window_fwhm_hz = gamma_s, window_fwhm_hz
-        # (narrowest window, window at gamma_s = 0) on the fitted branch
-        self.reachable_hz = reachable_hz
-
-
 # Polynomials are lists of coefficients, the highest power first.
 
 def _polymul(a: list, b: list) -> list:
@@ -279,15 +271,17 @@ def _narrowest(cubic, k, l, x0) -> tuple:
     return best
 
 
-def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
-    """Tune gamma_s so the transparency window is target_hz wide.
+def fit_gamma_s(medium: EitMedium, target_hz: float) -> tuple:
+    """(fitted, reachable_hz): the medium with only gamma_s changed, tuned
+    so its transparency window is target_hz wide, and the (narrowest,
+    widest) windows, in Hz, of the fitted branch.
 
     Along gamma_s the window narrows from its width at gamma_s = 0 to a
     minimum, then widens again until it collapses.  A target between the
-    two, reachable_hz, is met on the narrowing side: at the smallest
-    non-negative root of the cubic F(gamma_s) = 0.  Outside that range
-    the result is the nearest window: gamma_s = 0 for a wider target,
-    the minimum's gamma_s for a narrower one.
+    two is met on the narrowing side: at the smallest non-negative root
+    of the cubic F(gamma_s) = 0.  Outside that range the fitted medium
+    has the nearest window: gamma_s = 0 for a wider target, the
+    minimum's gamma_s for a narrower one.
     """
     if not (target_hz > 0.0 and math.isfinite(target_hz)):
         raise InputError("target window must be positive and finite")
@@ -311,6 +305,6 @@ def fit_gamma_s(medium: EitMedium, target_hz: float) -> FitResult:
             # no real root left: rounding split the double root at g_min
             g = min((r for r in _real_roots(coef) if r >= 0.0),
                     default=g_min)
-    fitted = EitMedium(medium.optical_depth, medium.rabi_control,
-                       medium.gamma_ge, g * medium.gamma_ge, medium.length)
-    return FitResult(fitted.gamma_s, window_fwhm(fitted), (narrowest, widest))
+    return (EitMedium(medium.optical_depth, medium.rabi_control,
+                      medium.gamma_ge, g * medium.gamma_ge, medium.length),
+            (narrowest, widest))

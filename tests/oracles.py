@@ -406,9 +406,10 @@ def _narrowest_roots(cubic, k, l, x0) -> tuple:
 
 
 def fit_gamma_s_roots(medium: EitMedium, target_hz: float) -> tuple:
-    """(gamma_s, reachable_hz) of eit.fit_gamma_s, with both polynomials
-    solved by np.roots (the eigenvalues of the companion matrix) under
-    numpy's errstate, which raises ModelError for any float overflow."""
+    """The fitted medium's gamma_s and the reachable_hz of eit.fit_gamma_s,
+    with both polynomials solved by np.roots (the eigenvalues of the
+    companion matrix) under numpy's errstate, which raises ModelError for
+    any float overflow."""
     widest = eit.window_fwhm(EitMedium(
         medium.optical_depth, medium.rabi_control, medium.gamma_ge, 0.0))
     try:

@@ -144,10 +144,7 @@ def test_c4_memory_bandwidth_targets():
     base = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
                        gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
                        length=4e-3)
-    fit = q.fit_gamma_s(base, cli.TARGETS["eit_window_fwhm"][0])
-    med = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
-                      gamma_ge=rv.GAMMA_GE, gamma_s=fit.gamma_s,
-                      length=4e-3)
+    med, _ = q.fit_gamma_s(base, cli.TARGETS["eit_window_fwhm"][0])
     fwhm = q.window_fwhm(med)
     tau = q.group_delay(med)
     dbp = TWO_PI * fwhm * tau

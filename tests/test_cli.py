@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from qisim import biphoton, cli, config, outputs, spectral
+from qisim import biphoton, cli, config, eit, outputs, spectral
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 
 import oracles
@@ -159,6 +159,24 @@ def test_eit_fit_subcommand(tmp_path):
                                                     abs=0.05)
 
 
+@pytest.mark.parametrize("target", ["2.9e6", "2680950"])
+def test_eit_fit_report_describes_the_fitted_medium(tmp_path, target):
+    # the report states gamma_s once, and its window is the fit's: every
+    # figure is of the medium the fit returned, with no Hz round trip
+    out = tmp_path / "out"
+    assert main(["eit", "--out", str(out), "--fit-gamma-s", target]) == (
+        EXIT_OK)
+    report = load_json(out / "eit_report.json")
+    fit = report["fit"]
+    assert report["gamma_s_rad_s"] == fit["gamma_s_rad_s"]
+    assert report["window_fwhm_hz"] == fit["achieved_window_fwhm_hz"]
+    fitted, _ = eit.fit_gamma_s(config.medium_from(config.load_config()),
+                                float(target))
+    assert fit["gamma_s_rad_s"] == fitted.gamma_s
+    assert report["window_fwhm_hz"] == eit.window_fwhm(fitted)
+    assert report["group_delay_s"] == eit.group_delay(fitted)
+
+
 def _reachable_range_line(lo, hi, target):
     return (f"qisim: gamma_s fit: no gamma_s gives a {target:.6g} Hz window; "
             f"this medium reaches {lo:.6g} to {hi:.6g} Hz\n")
@@ -238,9 +256,16 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     ["bell", "--storage-times-s", ","],
     ["g13", "--times-s", ","],
     ["visibility", "--sigma-hz", ",", "--tp-s", ","],
+    ["visibility", "--sigma-hz", "abc"],
+    ["visibility", "--tp-s", "30e-9,abc"],
+    ["store", "--storage-times-s", "x"],
+    ["bell", "--storage-times-s", "1e-6,,y"],
+    ["g13", "--times-s", "0,1e-6s"],
 ], ids=["store-states", "store-times", "bell-times", "g13-times",
-        "visibility-sweep"])
+        "visibility-sweep", "visibility-sigma-text", "visibility-tp-text",
+        "store-times-text", "bell-times-text", "g13-times-text"])
 def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
+    # and a list item that is not a number: the flag is named either way
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
@@ -271,7 +296,15 @@ def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
     (["timedist", "--set", "grids.n_time=4097"], 4097),
     (["timedist", "--with-storage", "eit", "--set", "grids.n_time=1366"],
      4098),
-], ids=["plain", "eit-storage"])
+    # twice the stored window's delay overflows
+    (["timedist", "--with-storage", "eit", "--set", "eit.od=1e308",
+      "--set", "eit.gamma_ge_hz=1e6", "--set", "eit.rabi_hz=460",
+      "--set", "eit.gamma_s_hz=0"], math.inf),
+    # the delay over the plain window overflows
+    (["timedist", "--with-storage", "eit", "--set", "source.gamma_hz=7e305",
+      "--set", "eit.od=1e11"], math.inf),
+], ids=["plain", "eit-storage", "eit-delay-overflow",
+        "eit-stretch-overflow"])
 def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
                                                     monkeypatch, argv,
                                                     n_points):

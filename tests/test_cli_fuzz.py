@@ -149,6 +149,11 @@ def _assert_finite(path, argv):
 @example(argv=["g13", "--times-s", "0,1e303"])
 @example(argv=["g13", "--set", "g13.g0=5e307"])
 @example(argv=["g13", "--set", "g13.g0=1.7e308"])
+@example(argv=["timedist", "--with-storage", "eit", "--set", "eit.od=1e308",
+               "--set", "eit.gamma_ge_hz=1e6", "--set", "eit.rabi_hz=460",
+               "--set", "eit.gamma_s_hz=0"])
+@example(argv=["timedist", "--with-storage", "eit",
+               "--set", "source.gamma_hz=7e305", "--set", "eit.od=1e11"])
 def test_every_input_ends_in_a_result_or_one_line(argv):
     """Bounded random settings and flag lists: the CLI returns a result
     or one stderr line, and never a traceback or a warning; no file it

@@ -151,8 +151,6 @@ def test_builders_produce_configured_objects():
     assert medium.optical_depth == 55.0
     assert medium.rabi_control == pytest.approx(rv.RABI, rel=1e-15)
     assert medium.gamma_s == pytest.approx(rv.GAMMA_S_DEFAULT, rel=1e-15)
-    quiet = config.medium_from(cfg, gamma_s_hz=0.0)
-    assert quiet.gamma_s == 0.0
 
     decay = config.decay_from(cfg)
     assert decay.tau_mem == rv.TAU_MEM

@@ -267,9 +267,14 @@ def test_window_fwhm_finds_sub_khz_windows():
 # ------------------------------------------------------------------ fitting
 
 def test_fit_gamma_s_reaches_achievable_target():
-    res = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET)
-    assert res.gamma_s == pytest.approx(rv.FIT29_GAMMA_S, abs=0.05)
-    assert res.window_fwhm_hz == pytest.approx(rv.FIT29_TARGET, abs=0.1)
+    base = medium_default()
+    fitted, _ = q.fit_gamma_s(base, rv.FIT29_TARGET)
+    assert fitted.gamma_s == pytest.approx(rv.FIT29_GAMMA_S, abs=0.05)
+    assert q.window_fwhm(fitted) == pytest.approx(rv.FIT29_TARGET, abs=0.1)
+    # the fit changes gamma_s and nothing else of the medium
+    assert (fitted.optical_depth, fitted.rabi_control, fitted.gamma_ge,
+            fitted.length) == (base.optical_depth, base.rabi_control,
+                               base.gamma_ge, base.length)
 
 
 def _matches_the_reference_fit(medium, target, rel=1e-12):
@@ -280,24 +285,22 @@ def _matches_the_reference_fit(medium, target, rel=1e-12):
     if ref is ModelError or res is ModelError:
         assert res is ref, (target, ref, res)
         return
-    gamma_s, reachable = ref
-    assert res.gamma_s == pytest.approx(gamma_s, rel=rel, abs=0.0)
-    assert res.reachable_hz == pytest.approx(reachable, rel=1e-12, abs=0.0)
+    (gamma_s, reachable), (fitted, reachable_hz) = ref, res
+    assert fitted.gamma_s == pytest.approx(gamma_s, rel=rel, abs=0.0)
+    assert reachable_hz == pytest.approx(reachable, rel=1e-12, abs=0.0)
 
 
 def test_fit_gamma_s_hits_every_reachable_target():
     # the narrowing side, from the narrowest window to the widest
-    lo, hi = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET).reachable_hz
+    _, (lo, hi) = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET)
     assert lo == pytest.approx(rv.WINDOW_NARROWEST, rel=1e-12)
     assert hi == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
     previous = math.inf
     for target in np.linspace(lo, hi, 300):
-        res = q.fit_gamma_s(medium_default(), target)
-        assert res.window_fwhm_hz == pytest.approx(target, rel=1e-12)
-        assert res.window_fwhm_hz == q.window_fwhm(
-            q.EitMedium(rv.OD, rv.RABI, rv.GAMMA_GE, res.gamma_s))
-        assert res.gamma_s < previous
-        previous = res.gamma_s
+        fitted, _ = q.fit_gamma_s(medium_default(), target)
+        assert q.window_fwhm(fitted) == pytest.approx(target, rel=1e-12)
+        assert fitted.gamma_s < previous
+        previous = fitted.gamma_s
         _matches_the_reference_fit(medium_default(), target)
     assert previous == 0.0
 
@@ -306,9 +309,9 @@ def test_fit_at_the_narrowest_window_takes_its_gamma_s():
     # at the narrowest window gamma_s is a double root: an ulp of x moves
     # it by sqrt(eps), so the target reported as narrowest must take
     # g_min, as every narrower target does, not the cubic's nearby root
-    lo = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET).reachable_hz[0]
-    at = q.fit_gamma_s(medium_default(), lo)
-    below = q.fit_gamma_s(medium_default(), math.nextafter(lo, 0.0))
+    _, (lo, _) = q.fit_gamma_s(medium_default(), rv.FIT29_TARGET)
+    at, _ = q.fit_gamma_s(medium_default(), lo)
+    below, _ = q.fit_gamma_s(medium_default(), math.nextafter(lo, 0.0))
     assert at.gamma_s == below.gamma_s
 
 
@@ -318,7 +321,7 @@ def test_fit_gamma_s_matches_the_np_roots_reference_on_the_media(name):
     targets = [rv.FIT29_TARGET]
     fit = _outcome(lambda: q.fit_gamma_s(medium, rv.FIT29_TARGET))
     if fit is not ModelError:
-        lo, hi = fit.reachable_hz
+        _, (lo, hi) = fit
         targets += [lo + (hi - lo) * f for f in (0.01, 0.5, 0.99)]
     for target in targets:
         _matches_the_reference_fit(medium, target)
@@ -326,10 +329,11 @@ def test_fit_gamma_s_matches_the_np_roots_reference_on_the_media(name):
 
 def test_fit_gamma_s_reports_unreachable_target():
     # the paper's window target is out of reach of the pinned medium
-    res = q.fit_gamma_s(medium_default(), TARGETS["eit_window_fwhm"][0])
-    assert res.gamma_s == 0.0
-    assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
-    assert res.reachable_hz[1] == res.window_fwhm_hz
+    fitted, (_, widest) = q.fit_gamma_s(medium_default(),
+                                        TARGETS["eit_window_fwhm"][0])
+    assert fitted.gamma_s == 0.0
+    assert q.window_fwhm(fitted) == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
+    assert widest == q.window_fwhm(fitted)
     for target in (0.0, math.inf, math.nan):
         with pytest.raises(InputError, match="positive and finite"):
             q.fit_gamma_s(medium_default(), target)
@@ -338,11 +342,10 @@ def test_fit_gamma_s_reports_unreachable_target():
 def test_fit_gamma_s_does_not_converge_on_the_window_collapse():
     # no window before the collapse is as narrow as 2.4 MHz: the fit
     # returns the narrowest one, not the collapse edge
-    res = q.fit_gamma_s(medium_default(), 2.4e6)
-    assert res.window_fwhm_hz == res.reachable_hz[0]
-    assert res.window_fwhm_hz == pytest.approx(rv.WINDOW_NARROWEST,
-                                               rel=1e-12)
-    assert res.gamma_s == pytest.approx(rv.GAMMA_S_NARROWEST, rel=1e-6)
+    fitted, (narrowest, _) = q.fit_gamma_s(medium_default(), 2.4e6)
+    assert q.window_fwhm(fitted) == narrowest
+    assert narrowest == pytest.approx(rv.WINDOW_NARROWEST, rel=1e-12)
+    assert fitted.gamma_s == pytest.approx(rv.GAMMA_S_NARROWEST, rel=1e-6)
 
 
 # ------------------------------------------------------------------- memory
