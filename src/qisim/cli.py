@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import config, outputs, qubit, svgplot
-from .config import MATERIALIZE_LIMIT, TWO_PI
+from .config import MATERIALIZE_LIMIT, MIN_GRID_POINTS, TWO_PI
 from .errors import (ConfigError, InputError, ModelError, QisimError,
                      ResolutionError)
 
@@ -22,10 +22,12 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_CHECKS = 4
 
-_DEFAULT_SIGMAS = "12.5e6,3.7e6,1e9"
-_DEFAULT_TPS = "30e-9,100e-9"
-_DEFAULT_STORE_TIMES = "200e-9"
-_DEFAULT_BELL_TIMES = "0,200e-9,1e-6"
+# The commands' defaults, which reproduce-all also runs: pump bandwidths
+# (Hz) and durations (s), timedist taking the last; storage times (s)
+_SIGMAS_HZ = (12.5e6, 3.7e6, 1e9)
+_TPS_S = (30e-9, 100e-9)
+_STORE_TIMES_S = (200e-9,)
+_BELL_TIMES_S = (0.0, 200e-9, 1e-6)
 _G13_THRESHOLD = 5.0
 # the largest storage time (s) the g13 plot can place: its axis is in us
 # and a one-point range doubles the value
@@ -56,7 +58,7 @@ def targets(od: float) -> dict:
 
 
 # the targets at the default medium
-TARGETS = targets(config.DEFAULTS["eit.od"][1])
+TARGETS = targets(config.DEFAULTS["eit.od"])
 # per-state fidelities at 200 ns; six_state_each is the worst deviation
 STATE_FIDELITY_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909,
                        "minus": 0.889, "R": 0.920, "L": 0.881}
@@ -68,12 +70,15 @@ def _linspace(start: float, stop: float, num: int) -> list:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-# the g13 command's times (s) without --times-s
-_DEFAULT_G13_TIMES = _linspace(0.0, 4e-6, 81)
+# the g13 command's default times (s)
+_G13_TIMES_S = _linspace(0.0, 4e-6, 81)
 
 
-def _float_list(text: str, flag: str, required: bool = True) -> list:
-    """The numbers in a comma list; when required, at least one."""
+def _float_list(text, flag: str, default, required: bool = True):
+    """The numbers in a comma list, or default without the flag; when
+    required, at least one."""
+    if text is None:
+        return default
     out = []
     for part in filter(str.strip, text.split(",")):
         try:
@@ -88,16 +93,6 @@ def _required(values: list, flag: str) -> list:
     if not values:
         raise ConfigError(f"{flag} needs at least one value")
     return values
-
-
-def _writer(cfg, out_dir=None) -> outputs.OutputWriter:
-    directory = out_dir if out_dir is not None else cfg["output.directory"]
-    return outputs.OutputWriter(directory, config.formats_from(cfg))
-
-
-def _finish(cfg, writer) -> None:
-    writer.write_manifest(cfg.echo(),
-                          outputs.sha256_text(cfg.canonical_text()))
 
 
 # ------------------------------------------------------------- commands
@@ -160,10 +155,16 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     if with_storage == "eit":
         from . import eit
         medium = config.medium_from(cfg)
-        hi_ext = hi + 2.0 * eit.group_delay(medium)
-        stretch = (hi_ext - lo) / (hi - lo)  # >= 1; not finite on overflow
-        n_t = n_t * math.ceil(stretch) if math.isfinite(stretch) else math.inf
-        hi = hi_ext
+        delay = 2.0 * eit.group_delay(medium)
+        stretch = (hi + delay - lo) / (hi - lo)  # >= 1; not finite on overflow
+        if not stretch * MIN_GRID_POINTS <= MATERIALIZE_LIMIT:
+            raise InputError(
+                f"the EIT delay 2*tau = {delay:.6g} s stretches the "
+                f"{hi - lo:.6g} s time window {stretch:.6g}-fold; no "
+                "grids.n_time keeps the time grid within the "
+                f"materialization limit of {MATERIALIZE_LIMIT}")
+        n_t *= math.ceil(stretch)
+        hi += delay
     if n_t > MATERIALIZE_LIMIT:
         # the density holds n_t^2 values
         raise InputError(
@@ -370,16 +371,13 @@ def cmd_reproduce_all(cfg, writer) -> dict:
     """Run every command, then check the numbers they returned (and the
     two no command computes) against targets(eit.od)."""
     from . import eit
-    vis = cmd_visibility(cfg, writer,
-                         _float_list(_DEFAULT_SIGMAS, "--sigma-hz"),
-                         _float_list(_DEFAULT_TPS, "--tp-s"))
-    cmd_timedist(cfg, writer, 100e-9, None, name="timedist_tp100ns")
-    cmd_timedist(cfg, writer, 30e-9, None, name="timedist_tp30ns")
+    vis = cmd_visibility(cfg, writer, _SIGMAS_HZ, _TPS_S)
+    for tp_s in reversed(_TPS_S):
+        cmd_timedist(cfg, writer, tp_s, name=f"timedist_tp{tp_s * 1e9:g}ns")
     eit_report = cmd_eit(cfg, writer)
-    store = cmd_store(cfg, writer, list(qubit.SIX_STATES), [200e-9])
-    bell = cmd_bell(cfg, writer, _float_list(_DEFAULT_BELL_TIMES,
-                                             "--storage-times-s"))
-    g13 = cmd_g13(cfg, writer, _DEFAULT_G13_TIMES)
+    store = cmd_store(cfg, writer, list(qubit.SIX_STATES), _STORE_TIMES_S)
+    bell = cmd_bell(cfg, writer, _BELL_TIMES_S)
+    g13 = cmd_g13(cfg, writer, _G13_TIMES_S)
 
     def visibility_at(sigma_hz):
         # a sweep row that failed is recomputed to raise its error here
@@ -387,8 +385,8 @@ def cmd_reproduce_all(cfg, writer) -> dict:
             return vis[sigma_hz]
         return _visibility_of(cfg, TWO_PI * sigma_hz)
 
-    values = {"vis_sigma_12p5MHz": visibility_at(12.5e6),
-              "vis_sigma_3p7MHz": visibility_at(3.7e6)}
+    values = {"vis_sigma_12p5MHz": visibility_at(_SIGMAS_HZ[0]),
+              "vis_sigma_3p7MHz": visibility_at(_SIGMAS_HZ[1])}
 
     table = targets(cfg["eit.od"])
     fitted, _ = eit.fit_gamma_s(config.medium_from(cfg),
@@ -404,7 +402,7 @@ def cmd_reproduce_all(cfg, writer) -> dict:
     values["six_state_average"] = fids["average"]
 
     values["bell_ideal_S"] = qubit.chsh_S(qubit.bell_state())
-    values["bell_S_1us"] = {r["t_s"]: r["S"] for r in bell["rows"]}[1e-6]
+    values["bell_S_1us"] = bell["rows"][-1]["S"]
 
     if g13["crossing_time_s"] is None:
         # recomputed to raise the error cmd_g13 recorded as null
@@ -442,18 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("visibility", parents=[common],
                        help="spectral visibility sweep")
-    p.add_argument("--sigma-hz", default=_DEFAULT_SIGMAS,
+    p.add_argument("--sigma-hz",
                    help="comma-separated pump bandwidths (Hz)")
-    p.add_argument("--tp-s", default=_DEFAULT_TPS,
+    p.add_argument("--tp-s",
                    help="comma-separated pump durations (s)")
 
     p = sub.add_parser("timedist", parents=[common],
                        help="joint detection-time density")
-    p.add_argument("--tp-s", type=float, default=100e-9,
+    p.add_argument("--tp-s", type=float, default=_TPS_S[-1],
                    help="pump duration (s)")
     p.add_argument("--with-storage", choices=["eit"],
                    default=None, help="filter the signal axis")
@@ -466,19 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store", parents=[common],
                        help="six-state storage fidelities")
-    p.add_argument("--states", default=",".join(qubit.SIX_STATES),
+    p.add_argument("--states",
                    help="comma-separated subset of H,V,plus,minus,R,L")
-    p.add_argument("--storage-times-s", default=_DEFAULT_STORE_TIMES,
+    p.add_argument("--storage-times-s",
                    help="comma-separated storage times (s)")
 
     p = sub.add_parser("bell", parents=[common],
                        help="CHSH S versus storage time")
-    p.add_argument("--storage-times-s", default=_DEFAULT_BELL_TIMES,
+    p.add_argument("--storage-times-s",
                    help="comma-separated storage times (s)")
 
     p = sub.add_parser("g13", parents=[common],
                        help="cross-correlation decay report")
-    p.add_argument("--times-s", default=None,
+    p.add_argument("--times-s",
                    help="comma-separated times (s); default 0..4us")
 
     sub.add_parser("reproduce-all", parents=[common],
@@ -493,35 +491,38 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = config.load_config(args.config, args.set)
-        writer = _writer(cfg, args.out)
+        writer = outputs.OutputWriter(args.out, config.formats_from(cfg))
         code = EXIT_OK
         if args.command == "visibility":
-            sigmas = _float_list(args.sigma_hz, "--sigma-hz", required=False)
-            tps = _float_list(args.tp_s, "--tp-s", required=False)
-            _required(sigmas + tps, "--sigma-hz or --tp-s")
+            sigmas = _float_list(args.sigma_hz, "--sigma-hz", _SIGMAS_HZ,
+                                 required=False)
+            tps = _float_list(args.tp_s, "--tp-s", _TPS_S, required=False)
+            _required([*sigmas, *tps], "--sigma-hz or --tp-s")
             cmd_visibility(cfg, writer, sigmas, tps)
         elif args.command == "timedist":
             cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
         elif args.command == "eit":
             cmd_eit(cfg, writer, args.fit_gamma_s)
         elif args.command == "store":
-            states = _required([s.strip() for s in args.states.split(",")
-                                if s.strip()], "--states")
+            states = list(qubit.SIX_STATES)
+            if args.states is not None:
+                states = _required([s.strip() for s in args.states.split(",")
+                                    if s.strip()], "--states")
             for s in states:
                 if s not in qubit.SIX_STATES:
                     raise ConfigError(f"unknown state {s!r}")
             cmd_store(cfg, writer, states, _float_list(
-                args.storage_times_s, "--storage-times-s"))
+                args.storage_times_s, "--storage-times-s", _STORE_TIMES_S))
         elif args.command == "bell":
-            cmd_bell(cfg, writer, _float_list(args.storage_times_s,
-                                              "--storage-times-s"))
+            cmd_bell(cfg, writer, _float_list(
+                args.storage_times_s, "--storage-times-s", _BELL_TIMES_S))
         elif args.command == "g13":
-            times = (_float_list(args.times_s, "--times-s")
-                     if args.times_s else _DEFAULT_G13_TIMES)
-            cmd_g13(cfg, writer, times)
+            cmd_g13(cfg, writer, _float_list(args.times_s, "--times-s",
+                                             _G13_TIMES_S))
         elif cmd_reproduce_all(cfg, writer)["failed"]:
             code = EXIT_CHECKS
-        _finish(cfg, writer)
+        writer.write_manifest(cfg, outputs.sha256_text(
+            config.canonical_text(cfg)))
         return code
     except (ConfigError, InputError) as exc:
         print(f"qisim: {exc}", file=sys.stderr)

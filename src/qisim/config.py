@@ -19,35 +19,37 @@ TWO_PI = 2.0 * math.pi
 # gaussian timedist's n_freq x n_time complex half-transform, and so
 # every vector over the frequency grid, is held to as many values.
 MATERIALIZE_LIMIT = 4096
+# Smallest per-axis point count of a grid.
+MIN_GRID_POINTS = 8
 
 PUMP_KINDS = ("gaussian", "flat_limit")
 
 _FORMATS = ("csv", "json", "svg")
 
-# key -> (type tag, default).  Type tags: int, float, str.  The pump's
-# duration or bandwidth is a flag of the command that uses it.
+# key -> default; a value given for the key is parsed as the default's
+# type.  The pump's duration or bandwidth is a flag of the command that
+# uses it, and --out places the artifacts.
 DEFAULTS = {
-    "source.gamma_hz": ("float", 5e6),
-    "source.pump_kind": ("str", "gaussian"),
-    "eit.od": ("float", 55.0),
-    "eit.rabi_hz": ("float", 12.6e6),
-    "eit.gamma_ge_hz": ("float", 2.87e6),
-    "eit.gamma_s_hz": ("float", 1.0e4),
-    "eit.length_m": ("float", 4e-3),
-    "eit.tau_mem_s": ("float", 1.494136040059602e-06),
-    "eit.decay_shape": ("str", "gaussian"),
-    "channel.eta_U": ("float", 0.5819439041677432),
-    "channel.eta_D": ("float", 1.0),
-    "channel.phase_jitter_rad": ("float", TWO_PI / 28.0),
-    "channel.background_b": ("float", 0.059371996124696444),
-    "channel.V_src": ("float", 0.9078388022982314),
-    "g13.g0": ("float", 25.0),
-    "grids.n_freq": ("int", 512),
-    "grids.freq_span_factor": ("float", 40.0),
-    "grids.n_time": ("int", 512),
-    "grids.time_span_factor": ("float", 10.0),
-    "output.directory": ("str", "out"),
-    "output.formats": ("str", "csv,json,svg"),
+    "source.gamma_hz": 5e6,
+    "source.pump_kind": "gaussian",
+    "eit.od": 55.0,
+    "eit.rabi_hz": 12.6e6,
+    "eit.gamma_ge_hz": 2.87e6,
+    "eit.gamma_s_hz": 1.0e4,
+    "eit.length_m": 4e-3,
+    "eit.tau_mem_s": 1.494136040059602e-06,
+    "eit.decay_shape": "gaussian",
+    "channel.eta_U": 0.5819439041677432,
+    "channel.eta_D": 1.0,
+    "channel.phase_jitter_rad": TWO_PI / 28.0,
+    "channel.background_b": 0.059371996124696444,
+    "channel.V_src": 0.9078388022982314,
+    "g13.g0": 25.0,
+    "grids.n_freq": 512,
+    "grids.freq_span_factor": 40.0,
+    "grids.n_time": 512,
+    "grids.time_span_factor": 10.0,
+    "output.formats": "csv,json,svg",
 }
 
 _POSITIVE = (
@@ -61,36 +63,23 @@ _UNIT_RANGE = ("channel.eta_U", "channel.eta_D", "channel.V_src")
 
 
 def _parse_value(key: str, text: str):
-    kind = DEFAULTS[key][0]
+    kind = type(DEFAULTS[key])
     text = text.strip()
-    if kind == "str":
-        return text
     try:
-        if kind == "int":
-            return int(text)
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
+        raise ConfigError(f"{key}: cannot parse {text!r} as "
+                          f"{kind.__name__}") from None
 
 
-class RunConfig:
-    def __init__(self, values: dict) -> None:
-        self.values = values
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def echo(self) -> dict:
-        return dict(sorted(self.values.items()))
-
-    def canonical_text(self) -> str:
-        lines = [f"{k} = {v!r}" for k, v in sorted(self.values.items())]
-        return "\n".join(lines) + "\n"
+def canonical_text(cfg: dict) -> str:
+    """One sorted `key = repr(value)` line per key: the hashed input."""
+    return "".join(f"{k} = {v!r}\n" for k, v in sorted(cfg.items()))
 
 
 def _validate(values: dict) -> None:
-    for key, (kind, _) in DEFAULTS.items():
-        if kind == "float" and not math.isfinite(values[key]):
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float) and not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]!r}")
     for key in _POSITIVE:
         if not values[key] > 0.0:
@@ -102,8 +91,8 @@ def _validate(values: dict) -> None:
         if not 0.0 <= values[key] <= 1.0:
             raise ConfigError(f"{key} must be in [0, 1], got {values[key]!r}")
     for key in ("grids.n_freq", "grids.n_time"):
-        if values[key] < 8:
-            raise ConfigError(f"{key} must be at least 8")
+        if values[key] < MIN_GRID_POINTS:
+            raise ConfigError(f"{key} must be at least {MIN_GRID_POINTS}")
     n_freq = values["grids.n_freq"]
     if n_freq > MATERIALIZE_LIMIT ** 2:  # checked before any grid exists
         raise ConfigError(f"grids.n_freq must be at most "
@@ -134,9 +123,9 @@ def _apply(values: dict, key: str, raw: str) -> None:
     values[key] = _parse_value(key, raw)
 
 
-def load_config(path: str = None, overrides=()) -> RunConfig:
+def load_config(path: str = None, overrides=()) -> dict:
     """Defaults, then the file, then `--set key=value` overrides."""
-    values = {k: v for k, (_, v) in DEFAULTS.items()}
+    values = dict(DEFAULTS)
     if path is not None:
         try:
             # a leading byte-order mark is dropped; \r\n and \r read as \n
@@ -164,30 +153,30 @@ def load_config(path: str = None, overrides=()) -> RunConfig:
         key, raw = item.split("=", 1)
         _apply(values, key, raw)
     _validate(values)
-    return RunConfig(values)
+    return values
 
 
 # ------------------------------------------------------- object builders
 
-def line_from(cfg: RunConfig):
+def line_from(cfg: dict):
     from .spectral import CavityLine
     return CavityLine(gamma=TWO_PI * cfg["source.gamma_hz"])
 
 
-def pump_from(cfg: RunConfig, sigma: float):
+def pump_from(cfg: dict, sigma: float):
     """The configured pump kind; sigma (rad/s) is a gaussian's bandwidth."""
     from .spectral import PumpSpectrum
     kind = cfg["source.pump_kind"]
     return PumpSpectrum(kind, sigma if kind == "gaussian" else 0.0)
 
 
-def grid_from(cfg: RunConfig, line, pump):
+def grid_from(cfg: dict, line, pump):
     from .spectral import default_grid
     return default_grid(line, pump, n_points=cfg["grids.n_freq"],
                         span_factor=cfg["grids.freq_span_factor"])
 
 
-def medium_from(cfg: RunConfig):
+def medium_from(cfg: dict):
     from .eit import EitMedium
     return EitMedium(
         optical_depth=cfg["eit.od"],
@@ -198,12 +187,12 @@ def medium_from(cfg: RunConfig):
     )
 
 
-def decay_from(cfg: RunConfig) -> MemoryDecay:
+def decay_from(cfg: dict) -> MemoryDecay:
     return MemoryDecay(tau_mem=cfg["eit.tau_mem_s"],
                        shape=cfg["eit.decay_shape"])
 
 
-def background_at(cfg: RunConfig, t_s: float) -> float:
+def background_at(cfg: dict, t_s: float) -> float:
     """Background-to-signal ratio grows as retrieval decays: the noise
     rate is constant while the signal follows eta(t)."""
     eta = decay_from(cfg).eta(t_s)
@@ -214,7 +203,7 @@ def background_at(cfg: RunConfig, t_s: float) -> float:
     return b
 
 
-def channel_from(cfg: RunConfig, t_s: float,
+def channel_from(cfg: dict, t_s: float,
                  balanced: bool = False) -> MemoryChannelParams:
     return MemoryChannelParams(
         eta_U=1.0 if balanced else cfg["channel.eta_U"],
@@ -224,5 +213,5 @@ def channel_from(cfg: RunConfig, t_s: float,
     )
 
 
-def formats_from(cfg: RunConfig) -> tuple:
+def formats_from(cfg: dict) -> tuple:
     return tuple(_formats_list(cfg["output.formats"]))

@@ -274,7 +274,7 @@ class MemoryDecay:
     retrieved photon, so a constant efficiency factor cancels.
     """
 
-    def __init__(self, tau_mem: float = 1e-6, shape: str = "gaussian") -> None:
+    def __init__(self, tau_mem: float, shape: str) -> None:
         if not tau_mem > 0.0:
             raise InputError("tau_mem must be positive")
         if shape not in DECAY_SHAPES:
@@ -316,7 +316,7 @@ def g13_decay_model(t, g0: float, eta_of_t):
     return 1.0 + (g0 - 1.0) * eta_of_t(t)
 
 
-def crossing_time(g0: float, decay, threshold: float = 5.0) -> float:
+def crossing_time(g0: float, decay, threshold: float) -> float:
     """Time at which g13_decay_model falls to `threshold` for a
     MemoryDecay `decay`: where eta(t) = (threshold - 1) / (g0 - 1)."""
     if not threshold > 1.0:

@@ -312,8 +312,8 @@ def _lorentz_tail_fraction(span: float, gamma: float) -> float:
     return (math.pi / 2.0 - math.atan(span / gamma)) / math.pi
 
 
-def default_grid(line: CavityLine, pump: PumpSpectrum, n_points: int = 512,
-                 span_factor: float = 40.0) -> FrequencyGrid:
+def default_grid(line: CavityLine, pump: PumpSpectrum, n_points: int,
+                 span_factor: float) -> FrequencyGrid:
     """Grid wide enough for both the cavity line and the pump."""
     scale = line.gamma
     if pump.kind == "gaussian":

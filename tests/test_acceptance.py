@@ -43,7 +43,7 @@ def test_c1_visibility_pair():
     vals = []
     for sigma_hz in (12.5e6, 3.7e6):
         pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
-        jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
+        jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
         vals.append(q.visibility(jsa))
     elapsed = time.monotonic() - t0
     v_broad, v_narrow = vals
@@ -68,7 +68,7 @@ def test_c2_dual_route_visibility():
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         line = q.CavityLine(gamma=gamma)
         pump = q.PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = q.build_jsa(q.default_grid(line, pump, n_points=32),
+        jsa = q.build_jsa(q.default_grid(line, pump, 32, 40.0),
                           line, pump)
         v_purity = q.visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
@@ -117,7 +117,8 @@ def test_c3_time_domain_limits():
     dists = {}
     for tp, sigma in sigmas.items():
         pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
-        jsa_tp = q.build_jsa(q.default_grid(line, pump), line, pump)
+        jsa_tp = q.build_jsa(q.default_grid(line, pump, 512, 40.0),
+                             line, pump)
         dists[tp] = q.joint_time_distribution(jsa_tp, tg)
     r_long, r_short = (oracles.ridge_correlation(tg, dists[tp])
                        for tp in (100e-9, 30e-9))
@@ -249,7 +250,7 @@ def test_c8_physicality_and_determinism(tmp_path):
 
     line = q.CavityLine(gamma=rv.GAMMA)
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
+    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
     t_grid = oracles.conjugate_time_grid(jsa.grid)
     psi_t = oracles.time_domain(jsa, t_grid)
     parseval = abs(oracles.parseval_ratio(jsa, psi_t, t_grid) - 1.0)

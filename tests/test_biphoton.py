@@ -21,7 +21,7 @@ LINE = q.CavityLine(gamma=rv.GAMMA)
 
 def gaussian_jsa(sigma_rad, n_points=512):
     pump = q.PumpSpectrum(kind="gaussian", sigma=sigma_rad)
-    grid = q.default_grid(LINE, pump, n_points=n_points)
+    grid = q.default_grid(LINE, pump, n_points, 40.0)
     return q.build_jsa(grid, LINE, pump)
 
 
@@ -79,7 +79,7 @@ def test_visibility_matches_independent_quadrature():
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         line = q.CavityLine(gamma=gamma)
         pump = q.PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = q.build_jsa(q.default_grid(line, pump, n_points=32),
+        jsa = q.build_jsa(q.default_grid(line, pump, 32, 40.0),
                           line, pump)
         v_purity = q.visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
@@ -191,7 +191,7 @@ def test_visibility_memory_budget_at_n_4096():
     # one-dimensional sums over views of 2n - 1 values; no array grows as
     # n^2 (measured: 0.50 MiB traced, where the n x n kernel was 128 MiB)
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    grid = q.default_grid(LINE, pump, n_points=4096)
+    grid = q.default_grid(LINE, pump, 4096, 40.0)
 
     def run():
         jsa = q.build_jsa(grid, LINE, pump)
@@ -343,7 +343,7 @@ def test_segmented_transform_of_gaussian_columns():
     pump = q.PumpSpectrum(kind="gaussian",
                           sigma=q.sigma_from_pulse_duration(30e-9))
     n = 40000
-    grid = q.default_grid(LINE, pump, n_points=n)
+    grid = q.default_grid(LINE, pump, n, 40.0)
     jsa = JointSpectralAmplitude(grid, LINE, pump)
     a = n - 2**15 - 1
     write = jsa.column_writer()
@@ -693,7 +693,7 @@ def test_joint_time_distribution_frozen_correlations():
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_is_attached_after_the_normalization(kind):
     pump = q.PumpSpectrum(kind=kind, sigma=q.sigma_from_pulse_duration(100e-9))
-    grid = q.default_grid(LINE, pump)
+    grid = q.default_grid(LINE, pump, 512, 40.0)
     plain = q.build_jsa(grid, LINE, pump)
     f = storage_filter(plain)
     filtered = q.build_jsa(grid, LINE, pump, f)

@@ -255,6 +255,7 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     ["store", "--storage-times-s", ","],
     ["bell", "--storage-times-s", ","],
     ["g13", "--times-s", ","],
+    ["g13", "--times-s", ""],
     ["visibility", "--sigma-hz", ",", "--tp-s", ","],
     ["visibility", "--sigma-hz", "abc"],
     ["visibility", "--tp-s", "30e-9,abc"],
@@ -262,8 +263,9 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     ["bell", "--storage-times-s", "1e-6,,y"],
     ["g13", "--times-s", "0,1e-6s"],
 ], ids=["store-states", "store-times", "bell-times", "g13-times",
-        "visibility-sweep", "visibility-sigma-text", "visibility-tp-text",
-        "store-times-text", "bell-times-text", "g13-times-text"])
+        "g13-times-empty", "visibility-sweep", "visibility-sigma-text",
+        "visibility-tp-text", "store-times-text", "bell-times-text",
+        "g13-times-text"])
 def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
     # and a list item that is not a number: the flag is named either way
     code = main(argv + ["--out", str(tmp_path / "out")])
@@ -292,22 +294,40 @@ def test_storage_time_beyond_the_decay_model(tmp_path, capsys, argv, expect):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, n_points", [
-    (["timedist", "--set", "grids.n_time=4097"], 4097),
+def _grid_refusal(n_points):
+    return (f"qisim: time grid of {n_points} points exceeds the "
+            "materialization limit of 4096; lower grids.n_time\n")
+
+
+def _stretch_refusal(delay, window, stretch):
+    return (f"qisim: the EIT delay 2*tau = {delay} s stretches the {window} s "
+            f"time window {stretch}-fold; no grids.n_time keeps the time "
+            "grid within the materialization limit of 4096\n")
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["timedist", "--set", "grids.n_time=4097"], _grid_refusal(4097)),
     (["timedist", "--with-storage", "eit", "--set", "grids.n_time=1366"],
-     4098),
+     _grid_refusal(4098)),
+    # the delay alone stretches the window more than 4096 / 8-fold, so no
+    # grids.n_time can help
+    (["timedist", "--with-storage", "eit", "--set", "eit.od=1e5",
+      "--set", "eit.rabi_hz=1e3", "--set", "eit.gamma_s_hz=0"],
+     _stretch_refusal("182710", "3.1831e-07", "5.74e+11")),
     # twice the stored window's delay overflows
     (["timedist", "--with-storage", "eit", "--set", "eit.od=1e308",
       "--set", "eit.gamma_ge_hz=1e6", "--set", "eit.rabi_hz=460",
-      "--set", "eit.gamma_s_hz=0"], math.inf),
+      "--set", "eit.gamma_s_hz=0"],
+     _stretch_refusal("inf", "3.1831e-07", "inf")),
     # the delay over the plain window overflows
     (["timedist", "--with-storage", "eit", "--set", "source.gamma_hz=7e305",
-      "--set", "eit.od=1e11"], math.inf),
-], ids=["plain", "eit-storage", "eit-delay-overflow",
+      "--set", "eit.od=1e11"],
+     _stretch_refusal("1149.19", "2.27364e-306", "inf")),
+], ids=["plain", "eit-storage", "eit-stretch", "eit-delay-overflow",
         "eit-stretch-overflow"])
 def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
                                                     monkeypatch, argv,
-                                                    n_points):
+                                                    expect):
     # the guard fires before the amplitude or any n_time^2 array exists
     def refuse(*args, **kwargs):
         raise AssertionError("the amplitude was built before the guard")
@@ -316,9 +336,7 @@ def test_time_grid_beyond_the_materialization_limit(tmp_path, capsys,
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "Traceback" not in err
-    assert err == (f"qisim: time grid of {n_points} points exceeds the "
-                   "materialization limit of 4096; lower grids.n_time\n")
+    assert err == expect
 
 
 @pytest.mark.parametrize("command", ["timedist", "visibility"])
@@ -531,8 +549,7 @@ _KEY_PROBES = {
 
 
 def test_every_config_key_has_a_probe():
-    # output.directory moves the artifacts rather than changing them
-    assert set(_KEY_PROBES) | {"output.directory"} == set(config.DEFAULTS)
+    assert set(_KEY_PROBES) == set(config.DEFAULTS)
 
 
 @pytest.mark.parametrize("key", sorted(_KEY_PROBES))
@@ -547,11 +564,17 @@ def test_every_config_key_changes_an_output(tmp_path, key):
     assert hashes[0] != hashes[1]
 
 
-def test_output_directory_key_places_the_artifacts(tmp_path):
-    out = tmp_path / "elsewhere"
-    assert main(["g13", "--set", f"output.directory={out}"]) == EXIT_OK
+def test_out_places_the_artifacts(tmp_path, monkeypatch, capsys):
+    # --out is the one output path, `out` by default; no key sets it
+    monkeypatch.chdir(tmp_path)
+    assert main(["g13"]) == EXIT_OK
     assert {"g13.csv", "g13_report.json", "manifest.json"} <= set(
-        os.listdir(out))
+        os.listdir(tmp_path / "out"))
+    code = main(["g13", "--set", f"output.directory={tmp_path / 'x'}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "qisim: unknown config key 'output.directory'\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_help_and_missing_command():

@@ -47,7 +47,7 @@ def _unit():
                      st.sampled_from(["-0.01", "1.01"]))
 
 
-# every key of DEFAULTS except output.directory, which the tests set
+# every key of DEFAULTS
 _FUZZ_SETTINGS = {
     "source.gamma_hz": _rate(1e-3, 1e300),
     "source.pump_kind": st.sampled_from(["gaussian", "flat_limit"]),
@@ -231,7 +231,7 @@ def _file_text(lines, layout):
 
 def _outcome(load):
     try:
-        return load().values
+        return load()
     except ConfigError as exc:
         return str(exc)
 

@@ -81,10 +81,16 @@ def test_unknown_and_malformed_keys():
         config.load_config(overrides=("bogus.key=1",))
     with pytest.raises(ConfigError):
         config.load_config(overrides=("eit.od",))
-    with pytest.raises(ConfigError):
+    # a value is parsed as its key's default's type
+    with pytest.raises(ConfigError,
+                       match="^eit.od: cannot parse 'abc' as float$"):
         config.load_config(overrides=("eit.od=abc",))
+    with pytest.raises(ConfigError,
+                       match="^grids.n_freq: cannot parse '1.5' as int$"):
+        config.load_config(overrides=("grids.n_freq=1.5",))
+    # the artifacts' place is --out, not a key
     for removed in ("seed=1", "eit.eta0=0.2", "source.T_p_s=30e-9",
-                    "source.sigma_hz=4e6"):
+                    "source.sigma_hz=4e6", "output.directory=x"):
         with pytest.raises(ConfigError, match="unknown config key"):
             config.load_config(overrides=(removed,))
 
@@ -122,10 +128,9 @@ def test_override_precedence_over_file(tmp_path):
 
 def test_echo_and_canonical_text():
     cfg = config.load_config()
-    echo = cfg.echo()
-    assert echo["eit.od"] == 55.0
-    text = cfg.canonical_text()
-    assert text == config.load_config().canonical_text()
+    assert cfg == config.DEFAULTS and cfg is not config.DEFAULTS
+    text = config.canonical_text(cfg)
+    assert text == config.canonical_text(config.load_config())
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
     assert any(line.startswith("eit.od = ") for line in lines)

@@ -32,7 +32,7 @@ def test_sums_match_the_dense_kernel_on_small_grids(half, log_ratio, zeros,
     n = 2 * half
     pump = q.PumpSpectrum(kind="gaussian",
                           sigma=LINE.gamma * 10.0 ** log_ratio)
-    grid = q.default_grid(LINE, pump, n_points=n)
+    grid = q.default_grid(LINE, pump, n, 40.0)
     rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
     f[rng.random(n) < zeros] = 0.0

@@ -397,7 +397,7 @@ def test_g13_decay_model_frozen():
 
 
 def test_crossing_time_frozen():
-    decay = q.MemoryDecay(tau_mem=rv.TAU_MEM)
+    decay = q.MemoryDecay(tau_mem=rv.TAU_MEM, shape="gaussian")
     t_cross = q.crossing_time(25.0, decay, threshold=5.0)
     assert t_cross == pytest.approx(rv.G13_CROSSING, rel=1e-9)
     assert q.g13_decay_model(t_cross, 25.0, memory_eta) == pytest.approx(

@@ -112,8 +112,8 @@ def test_sigma_from_pulse_duration_frozen():
 def test_default_grid_span_tracks_widest_scale(line):
     narrow = q.PumpSpectrum(kind="gaussian", sigma=0.1 * rv.GAMMA)
     wide = q.PumpSpectrum(kind="gaussian", sigma=5.0 * rv.GAMMA)
-    g1 = q.default_grid(line, narrow)
-    g2 = q.default_grid(line, wide)
+    g1 = q.default_grid(line, narrow, 512, 40.0)
+    g2 = q.default_grid(line, wide, 512, 40.0)
     assert g1.span == pytest.approx(40.0 * rv.GAMMA, rel=1e-15)
     assert g2.span == pytest.approx(200.0 * rv.GAMMA, rel=1e-15)
     assert g1.n_points == 512
@@ -121,7 +121,7 @@ def test_default_grid_span_tracks_widest_scale(line):
 
 def test_gaussian_jsa_is_symmetric_and_normalized(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
+    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
     assert not jsa.is_factored
     a = jsa.amplitude
     # symmetric up to multiplication order in the three-factor product
@@ -131,7 +131,7 @@ def test_gaussian_jsa_is_symmetric_and_normalized(line):
 
 def test_pumped_form_agrees_with_its_materialized_amplitude(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    grid = q.default_grid(line, pump, n_points=256)
+    grid = q.default_grid(line, pump, 256, 40.0)
     jsa = q.build_jsa(grid, line, pump)
     r = q.cavity_response(grid.detunings, line)
     # the pump on the index sums (i + j - (n - 1)) dd
@@ -152,7 +152,7 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_multiplies_the_signal_rows(line, kind):
     pump = q.PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
-    grid = q.default_grid(line, pump, n_points=256)
+    grid = q.default_grid(line, pump, 256, 40.0)
     jsa = q.build_jsa(grid, line, pump)
     f = np.exp(1j * np.linspace(0.0, 3.0, 256)) * np.linspace(0.2, 1.0, 256)
     filtered = q.build_jsa(grid, line, pump, f)
@@ -217,7 +217,7 @@ def test_wide_gaussian_pump_hits_span_floor(line):
 
 def test_axis_marginals_integrate_to_total_mass(line):
     pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    jsa = q.build_jsa(q.default_grid(line, pump), line, pump)
+    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
     dd = jsa.grid.spacing
     for marg in jsa.marginals():
         assert np.sum(marg) * dd == pytest.approx(jsa.l2_mass(), rel=1e-12)
@@ -234,7 +234,7 @@ def test_mass_is_exact_where_the_marginal_entries_are_subnormal(gamma):
     # mass, dd times their sum, is a normal float
     line = q.CavityLine(gamma=gamma)
     pump = q.PumpSpectrum(kind="gaussian", sigma=4.3e49)
-    jsa = q.build_jsa(q.default_grid(line, pump, n_points=8), line, pump)
+    jsa = q.build_jsa(q.default_grid(line, pump, 8, 40.0), line, pump)
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
@@ -249,7 +249,7 @@ def test_mass_is_unit_over_the_accepted_widths(kind):
             line = q.CavityLine(gamma=gamma)
             pump = q.PumpSpectrum(kind=kind, sigma=sigma)
             try:
-                jsa = q.build_jsa(q.default_grid(line, pump, n_points=8),
+                jsa = q.build_jsa(q.default_grid(line, pump, 8, 40.0),
                                   line, pump)
             except InputError:
                 continue
@@ -263,7 +263,7 @@ def test_overflowing_mass_is_an_input_error():
     line = q.CavityLine(gamma=TWO_PI * 1e-3)
     pump = q.PumpSpectrum(kind="gaussian", sigma=1.5e-154)
     with pytest.raises(InputError, match="amplitude overflows"):
-        q.build_jsa(q.default_grid(line, pump, n_points=8), line, pump)
+        q.build_jsa(q.default_grid(line, pump, 8, 40.0), line, pump)
 
 
 def test_amplitude_parts_must_match_the_grid(line):

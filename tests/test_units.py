@@ -55,6 +55,16 @@ UNITS = {
     "store_report.json": {
         "states": SAME, "results.t_s": TIME,
         **{f"results.fidelities.{n}": SAME for n in _FIDELITIES}},
+    "bell_curve.csv": {"theta_rad": SAME, "coincidence_H": SAME,
+                       "coincidence_plus": SAME},
+    "bell_report.json": {
+        "V_src": SAME, "angles_rad": SAME, "convention": SAME,
+        "S_local": SAME, "violated_local": SAME, "rows.t_s": TIME,
+        "rows.S": SAME, "rows.violated": SAME, "curve.t_s": TIME,
+        "curve.visibility_H": SAME, "curve.visibility_plus": SAME},
+    "g13.csv": {"t_s": TIME, "g13": SAME, "alpha": SAME},
+    "g13_report.json": {"g0": SAME, "threshold": SAME,
+                        "crossing_time_s": TIME, "alpha_at_threshold": SAME},
 }
 
 
@@ -73,6 +83,10 @@ def _command(name, rates, times, target_hz):
         "eit": ["eit"],
         "eit-fit": ["eit", "--fit-gamma-s", rates(target_hz)],
         "store": ["store", "--storage-times-s", times(0.0, 200e-9, 1e-6)],
+        "bell": ["bell", "--storage-times-s", times(0.0, 200e-9, 1e-6)],
+        # g13 refuses times above cli._G13_MAX_TIME_S, an absolute scale;
+        # these stay below it at every drawn k
+        "g13": ["g13", "--times-s", times(0.0, 1e-6, 2e-6, 4e-6)],
     }[name]
 
 
@@ -85,7 +99,7 @@ def _run(name, k, target_hz) -> dict:
     command = _command(name, scaled(RATE), scaled(TIME), target_hz)
     argv = command[:1] + _SMALL + command[1:]  # the command's --set wins
     for key, unit in _KEYS.items():
-        argv += ["--set", f"{key}={scaled(unit)(DEFAULTS[key][1])}"]
+        argv += ["--set", f"{key}={scaled(unit)(DEFAULTS[key])}"]
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) == EXIT_OK, argv
         return {n: _numbers(os.path.join(out, n), UNITS[n])
@@ -124,7 +138,8 @@ def _scales(a, b, unit, k) -> bool:
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(["visibility", "timedist", "timedist-flat",
-                             "timedist-eit", "eit", "eit-fit", "store"]),
+                             "timedist-eit", "eit", "eit-fit", "store",
+                             "bell", "g13"]),
        k=st.integers(-20, 20), target_hz=st.floats(2.5e6, 2.9e6))
 def test_power_of_two_rescaling_is_exact(name, k, target_hz):
     base, scaled = _run(name, 0, target_hz), _run(name, k, target_hz)
