@@ -74,25 +74,27 @@ def _linspace(start: float, stop: float, num: int) -> list:
 _G13_TIMES_S = _linspace(0.0, 4e-6, 81)
 
 
-def _float_list(text, flag: str, default, required: bool = True):
-    """The numbers in a comma list, or default without the flag; when
-    required, at least one."""
+def _comma_list(text, flag: str, states=None, required: bool = True):
+    """A comma list flag's items, None when it is absent: numbers, or
+    distinct members of states.  A required list holds at least one item."""
     if text is None:
-        return default
-    out = []
-    for part in filter(str.strip, text.split(",")):
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise ConfigError(f"{flag} holds {part.strip()!r}, which is not "
-                              "a number") from None
-    return _required(out, flag) if required else out
-
-
-def _required(values: list, flag: str) -> list:
-    if not values:
+        return None
+    items = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        if states is None:
+            try:
+                part = float(part)
+            except ValueError:
+                raise ConfigError(f"{flag} holds {part!r}, which is not a "
+                                  "number") from None
+        elif part not in states:
+            raise ConfigError(f"unknown state {part!r}")
+        elif part in items:
+            raise ConfigError(f"{flag} names {part!r} twice")
+        items.append(part)
+    if required and not items:
         raise ConfigError(f"{flag} needs at least one value")
-    return values
+    return items
 
 
 # ------------------------------------------------------------- commands
@@ -115,19 +117,15 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
     row failed raises the first row's error."""
     from . import spectral
     rows = []
-    for tp in tps_s:
+    for s_hz, tp in ([(None, tp) for tp in tps_s]
+                     + [(s_hz, None) for s_hz in sigmas_hz]):
         try:
-            sigma_rad = spectral.sigma_from_pulse_duration(tp)
-            v = _visibility_of(cfg, sigma_rad)
-            rows.append((sigma_rad / TWO_PI, tp, v, None))
+            sigma_rad = (TWO_PI * s_hz if tp is None
+                         else spectral.sigma_from_pulse_duration(tp))
+            hz = s_hz if tp is None else sigma_rad / TWO_PI
+            rows.append((hz, tp, _visibility_of(cfg, sigma_rad), None))
         except QisimError as exc:
-            rows.append((None, tp, None, str(exc)))
-    for s_hz in sigmas_hz:
-        try:
-            v = _visibility_of(cfg, TWO_PI * s_hz)
-            rows.append((s_hz, None, v, None))
-        except QisimError as exc:
-            rows.append((s_hz, None, None, str(exc)))
+            rows.append((s_hz, tp, None, str(exc)))
     writer.write_csv("visibility.csv",
                      ["sigma_hz", "T_p_s", "visibility", "error"], rows)
     good = sorted((r[0], r[2]) for r in rows if r[3] is None)
@@ -493,32 +491,33 @@ def main(argv=None) -> int:
         cfg = config.load_config(args.config, args.set)
         writer = outputs.OutputWriter(args.out, config.formats_from(cfg))
         code = EXIT_OK
+        # a required list is never empty: `or` reads only an absent flag
         if args.command == "visibility":
-            sigmas = _float_list(args.sigma_hz, "--sigma-hz", _SIGMAS_HZ,
-                                 required=False)
-            tps = _float_list(args.tp_s, "--tp-s", _TPS_S, required=False)
-            _required([*sigmas, *tps], "--sigma-hz or --tp-s")
-            cmd_visibility(cfg, writer, sigmas, tps)
+            # the lists given are the whole sweep
+            sigmas = _comma_list(args.sigma_hz, "--sigma-hz", required=False)
+            tps = _comma_list(args.tp_s, "--tp-s", required=False)
+            if sigmas is None and tps is None:
+                sigmas, tps = _SIGMAS_HZ, _TPS_S
+            if not (sigmas or tps):
+                raise ConfigError("--sigma-hz or --tp-s needs at least one "
+                                  "value")
+            cmd_visibility(cfg, writer, sigmas or (), tps or ())
         elif args.command == "timedist":
             cmd_timedist(cfg, writer, args.tp_s, args.with_storage)
         elif args.command == "eit":
             cmd_eit(cfg, writer, args.fit_gamma_s)
         elif args.command == "store":
-            states = list(qubit.SIX_STATES)
-            if args.states is not None:
-                states = _required([s.strip() for s in args.states.split(",")
-                                    if s.strip()], "--states")
-            for s in states:
-                if s not in qubit.SIX_STATES:
-                    raise ConfigError(f"unknown state {s!r}")
-            cmd_store(cfg, writer, states, _float_list(
-                args.storage_times_s, "--storage-times-s", _STORE_TIMES_S))
+            cmd_store(cfg, writer,
+                      _comma_list(args.states, "--states", qubit.SIX_STATES)
+                      or list(qubit.SIX_STATES),
+                      _comma_list(args.storage_times_s, "--storage-times-s")
+                      or _STORE_TIMES_S)
         elif args.command == "bell":
-            cmd_bell(cfg, writer, _float_list(
-                args.storage_times_s, "--storage-times-s", _BELL_TIMES_S))
+            cmd_bell(cfg, writer, _comma_list(
+                args.storage_times_s, "--storage-times-s") or _BELL_TIMES_S)
         elif args.command == "g13":
-            cmd_g13(cfg, writer, _float_list(args.times_s, "--times-s",
-                                             _G13_TIMES_S))
+            cmd_g13(cfg, writer,
+                    _comma_list(args.times_s, "--times-s") or _G13_TIMES_S)
         elif cmd_reproduce_all(cfg, writer)["failed"]:
             code = EXIT_CHECKS
         writer.write_manifest(cfg, outputs.sha256_text(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -38,6 +39,13 @@ def test_visibility_command(tmp_path):
     assert all(r[3] is None for r in rows)
     assert (out / "visibility.svg").exists()
     assert (out / "manifest.json").exists()
+    # a list given alone is the whole sweep: the other flag's defaults
+    # do not join it
+    for argv, row in [(["--sigma-hz", "12.5e6"], rows[1]),
+                      (["--tp-s", "30e-9"], rows[0])]:
+        alone = tmp_path / argv[0].strip("-")
+        assert main(["visibility", "--out", str(alone), *argv]) == EXIT_OK
+        assert oracles.read_csv(str(alone / "visibility.csv"))[1] == [row]
 
 
 def test_visibility_row_failures_are_recorded(tmp_path, capsys):
@@ -250,29 +258,38 @@ def test_store_rejects_unknown_state(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("argv", [
-    ["store", "--states", ","],
-    ["store", "--storage-times-s", ","],
-    ["bell", "--storage-times-s", ","],
-    ["g13", "--times-s", ","],
-    ["g13", "--times-s", ""],
-    ["visibility", "--sigma-hz", ",", "--tp-s", ","],
-    ["visibility", "--sigma-hz", "abc"],
-    ["visibility", "--tp-s", "30e-9,abc"],
-    ["store", "--storage-times-s", "x"],
-    ["bell", "--storage-times-s", "1e-6,,y"],
-    ["g13", "--times-s", "0,1e-6s"],
+_EMPTY_SWEEP = "--sigma-hz or --tp-s needs at least one value"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["store", "--states", ","], "--states"),
+    (["store", "--storage-times-s", ","], "--storage-times-s"),
+    (["bell", "--storage-times-s", ","], "--storage-times-s"),
+    (["g13", "--times-s", ","], "--times-s"),
+    (["g13", "--times-s", ""], "--times-s"),
+    (["visibility", "--sigma-hz", ",", "--tp-s", ","], _EMPTY_SWEEP),
+    (["visibility", "--sigma-hz", "abc"], "--sigma-hz"),
+    (["visibility", "--tp-s", "30e-9,abc"], "--tp-s"),
+    (["store", "--storage-times-s", "x"], "--storage-times-s"),
+    (["bell", "--storage-times-s", "1e-6,,y"], "--storage-times-s"),
+    (["g13", "--times-s", "0,1e-6s"], "--times-s"),
+    (["store", "--states", "H,V,H"], "--states names 'H' twice"),
+    # a list given alone is the whole sweep, so an empty one is no sweep
+    (["visibility", "--sigma-hz="], _EMPTY_SWEEP),
+    (["visibility", "--tp-s="], _EMPTY_SWEEP),
 ], ids=["store-states", "store-times", "bell-times", "g13-times",
         "g13-times-empty", "visibility-sweep", "visibility-sigma-text",
         "visibility-tp-text", "store-times-text", "bell-times-text",
-        "g13-times-text"])
-def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv):
-    # and a list item that is not a number: the flag is named either way
+        "g13-times-text", "store-states-repeated", "visibility-sigma-empty",
+        "visibility-tp-empty"])
+def test_empty_flag_list_is_a_config_error(tmp_path, capsys, argv, named):
+    # and a list item that is not a number, or a repeated state: the flag
+    # is named either way
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "Traceback" not in err
-    assert err.startswith("qisim: " + argv[1] + " ")
+    assert err == f"qisim: {named}\n" or err.startswith(f"qisim: {named} ")
     assert err.count("\n") == 1
 
 
@@ -575,6 +592,37 @@ def test_out_places_the_artifacts(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "qisim: unknown config key 'output.directory'\n")
     assert not (tmp_path / "x").exists()
+
+
+def _readme_examples() -> list:
+    """The argv of each qisim line in the example block under README's
+    "Command line"."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n")[1].split("\n## ")[0]
+    block = section.split("Examples:\n\n```\n")[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qisim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda a: a[0])
+def test_readme_examples_run(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])   # the last --out wins
+    if argv[0] == "reproduce-all":
+        # only the four C4 checks fail, by design
+        assert (code, capsys.readouterr().err) == (
+            EXIT_CHECKS, "reproduce-all: 4 reference check(s) failed: "
+            "eit_window_fwhm, eit_group_delay, eit_dbp, eit_vg\n")
+        return
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    if argv[0] == "visibility":
+        # the bandwidths named are the whole sweep
+        sigmas = argv[argv.index("--sigma-hz") + 1].split(",")
+        _, rows = oracles.read_csv(str(out / "visibility.csv"))
+        assert [(r[0], r[1]) for r in rows] == [(float(s), None)
+                                                for s in sigmas]
 
 
 def test_cli_help_and_missing_command():

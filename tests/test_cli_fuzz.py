@@ -85,7 +85,8 @@ _FUZZ_COMMANDS = st.one_of(
     st.builds(lambda states, times: ["store", "--states", ",".join(states),
                                      "--storage-times-s", times],
               st.lists(st.sampled_from(["H", "V", "plus", "minus", "R",
-                                        "L"]), min_size=1, max_size=3),
+                                        "L"]), min_size=1, max_size=3)
+              .map(lambda states: list(dict.fromkeys(states))),  # distinct
               _value_list(1e-10, 1e-4)),
     st.builds(lambda times: ["bell", "--storage-times-s", times],
               _value_list(1e-10, 1e-4)),

@@ -15,7 +15,7 @@ import tempfile
 
 import pytest
 
-from qisim.cli import EXIT_OK, main
+from qisim.cli import EXIT_MODEL, EXIT_OK, main
 from qisim.config import DEFAULTS
 
 pytest.importorskip("hypothesis")
@@ -87,12 +87,23 @@ def _command(name, rates, times, target_hz):
         # g13 refuses times above cli._G13_MAX_TIME_S, an absolute scale;
         # these stay below it at every drawn k
         "g13": ["g13", "--times-s", times(0.0, 1e-6, 2e-6, 4e-6)],
+        # refusals: a time grid too coarse for the pump, a retrieval
+        # decayed to nothing, and a window wider than any gamma_s gives
+        "timedist-coarse": ["timedist", "--set", "grids.n_time=8"] + tp,
+        "store-decayed": ["store", "--storage-times-s", times(1e-4)],
+        "bell-decayed": ["bell", "--storage-times-s", times(1e-4)],
+        "eit-fit-unreachable": ["eit", "--fit-gamma-s", rates(2 * target_hz)],
     }[name]
 
 
-def _run(name, k, target_hz) -> dict:
+# the exit code of each drawn command that is refused at every k
+_REFUSED = {"timedist-coarse": EXIT_MODEL, "store-decayed": EXIT_MODEL,
+            "bell-decayed": EXIT_MODEL, "eit-fit-unreachable": EXIT_MODEL}
+
+
+def _run(name, k, target_hz) -> tuple:
     """Run the command with every rate times 2^k and every time times
-    2^-k: artifact name -> [(key, unit, value)]."""
+    2^-k: (exit code, artifact name -> [(key, unit, value)])."""
     def scaled(unit):
         return lambda *vs: ",".join(repr(math.ldexp(v, unit * k)) for v in vs)
 
@@ -101,9 +112,9 @@ def _run(name, k, target_hz) -> dict:
     for key, unit in _KEYS.items():
         argv += ["--set", f"{key}={scaled(unit)(DEFAULTS[key])}"]
     with tempfile.TemporaryDirectory() as out:
-        assert main(argv + ["--out", out]) == EXIT_OK, argv
-        return {n: _numbers(os.path.join(out, n), UNITS[n])
-                for n in sorted(os.listdir(out)) if n != "manifest.json"}
+        code = main(argv + ["--out", out])
+        return code, {n: _numbers(os.path.join(out, n), UNITS[n])
+                      for n in sorted(os.listdir(out)) if n != "manifest.json"}
 
 
 def _numbers(path, units) -> list:
@@ -136,13 +147,16 @@ def _scales(a, b, unit, k) -> bool:
     return float(b) == math.ldexp(float(a), unit * k)
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=90, derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(["visibility", "timedist", "timedist-flat",
                              "timedist-eit", "eit", "eit-fit", "store",
-                             "bell", "g13"]),
+                             "bell", "g13", *_REFUSED]),
        k=st.integers(-20, 20), target_hz=st.floats(2.5e6, 2.9e6))
 def test_power_of_two_rescaling_is_exact(name, k, target_hz):
-    base, scaled = _run(name, 0, target_hz), _run(name, k, target_hz)
+    (code, base), (scaled_code, scaled) = (_run(name, 0, target_hz),
+                                           _run(name, k, target_hz))
+    # a refusal is the same refusal at every scale
+    assert (code, scaled_code) == (_REFUSED.get(name, EXIT_OK),) * 2, name
     assert base.keys() == scaled.keys()
     for artifact, numbers in base.items():
         assert len(numbers) == len(scaled[artifact]), artifact
