@@ -7,21 +7,21 @@ writer thread drops the NULs of the band before it with a boolean mask
 and writes the bytes.  The mask, numpy's loops, hashlib and file writes
 release the GIL, so the two threads overlap.
 
-With k the decade of |v|, the 17 digits are rint(y), y = |v| 10^(16 - k),
-from a double-double product in float64: 2^s_k |v|, which is exact,
-times a table entry hi_k + lo_k = 10^(16 - k) 2^-s_k in [1, 2) to
-within 2^-106, by Veltkamp's split and Dekker's two-product (Numer.
-Math. 18, 224 (1971)).  The product's high part is an integer, and y
-minus it is known to within HALF_MARGIN for y below 2^57.  Zero, inf,
-nan, values from 10 to 1e17 (fixed notation with the point among the
-digits), a value whose decade log10 misjudges, and every cell within
-HALF_MARGIN of a rounding tie, go through format() itself.  The tables
-are exact integer arithmetic, so there is one code path on every
-platform.
+A grid holds a density divided by its peak, so the kernel's fast path
+takes values in (0, 1].  With k the decade of v, the 17 digits are
+rint(y), y = v 10^(16 - k), from a double-double product in float64:
+2^s_k v, which is exact, times a table entry hi_k + lo_k = 10^(16 - k)
+2^-s_k in [1, 2) to within 2^-106, by Veltkamp's split and Dekker's
+two-product (Numer. Math. 18, 224 (1971)).  The product's high part is
+an integer, and y minus it is known to within HALF_MARGIN for y below
+2^57.  Zero, negatives, values above 1, inf and nan, a value whose
+decade log10 misjudges, and every cell within HALF_MARGIN of a rounding
+tie, go through format() itself.  The tables are exact integer
+arithmetic, so there is one code path on every platform.
 
-A cell's slot is SLOT bytes: a head word "-0.000d." (sign, the "0." and
-zeros of a fixed-notation value below 1, the lead digit, the point),
-four words of 4 digits, and a tail word "e+308\\n" or "\\n".  Absent
+A cell's slot is SLOT bytes: a head word "0.000d." (the "0." and zeros
+of a fixed-notation value below 1, the lead digit, the point), four
+words of 4 digits, and a tail word "e-324\\n" or "\\n".  Absent
 characters are NUL bytes, which the compaction drops.  The module builds
 its tables when imported, so it is imported only where a grid is
 written.
@@ -40,8 +40,8 @@ import numpy as np
 _BAND_CELLS = 8192
 # the characters of a slot, ahead of its tail word; a slot
 BODY, SLOT = 24, 32
-# decades floor(log10 |v|) of finite nonzero float64s
-_K_LO, _K_HI = -324, 308
+# decades floor(log10 v) of float64s in (0, 1]
+_K_LO, _K_HI = -324, 0
 
 
 def byte_rows(strings, width: int = 0) -> np.ndarray:
@@ -73,14 +73,13 @@ def _scales():
     each a correctly rounded int/int quotient."""
     shifts, entries = [], []
     for k in range(_K_LO, _K_HI + 1):
-        # 10^m for m >= 1 is no power of two, so 2^bits / 10^m < 2
-        ten = 10 ** abs(16 - k)
-        s = ten.bit_length() - 1 if k <= 16 else -ten.bit_length()
-        num, den = (ten, 1 << s) if k <= 16 else (1 << -s, ten)
-        hi = num / den
+        ten = 10 ** (16 - k)
+        s = ten.bit_length() - 1
+        den = 1 << s
+        hi = ten / den
         a, b = hi.as_integer_ratio()
         shifts.append(s)
-        entries.append((hi, (num * b - a * den) / (den * b)))
+        entries.append((hi, (ten * b - a * den) / (den * b)))
     hi, lo = np.array(entries).T
     return np.array(shifts, np.int32), np.array([*_split(hi), lo])
 
@@ -96,12 +95,11 @@ def _tables():
     # index of each group's first digit among the 17
     first = 1 + 4 * np.arange(4, dtype=np.uint8)
     kept = np.clip(np.arange(18)[:, None, None] - first[:, None], 0, 4)
-    head = np.zeros((2, 5, 10, 2, 8), np.uint8)
-    head[1, ..., 0] = ord("-")
-    head[..., 1:6] = byte_rows(["", "0.", "0.0", "0.00", "0.000"])[
+    head = np.zeros((5, 10, 2, 8), np.uint8)
+    head[..., :5] = byte_rows(["", "0.", "0.0", "0.00", "0.000"])[
         :, None, None]
-    head[..., 6] = ord("0") + np.arange(10)[:, None]
-    head[..., 1, 7] = ord(".")
+    head[..., 5] = ord("0") + np.arange(10)[:, None]
+    head[..., 1, 6] = ord(".")
     return (
         # [value]: "0000" .. "9999"
         _words(ord("0") + digit, np.uint32),
@@ -110,7 +108,7 @@ def _tables():
         np.where(last > 0, first[:, None] + last, 1).astype(np.uint8),
         # [g][n]: the mask of group g that keeps the first n of 17 digits
         _words(0xFF * (np.arange(4) < kept), np.uint32).T.copy(),
-        # [((sign * 5 + zeros) * 10 + lead) * 2 + point]: "-0.000d."
+        # [(zeros * 10 + lead) * 2 + point]: "0.000d."
         _words(head.reshape(-1, 8), np.uint64),
         # [k - _K_LO]: an exponent and newline; [-1]: a newline
         _words(byte_rows([f"e{e:+03d}\n" for e in k] + ["\n"], 8),
@@ -160,34 +158,29 @@ def slots(values, out: np.ndarray) -> np.ndarray:
     `values` into `out`, one row of SLOT uint8 each, 8-byte aligned,
     with NUL bytes among the characters; return out."""
     v = np.asarray(values, dtype=float).ravel()
-    a = np.abs(v)
-    special = ~np.isfinite(a) | (a == 0.0)
-    a = np.where(special, 1.0, a)
+    # nan fails both comparisons
+    special = ~((v > 0.0) & (v <= 1.0))
+    a = np.where(special, 1.0, v)
     k = np.floor(np.log10(a)).astype(np.intp)
     digits, frac = _digits(a, k)
     # log10 may be one decade off next to a power of ten, and 17 nines
     # may round up into the next; such a cell goes through format()
     step = _step(digits, frac)
     near_tie = ~(np.abs(frac) < 0.5 - HALF_MARGIN)
-    # %g: fixed notation for decades -4 .. 16; from 10 up the point sits
-    # among the digits, which format() lays out
-    fixed = (k >= -4) & (k < 17)
-    # near a tie, wide fixed, or out of its decade
-    fallback = special | near_tie | (fixed & (k > 0)) | (step != 0)
+    fallback = special | near_tie | (step != 0)
     lead, rest = np.divmod(np.where(fallback, 10 ** 16, digits), 10 ** 16)
     high, low = np.divmod(rest, 10 ** 8)
     groups = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
     significant = np.maximum.reduce(
         [sig[g] for sig, g in zip(_SIGNIFICANT, groups)])
 
-    # trailing zeros stripped; below 1 the digits follow "0." and 0 to 3
-    # zeros
+    # %g: fixed notation for decades -4 .. 0, the digits of a value below
+    # 1 after "0." and 0 to 3 zeros; trailing zeros stripped
+    fixed = k >= -4
     small = fixed & (k < 0)
-    sign = np.signbit(v)
     point = (significant > 1) & ~small
     out64, out32 = out.view(np.uint64), out.view(np.uint32)
-    out64[:, 0] = _HEAD[((sign * 5 + np.where(small, -k, 0)) * 10 + lead)
-                        * 2 + point]
+    out64[:, 0] = _HEAD[(np.where(small, -k, 0) * 10 + lead) * 2 + point]
     for i, (g, keep) in enumerate(zip(groups, _KEEP)):
         out32[:, 2 + i] = _QUAD[g] & keep[significant]
     out64[:, 3] = _TAIL[np.where(fixed | fallback, -1, k - _K_LO)]

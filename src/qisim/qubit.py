@@ -194,12 +194,11 @@ def fidelity(psi_in: PolarizationState, rho_out: QubitDensity) -> float:
 
 
 def six_state_battery(params: MemoryChannelParams) -> dict:
-    """Channel fidelity for {H, V, +, -, R, L} plus their average."""
+    """Channel fidelity for each of {H, V, +, -, R, L}."""
     out = {}
     for name, state in SIX_STATES.items():
         rho = memory_channel(state.density(), params)
         out[name] = fidelity(state, rho)
-    out["average"] = sum(out[n] for n in SIX_STATES) / len(SIX_STATES)
     return out
 
 

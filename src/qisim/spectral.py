@@ -98,17 +98,15 @@ class PumpSpectrum:
 
 
 def cavity_response(delta, line: CavityLine):
-    """Complex amplitude response 1/(delta + i*gamma/2).
+    """Complex amplitude response 1/(delta + i*gamma/2), as an array.
 
     The squared magnitude is a Lorentzian with FWHM equal to line.gamma.
-    Accepts scalars or arrays.
     """
     delta = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise InputError("non-finite detuning")
     out = np.add(delta, 0.5j * line.gamma, out=np.empty(delta.shape, complex))
-    np.divide(1.0, out, out=out)  # in place: the one n-point buffer
-    return out if out.ndim else complex(out)
+    return np.divide(1.0, out, out=out)  # in place: the one n-point buffer
 
 
 def sigma_from_pulse_duration(t_p: float) -> float:

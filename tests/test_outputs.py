@@ -267,16 +267,26 @@ def test_g17_scales_are_double_double_powers_of_ten():
 def test_g17_density_map_formats_no_finite_cell_through_format(monkeypatch):
     # the storage map at its default grid sent 81 005 of its 2.36 M cells
     # through format() with a longdouble product; the float64
-    # double-double one, whose tie margin is 2^-47, sends none
-    cfg = config.load_config(None, ["grids.n_freq=256", "grids.n_time=96"])
-    density = cli._timedist_compute(cfg, 100e-9, "eit")[1]
-    assert density.shape == (288, 288) and np.all(density > 0.0)
+    # double-double one, whose tie margin is 2^-47, sends none.  Every
+    # map is a density divided by its peak, so its cells lie in [0, 1];
+    # the kernel's fast path covers (0, 1], and these maps hold no zero
+    small = ["grids.n_freq=256", "grids.n_time=96"]
+    maps = {"storage": (small, 100e-9, "eit", 288),
+            "T_p 30 ns": (small, 30e-9, None, 96),
+            "T_p 100 ns": (small, 100e-9, None, 96),
+            "flat_limit": (["grids.n_freq=1024", "grids.n_time=192",
+                            "source.pump_kind=flat_limit"], 100e-9, None, 192)}
     calls = []
     monkeypatch.setattr(g17, "format", lambda v, spec: calls.append(v)
                         or builtins.format(v, spec), raising=False)
-    assert _kernel_text(density) == [format(v, ".17g")
-                                     for v in density.ravel().tolist()]
-    assert calls == []
+    for name, (overrides, tp_s, storage, n_t) in maps.items():
+        cfg = config.load_config(None, overrides)
+        density = cli._timedist_compute(cfg, tp_s, storage)[1]
+        assert density.shape == (n_t, n_t), name
+        assert np.all((density > 0.0) & (density <= 1.0)), name
+        assert _kernel_text(density) == [
+            format(v, ".17g") for v in density.ravel().tolist()], name
+        assert calls == [], name
 
 
 def test_commands_without_a_grid_do_not_import_the_kernel(tmp_path):
