@@ -5,8 +5,7 @@ top.  Names other than the errors are imported on first use (PEP 562),
 so that importing the CLI loads no numpy layer."""
 import importlib
 
-from .errors import (ConfigError, InputError, ModelError, QisimError,
-                     ResolutionError)
+from .errors import InputError, ModelError, QisimError
 
 _EXPORTS = {
     "spectral": "CavityLine FrequencyGrid JointSpectralAmplitude PumpSpectrum"

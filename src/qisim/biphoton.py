@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, ResolutionError
+from .errors import InputError, ModelError
 from .spectral import (SEGMENT, TWO_PI, FrequencyGrid, JointSpectralAmplitude,
                        correlate, row_bands)
 
@@ -69,7 +69,7 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
             "ik,ik,k->i", toeplitz, hankel, w)))
     v = square / trace ** 2
     if v < -1e-9 or v > 1.0 + 1e-9:
-        raise ResolutionError(
+        raise ModelError(
             f"visibility {v!r} is outside [0, 1]; the grid is too coarse")
     return min(max(v, 0.0), 1.0)
 
@@ -119,13 +119,13 @@ def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray) -> None:
     bw = max(_bandwidth_99(jsa.grid, mass) for mass in masses)
     dt_max = TWO_PI / (bw * _SAMPLES_PER_PERIOD)
     if dt > dt_max:
-        raise ResolutionError(
+        raise ModelError(
             f"time step {dt:.3e} s undersamples the occupied bandwidth "
             f"{bw:.3e} rad/s (need <= {dt_max:.3e} s)")
     for axis, mass in enumerate(masses):
         frac = _outer_fraction(mass)
         if frac >= 0.01:
-            raise ResolutionError(
+            raise ModelError(
                 f"{frac:.3%} of spectral mass sits in the outer 10% of "
                 f"the frequency grid (axis {axis}); widen the grid")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError, ModelError
+from .errors import InputError, ModelError
 from .qubit import DECAY_SHAPES, MemoryChannelParams, MemoryDecay
 
 TWO_PI = 2.0 * math.pi
@@ -68,8 +68,8 @@ def _parse_value(key: str, text: str):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {text!r} as "
-                          f"{kind.__name__}") from None
+        raise InputError(f"{key}: cannot parse {text!r} as "
+                         f"{kind.__name__}") from None
 
 
 def canonical_text(cfg: dict) -> str:
@@ -80,36 +80,38 @@ def canonical_text(cfg: dict) -> str:
 def _validate(values: dict) -> None:
     for key, default in DEFAULTS.items():
         if isinstance(default, float) and not math.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+            raise InputError(f"{key} must be finite, got {values[key]!r}")
     for key in _POSITIVE:
         if not values[key] > 0.0:
-            raise ConfigError(f"{key} must be positive, got {values[key]!r}")
+            raise InputError(f"{key} must be positive, got {values[key]!r}")
     for key in _NON_NEGATIVE:
         if values[key] < 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {values[key]!r}")
+            raise InputError(f"{key} must be >= 0, got {values[key]!r}")
     for key in _UNIT_RANGE:
         if not 0.0 <= values[key] <= 1.0:
-            raise ConfigError(f"{key} must be in [0, 1], got {values[key]!r}")
+            raise InputError(f"{key} must be in [0, 1], got {values[key]!r}")
     for key in ("grids.n_freq", "grids.n_time"):
         if values[key] < MIN_GRID_POINTS:
-            raise ConfigError(f"{key} must be at least {MIN_GRID_POINTS}")
+            raise InputError(f"{key} must be at least {MIN_GRID_POINTS}")
     n_freq = values["grids.n_freq"]
+    if n_freq % 2:
+        raise InputError(f"grids.n_freq must be even, got {n_freq}")
     if n_freq > MATERIALIZE_LIMIT ** 2:  # checked before any grid exists
-        raise ConfigError(f"grids.n_freq must be at most "
-                          f"{MATERIALIZE_LIMIT ** 2}, got {n_freq}")
+        raise InputError(f"grids.n_freq must be at most "
+                         f"{MATERIALIZE_LIMIT ** 2}, got {n_freq}")
     if values["source.pump_kind"] not in PUMP_KINDS:
-        raise ConfigError(f"source.pump_kind must be one of {PUMP_KINDS}")
+        raise InputError(f"source.pump_kind must be one of {PUMP_KINDS}")
     if values["eit.decay_shape"] not in DECAY_SHAPES:
-        raise ConfigError(f"eit.decay_shape must be one of {DECAY_SHAPES}")
+        raise InputError(f"eit.decay_shape must be one of {DECAY_SHAPES}")
     if not values["g13.g0"] > 1.0:
-        raise ConfigError("g13.g0 must exceed 1")
+        raise InputError("g13.g0 must exceed 1")
     fmts = _formats_list(values["output.formats"])
     for f in fmts:
         if f not in _FORMATS:
-            raise ConfigError(f"output.formats: unknown format {f!r}; "
-                              f"allowed: {_FORMATS}")
+            raise InputError(f"output.formats: unknown format {f!r}; "
+                             f"allowed: {_FORMATS}")
     if not fmts:
-        raise ConfigError("output.formats must name at least one format")
+        raise InputError("output.formats must name at least one format")
 
 
 def _formats_list(text: str) -> list:
@@ -119,7 +121,7 @@ def _formats_list(text: str) -> list:
 def _apply(values: dict, key: str, raw: str) -> None:
     key = key.strip()
     if key not in DEFAULTS:
-        raise ConfigError(f"unknown config key {key!r}")
+        raise InputError(f"unknown config key {key!r}")
     values[key] = _parse_value(key, raw)
 
 
@@ -132,11 +134,11 @@ def load_config(path: str = None, overrides=()) -> dict:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+            raise InputError(f"cannot read config file: {exc}") from None
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
-            raise ConfigError(f"{path}: not UTF-8 text (byte {bad:#04x}: "
-                              f"{exc.reason})") from None
+            raise InputError(f"{path}: not UTF-8 text (byte {bad:#04x}: "
+                             f"{exc.reason})") from None
         # only \n ends a line: str.splitlines also breaks at \x85, \x0c,
         # U+2028 and others, which would end a comment early
         for ln, line in enumerate(text.split("\n"), start=1):
@@ -144,12 +146,12 @@ def load_config(path: str = None, overrides=()) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+                raise InputError(f"{path}:{ln}: expected 'key = value'")
             key, raw = line.split("=", 1)
             _apply(values, key, raw)
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
+            raise InputError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _apply(values, key, raw)
     _validate(values)

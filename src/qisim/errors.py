@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per refusal exit code."""
 
 
 class QisimError(Exception):
@@ -6,18 +6,11 @@ class QisimError(Exception):
 
 
 class InputError(QisimError):
-    """An argument violates a documented precondition."""
-
-
-class ResolutionError(QisimError):
-    """A grid is too narrow, too coarse, or aliased for the requested
-    computation."""
+    """An argument or the run configuration violates a documented
+    precondition (exit 2)."""
 
 
 class ModelError(QisimError):
-    """The model left its validity regime (no transparency window, zero
-    retrieval probability, classical photon statistics, failed fit)."""
-
-
-class ConfigError(QisimError):
-    """Malformed or inconsistent run configuration."""
+    """The model or its grid cannot answer: a grid too narrow, too coarse
+    or aliased, no transparency window, zero retrieval probability,
+    classical photon statistics, a failed fit (exit 3)."""

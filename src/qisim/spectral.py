@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI
-from .errors import InputError, ResolutionError
+from .errors import InputError, ModelError
 
 # rows per band of the purity sum or of psi: a band and its FFT buffer
 # are a few MB at the storage map's size
@@ -326,14 +326,11 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
     is the identity), which the normalization does not see.
 
     The amplitude is held as its parts (cavity line, pump, scale and
-    filter); no n x n complex matrix exists until it is asked for.  The
-    grid must span at least 8*gamma (and 8*sigma for gaussian pumps); a
-    Lorentzian tail mass above 1% per side raises ResolutionError.
+    filter); no n x n complex matrix exists until it is asked for.  A
+    Lorentzian tail mass above 1% per side (a span under 31.8*gamma)
+    raises ModelError; for gaussian pumps the grid must also span at
+    least 8*sigma.
     """
-    if grid.span < 8.0 * line.gamma:
-        raise InputError(
-            f"grid span {grid.span:.3e} is below 8*gamma = "
-            f"{8.0 * line.gamma:.3e}")
     # the 8 sigma floor also bounds the pump's tail mass by
     # erfc(2 sqrt 2) = 6.3e-5
     if pump.kind == "gaussian" and grid.span < 8.0 * pump.sigma:
@@ -342,7 +339,7 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
             f"{8.0 * pump.sigma:.3e}")
     tail = _lorentz_tail_fraction(grid.span, line.gamma)
     if tail > 0.01:
-        raise ResolutionError(
+        raise ModelError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
     jsa = JointSpectralAmplitude(grid, line, pump)

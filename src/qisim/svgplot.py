@@ -82,13 +82,14 @@ def _linear(lo: float, hi: float, start: float, length: float):
 def _range(values, pad: float) -> tuple:
     """[min, max] of values, widened on each side by pad times its span.
     A one-point range [v, v] gets the span 1, or |v| where 1 is below
-    v's resolution.  A NaN gives [nan, nan], which _linear refuses."""
+    v's resolution.  A NaN gives [nan, nan] and an overflowing span an
+    infinite end, which _linear refuses."""
     lo, hi = min(values), max(values)
     if any(math.isnan(v) for v in values):  # min and max may skip it
         lo = hi = math.nan
     if hi == lo:
         hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
-    margin = pad * (hi - lo)
+    margin = pad * (hi - lo) if pad else 0.0  # not 0 * inf = nan
     return lo - margin, hi + margin
 
 

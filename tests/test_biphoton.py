@@ -9,7 +9,7 @@ import pytest
 
 import qisim as q
 from qisim import biphoton
-from qisim.errors import InputError, ResolutionError
+from qisim.errors import InputError, ModelError
 from qisim.spectral import TWO_PI, JointSpectralAmplitude
 
 import oracles
@@ -231,7 +231,7 @@ def test_undersampled_time_grid_is_rejected():
     # -period bound for this bandwidth (~8.2 ns)
     jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
     coarse = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 64)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ModelError):
         oracles.time_domain(jsa, coarse)
 
 
@@ -241,7 +241,7 @@ def test_aliasing_guard_catches_broadband_input():
     grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
     jsa = JointSpectralAmplitude(grid, q.CavityLine(gamma=1e6 * grid.span),
                                  q.PumpSpectrum(kind="flat_limit"))
-    with pytest.raises(ResolutionError, match="outer 10%"):
+    with pytest.raises(ModelError, match="outer 10%"):
         oracles.time_domain(jsa, oracles.default_time_grid(LINE))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from qisim import biphoton, cli, config, eit, outputs, spectral
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
+from qisim.errors import InputError, ModelError, QisimError
 
 import oracles
 import refvals as rv
@@ -486,20 +487,29 @@ def test_g13_plot_of_a_huge_g0_has_finite_coordinates(tmp_path):
 
 
 def test_g13_axis_beyond_the_float_range_is_refused(tmp_path, capsys):
-    # the padded y range of g0 = 1.7e308 spans more than the largest float
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["g13", "--set", "g13.g0=1.7e308", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == EXIT_MODEL
-    assert err.startswith("qisim: g13_curve.svg: axis range ")
-    assert err.count("\n") == 1
-    assert not (out / "g13_curve.svg").exists()
-    assert not caught, [str(w.message) for w in caught]
+    # the padded y range of g0 = 1.7e308 spans more than the largest
+    # float, and so does the one-point x range of 1e302 s (1e308 us)
+    for flag, value in (("--set", "g13.g0=1.7e308"), ("--times-s", "1e302")):
+        out = tmp_path / flag.strip("-")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["g13", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MODEL
+        assert err.startswith("qisim: g13_curve.svg: axis range ")
+        assert err.count("\n") == 1 and "nan" not in err
+        assert not (out / "g13_curve.svg").exists()
+        assert not caught, [str(w.message) for w in caught]
+    # no plot, no axis to refuse
+    assert main(["g13", "--times-s", "1e303", "--set",
+                 "output.formats=csv,json", "--out",
+                 str(tmp_path / "csv")]) == EXIT_OK
 
 
 def test_config_error_exits_before_writing(tmp_path, capsys):
+    # one refusal class per refusal exit code: InputError exits 2,
+    # ModelError 3
+    assert set(QisimError.__subclasses__()) == {InputError, ModelError}
     out = tmp_path / "out"
     code = main(["eit", "--out", str(out), "--set", "bogus=1"])
     assert code == EXIT_CONFIG

@@ -17,7 +17,7 @@ import pytest
 
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 from qisim.config import load_config
-from qisim.errors import ConfigError
+from qisim.errors import InputError
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -233,7 +233,7 @@ def _file_text(lines, layout):
 def _outcome(load):
     try:
         return load()
-    except ConfigError as exc:
+    except InputError as exc:
         return str(exc)
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 import qisim.config as config
-from qisim.errors import ConfigError
+from qisim.errors import InputError
 from qisim.spectral import TWO_PI
 
 import refvals as rv
@@ -52,14 +52,14 @@ def test_config_file_parsing(tmp_path):
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("eit.od 30\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config.load_config(str(bad))
     # the pump duration and bandwidth are command flags, not config keys
     old = tmp_path / "old.cfg"
     old.write_text("source.T_p_s = 30e-9\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(InputError, match="unknown config key"):
         config.load_config(str(old))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config.load_config(str(tmp_path / "missing.cfg"))
 
 
@@ -72,26 +72,26 @@ def test_config_file_text_forms(tmp_path):
                      "eit.od = 40".encode("utf-8"))
     assert config.load_config(str(path))["eit.od"] == 40.0
     path.write_bytes(b"eit.od = 30 # caf\xe9\n")
-    with pytest.raises(ConfigError, match="run.cfg: not UTF-8 text"):
+    with pytest.raises(InputError, match="run.cfg: not UTF-8 text"):
         config.load_config(str(path))
 
 
 def test_unknown_and_malformed_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config.load_config(overrides=("bogus.key=1",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config.load_config(overrides=("eit.od",))
     # a value is parsed as its key's default's type
-    with pytest.raises(ConfigError,
+    with pytest.raises(InputError,
                        match="^eit.od: cannot parse 'abc' as float$"):
         config.load_config(overrides=("eit.od=abc",))
-    with pytest.raises(ConfigError,
+    with pytest.raises(InputError,
                        match="^grids.n_freq: cannot parse '1.5' as int$"):
         config.load_config(overrides=("grids.n_freq=1.5",))
     # the artifacts' place is --out, not a key
     for removed in ("seed=1", "eit.eta0=0.2", "source.T_p_s=30e-9",
                     "source.sigma_hz=4e6", "output.directory=x"):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(InputError, match="unknown config key"):
             config.load_config(overrides=(removed,))
 
 
@@ -100,6 +100,7 @@ def test_unknown_and_malformed_keys():
     "source.gamma_hz=-5e6",
     "eit.od=-1",
     "grids.n_freq=7",
+    "grids.n_freq=9",
     "grids.n_freq=16777218",
     "g13.g0=1.0",
     "output.formats=csv,png",
@@ -115,7 +116,7 @@ def test_unknown_and_malformed_keys():
 def test_value_range_validation(override):
     # every message names the key it rejects
     key = override.split("=")[0]
-    with pytest.raises(ConfigError, match=re.escape(key)):
+    with pytest.raises(InputError, match=re.escape(key)):
         config.load_config(overrides=(override,))
 
 

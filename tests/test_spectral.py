@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qisim as q
-from qisim.errors import InputError, ResolutionError
+from qisim.errors import InputError, ModelError
 from qisim.spectral import MATERIALIZE_LIMIT, TWO_PI
 
 import oracles
@@ -190,16 +190,17 @@ def test_factored_materialization_cap(line):
         jsa.amplitude
 
 
-def test_span_floor_is_hard_error(line):
+def test_narrow_span_is_refused_by_the_tail_mass_guard(line):
+    # 6*gamma leaves 5.3% in each tail
     grid = q.FrequencyGrid(span=6.0 * rv.GAMMA, n_points=512)
-    with pytest.raises(InputError):
+    with pytest.raises(ModelError, match="tail mass 5.257% per side"):
         q.build_jsa(grid, line, q.PumpSpectrum(kind="flat_limit"))
 
 
 def test_lorentzian_tail_mass_guard(line):
-    # 10*gamma passes the hard floor but leaves ~3% in one tail
+    # 10*gamma still leaves ~3% in one tail
     grid = q.FrequencyGrid(span=10.0 * rv.GAMMA, n_points=512)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ModelError):
         q.build_jsa(grid, line, q.PumpSpectrum(kind="flat_limit"))
 
 

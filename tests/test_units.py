@@ -84,8 +84,6 @@ def _command(name, rates, times, target_hz):
         "eit-fit": ["eit", "--fit-gamma-s", rates(target_hz)],
         "store": ["store", "--storage-times-s", times(0.0, 200e-9, 1e-6)],
         "bell": ["bell", "--storage-times-s", times(0.0, 200e-9, 1e-6)],
-        # g13 refuses times above cli._G13_MAX_TIME_S, an absolute scale;
-        # these stay below it at every drawn k
         "g13": ["g13", "--times-s", times(0.0, 1e-6, 2e-6, 4e-6)],
         # refusals: a time grid too coarse for the pump, a retrieval
         # decayed to nothing, and a window wider than any gamma_s gives
