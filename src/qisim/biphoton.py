@@ -7,7 +7,8 @@ folded into the purity path.
 
 The detection-time amplitude comes in bands or batches of t1 rows from
 chirp-z transforms over segments of the frequency grid, and the only
-n_t x n_t array a command holds is the density; a gaussian pump's
+n_t x n_t array a command holds is the density, which it lets go once
+the CSV is written and before the SVG is drawn; a gaussian pump's
 half-transform is dropped block by block as the density fills.  The
 cavity response r is evaluated segment by segment where it is used, not
 stored, so a flat pump holds no complex vector over the frequency grid.
@@ -41,8 +42,8 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
     H_u = sum_j c2_j Q_(u+2j-2n+2).  Tr S = sum_i a2_i H_2i; ||S||_F^2 is
     summed over row bands of its upper triangle on Toeplitz and Hankel
     views of Q^2 and H^2, out to where Q^2 falls below 1e-300.  p(0) and
-    the scale drop out.  V outside [0, 1] beyond rounding means a too
-    coarse grid.
+    the scale drop out.  ||S||_F^2 <= (Tr S)^2 for the positive
+    semidefinite S, so V lies in [0, 1] up to rounding, which is clamped.
     """
     if jsa.is_factored:
         return 1.0
@@ -67,11 +68,7 @@ def visibility(jsa: JointSpectralAmplitude) -> float:
         w[hi - lo:] *= 2.0  # the columns past the band stand for k < lo too
         square += float(np.einsum("i,i->", a2[rows], np.einsum(
             "ik,ik,k->i", toeplitz, hankel, w)))
-    v = square / trace ** 2
-    if v < -1e-9 or v > 1.0 + 1e-9:
-        raise ModelError(
-            f"visibility {v!r} is outside [0, 1]; the grid is too coarse")
-    return min(max(v, 0.0), 1.0)
+    return min(max(square / trace ** 2, 0.0), 1.0)
 
 
 # --------------------------------------------------------------- time side
@@ -105,8 +102,6 @@ def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray) -> None:
     marginals are its moduli times constants, so the guards see the
     moduli, once if the two are one array (no filter).  The guards read
     the grid by index and build no detunings."""
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise InputError("time grid must be a 1-d array of >= 2 points")
     steps = np.diff(t_grid)
     dt = float(steps[0])
     if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
@@ -293,9 +288,6 @@ def joint_time_distribution(jsa: JointSpectralAmplitude,
     for rows, band in bands:
         out = np.abs(band, out=density[rows])
         out *= out
-    peak = density.max()
-    if not peak > 0.0:
-        raise InputError("density is identically zero")
-    density /= peak
+    density /= density.max()
     return density
 

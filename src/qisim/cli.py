@@ -183,9 +183,15 @@ def cmd_timedist(cfg, writer, tp_s: float, with_storage=None,
     t_ns = t_grid * 1e9
     writer.write_grid_csv(f"{name}.csv", ["t1_ns", "t2_ns", "density"],
                           t_ns, density)
+    if not writer.wants("svg"):
+        return
+    # the heatmap is drawn from the block mean, once the n_t x n_t
+    # density is let go
+    cells = svgplot.block_mean(density)
+    del density
     tag = f", storage: {with_storage}" if with_storage else ""
     writer.write_svg(f"{name}.svg", lambda: svgplot.heatmap(
-        density, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
+        cells, (t_ns[0], t_ns[-1]), "t1 (ns)", "t2 (ns)",
         f"Joint detection-time density (T_p = {tp_s * 1e9:g} ns{tag})"))
 
 
@@ -522,9 +528,6 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"qisim: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except ValueError as exc:
-        print(f"qisim: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         # the output directory cannot be made or written to; no
         # manifest is written

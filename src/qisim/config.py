@@ -8,6 +8,7 @@ visibility numbers and are not recomputed at runtime.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import InputError, ModelError
 from .qubit import DECAY_SHAPES, MemoryChannelParams, MemoryDecay
@@ -60,6 +61,10 @@ _POSITIVE = (
 _NON_NEGATIVE = ("eit.gamma_s_hz", "channel.phase_jitter_rad",
                  "channel.background_b")
 _UNIT_RANGE = ("channel.eta_U", "channel.eta_D", "channel.V_src")
+# rates the physics takes in rad/s, as TWO_PI times the value
+_ANGULAR = ("source.gamma_hz", "eit.rabi_hz", "eit.gamma_ge_hz",
+            "eit.gamma_s_hz")
+_ANGULAR_MAX = sys.float_info.max / TWO_PI
 
 
 def _parse_value(key: str, text: str):
@@ -112,6 +117,11 @@ def _validate(values: dict) -> None:
                              f"allowed: {_FORMATS}")
     if not fmts:
         raise InputError("output.formats must name at least one format")
+    for key in _ANGULAR:
+        if not math.isfinite(TWO_PI * values[key]):
+            raise InputError(f"{key} must be below {_ANGULAR_MAX:.3g} Hz so "
+                             f"that 2*pi*value is finite, got "
+                             f"{values[key]!r}")
 
 
 def _formats_list(text: str) -> list:

@@ -50,22 +50,14 @@ class EitMedium:
     """Lambda-system ensemble parameters.
 
     gamma_ge is the optical coherence decay (half the excited-state
-    linewidth); gamma_s the ground-state coherence decay.
+    linewidth); gamma_s the ground-state coherence decay.  Every value is
+    finite, gamma_s >= 0, rabi_control >= 0 and the rest positive, as
+    config checks the eit keys.
     """
 
     def __init__(self, optical_depth: float, rabi_control: float,
                  gamma_ge: float, gamma_s: float = 0.0,
                  length: float = 4e-3) -> None:
-        if not (optical_depth > 0.0 and math.isfinite(optical_depth)):
-            raise InputError("optical_depth must be positive and finite")
-        if not (rabi_control >= 0.0 and math.isfinite(rabi_control)):
-            raise InputError("rabi_control must be >= 0 and finite")
-        if not (gamma_ge > 0.0 and math.isfinite(gamma_ge)):
-            raise InputError("gamma_ge must be positive and finite")
-        if not (gamma_s >= 0.0 and math.isfinite(gamma_s)):
-            raise InputError("gamma_s must be >= 0 and finite")
-        if not (length > 0.0 and math.isfinite(length)):
-            raise InputError("length must be positive and finite")
         self.optical_depth, self.rabi_control = optical_depth, rabi_control
         self.gamma_ge, self.gamma_s, self.length = gamma_ge, gamma_s, length
 
@@ -84,22 +76,17 @@ def _exponent(delta, medium: EitMedium):
 
 
 def transmission(delta, medium: EitMedium):
-    """Complex amplitude transfer t(delta) of the ensemble: a complex for
-    a Python number, an array for an array.
+    """Complex amplitude transfer t(delta) of the ensemble at finite
+    detunings: a complex for a Python number, an array for an array.
 
     With the control off the expression reduces to a plain absorption
     line, giving |t(0)|^2 = e^-OD on resonance.
     """
     if isinstance(delta, (int, float, complex)):
-        delta = complex(delta)
-        if not cmath.isfinite(delta):
-            raise InputError("detunings must be finite")
         with _in_range("transmission"):
-            return cmath.exp(_exponent(delta, medium))
+            return cmath.exp(_exponent(complex(delta), medium))
     import numpy as np
     delta = np.asarray(delta, dtype=complex)
-    if not np.all(np.isfinite(delta)):
-        raise InputError("detunings must be finite")
     with _in_range("transmission"), np.errstate(
             over="raise", invalid="raise", divide="raise"):
         return np.exp(_exponent(delta, medium))
@@ -158,8 +145,6 @@ def group_delay(medium: EitMedium) -> float:
     It is positive only for gamma_s < rabi / 2; outside that slow-light
     regime a ModelError is raised.
     """
-    if medium.rabi_control <= 0.0:
-        raise InputError("group delay needs a control field (rabi > 0)")
     with _in_range("the group delay"):
         g, k, _ = _scaled(medium)
         den = (g + k) ** 2 * medium.gamma_ge

@@ -73,13 +73,7 @@ class PolarizationState:
     """Pure polarization ket (alpha, beta) over {H, V}, unit norm."""
 
     def __init__(self, jones) -> None:
-        j = tuple(complex(x) for x in jones)
-        if len(j) != 2:
-            raise InputError("jones vector must have exactly 2 components")
-        norm = abs(j[0]) ** 2 + abs(j[1]) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise InputError(f"jones vector norm^2 = {norm!r}, must be 1")
-        self.jones = j
+        self.jones = tuple(complex(x) for x in jones)
 
     def density(self) -> "QubitDensity":
         return QubitDensity(_outer(self.jones))
@@ -128,19 +122,13 @@ class MemoryChannelParams:
     background-to-signal ratio b, admixed as white noise with weight
     p = b / (1 + b) after post-selection.  Loss common to both rails
     cancels in the post-selection, so storage time enters only through
-    the background.
+    the background.  The rails are in [0, 1] and the jitter and the
+    background >= 0, as config checks the channel keys.
     """
 
     def __init__(self, eta_U: float = 1.0, eta_D: float = 1.0,
                  phase_jitter_sigma: float = 0.0,
                  background: float = 0.0) -> None:
-        for name, v in (("eta_U", eta_U), ("eta_D", eta_D)):
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must be in [0, 1]")
-        if phase_jitter_sigma < 0.0:
-            raise InputError("phase_jitter_sigma must be >= 0")
-        if background < 0.0:
-            raise InputError("background must be >= 0")
         self.eta_U, self.eta_D, self.background = eta_U, eta_D, background
         self.phase_jitter_sigma = phase_jitter_sigma
 
@@ -210,8 +198,7 @@ def bell_state() -> TwoQubitDensity:
 
 
 def werner_state(v: float) -> TwoQubitDensity:
-    if not 0.0 <= v <= 1.0:
-        raise InputError("visibility v must be in [0, 1]")
+    """v (in [0, 1]) times the Bell state plus 1 - v of white noise."""
     return TwoQubitDensity(_map(lambda b, w: v * b + (1.0 - v) * w,
                                 bell_state().matrix, _eye(4, 0.25)))
 
@@ -247,15 +234,10 @@ def correlation_curve(rho: TwoQubitDensity, flying_basis: str,
                       theta_sweep) -> list:
     """Coincidence rate vs analyzer angle on the stored arm, with the
     flying arm projected onto H or +; max-normalized."""
-    angle = {"H": 0.0, "plus": math.pi / 4.0}.get(flying_basis)
-    if angle is None:
-        raise InputError("flying_basis must be 'H' or 'plus'")
-    p1 = _projector(angle)
+    p1 = _projector({"H": 0.0, "plus": math.pi / 4.0}[flying_basis])
     vals = [_expectation(rho.matrix, _kron(p1, _projector(th)))
             for th in theta_sweep]
     peak = max(vals)
-    if not peak > 0.0:
-        raise ModelError("coincidence rate vanishes for every angle")
     return [v / peak for v in vals]
 
 
@@ -270,14 +252,11 @@ class MemoryDecay:
     """Retrieval efficiency versus storage time, relative to t = 0.
 
     Only the shape matters: every figure of merit is post-selected on a
-    retrieved photon, so a constant efficiency factor cancels.
+    retrieved photon, so a constant efficiency factor cancels.  tau_mem
+    is positive and shape one of DECAY_SHAPES, as config checks them.
     """
 
     def __init__(self, tau_mem: float, shape: str) -> None:
-        if not tau_mem > 0.0:
-            raise InputError("tau_mem must be positive")
-        if shape not in DECAY_SHAPES:
-            raise InputError(f"shape must be one of {DECAY_SHAPES}")
         self.tau_mem, self.shape = tau_mem, shape
 
     def eta(self, t: float) -> float:
@@ -289,8 +268,6 @@ class MemoryDecay:
 
     def inverse(self, eta: float) -> float:
         """Storage time at which eta(t) has fallen to eta, 0 < eta <= 1."""
-        if not 0.0 < eta <= 1.0:
-            raise InputError("eta must be in (0, 1]")
         x = -math.log(eta)
         return self.tau_mem * (math.sqrt(x) if self.shape == "gaussian"
                                else x)
@@ -300,9 +277,7 @@ class MemoryDecay:
 
 def alpha_quality(g13_value: float) -> float:
     """Heralded-autocorrelation estimate 4/(g13 - 1): 0 for an ideal
-    single photon, 1 at the coherent-state boundary."""
-    if g13_value <= 1.0:
-        raise ModelError("g13 <= 1 is classical; alpha is undefined")
+    single photon, 1 at the coherent-state boundary; g13 > 1."""
     return 4.0 / (g13_value - 1.0)
 
 
@@ -310,18 +285,13 @@ def g13_decay_model(t, g0: float, eta_of_t):
     """Signal coincidences track the retrieval efficiency while the
     accidental floor does not: g13(t) = 1 + (g0 - 1) eta(t), with eta
     normalized to 1 at t = 0."""
-    if not g0 > 1.0:
-        raise InputError("g0 must exceed 1")
     return 1.0 + (g0 - 1.0) * eta_of_t(t)
 
 
 def crossing_time(g0: float, decay, threshold: float) -> float:
     """Time at which g13_decay_model falls to `threshold` for a
-    MemoryDecay `decay`: where eta(t) = (threshold - 1) / (g0 - 1)."""
-    if not threshold > 1.0:
-        raise InputError("threshold must exceed 1")
-    if not g0 > 1.0:
-        raise InputError("g0 must exceed 1")
+    MemoryDecay `decay`: where eta(t) = (threshold - 1) / (g0 - 1), for
+    g0 and threshold above 1."""
     if g0 <= threshold:
         raise ModelError("g13 starts at or below the threshold")
     return decay.inverse((threshold - 1.0) / (g0 - 1.0))

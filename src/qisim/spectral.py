@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import MATERIALIZE_LIMIT, PUMP_KINDS, TWO_PI
+from .config import MATERIALIZE_LIMIT, TWO_PI
 from .errors import InputError, ModelError
 
 # rows per band of the purity sum or of psi: a band and its FFT buffer
@@ -33,14 +33,13 @@ class FrequencyGrid:
     """Uniform symmetric detuning grid.
 
     span is the full width in rad/s; points run from -span/2 to +span/2
-    inclusive, so the spacing is span / (n_points - 1).
+    inclusive, so the spacing is span / (n_points - 1).  n_points is even
+    and at least 8, as config checks grids.n_freq.
     """
 
     def __init__(self, span: float, n_points: int) -> None:
         if not (span > 0.0 and math.isfinite(span)):
             raise InputError(f"grid span must be positive, got {span}")
-        if n_points < 8 or n_points % 2 != 0:
-            raise InputError(f"n_points must be even and >= 8, got {n_points}")
         self.span, self.n_points = span, n_points
 
     @property
@@ -71,11 +70,10 @@ class FrequencyGrid:
 
 
 class CavityLine:
-    """Single cavity resonance; gamma is the full linewidth in rad/s."""
+    """Single cavity resonance; gamma is the full linewidth in rad/s,
+    positive and finite (config checks source.gamma_hz)."""
 
     def __init__(self, gamma: float) -> None:
-        if not (gamma > 0.0 and math.isfinite(gamma)):
-            raise InputError(f"gamma must be positive, got {gamma}")
         self.gamma = gamma
 
 
@@ -87,8 +85,6 @@ class PumpSpectrum:
     """
 
     def __init__(self, kind: str, sigma: float = 0.0) -> None:
-        if kind not in PUMP_KINDS:
-            raise InputError(f"unknown pump kind {kind!r}")
         if kind == "gaussian" and not (
                 _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]):
             raise InputError(
@@ -103,8 +99,6 @@ def cavity_response(delta, line: CavityLine):
     The squared magnitude is a Lorentzian with FWHM equal to line.gamma.
     """
     delta = np.asarray(delta, dtype=float)
-    if not np.all(np.isfinite(delta)):
-        raise InputError("non-finite detuning")
     out = np.add(delta, 0.5j * line.gamma, out=np.empty(delta.shape, complex))
     return np.divide(1.0, out, out=out)  # in place: the one n-point buffer
 
@@ -146,8 +140,6 @@ class JointSpectralAmplitude:
         self.grid, self.line, self.pump = grid, line, pump
         self.scale = float(scale)
         self.f = None if f is None else np.asarray(f, complex)
-        if self.f is not None and self.f.shape != (grid.n_points,):
-            raise InputError("the filter must be sampled on the grid")
 
     # -- views ------------------------------------------------------------
 

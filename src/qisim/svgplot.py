@@ -43,15 +43,16 @@ PALETTE = _build_palette()
 
 def palette_indices(values):
     """PALETTE index of every value in [0, 1], the nearest of the 256
-    levels, half to even; values outside are clamped."""
+    levels, half to even; values outside are clamped.  No value is NaN:
+    the one caller colors a density, which holds none."""
     import numpy as np
     values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        raise ValueError("cannot color a NaN value")
     return np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.intp)
 
 
-def _block_mean(a, limit: int = 128):
+def block_mean(a, limit: int = 128):
+    """The square array a averaged over square blocks, edge-padded, down
+    to at most limit x limit cells; a itself if it is no larger."""
     import numpy as np
     n = a.shape[0]
     if n <= limit:
@@ -140,14 +141,14 @@ def heatmap(values, extent, xlabel: str, ylabel: str, title: str) -> str:
     """Square heatmap of `values` (first axis = y, plotted bottom-up).
 
     extent = (lo, hi) shared by both axes.  Grids above 128x128 are
-    block-averaged down so file size stays bounded.
+    block-averaged down (block_mean) so file size stays bounded.
     """
     import numpy as np
     size, ml, mb, mt, mr = 512.0, 64.0, 48.0, 28.0, 20.0
     lo, hi = float(extent[0]), float(extent[1])
     px = _linear(lo, hi, ml, size)
     py = _linear(lo, hi, mt + size, -size)
-    v = _block_mean(np.asarray(values, dtype=float))
+    v = block_mean(np.asarray(values, dtype=float))
     peak = float(v.max())
     if peak > 0.0:
         v = v / peak

@@ -13,9 +13,16 @@ import time
 import numpy as np
 import pytest
 
-import qisim as q
 from qisim import cli, config
-from qisim.spectral import TWO_PI
+from qisim.biphoton import joint_time_distribution, visibility
+from qisim.eit import (EitMedium, fit_gamma_s, group_delay, transmission,
+                       window_fwhm)
+from qisim.qubit import (MemoryChannelParams, TwoQubitDensity, alpha_quality,
+                         bell_state, chsh_S, correlation_curve, crossing_time,
+                         curve_visibility, memory_channel, six_state_battery,
+                         werner_state)
+from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid, PumpSpectrum,
+                            build_jsa, default_grid, sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
@@ -38,13 +45,13 @@ def spec(cid):
 
 
 def test_c1_visibility_pair():
-    line = q.CavityLine(gamma=rv.GAMMA)
+    line = CavityLine(gamma=rv.GAMMA)
     t0 = time.monotonic()
     vals = []
     for sigma_hz in (12.5e6, 3.7e6):
-        pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
-        jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
-        vals.append(q.visibility(jsa))
+        pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
+        jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
+        vals.append(visibility(jsa))
     elapsed = time.monotonic() - t0
     v_broad, v_narrow = vals
     broad_ok = within("vis_sigma_12p5MHz", v_broad)
@@ -66,11 +73,11 @@ def test_c2_dual_route_visibility():
     for _ in range(5):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        line = q.CavityLine(gamma=gamma)
-        pump = q.PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = q.build_jsa(q.default_grid(line, pump, 32, 40.0),
-                          line, pump)
-        v_purity = q.visibility(jsa)
+        line = CavityLine(gamma=gamma)
+        pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
+        jsa = build_jsa(default_grid(line, pump, 32, 40.0),
+                        line, pump)
+        v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         worst = max(worst, abs(v_purity - v_quad) / v_quad)
     elapsed = time.monotonic() - t0
@@ -83,11 +90,11 @@ def test_c2_dual_route_visibility():
 
 
 def test_c3_time_domain_limits():
-    line = q.CavityLine(gamma=rv.GAMMA)
+    line = CavityLine(gamma=rv.GAMMA)
 
     # flat-pump profile against the closed form
-    grid = q.FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
-    jsa = q.build_jsa(grid, line, q.PumpSpectrum(kind="flat_limit"))
+    grid = FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
+    jsa = build_jsa(grid, line, PumpSpectrum(kind="flat_limit"))
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
     t_grid = 0.5 * (edges[:-1] + edges[1:])
     dt = t_grid[1] - t_grid[0]
@@ -113,13 +120,13 @@ def test_c3_time_domain_limits():
     # continuum within the span's truncation error, about 0.7 / 40 of
     # the peak on the t1 = t2 ridge
     tg = oracles.default_time_grid(line)
-    sigmas = {tp: q.sigma_from_pulse_duration(tp) for tp in (100e-9, 30e-9)}
+    sigmas = {tp: sigma_from_pulse_duration(tp) for tp in (100e-9, 30e-9)}
     dists = {}
     for tp, sigma in sigmas.items():
-        pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
-        jsa_tp = q.build_jsa(q.default_grid(line, pump, 512, 40.0),
-                             line, pump)
-        dists[tp] = q.joint_time_distribution(jsa_tp, tg)
+        pump = PumpSpectrum(kind="gaussian", sigma=sigma)
+        jsa_tp = build_jsa(default_grid(line, pump, 512, 40.0),
+                           line, pump)
+        dists[tp] = joint_time_distribution(jsa_tp, tg)
     r_long, r_short = (oracles.ridge_correlation(tg, dists[tp])
                        for tp in (100e-9, 30e-9))
     continuum = oracles.gaussian_pump_density(tg, line, sigmas[30e-9])
@@ -142,18 +149,18 @@ def test_c3_time_domain_limits():
 
 
 def test_c4_memory_bandwidth_targets():
-    base = q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
-                       gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
-                       length=4e-3)
-    med, _ = q.fit_gamma_s(base, cli.TARGETS["eit_window_fwhm"][0])
-    fwhm = q.window_fwhm(med)
-    tau = q.group_delay(med)
+    base = EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
+                     gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
+                     length=4e-3)
+    med, _ = fit_gamma_s(base, cli.TARGETS["eit_window_fwhm"][0])
+    fwhm = window_fwhm(med)
+    tau = group_delay(med)
     dbp = TWO_PI * fwhm * tau
     v_g = med.length / tau
-    off = q.EitMedium(optical_depth=rv.OD, rabi_control=0.0,
-                      gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
-                      length=4e-3)
-    t_off = abs(q.transmission(0.0, off)) ** 2
+    off = EitMedium(optical_depth=rv.OD, rabi_control=0.0,
+                    gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
+                    length=4e-3)
+    t_off = abs(transmission(0.0, off)) ** 2
 
     subs = [("window (Hz)", "eit_window_fwhm", fwhm),
             ("delay (s)", "eit_group_delay", tau),
@@ -175,7 +182,7 @@ def test_c4_memory_bandwidth_targets():
 
 def test_c5_six_state_fidelities():
     cfg = config.load_config()
-    battery = q.six_state_battery(config.channel_from(cfg, 200e-9))
+    battery = six_state_battery(config.channel_from(cfg, 200e-9))
     worst = max(abs(battery[n] - rv.SIX_REFS[n]) for n in rv.SIX_REFS)
     # the average cmd_store reports: the six states, in their order
     average = sum(battery.values()) / len(battery)
@@ -191,15 +198,15 @@ def test_c5_six_state_fidelities():
 
 
 def test_c6_chsh_behavior():
-    s_ideal = q.chsh_S(q.bell_state())
+    s_ideal = chsh_S(bell_state())
     cfg = config.load_config()
     params = config.channel_from(cfg, 1e-6, balanced=True)
-    stored = q.memory_channel(q.werner_state(cfg["channel.V_src"]), params)
-    s_stored = q.chsh_S(stored)
+    stored = memory_channel(werner_state(cfg["channel.V_src"]), params)
+    s_stored = chsh_S(stored)
     thetas = np.linspace(0.0, math.pi, 181)
-    vis = q.curve_visibility(q.correlation_curve(stored, "plus", thetas))
-    s_sub = max(q.chsh_S(q.werner_state(0.70)),
-                q.chsh_S(q.werner_state(0.60)))
+    vis = curve_visibility(correlation_curve(stored, "plus", thetas))
+    s_sub = max(chsh_S(werner_state(0.70)),
+                chsh_S(werner_state(0.60)))
     ideal_ok = within("bell_ideal_S", s_ideal)
     stored_ok = within("bell_S_1us", s_stored)
     ok = (ideal_ok and stored_ok and abs(vis - 0.81) <= 0.01
@@ -218,10 +225,10 @@ def test_c6_chsh_behavior():
 def test_c7_heralding_quality():
     cfg = config.load_config()
     decay = config.decay_from(cfg)
-    crossing = q.crossing_time(cfg["g13.g0"], decay, threshold=5.0)
-    alpha = q.alpha_quality(5.0)
+    crossing = crossing_time(cfg["g13.g0"], decay, threshold=5.0)
+    alpha = alpha_quality(5.0)
     gs = np.linspace(1.5, 30.0, 50)
-    alphas = [q.alpha_quality(g) for g in gs]
+    alphas = [alpha_quality(g) for g in gs]
     monotone = all(b < a for a, b in zip(alphas, alphas[1:]))
     crossing_ok = within("g13_crossing", crossing)
     ok = crossing_ok and alpha == 1.0 and monotone
@@ -237,12 +244,12 @@ def test_c8_physicality_and_determinism(tmp_path):
     rng = np.random.default_rng(12345)
     bound = rv.S_IDEAL + 1e-9
     tsirelson_ok = all(
-        q.chsh_S(q.TwoQubitDensity(ginibre_density(rng, 4))) <= bound
+        chsh_S(TwoQubitDensity(ginibre_density(rng, 4))) <= bound
         for _ in range(1000))
 
     choi_min = 0.0
     for _ in range(100):
-        params = q.MemoryChannelParams(
+        params = MemoryChannelParams(
             eta_U=rng.uniform(0.05, 1.0),
             eta_D=rng.uniform(0.05, 1.0),
             phase_jitter_sigma=rng.uniform(0.0, 1.5),
@@ -250,9 +257,9 @@ def test_c8_physicality_and_determinism(tmp_path):
         evals = np.linalg.eigvalsh(oracles.channel_choi(params))
         choi_min = min(choi_min, float(evals.min()))
 
-    line = q.CavityLine(gamma=rv.GAMMA)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
+    line = CavityLine(gamma=rv.GAMMA)
+    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
+    jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
     t_grid = oracles.conjugate_time_grid(jsa.grid)
     psi_t = oracles.time_domain(jsa, t_grid)
     parseval = abs(oracles.parseval_ratio(jsa, psi_t, t_grid) - 1.0)

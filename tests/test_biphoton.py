@@ -7,27 +7,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import qisim as q
 from qisim import biphoton
+from qisim.biphoton import joint_time_distribution, visibility
+from qisim.eit import EitMedium, group_delay, transmission
 from qisim.errors import InputError, ModelError
-from qisim.spectral import TWO_PI, JointSpectralAmplitude
+from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
+                            JointSpectralAmplitude, PumpSpectrum, build_jsa,
+                            cavity_response, default_grid,
+                            sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
 
 
-LINE = q.CavityLine(gamma=rv.GAMMA)
+LINE = CavityLine(gamma=rv.GAMMA)
 
 
 def gaussian_jsa(sigma_rad, n_points=512):
-    pump = q.PumpSpectrum(kind="gaussian", sigma=sigma_rad)
-    grid = q.default_grid(LINE, pump, n_points, 40.0)
-    return q.build_jsa(grid, LINE, pump)
+    pump = PumpSpectrum(kind="gaussian", sigma=sigma_rad)
+    grid = default_grid(LINE, pump, n_points, 40.0)
+    return build_jsa(grid, LINE, pump)
 
 
 def flat_jsa(span_factor=40.0, n_points=512):
-    grid = q.FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n_points)
-    return q.build_jsa(grid, LINE, q.PumpSpectrum(kind="flat_limit"))
+    grid = FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n_points)
+    return build_jsa(grid, LINE, PumpSpectrum(kind="flat_limit"))
 
 
 # ------------------------------------------------------------ reduced state
@@ -51,25 +55,25 @@ def test_reduced_state_of_factored_amplitude_is_rank_one():
 # -------------------------------------------------------------- visibility
 
 def test_visibility_frozen_values():
-    assert q.visibility(gaussian_jsa(TWO_PI * 12.5e6)) == pytest.approx(
+    assert visibility(gaussian_jsa(TWO_PI * 12.5e6)) == pytest.approx(
         rv.VIS_SIGMA_12P5, abs=1e-12)
-    assert q.visibility(gaussian_jsa(TWO_PI * 3.7e6)) == pytest.approx(
+    assert visibility(gaussian_jsa(TWO_PI * 3.7e6)) == pytest.approx(
         rv.VIS_SIGMA_3P7, abs=1e-12)
-    assert q.visibility(gaussian_jsa(TWO_PI * 1e9)) == pytest.approx(
+    assert visibility(gaussian_jsa(TWO_PI * 1e9)) == pytest.approx(
         rv.VIS_SIGMA_1GHZ, abs=1e-12)
 
 
 def test_visibility_from_pulse_durations():
-    s30 = q.sigma_from_pulse_duration(30e-9)
-    s100 = q.sigma_from_pulse_duration(100e-9)
-    assert q.visibility(gaussian_jsa(s30)) == pytest.approx(
+    s30 = sigma_from_pulse_duration(30e-9)
+    s100 = sigma_from_pulse_duration(100e-9)
+    assert visibility(gaussian_jsa(s30)) == pytest.approx(
         rv.VIS_TP30, abs=1e-12)
-    assert q.visibility(gaussian_jsa(s100)) == pytest.approx(
+    assert visibility(gaussian_jsa(s100)) == pytest.approx(
         rv.VIS_TP100, abs=1e-12)
 
 
 def test_factored_amplitude_has_unit_visibility():
-    assert q.visibility(flat_jsa()) == 1.0
+    assert visibility(flat_jsa()) == 1.0
 
 
 def test_visibility_matches_independent_quadrature():
@@ -77,11 +81,11 @@ def test_visibility_matches_independent_quadrature():
     for _ in range(2):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        line = q.CavityLine(gamma=gamma)
-        pump = q.PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = q.build_jsa(q.default_grid(line, pump, 32, 40.0),
-                          line, pump)
-        v_purity = q.visibility(jsa)
+        line = CavityLine(gamma=gamma)
+        pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
+        jsa = build_jsa(default_grid(line, pump, 32, 40.0),
+                        line, pump)
+        v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         assert v_purity == pytest.approx(v_quad, rel=1e-6)
 
@@ -96,8 +100,8 @@ def test_quadrature_route_is_capped():
 @pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
 def test_real_kernel_visibility_matches_the_complex_route(sigma_hz, n_points):
     jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=n_points)
-    assert q.visibility(jsa) == pytest.approx(oracles.visibility_complex(jsa),
-                                              rel=1e-14, abs=0.0)
+    assert visibility(jsa) == pytest.approx(oracles.visibility_complex(jsa),
+                                            rel=1e-14, abs=0.0)
 
 
 def test_visibility_never_materializes_the_pumped_amplitude(monkeypatch):
@@ -106,39 +110,39 @@ def test_visibility_never_materializes_the_pumped_amplitude(monkeypatch):
 
     monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
                         property(refuse))
-    v = q.visibility(gaussian_jsa(TWO_PI * 12.5e6))
+    v = visibility(gaussian_jsa(TWO_PI * 12.5e6))
     assert v == pytest.approx(rv.VIS_SIGMA_12P5, abs=1e-12)
 
 
 def filtered_jsa(n_points):
     """A gaussian amplitude behind the storage filter, whose real kernel
     is not symmetric."""
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n_points)
-    return q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n_points)
+    return build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
 
 
 @pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
 def test_visibility_is_scale_free(sigma_hz):
     jsa = gaussian_jsa(TWO_PI * sigma_hz)
-    v = q.visibility(jsa)
+    v = visibility(jsa)
     raw = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump)
     assert raw.l2_mass() != pytest.approx(1.0)
-    assert q.visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
+    assert visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
     # a filtered amplitude against the same one scaled to unit mass
-    filtered = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    filtered = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     unit = JointSpectralAmplitude(
         jsa.grid, LINE, jsa.pump,
         jsa.scale / math.sqrt(filtered.l2_mass()), filtered.f)
     assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
-    assert q.visibility(filtered) == pytest.approx(q.visibility(unit),
-                                                   rel=1e-14, abs=0.0)
+    assert visibility(filtered) == pytest.approx(visibility(unit),
+                                                 rel=1e-14, abs=0.0)
 
 
 def assert_matches_the_dense_kernel(jsa):
     """V to 1e-14 relative, the mass to 1e-14 and each marginal to 1e-13
     of its peak, against the dense real kernel."""
-    assert q.visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
-                                              rel=1e-14, abs=0.0)
+    assert visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
+                                            rel=1e-14, abs=0.0)
     mass, *want = oracles.marginals_dense(jsa)
     assert jsa.l2_mass() == pytest.approx(mass, rel=1e-14, abs=0.0)
     for got, ref in zip(jsa.marginals(), want):
@@ -160,7 +164,7 @@ def test_sums_match_the_dense_kernel_across_pump_widths(sigma_hz, filtered):
     # from a pump narrower than the grid spacing to one that sets the span
     jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=520)
     if filtered:
-        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
     assert_matches_the_dense_kernel(jsa)
 
 
@@ -170,11 +174,11 @@ def test_purity_mass_and_marginals_never_build_the_pump_matrix(monkeypatch):
 
     jsa = filtered_jsa(520)
     monkeypatch.setattr(JointSpectralAmplitude, "column_writer", refuse)
-    assert 0.0 < q.visibility(jsa) < 1.0
+    assert 0.0 < visibility(jsa) < 1.0
     assert 0.0 < jsa.l2_mass() < 1.0
     assert all(np.all(marg >= 0.0) for marg in jsa.marginals())
     # build_jsa's normalization takes the same path
-    assert q.build_jsa(jsa.grid, LINE, jsa.pump).l2_mass() == pytest.approx(
+    assert build_jsa(jsa.grid, LINE, jsa.pump).l2_mass() == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -190,12 +194,12 @@ def traced_peak_mb(fn, *args):
 def test_visibility_memory_budget_at_n_4096():
     # one-dimensional sums over views of 2n - 1 values; no array grows as
     # n^2 (measured: 0.50 MiB traced, where the n x n kernel was 128 MiB)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    grid = q.default_grid(LINE, pump, 4096, 40.0)
+    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
+    grid = default_grid(LINE, pump, 4096, 40.0)
 
     def run():
-        jsa = q.build_jsa(grid, LINE, pump)
-        q.visibility(jsa)
+        jsa = build_jsa(grid, LINE, pump)
+        visibility(jsa)
         jsa.marginals()
 
     assert traced_peak_mb(run) < 1.0
@@ -203,7 +207,7 @@ def test_visibility_memory_budget_at_n_4096():
 
 def test_visibility_monotone_in_pump_to_line_ratio():
     ratios = np.logspace(-1.0, 1.0, 20)
-    vals = [q.visibility(gaussian_jsa(r * rv.GAMMA, n_points=256))
+    vals = [visibility(gaussian_jsa(r * rv.GAMMA, n_points=256))
             for r in ratios]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 0.2
@@ -229,7 +233,7 @@ def test_time_grid_must_be_uniform():
 def test_undersampled_time_grid_is_rejected():
     # 64 points over 24/gamma gives dt ~ 12 ns, above the 4-samples-per
     # -period bound for this bandwidth (~8.2 ns)
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
+    jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9))
     coarse = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 64)
     with pytest.raises(ModelError):
         oracles.time_domain(jsa, coarse)
@@ -238,9 +242,9 @@ def test_undersampled_time_grid_is_rejected():
 def test_aliasing_guard_catches_broadband_input():
     # a cavity far wider than the grid fills it: a tenth of the mass in
     # its outer 10%
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = JointSpectralAmplitude(grid, q.CavityLine(gamma=1e6 * grid.span),
-                                 q.PumpSpectrum(kind="flat_limit"))
+    grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
+    jsa = JointSpectralAmplitude(grid, CavityLine(gamma=1e6 * grid.span),
+                                 PumpSpectrum(kind="flat_limit"))
     with pytest.raises(ModelError, match="outer 10%"):
         oracles.time_domain(jsa, oracles.default_time_grid(LINE))
 
@@ -256,11 +260,11 @@ def test_folded_guards_match_the_sorted_and_masked_sums(n, kind):
     # mask select the same points, summed in another order (measured
     # up to 1.9e-16 relative).
     span = (64000.0 if n > 4098 else 40.0) * rv.GAMMA
-    grid = q.FrequencyGrid(span=span, n_points=n)
+    grid = FrequencyGrid(span=span, n_points=n)
     d = grid.detunings
-    mass = np.abs(q.cavity_response(d, LINE)) ** 2
+    mass = np.abs(cavity_response(d, LINE)) ** 2
     if kind == "eit":
-        mass *= np.abs(q.transmission(d, storage_medium())) ** 2
+        mass *= np.abs(transmission(d, storage_medium())) ** 2
     elif kind == "random":
         mass = np.random.default_rng(n).random(n)
     got = biphoton._bandwidth_99(grid, mass)
@@ -277,7 +281,7 @@ def test_outer_slices_are_the_searchsorted_positions(span_factor):
     # slice of _outer_fraction holds ceil((n - 1) / 20) = (n - 2) // 20 + 1
     # points, where a search of the sorted detunings puts the edges
     for n in [*range(8, 4097, 2), 100002, 262144]:
-        d = q.FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n).detunings
+        d = FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n).detunings
         edge = 0.9 * float(d[-1])
         j = (n - 2) // 20 + 1
         assert int(np.searchsorted(d, -edge)) == j
@@ -328,9 +332,9 @@ def assert_matches_the_explicit_sum(t, grid, vecs):
 def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
     rng = np.random.default_rng(n + m)
     span = 1600.0 * rv.GAMMA if n > 4096 else 40.0 * rv.GAMMA
-    grid = q.FrequencyGrid(span=span, n_points=n)
+    grid = FrequencyGrid(span=span, n_points=n)
     t = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, m)
-    lorentz = q.cavity_response(grid.detunings, LINE)
+    lorentz = cavity_response(grid.detunings, LINE)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert_matches_the_explicit_sum(
         t, grid, [lorentz, noise * abs(lorentz[n // 2])])
@@ -340,10 +344,10 @@ def test_segmented_transform_of_gaussian_columns():
     # three columns of a gaussian amplitude, as the first pass of a
     # gaussian time_domain takes them, whose pump ridge d_j = -d_i sits
     # on the boundary between the two segments
-    pump = q.PumpSpectrum(kind="gaussian",
-                          sigma=q.sigma_from_pulse_duration(30e-9))
+    pump = PumpSpectrum(kind="gaussian",
+                        sigma=sigma_from_pulse_duration(30e-9))
     n = 40000
-    grid = q.default_grid(LINE, pump, n, 40.0)
+    grid = default_grid(LINE, pump, n, 40.0)
     jsa = JointSpectralAmplitude(grid, LINE, pump)
     a = n - 2**15 - 1
     write = jsa.column_writer()
@@ -367,7 +371,7 @@ def test_segmented_transform_of_gaussian_columns():
 def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
     rng = np.random.default_rng(n)
     span = 40.0 * rv.GAMMA * max(1, n // 4096)
-    grid = q.FrequencyGrid(span=span, n_points=n)
+    grid = FrequencyGrid(span=span, n_points=n)
     t = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, m)
     vecs = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     want = oracles.chirp_z_single_shot(t, grid.detunings, vecs, grid.spacing)
@@ -375,14 +379,14 @@ def test_chunked_transform_matches_the_single_shot_chirps(n, m, rows):
 
 
 def storage_medium():
-    return q.EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
-                       gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
-                       length=4e-3)
+    return EitMedium(optical_depth=rv.OD, rabi_control=rv.RABI,
+                     gamma_ge=rv.GAMMA_GE, gamma_s=rv.GAMMA_S_DEFAULT,
+                     length=4e-3)
 
 
 def storage_filter(jsa):
     """The default medium's transmission on jsa's grid detunings."""
-    return q.transmission(jsa.grid.detunings, storage_medium())
+    return transmission(jsa.grid.detunings, storage_medium())
 
 
 @pytest.mark.parametrize("filtered", [False, True])
@@ -392,7 +396,7 @@ def storage_filter(jsa):
 ])
 def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
                                                           filtered):
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(30e-9), n_points=n)
+    jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n)
     if filtered:
         jsa = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump, jsa.scale,
                                      storage_filter(jsa))
@@ -406,7 +410,7 @@ def storage_time_grid():
     """The timedist --with-storage eit grid at the default settings:
     the plain window stretched by two group delays, 3 x 512 points."""
     window = 10.0 / rv.GAMMA
-    hi = 0.8 * window + 2.0 * q.group_delay(storage_medium())
+    hi = 0.8 * window + 2.0 * group_delay(storage_medium())
     return np.linspace(-0.2 * window, hi, 1536)
 
 
@@ -419,9 +423,9 @@ def test_post_storage_memory_budget_at_the_storage_size():
     # (measured: 30.5 MiB traced, 31.5 with a 1 MiB work buffer; 19.6
     # when the blocks were anonymous mappings that tracemalloc does not
     # see)
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
-    peak = traced_peak_mb(q.joint_time_distribution, jsa, storage_time_grid())
+    jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
+    jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    peak = traced_peak_mb(joint_time_distribution, jsa, storage_time_grid())
     assert peak < 48.0
 
 
@@ -432,8 +436,8 @@ def test_time_distribution_memory_budget_at_the_default_size(tp_s):
     # 128 KiB work buffer that A's columns are written into; measured
     # 6.48 and 6.37 MiB, where a 1 MiB buffer fed from 1 MiB bands of
     # 128 columns read 7.54 and 7.43
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(tp_s))
-    peak = traced_peak_mb(q.joint_time_distribution, jsa,
+    jsa = gaussian_jsa(sigma_from_pulse_duration(tp_s))
+    peak = traced_peak_mb(joint_time_distribution, jsa,
                           oracles.default_time_grid(LINE))
     assert peak < 7.0
 
@@ -444,16 +448,16 @@ def test_densities_do_not_depend_on_the_batch_size(monkeypatch,
     # each row's FFT is independent of the batch and each element's
     # products keep their order, so batches of 1, 8 or 64 rows (1, 4 or
     # 32 on the storage map) give the same bits as the default
-    default = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
-    storage = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    storage = q.build_jsa(storage.grid, LINE, storage.pump,
-                          storage_filter(storage))
+    default = gaussian_jsa(sigma_from_pulse_duration(30e-9))
+    storage = gaussian_jsa(sigma_from_pulse_duration(100e-9))
+    storage = build_jsa(storage.grid, LINE, storage.pump,
+                        storage_filter(storage))
     cases = [(default, oracles.default_time_grid(LINE)),
              (storage, storage_time_grid())]
-    want = [q.joint_time_distribution(*case) for case in cases]
+    want = [joint_time_distribution(*case) for case in cases]
     monkeypatch.setattr(biphoton, "_BATCH_VALUES", batch_values)
     for case, density in zip(cases, want):
-        got = q.joint_time_distribution(*case)
+        got = joint_time_distribution(*case)
         assert got.tobytes() == density.tobytes()
 
 
@@ -464,13 +468,13 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
 
     monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
                         property(refuse))
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
     t_grid = oracles.default_time_grid(LINE)
-    density = q.joint_time_distribution(jsa, t_grid)
+    density = joint_time_distribution(jsa, t_grid)
     assert oracles.ridge_correlation(t_grid, density) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
-    density = q.joint_time_distribution(jsa, storage_time_grid())
+    jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    density = joint_time_distribution(jsa, storage_time_grid())
     assert density.max() == 1.0
 
 
@@ -493,7 +497,7 @@ def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
     jsa = flat_jsa(span_factor=span_factor, n_points=n)
     t_grid = c3_time_grid()
     if filtered:
-        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
         t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)
     assert np.array_equal(oracles.time_domain(jsa, t_grid),
                           oracles.factored_time_domain(jsa, t_grid))
@@ -518,14 +522,14 @@ def test_flat_time_distribution_memory_budget_at_c3_size():
     # 2^15 + 512 points beside the 2 MiB density (measured 4.38 MiB),
     # where the guards' 5.0 MiB with the detunings set it at 5.01, and
     # holding r whole (4 MiB) beside those read 9.0
-    grid = q.FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
-    pump = q.PumpSpectrum(kind="flat_limit")
+    grid = FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
+    pump = PumpSpectrum(kind="flat_limit")
 
     def timedist():
-        jsa = q.build_jsa(grid, LINE, pump)
+        jsa = build_jsa(grid, LINE, pump)
         arrays = [v for v in vars(jsa).values() if isinstance(v, np.ndarray)]
         assert not arrays   # no filter: the amplitude holds no vector
-        return q.joint_time_distribution(jsa, c3_time_grid())
+        return joint_time_distribution(jsa, c3_time_grid())
 
     assert traced_peak_mb(timedist) < 4.7
 
@@ -548,19 +552,19 @@ def test_time_distributions_never_build_the_detunings(monkeypatch):
 
     flat = flat_jsa(span_factor=64000.0, n_points=262144)
     filtered = flat_jsa(n_points=4096)
-    filtered = q.build_jsa(filtered.grid, LINE, filtered.pump,
-                           storage_filter(filtered))
-    default = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
-    storage = q.build_jsa(default.grid, LINE, default.pump,
-                          storage_filter(default))
+    filtered = build_jsa(filtered.grid, LINE, filtered.pump,
+                         storage_filter(filtered))
+    default = gaussian_jsa(sigma_from_pulse_duration(100e-9))
+    storage = build_jsa(default.grid, LINE, default.pump,
+                        storage_filter(default))
     cases = [(flat, c3_time_grid()),
              (filtered, np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)),
              (default, oracles.default_time_grid(LINE)),
              (storage, storage_time_grid())]
-    want = [q.joint_time_distribution(*case) for case in cases]
-    monkeypatch.setattr(q.FrequencyGrid, "detunings", property(refuse))
+    want = [joint_time_distribution(*case) for case in cases]
+    monkeypatch.setattr(FrequencyGrid, "detunings", property(refuse))
     for case, density in zip(cases, want):
-        got = q.joint_time_distribution(*case)
+        got = joint_time_distribution(*case)
         assert got.tobytes() == density.tobytes()
 
 
@@ -660,15 +664,15 @@ def test_gaussian_time_density_approaches_the_continuum():
     # The span cuts off the Lorentzian's 1/d tails, and the error they
     # leave on the t1 = t2 ridge falls as 1/span: measured 0.701 / 40 and
     # 0.717 / 80 of the peak at T_p = 30 ns, on grids of one spacing.
-    sigma = q.sigma_from_pulse_duration(30e-9)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
+    sigma = sigma_from_pulse_duration(30e-9)
+    pump = PumpSpectrum(kind="gaussian", sigma=sigma)
     t_grid = oracles.default_time_grid(LINE)
     want = oracles.gaussian_pump_density(t_grid, LINE, sigma)
     errors = []
     for factor, n_points in ((40.0, 512), (80.0, 1024)):
-        grid = q.default_grid(LINE, pump, n_points=n_points,
-                              span_factor=factor)
-        got = q.joint_time_distribution(q.build_jsa(grid, LINE, pump), t_grid)
+        grid = default_grid(LINE, pump, n_points=n_points,
+                            span_factor=factor)
+        got = joint_time_distribution(build_jsa(grid, LINE, pump), t_grid)
         errors.append(np.max(np.abs(got - want)))
         assert errors[-1] < 0.75 / factor
     assert errors[1] < 0.6 * errors[0]
@@ -678,10 +682,10 @@ def test_gaussian_time_density_approaches_the_continuum():
 
 def test_joint_time_distribution_frozen_correlations():
     t_grid = oracles.default_time_grid(LINE)
-    d100 = q.joint_time_distribution(
-        gaussian_jsa(q.sigma_from_pulse_duration(100e-9)), t_grid)
-    d30 = q.joint_time_distribution(
-        gaussian_jsa(q.sigma_from_pulse_duration(30e-9)), t_grid)
+    d100 = joint_time_distribution(
+        gaussian_jsa(sigma_from_pulse_duration(100e-9)), t_grid)
+    d30 = joint_time_distribution(
+        gaussian_jsa(sigma_from_pulse_duration(30e-9)), t_grid)
     assert d100.max() == 1.0
     assert d100.min() >= 0.0
     assert oracles.ridge_correlation(t_grid, d100) == pytest.approx(
@@ -692,11 +696,11 @@ def test_joint_time_distribution_frozen_correlations():
 
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_is_attached_after_the_normalization(kind):
-    pump = q.PumpSpectrum(kind=kind, sigma=q.sigma_from_pulse_duration(100e-9))
-    grid = q.default_grid(LINE, pump, 512, 40.0)
-    plain = q.build_jsa(grid, LINE, pump)
+    pump = PumpSpectrum(kind=kind, sigma=sigma_from_pulse_duration(100e-9))
+    grid = default_grid(LINE, pump, 512, 40.0)
+    plain = build_jsa(grid, LINE, pump)
     f = storage_filter(plain)
-    filtered = q.build_jsa(grid, LINE, pump, f)
+    filtered = build_jsa(grid, LINE, pump, f)
     assert plain.f is None
     assert np.array_equal(filtered.f, f)
     assert filtered.scale == plain.scale
@@ -708,11 +712,11 @@ def test_post_storage_filter_flattens_the_ridge():
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 
     def ridge(jsa, f=None):
-        jsa = q.build_jsa(jsa.grid, LINE, jsa.pump, f)
+        jsa = build_jsa(jsa.grid, LINE, jsa.pump, f)
         return oracles.ridge_correlation(
-            t_grid, q.joint_time_distribution(jsa, t_grid))
+            t_grid, joint_time_distribution(jsa, t_grid))
 
-    jsa100 = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    jsa100 = gaussian_jsa(sigma_from_pulse_duration(100e-9))
     plain100 = ridge(jsa100)
     filt100 = ridge(jsa100, storage_filter(jsa100))
     assert plain100 == pytest.approx(rv.EXT_PEARSON_TP100_UNFILT, abs=1e-9)
@@ -720,7 +724,7 @@ def test_post_storage_filter_flattens_the_ridge():
     # narrowband filtering must erase time ordering, not create it
     assert filt100 < plain100
 
-    jsa30 = gaussian_jsa(q.sigma_from_pulse_duration(30e-9))
+    jsa30 = gaussian_jsa(sigma_from_pulse_duration(30e-9))
     plain30 = ridge(jsa30)
     filt30 = ridge(jsa30, storage_filter(jsa30))
     assert plain30 == pytest.approx(rv.EXT_PEARSON_TP30_UNFILT, abs=1e-9)
@@ -729,12 +733,10 @@ def test_post_storage_filter_flattens_the_ridge():
 
 
 def test_post_storage_accepts_vector_filter():
-    jsa = gaussian_jsa(q.sigma_from_pulse_duration(100e-9))
+    jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
     t_grid = oracles.default_time_grid(LINE)
     ones = np.ones(jsa.grid.n_points)
-    a = q.joint_time_distribution(
-        q.build_jsa(jsa.grid, LINE, jsa.pump, ones), t_grid)
-    b = q.joint_time_distribution(jsa, t_grid)
+    a = joint_time_distribution(
+        build_jsa(jsa.grid, LINE, jsa.pump, ones), t_grid)
+    b = joint_time_distribution(jsa, t_grid)
     assert np.allclose(a, b, atol=1e-12)
-    with pytest.raises(InputError):
-        q.build_jsa(jsa.grid, LINE, jsa.pump, np.ones(7))

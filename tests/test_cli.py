@@ -4,11 +4,12 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
-from qisim import biphoton, cli, config, eit, outputs, spectral
+from qisim import biphoton, cli, config, eit, outputs, spectral, svgplot
 from qisim.cli import (EXIT_CHECKS, EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main)
 from qisim.errors import InputError, ModelError, QisimError
 
@@ -114,6 +115,37 @@ def test_timedist_eit_storage_runs(tmp_path):
     _, rows = oracles.read_csv(str(out / "timedist.csv"))
     # grid is extended past the plain window to hold the delayed peak
     assert len(rows) > 256 * 256
+
+
+def test_timedist_heatmap_comes_after_the_density(tmp_path, monkeypatch):
+    # the storage map's heatmap is drawn from its block mean, once the
+    # n_t x n_t density is let go: on entry to the figure, less memory is
+    # traced than the density alone would hold
+    seen = {}
+    density_of = biphoton.joint_time_distribution
+    heatmap = svgplot.heatmap
+
+    def density(*args):
+        out = density_of(*args)
+        seen["density"] = out.nbytes
+        return out
+
+    def figure(*args):
+        seen["traced"] = tracemalloc.get_traced_memory()[0]
+        return heatmap(*args)
+
+    monkeypatch.setattr(biphoton, "joint_time_distribution", density)
+    monkeypatch.setattr(svgplot, "heatmap", figure)
+    cfg = config.load_config(overrides=(
+        "grids.n_freq=256", "grids.n_time=160", "output.formats=csv,svg"))
+    writer = outputs.OutputWriter(str(tmp_path), config.formats_from(cfg))
+    tracemalloc.start()
+    try:
+        cli.cmd_timedist(cfg, writer, 100e-9, "eit")
+    finally:
+        tracemalloc.stop()
+    assert seen["density"] == 480 * 480 * 8   # three times n_time a side
+    assert seen["traced"] < seen["density"]
 
 
 def test_timedist_undersampled_grid_exits_with_model_code(tmp_path, capsys):
@@ -517,6 +549,183 @@ def test_config_error_exits_before_writing(tmp_path, capsys):
     code = main(["visibility", "--out", str(out), "--set", "eit.od=-5"])
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+_STORAGE = ["timedist", "--with-storage", "eit"]
+_HZ_LINE = ("must be below 2.86e+307 Hz so that 2*pi*value is finite, got "
+            "1e+308")
+
+# One run per refusal in src/: case -> (argv, exit code, the stderr line
+# after "qisim: ").  test_reachability runs them under a line tracer and
+# checks that together with its COMMANDS they reach every raise of
+# InputError and ModelError.
+REFUSALS = {
+    # command-line lists
+    "list-not-a-number": (["visibility", "--sigma-hz", "abc"], EXIT_CONFIG,
+                          "--sigma-hz holds 'abc', which is not a number"),
+    "list-unknown-state": (["store", "--states", "H,Q"], EXIT_CONFIG,
+                           "unknown state 'Q'"),
+    "list-repeated-state": (["store", "--states", "H,V,H"], EXIT_CONFIG,
+                            "--states names 'H' twice"),
+    "list-empty": (["g13", "--times-s", ","], EXIT_CONFIG,
+                   "--times-s needs at least one value"),
+    "sweep-empty": (["visibility", "--sigma-hz="], EXIT_CONFIG,
+                    "--sigma-hz or --tp-s needs at least one value"),
+    "sweep-every-row": (
+        ["visibility", "--sigma-hz", "-1", "--tp-s", "-2"], EXIT_CONFIG,
+        "every visibility sweep row failed; first error: pulse duration "
+        "must be positive, got -2.0"),
+    "sweep-sigma": (
+        ["visibility", "--sigma-hz", "1e-300", "--tp-s="], EXIT_CONFIG,
+        "every visibility sweep row failed; first error: gaussian pump "
+        "needs sigma in [1.5e-154, 9.5e+153] rad/s, got 6.28e-300"),
+    "pulse-duration": (["timedist", "--tp-s", "-1"], EXIT_CONFIG,
+                       "pulse duration must be positive, got -1.0"),
+    "fit-target": (["eit", "--fit-gamma-s", "inf"], EXIT_CONFIG,
+                   "target window must be positive and finite"),
+    # config text and values
+    "set-no-equals": (["eit", "--set", "eit.od"], EXIT_CONFIG,
+                      "--set needs key=value, got 'eit.od'"),
+    "unknown-key": (["eit", "--set", "bogus=1"], EXIT_CONFIG,
+                    "unknown config key 'bogus'"),
+    "unparsed": (["eit", "--set", "eit.od=abc"], EXIT_CONFIG,
+                 "eit.od: cannot parse 'abc' as float"),
+    "file-missing": (
+        ["eit", "--config", "no/such/dir/run.cfg"], EXIT_CONFIG,
+        "cannot read config file: [Errno 2] No such file or directory: "
+        "'no/such/dir/run.cfg'"),
+    "file-not-utf8": (
+        ["eit", "--config", os.path.join(_DATA, "not_utf8.cfg")],
+        EXIT_CONFIG, os.path.join(_DATA, "not_utf8.cfg")
+        + ": not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+    "file-no-equals": (
+        ["eit", "--config", os.path.join(_DATA, "no_equals.cfg")],
+        EXIT_CONFIG,
+        os.path.join(_DATA, "no_equals.cfg") + ":1: expected 'key = value'"),
+    "not-finite": (["visibility", "--set", "source.gamma_hz=inf"],
+                   EXIT_CONFIG, "source.gamma_hz must be finite, got inf"),
+    "not-positive": (["visibility", "--set", "eit.od=-5"], EXIT_CONFIG,
+                     "eit.od must be positive, got -5.0"),
+    "negative": (["store", "--set", "channel.background_b=-0.1"],
+                 EXIT_CONFIG, "channel.background_b must be >= 0, got -0.1"),
+    "unit-range": (["store", "--set", "channel.eta_U=1.5"], EXIT_CONFIG,
+                   "channel.eta_U must be in [0, 1], got 1.5"),
+    "few-points": (["timedist", "--set", "grids.n_time=7"], EXIT_CONFIG,
+                   "grids.n_time must be at least 8"),
+    "odd-points": (["visibility", "--set", "grids.n_freq=9"], EXIT_CONFIG,
+                   "grids.n_freq must be even, got 9"),
+    "many-points": (
+        ["visibility", "--set", "grids.n_freq=100000000000000000000"],
+        EXIT_CONFIG, "grids.n_freq must be at most 16777216, got "
+        "100000000000000000000"),
+    "pump-kind": (["timedist", "--set", "source.pump_kind=delta_limit"],
+                  EXIT_CONFIG, "source.pump_kind must be one of "
+                  "('gaussian', 'flat_limit')"),
+    "decay-shape": (["g13", "--set", "eit.decay_shape=linear"], EXIT_CONFIG,
+                    "eit.decay_shape must be one of ('gaussian', "
+                    "'exponential')"),
+    "g0": (["g13", "--set", "g13.g0=1"], EXIT_CONFIG,
+           "g13.g0 must exceed 1"),
+    "format-unknown": (["g13", "--set", "output.formats=csv,png"],
+                       EXIT_CONFIG, "output.formats: unknown format 'png'; "
+                       "allowed: ('csv', 'json', 'svg')"),
+    "format-none": (["g13", "--set", "output.formats="], EXIT_CONFIG,
+                    "output.formats must name at least one format"),
+    # a rate whose angular value overflows, by its key
+    "hz-source.gamma_hz": (["visibility", "--set", "source.gamma_hz=1e308"],
+                           EXIT_CONFIG, f"source.gamma_hz {_HZ_LINE}"),
+    "hz-eit.rabi_hz": (["eit", "--set", "eit.rabi_hz=1e308"], EXIT_CONFIG,
+                       f"eit.rabi_hz {_HZ_LINE}"),
+    "hz-eit.gamma_ge_hz": (["eit", "--set", "eit.gamma_ge_hz=1e308"],
+                           EXIT_CONFIG, f"eit.gamma_ge_hz {_HZ_LINE}"),
+    "hz-eit.gamma_s_hz": (["eit", "--set", "eit.gamma_s_hz=1e308"],
+                          EXIT_CONFIG, f"eit.gamma_s_hz {_HZ_LINE}"),
+    # grids
+    "time-grid": (["timedist", "--set", "grids.n_time=4097"], EXIT_CONFIG,
+                  "time grid of 4097 points exceeds the materialization "
+                  "limit of 4096; lower grids.n_time"),
+    "half-transform": (
+        ["timedist", "--set", "grids.n_freq=5000", "--set",
+         "grids.n_time=4096"], EXIT_CONFIG,
+        "the half-transform of 5000 frequencies by 4096 times exceeds "
+        "16777216 values; lower grids.n_freq or grids.n_time"),
+    "storage-stretch": (
+        _STORAGE + ["--set", "eit.od=1e5", "--set", "eit.rabi_hz=1e3",
+                    "--set", "eit.gamma_s_hz=0"], EXIT_CONFIG,
+        "the EIT delay 2*tau = 182710 s stretches the 3.1831e-07 s time "
+        "window 5.74e+11-fold; no grids.n_time keeps the time grid within "
+        "the materialization limit of 4096"),
+    "span-overflows": (
+        ["timedist", "--set", "grids.freq_span_factor=1e300", "--tp-s",
+         "1e-12"], EXIT_CONFIG, "grid span must be positive, got inf"),
+    "span-below-8-sigma": (
+        ["timedist", "--set", "grids.freq_span_factor=7", "--tp-s", "1e-12"],
+        EXIT_CONFIG, "grid span 1.648e+13 is below 8*sigma = 1.884e+13"),
+    "tail-mass": (["timedist", "--set", "grids.freq_span_factor=6"],
+                  EXIT_MODEL, "cavity-line tail mass 5.257% per side "
+                  "exceeds 1%; widen the grid"),
+    "mass-underflows": (
+        ["timedist", "--set", "source.gamma_hz=4e297"], EXIT_CONFIG,
+        "the squared modulus of the sampled amplitude underflows below the "
+        "normal float range (cavity linewidth 4e+297 Hz, grid span "
+        "1.6e+299 Hz)"),
+    "time-step": (
+        ["timedist", "--set", "grids.time_span_factor=1e-310"], EXIT_CONFIG,
+        "time grid must be uniform and increasing"),
+    "undersampled": (
+        ["timedist", "--tp-s", "30e-9", "--set", "grids.n_time=32"],
+        EXIT_MODEL, "time step 1.027e-08 s undersamples the occupied "
+        "bandwidth 1.905e+08 rad/s (need <= 8.247e-09 s)"),
+    "outer-mass": (
+        ["timedist", "--set", "source.pump_kind=flat_limit", "--set",
+         "grids.freq_span_factor=33", "--set", "grids.n_freq=8"], EXIT_MODEL,
+        "1.808% of spectral mass sits in the outer 10% of the frequency "
+        "grid (axis 0); widen the grid"),
+    # the EIT medium
+    "out-of-range": (["eit", "--set", "eit.rabi_hz=1e300"], EXIT_MODEL,
+                     "transmission is out of floating-point range for this "
+                     "medium"),
+    "transparency-floor": (
+        ["eit", "--set", "eit.od=1e6"], EXIT_MODEL,
+        "on-resonance transmission 1.54e-314 is below the transparency "
+        "floor 1e-06; there is no window to report"),
+    "no-window": (["eit", "--set", "eit.gamma_ge_hz=1"], EXIT_MODEL,
+                  "no transparency window: transmission never falls to "
+                  "half its on-resonance value"),
+    "fit-unreachable": (
+        ["eit", "--fit-gamma-s", "5.5e6"], EXIT_MODEL,
+        "gamma_s fit: no gamma_s gives a 5.5e+06 Hz window; this medium "
+        "reaches 2.42971e+06 to 2.9531e+06 Hz"),
+    "no-slow-light": (
+        _STORAGE + ["--set", "eit.gamma_s_hz=1e8"], EXIT_MODEL,
+        "group delay -1.17229e-06 s is not positive; the medium is outside "
+        "the slow-light regime gamma_s < rabi/2"),
+    # storage and the qubit layer
+    "storage-time": (["bell", "--storage-times-s=inf"], EXIT_CONFIG,
+                     "storage time must be finite and >= 0"),
+    "background-ratio": (
+        ["store", "--set", "eit.tau_mem_s=7.4e-9"], EXIT_MODEL,
+        "retrieval has decayed to 5.82e-318 at t = 2e-07 s; the background "
+        "ratio is out of range"),
+    "no-retrieval": (["store", "--states", "H", "--set", "channel.eta_D=0"],
+                     EXIT_MODEL, "retrieval probability 0 is zero or "
+                     "subnormal; nothing to post-select"),
+    "g13-threshold": (
+        ["reproduce-all", "--set", "grids.n_freq=128", "--set",
+         "grids.n_time=64", "--set", "output.formats=csv,json", "--set",
+         "g13.g0=4"], EXIT_MODEL, "g13 starts at or below the threshold"),
+    "svg-axis": (["g13", "--set", "g13.g0=1.7e308"], EXIT_MODEL,
+                 "g13_curve.svg: axis range [-8.5e+306, 1.785e+308] has no "
+                 "finite, positive span"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_one_line(tmp_path, capsys, case):
+    argv, code, line = REFUSALS[case]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"qisim: {line}\n"
 
 
 def test_unwritable_output_exits_with_config_code(tmp_path, capsys,

@@ -112,6 +112,15 @@ def test_unknown_and_malformed_keys():
     "channel.background_b=inf",
     "channel.background_b=nan",
     "g13.g0=inf",
+    "channel.eta_U=1.5",
+    "channel.phase_jitter_rad=-1",
+    "channel.background_b=-0.1",
+    "eit.tau_mem_s=0",
+    # a rate whose angular value, 2*pi times it, overflows
+    "source.gamma_hz=1e308",
+    "eit.rabi_hz=1e308",
+    "eit.gamma_ge_hz=1e308",
+    "eit.gamma_s_hz=1e308",
 ])
 def test_value_range_validation(override):
     # every message names the key it rejects

@@ -8,15 +8,16 @@ is not installed.
 import numpy as np
 import pytest
 
-import qisim as q
-from qisim.spectral import TWO_PI
+from qisim.biphoton import visibility
+from qisim.spectral import (TWO_PI, CavityLine, PumpSpectrum, build_jsa,
+                            default_grid)
 
 import oracles
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-LINE = q.CavityLine(gamma=TWO_PI * 5e6)
+LINE = CavityLine(gamma=TWO_PI * 5e6)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -30,17 +31,17 @@ def test_sums_match_the_dense_kernel_on_small_grids(half, log_ratio, zeros,
     # pump sets the span); the filter has random phases and moduli, and
     # about a fraction `zeros` of exact zeros
     n = 2 * half
-    pump = q.PumpSpectrum(kind="gaussian",
-                          sigma=LINE.gamma * 10.0 ** log_ratio)
-    grid = q.default_grid(LINE, pump, n, 40.0)
+    pump = PumpSpectrum(kind="gaussian",
+                        sigma=LINE.gamma * 10.0 ** log_ratio)
+    grid = default_grid(LINE, pump, n, 40.0)
     rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
     f[rng.random(n) < zeros] = 0.0
     f[n // 2] = 1.0  # the line centre passes
-    jsa = q.build_jsa(grid, LINE, pump, f)
+    jsa = build_jsa(grid, LINE, pump, f)
 
-    assert q.visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
-                                              rel=1e-14, abs=0.0)
+    assert visibility(jsa) == pytest.approx(oracles.visibility_dense(jsa),
+                                            rel=1e-14, abs=0.0)
     mass, *want = oracles.marginals_dense(jsa)
     assert jsa.l2_mass() == pytest.approx(mass, rel=1e-14, abs=0.0)
     for got, ref in zip(jsa.marginals(), want):

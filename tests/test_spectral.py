@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-import qisim as q
+from qisim import config, spectral
 from qisim.errors import InputError, ModelError
-from qisim.spectral import MATERIALIZE_LIMIT, TWO_PI
+from qisim.spectral import (MATERIALIZE_LIMIT, TWO_PI, CavityLine,
+                            FrequencyGrid, JointSpectralAmplitude,
+                            PumpSpectrum, build_jsa, cavity_response,
+                            default_grid, sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
@@ -13,11 +16,11 @@ import refvals as rv
 
 @pytest.fixture
 def line():
-    return q.CavityLine(gamma=rv.GAMMA)
+    return CavityLine(gamma=rv.GAMMA)
 
 
 def test_grid_spacing_and_endpoints():
-    grid = q.FrequencyGrid(span=10.0, n_points=10)
+    grid = FrequencyGrid(span=10.0, n_points=10)
     assert grid.spacing == pytest.approx(10.0 / 9.0, rel=1e-15)
     d = grid.detunings
     assert len(d) == 10
@@ -34,13 +37,13 @@ def test_grid_spacing_and_endpoints():
     (5e-322, 1000),                 # a step that underflows to 0
 ])
 def test_detunings_on_a_range_are_linspace_bit_for_bit(line, span, n):
-    grid = q.FrequencyGrid(span=span, n_points=n)
+    grid = FrequencyGrid(span=span, n_points=n)
     whole = np.linspace(-span / 2.0, span / 2.0, n)
     assert grid.detunings.tobytes() == whole.tobytes()
-    jsa = q.JointSpectralAmplitude(grid, line,
-                                   q.PumpSpectrum(kind="flat_limit"))
-    r = q.cavity_response(whole, line)
-    seg = q.spectral.SEGMENT
+    jsa = JointSpectralAmplitude(grid, line,
+                                 PumpSpectrum(kind="flat_limit"))
+    r = cavity_response(whole, line)
+    seg = spectral.SEGMENT
     for lo, hi in [(k, min(k + seg, n)) for k in range(0, n, seg)] + [
             (0, n), (n - 1, n), (3, 7), (5, 5)]:
         assert grid.detunings_on(lo, hi).tobytes() == whole[lo:hi].tobytes()
@@ -50,35 +53,43 @@ def test_detunings_on_a_range_are_linspace_bit_for_bit(line, span, n):
 @pytest.mark.parametrize("span,n", [(0.0, 64), (-1.0, 64), (10.0, 7),
                                     (10.0, 4), (10.0, 63)])
 def test_grid_rejects_bad_parameters(span, n):
+    # a span is refused by the grid, where span_factor * gamma can
+    # overflow; the point count once, by config
     with pytest.raises(InputError):
-        q.FrequencyGrid(span=span, n_points=n)
+        if span > 0.0:
+            config.load_config(overrides=(f"grids.n_freq={n}",))
+        else:
+            FrequencyGrid(span=span, n_points=n)
 
 
 def test_cavity_line_requires_positive_width():
-    with pytest.raises(InputError):
-        q.CavityLine(gamma=0.0)
-    with pytest.raises(InputError):
-        q.CavityLine(gamma=-1.0)
+    # a command builds its CavityLine only from a loaded config, which
+    # refuses a width that is not positive or whose 2*pi*value overflows
+    for hz in ("0", "-1", "1e308"):
+        with pytest.raises(InputError, match="source.gamma_hz"):
+            config.load_config(overrides=(f"source.gamma_hz={hz}",))
+    built = config.line_from(config.load_config())
+    assert built.gamma == TWO_PI * config.DEFAULTS["source.gamma_hz"]
 
 
 def test_cavity_response_formula(line):
     d = np.linspace(-3.0 * rv.GAMMA, 3.0 * rv.GAMMA, 101)
     expect = 1.0 / (d + 0.5j * rv.GAMMA)
-    got = q.cavity_response(d, line)
+    got = cavity_response(d, line)
     assert np.array_equal(got, expect)
 
 
 def pump_table(grid, pump):
     """The package's pump on the index sums of grid."""
-    return q.JointSpectralAmplitude(grid, q.CavityLine(gamma=rv.GAMMA),
-                                    pump).pump_table()
+    return JointSpectralAmplitude(grid, CavityLine(gamma=rv.GAMMA),
+                                  pump).pump_table()
 
 
 def test_pump_gaussian_is_unit_area():
     sigma = TWO_PI * 4e6
-    pump = q.PumpSpectrum(kind="gaussian", sigma=sigma)
+    pump = PumpSpectrum(kind="gaussian", sigma=sigma)
     # index sums from -12 sigma to 12 sigma in 20002 steps
-    grid = q.FrequencyGrid(span=12.0 * sigma, n_points=10002)
+    grid = FrequencyGrid(span=12.0 * sigma, n_points=10002)
     table = pump_table(grid, pump)
     assert table.shape == (20003,)
     assert np.sum(table) * grid.spacing == pytest.approx(1.0, rel=1e-9)
@@ -88,37 +99,35 @@ def test_pump_gaussian_is_unit_area():
 
 
 def test_pump_flat_and_delta_kinds():
-    grid = q.FrequencyGrid(span=2.0, n_points=10)
-    flat = pump_table(grid, q.PumpSpectrum(kind="flat_limit"))
+    grid = FrequencyGrid(span=2.0, n_points=10)
+    flat = pump_table(grid, PumpSpectrum(kind="flat_limit"))
     assert np.array_equal(flat, np.ones(19))
-    # a continuous (delta) pump has no samples on a grid: not a kind
-    for kind in ("delta_limit", "boxcar"):
-        with pytest.raises(InputError, match="unknown pump kind"):
-            q.PumpSpectrum(kind=kind)
+    # a continuous (delta) pump has no samples on a grid: config refuses
+    # the kind (source.pump_kind)
 
 
 def test_sigma_from_pulse_duration_frozen():
-    assert q.sigma_from_pulse_duration(30e-9) / TWO_PI == pytest.approx(
+    assert sigma_from_pulse_duration(30e-9) / TWO_PI == pytest.approx(
         rv.SIGMA_HZ_TP30, rel=1e-12)
-    assert q.sigma_from_pulse_duration(100e-9) / TWO_PI == pytest.approx(
+    assert sigma_from_pulse_duration(100e-9) / TWO_PI == pytest.approx(
         rv.SIGMA_HZ_TP100, rel=1e-12)
     with pytest.raises(InputError):
-        q.sigma_from_pulse_duration(0.0)
+        sigma_from_pulse_duration(0.0)
 
 
 def test_default_grid_span_tracks_widest_scale(line):
-    narrow = q.PumpSpectrum(kind="gaussian", sigma=0.1 * rv.GAMMA)
-    wide = q.PumpSpectrum(kind="gaussian", sigma=5.0 * rv.GAMMA)
-    g1 = q.default_grid(line, narrow, 512, 40.0)
-    g2 = q.default_grid(line, wide, 512, 40.0)
+    narrow = PumpSpectrum(kind="gaussian", sigma=0.1 * rv.GAMMA)
+    wide = PumpSpectrum(kind="gaussian", sigma=5.0 * rv.GAMMA)
+    g1 = default_grid(line, narrow, 512, 40.0)
+    g2 = default_grid(line, wide, 512, 40.0)
     assert g1.span == pytest.approx(40.0 * rv.GAMMA, rel=1e-15)
     assert g2.span == pytest.approx(200.0 * rv.GAMMA, rel=1e-15)
     assert g1.n_points == 512
 
 
 def test_gaussian_jsa_is_symmetric_and_normalized(line):
-    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
+    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
+    jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
     assert not jsa.is_factored
     a = jsa.amplitude
     # symmetric up to multiplication order in the three-factor product
@@ -127,10 +136,10 @@ def test_gaussian_jsa_is_symmetric_and_normalized(line):
 
 
 def test_pumped_form_agrees_with_its_materialized_amplitude(line):
-    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    grid = q.default_grid(line, pump, 256, 40.0)
-    jsa = q.build_jsa(grid, line, pump)
-    r = q.cavity_response(grid.detunings, line)
+    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
+    grid = default_grid(line, pump, 256, 40.0)
+    jsa = build_jsa(grid, line, pump)
+    r = cavity_response(grid.detunings, line)
     # the pump on the index sums (i + j - (n - 1)) dd
     idx = np.arange(grid.n_points)
     raw = np.outer(r, r) * oracles.pump_amplitude(
@@ -148,11 +157,11 @@ def test_pumped_form_agrees_with_its_materialized_amplitude(line):
 
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_multiplies_the_signal_rows(line, kind):
-    pump = q.PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
-    grid = q.default_grid(line, pump, 256, 40.0)
-    jsa = q.build_jsa(grid, line, pump)
+    pump = PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
+    grid = default_grid(line, pump, 256, 40.0)
+    jsa = build_jsa(grid, line, pump)
     f = np.exp(1j * np.linspace(0.0, 3.0, 256)) * np.linspace(0.2, 1.0, 256)
-    filtered = q.build_jsa(grid, line, pump, f)
+    filtered = build_jsa(grid, line, pump, f)
     assert filtered.is_factored == (kind == "flat_limit")
     a, want = filtered.amplitude, jsa.amplitude * f[:, None]
     # a flat pump filters its factor; a gaussian multiplies f in after the
@@ -168,22 +177,22 @@ def test_filter_multiplies_the_signal_rows(line, kind):
 
 
 def test_flat_jsa_is_factored_and_normalized(line):
-    pump = q.PumpSpectrum(kind="flat_limit")
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = q.build_jsa(grid, line, pump)
+    pump = PumpSpectrum(kind="flat_limit")
+    grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
+    jsa = build_jsa(grid, line, pump)
     assert jsa.is_factored
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-12)
     u, v = jsa.factors
-    resp = q.cavity_response(grid.detunings, line)
+    resp = cavity_response(grid.detunings, line)
     # both factors proportional to the cavity line
     assert np.allclose(u / u[0], resp / resp[0], rtol=1e-12)
     assert np.allclose(v / v[0], resp / resp[0], rtol=1e-12)
 
 
 def test_factored_materialization_cap(line):
-    pump = q.PumpSpectrum(kind="flat_limit")
-    grid = q.FrequencyGrid(span=400.0 * rv.GAMMA, n_points=8192)
-    jsa = q.build_jsa(grid, line, pump)
+    pump = PumpSpectrum(kind="flat_limit")
+    grid = FrequencyGrid(span=400.0 * rv.GAMMA, n_points=8192)
+    jsa = build_jsa(grid, line, pump)
     assert jsa.n_points > MATERIALIZE_LIMIT
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(InputError):
@@ -192,35 +201,35 @@ def test_factored_materialization_cap(line):
 
 def test_narrow_span_is_refused_by_the_tail_mass_guard(line):
     # 6*gamma leaves 5.3% in each tail
-    grid = q.FrequencyGrid(span=6.0 * rv.GAMMA, n_points=512)
+    grid = FrequencyGrid(span=6.0 * rv.GAMMA, n_points=512)
     with pytest.raises(ModelError, match="tail mass 5.257% per side"):
-        q.build_jsa(grid, line, q.PumpSpectrum(kind="flat_limit"))
+        build_jsa(grid, line, PumpSpectrum(kind="flat_limit"))
 
 
 def test_lorentzian_tail_mass_guard(line):
     # 10*gamma still leaves ~3% in one tail
-    grid = q.FrequencyGrid(span=10.0 * rv.GAMMA, n_points=512)
+    grid = FrequencyGrid(span=10.0 * rv.GAMMA, n_points=512)
     with pytest.raises(ModelError):
-        q.build_jsa(grid, line, q.PumpSpectrum(kind="flat_limit"))
+        build_jsa(grid, line, PumpSpectrum(kind="flat_limit"))
 
 
 def test_wide_gaussian_pump_hits_span_floor(line):
     # span is only 2 sigma here, well under the 8 sigma floor, which
     # trips before any tail-mass estimate is attempted
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=20.0 * rv.GAMMA)
+    grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
+    pump = PumpSpectrum(kind="gaussian", sigma=20.0 * rv.GAMMA)
     with pytest.raises(InputError):
-        q.build_jsa(grid, line, pump)
+        build_jsa(grid, line, pump)
 
 
 def test_axis_marginals_integrate_to_total_mass(line):
-    pump = q.PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    jsa = q.build_jsa(q.default_grid(line, pump, 512, 40.0), line, pump)
+    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
+    jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
     dd = jsa.grid.spacing
     for marg in jsa.marginals():
         assert np.sum(marg) * dd == pytest.approx(jsa.l2_mass(), rel=1e-12)
-    flat = q.build_jsa(q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=256),
-                       line, q.PumpSpectrum(kind="flat_limit"))
+    flat = build_jsa(FrequencyGrid(span=40.0 * rv.GAMMA, n_points=256),
+                     line, PumpSpectrum(kind="flat_limit"))
     for marg in flat.marginals():
         assert np.sum(marg) * flat.grid.spacing == pytest.approx(
             1.0, rel=1e-12)
@@ -230,9 +239,9 @@ def test_axis_marginals_integrate_to_total_mass(line):
 def test_mass_is_exact_where_the_marginal_entries_are_subnormal(gamma):
     # the unscaled marginal entries are about 1e-319 here, although the
     # mass, dd times their sum, is a normal float
-    line = q.CavityLine(gamma=gamma)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=4.3e49)
-    jsa = q.build_jsa(q.default_grid(line, pump, 8, 40.0), line, pump)
+    line = CavityLine(gamma=gamma)
+    pump = PumpSpectrum(kind="gaussian", sigma=4.3e49)
+    jsa = build_jsa(default_grid(line, pump, 8, 40.0), line, pump)
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
@@ -244,11 +253,11 @@ def test_mass_is_unit_over_the_accepted_widths(kind):
     accepted = 0
     for gamma in TWO_PI * np.geomspace(1e-3, 1e300, 31):
         for sigma in sigmas if kind == "gaussian" else [0.0]:
-            line = q.CavityLine(gamma=gamma)
-            pump = q.PumpSpectrum(kind=kind, sigma=sigma)
+            line = CavityLine(gamma=gamma)
+            pump = PumpSpectrum(kind=kind, sigma=sigma)
             try:
-                jsa = q.build_jsa(q.default_grid(line, pump, 8, 40.0),
-                                  line, pump)
+                jsa = build_jsa(default_grid(line, pump, 8, 40.0),
+                                line, pump)
             except InputError:
                 continue
             accepted += 1
@@ -258,16 +267,7 @@ def test_mass_is_unit_over_the_accepted_widths(kind):
 
 def test_overflowing_mass_is_an_input_error():
     # a pump far narrower than a very narrow line: p(0)^2 alone is 1e306
-    line = q.CavityLine(gamma=TWO_PI * 1e-3)
-    pump = q.PumpSpectrum(kind="gaussian", sigma=1.5e-154)
+    line = CavityLine(gamma=TWO_PI * 1e-3)
+    pump = PumpSpectrum(kind="gaussian", sigma=1.5e-154)
     with pytest.raises(InputError, match="amplitude overflows"):
-        q.build_jsa(q.default_grid(line, pump, 8, 40.0), line, pump)
-
-
-def test_amplitude_parts_must_match_the_grid(line):
-    grid = q.FrequencyGrid(span=40.0 * rv.GAMMA, n_points=64)
-    flat = q.PumpSpectrum(kind="flat_limit")
-    with pytest.raises(InputError):
-        q.JointSpectralAmplitude(grid, line, flat, f=np.ones(32))
-    with pytest.raises(InputError):
-        q.JointSpectralAmplitude(grid, line, flat, f=np.ones((64, 1)))
+        build_jsa(default_grid(line, pump, 8, 40.0), line, pump)
