@@ -20,7 +20,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, ModelError
+from .errors import ModelError
 from .spectral import (SEGMENT, TWO_PI, FrequencyGrid, JointSpectralAmplitude,
                        correlate, row_bands)
 
@@ -95,17 +95,14 @@ def _outer_fraction(mass: np.ndarray) -> float:
 
 
 def _check_grids(jsa: JointSpectralAmplitude, t_grid: np.ndarray) -> None:
-    """Check that the 1-d array t_grid is uniform and increasing, samples
-    the 99% bandwidth of each marginal of jsa at least _SAMPLES_PER_PERIOD
-    times per period, and that less than 1% of each marginal's mass lies
-    in the outer 10% of the frequency grid.  A factored amplitude's
-    marginals are its moduli times constants, so the guards see the
-    moduli, once if the two are one array (no filter).  The guards read
-    the grid by index and build no detunings."""
-    steps = np.diff(t_grid)
-    dt = float(steps[0])
-    if dt <= 0.0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise InputError("time grid must be uniform and increasing")
+    """Check that the uniform, increasing 1-d array t_grid samples the 99%
+    bandwidth of each marginal of jsa at least _SAMPLES_PER_PERIOD times
+    per period, and that less than 1% of each marginal's mass lies in the
+    outer 10% of the frequency grid.  A factored amplitude's marginals are
+    its moduli times constants, so the guards see the moduli, once if the
+    two are one array (no filter).  The guards read the grid by index and
+    build no detunings."""
+    dt = float(t_grid[1] - t_grid[0])
     if jsa.is_factored:
         a2, c2, _ = jsa.moduli()
         masses = (a2,) if a2 is c2 else (a2, c2)
@@ -178,7 +175,8 @@ def _transform_batches(t_grid: np.ndarray, grid: FrequencyGrid, blocks):
     accumulator; a single segment needs none, and its batch is a view
     into the one work buffer, which the next batch overwrites.  A block
     is let go when the next is taken.  dt is taken from the end points
-    of t_grid, which the caller has checked to be uniform.
+    of t_grid, which must be uniform: the timedist command builds it with
+    np.linspace over a window it has checked to be a finite, normal float.
     """
     m, n, spacing = t_grid.size, grid.n_points, grid.spacing
     seg = min(n, SEGMENT)

@@ -25,39 +25,8 @@ EXIT_CHECKS = 4
 # (Hz) and durations (s), timedist taking the last; storage times (s)
 _SIGMAS_HZ = (12.5e6, 3.7e6, 1e9)
 _TPS_S = (30e-9, 100e-9)
-_STORE_TIMES_S = (200e-9,)
-_BELL_TIMES_S = (0.0, 200e-9, 1e-6)
-_G13_THRESHOLD = 5.0
-
-
-def targets(od: float) -> dict:
-    """Reference targets of the reproduce-all checks, in the order
-    checks.json lists them: check id -> (target, tolerance, relative).
-
-    Every target is one of the paper's numbers except the control-off
-    floor, which is Beer-Lambert's exp(-OD) for the configured medium.
-    """
-    return {
-        "vis_sigma_12p5MHz": (0.97, 0.01, False),
-        "vis_sigma_3p7MHz": (0.80, 0.02, False),
-        "eit_window_fwhm": (5.5e6, 0.10, True),
-        "eit_group_delay": (200e-9, 0.10, True),
-        "eit_dbp": (7.0, 0.15, True),
-        "eit_vg": (2e4, 0.10, True),
-        "eit_control_off_transmission": (math.exp(-od), 1e-6, True),
-        "six_state_each": (0.0, 0.04, False),
-        "six_state_average": (0.924, 0.03, False),
-        "bell_ideal_S": (2.0 * math.sqrt(2.0), 1e-9, False),
-        "bell_S_1us": (2.28, 0.17, False),
-        "g13_crossing": (2e-6, 0.10, True),
-    }
-
-
-# the targets at the default medium
-TARGETS = targets(config.DEFAULTS["eit.od"])
-# per-state fidelities at 200 ns; six_state_each is the worst deviation
-STATE_FIDELITY_REFS = {"H": 0.954, "V": 0.989, "plus": 0.909,
-                       "minus": 0.889, "R": 0.920, "L": 0.881}
+_STORE_TIMES_S = (config.STORE_TIME_S,)
+_BELL_TIMES_S = (0.0, config.STORE_TIME_S, config.FRINGE_TIME_S)
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
@@ -146,6 +115,13 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
     window = cfg["grids.time_span_factor"] / line.gamma
     lo, hi = -0.2 * window, 0.8 * window
     n_t = cfg["grids.n_time"]
+    # np.linspace would warn on an infinite end; a subnormal window has
+    # too few significant bits to space the grid evenly
+    if not sys.float_info.min <= hi - lo < math.inf:
+        raise InputError(
+            f"the time window grids.time_span_factor / (2*pi*"
+            f"source.gamma_hz) = {window:.6g} s is not a finite, normal "
+            "float")
     if with_storage == "eit":
         from . import eit
         medium = config.medium_from(cfg)
@@ -332,12 +308,12 @@ def cmd_g13(cfg, writer, times_s) -> dict:
         rows.append((t, g, alpha))
     writer.write_csv("g13.csv", ["t_s", "g13", "alpha"], rows)
     try:
-        crossing = qubit.crossing_time(g0, decay, _G13_THRESHOLD)
+        crossing = qubit.crossing_time(g0, decay, config.G13_THRESHOLD)
     except ModelError:
         crossing = None
     report = {
         "g0": g0,
-        "threshold": _G13_THRESHOLD,
+        "threshold": config.G13_THRESHOLD,
         "crossing_time_s": crossing,
         "alpha_at_threshold": 1.0,
     }
@@ -345,13 +321,13 @@ def cmd_g13(cfg, writer, times_s) -> dict:
     writer.write_svg("g13_curve.svg", lambda: svgplot.curve(
         [t * 1e6 for t in times_s],
         [("g13", [r[1] for r in rows]),
-         ("threshold", [_G13_THRESHOLD] * len(rows))],
+         ("threshold", [config.G13_THRESHOLD] * len(rows))],
         "storage time (us)", "cross-correlation g13",
         "Pair cross-correlation vs storage time"))
     return report
 
 
-def _check(cid, value, target, tol, relative):
+def _check(cid, value, target, tol, relative, basis):
     err = abs(value - target)
     bound = tol * abs(target) if relative else tol
     return {
@@ -360,13 +336,15 @@ def _check(cid, value, target, tol, relative):
         "target": target,
         "tolerance": bound,
         "relative": relative,
+        "basis": basis,
         "passed": bool(err <= bound),
     }
 
 
 def cmd_reproduce_all(cfg, writer) -> dict:
     """Run every command, then check the numbers they returned (and the
-    two no command computes) against targets(eit.od)."""
+    two no command computes) against config.CHECKS, whose control-off
+    floor is exp(-eit.od)."""
     from . import eit
     vis = cmd_visibility(cfg, writer, _SIGMAS_HZ, _TPS_S)
     for tp_s in reversed(_TPS_S):
@@ -385,9 +363,8 @@ def cmd_reproduce_all(cfg, writer) -> dict:
     values = {"vis_sigma_12p5MHz": visibility_at(_SIGMAS_HZ[0]),
               "vis_sigma_3p7MHz": visibility_at(_SIGMAS_HZ[1])}
 
-    table = targets(cfg["eit.od"])
     fitted, _ = eit.fit_gamma_s(config.medium_from(cfg),
-                                table["eit_window_fwhm"][0])
+                                config.CHECKS["eit_window_fwhm"][0])
     (values["eit_window_fwhm"], values["eit_group_delay"], values["eit_dbp"],
      values["eit_vg"]) = _eit_figures(fitted)
     values["eit_control_off_transmission"] = (
@@ -395,19 +372,23 @@ def cmd_reproduce_all(cfg, writer) -> dict:
 
     fids = store["results"][0]["fidelities"]
     values["six_state_each"] = max(abs(fids[n] - ref) for n, ref
-                                   in STATE_FIDELITY_REFS.items())
+                                   in config.FIDELITIES.items())
     values["six_state_average"] = fids["average"]
 
     values["bell_ideal_S"] = qubit.chsh_S(qubit.bell_state())
     values["bell_S_1us"] = bell["rows"][-1]["S"]
+    values["fringe_visibility_1us"] = bell["curve"]["visibility_plus"]
 
     if g13["crossing_time_s"] is None:
         # recomputed to raise the error cmd_g13 recorded as null
         qubit.crossing_time(cfg["g13.g0"], config.decay_from(cfg),
-                            _G13_THRESHOLD)
+                            config.G13_THRESHOLD)
     values["g13_crossing"] = g13["crossing_time_s"]
 
-    checks = [_check(cid, values[cid], *table[cid]) for cid in table]
+    floor = math.exp(-cfg["eit.od"])
+    checks = [_check(cid, values[cid], floor if target is None else target,
+                     *rest)
+              for cid, (target, *rest) in config.CHECKS.items()]
     failed = [c["id"] for c in checks if not c["passed"]]
     report = {"checks": checks, "failed": failed}
     writer.write_json("checks.json", report)

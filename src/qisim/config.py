@@ -1,9 +1,10 @@
-"""Run configuration: flat dotted-key text files plus overrides.
+"""Run configuration: flat dotted-key text files plus overrides, and the
+paper's numbers that reproduce-all checks.
 
 All frequencies in config files are ordinary frequency (Hz); they are
-converted to angular units where the physics modules need them.  The
-channel defaults were fitted once against the reference fidelity/
-visibility numbers and are not recomputed at runtime.
+converted to angular units where the physics modules need them.  Four
+defaults are calibrated: they are computed at import, in closed form,
+from the paper's numbers (see _calibrated).
 """
 from __future__ import annotations
 
@@ -27,9 +28,71 @@ PUMP_KINDS = ("gaussian", "flat_limit")
 
 _FORMATS = ("csv", "json", "svg")
 
+# ------------------------------------------------------ the paper's numbers
+#
+# Each is kept here once.  CHECKS holds reproduce-all's checks in the
+# order checks.json lists them: id -> (target, tolerance, relative,
+# basis).  The basis says what decides a check: "predicted", the model
+# from inputs not fitted to it; "calibrated", a target that a default
+# below is computed from; "fit_residual", what the calibration to the
+# six fidelities leaves; "identity", a value that holds by construction.
+# The control-off floor's target is None: it is Beer-Lambert's exp(-OD)
+# of the configured medium.
+CHECKS = {
+    "vis_sigma_12p5MHz": (0.97, 0.01, False, "predicted"),
+    "vis_sigma_3p7MHz": (0.80, 0.02, False, "predicted"),
+    "eit_window_fwhm": (5.5e6, 0.10, True, "predicted"),
+    "eit_group_delay": (200e-9, 0.10, True, "predicted"),
+    "eit_dbp": (7.0, 0.15, True, "predicted"),
+    "eit_vg": (2e4, 0.10, True, "predicted"),
+    "eit_control_off_transmission": (None, 1e-6, True, "identity"),
+    "six_state_each": (0.0, 0.04, False, "fit_residual"),
+    "six_state_average": (0.924, 0.03, False, "calibrated"),
+    "bell_ideal_S": (2.0 * math.sqrt(2.0), 1e-9, False, "identity"),
+    "bell_S_1us": (2.28, 0.17, False, "predicted"),
+    "g13_crossing": (2e-6, 0.10, True, "calibrated"),
+    "fringe_visibility_1us": (0.81, 0.01, False, "calibrated"),
+}
+# per-state fidelities after STORE_TIME_S; six_state_each is the worst
+# deviation from them
+FIDELITIES = {"H": 0.954, "V": 0.989, "plus": 0.909, "minus": 0.889,
+              "R": 0.920, "L": 0.881}
+STORE_TIME_S = 200e-9  # the storage time of FIDELITIES
+FRINGE_TIME_S = 1e-6   # the storage time of the fringe visibility and S
+G13_THRESHOLD = 5.0    # the g13 at which alpha = 4 / (g13 - 1) is 1
+
+
+def _calibrated(d: dict) -> dict:
+    """The four calibrated defaults, the model inverted at the paper's
+    numbers for the other defaults d.  With eta(t) = exp(-(t/tau)^2),
+    x = exp(-sigma^2/2) and p = b(t) / (1 + b(t)), b(t) = b / eta(t), tau
+    puts g13 = 1 + (g0 - 1) eta at G13_THRESHOLD at the crossing target;
+    b and eta_U give H and V (1 - p/2) and the diagonal states
+    (1/2 + (1 - p) x eta_U / (1 + eta_U^2), at eta_D = 1) their mean
+    FIDELITIES at STORE_TIME_S; V_src gives a balanced channel's fringe
+    visibility V_src x (1 - p) its target at FRINGE_TIME_S."""
+    tau = CHECKS["g13_crossing"][0] / math.sqrt(math.log(
+        (d["g13.g0"] - 1.0) / (G13_THRESHOLD - 1.0)))
+    eta = MemoryDecay(tau, "gaussian").eta
+    x = math.exp(-d["channel.phase_jitter_rad"] ** 2 / 2.0)
+    p = 2.0 * (1.0 - (FIDELITIES["H"] + FIDELITIES["V"]) / 2.0)
+    b = p / (1.0 - p) * eta(STORE_TIME_S)
+    diagonal = sum(FIDELITIES[s] for s in ("plus", "minus", "R", "L")) / 4.0
+    c = (diagonal - 0.5) / ((1.0 - p) * x)
+    late = b / eta(FRINGE_TIME_S)
+    return {
+        "eit.tau_mem_s": tau,
+        "channel.background_b": b,
+        "channel.eta_U": 2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * c * c)),
+        "channel.V_src": CHECKS["fringe_visibility_1us"][0] / (
+            x * (1.0 - late / (1.0 + late))),
+    }
+
+
 # key -> default; a value given for the key is parsed as the default's
 # type.  The pump's duration or bandwidth is a flag of the command that
-# uses it, and --out places the artifacts.
+# uses it, and --out places the artifacts.  None marks the four that
+# _calibrated computes.
 DEFAULTS = {
     "source.gamma_hz": 5e6,
     "source.pump_kind": "gaussian",
@@ -38,13 +101,13 @@ DEFAULTS = {
     "eit.gamma_ge_hz": 2.87e6,
     "eit.gamma_s_hz": 1.0e4,
     "eit.length_m": 4e-3,
-    "eit.tau_mem_s": 1.494136040059602e-06,
+    "eit.tau_mem_s": None,
     "eit.decay_shape": "gaussian",
-    "channel.eta_U": 0.5819439041677432,
+    "channel.eta_U": None,
     "channel.eta_D": 1.0,
     "channel.phase_jitter_rad": TWO_PI / 28.0,
-    "channel.background_b": 0.059371996124696444,
-    "channel.V_src": 0.9078388022982314,
+    "channel.background_b": None,
+    "channel.V_src": None,
     "g13.g0": 25.0,
     "grids.n_freq": 512,
     "grids.freq_span_factor": 40.0,
@@ -52,6 +115,7 @@ DEFAULTS = {
     "grids.time_span_factor": 10.0,
     "output.formats": "csv,json,svg",
 }
+DEFAULTS.update(_calibrated(DEFAULTS))
 
 _POSITIVE = (
     "source.gamma_hz", "eit.od", "eit.rabi_hz", "eit.gamma_ge_hz",

@@ -223,13 +223,6 @@ def test_parseval_on_conjugate_grid():
     assert abs(oracles.parseval_ratio(jsa, psi_t, t_grid) - 1.0) < 1e-12
 
 
-def test_time_grid_must_be_uniform():
-    jsa = gaussian_jsa(TWO_PI * 12.5e6)
-    bad = np.array([0.0, 1e-9, 3e-9, 4e-9, 5e-9, 6e-9, 7e-9, 8e-9])
-    with pytest.raises(InputError):
-        oracles.time_domain(jsa, bad)
-
-
 def test_undersampled_time_grid_is_rejected():
     # 64 points over 24/gamma gives dt ~ 12 ns, above the 4-samples-per
     # -period bound for this bandwidth (~8.2 ns)

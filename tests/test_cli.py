@@ -225,7 +225,7 @@ def _reachable_range_line(lo, hi, target):
 
 def test_eit_fit_unreachable_target_fails(tmp_path, capsys):
     # the paper's target, and one whose squared window overflows
-    for target in (cli.TARGETS["eit_window_fwhm"][0], 1e300):
+    for target in (config.CHECKS["eit_window_fwhm"][0], 1e300):
         out = tmp_path / f"out{target:g}"
         code = main(["eit", "--out", str(out), "--fit-gamma-s", str(target)])
         assert code == EXIT_MODEL
@@ -497,7 +497,7 @@ def test_g13_command(tmp_path):
     assert main(["g13", "--out", str(out)]) == EXIT_OK
     report = load_json(out / "g13_report.json")
     assert report["g0"] == 25.0
-    assert report["threshold"] == 5.0
+    assert report["threshold"] == config.G13_THRESHOLD
     assert report["crossing_time_s"] == pytest.approx(rv.G13_CROSSING,
                                                       rel=1e-9)
     assert report["alpha_at_threshold"] == 1.0
@@ -555,11 +555,13 @@ _DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 _STORAGE = ["timedist", "--with-storage", "eit"]
 _HZ_LINE = ("must be below 2.86e+307 Hz so that 2*pi*value is finite, got "
             "1e+308")
+_WINDOW_LINE = ("the time window grids.time_span_factor / "
+                "(2*pi*source.gamma_hz)")
 
-# One run per refusal in src/: case -> (argv, exit code, the stderr line
-# after "qisim: ").  test_reachability runs them under a line tracer and
-# checks that together with its COMMANDS they reach every raise of
-# InputError and ModelError.
+# One run per refusal in src/, or per kind of input it refuses: case ->
+# (argv, exit code, the stderr line after "qisim: ").  test_reachability
+# runs them under a line tracer and checks that together with its
+# COMMANDS they reach every raise of InputError and ModelError.
 REFUSALS = {
     # command-line lists
     "list-not-a-number": (["visibility", "--sigma-hz", "abc"], EXIT_CONFIG,
@@ -672,7 +674,11 @@ REFUSALS = {
         "1.6e+299 Hz)"),
     "time-step": (
         ["timedist", "--set", "grids.time_span_factor=1e-310"], EXIT_CONFIG,
-        "time grid must be uniform and increasing"),
+        f"{_WINDOW_LINE} = 3.1831e-318 s is not a finite, normal float"),
+    "time-window": (
+        ["timedist", "--set", "grids.time_span_factor=1e300", "--set",
+         "source.gamma_hz=1e-10"], EXIT_CONFIG,
+        f"{_WINDOW_LINE} = inf s is not a finite, normal float"),
     "undersampled": (
         ["timedist", "--tp-s", "30e-9", "--set", "grids.n_time=32"],
         EXIT_MODEL, "time step 1.027e-08 s undersamples the occupied "
@@ -721,6 +727,8 @@ REFUSALS = {
 }
 
 
+# a warning would print to stderr ahead of the line in a plain run
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refusal_is_one_line(tmp_path, capsys, case):
     argv, code, line = REFUSALS[case]
@@ -876,7 +884,9 @@ def test_reproduce_all_checks_and_determinism(tmp_path, capsys):
     assert "reference check(s) failed" in err1
 
     checks = load_json(run1 / "checks.json")
-    assert len(checks["checks"]) == 12
+    # each check in the table's order, with the table's basis
+    assert [(c["id"], c["basis"]) for c in checks["checks"]] == [
+        (cid, row[3]) for cid, row in config.CHECKS.items()]
     assert set(checks["failed"]) == {"eit_window_fwhm", "eit_group_delay",
                                      "eit_dbp", "eit_vg"}
     by_id = {c["id"]: c for c in checks["checks"]}
@@ -888,6 +898,7 @@ def test_reproduce_all_checks_and_determinism(tmp_path, capsys):
     assert by_id["bell_ideal_S"]["passed"]
     assert by_id["bell_S_1us"]["passed"]
     assert by_id["g13_crossing"]["passed"]
+    assert by_id["fringe_visibility_1us"]["passed"]
 
     files = hash_dir(str(run1))
     assert len(files) >= 10
@@ -932,13 +943,14 @@ def test_reproduce_all_reuses_sweep_visibilities(tmp_path, monkeypatch):
     assert by_id["six_state_average"]["value"] == fids["average"]
     bell = load_json(out / "bell_report.json")
     assert by_id["bell_S_1us"]["value"] == bell["rows"][-1]["S"]
+    assert (by_id["fringe_visibility_1us"]["value"]
+            == bell["curve"]["visibility_plus"])
     g13 = load_json(out / "g13_report.json")
     assert by_id["g13_crossing"]["value"] == g13["crossing_time_s"]
-    assert list(by_id) == list(cli.TARGETS)
+    assert list(by_id) == list(config.CHECKS)
 
 
 def test_control_off_target_follows_the_configured_od(tmp_path, capsys):
-    assert cli.targets(55.0) == cli.TARGETS
     out = tmp_path / "out"
     code = main(["reproduce-all", "--out", str(out),
                  "--set", "grids.n_freq=128", "--set", "grids.n_time=64",

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import qisim.config as config
+from qisim import qubit
 from qisim.errors import InputError
 from qisim.spectral import TWO_PI
 
@@ -26,10 +27,36 @@ def test_defaults_load_without_a_file():
     assert cfg["grids.n_freq"] == 512
 
 
+# The four calibrated defaults are computed from config's table of the
+# paper's numbers (test_defaults_load_without_a_file pins their values);
+# the model at the defaults gives each target back.
+
 def test_tau_mem_default_hits_the_crossing_anchor():
     cfg = config.load_config()
-    assert cfg["eit.tau_mem_s"] == pytest.approx(
-        2e-6 / math.sqrt(math.log(6.0)), rel=1e-12)
+    crossing = qubit.crossing_time(cfg["g13.g0"], config.decay_from(cfg),
+                                   config.G13_THRESHOLD)
+    assert crossing == pytest.approx(config.CHECKS["g13_crossing"][0],
+                                     rel=1e-15, abs=0.0)
+
+
+def test_calibrated_defaults_reproduce_their_targets():
+    cfg = config.load_config()
+    refs = config.FIDELITIES
+    battery = qubit.six_state_battery(
+        config.channel_from(cfg, config.STORE_TIME_S))
+    rails = ("H", "V")
+    diagonal = ("plus", "minus", "R", "L")
+    for names in (rails, diagonal):
+        got = sum(battery[n] for n in names) / len(names)
+        want = sum(refs[n] for n in names) / len(names)
+        assert abs(got - want) <= 1e-15, names
+    stored = qubit.memory_channel(
+        qubit.werner_state(cfg["channel.V_src"]),
+        config.channel_from(cfg, config.FRINGE_TIME_S, balanced=True))
+    thetas = [k * math.pi / 180.0 for k in range(181)]
+    vis = qubit.curve_visibility(
+        qubit.correlation_curve(stored, "plus", thetas))
+    assert abs(vis - config.CHECKS["fringe_visibility_1us"][0]) <= 1e-15
 
 
 def test_config_file_parsing(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qisim import config
-from qisim.cli import TARGETS
 from qisim.eit import (EitMedium, fit_gamma_s, group_delay, transmission,
                        window_fwhm)
 from qisim.errors import InputError, ModelError
@@ -339,7 +338,7 @@ def test_fit_gamma_s_matches_the_np_roots_reference_on_the_media(name):
 def test_fit_gamma_s_reports_unreachable_target():
     # the paper's window target is out of reach of the pinned medium
     fitted, (_, widest) = fit_gamma_s(medium_default(),
-                                      TARGETS["eit_window_fwhm"][0])
+                                      config.CHECKS["eit_window_fwhm"][0])
     assert fitted.gamma_s == 0.0
     assert window_fwhm(fitted) == pytest.approx(rv.WINDOW_GS0, rel=1e-12)
     assert widest == window_fwhm(fitted)

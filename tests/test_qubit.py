@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qisim import qubit
-from qisim.cli import TARGETS
+from qisim.config import CHECKS
 from qisim.errors import InputError, ModelError
 from qisim.qubit import (SIX_STATES, MemoryChannelParams, MemoryDecay,
                          QubitDensity, TwoQubitDensity, alpha_quality,
@@ -152,10 +152,10 @@ def test_six_state_battery_frozen():
     values = {**battery, "average": average}
     for name, val in rv.SIX_200.items():
         assert values[name] == pytest.approx(val, abs=1e-12), name
-    _, each_tol, _ = TARGETS["six_state_each"]
+    _, each_tol, _, _ = CHECKS["six_state_each"]
     for name, ref in rv.SIX_REFS.items():
         assert abs(battery[name] - ref) <= each_tol, name
-    target, average_tol, _ = TARGETS["six_state_average"]
+    target, average_tol, _, _ = CHECKS["six_state_average"]
     assert abs(average - target) <= average_tol
 
 
