@@ -7,9 +7,12 @@ first factor as qubit 1, the flying qubit, and the second as qubit 2, the
 stored one.  H maps to ensemble rail D and V to rail U, so
 rail imbalance shows up as a polarization-dependent amplitude.
 
-Matrices are tuples of rows of Python complex numbers (constructors take
-any nested sequence), so no numpy is imported and no number depends on
-the BLAS core or the SIMD level of the CPU.
+A pure state is its Jones vector (alpha, beta) over {H, V}, a pair of
+numbers of unit norm.  A density is the tuple of its rows of Python
+complex numbers, 2x2 for one qubit and 4x4 for two; every one built
+here is physical by construction (tests/oracles.check_density).  So no
+numpy is imported and no number depends on the BLAS core or the SIMD
+level of the CPU.
 """
 from __future__ import annotations
 
@@ -18,10 +21,6 @@ import operator
 import sys
 
 from .errors import InputError, ModelError
-
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-9
-_PSD_TOL = -1e-10
 
 CHSH_ANGLES = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 DECAY_SHAPES = ("gaussian", "exponential")
@@ -54,65 +53,10 @@ def _expectation(rho, obs) -> float:
                for x, y in zip(row, col)).real
 
 
-def _positive(m) -> bool:
-    """Whether the least eigenvalue of the Hermitian m exceeds _PSD_TOL:
-    exactly when m + |_PSD_TOL| I has an LDL^H factorization with
-    positive pivots (Golub & Van Loan, Matrix Computations, sec. 4.2)."""
-    a = [list(row) for row in _map(operator.add, m, _eye(len(m), -_PSD_TOL))]
-    for k, row in enumerate(a):
-        if not row[k].real > 0.0:
-            return False
-        for below in a[k + 1:]:
-            f = below[k] / row[k].real
-            for j in range(k + 1, len(a)):
-                below[j] -= f * row[j]
-    return True
-
-
-class PolarizationState:
-    """Pure polarization ket (alpha, beta) over {H, V}, unit norm."""
-
-    def __init__(self, jones) -> None:
-        self.jones = tuple(complex(x) for x in jones)
-
-    def density(self) -> "QubitDensity":
-        return QubitDensity(_outer(self.jones))
-
-
 _S2 = 1.0 / math.sqrt(2.0)
-SIX_STATES = {
-    "H": PolarizationState((1.0, 0.0)),
-    "V": PolarizationState((0.0, 1.0)),
-    "plus": PolarizationState((_S2, _S2)),
-    "minus": PolarizationState((_S2, -_S2)),
-    "R": PolarizationState((_S2, 1j * _S2)),
-    "L": PolarizationState((_S2, -1j * _S2)),
-}
-
-
-def _check_density(m, dim: int) -> tuple:
-    m = tuple(tuple(complex(x) for x in row) for row in m)
-    if len(m) != dim or any(len(row) != dim for row in m):
-        raise InputError(f"density matrix must be {dim}x{dim}")
-    if any(abs(m[i][j] - m[j][i].conjugate()) > _HERM_TOL
-           for i in range(dim) for j in range(i + 1)):
-        raise InputError("density matrix must be Hermitian")
-    tr = sum(m[i][i] for i in range(dim)).real
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise InputError(f"trace = {tr!r}, must be 1")
-    if not _positive(m):
-        raise InputError("density matrix must be positive semidefinite")
-    return m
-
-
-class QubitDensity:
-    def __init__(self, matrix) -> None:
-        self.matrix = _check_density(matrix, 2)
-
-
-class TwoQubitDensity:
-    def __init__(self, matrix) -> None:
-        self.matrix = _check_density(matrix, 4)
+SIX_STATES = {"H": (1.0, 0.0), "V": (0.0, 1.0), "plus": (_S2, _S2),
+              "minus": (_S2, -_S2), "R": (_S2, 1j * _S2),
+              "L": (_S2, -1j * _S2)}
 
 
 class MemoryChannelParams:
@@ -156,11 +100,11 @@ def memory_channel(rho_in, params: MemoryChannelParams):
     """Rail attenuation, phase-jitter dephasing, post-selection on a
     retrieved click (renormalization), then background admixture, acting
     on the stored qubit: the last tensor factor of rho_in, which is the
-    whole state of a QubitDensity and qubit 2 of a TwoQubitDensity.
+    whole state of a 2x2 density and qubit 2 of a 4x4 one.
 
     The background replaces the stored qubit with a maximally mixed one
     while the factors before it keep their marginal: uncorrelated noise
-    photons in the retrieved mode.  Returns rho_in's density type.
+    photons in the retrieved mode.  Returns a density of rho_in's size.
     """
     rail = (params.eta_D, params.eta_U)   # H rides rail D, V rides rail U
     # index a of rho_in holds state a % 2 of the stored qubit, and the
@@ -168,39 +112,40 @@ def memory_channel(rho_in, params: MemoryChannelParams):
     dephase = (1.0, params.dephasing_factor())
     r = _post_select([[rail[a % 2] * x * rail[b % 2] * dephase[(a + b) % 2]
                        for b, x in enumerate(row)]
-                      for a, row in enumerate(rho_in.matrix)])
+                      for a, row in enumerate(rho_in)])
     f = len(r) // 2
     rest = [[r[2 * i][2 * j] + r[2 * i + 1][2 * j + 1] for j in range(f)]
             for i in range(f)]
     p = params.background_weight()
-    return type(rho_in)(_map(lambda x, y: (1.0 - p) * x + p * y,
-                             r, _kron(rest, _eye(2, 0.5))))
+    return _map(lambda x, y: (1.0 - p) * x + p * y,
+                r, _kron(rest, _eye(2, 0.5)))
 
 
-def fidelity(psi_in: PolarizationState, rho_out: QubitDensity) -> float:
-    return _expectation(rho_out.matrix, _outer(psi_in.jones))
+def fidelity(psi_in: tuple, rho_out) -> float:
+    """<psi_in| rho_out |psi_in> for a Jones vector and a 2x2 density."""
+    return _expectation(rho_out, _outer(psi_in))
 
 
 def six_state_battery(params: MemoryChannelParams) -> dict:
     """Channel fidelity for each of {H, V, +, -, R, L}."""
     out = {}
     for name, state in SIX_STATES.items():
-        rho = memory_channel(state.density(), params)
+        rho = memory_channel(_outer(state), params)
         out[name] = fidelity(state, rho)
     return out
 
 
 # ------------------------------------------------------------- two qubits
 
-def bell_state() -> TwoQubitDensity:
+def bell_state() -> tuple:
     """(|HV> + |VH>)/sqrt(2) as a density matrix."""
-    return TwoQubitDensity(_outer((0.0, _S2, _S2, 0.0)))
+    return _outer((0.0, _S2, _S2, 0.0))
 
 
-def werner_state(v: float) -> TwoQubitDensity:
+def werner_state(v: float) -> tuple:
     """v (in [0, 1]) times the Bell state plus 1 - v of white noise."""
-    return TwoQubitDensity(_map(lambda b, w: v * b + (1.0 - v) * w,
-                                bell_state().matrix, _eye(4, 0.25)))
+    return _map(lambda b, w: v * b + (1.0 - v) * w,
+                bell_state(), _eye(4, 0.25))
 
 
 def _projector(theta: float) -> tuple:
@@ -212,30 +157,27 @@ def _analyzer(theta: float) -> tuple:
                 _projector(theta + math.pi / 2.0))
 
 
-def correlation_E(rho: TwoQubitDensity, theta1: float,
-                  theta2: float) -> float:
+def correlation_E(rho, theta1: float, theta2: float) -> float:
     """Joint +/- correlation for linear analyzers at theta1, theta2.
 
     Analyzer 1 is mirrored (theta1 -> -theta1); with that convention the
     standard angle set CHSH_ANGLES is optimal for the Bell state used
     here.
     """
-    return _expectation(rho.matrix,
-                        _kron(_analyzer(-theta1), _analyzer(theta2)))
+    return _expectation(rho, _kron(_analyzer(-theta1), _analyzer(theta2)))
 
 
-def chsh_S(rho: TwoQubitDensity) -> float:
+def chsh_S(rho) -> float:
     t1, t1p, t2, t2p = CHSH_ANGLES
     return abs(correlation_E(rho, t1, t2) - correlation_E(rho, t1, t2p)
                + correlation_E(rho, t1p, t2) + correlation_E(rho, t1p, t2p))
 
 
-def correlation_curve(rho: TwoQubitDensity, flying_basis: str,
-                      theta_sweep) -> list:
+def correlation_curve(rho, flying_basis: str, theta_sweep) -> list:
     """Coincidence rate vs analyzer angle on the stored arm, with the
     flying arm projected onto H or +; max-normalized."""
     p1 = _projector({"H": 0.0, "plus": math.pi / 4.0}[flying_basis])
-    vals = [_expectation(rho.matrix, _kron(p1, _projector(th)))
+    vals = [_expectation(rho, _kron(p1, _projector(th)))
             for th in theta_sweep]
     peak = max(vals)
     return [v / peak for v in vals]

@@ -7,10 +7,11 @@ marginals, the whole psi(t1, t2) assembled from the program's bands,
 the dense and the single-shot chirp-z time transforms, the factored
 transform of the materialized signal factor, the sorted-order 99%
 bandwidth and the masked outer-mass fraction of the time-grid guards,
-closed forms, Parseval, Choi positivity, a dense transmission scan and a
-phase difference quotient for the EIT window and delay, the gamma_s fit
-with numpy's companion-matrix roots), a diagnostic
-of an output (ridge correlation, g13 from counts), the reader that
+closed forms, Parseval, Choi positivity, the density-matrix check
+(Hermitian, trace 1, positive semidefinite by LDL^H), a dense
+transmission scan and a phase difference quotient for the EIT window and
+delay, the gamma_s fit with numpy's companion-matrix roots), a
+diagnostic of an output (ridge correlation, g13 from counts), the reader that
 parses written CSVs back for round-trip checks, a file's hash read back
 from disk, the per-value heatmap color, or the per-rect heatmap cell
 formula.
@@ -314,6 +315,41 @@ def ridge_correlation(t: np.ndarray, density: np.ndarray) -> float:
 
 
 # ------------------------------------------------------------------- qubit
+
+HERM_TOL, TRACE_TOL, PSD_TOL = 1e-12, 1e-9, -1e-10
+
+
+def positive(m) -> bool:
+    """Whether the least eigenvalue of the Hermitian m exceeds PSD_TOL:
+    exactly when m + |PSD_TOL| I has an LDL^H factorization with
+    positive pivots (Golub & Van Loan, Matrix Computations, sec. 4.2)."""
+    n = len(m)
+    a = [[complex(m[i][j]) + (-PSD_TOL if i == j else 0.0) for j in range(n)]
+         for i in range(n)]
+    for k, row in enumerate(a):
+        if not row[k].real > 0.0:
+            return False
+        for below in a[k + 1:]:
+            f = below[k] / row[k].real
+            for j in range(k + 1, n):
+                below[j] -= f * row[j]
+    return True
+
+
+def check_density(m, dim: int) -> None:
+    """Assert that m (any nested sequence) is a dim x dim density matrix:
+    Hermitian to HERM_TOL, of trace 1 to TRACE_TOL and positive
+    semidefinite to PSD_TOL."""
+    m = [[complex(x) for x in row] for row in m]
+    assert len(m) == dim and all(len(row) == dim for row in m), (
+        f"density matrix must be {dim}x{dim}")
+    assert not any(abs(m[i][j] - m[j][i].conjugate()) > HERM_TOL
+                   for i in range(dim) for j in range(i + 1)), (
+        "density matrix must be Hermitian")
+    tr = sum(m[i][i] for i in range(dim)).real
+    assert not abs(tr - 1.0) > TRACE_TOL, f"trace = {tr!r}, must be 1"
+    assert positive(m), "density matrix must be positive semidefinite"
+
 
 def channel_choi(params: MemoryChannelParams) -> np.ndarray:
     """Choi matrix of the linear part of the channel (before the

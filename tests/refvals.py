@@ -114,8 +114,9 @@ S_0US = 2.3937148831445327
 S_200NS = 2.3912919466173355
 S_1US = 2.3202333378039475
 
-# correlation-curve visibilities after 1 us of storage (181-point sweep)
-CURVE_VIS_PLUS_1US = 0.8100000000000002
+# correlation-curve visibilities after 1 us of storage (181-point sweep),
+# as bell and reproduce-all write them
+CURVE_VIS_PLUS_1US = 0.8099999999999999
 CURVE_VIS_H_1US = 0.8306527270962689
 
 # heralded cross-correlation model, g0 = 25, gaussian memory

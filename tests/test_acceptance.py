@@ -18,8 +18,8 @@ from qisim import cli, config
 from qisim.biphoton import joint_time_distribution, visibility
 from qisim.eit import (EitMedium, fit_gamma_s, group_delay, transmission,
                        window_fwhm)
-from qisim.qubit import (MemoryChannelParams, TwoQubitDensity, alpha_quality,
-                         bell_state, chsh_S, correlation_curve, crossing_time,
+from qisim.qubit import (MemoryChannelParams, alpha_quality, bell_state,
+                         chsh_S, correlation_curve, crossing_time,
                          curve_visibility, memory_channel, six_state_battery,
                          werner_state)
 from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid, PumpSpectrum,
@@ -252,7 +252,7 @@ def test_c8_physicality_and_determinism(tmp_path):
     rng = np.random.default_rng(12345)
     bound = rv.S_IDEAL + 1e-9
     tsirelson_ok = all(
-        chsh_S(TwoQubitDensity(ginibre_density(rng, 4))) <= bound
+        chsh_S(ginibre_density(rng, 4)) <= bound
         for _ in range(1000))
 
     choi_min = 0.0

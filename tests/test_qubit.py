@@ -7,11 +7,10 @@ from qisim import qubit
 from qisim.config import CHECKS
 from qisim.errors import InputError, ModelError
 from qisim.qubit import (SIX_STATES, MemoryChannelParams, MemoryDecay,
-                         QubitDensity, TwoQubitDensity, alpha_quality,
-                         bell_state, chsh_S, correlation_E, correlation_curve,
-                         crossing_time, curve_visibility, fidelity,
-                         g13_decay_model, memory_channel, six_state_battery,
-                         werner_state)
+                         alpha_quality, bell_state, chsh_S, correlation_E,
+                         correlation_curve, crossing_time, curve_visibility,
+                         fidelity, g13_decay_model, memory_channel,
+                         six_state_battery, werner_state)
 from qisim.spectral import TWO_PI
 
 import oracles
@@ -35,29 +34,34 @@ def memory_eta(t):
     return np.exp(-(np.asarray(t) / rv.TAU_MEM) ** 2)
 
 
+def density(name):
+    """|psi><psi| of SIX_STATES[name], as six_state_battery builds it."""
+    return qubit._outer(SIX_STATES[name])
+
+
 # ------------------------------------------------------- states, densities
 
 def test_six_states_are_normalized():
     assert set(SIX_STATES) == {"H", "V", "plus", "minus", "R", "L"}
-    for state in SIX_STATES.values():
-        assert np.vdot(state.jones, state.jones).real == pytest.approx(
-            1.0, rel=1e-12)
-        rho = state.density()
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, rel=1e-12)
-    r = SIX_STATES["R"].jones
+    for name, state in SIX_STATES.items():
+        assert np.vdot(state, state).real == pytest.approx(1.0, rel=1e-12)
+        assert np.trace(density(name)).real == pytest.approx(1.0, rel=1e-12)
+    r = SIX_STATES["R"]
     expect = np.array([1.0, 1.0j]) / math.sqrt(2.0)
     assert np.allclose(r, expect, atol=1e-15)
 
 
 def test_density_validation():
-    with pytest.raises(InputError):
-        QubitDensity(np.array([[1.0, 0.5], [0.2, 0.0]]))  # not hermitian
-    with pytest.raises(InputError):
-        QubitDensity(np.diag([0.7, 0.7]))                 # trace != 1
-    with pytest.raises(InputError):
-        QubitDensity(np.diag([1.5, -0.5]))                # not psd
-    with pytest.raises(InputError):
-        TwoQubitDensity(np.eye(3) / 3.0)
+    # the oracle behind "every density the qubit layer builds is physical"
+    oracles.check_density(np.eye(2) / 2.0, 2)
+    with pytest.raises(AssertionError, match="Hermitian"):
+        oracles.check_density(np.array([[1.0, 0.5], [0.2, 0.0]]), 2)
+    with pytest.raises(AssertionError, match="trace"):
+        oracles.check_density(np.diag([0.7, 0.7]), 2)
+    with pytest.raises(AssertionError, match="positive semidefinite"):
+        oracles.check_density(np.diag([1.5, -0.5]), 2)
+    with pytest.raises(AssertionError, match="4x4"):
+        oracles.check_density(np.eye(3) / 3.0, 4)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -70,8 +74,8 @@ def test_positivity_check_matches_the_eigenvalues(dim):
     for _ in range(500):
         m = ginibre_density(rng, dim)
         m -= rng.uniform(0.0, 2.0) * np.linalg.eigvalsh(m).min() * np.eye(dim)
-        expect = np.linalg.eigvalsh(m).min() >= qubit._PSD_TOL
-        assert qubit._positive(m) == expect
+        expect = np.linalg.eigvalsh(m).min() >= oracles.PSD_TOL
+        assert oracles.positive(m) == expect
         verdicts.append(expect)
     assert 0.2 < np.mean(verdicts) < 0.8
 
@@ -82,24 +86,23 @@ def test_positivity_check_at_the_tolerance(dim, factor):
     # a rotated diagonal whose least eigenvalue sits 0.1 % inside or
     # outside the tolerance, and unit trace
     rng = np.random.default_rng(7)
-    least = qubit._PSD_TOL * factor
+    least = oracles.PSD_TOL * factor
     rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - least)
     u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim)))
     m = u @ np.diag(np.concatenate([[least], rest])) @ u.conj().T
     expect = factor < 1.0
-    assert (np.linalg.eigvalsh(m).min() >= qubit._PSD_TOL) == expect
-    assert qubit._positive(m) == expect
-    density = QubitDensity if dim == 2 else TwoQubitDensity
+    assert (np.linalg.eigvalsh(m).min() >= oracles.PSD_TOL) == expect
+    assert oracles.positive(m) == expect
     if expect:
-        density(m)
+        oracles.check_density(m, dim)
     else:
-        with pytest.raises(InputError, match="positive semidefinite"):
-            density(m)
+        with pytest.raises(AssertionError, match="positive semidefinite"):
+            oracles.check_density(m, dim)
 
 
 def test_bell_state_structure():
-    rho = np.array(bell_state().matrix)
+    rho = np.array(bell_state())
     assert np.trace(rho).real == pytest.approx(1.0, rel=1e-12)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, rel=1e-12)
     # (|HV> + |VH>)/sqrt(2) in the HH, HV, VH, VV basis
@@ -110,27 +113,23 @@ def test_bell_state_structure():
 
 
 def test_werner_family():
-    assert np.allclose(werner_state(1.0).matrix, bell_state().matrix,
-                       atol=1e-15)
-    assert np.allclose(werner_state(0.0).matrix, np.eye(4) / 4.0,
-                       atol=1e-15)
+    assert np.allclose(werner_state(1.0), bell_state(), atol=1e-15)
+    assert np.allclose(werner_state(0.0), np.eye(4) / 4.0, atol=1e-15)
 
 
 # ----------------------------------------------------------- memory channel
 
 def test_identity_channel_is_a_passthrough():
     params = MemoryChannelParams()
-    for name, state in SIX_STATES.items():
-        out = memory_channel(state.density(), params)
-        assert np.allclose(out.matrix, state.density().matrix,
-                           atol=1e-14), name
+    for name in SIX_STATES:
+        out = memory_channel(density(name), params)
+        assert np.allclose(out, density(name), atol=1e-14), name
 
 
 def test_rail_eigenstates_ignore_phase_jitter():
     params = MemoryChannelParams(phase_jitter_sigma=JITTER)
     for name in ("H", "V"):
-        rho_in = SIX_STATES[name].density()
-        out = memory_channel(rho_in, params)
+        out = memory_channel(density(name), params)
         assert fidelity(SIX_STATES[name], out) == pytest.approx(
             1.0, rel=1e-12), name
 
@@ -162,10 +161,10 @@ def test_six_state_battery_frozen():
 def test_channel_needs_surviving_population():
     params = MemoryChannelParams(eta_U=0.0, eta_D=0.0)
     with pytest.raises(ModelError):
-        memory_channel(SIX_STATES["H"].density(), params)
+        memory_channel(density("H"), params)
     one_rail = MemoryChannelParams(eta_U=0.0, eta_D=1.0)
     with pytest.raises(ModelError):
-        memory_channel(SIX_STATES["V"].density(), one_rail)
+        memory_channel(density("V"), one_rail)
 
 
 def test_background_weight_mapping():
@@ -177,15 +176,13 @@ def test_background_weight_mapping():
 
 def test_fidelity_basics_and_linearity():
     h = SIX_STATES["H"]
-    assert fidelity(h, h.density()) == pytest.approx(1.0, rel=1e-12)
-    assert fidelity(h, QubitDensity(np.eye(2) / 2.0)) == pytest.approx(
-        0.5, rel=1e-12)
-    rho1 = np.array(SIX_STATES["plus"].density().matrix)
+    assert fidelity(h, density("H")) == pytest.approx(1.0, rel=1e-12)
+    assert fidelity(h, np.eye(2) / 2.0) == pytest.approx(0.5, rel=1e-12)
+    rho1 = np.array(density("plus"))
     rho2 = np.eye(2) / 2.0
     for a in (0.25, 0.5, 0.75):
-        mix = QubitDensity(a * rho1 + (1.0 - a) * rho2)
-        expect = (a * fidelity(h, QubitDensity(rho1))
-                  + (1.0 - a) * fidelity(h, QubitDensity(rho2)))
+        mix = a * rho1 + (1.0 - a) * rho2
+        expect = (a * fidelity(h, rho1) + (1.0 - a) * fidelity(h, rho2))
         assert fidelity(h, mix) == pytest.approx(expect, rel=1e-12)
 
 
@@ -194,19 +191,16 @@ def test_two_qubit_channel_matches_single_qubit_on_product_states():
     # channel leaves the flying marginal alone and gives the stored
     # marginal the one-qubit channel's output
     params = default_params()
-    for fly_name, fly in SIX_STATES.items():
-        for store_name, store in SIX_STATES.items():
-            rho_fly = fly.density().matrix
-            rho_store = store.density()
-            product = TwoQubitDensity(np.kron(rho_fly, rho_store.matrix))
+    for fly_name in SIX_STATES:
+        for store_name in SIX_STATES:
+            rho_fly, rho_store = density(fly_name), density(store_name)
+            product = np.kron(rho_fly, rho_store).tolist()
             out2 = memory_channel(product, params)
             out1 = memory_channel(rho_store, params)
-            assert isinstance(out2, TwoQubitDensity)
-            assert isinstance(out1, QubitDensity)
-            reduced = np.array(out2.matrix).reshape(2, 2, 2, 2)
+            reduced = np.array(out2).reshape(2, 2, 2, 2)
             pair = (fly_name, store_name)
             assert np.max(np.abs(np.einsum("aiaj->ij", reduced)
-                                 - out1.matrix)) <= 1e-15, pair
+                                 - out1)) <= 1e-15, pair
             assert np.max(np.abs(np.einsum("iaja->ij", reduced)
                                  - rho_fly)) <= 1e-15, pair
 
@@ -234,9 +228,8 @@ def test_correlation_at_aligned_analyzers():
 
 
 def test_correlation_factorizes_on_product_states():
-    rho_a = SIX_STATES["plus"].density().matrix
-    rho_b = SIX_STATES["H"].density().matrix
-    product = TwoQubitDensity(np.kron(rho_a, rho_b))
+    rho_a, rho_b = density("plus"), density("H")
+    product = np.kron(rho_a, rho_b)
 
     def analyzer(theta):
         v = np.array([math.cos(theta), math.sin(theta)])
@@ -250,10 +243,10 @@ def test_correlation_factorizes_on_product_states():
             exp_a = float(np.real(np.trace(rho_a @ analyzer(-t1))))
             exp_b = float(np.real(np.trace(rho_b @ analyzer(t2))))
             assert joint == pytest.approx(exp_a * exp_b, abs=1e-12)
-            single_a = correlation_E(
-                TwoQubitDensity(np.kron(rho_a, np.eye(2) / 2.0)), t1, 0.0)
-            single_b = correlation_E(
-                TwoQubitDensity(np.kron(np.eye(2) / 2.0, rho_b)), 0.0, t2)
+            single_a = correlation_E(np.kron(rho_a, np.eye(2) / 2.0),
+                                     t1, 0.0)
+            single_b = correlation_E(np.kron(np.eye(2) / 2.0, rho_b),
+                                     0.0, t2)
             # correlations against a maximally mixed partner vanish
             assert single_a == pytest.approx(0.0, abs=1e-12)
             assert single_b == pytest.approx(0.0, abs=1e-12)
@@ -298,8 +291,7 @@ def test_no_state_beats_tsirelson():
     rng = np.random.default_rng(12345)
     bound = rv.S_IDEAL + 1e-9
     for _ in range(1000):
-        rho = TwoQubitDensity(ginibre_density(rng, 4))
-        assert chsh_S(rho) <= bound
+        assert chsh_S(ginibre_density(rng, 4)) <= bound
 
 
 def test_separable_states_respect_the_local_bound():
@@ -311,7 +303,7 @@ def test_separable_states_respect_the_local_bound():
         for w in weights:
             rho += w * np.kron(ginibre_density(rng, 2),
                                ginibre_density(rng, 2))
-        assert chsh_S(TwoQubitDensity(rho)) <= 2.0 + 1e-9
+        assert chsh_S(rho) <= 2.0 + 1e-9
 
 
 # -------------------------------------------------------- correlation curve

@@ -1,165 +1,232 @@
-"""Every public function and method of the package, and every refusal
-it raises, is reached from a command: src/ holds only what the CLI runs,
-and each input is checked once, where a command meets it."""
-import ast
-import importlib
+"""Every line of every function body in src/qisim runs in a command: src/
+holds only what the CLI runs, and each input is checked once, where a
+command meets it.
+
+A subprocess sets a line tracer before it imports qisim, so that bodies
+run at import (config._calibrated, svgplot._build_palette) count, then
+runs COMMANDS, `cli.run` and every test_cli.REFUSALS case.  A body line
+(of a function, lambda or comprehension) that runs in none of them fails
+the test with its file:line, unless UNREACHED names it with the reason
+it stays; an UNREACHED entry one of whose lines runs fails it too.
+
+Run as a script, this file is that subprocess:
+
+    PYTHONPATH=src python tests/test_reachability.py CASES.json OUT_DIR
+
+reads {"cases": [argv, ...]}, runs each case with `--out OUT_DIR/<k>`,
+then `cli.run` on ["g13", "--out", OUT_DIR/run], and writes
+{"codes": [...], "run_code": ..., "lines": [[file, first line, qualified
+name, [lines run]], ...]} to OUT_DIR/report.json.
+"""
 import inspect
+import json
 import os
-import pkgutil
+import subprocess
 import sys
 import threading
-from types import SimpleNamespace
+import types
 
 import pytest
 
-import qisim
-from qisim import cli
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "qisim")
+COMMENTED = os.path.join(ROOT, "tests", "data", "commented.cfg")
 
-from test_cli import REFUSALS
-
-# Read only by perfbench's tracer: its visibility hook hashes the
-# materialized amplitude, or a flat pump's factors, to find repeated
-# inputs.  No command needs either.
-TRACER_ONLY = ["spectral.JointSpectralAmplitude.amplitude",
-               "spectral.JointSpectralAmplitude.factors"]
-
-# function -> why its refusals stay although no command reaches them
-UNREACHED_REFUSALS = {
-    "qubit._check_density": "QubitDensity and TwoQubitDensity check a "
-    "caller's own matrix; every density a command builds is physical by "
-    "construction",
-    "spectral.JointSpectralAmplitude.amplitude": "the dense matrix is "
-    "built only for the tests and perfbench's tracer (TRACER_ONLY)",
+# "file:line" or "file:first-last" under src/qisim -> why those lines
+# stay although no command runs them
+UNREACHED = {
+    # numerical edges
+    "eit.py:45": "_finite: a Python * / + that overflows quietly to inf or "
+    "nan; the EIT input that overflows (REFUSALS' out-of-range) raises in "
+    "a float ** first",
+    "eit.py:198": "_real_roots drops a leading zero coefficient, as "
+    "np.roots does; no medium tried gives the fit one",
+    "eit.py:209": "_real_roots: a polynomial exactly 0 at a turning point "
+    "or at the largest float",
+    "eit.py:287": "fit_gamma_s: only a target equal to the narrowest window "
+    "to the last bit (2429705.4185120836 Hz for the default medium) "
+    "reaches it, so a case would pin that bit",
+    "g17.py:190-192": "slots' format() fallback: a density cell outside "
+    "(0, 1], or within HALF_MARGIN of a rounding tie; no command's density "
+    "holds one, and test_outputs checks the fallback against format()",
+    "g17.py:248-249": "write_grid: a band write that fails (disk full); "
+    "test_outputs injects it",
+    "g17.py:261": "write_grid stops handing bands over after a failed write",
+    "g17.py:267": "write_grid raises the failed write",
+    "spectral.py:62-63": "detunings_on: a step span / (n - 1) that "
+    "underflows to 0; only a subnormal source.gamma_hz gives one (5e-324 "
+    "does, then numpy warns and build_jsa refuses the grid)",
+    "svgplot.py:90": "_range: a NaN in a plotted series; no command "
+    "computes one",
+    # perfbench's tracer reads these; no command needs them
+    "spectral.py:154-173": "JointSpectralAmplitude.factors and .amplitude",
+    "spectral.py:213": "pump_table's flat branch: a flat pump's amplitude "
+    "is built from its factors, except in .amplitude",
 }
 
-# every command once, the gaussian timedist on a small grid; the last
-# is a usage error
+# (argv, exit code): every command once, and the cases that reach the
+# branches no REFUSALS case does
 COMMANDS = [
-    ["visibility"],
-    ["timedist", "--set", "grids.n_freq=256", "--set", "grids.n_time=96"],
-    ["timedist", "--set", "grids.n_freq=256", "--set", "grids.n_time=96",
-     "--with-storage", "eit"],
-    ["timedist", "--set", "source.pump_kind=flat_limit"],
-    ["eit"],
-    ["eit", "--fit-gamma-s", "2.9e6"],
-    ["store"],
-    ["bell"],
-    ["g13"],
-    ["reproduce-all"],
-    ["timedist", "--tp-s", "abc"],
+    (["visibility"], 0),
+    (["visibility", "--set", "source.pump_kind=flat_limit"], 0),
+    (["timedist", "--set", "grids.n_freq=256", "--set", "grids.n_time=96"],
+     0),
+    (["timedist", "--set", "grids.n_freq=256", "--set", "grids.n_time=96",
+      "--with-storage", "eit"], 0),
+    (["timedist", "--set", "source.pump_kind=flat_limit"], 0),
+    (["timedist", "--set", "source.pump_kind=flat_limit", "--with-storage",
+      "eit"], 0),
+    # more than one chirp-z block, and no SVG
+    (["timedist", "--set", "source.pump_kind=flat_limit", "--set",
+      "grids.n_freq=65536", "--set", "output.formats=json"], 0),
+    # block_mean pads a grid that its blocks do not divide
+    (["timedist", "--set", "grids.n_freq=256", "--set", "grids.n_time=257"],
+     0),
+    (["eit"], 0),
+    (["eit", "--fit-gamma-s", "2.9e6"], 0),
+    (["eit", "--set", "output.formats=svg"], 0),
+    (["store"], 0),
+    # the dephasing factor's exponent overflows: exp's limit 0
+    (["store", "--states", "plus", "--set",
+      "channel.phase_jitter_rad=1e200"], 0),
+    (["bell"], 0),
+    (["g13"], 0),
+    (["g13", "--set", "eit.decay_shape=exponential", "--times-s", "0"], 0),
+    (["g13", "--config", COMMENTED], 0),
+    (["reproduce-all"], 4),   # the C4 checks fail
+    # the 3.7 MHz sweep row fails on a 1.004 % tail and is recomputed
+    (["reproduce-all", "--set", "grids.freq_span_factor=31.7", "--set",
+      "source.gamma_hz=3.72e6"], 3),
+    (["timedist", "--tp-s", "abc"], 2),   # a usage error
+    (["g13", "--out", COMMENTED], 2),     # --out names a regular file
 ]
 
 
-def public_functions() -> dict:
-    """Qualified name -> code object of every public function, method
-    and property getter defined in a qisim module, unwrapped."""
-    found = {}
-    for info in pkgutil.iter_modules(qisim.__path__):
-        module = importlib.import_module(f"qisim.{info.name}")
-        for attr, obj in vars(module).items():
-            if attr.startswith("_") or getattr(
-                    obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isfunction(obj):
-                found[f"{info.name}.{attr}"] = obj
-            elif inspect.isclass(obj):
-                for name, member in vars(obj).items():
-                    if isinstance(member, property):
-                        member = member.fget
-                    elif isinstance(member, (staticmethod, classmethod)):
-                        member = member.__func__
-                    if not name.startswith("_") and inspect.isfunction(
-                            member):
-                        found[f"{info.name}.{attr}.{name}"] = member
-    return {name: inspect.unwrap(fn).__code__ for name, fn in found.items()}
-
-
-def refusals() -> dict:
-    """(file, line) -> qualified name of the enclosing function, for every
-    `raise InputError(...)` and `raise ModelError(...)` in a qisim
-    module."""
-    found = {}
-
-    def visit(node, path, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, path, scope + [child.name])
-                continue
-            if isinstance(child, ast.Raise) and getattr(getattr(
-                    child.exc, "func", None), "id", None) in (
-                        "InputError", "ModelError"):
-                found[(path, child.lineno)] = ".".join(scope)
-            visit(child, path, scope)
-
-    for info in pkgutil.iter_modules(qisim.__path__):
-        path = importlib.import_module(f"qisim.{info.name}").__file__
-        with open(path, encoding="utf-8") as fh:
-            visit(ast.parse(fh.read()), path, [info.name])
-    return found
-
-
-@pytest.fixture(scope="module")
-def traced(tmp_path_factory):
-    """One traced pass over COMMANDS, `cli.run` and test_cli's REFUSALS:
-    their exit codes, every code object called and every refusal line
-    reached.  A frame is traced line by line only if its code holds a
-    refusal."""
-    tmp = tmp_path_factory.mktemp("traced")
-    lines = {}
-    for path, line in refusals():
-        lines.setdefault(path, set()).add(line)
-    called, reached, owned = set(), set(), {}
+def trace(cases: list, out: str) -> dict:
+    """Import qisim and run `cases` under a line tracer; see the module
+    docstring."""
+    seen = {}
 
     def line_event(frame, event, arg):
-        if event == "line" and frame.f_lineno in owned[frame.f_code]:
-            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        if event == "line":
+            seen[frame.f_code].add(frame.f_lineno)
         return line_event
 
     def call_event(frame, event, arg):
         code = frame.f_code
-        called.add(code)
-        if code not in owned:
-            mine = lines.get(code.co_filename, ())
-            owned[code] = {ln for _, _, ln in code.co_lines() if ln in mine}
-        return line_event if owned[code] else None
+        if not code.co_filename.startswith(SRC):
+            return None
+        seen.setdefault(code, set())
+        return line_event
 
-    argvs = COMMANDS + [argv for argv, _, _ in REFUSALS.values()]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "argv", ["qisim", "g13", "--out", str(tmp / "run")])
-        threading.settrace(call_event)  # the grid writer's thread
-        sys.settrace(call_event)
+    threading.settrace(call_event)  # the grid writer's thread
+    sys.settrace(call_event)
+    try:
+        from qisim import cli
+        codes = [cli.main(argv[:1] + ["--out", os.path.join(out, str(k))]
+                          + argv[1:]) for k, argv in enumerate(cases)]
+        sys.argv = ["qisim", "g13", "--out", os.path.join(out, "run")]
         try:
-            codes = [cli.main(argv + ["--out", str(tmp / str(k))])
-                     for k, argv in enumerate(argvs)]
-            with pytest.raises(SystemExit) as run:
-                cli.run()
-        finally:
-            sys.settrace(None)
-            threading.settrace(None)
-    return SimpleNamespace(codes=codes, run_code=run.value.code,
-                           called=called, reached=reached)
+            cli.run()
+        except SystemExit as exc:
+            run_code = exc.code
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return {"codes": codes, "run_code": run_code,
+            "lines": [[code.co_filename, code.co_firstlineno,
+                       code.co_qualname, sorted(lines)]
+                      for code, lines in seen.items()]}
 
 
-def test_every_public_function_is_reached_from_a_command(traced):
-    # reproduce-all exits 4 on the C4 checks; the usage error exits 2
-    assert traced.codes[:len(COMMANDS)] == (
-        [cli.EXIT_OK] * 9 + [cli.EXIT_CHECKS, cli.EXIT_CONFIG])
-    assert traced.run_code == cli.EXIT_OK
-    missed = sorted(name for name, code in public_functions().items()
-                    if code not in traced.called)
-    assert missed == TRACER_ONLY
+def body_lines(path: str) -> dict:
+    """(first line, qualified name) -> the lines of each function, lambda
+    and comprehension body in the module at path."""
+    with open(path, encoding="utf-8") as fh:
+        module = compile(fh.read(), path, "exec")
+    found = {}
+
+    def visit(code):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                # a class body runs at import; only functions are checked
+                if const.co_flags & inspect.CO_NEWLOCALS:
+                    found[const.co_firstlineno, const.co_qualname] = {
+                        ln for _, _, ln in const.co_lines() if ln}
+                visit(const)
+    visit(module)
+    return found
 
 
-def test_every_refusal_is_reached_from_a_command(traced):
-    assert traced.codes[len(COMMANDS):] == [
+def locations(entry: str) -> set:
+    """("file", line) for each line an UNREACHED entry names."""
+    name, span = entry.split(":")
+    first, _, last = span.partition("-")
+    return {(name, ln) for ln in range(int(first), int(last or first) + 1)}
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The subprocess's report, with `want`, the exit code each run
+    should give, `body`, ("file", line) of every body line, and
+    `missed`, those that did not run."""
+    from test_cli import REFUSALS
+    tmp = tmp_path_factory.mktemp("traced")
+    cases = [argv for argv, _ in COMMANDS] + [
+        argv for argv, _, _ in REFUSALS.values()]
+    (tmp / "cases.json").write_text(json.dumps({"cases": cases}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           str(tmp / "cases.json"), str(tmp / "out")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp / "out" / "report.json").read_text())
+    ran = {(path, first, name): set(lines)
+           for path, first, name, lines in report["lines"]}
+    body, missed = set(), set()
+    for module in sorted(os.listdir(SRC)):
+        if not module.endswith(".py"):
+            continue
+        path = os.path.join(SRC, module)
+        for (first, name), lines in body_lines(path).items():
+            body |= {(module, ln) for ln in lines}
+            # a called body's first line is its def or its decorator,
+            # which holds no statement of the body
+            run = ran.get((path, first, name))
+            todo = lines if run is None else lines - run - {first}
+            missed |= {(module, ln) for ln in todo}
+    want = [code for _, code in COMMANDS] + [
         code for _, code, _ in REFUSALS.values()]
-    unreached = {key: name for key, name in refusals().items()
-                 if key not in traced.reached}
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    unexplained = [f"{os.path.relpath(path, root)}:{line}"
-                   for (path, line), name in sorted(unreached.items())
-                   if name not in UNREACHED_REFUSALS]
-    assert not unexplained, ("no command or REFUSALS case reaches "
-                             + ", ".join(unexplained))
-    # and each listed function still holds a refusal no command reaches
-    assert set(UNREACHED_REFUSALS) <= set(unreached.values())
+    return dict(report, want=want, body=body, missed=missed)
+
+
+def test_commands_and_refusals_exit_as_expected(traced):
+    assert traced["codes"] == traced["want"]
+    assert traced["run_code"] == 0
+
+
+def test_every_body_line_runs_in_a_command(traced):
+    listed = set().union(*map(locations, UNREACHED))
+    unexplained = sorted(traced["missed"] - listed)
+    assert not unexplained, "no command runs " + ", ".join(
+        f"{name}:{ln}" for name, ln in unexplained)
+
+
+def test_every_unreached_entry_names_lines_no_command_runs(traced):
+    ran = traced["body"] - traced["missed"]
+    stale = [entry for entry in UNREACHED
+             if not locations(entry) & traced["body"]
+             or locations(entry) & ran]
+    assert not stale, "listed in UNREACHED but run: " + ", ".join(stale)
+
+
+if __name__ == "__main__":
+    cases_path, out_dir = sys.argv[1:]
+    with open(cases_path, encoding="utf-8") as fh:
+        job = json.load(fh)
+    report = trace(job["cases"], out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "report.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(report, fh)
