@@ -186,6 +186,10 @@ def _validate(values: dict) -> None:
             raise InputError(f"{key} must be below {_ANGULAR_MAX:.3g} Hz so "
                              f"that 2*pi*value is finite, got "
                              f"{values[key]!r}")
+        if 0.0 < values[key] < sys.float_info.min:
+            raise InputError(f"{key} must be at least "
+                             f"{sys.float_info.min:.3g} Hz when nonzero, "
+                             f"got {values[key]!r}")
 
 
 def _formats_list(text: str) -> list:

@@ -1,30 +1,29 @@
-"""The body of a grid CSV, and format(v, ".17g") for float64 arrays,
-byte for byte, in numpy.
+"""The body of a grid CSV in numpy: fixed-width lines whose three numbers
+are each format(v, "+.16e") with the exponent widened to a sign and
+three digits, for example +1.6596926708204858e-004.
 
-A grid's long-format lines are formatted one band of about _BAND_CELLS
-cells at a time in the calling thread, as NUL-padded words, while one
-writer thread drops the NULs of the band before it with a boolean mask
-and writes the bytes.  The mask, numpy's loops, hashlib and file writes
-release the GIL, so the two threads overlap.
+Every number is WIDTH characters, so every line is LINE bytes and a band
+of rows is a (rows, n, LINE) uint8 array: the row and column labels are
+broadcast into it from one row per axis point, the densities are
+formatted into their fields in place, and the band is written as it is.
+The bands are formatted in the calling thread while one writer thread
+hashes and writes the band before; numpy's loops, hashlib and file
+writes release the GIL, so the two threads overlap.
 
-A grid holds a density divided by its peak, so the kernel's fast path
-takes values in (0, 1].  With k the decade of v, the 17 digits are
-rint(y), y = v 10^(16 - k), from a double-double product in float64:
-2^s_k v, which is exact, times a table entry hi_k + lo_k = 10^(16 - k)
-2^-s_k in [1, 2) to within 2^-106, by Veltkamp's split and Dekker's
-two-product (Numer. Math. 18, 224 (1971)).  The product's high part is
-an integer, and y minus it is known to within HALF_MARGIN for y below
-2^57.  Zero, negatives, values above 1, inf and nan, a value whose
-decade log10 misjudges, and every cell within HALF_MARGIN of a rounding
-tie, go through format() itself.  The tables are exact integer
-arithmetic, so there is one code path on every platform.
-
-A cell's slot is SLOT bytes: a head word "0.000d." (the "0." and zeros
-of a fixed-notation value below 1, the lead digit, the point), four
-words of 4 digits, and a tail word "e-324\\n" or "\\n".  Absent
-characters are NUL bytes, which the compaction drops.  The module builds
-its tables when imported, so it is imported only where a grid is
-written.
+Any 17 significant digits read back to the same float64, so a parsed
+cell is bit for bit the value written.  A grid holds a density divided
+by its peak, so the kernel's fast path takes values in (0, 1].  With k
+the decade of v, the 17 digits are rint(y), y = v 10^(16 - k), from a
+double-double product in float64: 2^s_k v, which is exact, times a
+table entry hi_k + lo_k = 10^(16 - k) 2^-s_k in [1, 2) to within
+2^-106, by Veltkamp's split and Dekker's two-product (Numer. Math. 18,
+224 (1971)).  The product's high part is an integer, and y minus it is
+known to within HALF_MARGIN for y below 2^57.  Zero, negatives, values
+above 1, inf and nan, a value whose decade log10 misjudges, and every
+cell within HALF_MARGIN of a rounding tie, go through spelled(), which
+calls format() itself.  The tables are exact integer arithmetic, so
+there is one code path on every platform.  The module builds its tables
+when imported, so it is imported only where a grid is written.
 """
 from __future__ import annotations
 
@@ -38,25 +37,29 @@ import numpy as np
 # of 16384 cells made the storage map's allocations churn (5 times the
 # minor page faults) and one of 4096 paid per-band overhead
 _BAND_CELLS = 8192
-# the characters of a slot, ahead of its tail word; a slot
-BODY, SLOT = 24, 32
+# the characters of a number, and the bytes of a line
+WIDTH = 24
+LINE = 3 * WIDTH + 3
+# where a line's density starts
+_VALUE = 2 * WIDTH + 2
 # decades floor(log10 v) of float64s in (0, 1]
 _K_LO, _K_HI = -324, 0
 
 
-def byte_rows(strings, width: int = 0) -> np.ndarray:
-    """ASCII strings as the NUL-padded rows of a uint8 matrix at least
-    `width` wide."""
-    rows = np.array([s.encode("ascii") for s in strings], dtype=bytes)
-    out = np.zeros((len(rows), max(width, rows.itemsize)), np.uint8)
-    out[:, :rows.itemsize] = rows.view(np.uint8).reshape(len(rows),
-                                                          rows.itemsize)
-    return out
-
-
-def _words(data, dtype) -> np.ndarray:
-    """Each row along the last axis of a byte array as one native word."""
-    return np.ascontiguousarray(data, dtype=np.uint8).view(dtype)[..., 0]
+def spelled(values) -> np.ndarray:
+    """format(v, "+.16e") for each float in `values`, its exponent
+    widened to a sign and three digits, and inf and nan padded with
+    spaces, as the rows of a (len(values), WIDTH) uint8 array."""
+    text = np.array([format(v, "+.16e")
+                     for v in np.asarray(values, dtype=float).tolist()],
+                    f"S{WIDTH}")
+    rows = text.view(np.uint8).reshape(len(text), WIDTH)
+    # "e+dd", then a NUL
+    two = (rows[:, -5] == ord("e")) & (rows[:, -1] == 0)
+    rows[two, -2:] = rows[two, -3:-1]
+    rows[two, -3] = ord("0")
+    rows[rows == 0] = ord(" ")
+    return rows
 
 
 def _split(x):
@@ -84,38 +87,11 @@ def _scales():
     return np.array(shifts, np.int32), np.array([*_split(hi), lo])
 
 
-def _tables():
-    """The kernel's layout tables; what builds them is freed on return."""
-    k = range(_K_LO, _K_HI + 1)
-    digit = (np.arange(10000, dtype=np.int16)[:, None]
-             // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
-    # position 1-4 of a 4-digit group's last nonzero digit; 0 for 0000
-    last = np.max(np.where(digit != 0, np.arange(1, 5, dtype=np.uint8), 0),
-                  axis=1)
-    # index of each group's first digit among the 17
-    first = 1 + 4 * np.arange(4, dtype=np.uint8)
-    kept = np.clip(np.arange(18)[:, None, None] - first[:, None], 0, 4)
-    head = np.zeros((5, 10, 2, 8), np.uint8)
-    head[..., :5] = byte_rows(["", "0.", "0.0", "0.00", "0.000"])[
-        :, None, None]
-    head[..., 5] = ord("0") + np.arange(10)[:, None]
-    head[..., 1, 6] = ord(".")
-    return (
-        # [value]: "0000" .. "9999"
-        _words(ord("0") + digit, np.uint32),
-        # [g][value]: significant digits of a 17-digit integer whose
-        # last nonzero digit is in its group g, which holds value
-        np.where(last > 0, first[:, None] + last, 1).astype(np.uint8),
-        # [g][n]: the mask of group g that keeps the first n of 17 digits
-        _words(0xFF * (np.arange(4) < kept), np.uint32).T.copy(),
-        # [(zeros * 10 + lead) * 2 + point]: "0.000d."
-        _words(head.reshape(-1, 8), np.uint64),
-        # [k - _K_LO]: an exponent and newline; [-1]: a newline
-        _words(byte_rows([f"e{e:+03d}\n" for e in k] + ["\n"], 8),
-               np.uint64))
-
-
-_QUAD, _SIGNIFICANT, _KEEP, _HEAD, _TAIL = _tables()
+# [value]: "0000" .. "9999", as one 4-byte item
+_QUAD = np.array([f"{i:04d}" for i in range(10000)], "S4").view("V4")
+# [k - _K_LO]: the exponent "-324" .. "+000"
+_EXPONENT = np.array([f"{k:+04d}" for k in range(_K_LO, _K_HI + 1)],
+                     "S4").view("V4")
 # [k - _K_LO]: s_k; [:, k - _K_LO]: the split parts of hi_k, and lo_k
 _SHIFT, _SCALE = _scales()
 # the error of y - rint(y) for y < 2^57, so a cell this close to a tie
@@ -153,10 +129,9 @@ def _step(digits, frac):
             - ((digits < 10 ** 16) | ((digits == 10 ** 16) & (frac < 0))))
 
 
-def slots(values, out: np.ndarray) -> np.ndarray:
-    """Write format(v, ".17g") and a newline for each float64 in
-    `values` into `out`, one row of SLOT uint8 each, 8-byte aligned,
-    with NUL bytes among the characters; return out."""
+def numbers(values, field: np.ndarray) -> None:
+    """Write spelled(values) into `field`, a (len(values), WIDTH) uint8
+    array whose rows may be strided."""
     v = np.asarray(values, dtype=float).ravel()
     # nan fails both comparisons
     special = ~((v > 0.0) & (v <= 1.0))
@@ -164,69 +139,46 @@ def slots(values, out: np.ndarray) -> np.ndarray:
     k = np.floor(np.log10(a)).astype(np.intp)
     digits, frac = _digits(a, k)
     # log10 may be one decade off next to a power of ten, and 17 nines
-    # may round up into the next; such a cell goes through format()
+    # may round up into the next; such a cell goes through spelled()
     step = _step(digits, frac)
     near_tie = ~(np.abs(frac) < 0.5 - HALF_MARGIN)
     fallback = special | near_tie | (step != 0)
     lead, rest = np.divmod(np.where(fallback, 10 ** 16, digits), 10 ** 16)
     high, low = np.divmod(rest, 10 ** 8)
-    groups = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
-    significant = np.maximum.reduce(
-        [sig[g] for sig, g in zip(_SIGNIFICANT, groups)])
-
-    # %g: fixed notation for decades -4 .. 0, the digits of a value below
-    # 1 after "0." and 0 to 3 zeros; trailing zeros stripped
-    fixed = k >= -4
-    small = fixed & (k < 0)
-    point = (significant > 1) & ~small
-    out64, out32 = out.view(np.uint64), out.view(np.uint32)
-    out64[:, 0] = _HEAD[(np.where(small, -k, 0) * 10 + lead) * 2 + point]
-    for i, (g, keep) in enumerate(zip(groups, _KEEP)):
-        out32[:, 2 + i] = _QUAD[g] & keep[significant]
-    out64[:, 3] = _TAIL[np.where(fixed | fallback, -1, k - _K_LO)]
+    # "+d." 16 digits, "e" and the exponent
+    field[:, 0], field[:, 2], field[:, 19] = b"+.e"
+    field[:, 1] = lead + ord("0")
+    for i, group in enumerate([*np.divmod(high, 10 ** 4),
+                               *np.divmod(low, 10 ** 4)]):
+        field[:, 3 + 4 * i:7 + 4 * i].view("V4")[:, 0] = _QUAD[group]
+    field[:, 20:].view("V4")[:, 0] = _EXPONENT[k - _K_LO]
 
     slow = np.flatnonzero(fallback)
     if slow.size:
-        text = np.array([format(x, ".17g") for x in v[slow].tolist()],
-                        dtype=f"S{BODY}")
-        out[slow, :BODY] = text.view(np.uint8).reshape(slow.size, BODY)
-    return out
+        field[slow] = spelled(v[slow])
 
 
-def _label_words(labels):
-    """Row and column parts of the grid's lines as uint64 words: the
-    row label, and ",label," just after the widest row label, both
-    NUL-padded to one width, a multiple of 8 bytes."""
-    rows = byte_rows(labels)
-    cols = byte_rows(["," + label + "," for label in labels])
-    width_l, width_c = rows.shape[1], cols.shape[1]
-    words = -(-(width_l + width_c) // 8)
-    row_words = np.zeros((len(labels), 8 * words), np.uint8)
-    col_words = np.zeros_like(row_words)
-    row_words[:, :width_l] = rows
-    col_words[:, width_l:width_l + width_c] = cols
-    return row_words.view(np.uint64), col_words.view(np.uint64)
+def _columns(axis):
+    """(labels, columns): each axis point spelled with its comma, as the
+    start of a line, and as a line's column part, which also holds its
+    newline."""
+    labels = np.full((len(axis), WIDTH + 1), ord(","), np.uint8)
+    labels[:, :WIDTH] = spelled(axis)
+    columns = np.zeros((len(labels), LINE), np.uint8)
+    columns[:, WIDTH + 1:_VALUE] = labels
+    columns[:, -1] = ord("\n")
+    return labels, columns
 
 
-def _grid_band(rows, cols, values):
-    """The long-format lines of the grid rows with the row words `rows`
-    and the values `values`, as their cells' uint64 words: each line's
-    characters with NUL bytes among them, for _compact.  cols are the
-    column words of _label_words."""
-    words = rows.shape[1]
-    cell = np.empty((len(rows) * len(cols), words + SLOT // 8), np.uint64)
-    np.bitwise_or(rows[:, None], cols,
-                  out=cell.reshape(len(rows), len(cols), -1)[:, :, :words])
-    slots(values, cell[:, words:].view(np.uint8))
-    return cell
-
-
-def _compact(cell):
-    """A band's UTF-8 bytes: its words without the NUL pads.  A boolean
-    mask releases the GIL, where bytes.translate holds it, and np.compress
-    would build an index array 8 times the kept bytes."""
-    data = cell.reshape(-1).view("u1")
-    return data[data != 0]
+def _band(labels, columns, values):
+    """The lines of the grid rows with the row labels `labels` and the
+    densities `values`, as a (rows, n, LINE) uint8 array."""
+    band = np.empty((len(labels), *columns.shape), np.uint8)
+    band[:] = columns
+    band[:, :, :WIDTH + 1].view(f"V{WIDTH + 1}")[..., 0] = labels.view(
+        f"V{WIDTH + 1}")
+    numbers(values, band.reshape(-1, LINE)[:, _VALUE:_VALUE + WIDTH])
+    return band
 
 
 def write_grid(write_bytes, axis, values) -> None:
@@ -234,32 +186,32 @@ def write_grid(write_bytes, axis, values) -> None:
     the square grid `values` on `axis` x `axis`, row-major, one band at
     a time, so memory does not grow with the number of lines.  At most
     one band is in flight: a band is handed to the writer thread only
-    once it has written the one before.  A failed write or compaction
-    raises here once the writer thread has stopped."""
-    labels, cols = _label_words([format(float(a), ".17g") for a in axis])
-    size = max(1, _BAND_CELLS // len(cols))   # rows in a band
+    once it has written the one before.  A failed write raises here
+    once the writer thread has stopped."""
+    labels, columns = _columns(axis)
+    size = max(1, _BAND_CELLS // len(columns))   # rows in a band
     bands, failed = queue.Queue(1), []
 
     def write():
-        while (cell := bands.get()) is not None:
+        while (band := bands.get()) is not None:
             try:
                 if not failed:
-                    write_bytes(_compact(cell))
+                    write_bytes(band)
             except BaseException as exc:
                 failed.append(exc)
             finally:
-                del cell   # the band is let go before the next arrives
+                del band   # the band is let go before the next arrives
                 bands.task_done()
 
     thread = threading.Thread(target=write)
     thread.start()
     try:
         for lo in range(0, len(labels), size):
-            cell = _grid_band(labels[lo:lo + size], cols, values[lo:lo + size])
+            band = _band(labels[lo:lo + size], columns, values[lo:lo + size])
             bands.join()   # the band before is written
             if failed:
                 break
-            bands.put(cell)
+            bands.put(band)
     finally:
         bands.put(None)
         thread.join()

@@ -5,9 +5,9 @@ exactly; JSON uses Python's shortest-round-trip float repr.  One writer
 instance serializes all emission for a run and accumulates the manifest.
 
 A grid CSV's header goes through the csv module like any other, and
-its body is handed to `g17`, which formats and writes it in bands and is
-imported on the first grid write, so its cost falls only on commands
-that write a grid.
+its body is handed to `g17`, which formats and writes it in bands of
+fixed-width lines and is imported on the first grid write, so its cost
+falls only on commands that write a grid.
 """
 from __future__ import annotations
 
@@ -91,12 +91,16 @@ class OutputWriter:
         return fh.path
 
     def write_grid_csv(self, name: str, header, axis, values) -> str:
-        """A square grid `values[i, j]` on `axis` x `axis`, in the same
-        long format write_csv gives rows (axis[i], axis[j], values[i, j]).
+        """A square grid `values[i, j]` on `axis` x `axis` in long
+        format: the header, then one line "axis[i],axis[j],values[i, j]"
+        per cell, row-major.
 
-        The body streams from g17.write_grid, so memory does not grow
-        with the number of CSV rows; a failed write or compaction raises
-        before the file is recorded.
+        Unlike write_csv's .17g, every number is format(v, "+.16e") with
+        a three-digit exponent, so every line is g17.LINE (75) bytes; any
+        17 significant digits parse back to the same float.  The body
+        streams from g17.write_grid, so memory does not grow with the
+        number of lines; a failed write raises before the file is
+        recorded.
         """
         if not self.wants("csv"):
             return None

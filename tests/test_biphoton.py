@@ -593,8 +593,9 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
     # a time and holds no complex vector over the frequency grid: its
     # guards hold |r|^2 and its fold, its transform a few vectors of
     # one segment's length, and its peak is the grid CSV after them, the
-    # density and the grid writer's bands (measured 7.9 MiB over the
-    # import on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, where holding
+    # density and the grid writer's bands (measured 6.7-6.8 MiB over the
+    # import on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, and 7.6-7.9
+    # MiB with the NUL-padded .17g grid bands, where holding
     # r whole read 9.6 MiB, and a scaled copy of r, the detunings in the
     # transform and the guards' argsorts 17.1 MiB); the n_freq 2048
     # visibility holds one-dimensional sums and a band.
@@ -631,11 +632,13 @@ def test_storage_timedist_peak_resident_memory(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads VmHWM from /proc/self/status")
 def test_storage_timedist_csv_peak_resident_memory(tmp_path):
-    # The 137 MB CSV of the same map is written in bands of 8192 cells,
-    # one formatted while the writer thread compacts and writes the one
-    # before: measured 23.9 MiB over the import, where bands of 16 rows
-    # (24576 cells), their bytes copied and translated on the calling
-    # thread, and a 4 MiB work buffer read 28.8 MiB.
+    # The 176.9 MB CSV of the same map is written in bands of 8192 cells
+    # of fixed-width lines, one formatted while the writer thread hashes
+    # and writes the one before: measured 22.0-22.3 MiB over the import
+    # (23.4-23.7 MiB with the NUL-padded .17g bands and their
+    # compaction), where bands of 16 rows (24576 cells), their bytes
+    # copied and translated on the calling thread, and a 4 MiB work
+    # buffer read 28.8 MiB.
     base = child_hwm_mib()
     storage = child_hwm_mib(
         "timedist", "--with-storage", "eit", "--set", "output.formats=csv",

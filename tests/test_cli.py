@@ -643,6 +643,12 @@ REFUSALS = {
                            EXIT_CONFIG, f"eit.gamma_ge_hz {_HZ_LINE}"),
     "hz-eit.gamma_s_hz": (["eit", "--set", "eit.gamma_s_hz=1e308"],
                           EXIT_CONFIG, f"eit.gamma_s_hz {_HZ_LINE}"),
+    # a subnormal rate, whose spectra overflow and warn
+    "hz-subnormal": (
+        ["visibility", "--set", "source.pump_kind=flat_limit", "--set",
+         "source.gamma_hz=5e-324"], EXIT_CONFIG,
+        "source.gamma_hz must be at least 2.23e-308 Hz when nonzero, got "
+        "5e-324"),
     # grids
     "time-grid": (["timedist", "--set", "grids.n_time=4097"], EXIT_CONFIG,
                   "time grid of 4097 points exceeds the materialization "

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -61,14 +62,24 @@ def test_csv_uses_lf_line_endings(tmp_path):
     assert raw.endswith(b"\n")
 
 
+def _wide_e(v):
+    """format(v, "+.16e") with its exponent widened to a sign and three
+    digits; a non-finite value's text padded with spaces to 24."""
+    mantissa, e, exponent = format(v, "+.16e").partition("e")
+    if not e:
+        return mantissa.ljust(24)
+    return f"{mantissa}e{int(exponent):+04d}"
+
+
 def _long_format_reference(header, axis, values):
-    """The long format as write_csv produces it from (t1, t2, v) rows."""
+    """The header as write_csv writes it, then one fixed-width line of
+    (t1, t2, v) spelled by _wide_e per grid cell, row-major."""
     buf = io.StringIO(newline="")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
+    csv.writer(buf, lineterminator="\n").writerow(header)
     for i, t1 in enumerate(axis):
         for j, t2 in enumerate(axis):
-            w.writerow([outputs.fmt_cell(c) for c in (t1, t2, values[i, j])])
+            buf.write(",".join(_wide_e(float(c))
+                               for c in (t1, t2, values[i, j])) + "\n")
     return buf.getvalue().encode("utf-8")
 
 
@@ -85,7 +96,8 @@ def test_grid_csv_matches_long_format_rows(tmp_path):
     expected = _long_format_reference(header, axis, values)
     raw = (tmp_path / "grid.csv").read_bytes()
     assert raw == expected
-    assert b"\n-0," in raw          # the -0.0 axis point keeps its sign
+    # the -0.0 axis point keeps its sign
+    assert b"\n-0.0000000000000000e+000," in raw
     assert writer.entries == [{
         "path": "grid.csv",
         "sha256": hashlib.sha256(expected).hexdigest()}]
@@ -145,23 +157,18 @@ def test_grid_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
 
 
 def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
-    # the calling thread formats each band while a writer that lags
-    # behind it compacts and writes the one before; one row per band
+    # the calling thread writes the header and formats each band while a
+    # writer that lags behind it hashes and writes the one before; one
+    # row per band
     monkeypatch.setattr(g17, "_BAND_CELLS", 37)
-    write_bytes = outputs._HashedFile.write_bytes
+    write_bytes, threads = outputs._HashedFile.write_bytes, []
 
     def slow_write(self, data):
+        threads.append(threading.current_thread())
         time.sleep(0.002)
         write_bytes(self, data)
 
     monkeypatch.setattr(outputs._HashedFile, "write_bytes", slow_write)
-    compact, threads = g17._compact, set()
-
-    def compact_on(cell):
-        threads.add(threading.current_thread())
-        return compact(cell)
-
-    monkeypatch.setattr(g17, "_compact", compact_on)
     axis, values = _edge_case_grid(37)
     header = ["t1_ns", "t2_ns", "density"]
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
@@ -171,40 +178,48 @@ def test_grid_csv_is_whole_behind_a_slow_writer(tmp_path, monkeypatch):
     assert writer.entries == [{
         "path": "grid.csv",
         "sha256": hashlib.sha256(expected).hexdigest()}]
-    assert len(threads) == 1
-    assert threading.main_thread() not in threads
+    assert len(threads) == 1 + 37
+    assert threads[0] is threading.main_thread()
+    assert len(set(threads[1:])) == 1
+    assert threading.main_thread() not in threads[1:]
 
 
 @pytest.mark.parametrize("fault", ["band", "write", "middle-write",
-                                   "last-write", "compact"])
+                                   "last-write", "hash"])
 def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
                                                        fault):
-    # a fault formatting a band, compacting a middle band or writing the
+    # a fault formatting a band, hashing a middle band or writing the
     # first, a middle or the last band on the writer thread raises before
     # the file is recorded and leaves neither the writer thread nor a
     # child process behind
     monkeypatch.setattr(g17, "_BAND_CELLS", _SMALL_BAND_CELLS)
-    grid_band, compact = g17._grid_band, g17._compact
-    formatted, compacted = [], []
+    band, sha256 = g17._band, hashlib.sha256
+    formatted = []
 
-    def failing_band(rows, cols, values):
+    def failing_band(labels, columns, values):
         formatted.append(1)
         if len(formatted) == 2:
             raise RuntimeError("formatting fault")
-        return grid_band(rows, cols, values)
+        return band(labels, columns, values)
 
-    def failing_compact(cell):
-        compacted.append(1)
-        if len(compacted) == 2:
-            raise RuntimeError("compaction fault")
-        return compact(cell)
+    def failing_sha256():
+        # the header is update 1, and the three bands updates 2 to 4
+        digest, updates = sha256(), []
+
+        def update(data):
+            updates.append(1)
+            if len(updates) == 3:
+                raise RuntimeError("hash fault")
+            digest.update(data)
+        return types.SimpleNamespace(update=update,
+                                     hexdigest=digest.hexdigest)
 
     if fault == "band":
-        monkeypatch.setattr(g17, "_grid_band", failing_band)
+        monkeypatch.setattr(g17, "_band", failing_band)
         error, match = RuntimeError, "formatting fault"
-    elif fault == "compact":
-        monkeypatch.setattr(g17, "_compact", failing_compact)
-        error, match = RuntimeError, "compaction fault"
+    elif fault == "hash":
+        monkeypatch.setattr(outputs.hashlib, "sha256", failing_sha256)
+        error, match = RuntimeError, "hash fault"
     else:
         # the header is call 1, and the three bands calls 2 to 4
         call = {"write": 2, "middle-write": 3, "last-write": 4}[fault]
@@ -222,12 +237,49 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_grid_csv_lines_are_75_bytes_and_parse_to_the_grid(tmp_path):
+    axis, values = _edge_case_grid(37)
+    writer = outputs.OutputWriter(str(tmp_path), ("csv",))
+    writer.write_grid_csv("grid.csv", ["t1_ns", "t2_ns", "density"], axis,
+                          values)
+    header, body = (tmp_path / "grid.csv").read_bytes().split(b"\n", 1)
+    assert header == b"t1_ns,t2_ns,density"
+    assert len(body) == 75 * 37 * 37
+    assert body.count(b"\n") == 37 * 37
+    lines = np.frombuffer(body, np.uint8).reshape(37 * 37, 75)
+    assert np.all(lines[:, -1] == ord("\n"))
+    parsed = np.array([[float(x) for x in line.split(b",")]
+                       for line in body.splitlines()])
+    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
+    grid = np.stack([t1, t2, values], axis=-1).reshape(-1, 3)
+    # bit for bit: the -0.0 axis point, 0, 1, 5e-324 and 1/3 among them
+    assert np.array_equal(parsed.view(np.uint64), grid.view(np.uint64))
+
+
 def _kernel_text(values):
-    """The %.17g kernel's cells for `values`, as strings."""
-    values = np.asarray(values, dtype=float)
-    slots = g17.slots(values, np.empty((values.size, g17.SLOT), np.uint8))
-    text = slots.tobytes().translate(None, b"\0").decode("ascii")
-    return text.split("\n")[:-1]
+    """The kernel's numbers for `values`, as a (len(values), 24) uint8
+    array."""
+    values = np.asarray(values, dtype=float).ravel()
+    field = np.empty((values.size, g17.WIDTH), np.uint8)
+    g17.numbers(values, field)
+    return field
+
+
+def _kernel_mismatches(values):
+    """The values whose kernel text is not _wide_e's.  The kernel's text,
+    24 printable bytes, is narrowed to format(v, "+.16e"): an exponent's
+    leading 0 and the padding of inf and nan are taken out.  It
+    narrows to format()'s text exactly when it is _wide_e's."""
+    values = np.asarray(values, dtype=float).ravel()
+    text = _kernel_text(values)
+    assert np.all((text >= ord(" ")) & (text < 127))
+    narrow = text.copy()
+    wide = (text[:, 19] == ord("e")) & (text[:, 21] == ord("0"))
+    narrow[wide, 21:23] = text[wide, 22:]
+    narrow[wide, 23] = 0
+    narrow[narrow == ord(" ")] = 0
+    expected = np.array([format(v, "+.16e") for v in values.tolist()], "S24")
+    return values[narrow.view("S24")[:, 0] != expected]
 
 
 def test_g17_kernel_matches_format_on_every_kind_of_float():
@@ -239,17 +291,21 @@ def test_g17_kernel_matches_format_on_every_kind_of_float():
              1e-5, 0.5, 1.0, 10.0, 1234000.0, 1.5e16, 2.0 ** 53]
     decades = 10.0 ** np.arange(-323, 309)
     fixed = 10.0 ** rng.uniform(-5.0, 18.0, 50_000)
+    # rounding ties: m 2^(k - 17) for odd m, in decade k, has 18
+    # significant digits, the last a 5
+    odd = np.arange(1, 2 ** 18, 32)
+    ties = [v[(v >= 10.0 ** k) & (v < 10.0 ** (k + 1))]
+            for k in range(-8, 0) for v in [odd * 2.0 ** (k - 17)]]
     values = np.concatenate([
         rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(float),
         edges, decades, np.nextafter(decades, 0.0),
-        np.nextafter(decades, math.inf),
-        # fixed notation, with and without trailing zeros to strip
+        np.nextafter(decades, math.inf), *ties,
+        # decades -5 to 17, with and without trailing zeros
         fixed, -fixed, np.round(fixed, 2), np.round(fixed, -3)])
-    expected = [format(v, ".17g") for v in values.tolist()]
-    got = _kernel_text(values)
-    mismatches = [(e, g) for e, g in zip(expected, got) if e != g]
-    assert len(got) == len(expected)
-    assert mismatches == []
+    assert _kernel_mismatches(values).tolist() == []
+    # every width of exponent and kind of text, against _wide_e itself
+    assert [bytes(t).decode() for t in _kernel_text(edges)] == [
+        _wide_e(v) for v in edges]
 
 
 def test_g17_scales_are_double_double_powers_of_ten():
@@ -276,16 +332,15 @@ def test_g17_density_map_formats_no_finite_cell_through_format(monkeypatch):
             "T_p 100 ns": (small, 100e-9, None, 96),
             "flat_limit": (["grids.n_freq=1024", "grids.n_time=192",
                             "source.pump_kind=flat_limit"], 100e-9, None, 192)}
-    calls = []
-    monkeypatch.setattr(g17, "format", lambda v, spec: calls.append(v)
-                        or builtins.format(v, spec), raising=False)
+    calls, spelled = [], g17.spelled
+    monkeypatch.setattr(g17, "spelled",
+                        lambda values: calls.extend(values) or spelled(values))
     for name, (overrides, tp_s, storage, n_t) in maps.items():
         cfg = config.load_config(None, overrides)
         density = cli._timedist_compute(cfg, tp_s, storage)[1]
         assert density.shape == (n_t, n_t), name
         assert np.all((density > 0.0) & (density <= 1.0)), name
-        assert _kernel_text(density) == [
-            format(v, ".17g") for v in density.ravel().tolist()], name
+        assert _kernel_mismatches(density).tolist() == [], name
         assert calls == [], name
 
 

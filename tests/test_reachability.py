@@ -46,16 +46,13 @@ UNREACHED = {
     "eit.py:287": "fit_gamma_s: only a target equal to the narrowest window "
     "to the last bit (2429705.4185120836 Hz for the default medium) "
     "reaches it, so a case would pin that bit",
-    "g17.py:190-192": "slots' format() fallback: a density cell outside "
-    "(0, 1], or within HALF_MARGIN of a rounding tie; no command's density "
-    "holds one, and test_outputs checks the fallback against format()",
-    "g17.py:248-249": "write_grid: a band write that fails (disk full); "
+    "g17.py:158": "numbers' fallback: a density cell outside (0, 1], or "
+    "within HALF_MARGIN of a rounding tie; no command's density holds one, "
+    "and test_outputs checks the fallback against format()",
+    "g17.py:200-201": "write_grid: a band write that fails (disk full); "
     "test_outputs injects it",
-    "g17.py:261": "write_grid stops handing bands over after a failed write",
-    "g17.py:267": "write_grid raises the failed write",
-    "spectral.py:62-63": "detunings_on: a step span / (n - 1) that "
-    "underflows to 0; only a subnormal source.gamma_hz gives one (5e-324 "
-    "does, then numpy warns and build_jsa refuses the grid)",
+    "g17.py:213": "write_grid stops handing bands over after a failed write",
+    "g17.py:219": "write_grid raises the failed write",
     "svgplot.py:90": "_range: a NaN in a plotted series; no command "
     "computes one",
     # perfbench's tracer reads these; no command needs them
@@ -97,6 +94,12 @@ COMMANDS = [
     # the 3.7 MHz sweep row fails on a 1.004 % tail and is recomputed
     (["reproduce-all", "--set", "grids.freq_span_factor=31.7", "--set",
       "source.gamma_hz=3.72e6"], 3),
+    # a 5e-324 Hz grid span: detunings_on's step underflows to 0, and
+    # the storage filter reads the detunings before build_jsa refuses
+    # the tail
+    (["timedist", "--set", "source.pump_kind=flat_limit", "--with-storage",
+      "eit", "--set", "grids.freq_span_factor=1e-162", "--set",
+      "source.gamma_hz=1e-162"], 3),
     (["timedist", "--tp-s", "abc"], 2),   # a usage error
     (["g13", "--out", COMMENTED], 2),     # --out names a regular file
 ]
