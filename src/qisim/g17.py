@@ -3,12 +3,15 @@ are each format(v, "+.16e") with the exponent widened to a sign and
 three digits, for example +1.6596926708204858e-004.
 
 Every number is WIDTH characters, so every line is LINE bytes and a band
-of rows is a (rows, n, LINE) uint8 array: the row and column labels are
-broadcast into it from one row per axis point, the densities are
-formatted into their fields in place, and the band is written as it is.
-The bands are formatted in the calling thread while one writer thread
-hashes and writes the band before; numpy's loops, hashlib and file
-writes release the GIL, so the two threads overlap.
+of rows is a (rows, n, LINE) uint8 array.  A grid is written through two
+such band buffers, into which the column labels, commas and newlines go
+once; each band then takes only its row labels and its densities,
+formatted into their fields in place a chunk of cells at a time, and is
+written as it is.  The bands are formatted in the calling thread while
+one writer thread hashes and writes the band before; numpy's loops,
+hashlib and file writes release the GIL, so the two threads overlap.
+A buffer is formatted again two bands later, so write_bytes must not
+keep a band after it returns.
 
 Any 17 significant digits read back to the same float64, so a parsed
 cell is bit for bit the value written.  A grid holds a density divided
@@ -23,7 +26,7 @@ above 1, inf and nan, a value whose decade log10 misjudges, and every
 cell within HALF_MARGIN of a rounding tie, go through spelled(), which
 calls format() itself.  The tables are exact integer arithmetic, so
 there is one code path on every platform.  The module builds its tables
-when imported, so it is imported only where a grid is written.
+in numpy when imported, so it is imported only where a grid is written.
 """
 from __future__ import annotations
 
@@ -37,6 +40,8 @@ import numpy as np
 # of 16384 cells made the storage map's allocations churn (5 times the
 # minor page faults) and one of 4096 paid per-band overhead
 _BAND_CELLS = 8192
+# cells the kernel formats at a time: its temporaries are a quarter band
+_CHUNK_CELLS = 2048
 # the characters of a number, and the bytes of a line
 WIDTH = 24
 LINE = 3 * WIDTH + 3
@@ -66,8 +71,9 @@ def _split(x):
     """Veltkamp's split x = high + low, each part of at most 26
     significant bits, so that a product of two parts is exact."""
     c = x * 134217729.0     # 2^27 + 1
-    high = c - (c - x)
-    return high, x - high
+    high = c - x
+    np.subtract(c, high, out=high)
+    return high, np.subtract(x, high, out=c)
 
 
 def _scales():
@@ -87,11 +93,22 @@ def _scales():
     return np.array(shifts, np.int32), np.array([*_split(hi), lo])
 
 
+def _ascii(n, places):
+    """The last `places` decimal digits of each integer in `n` as ASCII,
+    the rows of a (len(n), places) uint8 array."""
+    text = np.empty((len(n), places), np.uint8)
+    for place in range(places):
+        text[:, -1 - place] = n // 10 ** place % 10 + ord("0")
+    return text
+
+
 # [value]: "0000" .. "9999", as one 4-byte item
-_QUAD = np.array([f"{i:04d}" for i in range(10000)], "S4").view("V4")
-# [k - _K_LO]: the exponent "-324" .. "+000"
-_EXPONENT = np.array([f"{k:+04d}" for k in range(_K_LO, _K_HI + 1)],
-                     "S4").view("V4")
+_QUAD = _ascii(np.arange(10000), 4).view("V4")[:, 0]
+# [k - _K_LO]: the exponent "-324" .. "+000", a sign and then |k|
+_DECADES = np.arange(_K_LO, _K_HI + 1)
+_EXPONENT = np.column_stack([
+    np.where(_DECADES < 0, ord("-"), ord("+")).astype(np.uint8),
+    _ascii(-_DECADES, 3)]).view("V4")[:, 0]
 # [k - _K_LO]: s_k; [:, k - _K_LO]: the split parts of hi_k, and lo_k
 _SHIFT, _SCALE = _scales()
 # the error of y - rint(y) for y < 2^57, so a cell this close to a tie
@@ -100,33 +117,37 @@ _SHIFT, _SCALE = _scales()
 HALF_MARGIN = 2.0 ** -47
 
 
-def _digits(a, k):
+def _digits(a, i):
     """(digits, frac): rint(y) as int64, and y - digits to within
-    HALF_MARGIN, for y = a 10^(16 - k) from 2^53 to 2^57."""
-    i = k - _K_LO
-    x = np.ldexp(a, _SHIFT[i])
+    HALF_MARGIN, for y = a 10^(16 - k) from 2^53 to 2^57 and i = k -
+    _K_LO.  `a` is overwritten."""
+    x = np.ldexp(a, _SHIFT[i], out=a)
     hi_high, hi_low, lo = _SCALE.take(i, axis=1)
-    p = x * (hi_high + hi_low)
+    p = hi_high + hi_low
+    p *= x
     x_high, x_low = _split(x)
     # Dekker: p + tail = x hi exactly, then the x lo term; p >= 2^53 is
     # an integer
-    tail = x_high * hi_high - p
-    tail += x_high * hi_low
-    tail += x_low * hi_high
-    tail += x_low * hi_low
-    tail += x * lo
-    whole = np.rint(tail)
+    tail = x_high * hi_high
+    tail -= p
+    tail += np.multiply(x_high, hi_low, out=x_high)
+    tail += np.multiply(x_low, hi_high, out=hi_high)
+    tail += np.multiply(x_low, hi_low, out=x_low)
+    tail += np.multiply(x, lo, out=x)
+    whole = np.rint(tail, out=lo)
     tail -= whole
-    return p.astype(np.int64) + whole.astype(np.int64), tail
+    digits = p.astype(np.int64)
+    digits += whole.astype(np.int64)
+    return digits, tail
 
 
-def _step(digits, frac):
-    """Nonzero where k is not the decade of rint(y): -1 where y = digits
-    + frac is below 1e16, which rint(y) alone may hide, 1 where rint(y)
-    reaches 1e17, else 0.  A frac too small to sign leaves y so close to
-    1e16 that 10 y rounds to 1e17: both decades print 1e(k)."""
-    return ((digits >= 10 ** 17).astype(np.intp)
-            - ((digits < 10 ** 16) | ((digits == 10 ** 16) & (frac < 0))))
+def _off_decade(digits, frac):
+    """Where k is not the decade of rint(y): where y = digits + frac is
+    below 1e16, which rint(y) alone may hide, or rint(y) reaches 1e17.
+    A frac too small to sign leaves y so close to 1e16 that 10 y rounds
+    to 1e17: both decades print 1e(k)."""
+    return ((digits < 10 ** 16) | (digits >= 10 ** 17)
+            | ((digits == 10 ** 16) & (frac < 0)))
 
 
 def numbers(values, field: np.ndarray) -> None:
@@ -134,50 +155,43 @@ def numbers(values, field: np.ndarray) -> None:
     array whose rows may be strided."""
     v = np.asarray(values, dtype=float).ravel()
     # nan fails both comparisons
-    special = ~((v > 0.0) & (v <= 1.0))
-    a = np.where(special, 1.0, v)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    digits, frac = _digits(a, k)
+    fallback = ~((v > 0.0) & (v <= 1.0))
+    a = np.where(fallback, 1.0, v)
+    i = np.floor(np.log10(a)).astype(np.intp) - _K_LO
+    digits, frac = _digits(a, i)
     # log10 may be one decade off next to a power of ten, and 17 nines
     # may round up into the next; such a cell goes through spelled()
-    step = _step(digits, frac)
-    near_tie = ~(np.abs(frac) < 0.5 - HALF_MARGIN)
-    fallback = special | near_tie | (step != 0)
-    lead, rest = np.divmod(np.where(fallback, 10 ** 16, digits), 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    # "+d." 16 digits, "e" and the exponent
+    fallback |= _off_decade(digits, frac)
+    fallback |= ~(np.abs(frac, out=frac) < 0.5 - HALF_MARGIN)
+    digits[fallback] = 10 ** 16
+    # "+d." 16 digits, "e" and the exponent; the digits four at a time
+    # from the right
     field[:, 0], field[:, 2], field[:, 19] = b"+.e"
-    field[:, 1] = lead + ord("0")
-    for i, group in enumerate([*np.divmod(high, 10 ** 4),
-                               *np.divmod(low, 10 ** 4)]):
-        field[:, 3 + 4 * i:7 + 4 * i].view("V4")[:, 0] = _QUAD[group]
-    field[:, 20:].view("V4")[:, 0] = _EXPONENT[k - _K_LO]
+    high = np.empty_like(digits)
+    for at in range(15, 0, -4):
+        np.floor_divide(digits, 10 ** 4, out=high)
+        digits -= high * 10 ** 4
+        field[:, at:at + 4].view("V4")[:, 0] = _QUAD[digits]
+        digits, high = high, digits
+    field[:, 1] = digits + ord("0")
+    field[:, 20:].view("V4")[:, 0] = _EXPONENT[i]
 
     slow = np.flatnonzero(fallback)
     if slow.size:
         field[slow] = spelled(v[slow])
 
 
-def _columns(axis):
-    """(labels, columns): each axis point spelled with its comma, as the
-    start of a line, and as a line's column part, which also holds its
-    newline."""
-    labels = np.full((len(axis), WIDTH + 1), ord(","), np.uint8)
-    labels[:, :WIDTH] = spelled(axis)
-    columns = np.zeros((len(labels), LINE), np.uint8)
-    columns[:, WIDTH + 1:_VALUE] = labels
-    columns[:, -1] = ord("\n")
-    return labels, columns
-
-
-def _band(labels, columns, values):
-    """The lines of the grid rows with the row labels `labels` and the
-    densities `values`, as a (rows, n, LINE) uint8 array."""
-    band = np.empty((len(labels), *columns.shape), np.uint8)
-    band[:] = columns
+def _band(buffer, labels, values):
+    """Write the row labels `labels` and the densities `values` of a band
+    of grid rows into `buffer`, whose column text is in place, and
+    return the band's lines, a (rows, n, LINE) view of `buffer`."""
+    band = buffer[:len(labels)]
     band[:, :, :WIDTH + 1].view(f"V{WIDTH + 1}")[..., 0] = labels.view(
         f"V{WIDTH + 1}")
-    numbers(values, band.reshape(-1, LINE)[:, _VALUE:_VALUE + WIDTH])
+    fields = band.reshape(-1, LINE)[:, _VALUE:_VALUE + WIDTH]
+    cells = values.ravel()
+    for lo in range(0, len(cells), _CHUNK_CELLS):
+        numbers(cells[lo:lo + _CHUNK_CELLS], fields[lo:lo + _CHUNK_CELLS])
     return band
 
 
@@ -186,10 +200,18 @@ def write_grid(write_bytes, axis, values) -> None:
     the square grid `values` on `axis` x `axis`, row-major, one band at
     a time, so memory does not grow with the number of lines.  At most
     one band is in flight: a band is handed to the writer thread only
-    once it has written the one before.  A failed write raises here
-    once the writer thread has stopped."""
-    labels, columns = _columns(axis)
-    size = max(1, _BAND_CELLS // len(columns))   # rows in a band
+    once it has written the one before, and the bands take turns in
+    two buffers, so write_bytes must not keep a band after it returns.
+    A failed write raises here once the writer thread has stopped."""
+    # each axis point spelled with its comma, to start a line or follow it
+    n = len(axis)
+    labels = np.full((n, WIDTH + 1), ord(","), np.uint8)
+    labels[:, :WIDTH] = spelled(axis)
+    size = min(n, max(1, _BAND_CELLS // n))   # rows in a band
+    # two band buffers, their column text written once
+    buffers = np.empty((2, size, n, LINE), np.uint8)
+    buffers[..., WIDTH + 1:_VALUE] = labels
+    buffers[..., -1] = ord("\n")
     bands, failed = queue.Queue(1), []
 
     def write():
@@ -200,14 +222,14 @@ def write_grid(write_bytes, axis, values) -> None:
             except BaseException as exc:
                 failed.append(exc)
             finally:
-                del band   # the band is let go before the next arrives
                 bands.task_done()
 
     thread = threading.Thread(target=write)
     thread.start()
     try:
-        for lo in range(0, len(labels), size):
-            band = _band(labels[lo:lo + size], columns, values[lo:lo + size])
+        for b, lo in enumerate(range(0, n, size)):
+            band = _band(buffers[b % 2], labels[lo:lo + size],
+                         values[lo:lo + size])
             bands.join()   # the band before is written
             if failed:
                 break

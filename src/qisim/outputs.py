@@ -98,9 +98,10 @@ class OutputWriter:
         Unlike write_csv's .17g, every number is format(v, "+.16e") with
         a three-digit exponent, so every line is g17.LINE (75) bytes; any
         17 significant digits parse back to the same float.  The body
-        streams from g17.write_grid, so memory does not grow with the
-        number of lines; a failed write raises before the file is
-        recorded.
+        streams from g17.write_grid through two band buffers that it
+        reuses, so memory does not grow with the number of lines, and
+        the file's write_bytes keeps no band; a failed write raises
+        before the file is recorded.
         """
         if not self.wants("csv"):
             return None

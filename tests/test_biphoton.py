@@ -593,8 +593,9 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
     # a time and holds no complex vector over the frequency grid: its
     # guards hold |r|^2 and its fold, its transform a few vectors of
     # one segment's length, and its peak is the grid CSV after them, the
-    # density and the grid writer's bands (measured 6.7-6.8 MiB over the
-    # import on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, and 7.6-7.9
+    # density and the grid writer's two reused band buffers (measured
+    # 6.0-6.6 MiB over the import on a 2-vCPU Linux VM, Python 3.11,
+    # numpy 2.4, 6.6-7.0 MiB with a new array for each band, and 7.6-7.9
     # MiB with the NUL-padded .17g grid bands, where holding
     # r whole read 9.6 MiB, and a scaled copy of r, the detunings in the
     # transform and the guards' argsorts 17.1 MiB); the n_freq 2048
@@ -633,17 +634,18 @@ def test_storage_timedist_peak_resident_memory(tmp_path):
                     reason="reads VmHWM from /proc/self/status")
 def test_storage_timedist_csv_peak_resident_memory(tmp_path):
     # The 176.9 MB CSV of the same map is written in bands of 8192 cells
-    # of fixed-width lines, one formatted while the writer thread hashes
-    # and writes the one before: measured 22.0-22.3 MiB over the import
-    # (23.4-23.7 MiB with the NUL-padded .17g bands and their
-    # compaction), where bands of 16 rows (24576 cells), their bytes
-    # copied and translated on the calling thread, and a 4 MiB work
-    # buffer read 28.8 MiB.
+    # of fixed-width lines, formatted into one of two reused buffers
+    # while the writer thread hashes and writes the other: measured
+    # 21.0-21.4 MiB over the import, and the bound keeps the 4.2 MiB it
+    # left over the 22.0-22.3 MiB of a new array for each band (23.4-23.7
+    # MiB with the NUL-padded .17g bands and their compaction), where
+    # bands of 16 rows (24576 cells), their bytes copied and translated
+    # on the calling thread, and a 4 MiB work buffer read 28.8 MiB.
     base = child_hwm_mib()
     storage = child_hwm_mib(
         "timedist", "--with-storage", "eit", "--set", "output.formats=csv",
         "--out", str(tmp_path / "s"))
-    assert storage - base < 26.5
+    assert storage - base < 25.6
 
 
 def test_continuous_pump_density_closed_form():

@@ -9,8 +9,10 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,11 +198,11 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     band, sha256 = g17._band, hashlib.sha256
     formatted = []
 
-    def failing_band(labels, columns, values):
+    def failing_band(buffer, labels, values):
         formatted.append(1)
         if len(formatted) == 2:
             raise RuntimeError("formatting fault")
-        return band(labels, columns, values)
+        return band(buffer, labels, values)
 
     def failing_sha256():
         # the header is update 1, and the three bands updates 2 to 4
@@ -235,6 +237,24 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_grid_writer_memory_budget_at_the_storage_size():
+    # the storage map's 1536 x 1536 grid: two reused band buffers of 5
+    # rows (1.10 MiB) and the kernel's temporaries on 2048 cells:
+    # measured 1.34 MiB traced, and the bound leaves 0.1 MiB over it,
+    # where a new array for each band and the kernel on whole bands read
+    # 2.16 MiB
+    n = 1536
+    values = 1.0 - np.random.default_rng(11).random((n, n))
+    tracemalloc.start()
+    try:
+        g17.write_grid(lambda band: None, np.linspace(-50.0, 150.0, n),
+                       values)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.44
 
 
 def test_grid_csv_lines_are_75_bytes_and_parse_to_the_grid(tmp_path):
@@ -308,8 +328,90 @@ def test_g17_kernel_matches_format_on_every_kind_of_float():
         _wide_e(v) for v in edges]
 
 
+def _lattice_points_near(b1, b2, t, reach):
+    """Points i b1 + j b2 of the integer lattice with basis (b1, b2) near
+    the point t: those within `reach` steps, along a Lagrange-reduced
+    basis, of t's rounding to the lattice."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+    while True:
+        if dot(b1, b1) > dot(b2, b2):
+            b1, b2 = b2, b1
+        mu = (2 * dot(b1, b2) + dot(b1, b1)) // (2 * dot(b1, b1))
+        if mu == 0:
+            break
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+    det = b1[0] * b2[1] - b1[1] * b2[0]
+    c1 = round(Fraction(t[0] * b2[1] - t[1] * b2[0], det))
+    c2 = round(Fraction(b1[0] * t[1] - b1[1] * t[0], det))
+    for i in range(c1 - reach, c1 + reach + 1):
+        for j in range(c2 - reach, c2 + reach + 1):
+            yield i * b1[0] + j * b2[0], i * b1[1] + j * b2[1]
+
+
+def _near_ties():
+    """Normal floats v in (0, 1] whose y = v 10^(16 - k), k the decade of
+    v, lies within HALF_MARGIN of a rounding tie but not on it.
+
+    With v = m 2^e, m in [2^52, 2^53), a = 16 - k and s = -(e + a), y is
+    m 5^a / 2^s: v is such a float when m 5^a = 2^(s - 1) + r modulo 2^s
+    with 0 < |r| < bound = 2^(s - 47).  With m = 2^52 + x, the pairs
+    (x, r) lie on a two-dimensional lattice, and its points in the box
+    0 <= x < 2^52, |r| < bound are found near the box's centre, about 64
+    to a binade, as hard-to-round cases are (Lefevre and Muller, ARITH
+    15 (2001)).  Only decades -5 and below, where s >= 48, hold any."""
+    found, start = [], 2 ** 52
+    for k in range(-307, 0):
+        a = 16 - k
+        for e in range(math.floor(k * math.log2(10)) - 53,
+                       math.floor((k + 1) * math.log2(10)) - 51):
+            s = -(e + a)
+            modulus, bound = 2 ** s, 2 ** (s - 47)
+            if bound < 2:
+                continue
+            five = 5 ** a % modulus
+            target = 2 ** (s - 1) - start * five
+            # the points (x bound, (x 5^a - q 2^s) 2^52), scaled so that
+            # the box is a square about the target
+            for p, q in _lattice_points_near((bound, five * start),
+                                             (0, modulus * start),
+                                             (start * bound // 2,
+                                              target * start), 8):
+                x, r = p // bound, q // start - target
+                m = start + x
+                if (0 <= x < start and 0 < abs(r) < bound
+                        and m * 10 ** -k >= 2 ** -e > m * 10 ** (-k - 1)):
+                    found.append(math.ldexp(m, e))
+    return np.array(found)
+
+
+def test_g17_kernel_rounds_cells_near_a_tie_as_format_does(monkeypatch):
+    # HALF_MARGIN is what makes the fast path correct: every cell this
+    # close to a tie goes through format()
+    values = _near_ties()
+    assert len(values) > 50_000
+    for v in values[::97].tolist():
+        k = math.floor(math.log10(v))
+        y = Fraction(v) * Fraction(10) ** (16 - k)
+        assert Fraction(10) ** 16 <= y < Fraction(10) ** 17
+        assert 0 < abs(y - math.floor(y) - Fraction(1, 2)) < g17.HALF_MARGIN
+    assert _kernel_mismatches(values).tolist() == []
+    # the cells are hard enough that the fast path misrounds some of them
+    # without its margin
+    monkeypatch.setattr(g17, "HALF_MARGIN", 0.0)
+    assert _kernel_mismatches(values).tolist() != []
+
+
+def test_g17_digit_tables_are_the_formatted_integers():
+    assert g17._QUAD.dtype == "V4"
+    assert g17._QUAD.tobytes() == "".join(
+        f"{i:04d}" for i in range(10000)).encode()
+    assert g17._EXPONENT.dtype == "V4"
+    assert g17._EXPONENT.tobytes() == "".join(
+        f"{k:+04d}" for k in range(g17._K_LO, g17._K_HI + 1)).encode()
+
+
 def test_g17_scales_are_double_double_powers_of_ten():
-    from fractions import Fraction
     hi_high, hi_low, lo = g17._SCALE
     ks = range(g17._K_LO, g17._K_HI + 1)
     for k, s, *parts in zip(ks, g17._SHIFT, hi_high, hi_low, lo):

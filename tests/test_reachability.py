@@ -46,13 +46,13 @@ UNREACHED = {
     "eit.py:287": "fit_gamma_s: only a target equal to the narrowest window "
     "to the last bit (2429705.4185120836 Hz for the default medium) "
     "reaches it, so a case would pin that bit",
-    "g17.py:158": "numbers' fallback: a density cell outside (0, 1], or "
+    "g17.py:181": "numbers' fallback: a density cell outside (0, 1], or "
     "within HALF_MARGIN of a rounding tie; no command's density holds one, "
     "and test_outputs checks the fallback against format()",
-    "g17.py:200-201": "write_grid: a band write that fails (disk full); "
+    "g17.py:222-223": "write_grid: a band write that fails (disk full); "
     "test_outputs injects it",
-    "g17.py:213": "write_grid stops handing bands over after a failed write",
-    "g17.py:219": "write_grid raises the failed write",
+    "g17.py:235": "write_grid stops handing bands over after a failed write",
+    "g17.py:241": "write_grid raises the failed write",
     "svgplot.py:90": "_range: a NaN in a plotted series; no command "
     "computes one",
     # perfbench's tracer reads these; no command needs them
