@@ -6,12 +6,13 @@ brute-force fourfold quadrature of the same quantity, which must never be
 folded into the purity path.
 
 The detection-time amplitude comes in bands or batches of t1 rows from
-chirp-z transforms over segments of the frequency grid, and the only
-n_t x n_t array a command holds is the density, which it lets go once
-the CSV is written and before the SVG is drawn; a gaussian pump's
-half-transform is dropped block by block as the density fills.  The
-cavity response r is evaluated segment by segment where it is used, not
-stored, so a flat pump holds no complex vector over the frequency grid.
+chirp-z transforms over segments of the frequency grid, each batch's
+segments summed into one accumulator, and the only n_t x n_t array a
+command holds is the density, which it lets go once the CSV is written
+and before the SVG is drawn; a gaussian pump's half-transform is
+dropped block by block as the density fills.  The cavity response r is
+evaluated segment by segment where it is used, not stored, so a flat
+pump holds no complex vector over the frequency grid.
 """
 from __future__ import annotations
 
@@ -171,12 +172,15 @@ def _transform_batches(t_grid: np.ndarray, grid: FrequencyGrid, blocks):
     The chirps are built once, for the segment length, and the FFT, the
     chirp product and the inverse FFT run in batches of rows of at most
     _BATCH_VALUES points, so memory beyond the blocks is about four
-    vectors of seg + m points.  A batch's segments add into one
-    accumulator; a single segment needs none, and its batch is a view
-    into the one work buffer, which the next batch overwrites.  A block
-    is let go when the next is taken.  dt is taken from the end points
-    of t_grid, which must be uniform: the timedist command builds it with
-    np.linspace over a window it has checked to be a finite, normal float.
+    vectors of seg + m points.  The work buffer and one batch x m
+    accumulator (96 KiB on the storage map) are built once per call.
+    Every batch sums its segments by one rule: the first is multiplied
+    by its post factor into the accumulator and each later one is added
+    to it.  A batch is yielded as a view into the accumulator, which
+    the next batch overwrites.  A block is let go when the next is
+    taken.  dt is taken from the end points of t_grid, which must be
+    uniform: the timedist command builds it with np.linspace over a
+    window it has checked to be a finite, normal float.
     """
     m, n, spacing = t_grid.size, grid.n_points, grid.spacing
     seg = min(n, SEGMENT)
@@ -197,16 +201,13 @@ def _transform_batches(t_grid: np.ndarray, grid: FrequencyGrid, blocks):
     post = np.exp(-1j * (d0 * t0 + (d0 * dt) * mm)) * c
     post *= spacing / TWO_PI
     batch = max(1, _BATCH_VALUES // size)
-    work = np.empty((0, size), dtype=complex)
+    work = np.empty((batch, size), dtype=complex)
+    acc = np.empty((batch, m), dtype=complex)
     start = 0
     for count, write in blocks:
-        if len(work) < min(batch, count):
-            work = np.empty((min(batch, count), size), dtype=complex)
-            acc = np.empty((len(work), m), dtype=complex) if n > seg else None
         for a in range(0, count, batch):
             b = min(a + batch, count)
-            w = work[:b - a]
-            total = w[:, :m] if n == seg else acc[:b - a]
+            w, total = work[:b - a], acc[:b - a]
             for ks, factor in zip(range(0, n, seg), post):
                 width = min(seg, n - ks)
                 write(w[:, :width], a, b, ks, ks + width)
@@ -215,12 +216,10 @@ def _transform_batches(t_grid: np.ndarray, grid: FrequencyGrid, blocks):
                 np.fft.fft(w, out=w)
                 w *= chirp
                 np.fft.ifft(w, out=w)
-                part = w[:, :m]
-                part *= factor
                 if ks:
-                    total += part
-                elif n > seg:
-                    total[...] = part
+                    total += np.multiply(w[:, :m], factor, out=w[:, :m])
+                else:
+                    np.multiply(w[:, :m], factor, out=total)
             yield slice(start + a, start + b), total
         start += count
 
@@ -253,7 +252,7 @@ def _psi_bands(jsa: JointSpectralAmplitude, t_grid: np.ndarray):
     n x n_t half-transform C, scattered into one block of C^T per band
     of t1 rows, each a plain array.  The second takes the blocks over
     the idler axis into batches of psi's rows, which are views into the
-    transform's work buffer, and drops each block as it is transformed.
+    transform's accumulator, and drops each block as it is transformed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     _check_grids(jsa, t_grid)

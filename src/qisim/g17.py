@@ -217,8 +217,7 @@ def write_grid(write_bytes, axis, values) -> None:
     def write():
         while (band := bands.get()) is not None:
             try:
-                if not failed:
-                    write_bytes(band)
+                write_bytes(band)
             except BaseException as exc:
                 failed.append(exc)
             finally:

@@ -39,7 +39,8 @@ class FrequencyGrid:
 
     def __init__(self, span: float, n_points: int) -> None:
         if not (span > 0.0 and math.isfinite(span)):
-            raise InputError(f"grid span must be positive, got {span}")
+            raise InputError(
+                f"grid span must be positive and finite, got {span}")
         self.span, self.n_points = span, n_points
 
     @property

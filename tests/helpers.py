@@ -35,7 +35,7 @@ def manifest_sans_timestamp(path: str) -> dict:
 
 def disk_full_on(call):
     """A _HashedFile.write_bytes that fails on its `call`-th call, the
-    header being the first."""
+    header being the first.  Its `calls` lists the data of every call."""
     calls = []
     write_bytes = outputs._HashedFile.write_bytes
 
@@ -44,4 +44,5 @@ def disk_full_on(call):
         if len(calls) == call:
             raise OSError(28, "No space left on device")
         write_bytes(self, data)
+    write.calls = calls
     return write

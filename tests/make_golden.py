@@ -25,13 +25,16 @@ RUNS = {
     "store": ["store", "--storage-times-s", "0,2e-07,1e-06"],
     "bell": ["bell"],
     "g13": ["g13"],
+    "timedist-storage": ["timedist", "--with-storage", "eit"],
+    "timedist-flat": ["timedist", "--set", "source.pump_kind=flat_limit",
+                      "--set", "grids.n_freq=65536"],
 }
 
 # The manifest holds a timestamp.  The others are sums that numpy's SIMD
 # kernels order by the CPU's instruction set, so their last bits move
 # between machines (and under NPY_DISABLE_CPU_FEATURES).
 UNPINNED = ("manifest.json", "visibility.csv", "checks.json",
-            "timedist_tp100ns.csv", "timedist_tp30ns.csv")
+            "timedist.csv", "timedist_tp100ns.csv", "timedist_tp30ns.csv")
 
 
 def digests(argv: list) -> dict:

@@ -409,9 +409,10 @@ def storage_time_grid():
 
 def test_post_storage_memory_budget_at_the_storage_size():
     # the density is the one n_t^2 array (18 MiB), the half-transform's
-    # blocks hold 12 MiB, and the transform's work buffer (128 KiB) is all
-    # else that is large.  tracemalloc counts the density whole from its
-    # allocation, where its pages fill as the blocks are dropped, so
+    # blocks hold 12 MiB, and the transform's work buffer (128 KiB) and
+    # accumulator (96 KiB) are all else that is large.  tracemalloc
+    # counts the density whole from its allocation, where its pages fill
+    # as the blocks are dropped, so
     # test_storage_timedist_peak_resident_memory is the resident check
     # (measured: 30.5 MiB traced, 31.5 with a 1 MiB work buffer; 19.6
     # when the blocks were anonymous mappings that tracemalloc does not
@@ -426,9 +427,9 @@ def test_post_storage_memory_budget_at_the_storage_size():
 def test_time_distribution_memory_budget_at_the_default_size(tp_s):
     # reproduce-all's gaussian densities, 512 frequencies by 512 times:
     # the half-transform C^T (4 MiB) and the density (2 MiB) beside a
-    # 128 KiB work buffer that A's columns are written into; measured
-    # 6.48 and 6.37 MiB, where a 1 MiB buffer fed from 1 MiB bands of
-    # 128 columns read 7.54 and 7.43
+    # 128 KiB work buffer that A's columns are written into and a 64 KiB
+    # accumulator; measured 6.54 and 6.43 MiB, where a 1 MiB buffer fed
+    # from 1 MiB bands of 128 columns read 7.54 and 7.43
     jsa = gaussian_jsa(sigma_from_pulse_duration(tp_s))
     peak = traced_peak_mb(joint_time_distribution, jsa,
                           oracles.default_time_grid(LINE))
@@ -617,12 +618,12 @@ def test_kernel_commands_peak_resident_memory(tmp_path):
                     reason="reads VmHWM from /proc/self/status")
 def test_storage_timedist_peak_resident_memory(tmp_path):
     # The post-storage map (512 frequencies, 1536 times) holds the 18 MiB
-    # density, one 1 MiB block of the half-transform and the 128 KiB work
-    # buffer, and the heatmap after it: measured 22.6 MiB over the import
-    # on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), 21.9 MiB with a
-    # 1 MiB work buffer and 26 MiB with a 4 MiB one, where holding all
-    # of the 12 MiB half-transform, with a band copied out of the work
-    # buffer, read 41.5 MiB.
+    # density, one 1 MiB block of the half-transform, the 128 KiB work
+    # buffer and the 96 KiB accumulator, and the heatmap after it:
+    # measured 22.6 MiB over the import on a 2-vCPU Linux VM (Python
+    # 3.11, numpy 2.4), 21.9 MiB with a 1 MiB work buffer and 26 MiB with
+    # a 4 MiB one, where holding all of the 12 MiB half-transform, with a
+    # band copied out of the work buffer, read 41.5 MiB.
     base = child_hwm_mib()
     storage = child_hwm_mib(
         "timedist", "--with-storage", "eit", "--set", "output.formats=svg",

@@ -666,7 +666,8 @@ REFUSALS = {
         "the materialization limit of 4096"),
     "span-overflows": (
         ["timedist", "--set", "grids.freq_span_factor=1e300", "--tp-s",
-         "1e-12"], EXIT_CONFIG, "grid span must be positive, got inf"),
+         "1e-12"], EXIT_CONFIG,
+        "grid span must be positive and finite, got inf"),
     "span-below-8-sigma": (
         ["timedist", "--set", "grids.freq_span_factor=7", "--tp-s", "1e-12"],
         EXIT_CONFIG, "grid span 1.648e+13 is below 8*sigma = 1.884e+13"),

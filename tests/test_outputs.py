@@ -193,10 +193,10 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     # a fault formatting a band, hashing a middle band or writing the
     # first, a middle or the last band on the writer thread raises before
     # the file is recorded and leaves neither the writer thread nor a
-    # child process behind
+    # child process behind; no band is written after a failed write
     monkeypatch.setattr(g17, "_BAND_CELLS", _SMALL_BAND_CELLS)
     band, sha256 = g17._band, hashlib.sha256
-    formatted = []
+    formatted, write = [], None
 
     def failing_band(buffer, labels, values):
         formatted.append(1)
@@ -225,8 +225,8 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     else:
         # the header is call 1, and the three bands calls 2 to 4
         call = {"write": 2, "middle-write": 3, "last-write": 4}[fault]
-        monkeypatch.setattr(outputs._HashedFile, "write_bytes",
-                            disk_full_on(call))
+        write = disk_full_on(call)
+        monkeypatch.setattr(outputs._HashedFile, "write_bytes", write)
         error, match = OSError, "No space"
     axis, values = _edge_case_grid(37)
     writer = outputs.OutputWriter(str(tmp_path), ("csv",))
@@ -234,6 +234,8 @@ def test_failed_grid_worker_raises_and_leaves_no_child(tmp_path, monkeypatch,
     with pytest.raises(error, match=match):
         writer.write_grid_csv("grid.csv", ["t1", "t2", "v"], axis, values)
     assert writer.entries == []
+    if write is not None:
+        assert len(write.calls) == call
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

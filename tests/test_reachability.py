@@ -36,9 +36,6 @@ COMMENTED = os.path.join(ROOT, "tests", "data", "commented.cfg")
 # stay although no command runs them
 UNREACHED = {
     # numerical edges
-    "eit.py:45": "_finite: a Python * / + that overflows quietly to inf or "
-    "nan; the EIT input that overflows (REFUSALS' out-of-range) raises in "
-    "a float ** first",
     "eit.py:198": "_real_roots drops a leading zero coefficient, as "
     "np.roots does; no medium tried gives the fit one",
     "eit.py:209": "_real_roots: a polynomial exactly 0 at a turning point "
@@ -49,15 +46,15 @@ UNREACHED = {
     "g17.py:181": "numbers' fallback: a density cell outside (0, 1], or "
     "within HALF_MARGIN of a rounding tie; no command's density holds one, "
     "and test_outputs checks the fallback against format()",
-    "g17.py:222-223": "write_grid: a band write that fails (disk full); "
+    "g17.py:221-222": "write_grid: a band write that fails (disk full); "
     "test_outputs injects it",
-    "g17.py:235": "write_grid stops handing bands over after a failed write",
-    "g17.py:241": "write_grid raises the failed write",
+    "g17.py:234": "write_grid stops handing bands over after a failed write",
+    "g17.py:240": "write_grid raises the failed write",
     "svgplot.py:90": "_range: a NaN in a plotted series; no command "
     "computes one",
     # perfbench's tracer reads these; no command needs them
-    "spectral.py:154-173": "JointSpectralAmplitude.factors and .amplitude",
-    "spectral.py:213": "pump_table's flat branch: a flat pump's amplitude "
+    "spectral.py:155-174": "JointSpectralAmplitude.factors and .amplitude",
+    "spectral.py:214": "pump_table's flat branch: a flat pump's amplitude "
     "is built from its factors, except in .amplitude",
 }
 
@@ -82,6 +79,9 @@ COMMANDS = [
     (["eit"], 0),
     (["eit", "--fit-gamma-s", "2.9e6"], 0),
     (["eit", "--set", "output.formats=svg"], 0),
+    # _half_x's l * p overflows quietly to inf, and _finite raises
+    (["eit", "--set", "eit.od=1e-300", "--set", "eit.rabi_hz=1e50", "--set",
+      "eit.gamma_ge_hz=1"], 3),
     (["store"], 0),
     # the dephasing factor's exponent overflows: exp's limit 0
     (["store", "--states", "plus", "--set",
