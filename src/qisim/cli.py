@@ -64,22 +64,24 @@ def _comma_list(text, flag: str, states=None, required: bool = True):
 
 # ------------------------------------------------------------- commands
 #
-# Each cmd_* writes its artifacts and returns what its JSON report holds
-# (cmd_timedist writes none and returns None).  A command imports the numpy
+# Each cmd_* writes its artifacts and returns what its JSON report holds;
+# cmd_visibility writes no JSON and returns {sigma_hz: V}, and
+# cmd_timedist writes none and returns None.  A command imports the numpy
 # layers it uses when it runs, as modules, so that a patched module
 # attribute is what it calls.
 
 def _visibility_of(cfg, sigma_rad: float) -> float:
     from . import biphoton, spectral
-    line = config.line_from(cfg)
+    gamma = config.gamma_from(cfg)
     pump = config.pump_from(cfg, sigma_rad)
-    grid = config.grid_from(cfg, line, pump)
-    return biphoton.visibility(spectral.build_jsa(grid, line, pump))
+    grid = config.grid_from(cfg, gamma, pump)
+    return biphoton.visibility(spectral.build_jsa(grid, gamma, pump))
 
 
 def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
-    """{sigma_hz: V} for every row that succeeded.  A sweep whose every
-    row failed raises the first row's error."""
+    """{sigma_hz: V} for every row that succeeded; a failed row keeps its
+    error's message in the CSV.  A sweep whose every row failed raises
+    the first row's error class, so it exits with that error's code."""
     from . import spectral
     rows = []
     for s_hz, tp in ([(None, tp) for tp in tps_s]
@@ -90,9 +92,11 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
             hz = s_hz if tp is None else sigma_rad / TWO_PI
             rows.append((hz, tp, _visibility_of(cfg, sigma_rad), None))
         except QisimError as exc:
-            rows.append((s_hz, tp, None, str(exc)))
+            rows.append((s_hz, tp, None, exc))
     writer.write_csv("visibility.csv",
-                     ["sigma_hz", "T_p_s", "visibility", "error"], rows)
+                     ["sigma_hz", "T_p_s", "visibility", "error"],
+                     [(*r[:3], None if r[3] is None else str(r[3]))
+                      for r in rows])
     good = sorted((r[0], r[2]) for r in rows if r[3] is None)
     if len(good) >= 2:
         writer.write_svg("visibility.svg", lambda: svgplot.curve(
@@ -101,18 +105,19 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
             "pump bandwidth sigma (Hz)", "visibility V",
             "Spectral-purity visibility vs pump bandwidth"))
     if not good:
-        raise InputError(f"every visibility sweep row failed; first error: "
-                         f"{rows[0][3]}")
+        first = rows[0][3]
+        raise type(first)("every visibility sweep row failed; first error: "
+                          f"{first}")
     return dict(good)
 
 
 def _timedist_compute(cfg, tp_s: float, with_storage):
     import numpy as np
     from . import biphoton, spectral
-    line = config.line_from(cfg)
+    gamma = config.gamma_from(cfg)
     pump = config.pump_from(cfg, spectral.sigma_from_pulse_duration(tp_s))
-    grid = config.grid_from(cfg, line, pump)
-    window = cfg["grids.time_span_factor"] / line.gamma
+    grid = config.grid_from(cfg, gamma, pump)
+    window = cfg["grids.time_span_factor"] / gamma
     lo, hi = -0.2 * window, 0.8 * window
     n_t = cfg["grids.n_time"]
     # np.linspace would warn on an infinite end; a subnormal window has
@@ -148,7 +153,7 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
             "grids.n_freq or grids.n_time")
     eit_filter = (eit.transmission(grid.detunings, medium)
                   if with_storage == "eit" else None)
-    jsa = spectral.build_jsa(grid, line, pump, eit_filter)
+    jsa = spectral.build_jsa(grid, gamma, pump, eit_filter)
     t_grid = np.linspace(lo, hi, n_t)
     return t_grid, biphoton.joint_time_distribution(jsa, t_grid)
 

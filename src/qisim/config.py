@@ -238,9 +238,9 @@ def load_config(path: str = None, overrides=()) -> dict:
 
 # ------------------------------------------------------- object builders
 
-def line_from(cfg: dict):
-    from .spectral import CavityLine
-    return CavityLine(gamma=TWO_PI * cfg["source.gamma_hz"])
+def gamma_from(cfg: dict) -> float:
+    """The cavity's full linewidth in rad/s."""
+    return TWO_PI * cfg["source.gamma_hz"]
 
 
 def pump_from(cfg: dict, sigma: float):
@@ -250,9 +250,9 @@ def pump_from(cfg: dict, sigma: float):
     return PumpSpectrum(kind, sigma if kind == "gaussian" else 0.0)
 
 
-def grid_from(cfg: dict, line, pump):
+def grid_from(cfg: dict, gamma: float, pump):
     from .spectral import default_grid
-    return default_grid(line, pump, n_points=cfg["grids.n_freq"],
+    return default_grid(gamma, pump, n_points=cfg["grids.n_freq"],
                         span_factor=cfg["grids.freq_span_factor"])
 
 

@@ -70,14 +70,6 @@ class FrequencyGrid:
         return d
 
 
-class CavityLine:
-    """Single cavity resonance; gamma is the full linewidth in rad/s,
-    positive and finite (config checks source.gamma_hz)."""
-
-    def __init__(self, gamma: float) -> None:
-        self.gamma = gamma
-
-
 class PumpSpectrum:
     """Pump amplitude spectrum.
 
@@ -94,13 +86,14 @@ class PumpSpectrum:
         self.kind, self.sigma = kind, sigma
 
 
-def cavity_response(delta, line: CavityLine):
+def cavity_response(delta, gamma: float):
     """Complex amplitude response 1/(delta + i*gamma/2), as an array.
 
-    The squared magnitude is a Lorentzian with FWHM equal to line.gamma.
+    The squared magnitude is a Lorentzian with FWHM equal to gamma, the
+    cavity's full linewidth in rad/s.
     """
     delta = np.asarray(delta, dtype=float)
-    out = np.add(delta, 0.5j * line.gamma, out=np.empty(delta.shape, complex))
+    out = np.add(delta, 0.5j * gamma, out=np.empty(delta.shape, complex))
     return np.divide(1.0, out, out=out)  # in place: the one n-point buffer
 
 
@@ -121,12 +114,12 @@ class JointSpectralAmplitude:
 
         amplitude[i, j] = scale * f[i] * r[i] * r[j] * p_(i+j):
 
-    the cavity response r of `line` on each axis, a pump p on the sum
-    detuning, a scale and an optional filter f on the signal axis (axis
-    0; None is the identity).  r is not stored: response evaluates it
-    on any range of grid points, bit for bit as on the whole grid.  The
-    pump is sampled once, on the index sums: p_k = p((k - (n - 1)) dd)
-    is the pump at d_i + d_j for i + j = k.
+    the response r of a cavity of full linewidth gamma (rad/s) on each
+    axis, a pump p on the sum detuning, a scale and an optional filter f
+    on the signal axis (axis 0; None is the identity).  r is not stored:
+    response evaluates it on any range of grid points, bit for bit as on
+    the whole grid.  The pump is sampled once, on the index sums:
+    p_k = p((k - (n - 1)) dd) is the pump at d_i + d_j for i + j = k.
 
     A flat pump makes the amplitude the outer product of the factors
     u = scale r f and v = r, which allows grids no matrix could hold.  A
@@ -136,9 +129,9 @@ class JointSpectralAmplitude:
     column a window of the pump table.
     """
 
-    def __init__(self, grid: FrequencyGrid, line: CavityLine,
+    def __init__(self, grid: FrequencyGrid, gamma: float,
                  pump: PumpSpectrum, scale: float = 1.0, f=None):
-        self.grid, self.line, self.pump = grid, line, pump
+        self.grid, self.gamma, self.pump = grid, gamma, pump
         self.scale = float(scale)
         self.f = None if f is None else np.asarray(f, complex)
 
@@ -192,7 +185,7 @@ class JointSpectralAmplitude:
 
     def response(self, lo: int, hi: int) -> np.ndarray:
         """r on grid points lo to hi - 1: the one way to get r."""
-        return cavity_response(self.grid.detunings_on(lo, hi), self.line)
+        return cavity_response(self.grid.detunings_on(lo, hi), self.gamma)
 
     def signal_factor(self, lo: int, hi: int) -> np.ndarray:
         """u = scale f r on grid points lo to hi - 1, multiplied in the
@@ -303,26 +296,26 @@ def _lorentz_tail_fraction(span: float, gamma: float) -> float:
     return (math.pi / 2.0 - math.atan(span / gamma)) / math.pi
 
 
-def default_grid(line: CavityLine, pump: PumpSpectrum, n_points: int,
+def default_grid(gamma: float, pump: PumpSpectrum, n_points: int,
                  span_factor: float) -> FrequencyGrid:
     """Grid wide enough for both the cavity line and the pump."""
-    scale = line.gamma
+    scale = gamma
     if pump.kind == "gaussian":
         scale = max(scale, pump.sigma)
     return FrequencyGrid(span=span_factor * scale, n_points=n_points)
 
 
-def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
+def build_jsa(grid: FrequencyGrid, gamma: float, pump: PumpSpectrum,
               f=None) -> JointSpectralAmplitude:
     """Sample the pair amplitude cavity(d1) * cavity(d2) * pump(d1 + d2)
     on the grid, L2-normalize it, and attach the signal filter f (None
     is the identity), which the normalization does not see.
 
-    The amplitude is held as its parts (cavity line, pump, scale and
-    filter); no n x n complex matrix exists until it is asked for.  A
-    Lorentzian tail mass above 1% per side (a span under 31.8*gamma)
-    raises ModelError; for gaussian pumps the grid must also span at
-    least 8*sigma.
+    gamma is the cavity's full linewidth in rad/s.  The amplitude is
+    held as its parts (linewidth, pump, scale and filter); no n x n
+    complex matrix exists until it is asked for.  A Lorentzian tail mass
+    above 1% per side (a span under 31.8*gamma) raises ModelError; for
+    gaussian pumps the grid must also span at least 8*sigma.
     """
     # the 8 sigma floor also bounds the pump's tail mass by
     # erfc(2 sqrt 2) = 6.3e-5
@@ -330,12 +323,12 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
         raise InputError(
             f"grid span {grid.span:.3e} is below 8*sigma = "
             f"{8.0 * pump.sigma:.3e}")
-    tail = _lorentz_tail_fraction(grid.span, line.gamma)
+    tail = _lorentz_tail_fraction(grid.span, gamma)
     if tail > 0.01:
         raise ModelError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
-    jsa = JointSpectralAmplitude(grid, line, pump)
+    jsa = JointSpectralAmplitude(grid, gamma, pump)
     mass = jsa.l2_mass()
     if not sys.float_info.min <= mass <= sys.float_info.max:
         # a subnormal mass has too few bits to normalize by
@@ -343,6 +336,6 @@ def build_jsa(grid: FrequencyGrid, line: CavityLine, pump: PumpSpectrum,
                else "underflows below the normal float range")
         raise InputError(
             f"the squared modulus of the sampled amplitude {how} (cavity "
-            f"linewidth {line.gamma / TWO_PI:.3g} Hz, grid span "
+            f"linewidth {gamma / TWO_PI:.3g} Hz, grid span "
             f"{grid.span / TWO_PI:.3g} Hz)")
-    return JointSpectralAmplitude(grid, line, pump, 1.0 / math.sqrt(mass), f)
+    return JointSpectralAmplitude(grid, gamma, pump, 1.0 / math.sqrt(mass), f)

@@ -29,8 +29,8 @@ from qisim import biphoton, eit, svgplot
 from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError, ModelError
 from qisim.qubit import MemoryChannelParams
-from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
-                            JointSpectralAmplitude, PumpSpectrum)
+from qisim.spectral import (TWO_PI, FrequencyGrid, JointSpectralAmplitude,
+                            PumpSpectrum)
 
 _ORACLE_MAX_POINTS = 32
 
@@ -127,11 +127,11 @@ def visibility_dense(jsa: JointSpectralAmplitude) -> float:
     return float(np.sum(square)) / float(np.sum(m)) ** 2
 
 
-def default_time_grid(line: CavityLine, n_points: int = 512,
+def default_time_grid(gamma: float, n_points: int = 512,
                       span_factor: float = 10.0) -> np.ndarray:
     """Per-axis detection-time grid, one fifth before the pair and four
-    fifths after, sized in units of the cavity decay time."""
-    window = span_factor / line.gamma
+    fifths after, sized in units of the cavity decay time 1/gamma."""
+    window = span_factor / gamma
     return np.linspace(-0.2 * window, 0.8 * window, n_points)
 
 
@@ -265,7 +265,7 @@ def parseval_ratio(jsa: JointSpectralAmplitude, psi_t: np.ndarray,
 
 
 def continuous_pump_density(t_grid: np.ndarray,
-                            line: CavityLine) -> np.ndarray:
+                            gamma: float) -> np.ndarray:
     """Closed-form pair density for a monochromatic pump.
 
     |psi| depends only on the detection-time difference and decays as
@@ -273,10 +273,10 @@ def continuous_pump_density(t_grid: np.ndarray,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt_abs = np.abs(np.subtract.outer(t_grid, t_grid))
-    return np.exp(-line.gamma * dt_abs)
+    return np.exp(-gamma * dt_abs)
 
 
-def gaussian_pump_density(t_grid: np.ndarray, line: CavityLine,
+def gaussian_pump_density(t_grid: np.ndarray, gamma: float,
                           sigma: float) -> np.ndarray:
     """Closed-form continuum pair density for a gaussian pump of
     amplitude width sigma, max-normalized.
@@ -289,12 +289,11 @@ def gaussian_pump_density(t_grid: np.ndarray, line: CavityLine,
     taken once per time, since min(t1, t2) runs over the grid's values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    g = line.gamma
-    tail = np.array([math.erfc((g / sigma - sigma * t) / math.sqrt(2.0))
+    tail = np.array([math.erfc((gamma / sigma - sigma * t) / math.sqrt(2.0))
                      for t in t_grid])
     index = np.arange(t_grid.size)
     density = tail[np.minimum.outer(index, index)] ** 2
-    density *= np.exp(-g * np.add.outer(t_grid, t_grid))
+    density *= np.exp(-gamma * np.add.outer(t_grid, t_grid))
     density /= density.max()
     return density
 

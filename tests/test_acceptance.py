@@ -22,8 +22,8 @@ from qisim.qubit import (MemoryChannelParams, alpha_quality, bell_state,
                          chsh_S, correlation_curve, crossing_time,
                          curve_visibility, memory_channel, six_state_battery,
                          werner_state)
-from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid, PumpSpectrum,
-                            build_jsa, default_grid, sigma_from_pulse_duration)
+from qisim.spectral import (TWO_PI, FrequencyGrid, PumpSpectrum, build_jsa,
+                            default_grid, sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
@@ -53,12 +53,12 @@ def spec(cid):
 
 
 def test_c1_visibility_pair():
-    line = CavityLine(gamma=rv.GAMMA)
     t0 = time.monotonic()
     vals = []
     for sigma_hz in (12.5e6, 3.7e6):
         pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
-        jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
+        jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA,
+                        pump)
         vals.append(visibility(jsa))
     elapsed = time.monotonic() - t0
     v_broad, v_narrow = vals
@@ -81,10 +81,8 @@ def test_c2_dual_route_visibility():
     for _ in range(5):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        line = CavityLine(gamma=gamma)
         pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = build_jsa(default_grid(line, pump, 32, 40.0),
-                        line, pump)
+        jsa = build_jsa(default_grid(gamma, pump, 32, 40.0), gamma, pump)
         v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         worst = max(worst, abs(v_purity - v_quad) / v_quad)
@@ -98,11 +96,9 @@ def test_c2_dual_route_visibility():
 
 
 def test_c3_time_domain_limits():
-    line = CavityLine(gamma=rv.GAMMA)
-
     # flat-pump profile against the closed form
     grid = FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
-    jsa = build_jsa(grid, line, PumpSpectrum(kind="flat_limit"))
+    jsa = build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
     t_grid = 0.5 * (edges[:-1] + edges[1:])
     dt = t_grid[1] - t_grid[0]
@@ -118,7 +114,7 @@ def test_c3_time_domain_limits():
     spill = max(dens[neg, :].max(), dens[:, neg].max()) / dens.max()
 
     # continuous pump is analytic, no transform involved
-    cont = oracles.continuous_pump_density(t_grid, line)
+    cont = oracles.continuous_pump_density(t_grid, rv.GAMMA)
     expect = np.exp(-rv.GAMMA
                     * np.abs(np.subtract.outer(t_grid, t_grid)))
     cont_err = float(np.max(np.abs(cont - expect)))
@@ -127,17 +123,17 @@ def test_c3_time_domain_limits():
     # the density on the default grid (span 40 gamma) also meets the
     # continuum within the span's truncation error, about 0.7 / 40 of
     # the peak on the t1 = t2 ridge
-    tg = oracles.default_time_grid(line)
+    tg = oracles.default_time_grid(rv.GAMMA)
     sigmas = {tp: sigma_from_pulse_duration(tp) for tp in (100e-9, 30e-9)}
     dists = {}
     for tp, sigma in sigmas.items():
         pump = PumpSpectrum(kind="gaussian", sigma=sigma)
-        jsa_tp = build_jsa(default_grid(line, pump, 512, 40.0),
-                           line, pump)
+        jsa_tp = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0),
+                           rv.GAMMA, pump)
         dists[tp] = joint_time_distribution(jsa_tp, tg)
     r_long, r_short = (oracles.ridge_correlation(tg, dists[tp])
                        for tp in (100e-9, 30e-9))
-    continuum = oracles.gaussian_pump_density(tg, line, sigmas[30e-9])
+    continuum = oracles.gaussian_pump_density(tg, rv.GAMMA, sigmas[30e-9])
     finite_err = float(np.max(np.abs(dists[30e-9] - continuum)))
     finite_bound = 0.75 / 40.0
 
@@ -265,9 +261,8 @@ def test_c8_physicality_and_determinism(tmp_path):
         evals = np.linalg.eigvalsh(oracles.channel_choi(params))
         choi_min = min(choi_min, float(evals.min()))
 
-    line = CavityLine(gamma=rv.GAMMA)
     pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = build_jsa(default_grid(line, pump, 512, 40.0), line, pump)
+    jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA, pump)
     t_grid = oracles.conjugate_time_grid(jsa.grid)
     psi_t = oracles.time_domain(jsa, t_grid)
     parseval = abs(oracles.parseval_ratio(jsa, psi_t, t_grid) - 1.0)

@@ -11,27 +11,23 @@ from qisim import biphoton
 from qisim.biphoton import joint_time_distribution, visibility
 from qisim.eit import EitMedium, group_delay, transmission
 from qisim.errors import InputError, ModelError
-from qisim.spectral import (TWO_PI, CavityLine, FrequencyGrid,
-                            JointSpectralAmplitude, PumpSpectrum, build_jsa,
-                            cavity_response, default_grid,
-                            sigma_from_pulse_duration)
+from qisim.spectral import (TWO_PI, FrequencyGrid, JointSpectralAmplitude,
+                            PumpSpectrum, build_jsa, cavity_response,
+                            default_grid, sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
 
 
-LINE = CavityLine(gamma=rv.GAMMA)
-
-
 def gaussian_jsa(sigma_rad, n_points=512):
     pump = PumpSpectrum(kind="gaussian", sigma=sigma_rad)
-    grid = default_grid(LINE, pump, n_points, 40.0)
-    return build_jsa(grid, LINE, pump)
+    grid = default_grid(rv.GAMMA, pump, n_points, 40.0)
+    return build_jsa(grid, rv.GAMMA, pump)
 
 
 def flat_jsa(span_factor=40.0, n_points=512):
     grid = FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n_points)
-    return build_jsa(grid, LINE, PumpSpectrum(kind="flat_limit"))
+    return build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
 
 
 # ------------------------------------------------------------ reduced state
@@ -81,10 +77,8 @@ def test_visibility_matches_independent_quadrature():
     for _ in range(2):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        line = CavityLine(gamma=gamma)
         pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = build_jsa(default_grid(line, pump, 32, 40.0),
-                        line, pump)
+        jsa = build_jsa(default_grid(gamma, pump, 32, 40.0), gamma, pump)
         v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         assert v_purity == pytest.approx(v_quad, rel=1e-6)
@@ -118,20 +112,20 @@ def filtered_jsa(n_points):
     """A gaussian amplitude behind the storage filter, whose real kernel
     is not symmetric."""
     jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n_points)
-    return build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    return build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
 
 
 @pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
 def test_visibility_is_scale_free(sigma_hz):
     jsa = gaussian_jsa(TWO_PI * sigma_hz)
     v = visibility(jsa)
-    raw = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump)
+    raw = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.pump)
     assert raw.l2_mass() != pytest.approx(1.0)
     assert visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
     # a filtered amplitude against the same one scaled to unit mass
-    filtered = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    filtered = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
     unit = JointSpectralAmplitude(
-        jsa.grid, LINE, jsa.pump,
+        jsa.grid, rv.GAMMA, jsa.pump,
         jsa.scale / math.sqrt(filtered.l2_mass()), filtered.f)
     assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
     assert visibility(filtered) == pytest.approx(visibility(unit),
@@ -164,7 +158,7 @@ def test_sums_match_the_dense_kernel_across_pump_widths(sigma_hz, filtered):
     # from a pump narrower than the grid spacing to one that sets the span
     jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=520)
     if filtered:
-        jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
     assert_matches_the_dense_kernel(jsa)
 
 
@@ -178,7 +172,7 @@ def test_purity_mass_and_marginals_never_build_the_pump_matrix(monkeypatch):
     assert 0.0 < jsa.l2_mass() < 1.0
     assert all(np.all(marg >= 0.0) for marg in jsa.marginals())
     # build_jsa's normalization takes the same path
-    assert build_jsa(jsa.grid, LINE, jsa.pump).l2_mass() == pytest.approx(
+    assert build_jsa(jsa.grid, rv.GAMMA, jsa.pump).l2_mass() == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -195,10 +189,10 @@ def test_visibility_memory_budget_at_n_4096():
     # one-dimensional sums over views of 2n - 1 values; no array grows as
     # n^2 (measured: 0.50 MiB traced, where the n x n kernel was 128 MiB)
     pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    grid = default_grid(LINE, pump, 4096, 40.0)
+    grid = default_grid(rv.GAMMA, pump, 4096, 40.0)
 
     def run():
-        jsa = build_jsa(grid, LINE, pump)
+        jsa = build_jsa(grid, rv.GAMMA, pump)
         visibility(jsa)
         jsa.marginals()
 
@@ -236,10 +230,10 @@ def test_aliasing_guard_catches_broadband_input():
     # a cavity far wider than the grid fills it: a tenth of the mass in
     # its outer 10%
     grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = JointSpectralAmplitude(grid, CavityLine(gamma=1e6 * grid.span),
+    jsa = JointSpectralAmplitude(grid, 1e6 * grid.span,
                                  PumpSpectrum(kind="flat_limit"))
     with pytest.raises(ModelError, match="outer 10%"):
-        oracles.time_domain(jsa, oracles.default_time_grid(LINE))
+        oracles.time_domain(jsa, oracles.default_time_grid(rv.GAMMA))
 
 
 @pytest.mark.parametrize("kind", ["lorentzian", "eit", "random"])
@@ -255,7 +249,7 @@ def test_folded_guards_match_the_sorted_and_masked_sums(n, kind):
     span = (64000.0 if n > 4098 else 40.0) * rv.GAMMA
     grid = FrequencyGrid(span=span, n_points=n)
     d = grid.detunings
-    mass = np.abs(cavity_response(d, LINE)) ** 2
+    mass = np.abs(cavity_response(d, rv.GAMMA)) ** 2
     if kind == "eit":
         mass *= np.abs(transmission(d, storage_medium())) ** 2
     elif kind == "random":
@@ -327,7 +321,7 @@ def test_chirp_z_matches_the_explicit_sum(n, m, t_lo, t_hi):
     span = 1600.0 * rv.GAMMA if n > 4096 else 40.0 * rv.GAMMA
     grid = FrequencyGrid(span=span, n_points=n)
     t = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, m)
-    lorentz = cavity_response(grid.detunings, LINE)
+    lorentz = cavity_response(grid.detunings, rv.GAMMA)
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert_matches_the_explicit_sum(
         t, grid, [lorentz, noise * abs(lorentz[n // 2])])
@@ -340,13 +334,13 @@ def test_segmented_transform_of_gaussian_columns():
     pump = PumpSpectrum(kind="gaussian",
                         sigma=sigma_from_pulse_duration(30e-9))
     n = 40000
-    grid = default_grid(LINE, pump, n, 40.0)
-    jsa = JointSpectralAmplitude(grid, LINE, pump)
+    grid = default_grid(rv.GAMMA, pump, n, 40.0)
+    jsa = JointSpectralAmplitude(grid, rv.GAMMA, pump)
     a = n - 2**15 - 1
     write = jsa.column_writer()
     vecs = np.empty((3, n), dtype=complex)
     write(vecs, a, a + 3, 0, n)
-    d, t = grid.detunings, oracles.default_time_grid(LINE)
+    d, t = grid.detunings, oracles.default_time_grid(rv.GAMMA)
 
     def shifted(out, lo_col, hi_col, lo, hi):
         write(out, a + lo_col, a + hi_col, lo, hi)
@@ -391,7 +385,7 @@ def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
                                                           filtered):
     jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n)
     if filtered:
-        jsa = JointSpectralAmplitude(jsa.grid, LINE, jsa.pump, jsa.scale,
+        jsa = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.pump, jsa.scale,
                                      storage_filter(jsa))
     t_grid = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, n_t)
     want = oracles.time_domain_dense(jsa, t_grid)
@@ -418,7 +412,7 @@ def test_post_storage_memory_budget_at_the_storage_size():
     # when the blocks were anonymous mappings that tracemalloc does not
     # see)
     jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
     peak = traced_peak_mb(joint_time_distribution, jsa, storage_time_grid())
     assert peak < 48.0
 
@@ -432,7 +426,7 @@ def test_time_distribution_memory_budget_at_the_default_size(tp_s):
     # from 1 MiB bands of 128 columns read 7.54 and 7.43
     jsa = gaussian_jsa(sigma_from_pulse_duration(tp_s))
     peak = traced_peak_mb(joint_time_distribution, jsa,
-                          oracles.default_time_grid(LINE))
+                          oracles.default_time_grid(rv.GAMMA))
     assert peak < 7.0
 
 
@@ -444,9 +438,9 @@ def test_densities_do_not_depend_on_the_batch_size(monkeypatch,
     # 32 on the storage map) give the same bits as the default
     default = gaussian_jsa(sigma_from_pulse_duration(30e-9))
     storage = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    storage = build_jsa(storage.grid, LINE, storage.pump,
+    storage = build_jsa(storage.grid, rv.GAMMA, storage.pump,
                         storage_filter(storage))
-    cases = [(default, oracles.default_time_grid(LINE)),
+    cases = [(default, oracles.default_time_grid(rv.GAMMA)),
              (storage, storage_time_grid())]
     want = [joint_time_distribution(*case) for case in cases]
     monkeypatch.setattr(biphoton, "_BATCH_VALUES", batch_values)
@@ -463,11 +457,11 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     monkeypatch.setattr(JointSpectralAmplitude, "amplitude",
                         property(refuse))
     jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    t_grid = oracles.default_time_grid(LINE)
+    t_grid = oracles.default_time_grid(rv.GAMMA)
     density = joint_time_distribution(jsa, t_grid)
     assert oracles.ridge_correlation(t_grid, density) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
     density = joint_time_distribution(jsa, storage_time_grid())
     assert density.max() == 1.0
 
@@ -491,7 +485,7 @@ def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
     jsa = flat_jsa(span_factor=span_factor, n_points=n)
     t_grid = c3_time_grid()
     if filtered:
-        jsa = build_jsa(jsa.grid, LINE, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
         t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)
     assert np.array_equal(oracles.time_domain(jsa, t_grid),
                           oracles.factored_time_domain(jsa, t_grid))
@@ -520,7 +514,7 @@ def test_flat_time_distribution_memory_budget_at_c3_size():
     pump = PumpSpectrum(kind="flat_limit")
 
     def timedist():
-        jsa = build_jsa(grid, LINE, pump)
+        jsa = build_jsa(grid, rv.GAMMA, pump)
         arrays = [v for v in vars(jsa).values() if isinstance(v, np.ndarray)]
         assert not arrays   # no filter: the amplitude holds no vector
         return joint_time_distribution(jsa, c3_time_grid())
@@ -546,14 +540,14 @@ def test_time_distributions_never_build_the_detunings(monkeypatch):
 
     flat = flat_jsa(span_factor=64000.0, n_points=262144)
     filtered = flat_jsa(n_points=4096)
-    filtered = build_jsa(filtered.grid, LINE, filtered.pump,
+    filtered = build_jsa(filtered.grid, rv.GAMMA, filtered.pump,
                          storage_filter(filtered))
     default = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    storage = build_jsa(default.grid, LINE, default.pump,
+    storage = build_jsa(default.grid, rv.GAMMA, default.pump,
                         storage_filter(default))
     cases = [(flat, c3_time_grid()),
              (filtered, np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)),
-             (default, oracles.default_time_grid(LINE)),
+             (default, oracles.default_time_grid(rv.GAMMA)),
              (storage, storage_time_grid())]
     want = [joint_time_distribution(*case) for case in cases]
     monkeypatch.setattr(FrequencyGrid, "detunings", property(refuse))
@@ -650,8 +644,8 @@ def test_storage_timedist_csv_peak_resident_memory(tmp_path):
 
 
 def test_continuous_pump_density_closed_form():
-    t_grid = oracles.default_time_grid(LINE)
-    density = oracles.continuous_pump_density(t_grid, LINE)
+    t_grid = oracles.default_time_grid(rv.GAMMA)
+    density = oracles.continuous_pump_density(t_grid, rv.GAMMA)
     # density is the squared amplitude, so it decays at the full rate
     expect = np.exp(-rv.GAMMA * np.abs(np.subtract.outer(t_grid, t_grid)))
     assert np.allclose(density, expect, rtol=1e-12, atol=0.0)
@@ -665,13 +659,13 @@ def test_gaussian_time_density_approaches_the_continuum():
     # 0.717 / 80 of the peak at T_p = 30 ns, on grids of one spacing.
     sigma = sigma_from_pulse_duration(30e-9)
     pump = PumpSpectrum(kind="gaussian", sigma=sigma)
-    t_grid = oracles.default_time_grid(LINE)
-    want = oracles.gaussian_pump_density(t_grid, LINE, sigma)
+    t_grid = oracles.default_time_grid(rv.GAMMA)
+    want = oracles.gaussian_pump_density(t_grid, rv.GAMMA, sigma)
     errors = []
     for factor, n_points in ((40.0, 512), (80.0, 1024)):
-        grid = default_grid(LINE, pump, n_points=n_points,
+        grid = default_grid(rv.GAMMA, pump, n_points=n_points,
                             span_factor=factor)
-        got = joint_time_distribution(build_jsa(grid, LINE, pump), t_grid)
+        got = joint_time_distribution(build_jsa(grid, rv.GAMMA, pump), t_grid)
         errors.append(np.max(np.abs(got - want)))
         assert errors[-1] < 0.75 / factor
     assert errors[1] < 0.6 * errors[0]
@@ -680,7 +674,7 @@ def test_gaussian_time_density_approaches_the_continuum():
 # ----------------------------------------------------- detection-time maps
 
 def test_joint_time_distribution_frozen_correlations():
-    t_grid = oracles.default_time_grid(LINE)
+    t_grid = oracles.default_time_grid(rv.GAMMA)
     d100 = joint_time_distribution(
         gaussian_jsa(sigma_from_pulse_duration(100e-9)), t_grid)
     d30 = joint_time_distribution(
@@ -696,10 +690,10 @@ def test_joint_time_distribution_frozen_correlations():
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_is_attached_after_the_normalization(kind):
     pump = PumpSpectrum(kind=kind, sigma=sigma_from_pulse_duration(100e-9))
-    grid = default_grid(LINE, pump, 512, 40.0)
-    plain = build_jsa(grid, LINE, pump)
+    grid = default_grid(rv.GAMMA, pump, 512, 40.0)
+    plain = build_jsa(grid, rv.GAMMA, pump)
     f = storage_filter(plain)
-    filtered = build_jsa(grid, LINE, pump, f)
+    filtered = build_jsa(grid, rv.GAMMA, pump, f)
     assert plain.f is None
     assert np.array_equal(filtered.f, f)
     assert filtered.scale == plain.scale
@@ -711,7 +705,7 @@ def test_post_storage_filter_flattens_the_ridge():
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 
     def ridge(jsa, f=None):
-        jsa = build_jsa(jsa.grid, LINE, jsa.pump, f)
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, f)
         return oracles.ridge_correlation(
             t_grid, joint_time_distribution(jsa, t_grid))
 
@@ -733,9 +727,9 @@ def test_post_storage_filter_flattens_the_ridge():
 
 def test_post_storage_accepts_vector_filter():
     jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    t_grid = oracles.default_time_grid(LINE)
+    t_grid = oracles.default_time_grid(rv.GAMMA)
     ones = np.ones(jsa.grid.n_points)
     a = joint_time_distribution(
-        build_jsa(jsa.grid, LINE, jsa.pump, ones), t_grid)
+        build_jsa(jsa.grid, rv.GAMMA, jsa.pump, ones), t_grid)
     b = joint_time_distribution(jsa, t_grid)
     assert np.allclose(a, b, atol=1e-12)

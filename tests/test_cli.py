@@ -582,6 +582,12 @@ REFUSALS = {
         ["visibility", "--sigma-hz", "1e-300", "--tp-s="], EXIT_CONFIG,
         "every visibility sweep row failed; first error: gaussian pump "
         "needs sigma in [1.5e-154, 9.5e+153] rad/s, got 6.28e-300"),
+    # the sweep exits with its first row's code
+    "sweep-model": (
+        ["visibility", "--set", "grids.freq_span_factor=10", "--sigma-hz",
+         "12.5e6", "--tp-s="], EXIT_MODEL,
+        "every visibility sweep row failed; first error: cavity-line tail "
+        "mass 1.273% per side exceeds 1%; widen the grid"),
     "pulse-duration": (["timedist", "--tp-s", "-1"], EXIT_CONFIG,
                        "pulse duration must be positive, got -1.0"),
     "fit-target": (["eit", "--fit-gamma-s", "inf"], EXIT_CONFIG,

@@ -175,8 +175,8 @@ def test_echo_and_canonical_text():
 
 def test_builders_produce_configured_objects():
     cfg = config.load_config()
-    line = config.line_from(cfg)
-    assert line.gamma == pytest.approx(TWO_PI * 5e6, rel=1e-15)
+    gamma = config.gamma_from(cfg)
+    assert gamma == pytest.approx(TWO_PI * 5e6, rel=1e-15)
 
     pump = config.pump_from(cfg, TWO_PI * 3.7e6)
     assert (pump.kind, pump.sigma) == ("gaussian", TWO_PI * 3.7e6)
@@ -184,10 +184,10 @@ def test_builders_produce_configured_objects():
     flat = config.pump_from(flat_cfg, TWO_PI * 3.7e6)
     assert (flat.kind, flat.sigma) == ("flat_limit", 0.0)
 
-    grid = config.grid_from(cfg, line, pump)
+    grid = config.grid_from(cfg, gamma, pump)
     assert grid.n_points == 512
     assert grid.span == pytest.approx(
-        40.0 * max(line.gamma, pump.sigma), rel=1e-12)
+        40.0 * max(gamma, pump.sigma), rel=1e-12)
 
     medium = config.medium_from(cfg)
     assert medium.optical_depth == 55.0

@@ -53,8 +53,8 @@ UNREACHED = {
     "svgplot.py:90": "_range: a NaN in a plotted series; no command "
     "computes one",
     # perfbench's tracer reads these; no command needs them
-    "spectral.py:155-174": "JointSpectralAmplitude.factors and .amplitude",
-    "spectral.py:214": "pump_table's flat branch: a flat pump's amplitude "
+    "spectral.py:148-167": "JointSpectralAmplitude.factors and .amplitude",
+    "spectral.py:207": "pump_table's flat branch: a flat pump's amplitude "
     "is built from its factors, except in .amplitude",
 }
 
