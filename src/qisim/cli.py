@@ -72,10 +72,8 @@ def _comma_list(text, flag: str, states=None, required: bool = True):
 
 def _visibility_of(cfg, sigma_rad: float) -> float:
     from . import biphoton, spectral
-    gamma = config.gamma_from(cfg)
-    pump = config.pump_from(cfg, sigma_rad)
-    grid = config.grid_from(cfg, gamma, pump)
-    return biphoton.visibility(spectral.build_jsa(grid, gamma, pump))
+    gamma, sigma, grid = config.source_from(cfg, sigma_rad)
+    return biphoton.visibility(spectral.build_jsa(grid, gamma, sigma))
 
 
 def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
@@ -114,9 +112,8 @@ def cmd_visibility(cfg, writer, sigmas_hz, tps_s) -> dict:
 def _timedist_compute(cfg, tp_s: float, with_storage):
     import numpy as np
     from . import biphoton, spectral
-    gamma = config.gamma_from(cfg)
-    pump = config.pump_from(cfg, spectral.sigma_from_pulse_duration(tp_s))
-    grid = config.grid_from(cfg, gamma, pump)
+    gamma, sigma, grid = config.source_from(
+        cfg, spectral.sigma_from_pulse_duration(tp_s))
     window = cfg["grids.time_span_factor"] / gamma
     lo, hi = -0.2 * window, 0.8 * window
     n_t = cfg["grids.n_time"]
@@ -146,14 +143,14 @@ def _timedist_compute(cfg, tp_s: float, with_storage):
             f"time grid of {n_t} points exceeds the materialization limit "
             f"of {MATERIALIZE_LIMIT}; lower grids.n_time")
     # a gaussian pump's half-transform holds n_freq * n_t complex values
-    if pump.kind == "gaussian" and grid.n_points * n_t > MATERIALIZE_LIMIT**2:
+    if sigma is not None and grid.n_points * n_t > MATERIALIZE_LIMIT ** 2:
         raise InputError(
             f"the half-transform of {grid.n_points} frequencies by {n_t} "
             f"times exceeds {MATERIALIZE_LIMIT ** 2} values; lower "
             "grids.n_freq or grids.n_time")
     eit_filter = (eit.transmission(grid.detunings, medium)
                   if with_storage == "eit" else None)
-    jsa = spectral.build_jsa(grid, gamma, pump, eit_filter)
+    jsa = spectral.build_jsa(grid, gamma, sigma, eit_filter)
     t_grid = np.linspace(lo, hi, n_t)
     return t_grid, biphoton.joint_time_distribution(jsa, t_grid)
 

@@ -28,6 +28,10 @@ PUMP_KINDS = ("gaussian", "flat_limit")
 
 _FORMATS = ("csv", "json", "svg")
 
+# pump sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
+_SIGMA_RANGE = (math.sqrt(sys.float_info.min),
+                math.sqrt(sys.float_info.max / 2.0))
+
 # ------------------------------------------------------ the paper's numbers
 #
 # Each is kept here once.  CHECKS holds reproduce-all's checks in the
@@ -238,22 +242,21 @@ def load_config(path: str = None, overrides=()) -> dict:
 
 # ------------------------------------------------------- object builders
 
-def gamma_from(cfg: dict) -> float:
-    """The cavity's full linewidth in rad/s."""
-    return TWO_PI * cfg["source.gamma_hz"]
-
-
-def pump_from(cfg: dict, sigma: float):
-    """The configured pump kind; sigma (rad/s) is a gaussian's bandwidth."""
-    from .spectral import PumpSpectrum
-    kind = cfg["source.pump_kind"]
-    return PumpSpectrum(kind, sigma if kind == "gaussian" else 0.0)
-
-
-def grid_from(cfg: dict, gamma: float, pump):
-    from .spectral import default_grid
-    return default_grid(gamma, pump, n_points=cfg["grids.n_freq"],
-                        span_factor=cfg["grids.freq_span_factor"])
+def source_from(cfg: dict, sigma: float) -> tuple:
+    """(gamma, sigma, grid): the cavity's full linewidth and the pump's
+    bandwidth in rad/s, sigma None for a flat pump, whose bandwidth is
+    checked but not used; and the frequency grid, wide enough for both."""
+    if not _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]:
+        raise InputError(
+            f"pump needs sigma in [{_SIGMA_RANGE[0]:.2g}, "
+            f"{_SIGMA_RANGE[1]:.2g}] rad/s, got {sigma:.3g}")
+    from .spectral import FrequencyGrid
+    gamma = TWO_PI * cfg["source.gamma_hz"]
+    if cfg["source.pump_kind"] == "flat_limit":
+        sigma = None
+    scale = gamma if sigma is None else max(gamma, sigma)
+    return gamma, sigma, FrequencyGrid(
+        cfg["grids.freq_span_factor"] * scale, cfg["grids.n_freq"])
 
 
 def medium_from(cfg: dict):

@@ -56,8 +56,7 @@ class EitMedium:
     """
 
     def __init__(self, optical_depth: float, rabi_control: float,
-                 gamma_ge: float, gamma_s: float = 0.0,
-                 length: float = 4e-3) -> None:
+                 gamma_ge: float, gamma_s: float, length: float) -> None:
         self.optical_depth, self.rabi_control = optical_depth, rabi_control
         self.gamma_ge, self.gamma_s, self.length = gamma_ge, gamma_s, length
 

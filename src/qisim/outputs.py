@@ -59,7 +59,7 @@ class _HashedFile:
 class OutputWriter:
     """Writes files under one directory and records (path, hash) pairs."""
 
-    def __init__(self, directory: str, formats=("csv", "json", "svg")):
+    def __init__(self, directory: str, formats):
         self.directory = directory
         self.formats = tuple(formats)
         self.entries = []

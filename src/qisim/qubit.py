@@ -10,9 +10,9 @@ rail imbalance shows up as a polarization-dependent amplitude.
 A pure state is its Jones vector (alpha, beta) over {H, V}, a pair of
 numbers of unit norm.  A density is the tuple of its rows of Python
 complex numbers, 2x2 for one qubit and 4x4 for two; every one built
-here is physical by construction (tests/oracles.check_density).  So no
-numpy is imported and no number depends on the BLAS core or the SIMD
-level of the CPU.
+here is physical by construction (tests/oracles.check_density).  No
+numpy is imported, so no BLAS core or numpy SIMD kernel moves a number;
+`math` calls libm, whose exp, sin and cos builds glibc picks by CPU.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ DECAY_SHAPES = ("gaussian", "exponential")
 
 # ------------------------------------------------------------- matrices
 
-def _eye(n: int, value: float = 1.0) -> tuple:
+def _eye(n: int, value: float) -> tuple:
     return tuple(tuple(complex(value if i == j else 0.0) for j in range(n))
                  for i in range(n))
 

@@ -24,10 +24,6 @@ BAND_ROWS = 128
 # segment of the time transform
 SEGMENT = 1 << 15
 
-# gaussian sigmas (rad/s) whose 2 sigma^2 is a normal, finite float
-_SIGMA_RANGE = (math.sqrt(sys.float_info.min),
-                math.sqrt(sys.float_info.max / 2.0))
-
 
 class FrequencyGrid:
     """Uniform symmetric detuning grid.
@@ -70,22 +66,6 @@ class FrequencyGrid:
         return d
 
 
-class PumpSpectrum:
-    """Pump amplitude spectrum.
-
-    kind "gaussian" uses sigma (rad/s) as the standard deviation of the
-    amplitude spectrum.  "flat_limit" is a constant (very short pump).
-    """
-
-    def __init__(self, kind: str, sigma: float = 0.0) -> None:
-        if kind == "gaussian" and not (
-                _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]):
-            raise InputError(
-                f"gaussian pump needs sigma in [{_SIGMA_RANGE[0]:.2g}, "
-                f"{_SIGMA_RANGE[1]:.2g}] rad/s, got {sigma:.3g}")
-        self.kind, self.sigma = kind, sigma
-
-
 def cavity_response(delta, gamma: float):
     """Complex amplitude response 1/(delta + i*gamma/2), as an array.
 
@@ -115,7 +95,8 @@ class JointSpectralAmplitude:
         amplitude[i, j] = scale * f[i] * r[i] * r[j] * p_(i+j):
 
     the response r of a cavity of full linewidth gamma (rad/s) on each
-    axis, a pump p on the sum detuning, a scale and an optional filter f
+    axis, a pump p on the sum detuning, gaussian of amplitude width sigma
+    (rad/s) or flat where sigma is None, a scale and an optional filter f
     on the signal axis (axis 0; None is the identity).  r is not stored:
     response evaluates it on any range of grid points, bit for bit as on
     the whole grid.  The pump is sampled once, on the index sums:
@@ -130,8 +111,8 @@ class JointSpectralAmplitude:
     """
 
     def __init__(self, grid: FrequencyGrid, gamma: float,
-                 pump: PumpSpectrum, scale: float = 1.0, f=None):
-        self.grid, self.gamma, self.pump = grid, gamma, pump
+                 sigma: float | None, scale: float = 1.0, f=None):
+        self.grid, self.gamma, self.sigma = grid, gamma, sigma
         self.scale = float(scale)
         self.f = None if f is None else np.asarray(f, complex)
 
@@ -143,7 +124,7 @@ class JointSpectralAmplitude:
 
     @property
     def is_factored(self) -> bool:
-        return self.pump.kind == "flat_limit"
+        return self.sigma is None
 
     @property
     def factors(self):
@@ -210,9 +191,9 @@ class JointSpectralAmplitude:
         with np.errstate(over="ignore"):
             np.square(s, out=s)
             np.negative(s, out=s)
-            s /= 2.0 * self.pump.sigma ** 2
+            s /= 2.0 * self.sigma ** 2
         np.exp(s, out=s)
-        s /= math.sqrt(TWO_PI) * self.pump.sigma
+        s /= math.sqrt(TWO_PI) * self.sigma
         return s
 
     def moduli(self):
@@ -241,7 +222,7 @@ class JointSpectralAmplitude:
         v = np.arange(4 * self.n_points - 3) - (2 * self.n_points - 2.0)
         with np.errstate(over="ignore"):
             x = np.square(v * (0.5 * self.grid.spacing))
-            x /= -self.pump.sigma ** 2
+            x /= -self.sigma ** 2
         np.exp(x, out=x)
         x[x < 1e-300] = 0.0
         return x
@@ -272,7 +253,7 @@ class JointSpectralAmplitude:
         pairs = ((a2, c2), (c2, a2))[:sides]
         if self.is_factored:
             return (*(x2 * float(np.sum(y2) * dd) for x2, y2 in pairs), e)
-        p0, e_p = math.frexp(1.0 / (math.sqrt(TWO_PI) * self.pump.sigma))
+        p0, e_p = math.frexp(1.0 / (math.sqrt(TWO_PI) * self.sigma))
         on_sums = self.pump_on_sums()[::2]
         return (*(x2 * dd * p0 * (correlate(on_sums, y2) * p0)
                   for x2, y2 in pairs), e + 2 * e_p)
@@ -296,39 +277,31 @@ def _lorentz_tail_fraction(span: float, gamma: float) -> float:
     return (math.pi / 2.0 - math.atan(span / gamma)) / math.pi
 
 
-def default_grid(gamma: float, pump: PumpSpectrum, n_points: int,
-                 span_factor: float) -> FrequencyGrid:
-    """Grid wide enough for both the cavity line and the pump."""
-    scale = gamma
-    if pump.kind == "gaussian":
-        scale = max(scale, pump.sigma)
-    return FrequencyGrid(span=span_factor * scale, n_points=n_points)
-
-
-def build_jsa(grid: FrequencyGrid, gamma: float, pump: PumpSpectrum,
+def build_jsa(grid: FrequencyGrid, gamma: float, sigma: float | None,
               f=None) -> JointSpectralAmplitude:
     """Sample the pair amplitude cavity(d1) * cavity(d2) * pump(d1 + d2)
     on the grid, L2-normalize it, and attach the signal filter f (None
     is the identity), which the normalization does not see.
 
-    gamma is the cavity's full linewidth in rad/s.  The amplitude is
-    held as its parts (linewidth, pump, scale and filter); no n x n
-    complex matrix exists until it is asked for.  A Lorentzian tail mass
-    above 1% per side (a span under 31.8*gamma) raises ModelError; for
-    gaussian pumps the grid must also span at least 8*sigma.
+    gamma is the cavity's full linewidth and sigma a gaussian pump's
+    width in rad/s, None for a flat pump.  The amplitude is held as its
+    parts (linewidth, pump, scale and filter); no n x n complex matrix
+    exists until it is asked for.  A Lorentzian tail mass above 1% per
+    side (a span under 31.8*gamma) raises ModelError; for gaussian pumps
+    the grid must also span at least 8*sigma.
     """
     # the 8 sigma floor also bounds the pump's tail mass by
     # erfc(2 sqrt 2) = 6.3e-5
-    if pump.kind == "gaussian" and grid.span < 8.0 * pump.sigma:
+    if sigma is not None and grid.span < 8.0 * sigma:
         raise InputError(
             f"grid span {grid.span:.3e} is below 8*sigma = "
-            f"{8.0 * pump.sigma:.3e}")
+            f"{8.0 * sigma:.3e}")
     tail = _lorentz_tail_fraction(grid.span, gamma)
     if tail > 0.01:
         raise ModelError(
             f"cavity-line tail mass {tail:.3%} per side exceeds 1%; "
             "widen the grid")
-    jsa = JointSpectralAmplitude(grid, gamma, pump)
+    jsa = JointSpectralAmplitude(grid, gamma, sigma)
     mass = jsa.l2_mass()
     if not sys.float_info.min <= mass <= sys.float_info.max:
         # a subnormal mass has too few bits to normalize by
@@ -338,4 +311,5 @@ def build_jsa(grid: FrequencyGrid, gamma: float, pump: PumpSpectrum,
             f"the squared modulus of the sampled amplitude {how} (cavity "
             f"linewidth {gamma / TWO_PI:.3g} Hz, grid span "
             f"{grid.span / TWO_PI:.3g} Hz)")
-    return JointSpectralAmplitude(grid, gamma, pump, 1.0 / math.sqrt(mass), f)
+    return JointSpectralAmplitude(grid, gamma, sigma, 1.0 / math.sqrt(mass),
+                                  f)

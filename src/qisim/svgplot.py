@@ -39,6 +39,7 @@ def _build_palette() -> list:
 
 
 PALETTE = _build_palette()
+HEATMAP_CELLS = 128  # most cells per axis of a heatmap
 
 
 def palette_indices(values):
@@ -50,14 +51,14 @@ def palette_indices(values):
     return np.rint(255.0 * np.clip(values, 0.0, 1.0)).astype(np.intp)
 
 
-def block_mean(a, limit: int = 128):
+def block_mean(a):
     """The square array a averaged over square blocks, edge-padded, down
-    to at most limit x limit cells; a itself if it is no larger."""
+    to at most HEATMAP_CELLS per axis; a itself if it is no larger."""
     import numpy as np
     n = a.shape[0]
-    if n <= limit:
+    if n <= HEATMAP_CELLS:
         return a
-    factor = -(-n // limit)           # ceil division
+    factor = -(-n // HEATMAP_CELLS)   # ceil division
     pad = (-n) % factor
     if pad:
         a = np.pad(a, ((0, pad), (0, pad)), mode="edge")
@@ -140,8 +141,8 @@ def _close(parts: list, mid_y: float, ylabel: str) -> str:
 def heatmap(values, extent, xlabel: str, ylabel: str, title: str) -> str:
     """Square heatmap of `values` (first axis = y, plotted bottom-up).
 
-    extent = (lo, hi) shared by both axes.  Grids above 128x128 are
-    block-averaged down (block_mean) so file size stays bounded.
+    extent = (lo, hi) shared by both axes; block_mean averages larger grids
+    down to HEATMAP_CELLS per axis, so file size stays bounded.
     """
     import numpy as np
     size, ml, mb, mt, mr = 512.0, 64.0, 48.0, 28.0, 20.0

@@ -29,27 +29,27 @@ from qisim import biphoton, eit, svgplot
 from qisim.eit import EitMedium, transmission
 from qisim.errors import InputError, ModelError
 from qisim.qubit import MemoryChannelParams
-from qisim.spectral import (TWO_PI, FrequencyGrid, JointSpectralAmplitude,
-                            PumpSpectrum)
+from qisim.spectral import TWO_PI, FrequencyGrid, JointSpectralAmplitude
 
 _ORACLE_MAX_POINTS = 32
 
 
 # ---------------------------------------------------------------- biphoton
 
-def pump_amplitude(nu, pump: PumpSpectrum) -> np.ndarray:
-    """Pump spectral amplitude at the sum detunings nu, in the order of
-    operations of JointSpectralAmplitude.pump_table, so the two agree
-    bit for bit on the same detunings."""
+def pump_amplitude(nu, sigma) -> np.ndarray:
+    """Pump spectral amplitude at the sum detunings nu, a gaussian of
+    width sigma or flat for None, in the order of operations of
+    JointSpectralAmplitude.pump_table, so the two agree bit for bit on
+    the same detunings."""
     nu = np.array(nu, dtype=float)
-    if pump.kind == "flat_limit":
+    if sigma is None:
         return np.ones_like(nu)
     with np.errstate(over="ignore"):
         np.square(nu, out=nu)
         np.negative(nu, out=nu)
-        nu /= 2.0 * pump.sigma ** 2
+        nu /= 2.0 * sigma ** 2
     np.exp(nu, out=nu)
-    nu /= math.sqrt(TWO_PI) * pump.sigma
+    nu /= math.sqrt(TWO_PI) * sigma
     return nu
 
 
@@ -95,7 +95,7 @@ def dense_kernel(jsa: JointSpectralAmplitude) -> np.ndarray:
     n = jsa.n_points
     idx = np.arange(n)
     m = pump_amplitude((idx[:, None] + idx - (n - 1.0)) * jsa.grid.spacing,
-                       jsa.pump)
+                       jsa.sigma)
     a = np.abs(jsa.response(0, n)) * math.sqrt(jsa.scale)
     m *= a[:, None]
     m *= a
@@ -446,7 +446,8 @@ def fit_gamma_s_roots(medium: EitMedium, target_hz: float) -> tuple:
     companion matrix) under numpy's errstate, which raises ModelError for
     any float overflow."""
     widest = eit.window_fwhm(EitMedium(
-        medium.optical_depth, medium.rabi_control, medium.gamma_ge, 0.0))
+        medium.optical_depth, medium.rabi_control, medium.gamma_ge, 0.0,
+        medium.length))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _, k, l = (np.float64(v) for v in eit._scaled(medium))

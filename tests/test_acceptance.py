@@ -22,8 +22,8 @@ from qisim.qubit import (MemoryChannelParams, alpha_quality, bell_state,
                          chsh_S, correlation_curve, crossing_time,
                          curve_visibility, memory_channel, six_state_battery,
                          werner_state)
-from qisim.spectral import (TWO_PI, FrequencyGrid, PumpSpectrum, build_jsa,
-                            default_grid, sigma_from_pulse_duration)
+from qisim.spectral import (TWO_PI, FrequencyGrid, build_jsa,
+                            sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
@@ -56,9 +56,9 @@ def test_c1_visibility_pair():
     t0 = time.monotonic()
     vals = []
     for sigma_hz in (12.5e6, 3.7e6):
-        pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * sigma_hz)
-        jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA,
-                        pump)
+        sigma = TWO_PI * sigma_hz
+        jsa = build_jsa(FrequencyGrid(40.0 * max(rv.GAMMA, sigma), 512),
+                        rv.GAMMA, sigma)
         vals.append(visibility(jsa))
     elapsed = time.monotonic() - t0
     v_broad, v_narrow = vals
@@ -81,8 +81,9 @@ def test_c2_dual_route_visibility():
     for _ in range(5):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = build_jsa(default_grid(gamma, pump, 32, 40.0), gamma, pump)
+        sigma = ratio * gamma
+        jsa = build_jsa(FrequencyGrid(40.0 * max(gamma, sigma), 32), gamma,
+                        sigma)
         v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         worst = max(worst, abs(v_purity - v_quad) / v_quad)
@@ -98,7 +99,7 @@ def test_c2_dual_route_visibility():
 def test_c3_time_domain_limits():
     # flat-pump profile against the closed form
     grid = FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
-    jsa = build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
+    jsa = build_jsa(grid, rv.GAMMA, None)
     edges = np.linspace(-2.0 / rv.GAMMA, 8.0 / rv.GAMMA, 513)
     t_grid = 0.5 * (edges[:-1] + edges[1:])
     dt = t_grid[1] - t_grid[0]
@@ -127,9 +128,8 @@ def test_c3_time_domain_limits():
     sigmas = {tp: sigma_from_pulse_duration(tp) for tp in (100e-9, 30e-9)}
     dists = {}
     for tp, sigma in sigmas.items():
-        pump = PumpSpectrum(kind="gaussian", sigma=sigma)
-        jsa_tp = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0),
-                           rv.GAMMA, pump)
+        jsa_tp = build_jsa(FrequencyGrid(40.0 * max(rv.GAMMA, sigma), 512),
+                           rv.GAMMA, sigma)
         dists[tp] = joint_time_distribution(jsa_tp, tg)
     r_long, r_short = (oracles.ridge_correlation(tg, dists[tp])
                        for tp in (100e-9, 30e-9))
@@ -261,8 +261,8 @@ def test_c8_physicality_and_determinism(tmp_path):
         evals = np.linalg.eigvalsh(oracles.channel_choi(params))
         choi_min = min(choi_min, float(evals.min()))
 
-    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA, pump)
+    sigma = TWO_PI * 12.5e6
+    jsa = build_jsa(FrequencyGrid(40.0 * sigma, 512), rv.GAMMA, sigma)
     t_grid = oracles.conjugate_time_grid(jsa.grid)
     psi_t = oracles.time_domain(jsa, t_grid)
     parseval = abs(oracles.parseval_ratio(jsa, psi_t, t_grid) - 1.0)

@@ -12,22 +12,21 @@ from qisim.biphoton import joint_time_distribution, visibility
 from qisim.eit import EitMedium, group_delay, transmission
 from qisim.errors import InputError, ModelError
 from qisim.spectral import (TWO_PI, FrequencyGrid, JointSpectralAmplitude,
-                            PumpSpectrum, build_jsa, cavity_response,
-                            default_grid, sigma_from_pulse_duration)
+                            build_jsa, cavity_response,
+                            sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
 
 
 def gaussian_jsa(sigma_rad, n_points=512):
-    pump = PumpSpectrum(kind="gaussian", sigma=sigma_rad)
-    grid = default_grid(rv.GAMMA, pump, n_points, 40.0)
-    return build_jsa(grid, rv.GAMMA, pump)
+    grid = FrequencyGrid(40.0 * max(rv.GAMMA, sigma_rad), n_points)
+    return build_jsa(grid, rv.GAMMA, sigma_rad)
 
 
 def flat_jsa(span_factor=40.0, n_points=512):
     grid = FrequencyGrid(span=span_factor * rv.GAMMA, n_points=n_points)
-    return build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
+    return build_jsa(grid, rv.GAMMA, None)
 
 
 # ------------------------------------------------------------ reduced state
@@ -77,8 +76,9 @@ def test_visibility_matches_independent_quadrature():
     for _ in range(2):
         gamma = TWO_PI * rng.uniform(2e6, 8e6)
         ratio = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        pump = PumpSpectrum(kind="gaussian", sigma=ratio * gamma)
-        jsa = build_jsa(default_grid(gamma, pump, 32, 40.0), gamma, pump)
+        sigma = ratio * gamma
+        jsa = build_jsa(FrequencyGrid(40.0 * max(gamma, sigma), 32), gamma,
+                        sigma)
         v_purity = visibility(jsa)
         v_quad = oracles.visibility_quadrature(jsa)
         assert v_purity == pytest.approx(v_quad, rel=1e-6)
@@ -112,20 +112,20 @@ def filtered_jsa(n_points):
     """A gaussian amplitude behind the storage filter, whose real kernel
     is not symmetric."""
     jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n_points)
-    return build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+    return build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
 
 
 @pytest.mark.parametrize("sigma_hz", [3.7e6, 12.5e6, 1e9])
 def test_visibility_is_scale_free(sigma_hz):
     jsa = gaussian_jsa(TWO_PI * sigma_hz)
     v = visibility(jsa)
-    raw = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.pump)
+    raw = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.sigma)
     assert raw.l2_mass() != pytest.approx(1.0)
     assert visibility(raw) == pytest.approx(v, rel=1e-14, abs=0.0)
     # a filtered amplitude against the same one scaled to unit mass
-    filtered = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+    filtered = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
     unit = JointSpectralAmplitude(
-        jsa.grid, rv.GAMMA, jsa.pump,
+        jsa.grid, rv.GAMMA, jsa.sigma,
         jsa.scale / math.sqrt(filtered.l2_mass()), filtered.f)
     assert unit.l2_mass() == pytest.approx(1.0, rel=1e-12)
     assert visibility(filtered) == pytest.approx(visibility(unit),
@@ -158,7 +158,7 @@ def test_sums_match_the_dense_kernel_across_pump_widths(sigma_hz, filtered):
     # from a pump narrower than the grid spacing to one that sets the span
     jsa = gaussian_jsa(TWO_PI * sigma_hz, n_points=520)
     if filtered:
-        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
     assert_matches_the_dense_kernel(jsa)
 
 
@@ -172,7 +172,7 @@ def test_purity_mass_and_marginals_never_build_the_pump_matrix(monkeypatch):
     assert 0.0 < jsa.l2_mass() < 1.0
     assert all(np.all(marg >= 0.0) for marg in jsa.marginals())
     # build_jsa's normalization takes the same path
-    assert build_jsa(jsa.grid, rv.GAMMA, jsa.pump).l2_mass() == pytest.approx(
+    assert build_jsa(jsa.grid, rv.GAMMA, jsa.sigma).l2_mass() == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -188,11 +188,11 @@ def traced_peak_mb(fn, *args):
 def test_visibility_memory_budget_at_n_4096():
     # one-dimensional sums over views of 2n - 1 values; no array grows as
     # n^2 (measured: 0.50 MiB traced, where the n x n kernel was 128 MiB)
-    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    grid = default_grid(rv.GAMMA, pump, 4096, 40.0)
+    sigma = TWO_PI * 12.5e6
+    grid = FrequencyGrid(40.0 * sigma, 4096)
 
     def run():
-        jsa = build_jsa(grid, rv.GAMMA, pump)
+        jsa = build_jsa(grid, rv.GAMMA, sigma)
         visibility(jsa)
         jsa.marginals()
 
@@ -230,8 +230,7 @@ def test_aliasing_guard_catches_broadband_input():
     # a cavity far wider than the grid fills it: a tenth of the mass in
     # its outer 10%
     grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = JointSpectralAmplitude(grid, 1e6 * grid.span,
-                                 PumpSpectrum(kind="flat_limit"))
+    jsa = JointSpectralAmplitude(grid, 1e6 * grid.span, None)
     with pytest.raises(ModelError, match="outer 10%"):
         oracles.time_domain(jsa, oracles.default_time_grid(rv.GAMMA))
 
@@ -331,11 +330,10 @@ def test_segmented_transform_of_gaussian_columns():
     # three columns of a gaussian amplitude, as the first pass of a
     # gaussian time_domain takes them, whose pump ridge d_j = -d_i sits
     # on the boundary between the two segments
-    pump = PumpSpectrum(kind="gaussian",
-                        sigma=sigma_from_pulse_duration(30e-9))
+    sigma = sigma_from_pulse_duration(30e-9)
     n = 40000
-    grid = default_grid(rv.GAMMA, pump, n, 40.0)
-    jsa = JointSpectralAmplitude(grid, rv.GAMMA, pump)
+    grid = FrequencyGrid(40.0 * sigma, n)
+    jsa = JointSpectralAmplitude(grid, rv.GAMMA, sigma)
     a = n - 2**15 - 1
     write = jsa.column_writer()
     vecs = np.empty((3, n), dtype=complex)
@@ -385,7 +383,7 @@ def test_streamed_time_domain_matches_the_dense_reference(n, n_t, t_lo, t_hi,
                                                           filtered):
     jsa = gaussian_jsa(sigma_from_pulse_duration(30e-9), n_points=n)
     if filtered:
-        jsa = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.pump, jsa.scale,
+        jsa = JointSpectralAmplitude(jsa.grid, rv.GAMMA, jsa.sigma, jsa.scale,
                                      storage_filter(jsa))
     t_grid = np.linspace(t_lo / rv.GAMMA, t_hi / rv.GAMMA, n_t)
     want = oracles.time_domain_dense(jsa, t_grid)
@@ -412,7 +410,7 @@ def test_post_storage_memory_budget_at_the_storage_size():
     # when the blocks were anonymous mappings that tracemalloc does not
     # see)
     jsa = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
     peak = traced_peak_mb(joint_time_distribution, jsa, storage_time_grid())
     assert peak < 48.0
 
@@ -438,7 +436,7 @@ def test_densities_do_not_depend_on_the_batch_size(monkeypatch,
     # 32 on the storage map) give the same bits as the default
     default = gaussian_jsa(sigma_from_pulse_duration(30e-9))
     storage = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    storage = build_jsa(storage.grid, rv.GAMMA, storage.pump,
+    storage = build_jsa(storage.grid, rv.GAMMA, storage.sigma,
                         storage_filter(storage))
     cases = [(default, oracles.default_time_grid(rv.GAMMA)),
              (storage, storage_time_grid())]
@@ -461,7 +459,7 @@ def test_time_distributions_never_materialize_the_pumped_amplitude(
     density = joint_time_distribution(jsa, t_grid)
     assert oracles.ridge_correlation(t_grid, density) == pytest.approx(
         rv.PEARSON_TP100, abs=1e-9)
-    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+    jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
     density = joint_time_distribution(jsa, storage_time_grid())
     assert density.max() == 1.0
 
@@ -485,7 +483,7 @@ def test_factored_time_domain_scales_the_factor_bit_for_bit(n, span_factor,
     jsa = flat_jsa(span_factor=span_factor, n_points=n)
     t_grid = c3_time_grid()
     if filtered:
-        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, storage_filter(jsa))
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, storage_filter(jsa))
         t_grid = np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)
     assert np.array_equal(oracles.time_domain(jsa, t_grid),
                           oracles.factored_time_domain(jsa, t_grid))
@@ -511,10 +509,9 @@ def test_flat_time_distribution_memory_budget_at_c3_size():
     # where the guards' 5.0 MiB with the detunings set it at 5.01, and
     # holding r whole (4 MiB) beside those read 9.0
     grid = FrequencyGrid(span=64000.0 * rv.GAMMA, n_points=262144)
-    pump = PumpSpectrum(kind="flat_limit")
 
     def timedist():
-        jsa = build_jsa(grid, rv.GAMMA, pump)
+        jsa = build_jsa(grid, rv.GAMMA, None)
         arrays = [v for v in vars(jsa).values() if isinstance(v, np.ndarray)]
         assert not arrays   # no filter: the amplitude holds no vector
         return joint_time_distribution(jsa, c3_time_grid())
@@ -540,10 +537,10 @@ def test_time_distributions_never_build_the_detunings(monkeypatch):
 
     flat = flat_jsa(span_factor=64000.0, n_points=262144)
     filtered = flat_jsa(n_points=4096)
-    filtered = build_jsa(filtered.grid, rv.GAMMA, filtered.pump,
+    filtered = build_jsa(filtered.grid, rv.GAMMA, filtered.sigma,
                          storage_filter(filtered))
     default = gaussian_jsa(sigma_from_pulse_duration(100e-9))
-    storage = build_jsa(default.grid, rv.GAMMA, default.pump,
+    storage = build_jsa(default.grid, rv.GAMMA, default.sigma,
                         storage_filter(default))
     cases = [(flat, c3_time_grid()),
              (filtered, np.linspace(-1.0 / rv.GAMMA, 4.0 / rv.GAMMA, 700)),
@@ -658,14 +655,13 @@ def test_gaussian_time_density_approaches_the_continuum():
     # leave on the t1 = t2 ridge falls as 1/span: measured 0.701 / 40 and
     # 0.717 / 80 of the peak at T_p = 30 ns, on grids of one spacing.
     sigma = sigma_from_pulse_duration(30e-9)
-    pump = PumpSpectrum(kind="gaussian", sigma=sigma)
     t_grid = oracles.default_time_grid(rv.GAMMA)
     want = oracles.gaussian_pump_density(t_grid, rv.GAMMA, sigma)
     errors = []
     for factor, n_points in ((40.0, 512), (80.0, 1024)):
-        grid = default_grid(rv.GAMMA, pump, n_points=n_points,
-                            span_factor=factor)
-        got = joint_time_distribution(build_jsa(grid, rv.GAMMA, pump), t_grid)
+        grid = FrequencyGrid(factor * sigma, n_points)
+        got = joint_time_distribution(build_jsa(grid, rv.GAMMA, sigma),
+                                      t_grid)
         errors.append(np.max(np.abs(got - want)))
         assert errors[-1] < 0.75 / factor
     assert errors[1] < 0.6 * errors[0]
@@ -689,11 +685,11 @@ def test_joint_time_distribution_frozen_correlations():
 
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_is_attached_after_the_normalization(kind):
-    pump = PumpSpectrum(kind=kind, sigma=sigma_from_pulse_duration(100e-9))
-    grid = default_grid(rv.GAMMA, pump, 512, 40.0)
-    plain = build_jsa(grid, rv.GAMMA, pump)
+    sigma = sigma_from_pulse_duration(100e-9) if kind == "gaussian" else None
+    grid = FrequencyGrid(40.0 * rv.GAMMA, 512)
+    plain = build_jsa(grid, rv.GAMMA, sigma)
     f = storage_filter(plain)
-    filtered = build_jsa(grid, rv.GAMMA, pump, f)
+    filtered = build_jsa(grid, rv.GAMMA, sigma, f)
     assert plain.f is None
     assert np.array_equal(filtered.f, f)
     assert filtered.scale == plain.scale
@@ -705,7 +701,7 @@ def test_post_storage_filter_flattens_the_ridge():
     t_grid = np.linspace(-2.0 / rv.GAMMA, 22.0 / rv.GAMMA, 2048)
 
     def ridge(jsa, f=None):
-        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.pump, f)
+        jsa = build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, f)
         return oracles.ridge_correlation(
             t_grid, joint_time_distribution(jsa, t_grid))
 
@@ -730,6 +726,6 @@ def test_post_storage_accepts_vector_filter():
     t_grid = oracles.default_time_grid(rv.GAMMA)
     ones = np.ones(jsa.grid.n_points)
     a = joint_time_distribution(
-        build_jsa(jsa.grid, rv.GAMMA, jsa.pump, ones), t_grid)
+        build_jsa(jsa.grid, rv.GAMMA, jsa.sigma, ones), t_grid)
     b = joint_time_distribution(jsa, t_grid)
     assert np.allclose(a, b, atol=1e-12)

@@ -426,7 +426,7 @@ def test_huge_frequency_grid_is_refused_before_it_exists(
     def refuse(*args, **kwargs):
         raise AssertionError("the grid was built before the check")
 
-    monkeypatch.setattr(config, "grid_from", refuse)
+    monkeypatch.setattr(config, "source_from", refuse)
     code = main([*command, "--set", f"grids.n_freq={n_freq}",
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -580,8 +580,14 @@ REFUSALS = {
         "must be positive, got -2.0"),
     "sweep-sigma": (
         ["visibility", "--sigma-hz", "1e-300", "--tp-s="], EXIT_CONFIG,
-        "every visibility sweep row failed; first error: gaussian pump "
-        "needs sigma in [1.5e-154, 9.5e+153] rad/s, got 6.28e-300"),
+        "every visibility sweep row failed; first error: pump needs sigma "
+        "in [1.5e-154, 9.5e+153] rad/s, got 6.28e-300"),
+    # a flat pump does not use sigma, but checks it as a gaussian does
+    "sweep-sigma-flat": (
+        ["visibility", "--set", "source.pump_kind=flat_limit",
+         "--sigma-hz=-1", "--tp-s="], EXIT_CONFIG,
+        "every visibility sweep row failed; first error: pump needs sigma "
+        "in [1.5e-154, 9.5e+153] rad/s, got -6.28"),
     # the sweep exits with its first row's code
     "sweep-model": (
         ["visibility", "--set", "grids.freq_span_factor=10", "--sigma-hz",

@@ -175,19 +175,22 @@ def test_echo_and_canonical_text():
 
 def test_builders_produce_configured_objects():
     cfg = config.load_config()
-    gamma = config.gamma_from(cfg)
+    gamma, sigma, grid = config.source_from(cfg, TWO_PI * 12.5e6)
     assert gamma == pytest.approx(TWO_PI * 5e6, rel=1e-15)
-
-    pump = config.pump_from(cfg, TWO_PI * 3.7e6)
-    assert (pump.kind, pump.sigma) == ("gaussian", TWO_PI * 3.7e6)
-    flat_cfg = config.load_config(overrides=("source.pump_kind=flat_limit",))
-    flat = config.pump_from(flat_cfg, TWO_PI * 3.7e6)
-    assert (flat.kind, flat.sigma) == ("flat_limit", 0.0)
-
-    grid = config.grid_from(cfg, gamma, pump)
+    assert sigma == TWO_PI * 12.5e6
     assert grid.n_points == 512
-    assert grid.span == pytest.approx(
-        40.0 * max(gamma, pump.sigma), rel=1e-12)
+    assert grid.span == 40.0 * sigma
+    # a flat pump has no bandwidth: its grid follows the line alone
+    flat_cfg = config.load_config(overrides=("source.pump_kind=flat_limit",
+                                             "grids.n_freq=256"))
+    _, flat, flat_grid = config.source_from(flat_cfg, TWO_PI * 12.5e6)
+    assert flat is None
+    assert (flat_grid.span, flat_grid.n_points) == (40.0 * gamma, 256)
+    # but its sigma is checked, as a gaussian's is
+    line = "pump needs sigma in [1.5e-154, 9.5e+153] rad/s, got -6.28"
+    for c in (cfg, flat_cfg):
+        with pytest.raises(InputError, match=re.escape(line)):
+            config.source_from(c, -TWO_PI)
 
     medium = config.medium_from(cfg)
     assert medium.optical_depth == 55.0

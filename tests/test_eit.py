@@ -161,12 +161,12 @@ def _seeded_media():
         od = 10.0 ** rng.uniform(0.0, math.log10(300.0))
         rabi, g_ge = rate(1e5, 1e8), rate(1e5, 1e8)
         g_s = 0.0 if rng.random() < 0.2 else rate(1e2, 1e8)
-        media[f"seed-{i}"] = EitMedium(od, rabi, g_ge, g_s)
+        media[f"seed-{i}"] = EitMedium(od, rabi, g_ge, g_s, 4e-3)
     for g_s in (5.23543e7, 5.23546e7, 5.23549e7):
         media[f"collapse-{g_s:.6g}"] = EitMedium(rv.OD, rv.RABI,
-                                                 rv.GAMMA_GE, g_s)
+                                                 rv.GAMMA_GE, g_s, 4e-3)
     media["od-1e6"] = EitMedium(1e6, rv.RABI, rv.GAMMA_GE,
-                                rv.GAMMA_S_DEFAULT)
+                                rv.GAMMA_S_DEFAULT, 4e-3)
     return media
 
 
@@ -198,16 +198,16 @@ def test_window_and_delay_match_the_oracles(name):
 # half-transmission discriminant overflows, and one whose delay's
 # denominator (g + k)^2 gamma_ge overflows
 _EXTREME = {
-    "gamma_s-1e300": EitMedium(rv.OD, rv.RABI, 1e-10, 1e300),
+    "gamma_s-1e300": EitMedium(rv.OD, rv.RABI, 1e-10, 1e300, 4e-3),
     "rabi-1e300": EitMedium(rv.OD, 1e300, rv.GAMMA_GE,
-                            rv.GAMMA_S_DEFAULT),
+                            rv.GAMMA_S_DEFAULT, 4e-3),
     "od-1e-320": EitMedium(1e-320, rv.RABI, rv.GAMMA_GE,
-                           rv.GAMMA_S_DEFAULT),
-    "gamma_ge-1e-100": EitMedium(rv.OD, rv.RABI, 1e-100, 1e110),
+                           rv.GAMMA_S_DEFAULT, 4e-3),
+    "gamma_ge-1e-100": EitMedium(rv.OD, rv.RABI, 1e-100, 1e110, 4e-3),
     "od-1e308": EitMedium(1e308, rv.RABI, rv.GAMMA_GE,
-                          rv.GAMMA_S_DEFAULT),
-    "rabi-1e50": EitMedium(rv.OD, 1e50, rv.GAMMA_GE),
-    "gamma_ge-1e200": EitMedium(rv.OD, 1e277, 1e200),
+                          rv.GAMMA_S_DEFAULT, 4e-3),
+    "rabi-1e50": EitMedium(rv.OD, 1e50, rv.GAMMA_GE, 0.0, 4e-3),
+    "gamma_ge-1e200": EitMedium(rv.OD, 1e277, 1e200, 0.0, 4e-3),
 }
 
 
@@ -251,7 +251,7 @@ def test_window_and_delay_out_of_range_are_model_errors(name):
 
 def test_transmission_out_of_range_is_a_model_error():
     medium = EitMedium(optical_depth=rv.OD, rabi_control=1e300,
-                       gamma_ge=rv.GAMMA_GE)
+                       gamma_ge=rv.GAMMA_GE, gamma_s=0.0, length=4e-3)
     with pytest.raises(ModelError, match="floating-point range"):
         transmission(0.0, medium)
 
@@ -259,7 +259,8 @@ def test_transmission_out_of_range_is_a_model_error():
 def test_window_fwhm_finds_sub_khz_windows():
     # with gamma_s = 0 the narrow window grows as rabi^2
     media = [EitMedium(optical_depth=rv.OD, rabi_control=TWO_PI * r,
-                       gamma_ge=rv.GAMMA_GE) for r in (5e4, 5e3, 5e2)]
+                       gamma_ge=rv.GAMMA_GE, gamma_s=0.0, length=4e-3)
+             for r in (5e4, 5e3, 5e2)]
     widths = [window_fwhm(m) for m in media]
     assert widths[0] < 1e3
     assert widths[0] / widths[1] == pytest.approx(100.0, rel=1e-4)

@@ -505,7 +505,7 @@ def test_writers_hash_without_reading_back(tmp_path, monkeypatch):
         return builtins.open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(outputs, "open", write_only, raising=False)
-    writer = outputs.OutputWriter(str(tmp_path))
+    writer = outputs.OutputWriter(str(tmp_path), ("csv", "json", "svg"))
     writer.write_csv("a.csv", ["x", "y"], [(1.0, "é"), (1 / 3, None)])
     writer.write_grid_csv("g.csv", ["t1", "t2", "v"], np.arange(3.0),
                           np.eye(3) / 3.0)

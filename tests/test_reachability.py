@@ -36,11 +36,11 @@ COMMENTED = os.path.join(ROOT, "tests", "data", "commented.cfg")
 # stay although no command runs them
 UNREACHED = {
     # numerical edges
-    "eit.py:198": "_real_roots drops a leading zero coefficient, as "
+    "eit.py:197": "_real_roots drops a leading zero coefficient, as "
     "np.roots does; no medium tried gives the fit one",
-    "eit.py:209": "_real_roots: a polynomial exactly 0 at a turning point "
+    "eit.py:208": "_real_roots: a polynomial exactly 0 at a turning point "
     "or at the largest float",
-    "eit.py:287": "fit_gamma_s: only a target equal to the narrowest window "
+    "eit.py:286": "fit_gamma_s: only a target equal to the narrowest window "
     "to the last bit (2429705.4185120836 Hz for the default medium) "
     "reaches it, so a case would pin that bit",
     "g17.py:181": "numbers' fallback: a density cell outside (0, 1], or "
@@ -50,11 +50,11 @@ UNREACHED = {
     "test_outputs injects it",
     "g17.py:234": "write_grid stops handing bands over after a failed write",
     "g17.py:240": "write_grid raises the failed write",
-    "svgplot.py:90": "_range: a NaN in a plotted series; no command "
+    "svgplot.py:91": "_range: a NaN in a plotted series; no command "
     "computes one",
     # perfbench's tracer reads these; no command needs them
-    "spectral.py:148-167": "JointSpectralAmplitude.factors and .amplitude",
-    "spectral.py:207": "pump_table's flat branch: a flat pump's amplitude "
+    "spectral.py:129-148": "JointSpectralAmplitude.factors and .amplitude",
+    "spectral.py:188": "pump_table's flat branch: a flat pump's amplitude "
     "is built from its factors, except in .amplitude",
 }
 

@@ -6,9 +6,8 @@ import pytest
 from qisim import config, spectral
 from qisim.errors import InputError, ModelError
 from qisim.spectral import (MATERIALIZE_LIMIT, TWO_PI, FrequencyGrid,
-                            JointSpectralAmplitude, PumpSpectrum, build_jsa,
-                            cavity_response, default_grid,
-                            sigma_from_pulse_duration)
+                            JointSpectralAmplitude, build_jsa,
+                            cavity_response, sigma_from_pulse_duration)
 
 import oracles
 import refvals as rv
@@ -35,8 +34,7 @@ def test_detunings_on_a_range_are_linspace_bit_for_bit(span, n):
     grid = FrequencyGrid(span=span, n_points=n)
     whole = np.linspace(-span / 2.0, span / 2.0, n)
     assert grid.detunings.tobytes() == whole.tobytes()
-    jsa = JointSpectralAmplitude(grid, rv.GAMMA,
-                                 PumpSpectrum(kind="flat_limit"))
+    jsa = JointSpectralAmplitude(grid, rv.GAMMA, None)
     r = cavity_response(whole, rv.GAMMA)
     seg = spectral.SEGMENT
     for lo, hi in [(k, min(k + seg, n)) for k in range(0, n, seg)] + [
@@ -63,7 +61,7 @@ def test_cavity_line_requires_positive_width():
     for hz in ("0", "-1", "1e308"):
         with pytest.raises(InputError, match="source.gamma_hz"):
             config.load_config(overrides=(f"source.gamma_hz={hz}",))
-    assert config.gamma_from(config.load_config()) == (
+    assert config.source_from(config.load_config(), 1.0)[0] == (
         TWO_PI * config.DEFAULTS["source.gamma_hz"])
 
 
@@ -74,27 +72,26 @@ def test_cavity_response_formula():
     assert np.array_equal(got, expect)
 
 
-def pump_table(grid, pump):
+def pump_table(grid, sigma):
     """The package's pump on the index sums of grid."""
-    return JointSpectralAmplitude(grid, rv.GAMMA, pump).pump_table()
+    return JointSpectralAmplitude(grid, rv.GAMMA, sigma).pump_table()
 
 
 def test_pump_gaussian_is_unit_area():
     sigma = TWO_PI * 4e6
-    pump = PumpSpectrum(kind="gaussian", sigma=sigma)
     # index sums from -12 sigma to 12 sigma in 20002 steps
     grid = FrequencyGrid(span=12.0 * sigma, n_points=10002)
-    table = pump_table(grid, pump)
+    table = pump_table(grid, sigma)
     assert table.shape == (20003,)
     assert np.sum(table) * grid.spacing == pytest.approx(1.0, rel=1e-9)
     assert table[10001] == 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
     sums = (np.arange(20003) - 10001.0) * grid.spacing
-    assert np.array_equal(table, oracles.pump_amplitude(sums, pump))
+    assert np.array_equal(table, oracles.pump_amplitude(sums, sigma))
 
 
 def test_pump_flat_and_delta_kinds():
     grid = FrequencyGrid(span=2.0, n_points=10)
-    flat = pump_table(grid, PumpSpectrum(kind="flat_limit"))
+    flat = pump_table(grid, None)
     assert np.array_equal(flat, np.ones(19))
     # a continuous (delta) pump has no samples on a grid: config refuses
     # the kind (source.pump_kind)
@@ -109,19 +106,18 @@ def test_sigma_from_pulse_duration_frozen():
         sigma_from_pulse_duration(0.0)
 
 
-def test_default_grid_span_tracks_widest_scale():
-    narrow = PumpSpectrum(kind="gaussian", sigma=0.1 * rv.GAMMA)
-    wide = PumpSpectrum(kind="gaussian", sigma=5.0 * rv.GAMMA)
-    g1 = default_grid(rv.GAMMA, narrow, 512, 40.0)
-    g2 = default_grid(rv.GAMMA, wide, 512, 40.0)
-    assert g1.span == pytest.approx(40.0 * rv.GAMMA, rel=1e-15)
-    assert g2.span == pytest.approx(200.0 * rv.GAMMA, rel=1e-15)
+def test_source_grid_span_tracks_widest_scale():
+    cfg = config.load_config()
+    gamma, _, g1 = config.source_from(cfg, 0.1 * rv.GAMMA)
+    _, _, g2 = config.source_from(cfg, 5.0 * rv.GAMMA)
+    assert g1.span == pytest.approx(40.0 * gamma, rel=1e-15)
+    assert g2.span == pytest.approx(200.0 * gamma, rel=1e-15)
     assert g1.n_points == 512
 
 
 def test_gaussian_jsa_is_symmetric_and_normalized():
-    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 12.5e6)
-    jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA, pump)
+    sigma = TWO_PI * 12.5e6
+    jsa = build_jsa(FrequencyGrid(40.0 * sigma, 512), rv.GAMMA, sigma)
     assert not jsa.is_factored
     a = jsa.amplitude
     # symmetric up to multiplication order in the three-factor product
@@ -130,14 +126,14 @@ def test_gaussian_jsa_is_symmetric_and_normalized():
 
 
 def test_pumped_form_agrees_with_its_materialized_amplitude():
-    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    grid = default_grid(rv.GAMMA, pump, 256, 40.0)
-    jsa = build_jsa(grid, rv.GAMMA, pump)
+    sigma = TWO_PI * 3.7e6
+    grid = FrequencyGrid(40.0 * rv.GAMMA, 256)
+    jsa = build_jsa(grid, rv.GAMMA, sigma)
     r = cavity_response(grid.detunings, rv.GAMMA)
     # the pump on the index sums (i + j - (n - 1)) dd
     idx = np.arange(grid.n_points)
     raw = np.outer(r, r) * oracles.pump_amplitude(
-        (idx[:, None] + idx - (grid.n_points - 1.0)) * grid.spacing, pump)
+        (idx[:, None] + idx - (grid.n_points - 1.0)) * grid.spacing, sigma)
     a = jsa.amplitude
     assert np.allclose(a, raw / math.sqrt(np.sum(np.abs(raw) ** 2))
                        / grid.spacing, rtol=1e-14, atol=0.0)
@@ -151,11 +147,11 @@ def test_pumped_form_agrees_with_its_materialized_amplitude():
 
 @pytest.mark.parametrize("kind", ["gaussian", "flat_limit"])
 def test_filter_multiplies_the_signal_rows(kind):
-    pump = PumpSpectrum(kind=kind, sigma=TWO_PI * 3.7e6)
-    grid = default_grid(rv.GAMMA, pump, 256, 40.0)
-    jsa = build_jsa(grid, rv.GAMMA, pump)
+    sigma = TWO_PI * 3.7e6 if kind == "gaussian" else None
+    grid = FrequencyGrid(40.0 * rv.GAMMA, 256)
+    jsa = build_jsa(grid, rv.GAMMA, sigma)
     f = np.exp(1j * np.linspace(0.0, 3.0, 256)) * np.linspace(0.2, 1.0, 256)
-    filtered = build_jsa(grid, rv.GAMMA, pump, f)
+    filtered = build_jsa(grid, rv.GAMMA, sigma, f)
     assert filtered.is_factored == (kind == "flat_limit")
     a, want = filtered.amplitude, jsa.amplitude * f[:, None]
     # a flat pump filters its factor; a gaussian multiplies f in after the
@@ -171,9 +167,8 @@ def test_filter_multiplies_the_signal_rows(kind):
 
 
 def test_flat_jsa_is_factored_and_normalized():
-    pump = PumpSpectrum(kind="flat_limit")
     grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    jsa = build_jsa(grid, rv.GAMMA, pump)
+    jsa = build_jsa(grid, rv.GAMMA, None)
     assert jsa.is_factored
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-12)
     u, v = jsa.factors
@@ -184,9 +179,8 @@ def test_flat_jsa_is_factored_and_normalized():
 
 
 def test_factored_materialization_cap():
-    pump = PumpSpectrum(kind="flat_limit")
     grid = FrequencyGrid(span=400.0 * rv.GAMMA, n_points=8192)
-    jsa = build_jsa(grid, rv.GAMMA, pump)
+    jsa = build_jsa(grid, rv.GAMMA, None)
     assert jsa.n_points > MATERIALIZE_LIMIT
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(InputError):
@@ -197,33 +191,32 @@ def test_narrow_span_is_refused_by_the_tail_mass_guard():
     # 6*gamma leaves 5.3% in each tail
     grid = FrequencyGrid(span=6.0 * rv.GAMMA, n_points=512)
     with pytest.raises(ModelError, match="tail mass 5.257% per side"):
-        build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
+        build_jsa(grid, rv.GAMMA, None)
 
 
 def test_lorentzian_tail_mass_guard():
     # 10*gamma still leaves ~3% in one tail
     grid = FrequencyGrid(span=10.0 * rv.GAMMA, n_points=512)
     with pytest.raises(ModelError):
-        build_jsa(grid, rv.GAMMA, PumpSpectrum(kind="flat_limit"))
+        build_jsa(grid, rv.GAMMA, None)
 
 
 def test_wide_gaussian_pump_hits_span_floor():
     # span is only 2 sigma here, well under the 8 sigma floor, which
     # trips before any tail-mass estimate is attempted
     grid = FrequencyGrid(span=40.0 * rv.GAMMA, n_points=512)
-    pump = PumpSpectrum(kind="gaussian", sigma=20.0 * rv.GAMMA)
     with pytest.raises(InputError):
-        build_jsa(grid, rv.GAMMA, pump)
+        build_jsa(grid, rv.GAMMA, 20.0 * rv.GAMMA)
 
 
 def test_axis_marginals_integrate_to_total_mass():
-    pump = PumpSpectrum(kind="gaussian", sigma=TWO_PI * 3.7e6)
-    jsa = build_jsa(default_grid(rv.GAMMA, pump, 512, 40.0), rv.GAMMA, pump)
+    jsa = build_jsa(FrequencyGrid(40.0 * rv.GAMMA, 512), rv.GAMMA,
+                    TWO_PI * 3.7e6)
     dd = jsa.grid.spacing
     for marg in jsa.marginals():
         assert np.sum(marg) * dd == pytest.approx(jsa.l2_mass(), rel=1e-12)
     flat = build_jsa(FrequencyGrid(span=40.0 * rv.GAMMA, n_points=256),
-                     rv.GAMMA, PumpSpectrum(kind="flat_limit"))
+                     rv.GAMMA, None)
     for marg in flat.marginals():
         assert np.sum(marg) * flat.grid.spacing == pytest.approx(
             1.0, rel=1e-12)
@@ -233,8 +226,7 @@ def test_axis_marginals_integrate_to_total_mass():
 def test_mass_is_exact_where_the_marginal_entries_are_subnormal(gamma):
     # the unscaled marginal entries are about 1e-319 here, although the
     # mass, dd times their sum, is a normal float
-    pump = PumpSpectrum(kind="gaussian", sigma=4.3e49)
-    jsa = build_jsa(default_grid(gamma, pump, 8, 40.0), gamma, pump)
+    jsa = build_jsa(FrequencyGrid(40.0 * gamma, 8), gamma, 4.3e49)
     assert jsa.l2_mass() == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
@@ -245,11 +237,10 @@ def test_mass_is_unit_over_the_accepted_widths(kind):
     sigmas = np.geomspace(1.5e-154, 9.4e153, 21)
     accepted = 0
     for gamma in TWO_PI * np.geomspace(1e-3, 1e300, 31):
-        for sigma in sigmas if kind == "gaussian" else [0.0]:
-            pump = PumpSpectrum(kind=kind, sigma=sigma)
+        for sigma in sigmas if kind == "gaussian" else [None]:
+            scale = gamma if sigma is None else max(gamma, sigma)
             try:
-                jsa = build_jsa(default_grid(gamma, pump, 8, 40.0),
-                                gamma, pump)
+                jsa = build_jsa(FrequencyGrid(40.0 * scale, 8), gamma, sigma)
             except InputError:
                 continue
             accepted += 1
@@ -260,6 +251,5 @@ def test_mass_is_unit_over_the_accepted_widths(kind):
 def test_overflowing_mass_is_an_input_error():
     # a pump far narrower than a very narrow line: p(0)^2 alone is 1e306
     gamma = TWO_PI * 1e-3
-    pump = PumpSpectrum(kind="gaussian", sigma=1.5e-154)
     with pytest.raises(InputError, match="amplitude overflows"):
-        build_jsa(default_grid(gamma, pump, 8, 40.0), gamma, pump)
+        build_jsa(FrequencyGrid(40.0 * gamma, 8), gamma, 1.5e-154)
